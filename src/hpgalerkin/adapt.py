@@ -57,7 +57,6 @@ __all__ = [
     "smoothness",
     "h_adapt",
     "hp_adapt",
-    "dof_count",
 ]
 
 _ZERO_POLY_RTOL = 1e-14
@@ -304,7 +303,3 @@ def hp_adapt(p: Problem, cfg: AdaptConfig) -> RunResult:
         raise ValueError("hp_adapt requires mode == Mode.HP")
     return _drive(p, cfg)
 
-
-def dof_count(result: RunResult) -> int:
-    """Total trial-space dimension over accepted intervals."""
-    return sum(rec.dofs for rec in result.intervals)

@@ -31,8 +31,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .poly import Interval, LocalPoly, QuadRule, gauss_legendre, project_values
-from .poly import _linf_sample_points
+from .galerkin import Scheme, picard_operator
+from .poly import Interval, LocalPoly, QuadRule, _linf_sample_points, gauss_legendre
 from .problems import NumericOverflow, Problem, lip_at, rhs_at
 
 __all__ = [
@@ -108,17 +108,18 @@ def residual_estimator(
 
     The residual is represented as a polynomial by projecting
     f(s, uhat) onto degree deg(uhat) + 4 and integrating from the left
-    endpoint, then subtracting uhat.
+    endpoint -- the cG Picard update at degree deg(uhat) + 5 -- then
+    subtracting uhat.
     """
     iv = u_hat.interval
     r_q = u_hat.degree + _RESIDUAL_EXTRA_DEGREE
     if quad is None:
         quad = gauss_legendre(min(r_q + 6, 64))
-    ts = iv.from_reference(quad.nodes)
-    f_vals = rhs_at(p, ts, u_hat.at_reference(quad.nodes).T)
-    accum = project_values(f_vals, iv, r_q, quad).antiderivative(np.asarray(u_left, dtype=float))
-    res_coeffs = accum.coeffs.copy()
-    res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
+    op = picard_operator(r_q + 1, Scheme.CG, quad)
+    m = u_hat.coeffs.shape[0]
+    f_vals = rhs_at(p, iv.from_reference(quad.nodes), op.V[:, :m] @ u_hat.coeffs)
+    res_coeffs = op.apply(np.atleast_1d(np.asarray(u_left, dtype=float)), iv.k, f_vals)
+    res_coeffs[:m] -= u_hat.coeffs
     return LocalPoly(iv, res_coeffs).linf_norm()
 
 

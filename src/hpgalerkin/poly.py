@@ -219,13 +219,6 @@ def _linf_sample_points(degree: int) -> np.ndarray:
     return pts
 
 
-@lru_cache(maxsize=None)
-def _legvander(n_points: int, degree: int) -> np.ndarray:
-    V = _leg.legvander(gauss_legendre(n_points).nodes, degree)
-    V.flags.writeable = False
-    return V
-
-
 def project_values(values: np.ndarray, iv: Interval, r: int, quad: QuadRule) -> LocalPoly:
     """L2 projection onto degree r from values sampled at quad's mapped nodes.
 
@@ -237,10 +230,7 @@ def project_values(values: np.ndarray, iv: Interval, r: int, quad: QuadRule) -> 
         raise ValueError(
             f"quadrature with {quad.n} points cannot project onto degree {r}; need n >= {r + 1}"
         )
-    if quad is gauss_legendre(quad.n):
-        V = _legvander(quad.n, r)
-    else:
-        V = _leg.legvander(quad.nodes, r)
+    V = _leg.legvander(quad.nodes, r)
     scale = 0.5 * (2.0 * np.arange(r + 1) + 1.0)
     coeffs = scale[:, None] * (V.T @ (quad.weights[:, None] * values))
     return LocalPoly(iv, coeffs)

@@ -23,15 +23,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .poly import Interval, QuadRule
-
 __all__ = [
     "NumericOverflow",
     "Problem",
     "make_power_square",
     "make_exponential",
     "make_linear",
-    "lip_integral",
     "builtin_problem",
 ]
 
@@ -78,7 +75,7 @@ def rhs_at(p: Problem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
             )
     if vals.shape != us.shape:
         raise ValueError(f"right-hand side returned shape {vals.shape}, expected {us.shape}")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
     return vals
 
@@ -90,28 +87,9 @@ def lip_at(p: Problem, ts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
             vals = np.asarray(p.lip_batch(ts, a, b), dtype=float)
         else:
             vals = np.array([p.lip(t, ai, bi) for t, ai, bi in zip(ts, a, b)], dtype=float)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NumericOverflow(f"Lipschitz envelope of problem {p.name!r} overflowed")
     return vals
-
-
-def lip_integral(
-    p: Problem,
-    iv: Interval,
-    a_fn: Callable[[float], float],
-    b_fn: Callable[[float], float],
-    quad: QuadRule,
-) -> float:
-    """Quadrature approximation of the envelope integral over iv.
-
-    Integrates lip(s, a_fn(s), b_fn(s)); raises NumericOverflow when the
-    integrand leaves double range (the delta solver reads that as +inf).
-    """
-    ts = iv.from_reference(quad.nodes)
-    a = np.array([a_fn(t) for t in ts], dtype=float)
-    b = np.array([b_fn(t) for t in ts], dtype=float)
-    vals = lip_at(p, ts, a, b)
-    return float(0.5 * iv.k * np.dot(quad.weights, vals))
 
 
 def make_power_square(u0: float) -> Problem:

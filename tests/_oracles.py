@@ -1,9 +1,11 @@
 """Independent brute-force oracles shared by the test modules."""
 
 import numpy as np
+from numpy.polynomial import legendre
 
-from hpgalerkin.poly import gauss_legendre
-from hpgalerkin.problems import rhs_at
+from hpgalerkin.galerkin import Scheme, StepFailure
+from hpgalerkin.poly import LocalPoly, gauss_legendre, project_values
+from hpgalerkin.problems import NumericOverflow, rhs_at
 
 
 def brute_force_residual(p, u_hat, n_samples=10_000, n_quad=64):
@@ -21,3 +23,75 @@ def brute_force_residual(p, u_hat, n_samples=10_000, n_quad=64):
     u0 = u_hat(iv.t_start)
     gaps = u_hat(ts).T - u0[None, :]
     return float(np.max(np.linalg.norm(integrals - gaps, axis=1)))
+
+
+def _reference_dg_matrix_inverse(r):
+    """Inverse of the dG system matrix, entry (j, i) = int P_i' P_j dx
+    + P_i(-1) P_j(-1), assembled by quadrature rather than closed form."""
+    q = gauss_legendre(r + 2)
+    eye = np.eye(r + 1)
+    P = np.stack([legendre.legval(q.nodes, eye[i]) for i in range(r + 1)])  # (basis, node)
+    dP = np.stack([legendre.legval(q.nodes, legendre.legder(eye[i])) for i in range(r + 1)])
+    left = (-1.0) ** np.arange(r + 1)
+    M = (q.weights * P) @ dP.T + np.outer(left, left)
+    return np.linalg.inv(M)
+
+
+def reference_step(p, inp, cfg, quad=None):
+    """One cG/dG step by the per-iteration Picard loop: a LocalPoly per
+    iterate, project_values, antiderivative or the dG solve, and the
+    sampled sup norm against the divergence cap on every iteration.
+    Returns (u, picard_iters, converged, failure) with the same meaning
+    as StepOutput."""
+    r, iv, u_left = inp.r, inp.interval, inp.u_left
+    if quad is None:
+        quad = gauss_legendre(min(r + 6, 64))
+    ts = iv.from_reference(quad.nodes)
+    coeffs = np.zeros((r + 1, u_left.size))
+    coeffs[0] = u_left
+    u = LocalPoly(iv, coeffs)
+    cg = inp.scheme is Scheme.CG
+    j = np.arange(r + 1)
+    Minv = None if cg else _reference_dg_matrix_inverse(r)
+    for it in range(1, cfg.max_iters + 1):
+        try:
+            f_vals = rhs_at(p, ts, u.at_reference(quad.nodes).T)
+        except NumericOverflow:
+            return u, it, False, StepFailure.DIVERGED
+        f_proj = project_values(f_vals, iv, r - 1 if cg else r, quad)
+        if cg:
+            u_next = f_proj.antiderivative(u_left)
+        else:
+            rhs = ((-1.0) ** j)[:, None] * u_left[None, :]
+            rhs = rhs + iv.k * f_proj.coeffs / (2.0 * j + 1.0)[:, None]
+            u_next = LocalPoly(iv, Minv @ rhs)
+        change = float(np.max(np.abs(u_next.coeffs - u.coeffs)))
+        scale = max(1.0, float(np.max(np.abs(u_next.coeffs))))
+        u = u_next
+        if u.linf_norm() > cfg.divergence_cap:
+            return u, it, False, StepFailure.DIVERGED
+        if change <= cfg.fp_tol * scale:
+            return u, it, True, None
+    return u, cfg.max_iters, False, StepFailure.MAX_ITERS
+
+
+def reference_reconstruct(p, inp, u, quad=None):
+    """Degree r+1 reconstruction by project_values + antiderivative."""
+    iv = inp.interval
+    if quad is None:
+        quad = gauss_legendre(min(inp.r + 6, 64))
+    f_vals = rhs_at(p, iv.from_reference(quad.nodes), u.at_reference(quad.nodes).T)
+    return project_values(f_vals, iv, inp.r, quad).antiderivative(inp.u_left)
+
+
+def reference_residual(p, u_hat, u_left, extra_degree=4):
+    """Residual sup norm by project_values + antiderivative at degree
+    deg(uhat) + extra_degree, minus uhat, sampled as LocalPoly.linf_norm."""
+    iv = u_hat.interval
+    r_q = u_hat.degree + extra_degree
+    quad = gauss_legendre(min(r_q + 6, 64))
+    f_vals = rhs_at(p, iv.from_reference(quad.nodes), u_hat.at_reference(quad.nodes).T)
+    accum = project_values(f_vals, iv, r_q, quad).antiderivative(np.asarray(u_left, dtype=float))
+    res = accum.coeffs.copy()
+    res[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
+    return LocalPoly(iv, res).linf_norm()

@@ -8,7 +8,6 @@ from hpgalerkin.adapt import (
     Mode,
     RunResult,
     Termination,
-    dof_count,
     h_adapt,
     hp_adapt,
     smoothness,
@@ -285,7 +284,8 @@ class TestDofCount:
                 max_intervals=3,
             ),
         )
-        assert dof_count(res) == 6  # 3 intervals x r=2 x d=1
+        assert res.dofs == 6  # 3 intervals x r=2 x d=1
+        assert res.dofs == sum(rec.dofs for rec in res.intervals)
 
     def test_dg_counting(self):
         res = h_adapt(
@@ -295,11 +295,18 @@ class TestDofCount:
                 max_intervals=3,
             ),
         )
-        assert dof_count(res) == 9  # 3 intervals x (r+1)=3 x d=1
+        assert res.dofs == 9  # 3 intervals x (r+1)=3 x d=1
+        assert res.dofs == sum(rec.dofs for rec in res.intervals)
 
     def test_empty_run(self):
-        empty = RunResult(
-            intervals=(), T=0.0, M=0, dofs=0,
-            termination=Termination.K_MIN_REACHED, tol_trace=(),
+        # every step from t = 0 overshoots the blow-up at T = 1, and
+        # halving reaches k_min before one exists: no interval is accepted
+        res = h_adapt(
+            make_power_square(1.0),
+            AdaptConfig(
+                scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=8.0, tol_star=1.0, k_min=2.0,
+            ),
         )
-        assert dof_count(empty) == 0
+        assert res.termination is Termination.K_MIN_REACHED
+        assert res.M == 0
+        assert res.dofs == 0

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from hpgalerkin.estimator import residual_estimator
 from hpgalerkin.galerkin import (
     PicardConfig,
     Scheme,
@@ -12,6 +13,8 @@ from hpgalerkin.galerkin import (
 )
 from hpgalerkin.poly import Interval
 from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
+
+from _oracles import reference_reconstruct, reference_residual, reference_step
 
 
 def zero_rhs(dim=1):
@@ -67,6 +70,22 @@ class TestStepBasics:
         p = make_linear(1.0, [1.0])
         with pytest.raises(ValueError):
             step(p, StepInput(Interval(0.0, 0.1), 2, np.array([1.0]), Scheme.DG), quad=gauss_legendre(4))
+
+    @pytest.mark.parametrize("scheme,r", [(Scheme.CG, 2), (Scheme.DG, 2)])
+    def test_rule_outside_cache_matches_gauss(self, scheme, r):
+        # a rule not produced by gauss_legendre builds its operator uncached
+        from hpgalerkin.poly import QuadRule, gauss_legendre
+
+        p = make_power_square(1.0)
+        inp = StepInput(Interval(0.0, 0.1), r, np.array([1.0]), scheme)
+        base = gauss_legendre(r + 6)
+        custom = QuadRule(base.nodes.copy(), base.weights.copy())
+        out, ref = step(p, inp, quad=custom), step(p, inp, quad=base)
+        assert out.picard_iters == ref.picard_iters
+        assert np.array_equal(out.u.coeffs, ref.u.coeffs)
+        np.testing.assert_array_equal(
+            reconstruct(p, inp, out.u, custom).coeffs, reconstruct(p, inp, ref.u, base).coeffs
+        )
 
 
 class TestNonexistence:
@@ -200,3 +219,93 @@ class TestAccuracy:
         out2 = step(p, inp)
         assert out1.picard_iters == out2.picard_iters
         assert np.array_equal(out1.u.coeffs, out2.u.coeffs)
+
+
+def norm_square():
+    """f(u) = |u| u in R^2: blows up like u^2 along the direction of u0."""
+    return Problem(
+        dim=2,
+        u0=np.array([0.6, 0.8]),
+        f=lambda t, u: np.linalg.norm(u) * u,
+        lip=lambda t, a, b: 2.0 * max(a, b),
+        f_batch=lambda ts, us: np.linalg.norm(us, axis=1)[:, None] * us,
+    )
+
+
+def forced_decay():
+    """f(t, u) = 5 cos(12 t) - u: the solution turns inside a step of
+    length 0.4, so its sup norm sits strictly below the sum of |c|."""
+    return Problem(
+        dim=1,
+        u0=np.array([0.9]),
+        f=lambda t, u: 5.0 * np.cos(12.0 * t) - u,
+        lip=lambda t, a, b: 1.0,
+        f_batch=lambda ts, us: 5.0 * np.cos(12.0 * ts)[:, None] - us,
+    )
+
+
+SCHEME_DEGREES = [(Scheme.CG, r) for r in range(1, 9)] + [(Scheme.DG, r) for r in range(0, 9)]
+
+
+def assert_same_step(out, ref, atol_scale):
+    u, iters, converged, failure = ref
+    assert (out.picard_iters, out.converged, out.failure) == (iters, converged, failure)
+    scale = max(1.0, float(np.max(np.abs(u.coeffs))))
+    assert np.max(np.abs(out.u.coeffs - u.coeffs)) <= atol_scale * scale
+
+
+class TestAgainstReferenceLoop:
+    """The affine operator against the per-iteration LocalPoly loop it
+    replaced (``_oracles.reference_step``): same decisions at every
+    iteration, coefficients equal up to roundoff."""
+
+    @pytest.mark.parametrize("scheme,r", SCHEME_DEGREES, ids=lambda v: getattr(v, "value", v))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_step_matches_reference(self, scheme, r, dim):
+        # k|u_left| from strongly contractive through the u^2 blow-up
+        # threshold at 1 to strongly divergent
+        if dim == 1:
+            p, u_left = make_power_square(1.0), np.array([1.37])
+        else:
+            p, u_left = norm_square(), np.array([0.71, -1.19])
+        cfg = PicardConfig()
+        for k_u in (0.01, 0.1, 0.4, 0.9, 1.3, 3.0, 10.0):
+            k = k_u / float(np.linalg.norm(u_left))
+            inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
+            out, ref = step(p, inp, cfg), reference_step(p, inp, cfg)
+            # A failed iterate is discarded by every caller; while the map
+            # expands, each iteration amplifies the last-bit difference of
+            # the two update formulas (up to 1.5e-10 after 27 iterations
+            # at k|u| = 0.9), so only converged steps get the roundoff bound.
+            assert_same_step(out, ref, 1e-13 if ref[2] else 1e-9)
+            if out.converged:
+                u_hat = reconstruct(p, inp, out.u)
+                u_ref = reference_reconstruct(p, inp, ref[0])
+                scale = max(1.0, float(np.max(np.abs(u_ref.coeffs))))
+                assert np.max(np.abs(u_hat.coeffs - u_ref.coeffs)) <= 1e-13 * scale
+                eta = residual_estimator(p, u_hat, u_left)
+                assert abs(eta - reference_residual(p, u_ref, u_left)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("make,u_left,k", [
+        (forced_decay, np.array([0.9]), 0.4),
+        (norm_square, np.array([0.71, -1.19]), 0.3 / np.hypot(0.71, 1.19)),
+    ], ids=["forced_d1", "norm_square_d2"])
+    def test_divergence_cap_straddled(self, make, u_left, k):
+        # With the cap between the sampled sup norm of the solution and
+        # the sum of |c|, the cheap bound trips on the final iterates and
+        # sampling must clear them; just below the sampled sup norm the
+        # step must diverge.  Both decisions must match the reference.
+        p, straddled = make(), 0
+        for scheme, r in SCHEME_DEGREES:
+            inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
+            u, _, exists, _ = reference_step(p, inp, PicardConfig())
+            linf, l1 = u.linf_norm(), float(np.sum(np.abs(u.coeffs)))
+            if not exists or l1 <= linf * (1.0 + 1e-6):
+                continue
+            straddled += 1
+            for cap, converged in ((0.5 * (linf + l1), True), (0.99 * linf, False)):
+                cfg = PicardConfig(divergence_cap=cap)
+                out, ref = step(p, inp, cfg), reference_step(p, inp, cfg)
+                assert ref[2] is converged
+                assert_same_step(out, ref, 1e-13)
+        assert straddled >= 12  # every case of degree >= 3

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hpgalerkin.poly import Interval, gauss_legendre
+from hpgalerkin.estimator import phi
+from hpgalerkin.poly import Interval, LocalPoly, gauss_legendre
 from hpgalerkin.problems import (
     NumericOverflow,
     builtin_problem,
-    lip_integral,
     make_exponential,
     make_linear,
     make_power_square,
@@ -68,27 +68,37 @@ class TestLinear:
 
 
 class TestLipIntegral:
+    """The envelope integral int_I lip(s, a, b) ds as phi evaluates it:
+    a constant reconstruction b with psi = a - b and delta = 1 gives
+    phi = exp(integral) - 1."""
+
+    @staticmethod
+    def envelope_integral(p, iv, a, b):
+        u_hat = LocalPoly.constant(iv, np.full(p.dim, b))
+        return math.log(phi(p, iv, u_hat, a - b, 1.0, gauss_legendre(4)) + 1.0)
+
     def test_constant_envelope(self):
         p = make_linear(-3.0, [1.0])
-        val = lip_integral(p, Interval(0.2, 0.7), lambda t: 1.0, lambda t: 2.0, gauss_legendre(4))
+        val = self.envelope_integral(p, Interval(0.2, 0.7), 2.5, 2.0)
         assert abs(val - 3.0 * 0.5) < 1e-14
 
     def test_power_square_envelope(self):
         # (3 + 1) * 0.25 = 1
         p = make_power_square(1.0)
-        val = lip_integral(p, Interval(0.0, 0.25), lambda t: 3.0, lambda t: 1.0, gauss_legendre(4))
+        val = self.envelope_integral(p, Interval(0.0, 0.25), 3.0, 1.0)
         assert abs(val - 1.0) < 1e-14
 
     def test_exponential_envelope_at_zero(self):
         # (e^0 + e^0) / 2 * 1 = 1
         p = make_exponential(1.0)
-        val = lip_integral(p, Interval(0.0, 1.0), lambda t: 0.0, lambda t: 0.0, gauss_legendre(4))
+        val = self.envelope_integral(p, Interval(0.0, 1.0), 0.0, 0.0)
         assert abs(val - 1.0) < 1e-14
 
     def test_overflow_reported(self):
+        # an envelope beyond double range reads as phi = +inf (no certificate)
         p = make_exponential(1.0)
-        with pytest.raises(NumericOverflow):
-            lip_integral(p, Interval(0.0, 1.0), lambda t: 800.0, lambda t: 0.0, gauss_legendre(4))
+        u_hat = LocalPoly.constant(Interval(0.0, 1.0), [0.0])
+        assert phi(p, Interval(0.0, 1.0), u_hat, 800.0, 1.0, gauss_legendre(4)) == math.inf
 
 
 class TestEnvelopeConsistency:
