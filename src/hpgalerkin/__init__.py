@@ -25,7 +25,7 @@ from .estimator import (
     solve_delta,
 )
 from .galerkin import PicardConfig, Scheme, StepFailure, StepInput, StepOutput, reconstruct, step
-from .poly import Interval, LocalPoly, PolyNorms, QuadRule, gauss_legendre, l2_project
+from .poly import Interval, LocalPoly, QuadRule, gauss_legendre, l2_project
 from .problems import (
     NumericOverflow,
     Problem,
@@ -47,7 +47,6 @@ __all__ = [
     "Mode",
     "NumericOverflow",
     "PicardConfig",
-    "PolyNorms",
     "Problem",
     "QuadRule",
     "RunResult",

@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 _ZERO_POLY_RTOL = 1e-14
+_ENDPOINTS = np.array([-1.0, 1.0])
+_TWO_I_PLUS_ONE = np.array([[1.0], [3.0]])  # ||P_i||^2 = 2 / (2i + 1), i = 0, 1
 
 
 class Mode(enum.Enum):
@@ -142,19 +144,32 @@ def smoothness(u: LocalPoly, r: int, theta_star: float = 0.85) -> SmoothnessRepo
 
     theta = ||w||_inf / (k^{-1/2} ||w||_2 + k^{1/2} ||w'||_2 / sqrt(2))
     clamped to [0, 1], with theta = 1 for a (numerically) vanishing w.
+    u has degree at most r, so w is affine and every norm has a closed
+    form: Parseval on its two Legendre coefficients gives the L2 norms,
+    and the sup of the convex |w| is attained at an endpoint.
     """
     if r < 1:
         raise ValueError(f"smoothness indicator needs degree >= 1, got {r}")
-    w = u
-    for _ in range(r - 1):
-        w = w.derivative()
-    scale = float(np.max(np.abs(u.coeffs)))
-    if float(np.max(np.abs(w.coeffs))) <= _ZERO_POLY_RTOL * scale:
-        return SmoothnessReport(theta=1.0, smooth=True)
+    if u.degree > r:
+        raise ValueError(f"smoothness indicator needs degree <= r = {r}, got {u.degree}")
+    # Legendre differentiation maps the top two coefficients c_j to
+    # (2j-1) c_j and touches them with nothing else, so the two that
+    # survive r-1 derivatives are rounded exactly as LocalPoly.derivative()
+    # rounds them.
     k = u.interval.k
-    n = w.norms()
-    denom = n.l2 / math.sqrt(k) + math.sqrt(k) * n.h1_semi / math.sqrt(2.0)
-    theta = min(max(n.linf / denom, 0.0), 1.0)
+    w = u.coeffs[r - 1 :]
+    j = np.arange(r - 1, u.degree + 1, dtype=float)[:, None]
+    for s in range(r - 1):
+        w = (2.0 * (j - s) - 1.0) * w * (2.0 / k)
+    if w.size == 0 or abs(w).max() <= _ZERO_POLY_RTOL * abs(u.coeffs).max():
+        return SmoothnessReport(theta=1.0, smooth=True)
+    w1 = w[1] if w.shape[0] == 2 else np.zeros_like(w[0])
+    l2 = math.sqrt(((k / _TWO_I_PLUS_ONE[: w.shape[0]]) * w**2).sum())
+    h1_semi = math.sqrt((k * (w1 * (2.0 / k)) ** 2).sum())
+    ends = w[0][:, None] + w1[:, None] * _ENDPOINTS  # (d, 2): w(-1), w(1)
+    linf = math.sqrt((ends**2).sum(axis=0).max())
+    denom = l2 / math.sqrt(k) + math.sqrt(k) * h1_semi / math.sqrt(2.0)
+    theta = min(max(linf / denom, 0.0), 1.0)
     return SmoothnessReport(theta=theta, smooth=theta >= theta_star)
 
 

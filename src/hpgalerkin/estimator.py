@@ -282,14 +282,29 @@ def error_bound(delta: float, psi: float, reconstruction_gap: float = 0.0) -> fl
 
 
 def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
-    """Sampled sup norm of exact(t) - uhat(t) over the interval."""
+    """Sampled sup norm of exact(t) - uhat(t) over the interval.
+
+    ``p.exact`` is called once, on the array ts (n,) of sample times,
+    and must return shape (d, n), e.g. ``lambda t: np.exp(t)[None]``
+    for u' = u, u(0) = 1; any other shape raises ValueError.
+    """
     if p.exact is None:
         raise ValueError(f"problem {p.name!r} has no exact solution")
     iv = u_hat.interval
     xs = _linf_sample_points(u_hat.degree)
     ts = iv.from_reference(xs)
     uh = u_hat.at_reference(xs)
-    ex = np.stack([np.atleast_1d(np.asarray(p.exact(t), dtype=float)) for t in ts], axis=1)
+    try:
+        ex = np.asarray(p.exact(ts), dtype=float)
+    except TypeError as exc:
+        raise ValueError(
+            f"exact must map times of shape {ts.shape} to shape {uh.shape}: {exc}"
+        ) from exc
+    if ex.shape != uh.shape:
+        raise ValueError(
+            f"exact returned shape {ex.shape} for times of shape {ts.shape}, "
+            f"expected (d, n) = {uh.shape}"
+        )
     return float(np.max(np.sqrt(np.sum((ex - uh) ** 2, axis=0))))
 
 

@@ -24,7 +24,6 @@ from numpy.polynomial import legendre as _leg
 __all__ = [
     "Interval",
     "LocalPoly",
-    "PolyNorms",
     "QuadRule",
     "gauss_legendre",
     "l2_project",
@@ -69,15 +68,6 @@ class Interval:
     def from_reference(self, x):
         """Map reference coordinate(s) x in [-1, 1] to time."""
         return self.t_start + 0.5 * self.k * (x + 1.0)
-
-
-@dataclass(frozen=True)
-class PolyNorms:
-    """L2 norm, H1 seminorm and sampled sup norm on one interval."""
-
-    l2: float
-    h1_semi: float
-    linf: float
 
 
 @dataclass(frozen=True)
@@ -190,10 +180,6 @@ class LocalPoly:
         ic = _leg.legint(self.coeffs, m=1, k=[0.0], lbnd=-1.0, scl=0.5 * self.interval.k, axis=0)
         ic[0] += left_value
         return LocalPoly(self.interval, ic)
-
-    def norms(self) -> PolyNorms:
-        """L2 and H1-seminorm from Parseval, sup norm from dense sampling."""
-        return PolyNorms(self.l2_norm(), self.derivative().l2_norm(), self.linf_norm())
 
     def l2_norm(self) -> float:
         """Exact ||.||_{L2(I)} via interval-scaled Legendre orthogonality."""

@@ -5,12 +5,17 @@ envelope lip(t, a, b) bounding |f(t,v) - f(t,w)| / |v - w| whenever
 |v| <= a, |w| <= b, and, when available in closed form, the exact
 solution and its blow-up time.
 
+``exact`` is vectorised like ``LocalPoly.__call__``: a scalar time
+gives shape (d,), an array of times of shape (n,) gives shape (d, n),
+for example ``exact=lambda t: (1.0 / (1.0 - np.asarray(t)))[None]``
+for u' = u^2, u(0) = 1.
+
 Built-ins: ``power2`` (f = u^2, blows up at 1/u0), ``exp`` (f = e^u,
 blows up at e^{-u0}) and ``linear`` (f = lam*u, globally Lipschitz).
 
-All user-supplied callables must be pure; f and lip take scalar
-arguments (f: (t, u_vector) -> vector, lip: (t, a, b) -> scalar with
-lip monotone nondecreasing in a and b).  Optionally ``f_batch`` /
+All user-supplied callables must be pure; f and lip are evaluated
+at one time per call (f: (t, u_vector) -> vector, lip: (t, a, b) ->
+scalar with lip monotone nondecreasing in a and b).  Optionally ``f_batch`` /
 ``lip_batch`` provide vectorized evaluation over arrays of times,
 which the solvers use when present.
 """
@@ -46,7 +51,7 @@ class Problem:
     u0: np.ndarray
     f: Callable[[float, np.ndarray], np.ndarray]
     lip: Callable[[float, float, float], float]
-    exact: Optional[Callable[[float], np.ndarray]] = None
+    exact: Optional[Callable[[np.ndarray], np.ndarray]] = None
     t_blowup: Optional[float] = None
     name: str = "custom"
     f_batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
@@ -69,12 +74,21 @@ def rhs_at(p: Problem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         if p.f_batch is not None:
             vals = np.asarray(p.f_batch(ts, us), dtype=float)
+            if vals.shape != us.shape:
+                raise ValueError(
+                    f"right-hand side returned shape {vals.shape}, expected {us.shape}"
+                )
         else:
-            vals = np.stack(
-                [np.atleast_1d(np.asarray(p.f(t, u), dtype=float)) for t, u in zip(ts, us)]
-            )
-    if vals.shape != us.shape:
-        raise ValueError(f"right-hand side returned shape {vals.shape}, expected {us.shape}")
+            d = us.shape[1]
+            vals = np.empty(us.shape)
+            for i, (t, u) in enumerate(zip(ts, us)):
+                v = p.f(t, u)
+                # d = 1 accepts a scalar; otherwise a row must not broadcast
+                if np.shape(v) != (d,) and not (d == 1 and np.ndim(v) == 0):
+                    raise ValueError(
+                        f"right-hand side returned shape {np.shape(v)}, expected ({d},)"
+                    )
+                vals[i] = v
     if not np.isfinite(vals).all():
         raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
     return vals
@@ -86,7 +100,9 @@ def lip_at(p: Problem, ts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
         if p.lip_batch is not None:
             vals = np.asarray(p.lip_batch(ts, a, b), dtype=float)
         else:
-            vals = np.array([p.lip(t, ai, bi) for t, ai, bi in zip(ts, a, b)], dtype=float)
+            vals = np.empty(len(ts))
+            for i, (t, ai, bi) in enumerate(zip(ts, a, b)):
+                vals[i] = p.lip(t, ai, bi)
     if not np.isfinite(vals).all():
         raise NumericOverflow(f"Lipschitz envelope of problem {p.name!r} overflowed")
     return vals
@@ -105,7 +121,7 @@ def make_power_square(u0: float) -> Problem:
         return a + b
 
     def exact(t):
-        return np.atleast_1d(u0 / (1.0 - u0 * t))
+        return (u0 / (1.0 - u0 * np.asarray(t, dtype=float)))[None]
 
     return Problem(
         dim=1,
@@ -133,10 +149,10 @@ def make_exponential(u0: float) -> Problem:
     def lip(t, a, b):
         if a > _EXP_MAX or b > _EXP_MAX:
             raise NumericOverflow("exp Lipschitz envelope overflowed")
-        return 0.5 * (math.exp(a) + math.exp(b))
+        return 0.5 * (np.exp(a) + np.exp(b))
 
     def exact(t):
-        return np.atleast_1d(u0 - np.log1p(-growth * t))
+        return (u0 - np.log1p(-growth * np.asarray(t, dtype=float)))[None]
 
     def f_batch(ts, us):
         with np.errstate(over="ignore"):
@@ -171,7 +187,7 @@ def make_linear(lam: float, u0) -> Problem:
         return abs(lam)
 
     def exact(t):
-        return u0 * math.exp(lam * t)
+        return np.multiply.outer(u0, np.exp(lam * np.asarray(t, dtype=float)))
 
     return Problem(
         dim=u0.size,

@@ -1,10 +1,12 @@
 """Independent brute-force oracles shared by the test modules."""
 
+import math
+
 import numpy as np
 from numpy.polynomial import legendre
 
 from hpgalerkin.galerkin import Scheme, StepFailure
-from hpgalerkin.poly import LocalPoly, gauss_legendre, project_values
+from hpgalerkin.poly import LocalPoly, _linf_sample_points, gauss_legendre, project_values
 from hpgalerkin.problems import NumericOverflow, rhs_at
 
 
@@ -95,3 +97,26 @@ def reference_residual(p, u_hat, u_left, extra_degree=4):
     res = accum.coeffs.copy()
     res[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
     return LocalPoly(iv, res).linf_norm()
+
+
+def reference_reconstruction_error(p, u_hat):
+    """Sampled sup norm of exact - uhat by one scalar exact(t) call per
+    sample point, stacked column by column."""
+    xs = _linf_sample_points(u_hat.degree)
+    ts = u_hat.interval.from_reference(xs)
+    ex = np.stack([np.atleast_1d(np.asarray(p.exact(t), dtype=float)) for t in ts], axis=1)
+    return float(np.max(np.sqrt(np.sum((ex - u_hat.at_reference(xs)) ** 2, axis=0))))
+
+
+def reference_smoothness(u, r, theta_star=0.85):
+    """(theta, smooth) by r-1 LocalPoly derivatives, Parseval L2 norms and
+    the sampled sup norm of the (r-1)-th derivative w."""
+    w = u
+    for _ in range(r - 1):
+        w = w.derivative()
+    if float(np.max(np.abs(w.coeffs))) <= 1e-14 * float(np.max(np.abs(u.coeffs))):
+        return 1.0, True
+    k = u.interval.k
+    denom = w.l2_norm() / math.sqrt(k) + math.sqrt(k) * w.derivative().l2_norm() / math.sqrt(2.0)
+    theta = min(max(w.linf_norm() / denom, 0.0), 1.0)
+    return theta, theta >= theta_star

@@ -16,6 +16,8 @@ from hpgalerkin.galerkin import PicardConfig, Scheme
 from hpgalerkin.poly import Interval, LocalPoly, l2_project
 from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
 
+from _oracles import reference_smoothness
+
 
 def zero_rhs():
     return Problem(
@@ -23,7 +25,7 @@ def zero_rhs():
         u0=np.array([1.0]),
         f=lambda t, u: np.zeros_like(u),
         lip=lambda t, a, b: 0.0,
-        exact=lambda t: np.array([1.0]),
+        exact=lambda t: np.ones((1,) + np.shape(t)),
     )
 
 
@@ -53,6 +55,57 @@ class TestSmoothness:
         u = LocalPoly.constant(Interval(0.0, 1.0), np.array([1.0]))
         with pytest.raises(ValueError):
             smoothness(u, 0)
+
+    def test_degree_above_r_rejected(self):
+        u = LocalPoly(Interval(0.0, 1.0), np.ones((4, 1)))
+        with pytest.raises(ValueError, match="degree <= r"):
+            smoothness(u, 2)
+
+
+def _ulps(a, b):
+    return abs(a - b) / np.spacing(max(abs(a), abs(b)))
+
+
+class TestSmoothnessAgainstReference:
+    """Closed-form norms of the affine w against r-1 LocalPoly derivatives
+    and the sampled sup norm."""
+
+    @staticmethod
+    def candidates(rng, r, d):
+        """Random degree-r candidates on intervals of 1e-6..3, with
+        generic, constant (top coefficient 0), nearly constant and
+        vanishing (top two coefficients 0) (r-1)-th derivatives, and
+        degree r-1 inputs."""
+        for _ in range(40):
+            a = rng.uniform(-2.0, 2.0)
+            iv = Interval(a, a + float(10.0 ** rng.uniform(-6.0, 0.5)))
+            c = rng.standard_normal((r + 1, d)) * 10.0 ** rng.uniform(-3.0, 8.0)
+            yield "generic", LocalPoly(iv, c)
+            top = c.copy()
+            top[-1] = 0.0
+            yield "constant", LocalPoly(iv, top)
+            yield "below-r", LocalPoly(iv, c[:r])
+            near = c.copy()
+            near[-1] *= 10.0 ** rng.uniform(-14.0, -4.0)
+            yield "nearly-constant", LocalPoly(iv, near)
+            zero = c.copy()
+            zero[-2:] = 0.0
+            yield "vanishing", LocalPoly(iv, zero)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_matches_reference(self, r, d, rng):
+        for kind, u in self.candidates(rng, r, d):
+            rep = smoothness(u, r)
+            theta, smooth = reference_smoothness(u, r)
+            assert rep.smooth == smooth
+            if d == 1 or kind != "nearly-constant":
+                assert rep.theta == theta, kind
+            else:
+                # |w| is convex, so its sup is max(|w(-1)|, |w(1)|); an
+                # interior sample can exceed that by rounding when w is
+                # nearly constant and d > 1, by at most a few ulp
+                assert rep.theta <= theta and _ulps(rep.theta, theta) <= 4, kind
 
 
 class TestConfigValidation:

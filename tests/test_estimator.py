@@ -17,10 +17,10 @@ from hpgalerkin.estimator import (
     solve_delta,
 )
 from hpgalerkin.galerkin import Scheme, StepInput, reconstruct, step
-from hpgalerkin.poly import Interval, LocalPoly, gauss_legendre
+from hpgalerkin.poly import Interval, LocalPoly, gauss_legendre, l2_project
 from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
 
-from _oracles import brute_force_residual
+from _oracles import brute_force_residual, reference_reconstruction_error
 
 
 class TestResidualEstimator:
@@ -218,3 +218,67 @@ class TestEffectivity:
             effectivity(1.0, p, [flat_reconstruction(1.0)])
         with pytest.raises(ValueError):
             reconstruction_error(p, flat_reconstruction(1.0))
+
+
+def norm_power_problem(u0):
+    """f = |u| u in R^d; u(t) = u0 / (1 - |u0| t) blows up at 1/|u0|."""
+    u0 = np.asarray(u0, dtype=float)
+    size = float(np.linalg.norm(u0))
+    return Problem(
+        dim=u0.size,
+        u0=u0,
+        f=lambda t, u: np.linalg.norm(u) * u,
+        lip=lambda t, a, b: 2.0 * max(a, b),
+        exact=lambda t: np.multiply.outer(u0, 1.0 / (1.0 - size * np.asarray(t, dtype=float))),
+        t_blowup=1.0 / size,
+        name="norm-power",
+    )
+
+
+class TestReconstructionError:
+    """One vectorised exact(ts) call against the per-point scalar loop."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            make_power_square(1.0),
+            make_exponential(1.0),
+            norm_power_problem([0.6, -0.8]),
+            make_linear(-1.5, [1.0, 2.0]),
+        ],
+        ids=["power2", "exp", "norm-power-d2", "linear-d2"],
+    )
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_bits_match_reference_loop(self, p, r):
+        # blow-up problems: intervals of k = frac * (T - t0) at distance
+        # gap * T from the blow-up, i.e. k |u| = frac for power2
+        horizon = p.t_blowup if p.t_blowup is not None else 1.0
+        for gap in (0.5, 1e-3, 1e-7):
+            for frac in (0.01, 0.1, 0.4, 0.9):
+                t0 = horizon * (1.0 - gap)
+                iv = Interval(t0, t0 + frac * horizon * gap)
+                u_hat = l2_project(p.exact, iv, r + 1)
+                got = reconstruction_error(p, u_hat)
+                assert got == reference_reconstruction_error(p, u_hat)
+                assert got > 0.0
+
+    @pytest.mark.parametrize(
+        "exact",
+        [
+            lambda t: np.array([math.exp(t)]),  # math.exp rejects arrays
+            lambda t: np.array([1.0]),  # ignores the shape of t
+            lambda t: np.atleast_1d(np.exp(t)),  # (n,) instead of (1, n)
+        ],
+        ids=["scalar-only", "fixed-shape", "flat"],
+    )
+    def test_scalar_style_exact_rejected(self, exact):
+        p = Problem(dim=1, u0=np.ones(1), f=lambda t, u: u, lip=lambda t, a, b: 1.0, exact=exact)
+        with pytest.raises(ValueError, match=r"\(1, 74\)"):
+            reconstruction_error(p, flat_reconstruction(1.0, degree=1))
+
+    def test_transposed_exact_rejected(self):
+        base = make_linear(1.0, [1.0, 2.0])
+        p = Problem(dim=2, u0=base.u0, f=base.f, lip=base.lip, exact=lambda t: base.exact(t).T)
+        u_hat = LocalPoly.constant(Interval(0.0, 0.1), np.array([1.0, 2.0]), degree=2)
+        with pytest.raises(ValueError, match="expected"):
+            reconstruction_error(p, u_hat)

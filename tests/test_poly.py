@@ -162,23 +162,20 @@ class TestProjection:
 class TestNorms:
     def test_constant(self):
         p = LocalPoly.constant(Interval(0.0, 1.0), np.array([-2.0]))
-        n = p.norms()
-        assert abs(n.l2 - 2.0) < 1e-14
-        assert n.h1_semi == 0.0
-        assert abs(n.linf - 2.0) < 1e-14
+        assert abs(p.l2_norm() - 2.0) < 1e-14
+        assert p.derivative().l2_norm() == 0.0
+        assert abs(p.linf_norm() - 2.0) < 1e-14
 
     def test_linear(self):
         # p(t) = t on (0,1): L2 = 1/sqrt(3), |p'|_L2 = 1, sup = 1
         p = l2_project(lambda t: np.array([t]), Interval(0.0, 1.0), 1)
-        n = p.norms()
-        assert abs(n.l2 - 1 / np.sqrt(3)) < 1e-13
-        assert abs(n.h1_semi - 1.0) < 1e-13
-        assert abs(n.linf - 1.0) < 1e-13
+        assert abs(p.l2_norm() - 1 / np.sqrt(3)) < 1e-13
+        assert abs(p.derivative().l2_norm() - 1.0) < 1e-13
+        assert abs(p.linf_norm() - 1.0) < 1e-13
 
     def test_zero(self):
         p = LocalPoly.constant(Interval(0.0, 1.0), np.array([0.0]), degree=3)
-        n = p.norms()
-        assert n.l2 == 0.0 and n.h1_semi == 0.0 and n.linf == 0.0
+        assert p.l2_norm() == 0.0 and p.derivative().l2_norm() == 0.0 and p.linf_norm() == 0.0
 
     def test_parseval_against_quadrature(self, rng):
         # independent oracle: 64-point quadrature of |p(t)|^2

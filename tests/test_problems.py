@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,13 @@ from hpgalerkin.estimator import phi
 from hpgalerkin.poly import Interval, LocalPoly, gauss_legendre
 from hpgalerkin.problems import (
     NumericOverflow,
+    Problem,
     builtin_problem,
+    lip_at,
     make_exponential,
     make_linear,
     make_power_square,
+    rhs_at,
 )
 
 ALL_BUILTINS = [make_power_square(1.0), make_exponential(1.0), make_linear(-2.0, [1.0])]
@@ -142,6 +146,79 @@ class TestExactSolutions:
         assert abs(p.exact(p.t_blowup * (1 - 1e-6))[0]) > 1e5
         q = make_exponential(1.0)
         assert q.exact(q.t_blowup * (1 - 1e-6))[0] > 13.0
+
+
+CONTRACT_CASES = [
+    (make_power_square(1.0), 0.95),
+    (make_exponential(1.0), 0.95 * math.exp(-1.0)),
+    (make_linear(-2.0, [1.0]), 3.0),
+    (make_linear(0.7, [1.0, -2.0, 0.5]), 3.0),
+]
+CONTRACT_IDS = ["power2", "exp", "linear-d1", "linear-d3"]
+
+
+class TestExactContract:
+    """exact maps a scalar time to (d,) and times (n,) to (d, n)."""
+
+    @pytest.mark.parametrize("p,t_max", CONTRACT_CASES, ids=CONTRACT_IDS)
+    def test_scalar_shape(self, p, t_max):
+        for t in (0.0, 0.5 * t_max, np.float64(t_max)):
+            assert np.shape(p.exact(t)) == (p.dim,)
+
+    @pytest.mark.parametrize("p,t_max", CONTRACT_CASES, ids=CONTRACT_IDS)
+    def test_array_equals_stacked_scalar_calls(self, p, t_max, rng):
+        for n in (1, 7, 98):
+            ts = np.sort(rng.uniform(0.0, t_max, size=n))
+            vals = p.exact(ts)
+            assert vals.shape == (p.dim, n)
+            stacked = np.stack([p.exact(t) for t in ts], axis=1)
+            np.testing.assert_array_equal(vals, stacked)
+
+
+def without_batch(p):
+    return dataclasses.replace(p, f_batch=None, lip_batch=None)
+
+
+class TestScalarFallback:
+    """rhs_at/lip_at on a problem given by scalar f and lip only."""
+
+    @pytest.mark.parametrize(
+        "p",
+        ALL_BUILTINS + [make_linear(0.7, [1.0, -2.0, 0.5])],
+        ids=["power2", "exp", "linear-d1", "linear-d3"],
+    )
+    def test_same_bits_as_batch(self, p, rng):
+        for n in (1, 11, 64):
+            ts = np.sort(rng.uniform(0.0, 0.3, size=n))
+            us = rng.uniform(-3.0, 3.0, size=(n, p.dim))
+            a, b = rng.uniform(0.0, 5.0, size=(2, n))
+            scalar = without_batch(p)
+            np.testing.assert_array_equal(rhs_at(scalar, ts, us), rhs_at(p, ts, us))
+            np.testing.assert_array_equal(lip_at(scalar, ts, a, b), lip_at(p, ts, a, b))
+
+    def test_scalar_accepted_in_one_dimension(self):
+        p = Problem(dim=1, u0=[1.0], f=lambda t, u: float(u[0]) ** 2, lip=lambda t, a, b: a + b)
+        ts = np.array([0.0, 0.1, 0.2])
+        us = np.array([[1.0], [2.0], [3.0]])
+        np.testing.assert_array_equal(rhs_at(p, ts, us), [[1.0], [4.0], [9.0]])
+
+    @pytest.mark.parametrize(
+        "f",
+        [lambda t, u: 1.0, lambda t, u: np.array([1.0]), lambda t, u: np.ones((2, 1))],
+        ids=["scalar", "length-1", "column"],
+    )
+    def test_wrong_shape_raises_in_two_dimensions(self, f):
+        # a scalar or a length-1 row must not broadcast into the (2,) row
+        p = Problem(dim=2, u0=[1.0, 0.0], f=f, lip=lambda t, a, b: 1.0)
+        with pytest.raises(ValueError, match=r"expected \(2,\)"):
+            rhs_at(p, np.array([0.0, 0.1]), np.ones((2, 2)))
+
+    def test_overflow_reported(self):
+        p = without_batch(make_power_square(1.0))
+        with pytest.raises(NumericOverflow):
+            rhs_at(p, np.array([0.0]), np.array([[1e200]]))
+        with pytest.raises(NumericOverflow):
+            lip_at(without_batch(make_exponential(1.0)), np.zeros(1), np.array([1e3]), np.zeros(1))
 
 
 class TestBuiltinLookup:
