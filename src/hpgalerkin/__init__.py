@@ -15,10 +15,6 @@ from .estimator import (
     DeltaNotFound,
     DeltaSolverConfig,
     StepEstimate,
-    effectivity,
-    error_bound,
-    phi,
-    projection_estimator,
     psi_update,
     reconstruction_error,
     residual_estimator,
@@ -58,8 +54,6 @@ __all__ = [
     "StepOutput",
     "Termination",
     "builtin_problem",
-    "effectivity",
-    "error_bound",
     "gauss_legendre",
     "h_adapt",
     "hp_adapt",
@@ -67,8 +61,6 @@ __all__ = [
     "make_exponential",
     "make_linear",
     "make_power_square",
-    "phi",
-    "projection_estimator",
     "psi_update",
     "reconstruct",
     "reconstruction_error",

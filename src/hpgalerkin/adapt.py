@@ -37,13 +37,12 @@ from .estimator import (
     DeltaNotFound,
     DeltaSolverConfig,
     StepEstimate,
-    projection_estimator,
     psi_update,
     reconstruction_error,
     residual_estimator,
     solve_delta,
 )
-from .galerkin import PicardConfig, Scheme, StepInput, StepOutput, reconstruct, step
+from .galerkin import MAX_DEGREE, PicardConfig, Scheme, StepInput, StepOutput, reconstruct, step
 from .poly import Interval, LocalPoly
 from .problems import NumericOverflow, Problem
 
@@ -96,6 +95,11 @@ class AdaptConfig:
     delta: DeltaSolverConfig = field(default_factory=DeltaSolverConfig)
 
     def __post_init__(self):
+        # r_max steers only the HP driver's degree raises
+        for key in ("r_init", "r_max") if self.mode is Mode.HP else ("r_init",):
+            value = getattr(self, key)
+            if value > MAX_DEGREE:
+                raise ValueError(f"{key} = {value} is above the degree cap {MAX_DEGREE}")
         if self.mode is Mode.HP:
             if self.r_init < 1:
                 raise ValueError("HP mode needs r_init >= 1 for the smoothness indicator")
@@ -245,8 +249,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             termination = Termination.K_MIN_REACHED
             break
         iv, r = candidate.inp.interval, candidate.inp.r
-        eta_proj_prev = projection_estimator(u_left)
-        psi = psi_update(prev_estimate, eta_proj_prev, candidate.eta_res)
+        psi = psi_update(prev_estimate, candidate.eta_res)
         guess = prev_estimate.delta if prev_estimate is not None else None
         delta = solve_delta(
             p, iv, candidate.reconstruction, psi, prev_delta=guess, cfg=cfg.delta
@@ -265,7 +268,6 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             eff = bound / worst_recon_error if worst_recon_error > 0.0 else math.inf
         estimate = StepEstimate(
             eta_res=candidate.eta_res,
-            eta_proj=eta_proj_prev,
             psi=psi,
             delta=delta,
             bound=bound,

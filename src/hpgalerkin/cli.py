@@ -81,8 +81,8 @@ def build_problem(config: dict) -> Problem:
     params = {k: v for k, v in entry.items() if k != "name"}
     try:
         return builtin_problem(name, **params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"problem: {exc}") from exc
 
 
 def build_adapt_config(config: dict, tol_star: float) -> AdaptConfig:
@@ -173,7 +173,10 @@ def sweep_rows(config: dict) -> list[dict]:
     tol_list = _require(config, "tol_list", list, "config")
     if not tol_list:
         raise ConfigError("config: key 'tol_list' must be a nonempty list")
-    tols = [float(t) for t in tol_list]
+    try:
+        tols = [float(t) for t in tol_list]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config: key 'tol_list' entries must be numbers: {exc}") from exc
     if any(b >= a for a, b in zip(tols, tols[1:])):
         raise ConfigError("config: key 'tol_list' must be strictly decreasing")
     p = build_problem(config)
@@ -274,19 +277,22 @@ def parse_sweep_csv(text: str) -> list[dict]:
         )
     rows = []
     for raw in reader:
-        rows.append(
-            {
-                "tol_star": float(raw["tol_star"]),
-                "M": int(raw["M"]),
-                "dofs": int(raw["dofs"]),
-                "T": float(raw["T"]),
-                "blowup_err": float(raw["blowup_err"]),
-                "delta_hat": float(raw["delta_hat"]),
-                "best_effectivity": float(raw["best_effectivity"]),
-                "wall_time_s": float(raw["wall_time_s"]),
-                "aborted": raw["aborted"] == "true",
-            }
-        )
+        try:
+            rows.append(
+                {
+                    "tol_star": float(raw["tol_star"]),
+                    "M": int(raw["M"]),
+                    "dofs": int(raw["dofs"]),
+                    "T": float(raw["T"]),
+                    "blowup_err": float(raw["blowup_err"]),
+                    "delta_hat": float(raw["delta_hat"]),
+                    "best_effectivity": float(raw["best_effectivity"]),
+                    "wall_time_s": float(raw["wall_time_s"]),
+                    "aborted": raw["aborted"] == "true",
+                }
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep CSV line {reader.line_num}: {exc}") from exc
     return rows
 
 

@@ -4,11 +4,9 @@ For each accepted interval the drivers assemble a ``StepEstimate``:
 
 * ``eta_res``: sup norm of the integral residual of the reconstruction,
   R(t) = int_{t_start}^{t} f(s, uhat) ds - (uhat(t) - uhat(t_start)).
-* ``eta_proj``: distance of the nodal value to the next trial space.
-  The state space here is all of R^d, so it is identically zero; the
-  term is kept so the psi recursion stays term-for-term intact.
-* ``psi``: recursive accumulator, eta_proj + eta_res on the first
-  interval and delta_prev * psi_prev + eta_proj + eta_res afterwards.
+* ``psi``: recursive accumulator, eta_res on the first interval and
+  delta_prev * psi_prev + eta_res afterwards.  The state space is all
+  of R^d, so no projection term enters between intervals.
 * ``delta``: leftmost root > 1 of phi(d) = exp(int lip(s, d*psi +
   |uhat|, |uhat|) ds) - d.  When it exists, delta * psi bounds the sup
   norm of the reconstruction error on the interval; when phi stays
@@ -27,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .galerkin import Scheme, picard_operator
-from .poly import Interval, LocalPoly, QuadRule, _linf_sample_points, gauss_legendre
+from .galerkin import Scheme, _rule_size, picard_operator
+from .poly import Interval, LocalPoly, _linf_sample_points, gauss_legendre
 from .problems import NumericOverflow, Problem, lip_at, rhs_at
 
 __all__ = [
@@ -40,13 +38,9 @@ __all__ = [
     "DeltaSolverConfig",
     "DeltaNotFound",
     "residual_estimator",
-    "projection_estimator",
     "psi_update",
-    "phi",
     "solve_delta",
-    "error_bound",
     "reconstruction_error",
-    "effectivity",
 ]
 
 # Extra Legendre degrees used to resolve the non-polynomial residual
@@ -57,10 +51,9 @@ _RESIDUAL_EXTRA_DEGREE = 4
 @dataclass(frozen=True)
 class StepEstimate:
     eta_res: float
-    eta_proj: float
     psi: float
-    delta: Optional[float]
-    bound: Optional[float]
+    delta: float
+    bound: float
     delta_hat: float
     effectivity: Optional[float] = None
 
@@ -101,9 +94,7 @@ class DeltaNotFound:
     argmin: float
 
 
-def residual_estimator(
-    p: Problem, u_hat: LocalPoly, u_left: np.ndarray, quad: QuadRule | None = None
-) -> float:
+def residual_estimator(p: Problem, u_hat: LocalPoly, u_left: np.ndarray) -> float:
     """Sampled sup norm of the integral residual of the reconstruction.
 
     The residual is represented as a polynomial by projecting
@@ -113,47 +104,30 @@ def residual_estimator(
     """
     iv = u_hat.interval
     r_q = u_hat.degree + _RESIDUAL_EXTRA_DEGREE
-    if quad is None:
-        quad = gauss_legendre(min(r_q + 6, 64))
-    op = picard_operator(r_q + 1, Scheme.CG, quad)
+    op = picard_operator(r_q + 1, Scheme.CG, _rule_size(r_q))
     m = u_hat.coeffs.shape[0]
-    f_vals = rhs_at(p, iv.from_reference(quad.nodes), op.V[:, :m] @ u_hat.coeffs)
+    f_vals = rhs_at(p, iv.from_reference(op.nodes), op.V[:, :m] @ u_hat.coeffs)
     res_coeffs = op.apply(np.atleast_1d(np.asarray(u_left, dtype=float)), iv.k, f_vals)
     res_coeffs[:m] -= u_hat.coeffs
     return LocalPoly(iv, res_coeffs).linf_norm()
 
 
-def projection_estimator(u_right_minus: np.ndarray, projector=None) -> float:
-    """Distance of a nodal value to the next interval's state space.
-
-    With the identity projector used throughout this package the result
-    is 0; a non-trivial projector yields ||v - P v||.
-    """
-    v = np.atleast_1d(np.asarray(u_right_minus, dtype=float))
-    if projector is None:
-        return 0.0
-    return float(np.linalg.norm(v - projector(v)))
-
-
-def psi_update(prev: Optional[StepEstimate], eta_proj_prev: float, eta_res: float) -> float:
+def psi_update(prev: Optional[StepEstimate], eta_res: float) -> float:
     """Recursive estimator update; the first interval has no inherited term."""
     if prev is None:
-        return eta_proj_prev + eta_res
-    if prev.delta is None:
-        raise ValueError("previous estimate has no delta; interval was never certified")
-    return prev.delta * prev.psi + eta_proj_prev + eta_res
+        return eta_res
+    return prev.delta * prev.psi + eta_res
 
 
 def _phi_factory(
-    p: Problem,
-    iv: Interval,
-    u_hat: LocalPoly,
-    psi: float,
-    quad: QuadRule | None,
+    p: Problem, iv: Interval, u_hat: LocalPoly, psi: float
 ) -> Callable[[float], float]:
-    """Build phi(delta) with the reconstruction norms precomputed."""
-    if quad is None:
-        quad = gauss_legendre(min(u_hat.degree + 6, 64))
+    """Build phi(delta) = exp(int_I lip(s, delta*psi + |uhat|, |uhat|) ds) - delta
+    with the reconstruction norms precomputed.
+
+    Overflow in the envelope or the exponential yields +inf.
+    """
+    quad = gauss_legendre(_rule_size(u_hat.degree))
     ts = iv.from_reference(quad.nodes)
     u_norms = np.sqrt(np.sum(u_hat.at_reference(quad.nodes) ** 2, axis=0))
     w = 0.5 * iv.k * quad.weights
@@ -171,23 +145,6 @@ def _phi_factory(
     return phi_of
 
 
-def phi(
-    p: Problem,
-    iv: Interval,
-    u_hat: LocalPoly,
-    psi: float,
-    delta: float,
-    quad: QuadRule | None = None,
-) -> float:
-    """exp(int_I lip(s, delta*psi + |uhat|, |uhat|) ds) - delta.
-
-    Overflow in the envelope or the exponential yields +inf.
-    """
-    if delta < 1.0:
-        raise ValueError(f"phi is defined for delta >= 1, got {delta}")
-    return _phi_factory(p, iv, u_hat, psi, quad)(delta)
-
-
 def _verified_crossing(phi_of, delta: float, eps: float) -> bool:
     """Check delta sits on a downward sign change of phi."""
     if not phi_of(delta * (1.0 + eps)) < 0.0:
@@ -203,7 +160,6 @@ def solve_delta(
     psi: float,
     prev_delta: Optional[float] = None,
     cfg: DeltaSolverConfig = DeltaSolverConfig(),
-    quad: QuadRule | None = None,
 ) -> Union[float, DeltaNotFound]:
     """Leftmost delta > 1 with phi(delta) < 0, or DeltaNotFound.
 
@@ -213,7 +169,7 @@ def solve_delta(
     verifies as a downward crossing.  Otherwise a geometric scan over
     [1, delta_max] brackets the first sign change and bisects it.
     """
-    phi_of = _phi_factory(p, iv, u_hat, psi, quad)
+    phi_of = _phi_factory(p, iv, u_hat, psi)
     phi_at_one = phi_of(1.0)
     if not (phi_at_one >= -1e-12):
         raise ArithmeticError(f"phi(1) = {phi_at_one} < 0; estimator state is inconsistent")
@@ -273,14 +229,6 @@ def _scan_and_bisect(phi_of, cfg: DeltaSolverConfig) -> Union[float, DeltaNotFou
     return hi
 
 
-def error_bound(delta: float, psi: float, reconstruction_gap: float = 0.0) -> float:
-    """Certified sup-norm bound delta*psi, plus the solution-to-
-    reconstruction gap when bounding the error of U itself."""
-    if delta < 1.0:
-        raise ValueError(f"growth factor must be >= 1, got {delta}")
-    return delta * psi + reconstruction_gap
-
-
 def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
     """Sampled sup norm of exact(t) - uhat(t) over the interval.
 
@@ -306,16 +254,3 @@ def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
             f"expected (d, n) = {uh.shape}"
         )
     return float(np.max(np.sqrt(np.sum((ex - uh) ** 2, axis=0))))
-
-
-def effectivity(bound: float, p: Problem, reconstructions: Sequence[LocalPoly]) -> float:
-    """bound / max over the given reconstructions of the true sup error.
-
-    A zero denominator (exactly reproduced solution) reports +inf.
-    """
-    if p.exact is None:
-        raise ValueError(f"problem {p.name!r} has no exact solution")
-    worst = max(reconstruction_error(p, u_hat) for u_hat in reconstructions)
-    if worst == 0.0:
-        return math.inf
-    return bound / worst

@@ -12,8 +12,9 @@ Both schemes seek a degree-r polynomial U on the interval:
   Picard update solves it with the nonlinearity frozen at the previous
   iterate.  (The r = 0 case reproduces implicit Euler.)
 
-For a fixed degree r and quadrature rule, one Picard update of either
-scheme is affine in the Legendre coefficient array c (shape (r+1, d)):
+For a fixed degree r and Gauss-Legendre rule, one Picard update of
+either scheme is affine in the Legendre coefficient array c (shape
+(r+1, d)):
 
     c_next = a u_left^T + k G f(ts, V c),
 
@@ -21,8 +22,10 @@ with V the (n, r+1) Vandermonde of the rule's nodes and P_q the
 degree-q quadrature L2 projection of node values.  For cG, G is the
 antiderivative from the left endpoint composed with P_{r-1}, and
 a = e_0; for dG, G = M^-1 diag(1/(2j+1)) P_r and a = M^-1 ((-1)^j).
-``picard_operator`` builds (V, a, G) once per (r, rule, scheme), so an
-iteration costs one f evaluation and two small matrix products.
+``picard_operator`` builds (V, a, G) once per (r, scheme, rule size),
+so an iteration costs one f evaluation and two small matrix products.
+A step of degree r uses the rule with min(r + 6, 64) points, so degrees
+above ``MAX_DEGREE`` = 58 are rejected.
 
 Nonexistence of a step is a first-class outcome here: the adaptive
 drivers halve the step length whenever the iteration fails to converge.
@@ -44,7 +47,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import legendre as _leg
 
-from .poly import Interval, LocalPoly, QuadRule, gauss_legendre
+from .poly import _MAX_QUAD_POINTS, Interval, LocalPoly, gauss_legendre
 from .problems import NumericOverflow, Problem, rhs_at
 
 __all__ = [
@@ -53,11 +56,22 @@ __all__ = [
     "StepInput",
     "StepOutput",
     "PicardConfig",
+    "MAX_DEGREE",
     "PicardOperator",
     "picard_operator",
     "step",
     "reconstruct",
 ]
+
+# Every rule carries 6 points beyond the degree it serves, up to the
+# largest rule gauss_legendre builds.
+_EXTRA_POINTS = 6
+MAX_DEGREE = _MAX_QUAD_POINTS - _EXTRA_POINTS
+
+
+def _rule_size(r: int) -> int:
+    """Points of the Gauss-Legendre rule used at polynomial degree r."""
+    return min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS)
 
 
 class Scheme(enum.Enum):
@@ -111,7 +125,7 @@ class PicardConfig:
 
 @dataclass(frozen=True)
 class StepOutput:
-    u: Optional[LocalPoly]
+    u: LocalPoly
     picard_iters: int
     converged: bool
     failure: Optional[StepFailure] = None
@@ -120,13 +134,14 @@ class StepOutput:
 @dataclass(frozen=True)
 class PicardOperator:
     """Affine Picard update c_next = a u_left^T + k G f for one degree,
-    quadrature rule and scheme.
+    scheme and Gauss-Legendre rule.
 
-    V (n, r+1) evaluates a coefficient array at the rule's nodes, a
-    (r+1,) carries the left value, and G (r+1, n) maps node values of f
-    to coefficients per unit step length.
+    nodes (n,) are the rule's reference nodes, V (n, r+1) evaluates a
+    coefficient array there, a (r+1,) carries the left value, and G
+    (r+1, n) maps node values of f to coefficients per unit step length.
     """
 
+    nodes: np.ndarray
     V: np.ndarray
     a: np.ndarray
     G: np.ndarray
@@ -136,11 +151,14 @@ class PicardOperator:
         return np.outer(self.a, u_left) + k * (self.G @ f_vals)
 
 
-def _build_operator(r: int, scheme: Scheme, quad: QuadRule) -> PicardOperator:
+@lru_cache(maxsize=None)
+def picard_operator(r: int, scheme: Scheme, n: int) -> PicardOperator:
+    """The affine Picard update of degree r on the n-point Gauss-Legendre rule."""
+    quad = gauss_legendre(n)
     proj_degree = r - 1 if scheme is Scheme.CG else r
-    if quad.n < proj_degree + 1:
+    if n < proj_degree + 1:
         raise ValueError(
-            f"quadrature with {quad.n} points cannot project onto degree {proj_degree}; "
+            f"quadrature with {n} points cannot project onto degree {proj_degree}; "
             f"need n >= {proj_degree + 1}"
         )
     V = _leg.legvander(quad.nodes, r)
@@ -164,28 +182,10 @@ def _build_operator(r: int, scheme: Scheme, quad: QuadRule) -> PicardOperator:
         G = Minv @ (P / (2.0 * i + 1.0)[:, None])
     for arr in (V, a, G):
         arr.flags.writeable = False
-    return PicardOperator(V, a, G)
+    return PicardOperator(quad.nodes, V, a, G)
 
 
-@lru_cache(maxsize=None)
-def _gauss_operator(r: int, n: int, scheme: Scheme) -> PicardOperator:
-    return _build_operator(r, scheme, gauss_legendre(n))
-
-
-def picard_operator(r: int, scheme: Scheme, quad: QuadRule) -> PicardOperator:
-    """The affine Picard update of degree r on quad; cached for the
-    Gauss-Legendre rules of ``gauss_legendre``."""
-    if quad is gauss_legendre(quad.n):
-        return _gauss_operator(r, quad.n, scheme)
-    return _build_operator(r, scheme, quad)
-
-
-def step(
-    p: Problem,
-    inp: StepInput,
-    cfg: PicardConfig = PicardConfig(),
-    quad: QuadRule | None = None,
-) -> StepOutput:
+def step(p: Problem, inp: StepInput, cfg: PicardConfig = PicardConfig()) -> StepOutput:
     """Attempt one Galerkin step by Picard iteration.
 
     Iterates the affine update of ``picard_operator`` on the bare
@@ -204,12 +204,10 @@ def step(
     on every iterate.
     """
     r, iv, d = inp.r, inp.interval, inp.u_left.size
-    if quad is None:
-        quad = gauss_legendre(min(r + 6, 64))
-    if quad.n < r + 6:
-        raise ValueError(f"step at degree {r} needs a quadrature with >= {r + 6} points")
-    op = picard_operator(r, inp.scheme, quad)
-    ts = iv.from_reference(quad.nodes)
+    if r > MAX_DEGREE:
+        raise ValueError(f"step degree {r} is above the cap {MAX_DEGREE}")
+    op = picard_operator(r, inp.scheme, _rule_size(r))
+    ts = iv.from_reference(op.nodes)
 
     left = np.outer(op.a, inp.u_left)
     c = np.zeros((r + 1, d))
@@ -237,9 +235,7 @@ def step(
     return StepOutput(LocalPoly(iv, c), cfg.max_iters, False, StepFailure.MAX_ITERS)
 
 
-def reconstruct(
-    p: Problem, inp: StepInput, u: LocalPoly, quad: QuadRule | None = None
-) -> LocalPoly:
+def reconstruct(p: Problem, inp: StepInput, u: LocalPoly) -> LocalPoly:
     """Degree r+1 reconstruction: left value u_left, derivative = degree-r
     projection of f(t, U).
 
@@ -249,9 +245,7 @@ def reconstruct(
     relative: fp_tol * max(1, max|c|) for the step's coefficients c.
     """
     r, iv = inp.r, inp.interval
-    if quad is None:
-        quad = gauss_legendre(min(r + 6, 64))
-    op = picard_operator(r + 1, Scheme.CG, quad)
+    op = picard_operator(r + 1, Scheme.CG, _rule_size(r))
     u_nodes = op.V[:, : u.coeffs.shape[0]] @ u.coeffs
-    f_vals = rhs_at(p, iv.from_reference(quad.nodes), u_nodes)
+    f_vals = rhs_at(p, iv.from_reference(op.nodes), u_nodes)
     return LocalPoly(iv, op.apply(inp.u_left, iv.k, f_vals))

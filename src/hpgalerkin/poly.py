@@ -91,13 +91,6 @@ class QuadRule:
     def n(self) -> int:
         return self.nodes.size
 
-    def integrate(self, iv: Interval, values: np.ndarray) -> np.ndarray:
-        """Integrate over iv given values sampled at the mapped nodes.
-
-        values has shape (n,) or (n, d); the leading axis matches nodes.
-        """
-        return 0.5 * iv.k * np.tensordot(self.weights, values, axes=(0, 0))
-
 
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> QuadRule:

@@ -110,9 +110,9 @@ def lip_at(p: Problem, ts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 def make_power_square(u0: float) -> Problem:
     """Scalar f(t,u) = u^2 with exact solution u0/(1 - u0 t)."""
+    u0 = float(u0)
     if not u0 > 0:
         raise ValueError("power-square blow-up problem requires u0 > 0")
-    u0 = float(u0)
 
     def f(t, u):
         return u * u
@@ -202,12 +202,26 @@ def make_linear(lam: float, u0) -> Problem:
     )
 
 
+# CLI name -> (constructor, parameter defaults in constructor order)
+_BUILTINS = {
+    "power2": (make_power_square, {"u0": 1.0}),
+    "exp": (make_exponential, {"u0": 1.0}),
+    "linear": (make_linear, {"lam": 1.0, "u0": [1.0]}),
+}
+
+
 def builtin_problem(name: str, **params) -> Problem:
-    """Look up a built-in problem by CLI name: power2, exp or linear."""
-    if name == "power2":
-        return make_power_square(params.get("u0", 1.0))
-    if name == "exp":
-        return make_exponential(params.get("u0", 1.0))
-    if name == "linear":
-        return make_linear(params.get("lam", 1.0), params.get("u0", [1.0]))
-    raise ValueError(f"unknown problem {name!r}; available: power2, exp, linear")
+    """Look up a built-in problem by CLI name: power2, exp or linear.
+
+    Unknown parameter names raise ValueError, so a misspelt key cannot
+    silently fall back to its default.
+    """
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown problem {name!r}; available: {', '.join(_BUILTINS)}")
+    make, defaults = _BUILTINS[name]
+    unknown = ", ".join(repr(key) for key in params if key not in defaults)
+    if unknown:
+        raise ValueError(
+            f"unknown parameter {unknown} for problem {name!r}; accepted: {', '.join(defaults)}"
+        )
+    return make(**{**defaults, **params})

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles shared by the test modules."""
+"""Independent brute-force oracles and a closed-form problem shared by
+the test modules."""
 
 import math
 
@@ -7,7 +8,18 @@ from numpy.polynomial import legendre
 
 from hpgalerkin.galerkin import Scheme, StepFailure
 from hpgalerkin.poly import LocalPoly, _linf_sample_points, gauss_legendre, project_values
-from hpgalerkin.problems import NumericOverflow, rhs_at
+from hpgalerkin.problems import NumericOverflow, Problem, rhs_at
+
+
+def zero_rhs():
+    """u' = 0, u(0) = 1: every reconstruction reproduces exact(t) = 1."""
+    return Problem(
+        dim=1,
+        u0=np.array([1.0]),
+        f=lambda t, u: np.zeros_like(u),
+        lip=lambda t, a, b: 0.0,
+        exact=lambda t: np.ones((1,) + np.shape(t)),
+    )
 
 
 def brute_force_residual(p, u_hat, n_samples=10_000, n_quad=64):
@@ -39,15 +51,14 @@ def _reference_dg_matrix_inverse(r):
     return np.linalg.inv(M)
 
 
-def reference_step(p, inp, cfg, quad=None):
+def reference_step(p, inp, cfg):
     """One cG/dG step by the per-iteration Picard loop: a LocalPoly per
     iterate, project_values, antiderivative or the dG solve, and the
     sampled sup norm against the divergence cap on every iteration.
     Returns (u, picard_iters, converged, failure) with the same meaning
     as StepOutput."""
     r, iv, u_left = inp.r, inp.interval, inp.u_left
-    if quad is None:
-        quad = gauss_legendre(min(r + 6, 64))
+    quad = gauss_legendre(min(r + 6, 64))
     ts = iv.from_reference(quad.nodes)
     coeffs = np.zeros((r + 1, u_left.size))
     coeffs[0] = u_left
@@ -77,11 +88,10 @@ def reference_step(p, inp, cfg, quad=None):
     return u, cfg.max_iters, False, StepFailure.MAX_ITERS
 
 
-def reference_reconstruct(p, inp, u, quad=None):
+def reference_reconstruct(p, inp, u):
     """Degree r+1 reconstruction by project_values + antiderivative."""
     iv = inp.interval
-    if quad is None:
-        quad = gauss_legendre(min(inp.r + 6, 64))
+    quad = gauss_legendre(min(inp.r + 6, 64))
     f_vals = rhs_at(p, iv.from_reference(quad.nodes), u.at_reference(quad.nodes).T)
     return project_values(f_vals, iv, inp.r, quad).antiderivative(inp.u_left)
 

@@ -301,7 +301,7 @@ def test_criterion_8_property_suites(rng):
     prev = None
     for rec, tol in zip(res.intervals, res.tol_trace):
         e = rec.estimate
-        expected = psi_update(prev, 0.0, e.eta_res)
+        expected = psi_update(prev, e.eta_res)
         if abs(e.psi - expected) > 1e-13 * max(1.0, expected):
             failures.append("psi recursion")
         if abs(tol - 1e-4 * e.delta_hat) > 1e-12 * tol:

@@ -14,19 +14,9 @@ from hpgalerkin.adapt import (
 )
 from hpgalerkin.galerkin import PicardConfig, Scheme
 from hpgalerkin.poly import Interval, LocalPoly, l2_project
-from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
+from hpgalerkin.problems import make_exponential, make_linear, make_power_square
 
-from _oracles import reference_smoothness
-
-
-def zero_rhs():
-    return Problem(
-        dim=1,
-        u0=np.array([1.0]),
-        f=lambda t, u: np.zeros_like(u),
-        lip=lambda t, a, b: 0.0,
-        exact=lambda t: np.ones((1,) + np.shape(t)),
-    )
+from _oracles import reference_smoothness, zero_rhs
 
 
 class TestSmoothness:
@@ -119,6 +109,15 @@ class TestConfigValidation:
     def test_hp_needs_degree_one(self):
         with pytest.raises(ValueError):
             AdaptConfig(scheme=Scheme.DG, mode=Mode.HP, r_init=0, k_init=0.1, tol_star=1e-3)
+
+    def test_degree_cap(self):
+        base = dict(scheme=Scheme.CG, k_init=0.1, tol_star=1e-3)
+        AdaptConfig(mode=Mode.H, r_init=58, r_max=100, **base)  # r_max unused in H mode
+        AdaptConfig(mode=Mode.HP, r_init=1, r_max=58, **base)
+        with pytest.raises(ValueError, match="r_init = 59 is above the degree cap 58"):
+            AdaptConfig(mode=Mode.H, r_init=59, **base)
+        with pytest.raises(ValueError, match="r_max = 59 is above the degree cap 58"):
+            AdaptConfig(mode=Mode.HP, r_init=1, r_max=59, **base)
 
     def test_mode_mismatch_rejected(self):
         cfg = AdaptConfig(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1e-3)

@@ -1,0 +1,99 @@
+"""Public-API contract: the exported names, and what bench/run.py uses.
+
+The benchmark drives the package through these names and fields; a
+change that removes or renames one fails here before it breaks the
+benchmark.
+"""
+
+import dataclasses
+
+import hpgalerkin
+from hpgalerkin import cli
+
+PUBLIC_NAMES = {
+    "AdaptConfig",
+    "DeltaNotFound",
+    "DeltaSolverConfig",
+    "Interval",
+    "IntervalRecord",
+    "LocalPoly",
+    "Mode",
+    "NumericOverflow",
+    "PicardConfig",
+    "Problem",
+    "QuadRule",
+    "RunResult",
+    "Scheme",
+    "SmoothnessReport",
+    "StepEstimate",
+    "StepFailure",
+    "StepInput",
+    "StepOutput",
+    "Termination",
+    "builtin_problem",
+    "gauss_legendre",
+    "h_adapt",
+    "hp_adapt",
+    "l2_project",
+    "make_exponential",
+    "make_linear",
+    "make_power_square",
+    "psi_update",
+    "reconstruct",
+    "reconstruction_error",
+    "residual_estimator",
+    "smoothness",
+    "solve_delta",
+    "step",
+}
+
+
+def field_names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_all_is_the_public_set():
+    assert len(hpgalerkin.__all__) == len(PUBLIC_NAMES)
+    assert set(hpgalerkin.__all__) == PUBLIC_NAMES
+
+
+def test_every_public_name_resolves():
+    for name in hpgalerkin.__all__:
+        assert getattr(hpgalerkin, name) is not None, name
+
+
+def test_benchmark_entry_points():
+    assert callable(hpgalerkin.h_adapt) and callable(hpgalerkin.hp_adapt)
+    assert hpgalerkin.Mode.HP.value == "hp" and hpgalerkin.Mode.H.value == "h"
+    assert callable(cli.build_problem) and callable(cli.build_adapt_config)
+    # the benchmark builds Problem(dim, u0, f, lip) and swaps f_batch in
+    # with dataclasses.replace; the driver is chosen by AdaptConfig.mode
+    assert {"dim", "u0", "f", "lip", "f_batch"} <= field_names(hpgalerkin.Problem)
+    assert "mode" in field_names(hpgalerkin.AdaptConfig)
+
+
+def test_benchmark_result_fields():
+    # what the benchmark's check_run and run_round read
+    assert {"termination", "T", "M", "dofs", "intervals"} <= field_names(hpgalerkin.RunResult)
+    assert {"interval", "reconstruction", "estimate"} <= field_names(hpgalerkin.IntervalRecord)
+    assert "bound" in field_names(hpgalerkin.StepEstimate)
+    assert hpgalerkin.Termination.DELTA_NOT_FOUND.value == "delta_not_found"
+
+
+def test_benchmark_round_trip():
+    config = {
+        "problem": {"name": "power2", "u0": 1.0},
+        "scheme": "cg",
+        "mode": "hp",
+        "r": 1,
+        "k_init": 0.15,
+        "picard": {"divergence_cap": 1e12},
+    }
+    problem = dataclasses.replace(cli.build_problem(config), f_batch=lambda ts, us: us * us)
+    cfg = cli.build_adapt_config(config, 1e-3)
+    result = hpgalerkin.hp_adapt(problem, cfg)
+    assert result.termination.value == "delta_not_found" and 0.0 < result.T < 1.0
+    rec = result.intervals[0]
+    assert rec.interval.t_start == 0.0 < rec.interval.t_end
+    assert rec.reconstruction.coeffs.shape == (rec.r + 2, 1)
+    assert rec.estimate.bound > 0.0

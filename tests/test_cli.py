@@ -239,3 +239,57 @@ class TestSerialization:
         for _ in range(1000):
             x = float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
             assert float(_fmt(x)) == x
+
+
+def _bad_run(tmp_path, **changes):
+    return "run", write_json(tmp_path / "bad.json", {**RUN_CONFIG, **changes})
+
+
+def _bad_sweep(tmp_path):
+    return "sweep", write_json(tmp_path / "bad.json", {**SWEEP_CONFIG, "tol_list": [1e-2, "x"]})
+
+
+def _bad_csv(tmp_path):
+    row = ["1e-3", "x", "10", "0.9", "0.1", "2.0", "3.0", "0.5", "false"]
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(SWEEP_HEADER) + "\n" + ",".join(row) + "\n")
+    return "fit", str(path)
+
+
+class TestConfigErrors:
+    """Malformed input exits 2 with one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "make_input, needle",
+        [
+            (lambda tmp: _bad_run(tmp, problem={"name": "power2", "u0": "abc"}), "abc"),
+            (lambda tmp: _bad_run(tmp, problem={"name": "linear", "u0": {"a": 1}}), "problem"),
+            (lambda tmp: _bad_run(tmp, problem={"name": "power2", "u0": 1.0, "bogus": 3}),
+             "'bogus' for problem 'power2'; accepted: u0"),
+            (lambda tmp: _bad_run(tmp, r=60), "cap 58"),
+            (lambda tmp: _bad_run(tmp, mode="hp", r_max=60), "r_max"),
+            (_bad_sweep, "tol_list"),
+            (_bad_csv, "line 2"),
+        ],
+        ids=[
+            "u0-string",
+            "u0-object",
+            "unknown-param",
+            "r-60",
+            "hp-r_max-60",
+            "tol_list-entry",
+            "csv-cell",
+        ],
+    )
+    def test_exit_2_with_error_line(self, tmp_path, capsys, make_input, needle):
+        verb, path = make_input(tmp_path)
+        argv = [verb, "--config", path] + (["--model", "algebraic"] if verb == "fit" else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_degree_cap_is_inclusive(self, tmp_path):
+        # 58 is the largest degree whose r + 6 point rule exists
+        cfg = write_json(tmp_path / "r58.json", {**RUN_CONFIG, "r": 58, "max_intervals": 1})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0

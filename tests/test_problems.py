@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from hpgalerkin.estimator import phi
-from hpgalerkin.poly import Interval, LocalPoly, gauss_legendre
+from hpgalerkin.estimator import _phi_factory
+from hpgalerkin.poly import Interval, LocalPoly
 from hpgalerkin.problems import (
     NumericOverflow,
     Problem,
@@ -79,7 +79,7 @@ class TestLipIntegral:
     @staticmethod
     def envelope_integral(p, iv, a, b):
         u_hat = LocalPoly.constant(iv, np.full(p.dim, b))
-        return math.log(phi(p, iv, u_hat, a - b, 1.0, gauss_legendre(4)) + 1.0)
+        return math.log(_phi_factory(p, iv, u_hat, a - b)(1.0) + 1.0)
 
     def test_constant_envelope(self):
         p = make_linear(-3.0, [1.0])
@@ -102,7 +102,7 @@ class TestLipIntegral:
         # an envelope beyond double range reads as phi = +inf (no certificate)
         p = make_exponential(1.0)
         u_hat = LocalPoly.constant(Interval(0.0, 1.0), [0.0])
-        assert phi(p, Interval(0.0, 1.0), u_hat, 800.0, 1.0, gauss_legendre(4)) == math.inf
+        assert _phi_factory(p, Interval(0.0, 1.0), u_hat, 800.0)(1.0) == math.inf
 
 
 class TestEnvelopeConsistency:
@@ -226,7 +226,15 @@ class TestBuiltinLookup:
         assert builtin_problem("power2", u0=2.0).t_blowup == 0.5
         assert builtin_problem("exp", u0=0.0).t_blowup == 1.0
         assert builtin_problem("linear", lam=0.0, u0=[1.0, 2.0]).dim == 2
+        assert builtin_problem("linear").u0.tolist() == [1.0]
 
     def test_unknown(self):
         with pytest.raises(ValueError, match="unknown problem"):
             builtin_problem("mystery")
+
+    def test_unknown_parameter(self):
+        # a misspelt key must not fall back to the default silently
+        with pytest.raises(ValueError, match=r"'uO' for problem 'power2'; accepted: u0"):
+            builtin_problem("power2", uO=2.0)
+        with pytest.raises(ValueError, match=r"'bogus' for problem 'linear'; accepted: lam, u0"):
+            builtin_problem("linear", lam=1.0, bogus=3)
