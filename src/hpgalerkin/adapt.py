@@ -294,7 +294,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
         prev_estimate = estimate
         t = iv.t_end
         k = iv.k
-        u_left = candidate.output.u(iv.t_end)
+        u_left = candidate.output.u.coeffs.sum(axis=0)  # U(t_end), as P_i(1) = 1
 
     return RunResult(
         intervals=tuple(records),

@@ -70,7 +70,8 @@ def _require(config: dict, key: str, kind, where: str):
     value = config[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, kind):
+    # bool is a subclass of int, but JSON true is not a degree or a count
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"{where}: key {key!r} must be of type {kind.__name__}")
     return value
 

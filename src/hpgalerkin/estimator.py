@@ -29,7 +29,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .galerkin import Scheme, _rule_size, picard_operator
+from .galerkin import Scheme, _is_int, _rule_size, picard_operator
 from .poly import Interval, LocalPoly, _linf_sample_points, gauss_legendre
 from .problems import NumericOverflow, Problem, lip_at, rhs_at
 
@@ -68,6 +68,9 @@ class DeltaSolverConfig:
     verify_eps: float = 1e-8
 
     def __post_init__(self):
+        for key in ("max_newton", "scan_points"):
+            if not _is_int(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
         if not all(
             v > 0
             for v in (
@@ -127,10 +130,13 @@ def _phi_factory(
 
     Overflow in the envelope or the exponential yields +inf.
     """
-    quad = gauss_legendre(_rule_size(u_hat.degree))
-    ts = iv.from_reference(quad.nodes)
-    u_norms = np.sqrt(np.sum(u_hat.at_reference(quad.nodes) ** 2, axis=0))
-    w = 0.5 * iv.k * quad.weights
+    n = _rule_size(u_hat.degree)
+    # Every scheme's operator carries the same node Vandermonde V; the
+    # dG one exists for every degree, 0 included.
+    op = picard_operator(u_hat.degree, Scheme.DG, n)
+    ts = iv.from_reference(op.nodes)
+    u_norms = np.sqrt(np.sum((op.V @ u_hat.coeffs) ** 2, axis=1))
+    w = 0.5 * iv.k * gauss_legendre(n).weights
 
     def phi_of(delta: float) -> float:
         try:
@@ -232,6 +238,8 @@ def _scan_and_bisect(phi_of, cfg: DeltaSolverConfig) -> Union[float, DeltaNotFou
 def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
     """Sampled sup norm of exact(t) - uhat(t) over the interval.
 
+    The samples are those of ``LocalPoly.linf_norm``: uhat is evaluated
+    there by one product with the degree's cached Vandermonde matrix.
     ``p.exact`` is called once, on the array ts (n,) of sample times,
     and must return shape (d, n), e.g. ``lambda t: np.exp(t)[None]``
     for u' = u, u(0) = 1; any other shape raises ValueError.
@@ -239,9 +247,9 @@ def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
     if p.exact is None:
         raise ValueError(f"problem {p.name!r} has no exact solution")
     iv = u_hat.interval
-    xs = _linf_sample_points(u_hat.degree)
+    xs, V = _linf_sample_points(u_hat.degree)
     ts = iv.from_reference(xs)
-    uh = u_hat.at_reference(xs)
+    uh = (V @ u_hat.coeffs).T
     try:
         ex = np.asarray(p.exact(ts), dtype=float)
     except TypeError as exc:
@@ -253,4 +261,4 @@ def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
             f"exact returned shape {ex.shape} for times of shape {ts.shape}, "
             f"expected (d, n) = {uh.shape}"
         )
-    return float(np.max(np.sqrt(np.sum((ex - uh) ** 2, axis=0))))
+    return math.sqrt(((ex - uh) ** 2).sum(axis=0).max())

@@ -40,6 +40,7 @@ error estimator measures.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -67,6 +68,11 @@ __all__ = [
 # largest rule gauss_legendre builds.
 _EXTRA_POINTS = 6
 MAX_DEGREE = _MAX_QUAD_POINTS - _EXTRA_POINTS
+
+
+def _is_int(value) -> bool:
+    """An integer count: Python or numpy integers, but not bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _rule_size(r: int) -> int:
@@ -119,6 +125,8 @@ class PicardConfig:
     divergence_cap: float = 1e8
 
     def __post_init__(self):
+        if not _is_int(self.max_iters):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if not (self.fp_tol > 0 and self.max_iters > 0 and self.divergence_cap > 0):
             raise ValueError("Picard configuration values must be positive")
 

@@ -268,6 +268,13 @@ class TestConfigErrors:
              "'bogus' for problem 'power2'; accepted: u0"),
             (lambda tmp: _bad_run(tmp, r=60), "cap 58"),
             (lambda tmp: _bad_run(tmp, mode="hp", r_max=60), "r_max"),
+            (lambda tmp: _bad_run(tmp, r=True), "key 'r' must be of type int"),
+            (lambda tmp: _bad_run(tmp, picard={"max_iters": 2.5}), "max_iters must be an integer"),
+            (lambda tmp: _bad_run(tmp, picard={"max_iters": True}), "max_iters must be an integer"),
+            (lambda tmp: _bad_run(tmp, delta_solver={"max_newton": 2.5}),
+             "max_newton must be an integer"),
+            (lambda tmp: _bad_run(tmp, delta_solver={"scan_points": 2.5}),
+             "scan_points must be an integer"),
             (_bad_sweep, "tol_list"),
             (_bad_csv, "line 2"),
         ],
@@ -277,6 +284,11 @@ class TestConfigErrors:
             "unknown-param",
             "r-60",
             "hp-r_max-60",
+            "r-bool",
+            "max_iters-float",
+            "max_iters-bool",
+            "max_newton-float",
+            "scan_points-float",
             "tol_list-entry",
             "csv-cell",
         ],

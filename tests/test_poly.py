@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
-from hpgalerkin.poly import Interval, LocalPoly, gauss_legendre, l2_project
+from hpgalerkin.poly import Interval, LocalPoly, _linf_sample_points, gauss_legendre, l2_project
 
 
 def test_interval_validation():
@@ -204,3 +207,45 @@ class TestNorms:
             )
             dense = float(np.max(np.abs(p.at_reference(xs))))
             assert p.linf_norm() >= 0.999 * dense
+
+
+class TestSampleCache:
+    """The per-degree sup-norm sample points and their Vandermonde matrix."""
+
+    @pytest.mark.parametrize("degree", range(65))
+    def test_vandermonde_matches_legval(self, degree, rng):
+        xs, V = _linf_sample_points(degree)
+        assert V.shape == (xs.size, degree + 1)
+        c = rng.standard_normal((degree + 1, 3))
+        ref = legendre.legval(xs, c).T
+        assert np.abs(V @ c - ref).max() <= 1e-13 * np.abs(c).sum(axis=0).max()
+
+    def test_read_only_and_shared(self):
+        first = _linf_sample_points(7)
+        assert _linf_sample_points(7) is first
+        for arr in first:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_linf_norm_uses_the_samples(self, rng):
+        c = rng.standard_normal((6, 2))
+        xs, _ = _linf_sample_points(5)
+        p = LocalPoly(Interval(0.0, 0.3), c)
+        expected = np.sqrt((legendre.legval(xs, c) ** 2).sum(axis=0)).max()
+        assert abs(p.linf_norm() - expected) <= 1e-14 * np.abs(c).sum()
+
+    @pytest.mark.parametrize("degree", range(59))
+    def test_coefficient_sum_is_right_endpoint_value(self, degree, rng):
+        # P_i(1) = 1, so U(t_end) is the column sum of the coefficients.
+        # Recursive summation errs by at most degree * eps * sum|c| from
+        # the correctly rounded sum; Clenshaw's error grows with the
+        # degree (about 40 ulp of sum|c| at degree 58), hence 1e-13.
+        eps = np.finfo(float).eps
+        for _ in range(10):
+            c = rng.standard_normal((degree + 1, 3))
+            iv = Interval(rng.uniform(-1.0, 1.0), rng.uniform(1.5, 3.0))
+            total, scale = c.sum(axis=0), np.abs(c).sum(axis=0)
+            exact = np.array([math.fsum(col) for col in c.T])
+            assert np.all(np.abs(total - exact) <= degree * eps * scale)
+            assert np.all(np.abs(total - LocalPoly(iv, c)(iv.t_end)) <= 1e-13 * scale)
