@@ -13,7 +13,6 @@ from .adapt import (
 )
 from .estimator import (
     DeltaNotFound,
-    DeltaSolverConfig,
     StepEstimate,
     psi_update,
     reconstruction_error,
@@ -36,7 +35,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptConfig",
     "DeltaNotFound",
-    "DeltaSolverConfig",
     "Interval",
     "IntervalRecord",
     "LocalPoly",

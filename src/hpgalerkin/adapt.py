@@ -21,7 +21,8 @@ of accepted step lengths is the blow-up time estimate.
 Smoothness for the HP refinement decision is classified through the
 constant in the embedding of H^1 into the sup norm, applied to the
 (r-1)-th derivative of the candidate: values near 1 mean the leading
-Legendre modes dominate and raising the degree pays off.
+Legendre modes dominate and raising the degree pays off.  A candidate
+counts as smooth at theta >= THETA_STAR = 0.85.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 
 from .estimator import (
     DeltaNotFound,
-    DeltaSolverConfig,
     StepEstimate,
     psi_update,
     reconstruction_error,
@@ -58,6 +58,7 @@ __all__ = [
     "hp_adapt",
 ]
 
+THETA_STAR = 0.85
 _ZERO_POLY_RTOL = 1e-14
 _ENDPOINTS = np.array([-1.0, 1.0])
 _TWO_I_PLUS_ONE = np.array([[1.0], [3.0]])  # ||P_i||^2 = 2 / (2i + 1), i = 0, 1
@@ -88,11 +89,9 @@ class AdaptConfig:
     k_init: float
     tol_star: float
     r_max: int = 30
-    theta_star: float = 0.85
     k_min: float = 1e-14
     max_intervals: int = 1_000_000
     picard: PicardConfig = field(default_factory=PicardConfig)
-    delta: DeltaSolverConfig = field(default_factory=DeltaSolverConfig)
 
     def __post_init__(self):
         # r_max steers only the HP driver's degree raises
@@ -113,8 +112,6 @@ class AdaptConfig:
                 )
         if not (self.k_init > 0 and self.tol_star > 0 and self.k_min > 0):
             raise ValueError("k_init, tol_star and k_min must be positive")
-        if not 0.0 < self.theta_star < 1.0:
-            raise ValueError("theta_star must lie in (0, 1)")
         if self.max_intervals < 1:
             raise ValueError("max_intervals must be >= 1")
 
@@ -143,14 +140,15 @@ class RunResult:
     tol_trace: tuple[float, ...]
 
 
-def smoothness(u: LocalPoly, r: int, theta_star: float = 0.85) -> SmoothnessReport:
+def smoothness(u: LocalPoly, r: int) -> SmoothnessReport:
     """Embedding-constant smoothness score of the (r-1)-th derivative.
 
     theta = ||w||_inf / (k^{-1/2} ||w||_2 + k^{1/2} ||w'||_2 / sqrt(2))
     clamped to [0, 1], with theta = 1 for a (numerically) vanishing w.
     u has degree at most r, so w is affine and every norm has a closed
     form: Parseval on its two Legendre coefficients gives the L2 norms,
-    and the sup of the convex |w| is attained at an endpoint.
+    and the sup of the convex |w| is attained at an endpoint.  The
+    candidate is smooth when theta >= THETA_STAR.
     """
     if r < 1:
         raise ValueError(f"smoothness indicator needs degree >= 1, got {r}")
@@ -174,7 +172,7 @@ def smoothness(u: LocalPoly, r: int, theta_star: float = 0.85) -> SmoothnessRepo
     linf = math.sqrt((ends**2).sum(axis=0).max())
     denom = l2 / math.sqrt(k) + math.sqrt(k) * h1_semi / math.sqrt(2.0)
     theta = min(max(linf / denom, 0.0), 1.0)
-    return SmoothnessReport(theta=theta, smooth=theta >= theta_star)
+    return SmoothnessReport(theta=theta, smooth=theta >= THETA_STAR)
 
 
 @dataclass
@@ -223,7 +221,7 @@ def _refine(
             k *= 0.5
             decisions.append("halve_k")
         else:
-            report = smoothness(out.u, r, cfg.theta_star)
+            report = smoothness(out.u, r)
             if report.smooth and r < cfg.r_max:
                 r += 1
                 decisions.append("raise_r")
@@ -251,9 +249,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
         iv, r = candidate.inp.interval, candidate.inp.r
         psi = psi_update(prev_estimate, candidate.eta_res)
         guess = prev_estimate.delta if prev_estimate is not None else None
-        delta = solve_delta(
-            p, iv, candidate.reconstruction, psi, prev_delta=guess, cfg=cfg.delta
-        )
+        delta = solve_delta(p, iv, candidate.reconstruction, psi, prev_delta=guess)
         if isinstance(delta, DeltaNotFound):
             termination = Termination.DELTA_NOT_FOUND
             break
@@ -274,7 +270,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             delta_hat=delta_hat,
             effectivity=eff,
         )
-        theta = smoothness(candidate.output.u, r, cfg.theta_star).theta if r >= 1 else None
+        theta = smoothness(candidate.output.u, r).theta if r >= 1 else None
         records.append(
             IntervalRecord(
                 interval=iv,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -30,7 +31,6 @@ import time
 import numpy as np
 
 from .adapt import AdaptConfig, Mode, RunResult, Termination, h_adapt, hp_adapt
-from .estimator import DeltaSolverConfig
 from .galerkin import PicardConfig, Scheme
 from .problems import Problem, builtin_problem
 
@@ -51,6 +51,14 @@ SWEEP_HEADER = [
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_ABORTED = 3
+
+
+# The keys a run or sweep config may hold, and those of its picard object
+_CONFIG_KEYS = (
+    "problem", "scheme", "mode", "r", "k_init", "tol_star", "tol_list", "r_max", "k_min",
+    "max_intervals", "picard",
+)
+_PICARD_KEYS = tuple(f.name for f in dataclasses.fields(PicardConfig))
 
 
 class ConfigError(ValueError):
@@ -76,6 +84,12 @@ def _require(config: dict, key: str, kind, where: str):
     return value
 
 
+def _reject_unknown(config: dict, accepted: tuple, where: str):
+    unknown = [key for key in config if key not in accepted]
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}; accepted: {', '.join(accepted)}")
+
+
 def build_problem(config: dict) -> Problem:
     entry = _require(config, "problem", dict, "config")
     name = _require(entry, "name", str, "problem")
@@ -87,6 +101,7 @@ def build_problem(config: dict) -> Problem:
 
 
 def build_adapt_config(config: dict, tol_star: float) -> AdaptConfig:
+    _reject_unknown(config, _CONFIG_KEYS, "config")
     scheme_name = _require(config, "scheme", str, "config").lower()
     mode_name = _require(config, "mode", str, "config").lower()
     try:
@@ -106,20 +121,16 @@ def build_adapt_config(config: dict, tol_star: float) -> AdaptConfig:
     )
     for key, kind in (
         ("r_max", int),
-        ("theta_star", float),
         ("k_min", float),
         ("max_intervals", int),
     ):
         if key in config:
             kwargs[key] = _require(config, key, kind, "config")
+    picard = _require(config, "picard", dict, "config") if "picard" in config else {}
+    _reject_unknown(picard, _PICARD_KEYS, "picard")
+    picard = {key: _require(picard, key, float, "picard") for key in picard}
     try:
-        if "picard" in config:
-            kwargs["picard"] = PicardConfig(**_require(config, "picard", dict, "config"))
-        if "delta_solver" in config:
-            kwargs["delta"] = DeltaSolverConfig(
-                **_require(config, "delta_solver", dict, "config")
-            )
-        return AdaptConfig(**kwargs)
+        return AdaptConfig(picard=PicardConfig(**picard), **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config: {exc}") from exc
 

@@ -18,7 +18,12 @@ For each accepted interval the drivers assemble a ``StepEstimate``:
 ``solve_delta`` runs a finite-difference Newton iteration warm-started
 from the previous interval's delta, verifies it landed on the leftmost
 downward crossing, and falls back to a geometric scan plus bisection
-when Newton fails.
+when Newton fails.  Its controls are fixed: Newton stops at
+|phi| <= NEWTON_TOL = 1e-10 within MAX_NEWTON = 50 iterations, with
+difference step FD_STEP = 1e-7 relative to max(delta, 1); a root is
+verified by the sign of phi at a relative offset VERIFY_EPS = 1e-8 on
+either side; the scan covers [1, DELTA_MAX = 1e6] at SCAN_POINTS = 200
+geometric points.
 """
 
 from __future__ import annotations
@@ -29,13 +34,12 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .galerkin import Scheme, _is_int, _rule_size, picard_operator
+from .galerkin import Scheme, _cg_lift, _rule_size, picard_operator
 from .poly import Interval, LocalPoly, _linf_sample_points, gauss_legendre
-from .problems import NumericOverflow, Problem, lip_at, rhs_at
+from .problems import NumericOverflow, Problem, lip_at
 
 __all__ = [
     "StepEstimate",
-    "DeltaSolverConfig",
     "DeltaNotFound",
     "residual_estimator",
     "psi_update",
@@ -47,6 +51,14 @@ __all__ = [
 # integrand f(s, uhat); validated against a brute-force oracle in tests.
 _RESIDUAL_EXTRA_DEGREE = 4
 
+# solve_delta controls, described in the module docstring
+NEWTON_TOL = 1e-10
+MAX_NEWTON = 50
+FD_STEP = 1e-7
+DELTA_MAX = 1e6
+SCAN_POINTS = 200
+VERIFY_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class StepEstimate:
@@ -56,33 +68,6 @@ class StepEstimate:
     bound: float
     delta_hat: float
     effectivity: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class DeltaSolverConfig:
-    newton_tol: float = 1e-10
-    max_newton: int = 50
-    fd_step: float = 1e-7
-    delta_max: float = 1e6
-    scan_points: int = 200
-    verify_eps: float = 1e-8
-
-    def __post_init__(self):
-        for key in ("max_newton", "scan_points"):
-            if not _is_int(getattr(self, key)):
-                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        if not all(
-            v > 0
-            for v in (
-                self.newton_tol,
-                self.max_newton,
-                self.fd_step,
-                self.delta_max,
-                self.scan_points,
-                self.verify_eps,
-            )
-        ):
-            raise ValueError("delta solver configuration values must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,14 +90,11 @@ def residual_estimator(p: Problem, u_hat: LocalPoly, u_left: np.ndarray) -> floa
     endpoint -- the cG Picard update at degree deg(uhat) + 5 -- then
     subtracting uhat.
     """
-    iv = u_hat.interval
     r_q = u_hat.degree + _RESIDUAL_EXTRA_DEGREE
-    op = picard_operator(r_q + 1, Scheme.CG, _rule_size(r_q))
-    m = u_hat.coeffs.shape[0]
-    f_vals = rhs_at(p, iv.from_reference(op.nodes), op.V[:, :m] @ u_hat.coeffs)
-    res_coeffs = op.apply(np.atleast_1d(np.asarray(u_left, dtype=float)), iv.k, f_vals)
-    res_coeffs[:m] -= u_hat.coeffs
-    return LocalPoly(iv, res_coeffs).linf_norm()
+    u_left = np.atleast_1d(np.asarray(u_left, dtype=float))
+    res_coeffs = _cg_lift(p, u_hat, u_left, r_q + 1, _rule_size(r_q))
+    res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
+    return LocalPoly(u_hat.interval, res_coeffs).linf_norm()
 
 
 def psi_update(prev: Optional[StepEstimate], eta_res: float) -> float:
@@ -151,11 +133,11 @@ def _phi_factory(
     return phi_of
 
 
-def _verified_crossing(phi_of, delta: float, eps: float) -> bool:
+def _verified_crossing(phi_of, delta: float) -> bool:
     """Check delta sits on a downward sign change of phi."""
-    if not phi_of(delta * (1.0 + eps)) < 0.0:
+    if not phi_of(delta * (1.0 + VERIFY_EPS)) < 0.0:
         return False
-    lower = delta * (1.0 - eps)
+    lower = delta * (1.0 - VERIFY_EPS)
     return lower < 1.0 or phi_of(lower) > 0.0
 
 
@@ -165,15 +147,14 @@ def solve_delta(
     u_hat: LocalPoly,
     psi: float,
     prev_delta: Optional[float] = None,
-    cfg: DeltaSolverConfig = DeltaSolverConfig(),
 ) -> Union[float, DeltaNotFound]:
     """Leftmost delta > 1 with phi(delta) < 0, or DeltaNotFound.
 
     Newton with a finite-difference derivative, warm-started near 1 on
     the first interval and at the previous delta afterwards; the result
-    is accepted only if phi vanishes within newton_tol and the point
+    is accepted only if phi vanishes within NEWTON_TOL and the point
     verifies as a downward crossing.  Otherwise a geometric scan over
-    [1, delta_max] brackets the first sign change and bisects it.
+    [1, DELTA_MAX] brackets the first sign change and bisects it.
     """
     phi_of = _phi_factory(p, iv, u_hat, psi)
     phi_at_one = phi_of(1.0)
@@ -181,29 +162,29 @@ def solve_delta(
         raise ArithmeticError(f"phi(1) = {phi_at_one} < 0; estimator state is inconsistent")
 
     delta = prev_delta if prev_delta is not None else 1.0 + 1e-6
-    delta = min(max(delta, 1.0), cfg.delta_max)
-    for _ in range(cfg.max_newton):
+    delta = min(max(delta, 1.0), DELTA_MAX)
+    for _ in range(MAX_NEWTON):
         fv = phi_of(delta)
         if not math.isfinite(fv):
             break
-        if abs(fv) <= cfg.newton_tol:
-            if _verified_crossing(phi_of, delta, cfg.verify_eps):
+        if abs(fv) <= NEWTON_TOL:
+            if _verified_crossing(phi_of, delta):
                 return delta
             break
-        h = cfg.fd_step * max(delta, 1.0)
+        h = FD_STEP * max(delta, 1.0)
         dfv = (phi_of(delta + h) - fv) / h
         if not math.isfinite(dfv) or dfv == 0.0:
             break
-        new_delta = min(max(delta - fv / dfv, 1.0), cfg.delta_max)
+        new_delta = min(max(delta - fv / dfv, 1.0), DELTA_MAX)
         if new_delta == delta:
             break
         delta = new_delta
 
-    return _scan_and_bisect(phi_of, cfg)
+    return _scan_and_bisect(phi_of)
 
 
-def _scan_and_bisect(phi_of, cfg: DeltaSolverConfig) -> Union[float, DeltaNotFound]:
-    grid = np.geomspace(1.0, cfg.delta_max, cfg.scan_points)
+def _scan_and_bisect(phi_of) -> Union[float, DeltaNotFound]:
+    grid = np.geomspace(1.0, DELTA_MAX, SCAN_POINTS)
     min_phi, argmin = math.inf, 1.0
     lo = 1.0
     bracket = None
@@ -222,7 +203,7 @@ def _scan_and_bisect(phi_of, cfg: DeltaSolverConfig) -> Union[float, DeltaNotFou
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = phi_of(mid)
-        if abs(fm) <= cfg.newton_tol:
+        if abs(fm) <= NEWTON_TOL:
             return mid
         if fm < 0.0:
             hi = mid

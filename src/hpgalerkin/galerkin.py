@@ -40,7 +40,6 @@ error estimator measures.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -68,11 +67,10 @@ __all__ = [
 # largest rule gauss_legendre builds.
 _EXTRA_POINTS = 6
 MAX_DEGREE = _MAX_QUAD_POINTS - _EXTRA_POINTS
-
-
-def _is_int(value) -> bool:
-    """An integer count: Python or numpy integers, but not bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+# Picard stops once the largest coefficient update is at most
+# FP_TOL * max(1, max|c|), and reports MAX_ITERS after MAX_ITERS updates.
+FP_TOL = 1e-12
+MAX_ITERS = 100
 
 
 def _rule_size(r: int) -> int:
@@ -108,27 +106,23 @@ class StepInput:
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Picard iteration controls.
-
-    ``fp_tol`` is relative: a step has converged once the largest
-    Legendre-coefficient update is at most ``fp_tol * max(1, max|c|)``,
-    so the test stays above the roundoff floor of large iterates.
+    """Picard iteration control: the divergence cap.
 
     ``divergence_cap`` bounds the sup norm of an iterate.  The step
     first compares the sum of the absolute coefficients, a rigorous
     upper bound on the sup norm since |P_i| <= 1 on [-1, 1], and only
     when that exceeds the cap confirms it with the sampled sup norm.
+
+    The rest of the iteration is fixed: the stopping test is relative,
+    FP_TOL = 1e-12 of max(1, max|c|), so it stays above the roundoff
+    floor of large iterates, and the budget is MAX_ITERS = 100 updates.
     """
 
-    fp_tol: float = 1e-12
-    max_iters: int = 100
     divergence_cap: float = 1e8
 
     def __post_init__(self):
-        if not _is_int(self.max_iters):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if not (self.fp_tol > 0 and self.max_iters > 0 and self.divergence_cap > 0):
-            raise ValueError("Picard configuration values must be positive")
+        if not self.divergence_cap > 0:
+            raise ValueError("divergence_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -198,7 +192,7 @@ def step(p: Problem, inp: StepInput, cfg: PicardConfig = PicardConfig()) -> Step
 
     Iterates the affine update of ``picard_operator`` on the bare
     coefficient array until the sup over Legendre-coefficient updates is
-    at most fp_tol * max(1, max|c|), with c the new iterate's
+    at most FP_TOL * max(1, max|c|), with c the new iterate's
     coefficients; the scale keeps the test reachable near blow-up, where
     one unit of roundoff in |c| ~ 1e8 already exceeds an absolute 1e-12.
     Returns converged=False with a failure reason when the iterate
@@ -223,7 +217,7 @@ def step(p: Problem, inp: StepInput, cfg: PicardConfig = PicardConfig()) -> Step
     # An overflowing update is caught below (inf bound, then LocalPoly
     # rejects the non-finite iterate), so don't warn.
     with np.errstate(over="ignore"):
-        for it in range(1, cfg.max_iters + 1):
+        for it in range(1, MAX_ITERS + 1):
             try:
                 f_vals = rhs_at(p, ts, op.V @ c)
             except NumericOverflow:
@@ -238,9 +232,9 @@ def step(p: Problem, inp: StepInput, cfg: PicardConfig = PicardConfig()) -> Step
                 u = LocalPoly(iv, c)
                 if u.linf_norm() > cfg.divergence_cap:
                     return StepOutput(u, it, False, StepFailure.DIVERGED)
-            if change <= cfg.fp_tol * scale:
+            if change <= FP_TOL * scale:
                 return StepOutput(LocalPoly(iv, c), it, True)
-    return StepOutput(LocalPoly(iv, c), cfg.max_iters, False, StepFailure.MAX_ITERS)
+    return StepOutput(LocalPoly(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 
 def reconstruct(p: Problem, inp: StepInput, u: LocalPoly) -> LocalPoly:
@@ -250,10 +244,16 @@ def reconstruct(p: Problem, inp: StepInput, u: LocalPoly) -> LocalPoly:
     This is one cG Picard update at degree r+1 applied to U.  It uses
     the same quadrature as the step so the endpoint values of U and the
     reconstruction coincide up to the Picard tolerance, which is
-    relative: fp_tol * max(1, max|c|) for the step's coefficients c.
+    relative: FP_TOL * max(1, max|c|) for the step's coefficients c.
     """
-    r, iv = inp.r, inp.interval
-    op = picard_operator(r + 1, Scheme.CG, _rule_size(r))
-    u_nodes = op.V[:, : u.coeffs.shape[0]] @ u.coeffs
-    f_vals = rhs_at(p, iv.from_reference(op.nodes), u_nodes)
-    return LocalPoly(iv, op.apply(inp.u_left, iv.k, f_vals))
+    return LocalPoly(inp.interval, _cg_lift(p, u, inp.u_left, inp.r + 1, _rule_size(inp.r)))
+
+
+def _cg_lift(p: Problem, u: LocalPoly, u_left: np.ndarray, r: int, n: int) -> np.ndarray:
+    """Coefficients (r+1, d) of one cG Picard update at degree r applied to
+    u (degree below r) on the n-point rule: left value u_left and
+    derivative the degree r-1 projection of f(t, u)."""
+    iv = u.interval
+    op = picard_operator(r, Scheme.CG, n)
+    f_vals = rhs_at(p, iv.from_reference(op.nodes), op.V[:, : u.coeffs.shape[0]] @ u.coeffs)
+    return op.apply(u_left, iv.k, f_vals)

@@ -54,10 +54,13 @@ def _reference_dg_matrix_inverse(r):
 def reference_step(p, inp, cfg):
     """One cG/dG step by the per-iteration Picard loop: a LocalPoly per
     iterate, project_values, antiderivative or the dG solve, and the
-    sampled sup norm against the divergence cap on every iteration.
+    sampled sup norm against cfg.divergence_cap on every iteration.  The
+    relative stopping tolerance 1e-12 and the budget of 100 iterations
+    are written out here, not read from the program.
     Returns (u, picard_iters, converged, failure) with the same meaning
     as StepOutput."""
     r, iv, u_left = inp.r, inp.interval, inp.u_left
+    fp_tol, max_iters = 1e-12, 100
     quad = gauss_legendre(min(r + 6, 64))
     ts = iv.from_reference(quad.nodes)
     coeffs = np.zeros((r + 1, u_left.size))
@@ -66,7 +69,7 @@ def reference_step(p, inp, cfg):
     cg = inp.scheme is Scheme.CG
     j = np.arange(r + 1)
     Minv = None if cg else _reference_dg_matrix_inverse(r)
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, max_iters + 1):
         try:
             f_vals = rhs_at(p, ts, u.at_reference(quad.nodes).T)
         except NumericOverflow:
@@ -83,9 +86,9 @@ def reference_step(p, inp, cfg):
         u = u_next
         if u.linf_norm() > cfg.divergence_cap:
             return u, it, False, StepFailure.DIVERGED
-        if change <= cfg.fp_tol * scale:
+        if change <= fp_tol * scale:
             return u, it, True, None
-    return u, cfg.max_iters, False, StepFailure.MAX_ITERS
+    return u, max_iters, False, StepFailure.MAX_ITERS
 
 
 def reference_reconstruct(p, inp, u):

@@ -13,7 +13,6 @@ from hpgalerkin import cli
 PUBLIC_NAMES = {
     "AdaptConfig",
     "DeltaNotFound",
-    "DeltaSolverConfig",
     "Interval",
     "IntervalRecord",
     "LocalPoly",
@@ -70,6 +69,35 @@ def test_benchmark_entry_points():
     # with dataclasses.replace; the driver is chosen by AdaptConfig.mode
     assert {"dim", "u0", "f", "lip", "f_batch"} <= field_names(hpgalerkin.Problem)
     assert "mode" in field_names(hpgalerkin.AdaptConfig)
+
+
+def test_config_surface():
+    # each settable value is pinned here, so a new knob changes this test
+    assert field_names(hpgalerkin.AdaptConfig) == {
+        "scheme",
+        "mode",
+        "r_init",
+        "k_init",
+        "tol_star",
+        "r_max",
+        "k_min",
+        "max_intervals",
+        "picard",
+    }
+    assert field_names(hpgalerkin.PicardConfig) == {"divergence_cap"}
+
+
+def test_benchmark_config_without_problem():
+    # the benchmark's custom-problem ladders pass no 'problem' and no 'tol_star'
+    config = {
+        "scheme": "dg",
+        "mode": "hp",
+        "r": 1,
+        "k_init": 0.1,
+        "picard": {"divergence_cap": 1e12},
+    }
+    cfg = cli.build_adapt_config(config, 1e-4)
+    assert cfg.tol_star == 1e-4 and cfg.picard.divergence_cap == 1e12
 
 
 def test_benchmark_result_fields():

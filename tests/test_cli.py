@@ -269,12 +269,22 @@ class TestConfigErrors:
             (lambda tmp: _bad_run(tmp, r=60), "cap 58"),
             (lambda tmp: _bad_run(tmp, mode="hp", r_max=60), "r_max"),
             (lambda tmp: _bad_run(tmp, r=True), "key 'r' must be of type int"),
-            (lambda tmp: _bad_run(tmp, picard={"max_iters": 2.5}), "max_iters must be an integer"),
-            (lambda tmp: _bad_run(tmp, picard={"max_iters": True}), "max_iters must be an integer"),
+            (lambda tmp: _bad_run(tmp, picard={"max_iters": 2.5}),
+             "picard: unknown key 'max_iters'; accepted: divergence_cap"),
+            (lambda tmp: _bad_run(tmp, picard={"max_iters": True}),
+             "picard: unknown key 'max_iters'; accepted: divergence_cap"),
             (lambda tmp: _bad_run(tmp, delta_solver={"max_newton": 2.5}),
-             "max_newton must be an integer"),
+             "unknown key 'delta_solver'"),
             (lambda tmp: _bad_run(tmp, delta_solver={"scan_points": 2.5}),
-             "scan_points must be an integer"),
+             "unknown key 'delta_solver'"),
+            (lambda tmp: _bad_run(tmp, max_interval=3),
+             "config: unknown key 'max_interval'; accepted: problem, scheme, mode, r, k_init, "
+             "tol_star, tol_list, r_max, k_min, max_intervals, picard"),
+            (lambda tmp: _bad_run(tmp, mode="hp", theta_star=0.5), "unknown key 'theta_star'"),
+            (lambda tmp: _bad_run(tmp, picard={"divergence_cap": 0.0}),
+             "divergence_cap must be positive"),
+            (lambda tmp: _bad_run(tmp, picard={"divergence_cap": True}),
+             "picard: key 'divergence_cap' must be of type float"),
             (_bad_sweep, "tol_list"),
             (_bad_csv, "line 2"),
         ],
@@ -289,6 +299,10 @@ class TestConfigErrors:
             "max_iters-bool",
             "max_newton-float",
             "scan_points-float",
+            "misspelt-key",
+            "theta_star",
+            "divergence_cap-zero",
+            "divergence_cap-bool",
             "tol_list-entry",
             "csv-cell",
         ],

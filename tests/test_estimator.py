@@ -5,7 +5,6 @@ import pytest
 
 from hpgalerkin.estimator import (
     DeltaNotFound,
-    DeltaSolverConfig,
     StepEstimate,
     _phi_factory,
     psi_update,
@@ -147,13 +146,12 @@ class TestSolveDelta:
         assert warm == pytest.approx(cold, rel=1e-8)
 
     def test_random_lipschitz_closed_form(self, rng):
-        cfg = DeltaSolverConfig()
         for _ in range(50):
             L = rng.uniform(1e-6, 5.0)
             k = rng.uniform(1e-6, 1.0)
             p = make_linear(L, [1.0])
             iv = Interval(0.0, k)
-            d = solve_delta(p, iv, flat_reconstruction(0.3, iv), psi=1e-3, cfg=cfg)
+            d = solve_delta(p, iv, flat_reconstruction(0.3, iv), psi=1e-3)
             assert d == pytest.approx(math.exp(L * k), abs=1e-8)
 
 

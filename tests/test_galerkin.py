@@ -4,6 +4,7 @@ import pytest
 
 from hpgalerkin.estimator import residual_estimator
 from hpgalerkin.galerkin import (
+    MAX_ITERS,
     PicardConfig,
     Scheme,
     StepFailure,
@@ -84,12 +85,14 @@ class TestNonexistence:
         assert out.failure in (StepFailure.DIVERGED, StepFailure.MAX_ITERS)
 
     def test_max_iters_reported(self):
-        p = make_power_square(1.0)
-        cfg = PicardConfig(fp_tol=1e-12, max_iters=2)
-        out = step(p, StepInput(Interval(0.0, 0.1), 3, np.array([1.0]), Scheme.CG), cfg)
+        # for u' = -u on k = 2, the r = 1 cG update maps the slope s to
+        # -u_left - s, which flips between 0 and -1 forever, so the fixed
+        # budget of 100 iterations runs out
+        p = make_linear(-1.0, [1.0])
+        out = step(p, StepInput(Interval(0.0, 2.0), 1, np.array([1.0]), Scheme.CG))
         assert not out.converged
         assert out.failure is StepFailure.MAX_ITERS
-        assert out.picard_iters == 2
+        assert out.picard_iters == MAX_ITERS == 100
 
     def test_near_blowup_steps_converge(self):
         # k*|u| = 0.1 keeps every step strongly contractive, while |u| up
