@@ -16,9 +16,20 @@ For each accepted interval the drivers assemble a ``StepEstimate``:
   factor of the certified bound.
 
 ``solve_delta`` runs a finite-difference Newton iteration warm-started
-from the previous interval's delta, verifies it landed on the leftmost
-downward crossing, and falls back to a geometric scan plus bisection
-when Newton fails.  Its controls are fixed: Newton stops at
+from the previous interval's delta and accepts its root only if phi
+changes sign downward across it: phi < 0 at delta*(1 + VERIFY_EPS) and
+phi > 0 at delta*(1 - VERIFY_EPS) (or that point lies below 1).  This
+local check does not rule out a crossing further left.  When
+Newton fails it falls back to a geometric scan plus bisection.  The
+scan skips ahead: phi(d) = E(d) - d with the growth E(d) = exp(int
+lip(s, d*psi + |uhat|, |uhat|) ds), and E is nondecreasing in d because
+the ``Problem`` contract makes lip nondecreasing in its magnitude
+arguments, so phi > 0 at every grid point below E(g) of an evaluated
+g.  The scan therefore evaluates next the first grid point at or above
+E(g); it brackets the same sign change as a scan of every grid point,
+and a scan that finds none ends after a few evaluations.
+
+The controls of ``solve_delta`` are fixed: Newton stops at
 |phi| <= NEWTON_TOL = 1e-10 within MAX_NEWTON = 50 iterations, with
 difference step FD_STEP = 1e-7 relative to max(delta, 1); a root is
 verified by the sign of phi at a relative offset VERIFY_EPS = 1e-8 on
@@ -74,8 +85,10 @@ class StepEstimate:
 class DeltaNotFound:
     """phi stayed positive over the scanned range: no growth certificate.
 
-    min_phi/argmin record where phi came closest to crossing, for
-    diagnosis; this is the blow-up termination signal, not an error.
+    min_phi/argmin record where phi came closest to crossing among the
+    grid points the scan evaluated (it skips points where phi is known
+    to be positive), for diagnosis; this is the blow-up termination
+    signal, not an error.
     """
 
     min_phi: float
@@ -104,11 +117,11 @@ def psi_update(prev: Optional[StepEstimate], eta_res: float) -> float:
     return prev.delta * prev.psi + eta_res
 
 
-def _phi_factory(
+def _growth_factory(
     p: Problem, iv: Interval, u_hat: LocalPoly, psi: float
 ) -> Callable[[float], float]:
-    """Build phi(delta) = exp(int_I lip(s, delta*psi + |uhat|, |uhat|) ds) - delta
-    with the reconstruction norms precomputed.
+    """Build the growth E(delta) = exp(int_I lip(s, delta*psi + |uhat|, |uhat|) ds)
+    with the reconstruction norms precomputed; phi(delta) = E(delta) - delta.
 
     Overflow in the envelope or the exponential yields +inf.
     """
@@ -120,17 +133,17 @@ def _phi_factory(
     u_norms = np.sqrt(np.sum((op.V @ u_hat.coeffs) ** 2, axis=1))
     w = 0.5 * iv.k * gauss_legendre(n).weights
 
-    def phi_of(delta: float) -> float:
+    def growth(delta: float) -> float:
         try:
             vals = lip_at(p, ts, delta * psi + u_norms, u_norms)
         except NumericOverflow:
             return math.inf
         try:
-            return math.exp(float(np.dot(w, vals))) - delta
+            return math.exp(float(np.dot(w, vals)))
         except OverflowError:
             return math.inf
 
-    return phi_of
+    return growth
 
 
 def _verified_crossing(phi_of, delta: float) -> bool:
@@ -156,7 +169,11 @@ def solve_delta(
     verifies as a downward crossing.  Otherwise a geometric scan over
     [1, DELTA_MAX] brackets the first sign change and bisects it.
     """
-    phi_of = _phi_factory(p, iv, u_hat, psi)
+    growth = _growth_factory(p, iv, u_hat, psi)
+
+    def phi_of(delta: float) -> float:
+        return growth(delta) - delta
+
     phi_at_one = phi_of(1.0)
     if not (phi_at_one >= -1e-12):
         raise ArithmeticError(f"phi(1) = {phi_at_one} < 0; estimator state is inconsistent")
@@ -180,29 +197,39 @@ def solve_delta(
             break
         delta = new_delta
 
-    return _scan_and_bisect(phi_of)
+    return _scan_and_bisect(growth)
 
 
-def _scan_and_bisect(phi_of) -> Union[float, DeltaNotFound]:
+def _scan_and_bisect(growth) -> Union[float, DeltaNotFound]:
+    """Bracket the first grid point with phi < 0 and bisect it.
+
+    E is nondecreasing in delta because lip is nondecreasing in its
+    magnitude arguments, so every grid point g' < E(g) has phi(g') > 0
+    and is skipped: the scan evaluates only the first grid point at or
+    above E(g) next, and brackets the same sign change as a full scan.
+    """
     grid = np.geomspace(1.0, DELTA_MAX, SCAN_POINTS)
     min_phi, argmin = math.inf, 1.0
-    lo = 1.0
     bracket = None
-    for g in grid[1:]:
-        fg = phi_of(g)
+    i = 1
+    while i < SCAN_POINTS:
+        g = float(grid[i])
+        e = growth(g)
+        fg = e - g
         if fg < min_phi:
-            min_phi, argmin = fg, float(g)
+            min_phi, argmin = fg, g
         if fg < 0.0:
-            bracket = (lo, float(g))
+            bracket = (float(grid[i - 1]), g)
             break
-        lo = float(g)
+        # resume at the first grid point >= E(g)
+        i = max(i + 1, int(np.searchsorted(grid, e))) if fg > 0.0 else i + 1
     if bracket is None:
         return DeltaNotFound(min_phi=min_phi, argmin=argmin)
 
     lo, hi = bracket
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = phi_of(mid)
+        fm = growth(mid) - mid
         if abs(fm) <= NEWTON_TOL:
             return mid
         if fm < 0.0:

@@ -135,3 +135,37 @@ def reference_smoothness(u, r, theta_star=0.85):
     denom = w.l2_norm() / math.sqrt(k) + math.sqrt(k) * w.derivative().l2_norm() / math.sqrt(2.0)
     theta = min(max(w.linf_norm() / denom, 0.0), 1.0)
     return theta, theta >= theta_star
+
+
+def reference_scan_and_bisect(phi_of, delta_max=1e6, scan_points=200, newton_tol=1e-10):
+    """The delta scan that evaluates phi at every point of the geometric
+    grid over [1, delta_max] until phi < 0, then bisects the bracket.
+    Returns the root, or ("not found", min_phi, argmin) with the minimum
+    over every grid point."""
+    grid = np.geomspace(1.0, delta_max, scan_points)
+    min_phi, argmin = math.inf, 1.0
+    lo = 1.0
+    bracket = None
+    for g in grid[1:]:
+        fg = phi_of(g)
+        if fg < min_phi:
+            min_phi, argmin = fg, float(g)
+        if fg < 0.0:
+            bracket = (lo, float(g))
+            break
+        lo = float(g)
+    if bracket is None:
+        return ("not found", min_phi, argmin)
+    lo, hi = bracket
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = phi_of(mid)
+        if abs(fm) <= newton_tol:
+            return mid
+        if fm < 0.0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
+            break
+    return hi

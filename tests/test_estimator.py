@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hpgalerkin.estimator import (
     DeltaNotFound,
     StepEstimate,
-    _phi_factory,
+    _growth_factory,
+    _scan_and_bisect,
     psi_update,
     reconstruction_error,
     residual_estimator,
@@ -17,7 +19,12 @@ from hpgalerkin.galerkin import Scheme, StepInput, reconstruct, step
 from hpgalerkin.poly import Interval, LocalPoly, l2_project
 from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
 
-from _oracles import brute_force_residual, reference_reconstruction_error, zero_rhs
+from _oracles import (
+    brute_force_residual,
+    reference_reconstruction_error,
+    reference_scan_and_bisect,
+    zero_rhs,
+)
 
 
 class TestResidualEstimator:
@@ -75,7 +82,7 @@ def flat_reconstruction(value, iv=Interval(0.0, 0.1), degree=2):
 
 def phi(p, iv, u_hat, psi, delta):
     """phi(delta) as solve_delta evaluates it, on the default rule."""
-    return _phi_factory(p, iv, u_hat, psi)(delta)
+    return _growth_factory(p, iv, u_hat, psi)(delta) - delta
 
 
 class TestPhi:
@@ -122,9 +129,14 @@ class TestSolveDelta:
         # throughout the scan range
         p = make_power_square(1.0)
         iv = Interval(0.0, 0.5)
-        out = solve_delta(p, iv, flat_reconstruction(10.0, iv), psi=1.0)
+        u_hat = flat_reconstruction(10.0, iv)
+        out = solve_delta(p, iv, u_hat, psi=1.0)
         assert isinstance(out, DeltaNotFound)
         assert out.min_phi > 0.0
+        # the scan skips every grid point below the growth of the last one
+        growth, calls = _growth_factory(p, iv, u_hat, 1.0), []
+        assert _scan_and_bisect(lambda d: calls.append(d) or growth(d)) == out
+        assert len(calls) <= 3
 
     def test_left_crossing_verified(self):
         p = make_power_square(1.0)
@@ -153,6 +165,70 @@ class TestSolveDelta:
             iv = Interval(0.0, k)
             d = solve_delta(p, iv, flat_reconstruction(0.3, iv), psi=1e-3)
             assert d == pytest.approx(math.exp(L * k), abs=1e-8)
+
+
+def steep_problem():
+    """lip = exp(exp(max(a, b))): monotone, and past double range above
+    a = 6.56, through the scalar per-point path of lip_at."""
+    return Problem(
+        dim=1,
+        u0=np.ones(1),
+        f=lambda t, u: u,
+        lip=lambda t, a, b: np.exp(np.exp(max(a, b))),
+    )
+
+
+def assert_scan_matches_reference(p, iv, u_hat, psi):
+    """The skipping scan gives the reference's float, or DeltaNotFound
+    where the reference finds no crossing; returns which."""
+    growth = _growth_factory(p, iv, u_hat, psi)
+    got = _scan_and_bisect(growth)
+    ref = reference_scan_and_bisect(lambda d: growth(d) - d)
+    if isinstance(ref, float):
+        assert type(got) is float and got == ref
+        return "found"
+    assert isinstance(got, DeltaNotFound)
+    # the minimum over fewer grid points, every one of them positive
+    assert got.min_phi >= ref[1] > 0.0
+    return "not found"
+
+
+SCAN_PROBLEMS = [
+    make_power_square(1.0),
+    make_exponential(1.0),
+    make_linear(3.0, [1.0]),
+    steep_problem(),
+]
+
+
+class TestScanAgainstReference:
+    """``_scan_and_bisect`` against the scan of every grid point."""
+
+    @pytest.mark.parametrize("p", SCAN_PROBLEMS, ids=["power2", "exp", "linear", "steep"])
+    def test_grid_of_states(self, p):
+        outcomes = set()
+        for k in (1e-3, 0.05, 0.4):
+            for u in (0.0, 0.5, 3.0, 20.0):
+                for psi in (1e-9, 1e-3, 0.3, 5.0):
+                    iv = Interval(0.0, k)
+                    outcomes.add(assert_scan_matches_reference(p, iv, flat_reconstruction(u, iv), psi))
+        # a constant envelope always has its root e^(Lk) inside the range
+        assert outcomes == ({"found"} if p.name == "linear" else {"found", "not found"})
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        which=st.sampled_from(range(len(SCAN_PROBLEMS))),
+        k=st.floats(1e-4, 1.0),
+        u=st.floats(0.0, 50.0),
+        psi=st.floats(1e-10, 10.0),
+        degree=st.integers(0, 4),
+    )
+    def test_drawn_states(self, which, k, u, psi, degree):
+        iv = Interval(0.0, k)
+        coeffs = np.zeros((degree + 1, 1))
+        coeffs[0, 0] = u
+        coeffs[degree, 0] += 0.1 * u  # a non-constant |uhat| when degree > 0
+        assert_scan_matches_reference(SCAN_PROBLEMS[which], iv, LocalPoly(iv, coeffs), psi)
 
 
 class TestEffectivity:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hpgalerkin.estimator import _phi_factory
+from hpgalerkin.estimator import _growth_factory
 from hpgalerkin.poly import Interval, LocalPoly
 from hpgalerkin.problems import (
     NumericOverflow,
@@ -74,12 +74,12 @@ class TestLinear:
 class TestLipIntegral:
     """The envelope integral int_I lip(s, a, b) ds as phi evaluates it:
     a constant reconstruction b with psi = a - b and delta = 1 gives
-    phi = exp(integral) - 1."""
+    the growth E = exp(integral) = phi + 1."""
 
     @staticmethod
     def envelope_integral(p, iv, a, b):
         u_hat = LocalPoly.constant(iv, np.full(p.dim, b))
-        return math.log(_phi_factory(p, iv, u_hat, a - b)(1.0) + 1.0)
+        return math.log(_growth_factory(p, iv, u_hat, a - b)(1.0))
 
     def test_constant_envelope(self):
         p = make_linear(-3.0, [1.0])
@@ -102,7 +102,7 @@ class TestLipIntegral:
         # an envelope beyond double range reads as phi = +inf (no certificate)
         p = make_exponential(1.0)
         u_hat = LocalPoly.constant(Interval(0.0, 1.0), [0.0])
-        assert _phi_factory(p, Interval(0.0, 1.0), u_hat, 800.0)(1.0) == math.inf
+        assert _growth_factory(p, Interval(0.0, 1.0), u_hat, 800.0)(1.0) == math.inf
 
 
 class TestEnvelopeConsistency:
