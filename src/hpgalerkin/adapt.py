@@ -11,7 +11,8 @@ Both drivers march interval by interval with the same skeleton:
     4. scale the tolerance by delta (early intervals must be resolved
        more accurately than later ones, since their estimator
        contribution is amplified by every subsequent delta), carry the
-       accepted step length and degree forward, and advance.
+       accepted step length, degree and solution forward (the solution
+       seeds the next interval's Picard iteration), and advance.
 
 The march ends when no growth factor exists below the scan ceiling --
 the blow-up signal, with the final uncertified candidate discarded --
@@ -42,7 +43,17 @@ from .estimator import (
     residual_estimator,
     solve_delta,
 )
-from .galerkin import MAX_DEGREE, PicardConfig, Scheme, StepInput, StepOutput, reconstruct, step
+from .galerkin import (
+    MAX_DEGREE,
+    PicardConfig,
+    Scheme,
+    StepInput,
+    StepOutput,
+    _rule_size,
+    picard_operator,
+    reconstruct,
+    step,
+)
 from .poly import Interval, LocalPoly
 from .problems import NumericOverflow, Problem
 
@@ -191,9 +202,23 @@ def _interval_dofs(p: Problem, scheme: Scheme, r: int) -> int:
 
 
 def _refine(
-    p: Problem, cfg: AdaptConfig, t_start: float, k: float, r: int, u_left: np.ndarray, tol: float
+    p: Problem,
+    cfg: AdaptConfig,
+    t_start: float,
+    k: float,
+    r: int,
+    u_left: np.ndarray,
+    tol: float,
+    guess: Optional[np.ndarray],
 ) -> Optional[_Candidate]:
-    """Existence + accuracy loops for one interval; None when k underflows."""
+    """Existence + accuracy loops for one interval; None when k underflows.
+
+    guess seeds the Picard iteration of the first attempt.  After an
+    accuracy refinement the next attempt starts from the rejected
+    candidate: restricted to the first half of its interval after a
+    halving, padded with a zero row after a degree raise.  An attempt
+    after a failed one starts from the constant left value.
+    """
     attempts = 0
     decisions: list[str] = []
     while True:
@@ -201,7 +226,8 @@ def _refine(
             return None
         inp = StepInput(Interval(t_start, t_start + k), r, u_left, cfg.scheme)
         attempts += 1
-        out = step(p, inp, cfg.picard)
+        out = step(p, inp, cfg.picard, guess=guess)
+        guess = None
         if not out.converged:
             k *= 0.5
             decisions.append("halve_k_existence")
@@ -217,17 +243,15 @@ def _refine(
             continue
         if eta <= tol:
             return _Candidate(inp, out, u_hat, eta, attempts, decisions)
-        if cfg.mode is Mode.H:
+        c = out.u.coeffs
+        if cfg.mode is Mode.HP and smoothness(out.u, r).smooth and r < cfg.r_max:
+            r += 1
+            decisions.append("raise_r")
+            guess = np.vstack([c, np.zeros((1, c.shape[1]))])
+        else:
             k *= 0.5
             decisions.append("halve_k")
-        else:
-            report = smoothness(out.u, r)
-            if report.smooth and r < cfg.r_max:
-                r += 1
-                decisions.append("raise_r")
-            else:
-                k *= 0.5
-                decisions.append("halve_k")
+            guess = picard_operator(r, cfg.scheme, _rule_size(r)).halve @ c
 
 
 def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
@@ -240,9 +264,10 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     delta_hat = 1.0
     worst_recon_error = 0.0
     termination = Termination.MAX_INTERVALS
+    guess = None
 
     while len(records) < cfg.max_intervals:
-        candidate = _refine(p, cfg, t, k, r, u_left, tol)
+        candidate = _refine(p, cfg, t, k, r, u_left, tol, guess)
         if candidate is None:
             termination = Termination.K_MIN_REACHED
             break
@@ -290,7 +315,10 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
         prev_estimate = estimate
         t = iv.t_end
         k = iv.k
-        u_left = candidate.output.u.coeffs.sum(axis=0)  # U(t_end), as P_i(1) = 1
+        c = candidate.output.u.coeffs
+        u_left = c.sum(axis=0)  # U(t_end), as P_i(1) = 1
+        # the next interval's first attempt has the same k and r
+        guess = picard_operator(r, cfg.scheme, _rule_size(r)).shift @ c
 
     return RunResult(
         intervals=tuple(records),

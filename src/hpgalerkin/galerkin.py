@@ -27,6 +27,16 @@ so an iteration costs one f evaluation and two small matrix products.
 A step of degree r uses the rule with min(r + 6, 64) points, so degrees
 above ``MAX_DEGREE`` = 58 are rejected.
 
+Picard's first iterate is the constant u_left unless the caller passes
+a guess.  The drivers pass the neighbouring candidate re-expanded by the
+operator's exact ``shift`` and ``halve`` matrices: on a new interval the
+previous accepted U continued onto it, after an accuracy halving the
+rejected candidate restricted to the first half, after a degree raise
+the candidate padded with a zero coefficient.  A guessed start that
+fails is run again from u_left, so the guess changes the iteration
+count and the last bits of the returned fixed point, never whether the
+step exists.
+
 Nonexistence of a step is a first-class outcome here: the adaptive
 drivers halve the step length whenever the iteration fails to converge.
 
@@ -40,7 +50,7 @@ error estimator measures.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -141,12 +151,21 @@ class PicardOperator:
     nodes (n,) are the rule's reference nodes, V (n, r+1) evaluates a
     coefficient array there, a (r+1,) carries the left value, and G
     (r+1, n) maps node values of f to coefficients per unit step length.
+
+    shift and halve (r+1, r+1) re-expand a degree-r coefficient array c
+    onto another interval: shift @ c represents the same polynomial on
+    the next interval of equal length (x -> x + 2), halve @ c on the
+    first half of its own interval (x -> (x - 1) / 2).  Both are exact
+    identities between polynomials, rounded once; the drivers build
+    Picard's first iterate with them.
     """
 
     nodes: np.ndarray
     V: np.ndarray
     a: np.ndarray
     G: np.ndarray
+    shift: np.ndarray
+    halve: np.ndarray
 
     def apply(self, u_left: np.ndarray, k: float, f_vals: np.ndarray) -> np.ndarray:
         """Coefficients (r+1, d) of the update for f values f_vals (n, d)."""
@@ -182,12 +201,23 @@ def picard_operator(r: int, scheme: Scheme, n: int) -> PicardOperator:
         Minv = np.linalg.inv(M)
         a = Minv @ (-1.0) ** i
         G = Minv @ (P / (2.0 * i + 1.0)[:, None])
-    for arr in (V, a, G):
+    # The rule integrates degree 2r exactly, so projecting the values of
+    # the re-expanded polynomial onto degree r reproduces it.
+    to_coeffs = (np.arange(r + 1) + 0.5)[:, None] * (V.T * quad.weights)
+    shift = to_coeffs @ _leg.legvander(quad.nodes + 2.0, r)
+    halve = to_coeffs @ _leg.legvander(0.5 * (quad.nodes - 1.0), r)
+    for arr in (V, a, G, shift, halve):
         arr.flags.writeable = False
-    return PicardOperator(quad.nodes, V, a, G)
+    return PicardOperator(quad.nodes, V, a, G, shift, halve)
 
 
-def step(p: Problem, inp: StepInput, cfg: PicardConfig = PicardConfig()) -> StepOutput:
+def step(
+    p: Problem,
+    inp: StepInput,
+    cfg: PicardConfig = PicardConfig(),
+    *,
+    guess: Optional[np.ndarray] = None,
+) -> StepOutput:
     """Attempt one Galerkin step by Picard iteration.
 
     Iterates the affine update of ``picard_operator`` on the bare
@@ -199,21 +229,45 @@ def step(p: Problem, inp: StepInput, cfg: PicardConfig = PicardConfig()) -> Step
     diverges or the iteration budget runs out; the drivers treat that as
     "no discrete solution exists at this step size".
 
+    The first iterate is the constant u_left, or ``guess``, an
+    (r+1, d) coefficient array, when one is given (the drivers pass a
+    neighbouring candidate re-expanded onto this interval).  A guessed
+    start that does not converge, or a non-finite guess, falls back to
+    the constant start, so a guess never makes a step fail that the
+    constant start solves; picard_iters then counts both runs.
+
     An iterate diverges when f overflows at it or its sup norm exceeds
     ``divergence_cap``.  The sum of |c| is a rigorous sup bound, since
     |P_i| <= 1, so the sampled sup norm is computed only when that cheap
     bound exceeds the cap; every decision equals that of a sampled test
     on every iterate.
     """
-    r, iv, d = inp.r, inp.interval, inp.u_left.size
+    r, d = inp.r, inp.u_left.size
     if r > MAX_DEGREE:
         raise ValueError(f"step degree {r} is above the cap {MAX_DEGREE}")
     op = picard_operator(r, inp.scheme, _rule_size(r))
-    ts = iv.from_reference(op.nodes)
+    c0 = np.zeros((r + 1, d))
+    c0[0] = inp.u_left
+    if guess is not None:
+        guess = np.asarray(guess, dtype=float)
+        if guess.shape != c0.shape:
+            raise ValueError(f"guess has shape {guess.shape}, expected {c0.shape}")
+        if np.isfinite(guess).all():
+            warm = _picard(p, inp, op, guess, cfg.divergence_cap)
+            if warm.converged:
+                return warm
+            cold = _picard(p, inp, op, c0, cfg.divergence_cap)
+            return replace(cold, picard_iters=warm.picard_iters + cold.picard_iters)
+    return _picard(p, inp, op, c0, cfg.divergence_cap)
 
+
+def _picard(
+    p: Problem, inp: StepInput, op: PicardOperator, c: np.ndarray, cap: float
+) -> StepOutput:
+    """The Picard loop of ``step`` from the first iterate c."""
+    iv = inp.interval
+    ts = iv.from_reference(op.nodes)
     left = np.outer(op.a, inp.u_left)
-    c = np.zeros((r + 1, d))
-    c[0] = inp.u_left
     # An overflowing update is caught below (inf bound, then LocalPoly
     # rejects the non-finite iterate), so don't warn.
     with np.errstate(over="ignore"):
@@ -228,9 +282,9 @@ def step(p: Problem, inp: StepInput, cfg: PicardConfig = PicardConfig()) -> Step
             scale = max(1.0, float(abs_next.max()))
             c = c_next
             # sup_t |U(t)| <= sum |c| because |P_i| <= 1: sample only above the cap
-            if abs_next.sum() > cfg.divergence_cap:
+            if abs_next.sum() > cap:
                 u = LocalPoly(iv, c)
-                if u.linf_norm() > cfg.divergence_cap:
+                if u.linf_norm() > cap:
                     return StepOutput(u, it, False, StepFailure.DIVERGED)
             if change <= FP_TOL * scale:
                 return StepOutput(LocalPoly(iv, c), it, True)

@@ -12,7 +12,8 @@ from hpgalerkin.adapt import (
     hp_adapt,
     smoothness,
 )
-from hpgalerkin.galerkin import PicardConfig, Scheme
+import hpgalerkin.adapt as adapt_module
+from hpgalerkin.galerkin import PicardConfig, Scheme, _rule_size, picard_operator, step
 from hpgalerkin.poly import Interval, LocalPoly, l2_project
 from hpgalerkin.problems import make_exponential, make_linear, make_power_square
 
@@ -362,3 +363,58 @@ class TestDofCount:
         assert res.termination is Termination.K_MIN_REACHED
         assert res.M == 0
         assert res.dofs == 0
+
+
+class TestWarmStartDecisions:
+    """The drivers seed Picard with the documented guesses, and no step
+    decision differs from that of the constant start."""
+
+    RUNS = [
+        (make, k_init, scheme, mode)
+        for make, k_init in ((make_power_square, 0.15), (make_exponential, 0.09))
+        for scheme in (Scheme.CG, Scheme.DG)
+        for mode in (Mode.H, Mode.HP)
+    ]
+
+    def test_guesses_and_decisions(self, monkeypatch):
+        calls = []
+
+        def spy(p, inp, cfg, *, guess=None):
+            out = step(p, inp, cfg, guess=guess)
+            cold = step(p, inp, cfg) if guess is not None else out
+            calls.append((inp, guess, out, (cold.converged, cold.failure)))
+            return out
+
+        monkeypatch.setattr(adapt_module, "step", spy)
+        kinds = {"shift": 0, "halve": 0, "raise": 0}
+        for make, k_init, scheme, mode in self.RUNS:
+            cfg = AdaptConfig(
+                scheme=scheme,
+                mode=mode,
+                r_init=1,
+                k_init=k_init,
+                tol_star=1e-6 if mode is Mode.HP else 1e-4,
+                picard=PicardConfig(divergence_cap=1e12),
+            )
+            calls.clear()
+            (hp_adapt if mode is Mode.HP else h_adapt)(make(1.0), cfg)
+            assert calls[0][1] is None
+            for (prev, _, prev_out, _), (inp, guess, out, cold) in zip(calls, calls[1:]):
+                assert (out.converged, out.failure) == cold
+                if not prev_out.converged:
+                    assert guess is None
+                    continue
+                op = picard_operator(prev.r, scheme, _rule_size(prev.r))
+                c = prev_out.u.coeffs
+                if inp.interval.t_start == prev.interval.t_end:
+                    kind, want = "shift", op.shift @ c
+                    # same step length up to the rounding of t + k - t
+                    assert inp.r == prev.r
+                    assert inp.interval.k == pytest.approx(prev.interval.k, rel=1e-6)
+                elif inp.r == prev.r + 1:
+                    kind, want = "raise", np.vstack([c, np.zeros((1, c.shape[1]))])
+                else:
+                    kind, want = "halve", op.halve @ c
+                assert np.array_equal(guess, want)
+                kinds[kind] += 1
+        assert min(kinds.values()) > 10, kinds

@@ -1,11 +1,14 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from hpgalerkin.estimator import residual_estimator
 from hpgalerkin.galerkin import (
     MAX_ITERS,
     PicardConfig,
+    _rule_size,
+    picard_operator,
     Scheme,
     StepFailure,
     StepInput,
@@ -299,3 +302,70 @@ class TestAgainstReferenceLoop:
                 assert ref[2] is converged
                 assert_same_step(out, ref, 1e-13)
         assert straddled >= 12  # every case of degree >= 3
+
+
+class TestWarmStart:
+    """Picard started from a guess: the same decisions as the constant
+    start, and fewer iterations from a good guess."""
+
+    CASES = [
+        (make, scheme, r, k_u)
+        for make in (lambda: make_power_square(1.0), norm_square)
+        for scheme, r in ((Scheme.CG, 1), (Scheme.CG, 4), (Scheme.DG, 0), (Scheme.DG, 3))
+        for k_u in (0.01, 0.1, 0.2)
+    ]
+
+    @staticmethod
+    def inp(p, scheme, r, k_u):
+        u_left = np.array([1.37]) if p.dim == 1 else np.array([0.71, -1.19])
+        k = k_u / float(np.linalg.norm(u_left))
+        return StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
+
+    @pytest.mark.parametrize("make,scheme,r,k_u", CASES)
+    def test_own_fixed_point_converges_at_once(self, make, scheme, r, k_u):
+        p = make()
+        inp = self.inp(p, scheme, r, k_u)
+        cold = step(p, inp)
+        assert cold.converged and cold.picard_iters > 1
+        warm = step(p, inp, guess=cold.u.coeffs)
+        assert warm.converged and warm.picard_iters == 1
+        scale = max(1.0, float(np.abs(cold.u.coeffs).max()))
+        assert np.abs(warm.u.coeffs - cold.u.coeffs).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("wild", [1e200, np.inf, np.nan], ids=["1e200", "inf", "nan"])
+    @pytest.mark.parametrize("make,scheme,r,k_u", CASES[::3] + [(norm_square, Scheme.DG, 2, 3.0)])
+    def test_wild_guess_gives_the_cold_step(self, make, scheme, r, k_u, wild):
+        # 1e200 overflows f on the first iterate; a non-finite guess is
+        # not iterated at all; both end in the constant start's result
+        p = make()
+        inp = self.inp(p, scheme, r, k_u)
+        cold = step(p, inp)
+        warm = step(p, inp, guess=np.full((r + 1, p.dim), wild))
+        assert (warm.converged, warm.failure) == (cold.converged, cold.failure)
+        assert warm.u.coeffs.tobytes() == cold.u.coeffs.tobytes()
+        assert warm.picard_iters == cold.picard_iters + (wild == 1e200)
+
+    def test_guess_shape_checked(self):
+        p = make_power_square(1.0)
+        inp = StepInput(Interval(0.0, 0.1), 2, np.array([1.0]), Scheme.CG)
+        with pytest.raises(ValueError, match="expected"):
+            step(p, inp, guess=np.ones((2, 1)))
+
+    @pytest.mark.parametrize("r", range(0, 13))
+    def test_reexpansion_matches_legval(self, r, rng):
+        op = picard_operator(r, Scheme.DG, _rule_size(r))
+        if r >= 1:
+            cg = picard_operator(r, Scheme.CG, _rule_size(r))
+            assert np.array_equal(cg.shift, op.shift) and np.array_equal(cg.halve, op.halve)
+        x = np.linspace(-1.0, 1.0, 101)
+        # sup of |P_j| over the source points: P_j(3) on [1, 3], 1 on [-1, 0]
+        shifted_size = np.abs(legendre.legvander(np.array([3.0]), r)[0])
+        for _ in range(5):
+            c = rng.standard_normal((r + 1, 2))
+            got = legendre.legval(x, op.shift @ c)
+            want = legendre.legval(x + 2.0, c)
+            assert np.abs(got - want).max() <= 1e-12 * (shifted_size @ np.abs(c)).max()
+            got = legendre.legval(x, op.halve @ c)
+            want = legendre.legval(0.5 * (x - 1.0), c)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(c).sum(axis=0).max()
+        assert not op.shift.flags.writeable and not op.halve.flags.writeable
