@@ -121,8 +121,10 @@ class AdaptConfig:
                 raise ValueError(
                     f"H mode with the {self.scheme.value} scheme needs r_init >= {min_r}"
                 )
-        if not (self.k_init > 0 and self.tol_star > 0 and self.k_min > 0):
-            raise ValueError("k_init, tol_star and k_min must be positive")
+        for key in ("k_init", "tol_star", "k_min"):
+            value = getattr(self, key)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{key} must be positive and finite, got {value}")
         if self.max_intervals < 1:
             raise ValueError("max_intervals must be >= 1")
 
@@ -273,8 +275,8 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             break
         iv, r = candidate.inp.interval, candidate.inp.r
         psi = psi_update(prev_estimate, candidate.eta_res)
-        guess = prev_estimate.delta if prev_estimate is not None else None
-        delta = solve_delta(p, iv, candidate.reconstruction, psi, prev_delta=guess)
+        prev_delta = prev_estimate.delta if prev_estimate is not None else None
+        delta = solve_delta(p, iv, candidate.reconstruction, psi, prev_delta=prev_delta)
         if isinstance(delta, DeltaNotFound):
             termination = Termination.DELTA_NOT_FOUND
             break

@@ -14,6 +14,11 @@ Verbs (all file-driven, JSON in / JSON or CSV out):
   series of the accumulated growth factor and effectivity against the
   inverse distance to the blow-up time.
 
+A JSON input file holds an object (``trace``: a run report).  Every
+number read from one must be a JSON number, never a string or a
+boolean, and an integer where the key needs one; the constructors
+(``AdaptConfig``, ``PicardConfig``, ``Problem``) check ranges.
+
 Exit codes: 0 success, 2 configuration error, 3 aborted run.
 """
 
@@ -32,32 +37,34 @@ import numpy as np
 
 from .adapt import AdaptConfig, Mode, RunResult, Termination, h_adapt, hp_adapt
 from .galerkin import PicardConfig, Scheme
-from .problems import Problem, builtin_problem
+from .problems import _BUILTINS, Problem, builtin_problem
 
 __all__ = ["main", "run_from_config", "sweep_rows", "fit_rates", "trace_series"]
-
-SWEEP_HEADER = [
-    "tol_star",
-    "M",
-    "dofs",
-    "T",
-    "blowup_err",
-    "delta_hat",
-    "best_effectivity",
-    "wall_time_s",
-    "aborted",
-]
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
 _EXIT_ABORTED = 3
 
-
-# The keys a run or sweep config may hold, and those of its picard object
-_CONFIG_KEYS = (
-    "problem", "scheme", "mode", "r", "k_init", "tol_star", "tol_list", "r_max", "k_min",
-    "max_intervals", "picard",
-)
+# Each key a run or sweep config may hold, in the order error messages
+# list them: its type and the AdaptConfig field it sets, if any
+_CONFIG_KEYS = {
+    "problem": (dict, None),
+    "scheme": (str, "scheme"),
+    "mode": (str, "mode"),
+    "r": (int, "r_init"),
+    "k_init": (float, "k_init"),
+    "tol_star": (float, None),
+    "tol_list": (list, None),
+    "r_max": (int, "r_max"),
+    "k_min": (float, "k_min"),
+    "max_intervals": (int, "max_intervals"),
+    "picard": (dict, None),
+}
+# AdaptConfig fields without a default; tol_star is passed in separately
+_REQUIRED = {
+    f.name for f in dataclasses.fields(AdaptConfig)
+    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+}
 _PICARD_KEYS = tuple(f.name for f in dataclasses.fields(PicardConfig))
 
 
@@ -66,34 +73,61 @@ class ConfigError(ValueError):
 
 
 def _fmt(x) -> str:
-    """17 significant digits: lossless float64 round trip."""
-    if x is None:
-        return "nan"
-    return f"{float(x):.17g}"
+    """17 significant digits: lossless float64 round trip; None is nan."""
+    return "nan" if x is None else f"{float(x):.17g}"
+
+
+# The sweep CSV columns in order: how each cell is written and read back
+_FLAGS = {"false": False, "true": True}
+_SWEEP_COLUMNS = {
+    "tol_star": (_fmt, float),
+    "M": (str, int),
+    "dofs": (str, int),
+    "T": (_fmt, float),
+    "blowup_err": (_fmt, float),
+    "delta_hat": (_fmt, float),
+    "best_effectivity": (_fmt, float),
+    "wall_time_s": (_fmt, float),
+    "aborted": (lambda flag: "true" if flag else "false", _FLAGS.__getitem__),
+}
+SWEEP_HEADER = list(_SWEEP_COLUMNS)
+
+
+def _check(value, kind, what: str):
+    """The one type rule for JSON values; a boolean is never a number."""
+    number = kind is float and isinstance(value, (int, float))
+    if isinstance(value, bool) or not (number or isinstance(value, kind)):
+        raise ConfigError(f"{what} must be of type {kind.__name__}, got {value!r}")
+    return float(value) if kind is float else value
 
 
 def _require(config: dict, key: str, kind, where: str):
     if key not in config:
         raise ConfigError(f"{where}: missing required key {key!r}")
-    value = config[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    # bool is a subclass of int, but JSON true is not a degree or a count
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{where}: key {key!r} must be of type {kind.__name__}")
-    return value
+    return _check(config[key], kind, f"{where}: key {key!r}")
 
 
-def _reject_unknown(config: dict, accepted: tuple, where: str):
+def _get(config: dict, key: str):
+    """A config key's value, of the type the key table gives it."""
+    return _require(config, key, _CONFIG_KEYS[key][0], "config")
+
+
+def _reject_unknown(config: dict, accepted, where: str):
     unknown = [key for key in config if key not in accepted]
     if unknown:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}; accepted: {', '.join(accepted)}")
 
 
 def build_problem(config: dict) -> Problem:
-    entry = _require(config, "problem", dict, "config")
+    entry = _get(config, "problem")
     name = _require(entry, "name", str, "problem")
     params = {k: v for k, v in entry.items() if k != "name"}
+    defaults = _BUILTINS[name][1] if name in _BUILTINS else {}
+    for key, value in params.items():
+        # a parameter whose default is a list may be a list: linear's u0
+        vector = isinstance(value, list) and isinstance(defaults.get(key), list)
+        for x in value if vector else [value]:
+            _check(x, float, f"problem: parameter {key!r}")
     try:
         return builtin_problem(name, **params)
     except (TypeError, ValueError) as exc:
@@ -102,31 +136,18 @@ def build_problem(config: dict) -> Problem:
 
 def build_adapt_config(config: dict, tol_star: float) -> AdaptConfig:
     _reject_unknown(config, _CONFIG_KEYS, "config")
-    scheme_name = _require(config, "scheme", str, "config").lower()
-    mode_name = _require(config, "mode", str, "config").lower()
-    try:
-        scheme = Scheme(scheme_name)
-    except ValueError:
-        raise ConfigError(f"config: key 'scheme' must be 'cg' or 'dg', got {scheme_name!r}")
-    try:
-        mode = Mode(mode_name)
-    except ValueError:
-        raise ConfigError(f"config: key 'mode' must be 'h' or 'hp', got {mode_name!r}")
-    kwargs = dict(
-        scheme=scheme,
-        mode=mode,
-        r_init=_require(config, "r", int, "config"),
-        k_init=_require(config, "k_init", float, "config"),
-        tol_star=tol_star,
-    )
-    for key, kind in (
-        ("r_max", int),
-        ("k_min", float),
-        ("max_intervals", int),
-    ):
-        if key in config:
-            kwargs[key] = _require(config, key, kind, "config")
-    picard = _require(config, "picard", dict, "config") if "picard" in config else {}
+    kwargs = {"tol_star": tol_star}
+    for key, (_, name) in _CONFIG_KEYS.items():
+        if name is not None and (key in config or name in _REQUIRED):
+            kwargs[name] = _get(config, key)
+    for name, kind in (("scheme", Scheme), ("mode", Mode)):
+        value = kwargs[name].lower()
+        try:
+            kwargs[name] = kind(value)
+        except ValueError:
+            choices = " or ".join(repr(member.value) for member in kind)
+            raise ConfigError(f"config: key {name!r} must be {choices}, got {value!r}")
+    picard = _get(config, "picard") if "picard" in config else {}
     _reject_unknown(picard, _PICARD_KEYS, "picard")
     picard = {key: _require(picard, key, float, "picard") for key in picard}
     try:
@@ -135,13 +156,15 @@ def build_adapt_config(config: dict, tol_star: float) -> AdaptConfig:
         raise ConfigError(f"config: {exc}") from exc
 
 
+def _solve(p: Problem, cfg: AdaptConfig) -> RunResult:
+    return (h_adapt if cfg.mode is Mode.H else hp_adapt)(p, cfg)
+
+
 def run_from_config(config: dict, tol_star: float | None = None) -> RunResult:
     p = build_problem(config)
     if tol_star is None:
-        tol_star = _require(config, "tol_star", float, "config")
-    cfg = build_adapt_config(config, tol_star)
-    driver = h_adapt if cfg.mode is Mode.H else hp_adapt
-    return driver(p, cfg)
+        tol_star = _get(config, "tol_star")
+    return _solve(p, build_adapt_config(config, tol_star))
 
 
 def _report(config: dict, result: RunResult) -> dict:
@@ -173,38 +196,32 @@ def _report(config: dict, result: RunResult) -> dict:
 
 
 def _best_effectivity(result: RunResult) -> float | None:
-    effs = [
-        rec.estimate.effectivity
-        for rec in result.intervals
-        if rec.estimate.effectivity is not None and math.isfinite(rec.estimate.effectivity)
-    ]
-    return min(effs) if effs else None
+    effs = (rec.estimate.effectivity for rec in result.intervals)
+    return min((e for e in effs if e is not None and math.isfinite(e)), default=None)
 
 
 def sweep_rows(config: dict) -> list[dict]:
-    tol_list = _require(config, "tol_list", list, "config")
+    tol_list = _get(config, "tol_list")
     if not tol_list:
         raise ConfigError("config: key 'tol_list' must be a nonempty list")
-    try:
-        tols = [float(t) for t in tol_list]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: key 'tol_list' entries must be numbers: {exc}") from exc
+    tols = [_check(t, float, f"config: key 'tol_list' entry {i}") for i, t in enumerate(tol_list)]
     if any(b >= a for a, b in zip(tols, tols[1:])):
         raise ConfigError("config: key 'tol_list' must be strictly decreasing")
     p = build_problem(config)
-    t_inf = p.t_blowup
+    # every entry is checked before the first run
+    cfgs = [build_adapt_config(config, tol) for tol in tols]
     rows = []
-    for tol in tols:
+    for cfg in cfgs:
         start = time.perf_counter()
-        result = run_from_config(config, tol_star=tol)
+        result = _solve(p, cfg)
         wall = time.perf_counter() - start
         rows.append(
             {
-                "tol_star": tol,
+                "tol_star": cfg.tol_star,
                 "M": result.M,
                 "dofs": result.dofs,
                 "T": result.T,
-                "blowup_err": abs(result.T - t_inf) if t_inf is not None else None,
+                "blowup_err": abs(result.T - p.t_blowup) if p.t_blowup is not None else None,
                 "delta_hat": result.intervals[-1].estimate.delta_hat if result.M else 1.0,
                 "best_effectivity": _best_effectivity(result),
                 "wall_time_s": wall,
@@ -215,26 +232,24 @@ def sweep_rows(config: dict) -> list[dict]:
 
 
 def format_sweep_csv(rows: list[dict]) -> str:
-    out = io.StringIO()
-    out.write(",".join(SWEEP_HEADER) + "\n")
-    for row in rows:
-        out.write(
-            ",".join(
-                [
-                    _fmt(row["tol_star"]),
-                    str(row["M"]),
-                    str(row["dofs"]),
-                    _fmt(row["T"]),
-                    _fmt(row["blowup_err"]),
-                    _fmt(row["delta_hat"]),
-                    _fmt(row["best_effectivity"]),
-                    _fmt(row["wall_time_s"]),
-                    "true" if row["aborted"] else "false",
-                ]
-            )
-            + "\n"
+    lines = [SWEEP_HEADER]
+    lines += [[write(row[key]) for key, (write, _) in _SWEEP_COLUMNS.items()] for row in rows]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
+def parse_sweep_csv(text: str) -> list[dict]:
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames != SWEEP_HEADER:
+        raise ConfigError(
+            f"sweep CSV must have header {','.join(SWEEP_HEADER)!r}, got {reader.fieldnames}"
         )
-    return out.getvalue()
+    rows = []
+    for raw in reader:
+        try:
+            rows.append({key: read(raw[key]) for key, (_, read) in _SWEEP_COLUMNS.items()})
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep CSV line {reader.line_num}: {exc}") from exc
+    return rows
 
 
 def _lsq_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -281,43 +296,27 @@ def fit_rates(rows: list[dict], model: str) -> dict:
     }
 
 
-def parse_sweep_csv(text: str) -> list[dict]:
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames != SWEEP_HEADER:
-        raise ConfigError(
-            f"sweep CSV must have header {','.join(SWEEP_HEADER)!r}, got {reader.fieldnames}"
-        )
-    rows = []
-    for raw in reader:
-        try:
-            rows.append(
-                {
-                    "tol_star": float(raw["tol_star"]),
-                    "M": int(raw["M"]),
-                    "dofs": int(raw["dofs"]),
-                    "T": float(raw["T"]),
-                    "blowup_err": float(raw["blowup_err"]),
-                    "delta_hat": float(raw["delta_hat"]),
-                    "best_effectivity": float(raw["best_effectivity"]),
-                    "wall_time_s": float(raw["wall_time_s"]),
-                    "aborted": raw["aborted"] == "true",
-                }
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep CSV line {reader.line_num}: {exc}") from exc
-    return rows
-
-
 def trace_series(report: dict) -> list[tuple[float, float, float]]:
-    """Rows (1/|t_m - T_inf|, delta_hat_m, effectivity_m) per interval."""
-    p = build_problem(report["config"])
+    """Rows (1/|t_m - T_inf|, delta_hat_m, effectivity_m) per interval.
+
+    The report's intervals hold equally long t_end, delta_hat and
+    effectivity lists; an effectivity may be null (read as nan) or
+    Infinity, as ``run`` writes them.
+    """
+    p = build_problem(_require(report, "config", dict, "report"))
     if p.t_blowup is None:
         raise ConfigError(f"problem {p.name!r} has no known blow-up time to trace against")
-    per = report["intervals"]
+    per = _require(report, "intervals", dict, "report")
+    keys = ("t_end", "delta_hat", "effectivity")
+    series = [_require(per, key, list, "intervals") for key in keys]
+    if len(set(map(len, series))) > 1:
+        raise ConfigError("intervals: 't_end', 'delta_hat' and 'effectivity' differ in length")
     rows = []
-    for t_end, dh, eff in zip(per["t_end"], per["delta_hat"], per["effectivity"]):
-        eps = abs(t_end - p.t_blowup)
-        rows.append((1.0 / eps if eps > 0 else math.inf, dh, eff if eff is not None else math.nan))
+    for i, (t_end, dh, eff) in enumerate(zip(*series)):
+        eps = abs(_check(t_end, float, f"intervals: 't_end' entry {i}") - p.t_blowup)
+        dh = _check(dh, float, f"intervals: 'delta_hat' entry {i}")
+        eff = math.nan if eff is None else _check(eff, float, f"intervals: 'effectivity' entry {i}")
+        rows.append((1.0 / eps if eps > 0 else math.inf, dh, eff))
     return rows
 
 
@@ -329,14 +328,24 @@ def _write_out(text: str, out_path: str | None):
             fh.write(text)
 
 
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}")
+
+
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        data = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _cmd_run(args) -> int:
@@ -355,24 +364,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    try:
-        with open(args.config) as fh:
-            rows = parse_sweep_csv(fh.read())
-    except FileNotFoundError:
-        raise ConfigError(f"CSV file not found: {args.config}")
-    fit = fit_rates(rows, args.model)
+    fit = fit_rates(parse_sweep_csv(_read(args.config)), args.model)
     _write_out(json.dumps(fit, indent=2) + "\n", args.out)
     return _EXIT_OK
 
 
 def _cmd_trace(args) -> int:
-    report = _load_json(args.config)
-    rows = trace_series(report)
-    out = io.StringIO()
-    out.write("eps_inv,delta_hat,effectivity\n")
-    for eps_inv, dh, eff in rows:
-        out.write(f"{_fmt(eps_inv)},{_fmt(dh)},{_fmt(eff)}\n")
-    _write_out(out.getvalue(), args.out)
+    rows = trace_series(_load_json(args.config))
+    text = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+    _write_out("eps_inv,delta_hat,effectivity\n" + text, args.out)
     return _EXIT_OK
 
 
@@ -382,12 +382,8 @@ def main(argv=None) -> int:
         description="Adaptive Galerkin time stepping toward blow-up: run, sweep, fit, trace.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, func in (
-        ("run", _cmd_run),
-        ("sweep", _cmd_sweep),
-        ("fit", _cmd_fit),
-        ("trace", _cmd_trace),
-    ):
+    verbs = {"run": _cmd_run, "sweep": _cmd_sweep, "fit": _cmd_fit, "trace": _cmd_trace}
+    for verb, func in verbs.items():
         sp = sub.add_parser(verb)
         sp.add_argument("--config", required=True, help="input file (JSON config, or CSV for fit)")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")

@@ -167,10 +167,6 @@ class PicardOperator:
     shift: np.ndarray
     halve: np.ndarray
 
-    def apply(self, u_left: np.ndarray, k: float, f_vals: np.ndarray) -> np.ndarray:
-        """Coefficients (r+1, d) of the update for f values f_vals (n, d)."""
-        return np.outer(self.a, u_left) + k * (self.G @ f_vals)
-
 
 @lru_cache(maxsize=None)
 def picard_operator(r: int, scheme: Scheme, n: int) -> PicardOperator:
@@ -276,7 +272,7 @@ def _picard(
                 f_vals = rhs_at(p, ts, op.V @ c)
             except NumericOverflow:
                 return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
-            c_next = left + iv.k * (op.G @ f_vals)  # op.apply with the left term hoisted
+            c_next = left + iv.k * (op.G @ f_vals)
             abs_next = np.abs(c_next)
             change = float(np.abs(c_next - c).max())
             scale = max(1.0, float(abs_next.max()))
@@ -310,4 +306,4 @@ def _cg_lift(p: Problem, u: LocalPoly, u_left: np.ndarray, r: int, n: int) -> np
     iv = u.interval
     op = picard_operator(r, Scheme.CG, n)
     f_vals = rhs_at(p, iv.from_reference(op.nodes), op.V[:, : u.coeffs.shape[0]] @ u.coeffs)
-    return op.apply(u_left, iv.k, f_vals)
+    return np.outer(op.a, u_left) + iv.k * (op.G @ f_vals)

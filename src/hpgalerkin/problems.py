@@ -61,6 +61,8 @@ class Problem:
         u0 = np.atleast_1d(np.array(self.u0, dtype=float))
         if u0.shape != (self.dim,):
             raise ValueError(f"u0 must have shape ({self.dim},)")
+        if u0.size == 0 or not np.isfinite(u0).all():
+            raise ValueError(f"u0 must be a nonempty vector of finite numbers, got {u0}")
         u0.flags.writeable = False
         object.__setattr__(self, "u0", u0)
 
@@ -139,6 +141,9 @@ def make_power_square(u0: float) -> Problem:
 def make_exponential(u0: float) -> Problem:
     """Scalar f(t,u) = e^u with exact solution u0 - log(1 - e^{u0} t)."""
     u0 = float(u0)
+    # e^{u0} and the blow-up time e^{-u0} must both be in double range
+    if not abs(u0) <= _EXP_MAX:
+        raise ValueError(f"exp blow-up problem requires |u0| <= {_EXP_MAX}, got {u0}")
     growth = math.exp(u0)
 
     def f(t, u):

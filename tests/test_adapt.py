@@ -120,6 +120,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="r_max = 59 is above the degree cap 58"):
             AdaptConfig(mode=Mode.HP, r_init=1, r_max=59, **base)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("key", ["k_init", "tol_star", "k_min"])
+    def test_lengths_and_tolerance_positive_and_finite(self, key, value):
+        base = dict(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1e-3)
+        with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
+            AdaptConfig(**{**base, key: value})
+
     def test_mode_mismatch_rejected(self):
         cfg = AdaptConfig(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1e-3)
         with pytest.raises(ValueError):

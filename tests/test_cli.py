@@ -143,11 +143,23 @@ class TestSweepVerb:
         assert all(row["aborted"] for row in rows)
 
     def test_csv_round_trip_lossless(self):
-        rows = sweep_rows({**SWEEP_CONFIG, "tol_list": [1e-3]})
-        text = format_sweep_csv(rows)
-        back = parse_sweep_csv(text)
-        for key in ("tol_star", "T", "blowup_err", "delta_hat", "best_effectivity"):
-            assert back[0][key] == rows[0][key]
+        one = {**SWEEP_CONFIG, "tol_list": [1e-3]}
+        rows = sweep_rows(one)
+        # aborted = true
+        rows += sweep_rows({**one, "k_min": 1e-6, "picard": {"divergence_cap": 0.5}})
+        # no known blow-up time: blowup_err = None
+        rows += sweep_rows({**one, "problem": {"name": "linear", "u0": [1.0]}, "max_intervals": 3})
+        assert [row["aborted"] for row in rows] == [False, True, False]
+        assert rows[2]["blowup_err"] is None
+        back = parse_sweep_csv(format_sweep_csv(rows))
+        assert len(back) == len(rows)
+        for row, read in zip(rows, back):
+            assert list(read) == SWEEP_HEADER
+            for key in SWEEP_HEADER:
+                want = math.nan if row[key] is None else row[key]
+                assert read[key] == want or (math.isnan(want) and math.isnan(read[key])), key
+            assert type(read["M"]) is type(read["dofs"]) is int
+            assert read["aborted"] is row["aborted"]
 
 
 def synthetic_rows(errs, dofs):
@@ -213,6 +225,15 @@ class TestTraceVerb:
         rows = trace_series(json.loads(report_path.read_text()))
         assert len(rows) == 1
 
+    def test_null_and_infinite_effectivity_accepted(self, tmp_path):
+        # run writes an effectivity of Infinity where the worst
+        # reconstruction error is still 0, and null without an exact solution
+        intervals = {"t_end": [0.5, 0.75], "delta_hat": [1.0, 2], "effectivity": [None, math.inf]}
+        path = write_json(tmp_path / "r.json", {"config": RUN_CONFIG, "intervals": intervals})
+        out = tmp_path / "trace.csv"
+        assert main(["trace", "--config", path, "--out", str(out)]) == 0
+        assert out.read_text() == "eps_inv,delta_hat,effectivity\n2,1,nan\n4,2,inf\n"
+
     def test_unknown_blowup_time_rejected(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "lin.json",
@@ -241,16 +262,29 @@ class TestSerialization:
             assert float(_fmt(x)) == x
 
 
+def _bad_text(tmp_path, verb, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    return verb, str(path)
+
+
 def _bad_run(tmp_path, **changes):
-    return "run", write_json(tmp_path / "bad.json", {**RUN_CONFIG, **changes})
+    # the string "1e400" stands for the JSON number 1e400, which parses as inf
+    return _bad_text(tmp_path, "run", json.dumps({**RUN_CONFIG, **changes}).replace('"1e400"', "1e400"))
 
 
-def _bad_sweep(tmp_path):
-    return "sweep", write_json(tmp_path / "bad.json", {**SWEEP_CONFIG, "tol_list": [1e-2, "x"]})
+def _bad_sweep(tmp_path, tol_list=(1e-2, "x")):
+    return "sweep", write_json(tmp_path / "bad.json", {**SWEEP_CONFIG, "tol_list": list(tol_list)})
 
 
-def _bad_csv(tmp_path):
-    row = ["1e-3", "x", "10", "0.9", "0.1", "2.0", "3.0", "0.5", "false"]
+def _bad_trace(tmp_path, **intervals):
+    series = {"t_end": [0.5], "delta_hat": [1.0], "effectivity": [1.0], **intervals}
+    return "trace", write_json(tmp_path / "bad.json", {"config": RUN_CONFIG, "intervals": series})
+
+
+def _bad_csv(tmp_path, cell=1, value="x"):
+    row = ["1e-3", "10", "10", "0.9", "0.1", "2.0", "3.0", "0.5", "false"]
+    row[cell] = value
     path = tmp_path / "bad.csv"
     path.write_text(",".join(SWEEP_HEADER) + "\n" + ",".join(row) + "\n")
     return "fit", str(path)
@@ -287,6 +321,32 @@ class TestConfigErrors:
              "picard: key 'divergence_cap' must be of type float"),
             (_bad_sweep, "tol_list"),
             (_bad_csv, "line 2"),
+            (lambda tmp: _bad_text(tmp, "run", "3"), "must hold a JSON object, got int"),
+            (lambda tmp: _bad_text(tmp, "trace", json.dumps(RUN_CONFIG)),
+             "report: missing required key 'config'"),
+            (lambda tmp: _bad_trace(tmp, t_end=["a"]), "intervals: 't_end' entry 0"),
+            (lambda tmp: _bad_trace(tmp, delta_hat=[1.0, 2.0]), "differ in length"),
+            (lambda tmp: _bad_trace(tmp, effectivity=[True]), "'effectivity' entry 0"),
+            (lambda tmp: _bad_sweep(tmp, [True, 1e-3]), "key 'tol_list' entry 0"),
+            (lambda tmp: _bad_sweep(tmp, ["1e-2", "1e-3"]), "key 'tol_list' entry 0"),
+            (lambda tmp: _bad_run(tmp, k_init="1e400"), "k_init must be positive and finite"),
+            (lambda tmp: _bad_run(tmp, problem={"name": "power2", "u0": "2"}),
+             "problem: parameter 'u0' must be of type float, got '2'"),
+            (lambda tmp: _bad_run(tmp, problem={"name": "power2", "u0": [2.0]}),
+             "problem: parameter 'u0'"),
+            (lambda tmp: _bad_run(tmp, problem={"name": "linear", "lam": True}),
+             "problem: parameter 'lam'"),
+            (lambda tmp: _bad_run(tmp, problem={"name": "linear", "u0": [True]}),
+             "problem: parameter 'u0'"),
+            (lambda tmp: _bad_run(tmp, problem={"name": "linear", "u0": ["1e400"]}),
+             "u0 must be a nonempty vector of finite numbers"),
+            (lambda tmp: _bad_run(tmp, problem={"name": "linear", "u0": []}),
+             "u0 must be a nonempty vector of finite numbers"),
+            (lambda tmp: _bad_run(tmp, problem={"name": "exp", "u0": "1e400"}), "|u0| <= 709"),
+            (lambda tmp: _bad_run(tmp, problem={"name": "exp", "u0": 1000}), "|u0| <= 709"),
+            (lambda tmp: _bad_csv(tmp, cell=8, value="yes"), "line 2: 'yes'"),
+            (lambda tmp: _bad_text(tmp, "run", b"\xff"), "not UTF-8 text"),
+            (lambda tmp: ("run", str(tmp)), "cannot read config file"),
         ],
         ids=[
             "u0-string",
@@ -305,6 +365,25 @@ class TestConfigErrors:
             "divergence_cap-bool",
             "tol_list-entry",
             "csv-cell",
+            "config-not-object",
+            "trace-run-config",
+            "trace-t_end-string",
+            "trace-unequal-lengths",
+            "trace-effectivity-bool",
+            "tol_list-bool",
+            "tol_list-strings",
+            "k_init-overflow",
+            "power2-u0-string",
+            "power2-u0-list",
+            "linear-lam-bool",
+            "linear-u0-bool",
+            "linear-u0-overflow",
+            "linear-u0-empty",
+            "exp-u0-overflow",
+            "exp-u0-1000",
+            "csv-aborted-cell",
+            "not-utf8",
+            "directory",
         ],
     )
     def test_exit_2_with_error_line(self, tmp_path, capsys, make_input, needle):

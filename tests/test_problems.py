@@ -36,6 +36,33 @@ class TestPowerSquare:
             make_power_square(-1.0)
 
 
+class TestInitialValue:
+    @pytest.mark.parametrize("u0", [[], [math.inf], [1.0, math.nan], [-math.inf, 0.0]])
+    def test_empty_or_nonfinite_u0_rejected(self, u0):
+        with pytest.raises(ValueError, match="u0 must be a nonempty vector of finite numbers"):
+            Problem(dim=len(u0), u0=u0, f=lambda t, u: u, lip=lambda t, a, b: 1.0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_linear(1.0, []),
+            lambda: make_linear(1.0, [1e300 * 1e300]),
+            lambda: make_power_square(math.inf),
+        ],
+        ids=["linear-empty", "linear-inf", "power2-inf"],
+    )
+    def test_builtins_reject_bad_u0(self, make):
+        with pytest.raises(ValueError, match="u0 must be a nonempty vector of finite numbers"):
+            make()
+
+    def test_exp_u0_keeps_blowup_time_in_range(self):
+        assert make_exponential(709.0).t_blowup > 0.0
+        assert math.isfinite(make_exponential(-709.0).t_blowup)
+        for u0 in (709.5, -710.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"\|u0\| <= 709"):
+                make_exponential(u0)
+
+
 class TestExponential:
     def test_blowup_time(self):
         assert abs(make_exponential(1.0).t_blowup - math.exp(-1.0)) < 1e-15
