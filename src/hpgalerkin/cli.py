@@ -19,7 +19,8 @@ number read from one must be a JSON number, never a string or a
 boolean, and an integer where the key needs one; the constructors
 (``AdaptConfig``, ``PicardConfig``, ``Problem``) check ranges.
 
-Exit codes: 0 success, 2 configuration error, 3 aborted run.
+Exit codes: 0 success, 2 configuration error (an ``--out`` path that
+cannot be written included, checked before the run), 3 aborted run.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -320,6 +322,19 @@ def trace_series(report: dict) -> list[tuple[float, float, float]]:
     return rows
 
 
+def _check_out(out_path: str | None):
+    """Reject an --out path that cannot be written before any work runs."""
+    if out_path is None:
+        return
+    parent = os.path.dirname(out_path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write output file {out_path}: no directory {parent}")
+    if os.path.isdir(out_path) or not os.access(
+        out_path if os.path.exists(out_path) else parent, os.W_OK
+    ):
+        raise ConfigError(f"cannot write output file {out_path}")
+
+
 def _write_out(text: str, out_path: str | None):
     if out_path is None:
         sys.stdout.write(text)
@@ -392,6 +407,7 @@ def main(argv=None) -> int:
         sp.set_defaults(func=func)
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,10 @@ g.  The scan therefore evaluates next the first grid point at or above
 E(g); it brackets the same sign change as a scan of every grid point,
 and a scan that finds none ends after a few evaluations.
 
+Each ``solve_delta`` holds one ``np.errstate`` for all its envelope
+evaluations.  An envelope that overflows, to inf or nan, gives the
+growth E = +inf, so phi > 0 there: no certificate at that delta.
+
 The controls of ``solve_delta`` are fixed: Newton stops at
 |phi| <= NEWTON_TOL = 1e-10 within MAX_NEWTON = 50 iterations, with
 difference step FD_STEP = 1e-7 relative to max(delta, 1); a root is
@@ -123,7 +127,12 @@ def _growth_factory(
     """Build the growth E(delta) = exp(int_I lip(s, delta*psi + |uhat|, |uhat|) ds)
     with the reconstruction norms precomputed; phi(delta) = E(delta) - delta.
 
-    Overflow in the envelope or the exponential yields +inf.
+    Overflow in the envelope or the exponential yields +inf, whether it
+    shows as a non-finite value or as NumericOverflow or OverflowError
+    raised by a scalar lip (which receives Python floats).  The weights w
+    are positive, so the exponent dot(w, vals) is finite exactly when
+    every envelope value is, unless the sum itself overflows, which also
+    means +inf; the caller holds the errstate.
     """
     n = _rule_size(u_hat.degree)
     # Every scheme's operator carries the same node Vandermonde V; the
@@ -135,12 +144,9 @@ def _growth_factory(
 
     def growth(delta: float) -> float:
         try:
-            vals = lip_at(p, ts, delta * psi + u_norms, u_norms)
-        except NumericOverflow:
-            return math.inf
-        try:
-            return math.exp(float(np.dot(w, vals)))
-        except OverflowError:
+            exponent = float(np.dot(w, lip_at(p, ts, delta * psi + u_norms, u_norms)))
+            return math.exp(exponent) if math.isfinite(exponent) else math.inf
+        except (NumericOverflow, OverflowError):
             return math.inf
 
     return growth
@@ -169,35 +175,38 @@ def solve_delta(
     verifies as a downward crossing.  Otherwise a geometric scan over
     [1, DELTA_MAX] brackets the first sign change and bisects it.
     """
-    growth = _growth_factory(p, iv, u_hat, psi)
+    # one errstate for every envelope evaluation of the solve; growth
+    # reads overflow from its exponent
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = _growth_factory(p, iv, u_hat, psi)
 
-    def phi_of(delta: float) -> float:
-        return growth(delta) - delta
+        def phi_of(delta: float) -> float:
+            return growth(delta) - delta
 
-    phi_at_one = phi_of(1.0)
-    if not (phi_at_one >= -1e-12):
-        raise ArithmeticError(f"phi(1) = {phi_at_one} < 0; estimator state is inconsistent")
+        phi_at_one = phi_of(1.0)
+        if not (phi_at_one >= -1e-12):
+            raise ArithmeticError(f"phi(1) = {phi_at_one} < 0; estimator state is inconsistent")
 
-    delta = prev_delta if prev_delta is not None else 1.0 + 1e-6
-    delta = min(max(delta, 1.0), DELTA_MAX)
-    for _ in range(MAX_NEWTON):
-        fv = phi_of(delta)
-        if not math.isfinite(fv):
-            break
-        if abs(fv) <= NEWTON_TOL:
-            if _verified_crossing(phi_of, delta):
-                return delta
-            break
-        h = FD_STEP * max(delta, 1.0)
-        dfv = (phi_of(delta + h) - fv) / h
-        if not math.isfinite(dfv) or dfv == 0.0:
-            break
-        new_delta = min(max(delta - fv / dfv, 1.0), DELTA_MAX)
-        if new_delta == delta:
-            break
-        delta = new_delta
+        delta = prev_delta if prev_delta is not None else 1.0 + 1e-6
+        delta = min(max(delta, 1.0), DELTA_MAX)
+        for _ in range(MAX_NEWTON):
+            fv = phi_of(delta)
+            if not math.isfinite(fv):
+                break
+            if abs(fv) <= NEWTON_TOL:
+                if _verified_crossing(phi_of, delta):
+                    return delta
+                break
+            h = FD_STEP * max(delta, 1.0)
+            dfv = (phi_of(delta + h) - fv) / h
+            if not math.isfinite(dfv) or dfv == 0.0:
+                break
+            new_delta = min(max(delta - fv / dfv, 1.0), DELTA_MAX)
+            if new_delta == delta:
+                break
+            delta = new_delta
 
-    return _scan_and_bisect(growth)
+        return _scan_and_bisect(growth)
 
 
 def _scan_and_bisect(growth) -> Union[float, DeltaNotFound]:

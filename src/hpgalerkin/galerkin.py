@@ -39,12 +39,17 @@ step exists.
 
 Nonexistence of a step is a first-class outcome here: the adaptive
 drivers halve the step length whenever the iteration fails to converge.
+An iterate diverges when its sup norm exceeds the divergence cap, or
+when f or the update leaves double range, under any cap.  The loop
+holds one ``np.errstate`` and reads all of this from sum |c|, the sup
+bound it computes anyway: an overflow leaves that sum inf or nan.
 
 ``reconstruct`` lifts a converged step to the degree r+1 polynomial
 with matching left value whose derivative is the degree-r projection of
 f(t, U) -- the cG update at degree r+1 applied to U; its endpoint value
 coincides with U(t_end) for both schemes, and it is the object the
-error estimator measures.
+error estimator measures.  It raises NumericOverflow when a coefficient
+leaves double range.
 """
 
 from __future__ import annotations
@@ -81,6 +86,8 @@ MAX_DEGREE = _MAX_QUAD_POINTS - _EXTRA_POINTS
 # FP_TOL * max(1, max|c|), and reports MAX_ITERS after MAX_ITERS updates.
 FP_TOL = 1e-12
 MAX_ITERS = 100
+# A sum |c| above the largest double has overflowed, whatever the cap.
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _rule_size(r: int) -> int:
@@ -122,6 +129,8 @@ class PicardConfig:
     first compares the sum of the absolute coefficients, a rigorous
     upper bound on the sup norm since |P_i| <= 1 on [-1, 1], and only
     when that exceeds the cap confirms it with the sampled sup norm.
+    An iterate at which f, or the update, overflows diverges under any
+    cap, ``math.inf`` included.
 
     The rest of the iteration is fixed: the stopping test is relative,
     FP_TOL = 1e-12 of max(1, max|c|), so it stays above the roundoff
@@ -232,11 +241,12 @@ def step(
     the constant start, so a guess never makes a step fail that the
     constant start solves; picard_iters then counts both runs.
 
-    An iterate diverges when f overflows at it or its sup norm exceeds
-    ``divergence_cap``.  The sum of |c| is a rigorous sup bound, since
-    |P_i| <= 1, so the sampled sup norm is computed only when that cheap
-    bound exceeds the cap; every decision equals that of a sampled test
-    on every iterate.
+    An iterate diverges when f overflows at it, when the update from it
+    overflows, or when its sup norm exceeds ``divergence_cap``; an
+    overflow is reported at the last finite iterate.  The sum of |c| is
+    a rigorous sup bound, since |P_i| <= 1, so the sampled sup norm is
+    computed only when that cheap bound exceeds the cap; every decision
+    equals that of a sampled test on every iterate.
     """
     r, d = inp.r, inp.u_left.size
     if r > MAX_DEGREE:
@@ -260,30 +270,44 @@ def step(
 def _picard(
     p: Problem, inp: StepInput, op: PicardOperator, c: np.ndarray, cap: float
 ) -> StepOutput:
-    """The Picard loop of ``step`` from the first iterate c."""
-    iv = inp.interval
-    ts = iv.from_reference(op.nodes)
+    """The Picard loop of ``step`` from the first iterate c.
+
+    One errstate covers the whole loop.  The bound sum |c_next| that the
+    cap test needs reads every overflow as well: each coefficient of
+    G @ f involves every node value of f, so one non-finite f value, or
+    an update that overflows, leaves c_next non-finite and the bound inf
+    or nan, which fails ``bound <= min(cap, float max)`` under any cap.
+    Only then does the loop look at the coefficients.
+    """
+    iv, V, G = inp.interval, op.V, op.G
+    k, ts = iv.k, iv.from_reference(op.nodes)
     left = np.outer(op.a, inp.u_left)
-    # An overflowing update is caught below (inf bound, then LocalPoly
-    # rejects the non-finite iterate), so don't warn.
-    with np.errstate(over="ignore"):
+    limit = min(cap, _FLOAT_MAX)
+    with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_ITERS + 1):
             try:
-                f_vals = rhs_at(p, ts, op.V @ c)
+                f_vals = rhs_at(p, ts, V @ c)
             except NumericOverflow:
                 return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
-            c_next = left + iv.k * (op.G @ f_vals)
+            c_next = left + k * (G @ f_vals)
             abs_next = np.abs(c_next)
-            change = float(np.abs(c_next - c).max())
-            scale = max(1.0, float(abs_next.max()))
-            c = c_next
             # sup_t |U(t)| <= sum |c| because |P_i| <= 1: sample only above the cap
-            if abs_next.sum() > cap:
-                u = LocalPoly(iv, c)
+            bound = float(abs_next.sum())
+            change = float(np.abs(c_next - c).max())
+            if not bound <= limit:
+                if not np.isfinite(c_next).all():
+                    # f or the update left double range: diverged, reported
+                    # at the last finite iterate
+                    return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
+                u = LocalPoly(iv, c_next)
                 if u.linf_norm() > cap:
                     return StepOutput(u, it, False, StepFailure.DIVERGED)
-            if change <= FP_TOL * scale:
-                return StepOutput(LocalPoly(iv, c), it, True)
+            c = c_next
+            # max|c| <= sum|c|: the scale max|c| is needed only when the
+            # bound's scale passes, and the decision is the same
+            if change <= FP_TOL * max(1.0, bound):
+                if change <= FP_TOL * max(1.0, float(abs_next.max())):
+                    return StepOutput(LocalPoly(iv, c), it, True)
     return StepOutput(LocalPoly(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 
@@ -302,8 +326,17 @@ def reconstruct(p: Problem, inp: StepInput, u: LocalPoly) -> LocalPoly:
 def _cg_lift(p: Problem, u: LocalPoly, u_left: np.ndarray, r: int, n: int) -> np.ndarray:
     """Coefficients (r+1, d) of one cG Picard update at degree r applied to
     u (degree below r) on the n-point rule: left value u_left and
-    derivative the degree r-1 projection of f(t, u)."""
+    derivative the degree r-1 projection of f(t, u).
+
+    Raises NumericOverflow when a coefficient is not finite, which is the
+    case whenever an f value is not: each coefficient of G @ f involves
+    every node value of f.
+    """
     iv = u.interval
     op = picard_operator(r, Scheme.CG, n)
-    f_vals = rhs_at(p, iv.from_reference(op.nodes), op.V[:, : u.coeffs.shape[0]] @ u.coeffs)
-    return np.outer(op.a, u_left) + iv.k * (op.G @ f_vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_vals = rhs_at(p, iv.from_reference(op.nodes), op.V[:, : u.coeffs.shape[0]] @ u.coeffs)
+        coeffs = np.outer(op.a, u_left) + iv.k * (op.G @ f_vals)
+    if not np.isfinite(coeffs).all():
+        raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
+    return coeffs

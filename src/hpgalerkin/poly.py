@@ -48,7 +48,7 @@ class Interval:
     t_end: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.t_start) and np.isfinite(self.t_end)):
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
             raise ValueError("interval endpoints must be finite")
         if not self.t_end > self.t_start:
             raise ValueError(

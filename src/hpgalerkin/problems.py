@@ -18,6 +18,14 @@ at one time per call (f: (t, u_vector) -> vector, lip: (t, a, b) ->
 scalar with lip monotone nondecreasing in a and b).  Optionally ``f_batch`` /
 ``lip_batch`` provide vectorized evaluation over arrays of times,
 which the solvers use when present.
+
+``rhs_at`` and ``lip_at`` are the only way the solvers evaluate f and
+lip.  They return the values as given, infinities and nan included, and
+leave the floating-point error state alone: the Picard step, the cG
+lift behind the reconstruction and the residual, and the delta solve
+each enter one ``np.errstate`` and read overflow from a sum or a
+coefficient array they compute anyway.  A scalar f or lip may
+raise NumericOverflow itself, as the ``exp`` built-in does.
 """
 
 from __future__ import annotations
@@ -70,44 +78,43 @@ class Problem:
 def rhs_at(p: Problem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Evaluate f at times ts (n,) and states us (n, d); returns (n, d).
 
-    Raises NumericOverflow on any non-finite value so callers can treat
-    overflow as a distinct outcome rather than propagate infinities.
+    The values are returned as f gives them, infinities and nan
+    included: each caller tests a sum it computes anyway for
+    finiteness, under one ``np.errstate`` per step or solve, rather
+    than once per call here.  Only a scalar ``f`` that raises
+    NumericOverflow itself stops the evaluation.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        if p.f_batch is not None:
-            vals = np.asarray(p.f_batch(ts, us), dtype=float)
-            if vals.shape != us.shape:
-                raise ValueError(
-                    f"right-hand side returned shape {vals.shape}, expected {us.shape}"
-                )
-        else:
-            d = us.shape[1]
-            vals = np.empty(us.shape)
-            for i, (t, u) in enumerate(zip(ts, us)):
-                v = p.f(t, u)
-                # d = 1 accepts a scalar; otherwise a row must not broadcast
-                if np.shape(v) != (d,) and not (d == 1 and np.ndim(v) == 0):
-                    raise ValueError(
-                        f"right-hand side returned shape {np.shape(v)}, expected ({d},)"
-                    )
-                vals[i] = v
-    if not np.isfinite(vals).all():
-        raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
-    return vals
+    if p.f_batch is not None:
+        vals = np.asarray(p.f_batch(ts, us), dtype=float)
+        if vals.shape != us.shape:
+            raise ValueError(f"right-hand side returned shape {vals.shape}, expected {us.shape}")
+        return vals
+    # one list, stacked at once; only when that gives the wrong shape are
+    # the rows checked one by one
+    d, rows = us.shape[1], [p.f(t, u) for t, u in zip(ts, us)]
+    try:
+        vals = np.array(rows, dtype=float)
+        if vals.shape == us.shape:
+            return vals
+    except ValueError:
+        pass  # ragged: with d = 1, scalars mixed with (1,) rows
+    for v in rows:
+        # d = 1 accepts a scalar; otherwise a row must not broadcast
+        if np.shape(v) != (d,) and not (d == 1 and np.ndim(v) == 0):
+            raise ValueError(f"right-hand side returned shape {np.shape(v)}, expected ({d},)")
+    return np.array([np.reshape(v, d) for v in rows], dtype=float).reshape(us.shape)
 
 
 def lip_at(p: Problem, ts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Evaluate the Lipschitz envelope at arrays of (t, a, b); returns (n,)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if p.lip_batch is not None:
-            vals = np.asarray(p.lip_batch(ts, a, b), dtype=float)
-        else:
-            vals = np.empty(len(ts))
-            for i, (t, ai, bi) in enumerate(zip(ts, a, b)):
-                vals[i] = p.lip(t, ai, bi)
-    if not np.isfinite(vals).all():
-        raise NumericOverflow(f"Lipschitz envelope of problem {p.name!r} overflowed")
-    return vals
+    """Evaluate the Lipschitz envelope at arrays of (t, a, b); returns (n,).
+
+    As with ``rhs_at``, non-finite values are returned, not flagged; a
+    scalar ``lip`` receives a and b as Python floats.
+    """
+    if p.lip_batch is not None:
+        return np.asarray(p.lip_batch(ts, a, b), dtype=float)
+    vals = [p.lip(t, ai, bi) for t, ai, bi in zip(ts, a.tolist(), b.tolist())]
+    return np.array(vals, dtype=float)
 
 
 def make_power_square(u0: float) -> Problem:
@@ -159,14 +166,6 @@ def make_exponential(u0: float) -> Problem:
     def exact(t):
         return (u0 - np.log1p(-growth * np.asarray(t, dtype=float)))[None]
 
-    def f_batch(ts, us):
-        with np.errstate(over="ignore"):
-            return np.exp(us)
-
-    def lip_batch(ts, a, b):
-        with np.errstate(over="ignore"):
-            return 0.5 * (np.exp(a) + np.exp(b))
-
     return Problem(
         dim=1,
         u0=np.array([u0]),
@@ -175,8 +174,9 @@ def make_exponential(u0: float) -> Problem:
         exact=exact,
         t_blowup=math.exp(-u0),
         name="exp",
-        f_batch=f_batch,
-        lip_batch=lip_batch,
+        # past u = 709.78 these give inf; the callers hold the errstate
+        f_batch=lambda ts, us: np.exp(us),
+        lip_batch=lambda ts, a, b: 0.5 * (np.exp(a) + np.exp(b)),
     )
 
 

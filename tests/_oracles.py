@@ -22,6 +22,17 @@ def zero_rhs():
     )
 
 
+def checked_rhs(p, ts, us):
+    """f at (ts, us) by rhs_at, raising NumericOverflow on any non-finite
+    value: the oracles' own overflow test, independent of the one the
+    program reads from its coefficient sums."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = rhs_at(p, ts, us)
+    if not np.isfinite(vals).all():
+        raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
+    return vals
+
+
 def brute_force_residual(p, u_hat, n_samples=10_000, n_quad=64):
     """sup_t |int_{t0}^{t} f(s, uhat) ds - (uhat(t) - uhat(t0))| over
     n_samples right endpoints, each integral by mapped n_quad-point
@@ -32,7 +43,7 @@ def brute_force_residual(p, u_hat, n_samples=10_000, n_quad=64):
     half = 0.5 * (ts - iv.t_start)              # (S,)
     nodes = (iv.t_start + half[:, None]) + half[:, None] * q.nodes[None, :]  # (S, nq)
     flat = nodes.ravel()
-    f_vals = rhs_at(p, flat, u_hat(flat).T).reshape(n_samples - 1, n_quad, -1)
+    f_vals = checked_rhs(p, flat, u_hat(flat).T).reshape(n_samples - 1, n_quad, -1)
     integrals = half[:, None] * np.einsum("q,sqd->sd", q.weights, f_vals)
     u0 = u_hat(iv.t_start)
     gaps = u_hat(ts).T - u0[None, :]
@@ -54,7 +65,8 @@ def _reference_dg_matrix_inverse(r):
 def reference_step(p, inp, cfg):
     """One cG/dG step by the per-iteration Picard loop: a LocalPoly per
     iterate, project_values, antiderivative or the dG solve, and the
-    sampled sup norm against cfg.divergence_cap on every iteration.  The
+    sampled sup norm against cfg.divergence_cap on every iteration; an
+    iterate at which f is not finite (``checked_rhs``) diverges.  The
     relative stopping tolerance 1e-12 and the budget of 100 iterations
     are written out here, not read from the program.
     Returns (u, picard_iters, converged, failure) with the same meaning
@@ -71,7 +83,7 @@ def reference_step(p, inp, cfg):
     Minv = None if cg else _reference_dg_matrix_inverse(r)
     for it in range(1, max_iters + 1):
         try:
-            f_vals = rhs_at(p, ts, u.at_reference(quad.nodes).T)
+            f_vals = checked_rhs(p, ts, u.at_reference(quad.nodes).T)
         except NumericOverflow:
             return u, it, False, StepFailure.DIVERGED
         f_proj = project_values(f_vals, iv, r - 1 if cg else r, quad)
@@ -95,7 +107,7 @@ def reference_reconstruct(p, inp, u):
     """Degree r+1 reconstruction by project_values + antiderivative."""
     iv = inp.interval
     quad = gauss_legendre(min(inp.r + 6, 64))
-    f_vals = rhs_at(p, iv.from_reference(quad.nodes), u.at_reference(quad.nodes).T)
+    f_vals = checked_rhs(p, iv.from_reference(quad.nodes), u.at_reference(quad.nodes).T)
     return project_values(f_vals, iv, inp.r, quad).antiderivative(inp.u_left)
 
 
@@ -105,7 +117,7 @@ def reference_residual(p, u_hat, u_left, extra_degree=4):
     iv = u_hat.interval
     r_q = u_hat.degree + extra_degree
     quad = gauss_legendre(min(r_q + 6, 64))
-    f_vals = rhs_at(p, iv.from_reference(quad.nodes), u_hat.at_reference(quad.nodes).T)
+    f_vals = checked_rhs(p, iv.from_reference(quad.nodes), u_hat.at_reference(quad.nodes).T)
     accum = project_values(f_vals, iv, r_q, quad).antiderivative(np.asarray(u_left, dtype=float))
     res = accum.coeffs.copy()
     res[: u_hat.coeffs.shape[0]] -= u_hat.coeffs

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from hpgalerkin.adapt import (
 import hpgalerkin.adapt as adapt_module
 from hpgalerkin.galerkin import PicardConfig, Scheme, _rule_size, picard_operator, step
 from hpgalerkin.poly import Interval, LocalPoly, l2_project
-from hpgalerkin.problems import make_exponential, make_linear, make_power_square
+import hpgalerkin.problems as problems
+from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
 
 from _oracles import reference_smoothness, zero_rhs
 
@@ -425,3 +428,64 @@ class TestWarmStartDecisions:
                 assert np.array_equal(guess, want)
                 kinds[kind] += 1
         assert min(kinds.values()) > 10, kinds
+
+
+def norm_square_scalar():
+    """f(u) = |u| u in R^2 given by scalar f and lip only."""
+    return Problem(
+        dim=2,
+        u0=np.array([0.6, 0.8]),
+        f=lambda t, u: np.linalg.norm(u) * u,
+        lip=lambda t, a, b: 2.0 * max(a, b),
+    )
+
+
+class TestTracerFidelity:
+    """Wrapping rhs_at/lip_at on every module binding, as the benchmark's
+    tracer does, sees every point at which f and lip are evaluated."""
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "scalar"])
+    def test_wrapped_points_equal_evaluated_points(self, monkeypatch, batch):
+        counts = {"f": 0, "lip": 0, "rhs_at": 0, "lip_at": 0}
+        if batch:
+            base = make_power_square(1.0)
+
+            def f_batch(ts, us):
+                counts["f"] += len(ts)
+                return base.f_batch(ts, us)
+
+            def lip_batch(ts, a, b):
+                counts["lip"] += len(ts)
+                return base.lip_batch(ts, a, b)
+
+            p = dataclasses.replace(base, f_batch=f_batch, lip_batch=lip_batch)
+        else:
+            base = norm_square_scalar()
+
+            def f(t, u):
+                counts["f"] += 1
+                return base.f(t, u)
+
+            def lip(t, a, b):
+                counts["lip"] += 1
+                return base.lip(t, a, b)
+
+            p = dataclasses.replace(base, f=f, lip=lip)
+
+        mods = [m for name, m in sys.modules.items() if name.split(".")[0] == "hpgalerkin"]
+        for name, orig in (("rhs_at", problems.rhs_at), ("lip_at", problems.lip_at)):
+
+            def traced(p, ts, *args, _name=name, _orig=orig):
+                counts[_name] += len(ts)
+                return _orig(p, ts, *args)
+
+            for mod in mods:
+                for attr, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, attr, traced)
+
+        cfg = AdaptConfig(scheme=Scheme.CG, mode=Mode.HP, r_init=1, k_init=0.15, tol_star=1e-6)
+        result = hp_adapt(p, cfg)
+        assert result.termination is Termination.DELTA_NOT_FOUND
+        assert counts["rhs_at"] == counts["f"] > 0
+        assert counts["lip_at"] == counts["lip"] > 0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import hpgalerkin.cli as cli
 from hpgalerkin.cli import (
     SWEEP_HEADER,
     ConfigError,
@@ -81,6 +82,23 @@ class TestRunVerb:
             },
         )
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 3
+
+    def test_overflowing_update_aborts(self, tmp_path):
+        # f(u0) = 1.5e308 is finite but the first Picard update is not:
+        # every step diverges until k falls below k_min
+        config = {
+            "problem": {"name": "linear", "lam": 1.0, "u0": [1.5e308]},
+            "scheme": "cg",
+            "mode": "hp",
+            "r": 1,
+            "k_init": 1.0,
+            "tol_star": 1e-6,
+            "picard": {"divergence_cap": 1e308},
+        }
+        cfg, out = write_json(tmp_path / "big.json", config), tmp_path / "r.json"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert (report["termination"], report["M"]) == ("k_min_reached", 0)
 
     def test_report_reproducible_byte_for_byte(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", RUN_CONFIG)
@@ -393,6 +411,21 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
+
+    @pytest.mark.parametrize("verb,config", [("run", RUN_CONFIG), ("sweep", SWEEP_CONFIG)])
+    @pytest.mark.parametrize("out", ["nodir/x.json", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_rejected_before_the_run(
+        self, tmp_path, capsys, monkeypatch, verb, config, out
+    ):
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "_solve", no_run)
+        cfg = write_json(tmp_path / "c.json", config)
+        target = str(tmp_path / out)
+        assert main([verb, "--config", cfg, "--out", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output file {target}") and err.count("\n") == 1
 
     def test_degree_cap_is_inclusive(self, tmp_path):
         # 58 is the largest degree whose r + 6 point rule exists

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -81,8 +82,10 @@ def flat_reconstruction(value, iv=Interval(0.0, 0.1), degree=2):
 
 
 def phi(p, iv, u_hat, psi, delta):
-    """phi(delta) as solve_delta evaluates it, on the default rule."""
-    return _growth_factory(p, iv, u_hat, psi)(delta) - delta
+    """phi(delta) as solve_delta evaluates it, on the default rule and
+    under its errstate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _growth_factory(p, iv, u_hat, psi)(delta) - delta
 
 
 class TestPhi:
@@ -109,6 +112,29 @@ class TestPhi:
         p = make_exponential(1.0)
         iv = Interval(0.0, 0.1)
         assert phi(p, iv, flat_reconstruction(1.0, iv), psi=800.0, delta=2.0) == math.inf
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("batch", [True, False], ids=["batch", "scalar"])
+    def test_non_finite_envelope_is_plus_inf(self, bad, batch):
+        # one non-finite envelope value, at the last node of the rule,
+        # leaves the exponent non-finite since every weight is positive
+        def lip(t, a, b):
+            return bad if t > 0.09 else a + b
+
+        p = Problem(dim=1, u0=[1.0], f=lambda t, u: u * u, lip=lip)
+        if batch:
+            p = dataclasses.replace(p, lip_batch=np.vectorize(lip, otypes=[float]))
+        iv = Interval(0.0, 0.1)
+        u_hat = flat_reconstruction(1.0, iv)
+        assert phi(p, iv, u_hat, psi=1e-3, delta=2.0) == math.inf
+        out = solve_delta(p, iv, u_hat, psi=1e-3)
+        assert isinstance(out, DeltaNotFound) and out.min_phi == math.inf
+
+    def test_python_float_overflow_is_plus_inf(self):
+        # a scalar lip gets Python floats, whose ** raises OverflowError
+        p = Problem(dim=1, u0=[1.0], f=lambda t, u: u, lip=lambda t, a, b: a**2 + b**2)
+        iv = Interval(0.0, 0.1)
+        assert phi(p, iv, flat_reconstruction(1.0, iv), psi=1e200, delta=2.0) == math.inf
 
 
 class TestSolveDelta:
@@ -180,10 +206,12 @@ def steep_problem():
 
 def assert_scan_matches_reference(p, iv, u_hat, psi):
     """The skipping scan gives the reference's float, or DeltaNotFound
-    where the reference finds no crossing; returns which."""
-    growth = _growth_factory(p, iv, u_hat, psi)
-    got = _scan_and_bisect(growth)
-    ref = reference_scan_and_bisect(lambda d: growth(d) - d)
+    where the reference finds no crossing; returns which.  Both run
+    under the errstate solve_delta holds."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        growth = _growth_factory(p, iv, u_hat, psi)
+        got = _scan_and_bisect(growth)
+        ref = reference_scan_and_bisect(lambda d: growth(d) - d)
     if isinstance(ref, float):
         assert type(got) is float and got == ref
         return "found"

@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre
@@ -15,8 +17,14 @@ from hpgalerkin.galerkin import (
     reconstruct,
     step,
 )
-from hpgalerkin.poly import Interval
-from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
+from hpgalerkin.poly import Interval, LocalPoly
+from hpgalerkin.problems import (
+    NumericOverflow,
+    Problem,
+    make_exponential,
+    make_linear,
+    make_power_square,
+)
 
 from _oracles import reference_reconstruct, reference_residual, reference_step
 
@@ -122,6 +130,82 @@ class TestNonexistence:
         out = step(p, StepInput(Interval(0.0, 0.01), 1, np.array([1.0]), Scheme.CG), cfg)
         assert not out.converged
         assert out.failure is StepFailure.DIVERGED
+
+
+def poisoned_power_square(bad, at_call):
+    """u' = u^2 whose f_batch returns ``bad`` at one node from its
+    ``at_call``-th call on; each Problem counts its own calls."""
+    calls = [0]
+
+    def f_batch(ts, us):
+        calls[0] += 1
+        vals = us * us
+        if calls[0] >= at_call:
+            vals[len(ts) // 2] = bad
+        return vals
+
+    return dataclasses.replace(make_power_square(1.0), f_batch=f_batch)
+
+
+OVERFLOW_SCHEMES = [(Scheme.CG, 1), (Scheme.DG, 0), (Scheme.CG, 3)]
+
+
+class TestOverflow:
+    """f or the Picard update leaving double range: the step diverges,
+    the reconstruction and residual raise NumericOverflow."""
+
+    @pytest.mark.parametrize("scheme,r", OVERFLOW_SCHEMES + [(Scheme.DG, 2)])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("at_call", [1, 3])
+    def test_non_finite_f_matches_reference(self, scheme, r, bad, at_call):
+        inp = StepInput(Interval(0.0, 0.05), r, np.array([1.0]), scheme)
+        cfg = PicardConfig()
+        out = step(poisoned_power_square(bad, at_call), inp, cfg)
+        ref = reference_step(poisoned_power_square(bad, at_call), inp, cfg)
+        assert ref[1:] == (at_call, False, StepFailure.DIVERGED)
+        assert_same_step(out, ref, 1e-13)
+
+    @pytest.mark.parametrize("scheme,r", OVERFLOW_SCHEMES)
+    def test_raising_scalar_f_matches_reference(self, scheme, r):
+        # exp's scalar f raises NumericOverflow above u = 709 itself
+        p = dataclasses.replace(make_exponential(1.0), f_batch=None, lip_batch=None)
+        inp = StepInput(Interval(0.0, 1e-300), r, np.array([705.0]), scheme)
+        out, ref = step(p, inp), reference_step(p, inp, PicardConfig())
+        assert ref[1:] == (2, False, StepFailure.DIVERGED)
+        assert_same_step(out, ref, 1e-13)
+
+    @pytest.mark.parametrize("scheme,r", OVERFLOW_SCHEMES)
+    @pytest.mark.parametrize("cap", [1e308, np.inf])
+    def test_overflowing_update_diverges(self, scheme, r, cap):
+        # f = 1.5e308 is finite, but u_left + k f is not
+        p = make_linear(1.0, [1.5e308])
+        inp = StepInput(Interval(0.0, 1.0), r, p.u0, scheme)
+        out = step(p, inp, PicardConfig(divergence_cap=cap))
+        assert (out.converged, out.failure, out.picard_iters) == (False, StepFailure.DIVERGED, 1)
+        # reported at the last finite iterate, the constant start
+        np.testing.assert_array_equal(out.u.coeffs[0], p.u0)
+        assert not out.u.coeffs[1:].any()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_reconstruct_and_residual_raise(self, bad):
+        iv = Interval(0.0, 0.05)
+        inp = StepInput(iv, 2, np.array([1.0]), Scheme.CG)
+        u = step(make_power_square(1.0), inp).u
+        p = poisoned_power_square(bad, 1)
+        with pytest.raises(NumericOverflow):
+            reconstruct(p, inp, u)
+        with pytest.raises(NumericOverflow):
+            residual_estimator(p, reconstruct(make_power_square(1.0), inp, u), inp.u_left)
+
+    def test_overflowing_lift_raises(self):
+        # f = 1e308 is finite, but the lifted coefficients are not
+        p = make_linear(1.0, [1e308])
+        inp = StepInput(Interval(0.0, 10.0), 1, p.u0, Scheme.CG)
+        u = LocalPoly.constant(inp.interval, p.u0, degree=1)
+        with pytest.raises(NumericOverflow):
+            reconstruct(p, inp, u)
+        with pytest.raises(NumericOverflow):
+            residual_estimator(p, u, inp.u_left)
 
 
 class TestReconstruction:

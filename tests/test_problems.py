@@ -126,10 +126,12 @@ class TestLipIntegral:
         assert abs(val - 1.0) < 1e-14
 
     def test_overflow_reported(self):
-        # an envelope beyond double range reads as phi = +inf (no certificate)
+        # an envelope beyond double range reads as phi = +inf (no
+        # certificate), under the errstate solve_delta holds
         p = make_exponential(1.0)
         u_hat = LocalPoly.constant(Interval(0.0, 1.0), [0.0])
-        assert _growth_factory(p, Interval(0.0, 1.0), u_hat, 800.0)(1.0) == math.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _growth_factory(p, Interval(0.0, 1.0), u_hat, 800.0)(1.0) == math.inf
 
 
 class TestEnvelopeConsistency:
@@ -241,11 +243,38 @@ class TestScalarFallback:
             rhs_at(p, np.array([0.0, 0.1]), np.ones((2, 2)))
 
     def test_overflow_reported(self):
-        p = without_batch(make_power_square(1.0))
-        with pytest.raises(NumericOverflow):
-            rhs_at(p, np.array([0.0]), np.array([[1e200]]))
-        with pytest.raises(NumericOverflow):
-            lip_at(without_batch(make_exponential(1.0)), np.zeros(1), np.array([1e3]), np.zeros(1))
+        # rhs_at and lip_at hand overflow to their callers, which hold the
+        # errstate (as here) and read it from their sums; a scalar f or
+        # lip may raise NumericOverflow itself, as exp's do
+        p, q = without_batch(make_power_square(1.0)), without_batch(make_exponential(1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert rhs_at(p, np.array([0.0]), np.array([[1e200]])).tolist() == [[math.inf]]
+            with pytest.raises(NumericOverflow):
+                lip_at(q, np.zeros(1), np.array([1e3]), np.zeros(1))
+
+    def test_mixed_scalar_and_row_in_one_dimension(self):
+        p = Problem(
+            dim=1,
+            u0=[1.0],
+            f=lambda t, u: float(u[0]) ** 2 if t < 0.15 else np.array([u[0] ** 2]),
+            lip=lambda t, a, b: a + b,
+        )
+        ts = np.array([0.0, 0.1, 0.2])
+        us = np.array([[1.0], [2.0], [3.0]])
+        np.testing.assert_array_equal(rhs_at(p, ts, us), [[1.0], [4.0], [9.0]])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda u: 1.0, lambda u: np.ones(3), lambda u: np.ones((2, 1))],
+        ids=["scalar", "length-3", "column"],
+    )
+    def test_ragged_rows_raise_in_two_dimensions(self, bad):
+        # one good (2,) row among rows of another shape
+        p = Problem(
+            dim=2, u0=[1.0, 0.0], f=lambda t, u: u if t < 0.05 else bad(u), lip=lambda t, a, b: 1.0
+        )
+        with pytest.raises(ValueError, match=r"expected \(2,\)"):
+            rhs_at(p, np.array([0.0, 0.1]), np.ones((2, 2)))
 
 
 class TestBuiltinLookup:
