@@ -10,40 +10,33 @@ For each accepted interval the drivers assemble a ``StepEstimate``:
 * ``delta``: leftmost root > 1 of phi(d) = exp(int lip(s, d*psi +
   |uhat|, |uhat|) ds) - d.  When it exists, delta * psi bounds the sup
   norm of the reconstruction error on the interval; when phi stays
-  positive over the whole scan range, no such certificate exists and
+  positive over the whole search range, no such certificate exists and
   the drivers read that as proximity to blow-up.
 * ``delta_hat``: running product of all deltas, the accumulated growth
   factor of the certified bound.
 
-``solve_delta`` runs a finite-difference Newton iteration warm-started
-from the previous interval's delta and accepts its root only if phi
-changes sign downward across it: phi < 0 at delta*(1 + VERIFY_EPS) and
-phi > 0 at delta*(1 - VERIFY_EPS) (or that point lies below 1).  This
-local check does not rule out a crossing further left.  When
-Newton fails it falls back to a geometric scan plus bisection.  The
-scan skips ahead: phi(d) = E(d) - d with the growth E(d) = exp(int
-lip(s, d*psi + |uhat|, |uhat|) ds), and E is nondecreasing in d because
-the ``Problem`` contract makes lip nondecreasing in its magnitude
-arguments, so phi > 0 at every grid point below E(g) of an evaluated
-g.  The scan therefore evaluates next the first grid point at or above
-E(g); it brackets the same sign change as a scan of every grid point,
-and a scan that finds none ends after a few evaluations.
+``solve_delta`` finds delta in one bracketed loop, described in its
+docstring.  phi(d) = E(d) - d with the growth E(d) = exp(int lip(s,
+d*psi + |uhat|, |uhat|) ds).  E is nondecreasing in d because the
+``Problem`` contract makes lip nondecreasing in its magnitude
+arguments, so no root above a point lo lies below E(lo).  The returned
+delta has phi(delta) < 0, the condition under which delta * psi is a
+bound.
 
 Each ``solve_delta`` holds one ``np.errstate`` for all its envelope
 evaluations.  An envelope that overflows, to inf or nan, gives the
 growth E = +inf, so phi > 0 there: no certificate at that delta.
 
-The controls of ``solve_delta`` are fixed: Newton stops at
-|phi| <= NEWTON_TOL = 1e-10 within MAX_NEWTON = 50 iterations, with
-difference step FD_STEP = 1e-7 relative to max(delta, 1); a root is
-verified by the sign of phi at a relative offset VERIFY_EPS = 1e-8 on
-either side; the scan covers [1, DELTA_MAX = 1e6] at SCAN_POINTS = 200
-geometric points.
+The controls of ``solve_delta`` are fixed: it stops at |phi| <= PHI_TOL
+= 1e-10 or at a bracket 4 ulp wide within [1, DELTA_MAX = 1e6], and its
+scan step SCAN_RATIO = DELTA_MAX ** (1/199) is the ratio of a 200-point
+geometric grid over that range.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -67,12 +60,10 @@ __all__ = [
 _RESIDUAL_EXTRA_DEGREE = 4
 
 # solve_delta controls, described in the module docstring
-NEWTON_TOL = 1e-10
-MAX_NEWTON = 50
-FD_STEP = 1e-7
+PHI_TOL = 1e-10
 DELTA_MAX = 1e6
-SCAN_POINTS = 200
-VERIFY_EPS = 1e-8
+SCAN_RATIO = DELTA_MAX ** (1.0 / 199)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -87,12 +78,12 @@ class StepEstimate:
 
 @dataclass(frozen=True)
 class DeltaNotFound:
-    """phi stayed positive over the scanned range: no growth certificate.
+    """phi showed no sign change on [1, DELTA_MAX]: no growth certificate.
 
     min_phi/argmin record where phi came closest to crossing among the
-    grid points the scan evaluated (it skips points where phi is known
-    to be positive), for diagnosis; this is the blow-up termination
-    signal, not an error.
+    points the solve evaluated (it skips points where phi is known to be
+    positive), for diagnosis; this is the blow-up termination signal,
+    not an error.
     """
 
     min_phi: float
@@ -152,12 +143,13 @@ def _growth_factory(
     return growth
 
 
-def _verified_crossing(phi_of, delta: float) -> bool:
-    """Check delta sits on a downward sign change of phi."""
-    if not phi_of(delta * (1.0 + VERIFY_EPS)) < 0.0:
-        return False
-    lower = delta * (1.0 - VERIFY_EPS)
-    return lower < 1.0 or phi_of(lower) > 0.0
+def _secant_root(x0: float, f0: float, x1: float, f1: float) -> float:
+    """Where the line through (x0, f0) and (x1, f1) reaches -4 eps x1, a
+    few roundoffs below 0, so that a step onto the root of a straight phi
+    lands where phi < 0; nan where the line is flat."""
+    if f1 == f0 or not math.isfinite(f1 - f0):
+        return math.nan
+    return x1 - (f1 + 4.0 * _EPS * x1) * (x1 - x0) / (f1 - f0)
 
 
 def solve_delta(
@@ -169,87 +161,84 @@ def solve_delta(
 ) -> Union[float, DeltaNotFound]:
     """Leftmost delta > 1 with phi(delta) < 0, or DeltaNotFound.
 
-    Newton with a finite-difference derivative, warm-started near 1 on
-    the first interval and at the previous delta afterwards; the result
-    is accepted only if phi vanishes within NEWTON_TOL and the point
-    verifies as a downward crossing.  Otherwise a geometric scan over
-    [1, DELTA_MAX] brackets the first sign change and bisects it.
+    The loop keeps lo, with phi(lo) >= 0 (1 at first); floor =
+    max(E(lo), the float after lo), as phi >= 0 on [lo, floor); and hi,
+    the last point with phi(hi) < 0.  It starts at max(prev_delta,
+    E(1)).  Each next point is s, the secant root (``_secant_root``)
+    through the last two points, at least floor:
+
+    * without hi, a probe goes to s when s > lo and the last point
+      moved lo (twice as far from lo after a scan step: a secant through
+      two points with phi >= 0 falls short of the root of a convex
+      phi); otherwise, and after every probe that found phi >= 0, a
+      scan step goes to max(floor, lo * SCAN_RATIO);
+    * with hi, the step goes to s, or to the midpoint of [lo, hi] when
+      s >= hi or the last secant step did not halve hi - lo, and never
+      past max(floor, lo * SCAN_RATIO).
+
+    A point with phi >= 0 becomes lo only up to max(floor, lo *
+    SCAN_RATIO), so no sign change is passed over by more than one scan
+    step.  The loop returns hi, a float, once |phi(hi)| <= PHI_TOL or
+    hi - floor <= 4 eps hi, and DeltaNotFound, with min_phi/argmin over
+    the points evaluated, once floor > DELTA_MAX.
+
+    It ends without a budget.  A scan step that finds phi >= 0
+    multiplies lo by SCAN_RATIO, at most 200 times below DELTA_MAX, and
+    follows at most one probe.  With hi, a bisection halves hi - lo (at
+    most 70 times from 1e6 to 4 eps) or is such a scan step, and any
+    other step is followed by a bisection.  With phi(1) and the first
+    point, phi is evaluated at most 2 + (2 * 200 + 2) + (2 * 70 + 1) =
+    545 times.
     """
     # one errstate for every envelope evaluation of the solve; growth
     # reads overflow from its exponent
     with np.errstate(over="ignore", invalid="ignore"):
         growth = _growth_factory(p, iv, u_hat, psi)
+        e_one = growth(1.0)
+        if not (e_one - 1.0 >= -1e-12):
+            raise ArithmeticError(f"phi(1) = {e_one - 1.0} < 0; estimator state is inconsistent")
 
-        def phi_of(delta: float) -> float:
-            return growth(delta) - delta
+        lo, floor, hi = 1.0, max(e_one, math.nextafter(1.0, math.inf)), math.inf
+        x_last, f_last = 1.0, e_one - 1.0
+        min_phi, argmin = f_last, 1.0
+        x = min(max(floor, float(prev_delta or 1.0)), DELTA_MAX)
+        step, width = "warm", math.inf
+        while True:
+            e = growth(x)
+            fx = e - x
+            if fx < min_phi:
+                min_phi, argmin = fx, x
+            moved = False
+            if fx < 0.0:
+                hi = x
+                if fx >= -PHI_TOL:
+                    return hi
+            elif x <= max(floor, lo * SCAN_RATIO):
+                lo, floor, moved = x, max(floor, e, math.nextafter(x, math.inf)), True
+            if hi == math.inf:
+                if floor > DELTA_MAX:
+                    return DeltaNotFound(min_phi=min_phi, argmin=argmin)
+            elif hi - floor <= 4.0 * _EPS * hi:
+                return hi
 
-        phi_at_one = phi_of(1.0)
-        if not (phi_at_one >= -1e-12):
-            raise ArithmeticError(f"phi(1) = {phi_at_one} < 0; estimator state is inconsistent")
-
-        delta = prev_delta if prev_delta is not None else 1.0 + 1e-6
-        delta = min(max(delta, 1.0), DELTA_MAX)
-        for _ in range(MAX_NEWTON):
-            fv = phi_of(delta)
-            if not math.isfinite(fv):
-                break
-            if abs(fv) <= NEWTON_TOL:
-                if _verified_crossing(phi_of, delta):
-                    return delta
-                break
-            h = FD_STEP * max(delta, 1.0)
-            dfv = (phi_of(delta + h) - fv) / h
-            if not math.isfinite(dfv) or dfv == 0.0:
-                break
-            new_delta = min(max(delta - fv / dfv, 1.0), DELTA_MAX)
-            if new_delta == delta:
-                break
-            delta = new_delta
-
-        return _scan_and_bisect(growth)
-
-
-def _scan_and_bisect(growth) -> Union[float, DeltaNotFound]:
-    """Bracket the first grid point with phi < 0 and bisect it.
-
-    E is nondecreasing in delta because lip is nondecreasing in its
-    magnitude arguments, so every grid point g' < E(g) has phi(g') > 0
-    and is skipped: the scan evaluates only the first grid point at or
-    above E(g) next, and brackets the same sign change as a full scan.
-    """
-    grid = np.geomspace(1.0, DELTA_MAX, SCAN_POINTS)
-    min_phi, argmin = math.inf, 1.0
-    bracket = None
-    i = 1
-    while i < SCAN_POINTS:
-        g = float(grid[i])
-        e = growth(g)
-        fg = e - g
-        if fg < min_phi:
-            min_phi, argmin = fg, g
-        if fg < 0.0:
-            bracket = (float(grid[i - 1]), g)
-            break
-        # resume at the first grid point >= E(g)
-        i = max(i + 1, int(np.searchsorted(grid, e))) if fg > 0.0 else i + 1
-    if bracket is None:
-        return DeltaNotFound(min_phi=min_phi, argmin=argmin)
-
-    lo, hi = bracket
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = growth(mid) - mid
-        if abs(fm) <= NEWTON_TOL:
-            return mid
-        if fm < 0.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 4.0 * np.finfo(float).eps * hi:
-            break
-    # phi is too steep to pin |phi| below tol in double precision; the
-    # bracket still certifies the crossing.
-    return hi
+            s = _secant_root(x_last, f_last, x, fx)
+            x_last, f_last = x, fx
+            cap = min(max(floor, lo * SCAN_RATIO), DELTA_MAX)
+            if hi == math.inf:
+                if s > lo and moved and step != "probe":
+                    s = max(s, floor)
+                    x = min(lo + 2.0 * (s - lo) if step == "scan" else s, DELTA_MAX)
+                    step = "probe"
+                else:
+                    x, step = cap, "scan"
+            else:
+                s = s if s > floor else floor
+                if not s < hi or (step == "secant" and hi - lo > 0.5 * width):
+                    s, step = max(0.5 * (lo + hi), floor), "bisect"
+                else:
+                    step = "secant"
+                width = hi - lo
+                x = min(s, cap)
 
 
 def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:

@@ -1,33 +1,40 @@
 #!/usr/bin/env python3
-"""SHA-256 digest of every report number of the seed-1 benchmark runs.
+"""SHA-256 digests of the report numbers of the benchmark runs.
 
 Usage (from the root of a checkout):
 
-    python3 tests/report_digest.py
+    python3 tests/report_digest.py [--seed N]
 
 Runs each operation of every ``bench/run.py`` workload once, in the
-seed-1 order, through the benchmark's own ``load_program``,
-``build_inputs`` and ``solve``, and prints one line per workload:
-its name, the number of runs and the digest.  Two checkouts whose
-solver numbers are bit-identical print the same lines.
+order the seed draws (default 1), through the benchmark's own
+``load_program``, ``build_inputs`` and ``solve``, and prints one line
+per workload: its name, the number of runs and two digests.  Two
+checkouts whose solver numbers are bit-identical print the same lines.
 
-Per run the digest covers T, M, dofs, the termination, the tolerance
-trace and the number of f points.  Per accepted interval it covers the
-endpoints, the degree, the Picard iteration count, every estimate,
-theta, the reconstruction error, the attempts, the decisions, the
-interval's dofs, and the bytes of the step and reconstruction
-coefficients.  Floats enter through ``repr``, which round-trips.
+``sha256`` (the full digest) covers, per run, T, M, dofs, the
+termination, the tolerance trace and the number of f points; per
+accepted interval, the endpoints, the degree, the Picard iteration
+count, every estimate, theta, the reconstruction error, the attempts,
+the decisions, the interval's dofs, and the bytes of the step and
+reconstruction coefficients.  Floats enter through ``repr``, which
+round-trips.
+
+``decisions`` covers the same fields except those that move with the
+last bits of ``delta``: ``psi``, ``delta``, ``bound``, ``delta_hat``,
+``effectivity`` and the tolerance trace.  Two checkouts that take the
+same steps and make the same refinement decisions print the same
+``decisions`` digest even when their ``delta`` solves round differently.
 
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
 
+import argparse
 import hashlib
 import importlib.util
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SEED = 1
 
 
 def load_bench():
@@ -42,43 +49,47 @@ def _coeff_bytes(coeffs):
     return repr(coeffs.shape).encode() + coeffs.astype("<f8", order="C").tobytes()
 
 
-def run_digest(h, result, f_points):
-    h.update(repr((result.T, result.M, result.dofs, result.termination.value)).encode())
-    h.update(repr((tuple(result.tol_trace), f_points)).encode())
+def run_digest(full, decisions, result, f_points):
+    """Feed one run into the full and the decision digest."""
+    run = (result.T, result.M, result.dofs, result.termination.value)
+    full.update(repr(run).encode())
+    full.update(repr((tuple(result.tol_trace), f_points)).encode())
+    decisions.update(repr(run + (f_points,)).encode())
     for rec in result.intervals:
         est = rec.estimate
-        fields = (
+        steps = (
             rec.interval.t_start,
             rec.interval.t_end,
             rec.r,
             rec.output.picard_iters,
             est.eta_res,
-            est.psi,
-            est.delta,
-            est.bound,
-            est.delta_hat,
-            est.effectivity,
-            rec.theta,
-            rec.recon_error,
-            rec.attempts,
-            rec.decisions,
-            rec.dofs,
         )
-        h.update(repr(fields).encode())
-        h.update(_coeff_bytes(rec.output.u.coeffs))
-        h.update(_coeff_bytes(rec.reconstruction.coeffs))
+        outcome = (rec.theta, rec.recon_error, rec.attempts, rec.decisions, rec.dofs)
+        coeffs = _coeff_bytes(rec.output.u.coeffs) + _coeff_bytes(rec.reconstruction.coeffs)
+        full.update(
+            repr(steps + (est.psi, est.delta, est.bound, est.delta_hat, est.effectivity) + outcome).encode()
+        )
+        full.update(coeffs)
+        decisions.update(repr(steps + outcome).encode())
+        decisions.update(coeffs)
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="the benchmark seed (default 1)")
+    seed = parser.parse_args(argv).seed
     bench = load_bench()
     for workload in bench.WORKLOADS:
-        _, ops = bench.build_inputs(workload, SEED)
-        h = hashlib.sha256()
+        _, ops = bench.build_inputs(workload, seed)
+        full, decisions = hashlib.sha256(), hashlib.sha256()
         for ladder, tol in ops:
             ladder.f_points[0] = 0
             result = bench.solve(ladder, tol)
-            run_digest(h, result, ladder.f_points[0])
-        print(f"{workload} runs={len(ops)} sha256={h.hexdigest()}")
+            run_digest(full, decisions, result, ladder.f_points[0])
+        print(
+            f"{workload} runs={len(ops)} sha256={full.hexdigest()} "
+            f"decisions={decisions.hexdigest()}"
+        )
     return 0
 
 

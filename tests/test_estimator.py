@@ -9,7 +9,6 @@ from hpgalerkin.estimator import (
     DeltaNotFound,
     StepEstimate,
     _growth_factory,
-    _scan_and_bisect,
     psi_update,
     reconstruction_error,
     residual_estimator,
@@ -152,17 +151,49 @@ class TestSolveDelta:
 
     def test_not_found_far_from_existence(self):
         # exponent >= k*(delta*psi + 2*|uhat|) = 0.5*(delta + 20), so phi > 0
-        # throughout the scan range
-        p = make_power_square(1.0)
+        # throughout the range
+        p, evals = counted_lip(make_power_square(1.0))
         iv = Interval(0.0, 0.5)
-        u_hat = flat_reconstruction(10.0, iv)
-        out = solve_delta(p, iv, u_hat, psi=1.0)
+        out = solve_delta(p, iv, flat_reconstruction(10.0, iv), psi=1.0)
         assert isinstance(out, DeltaNotFound)
         assert out.min_phi > 0.0
-        # the scan skips every grid point below the growth of the last one
-        growth, calls = _growth_factory(p, iv, u_hat, 1.0), []
-        assert _scan_and_bisect(lambda d: calls.append(d) or growth(d)) == out
-        assert len(calls) <= 3
+        # the floor E(lo) passes DELTA_MAX after a few evaluations
+        assert len(evals) <= 3
+
+    @pytest.mark.parametrize(
+        "growth",
+        [lambda d: d * (1.0 + 1e-3), lambda d: d + 1.0 / d],
+        ids=["slow-floor", "falling-phi"],
+    )
+    def test_not_found_within_stated_bound(self, growth):
+        # phi = E(d) - d stays just above 0 on all of [1, DELTA_MAX]:
+        # E(lo) lifts the floor by less than one scan step, so the loop
+        # scans the whole range (falling-phi: with a probe before each
+        # scan step)
+        k = 0.5
+        p, evals = counted_lip(
+            Problem(dim=1, u0=[1.0], f=lambda t, u: u, lip=lambda t, a, b: math.log(growth(a)) / k)
+        )
+        iv = Interval(0.0, k)
+        out = solve_delta(p, iv, flat_reconstruction(0.0, iv), psi=1.0, prev_delta=2.0)
+        assert isinstance(out, DeltaNotFound) and out.min_phi > 0.0
+        # the worst case the solve_delta docstring states
+        assert 190 <= len(evals) <= 545
+        assert phi(p, iv, flat_reconstruction(0.0, iv), 1.0, out.argmin) == out.min_phi
+
+    def test_far_warm_start_finds_the_cold_root(self):
+        # prev_delta = 40 lies past the root pair of phi (phi(20) < 0 <
+        # phi(40)); the first sign change above 1 is still the one returned
+        p = make_exponential(1.0)
+        iv = Interval(0.0, 0.0407)
+        u_hat = LocalPoly.constant(iv, [0.7643], degree=2)
+        assert phi(p, iv, u_hat, 0.192, 20.0) < 0.0 < phi(p, iv, u_hat, 0.192, 40.0)
+        cold = solve_delta(p, iv, u_hat, psi=0.192)
+        warm = solve_delta(p, iv, u_hat, psi=0.192, prev_delta=40.0)
+        assert type(warm) is float
+        assert warm == pytest.approx(cold, rel=1e-9)
+        assert warm == pytest.approx(1.10264, rel=1e-5)
+        assert phi(p, iv, u_hat, 0.192, warm) < 0.0
 
     def test_left_crossing_verified(self):
         p = make_power_square(1.0)
@@ -193,6 +224,19 @@ class TestSolveDelta:
             assert d == pytest.approx(math.exp(L * k), abs=1e-8)
 
 
+def counted_lip(p):
+    """p with a lip_batch that records its calls: one call per phi
+    evaluation."""
+    evals = []
+    batch = p.lip_batch or np.vectorize(p.lip, otypes=[float])
+
+    def lip_batch(ts, a, b):
+        evals.append(ts)
+        return batch(ts, a, b)
+
+    return dataclasses.replace(p, lip_batch=lip_batch), evals
+
+
 def steep_problem():
     """lip = exp(exp(max(a, b))): monotone, and past double range above
     a = 6.56, through the scalar per-point path of lip_at."""
@@ -204,20 +248,22 @@ def steep_problem():
     )
 
 
-def assert_scan_matches_reference(p, iv, u_hat, psi):
-    """The skipping scan gives the reference's float, or DeltaNotFound
-    where the reference finds no crossing; returns which.  Both run
-    under the errstate solve_delta holds."""
+def assert_matches_reference(p, iv, u_hat, psi, prev_delta=None):
+    """solve_delta returns a float with phi < 0 where the reference scan
+    of every grid point finds a crossing, within rel 1e-9 of its root,
+    and DeltaNotFound where it finds none; returns which."""
+    got = solve_delta(p, iv, u_hat, psi, prev_delta=prev_delta)
+    if type(got) is float:
+        assert phi(p, iv, u_hat, psi, got) < 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         growth = _growth_factory(p, iv, u_hat, psi)
-        got = _scan_and_bisect(growth)
         ref = reference_scan_and_bisect(lambda d: growth(d) - d)
     if isinstance(ref, float):
-        assert type(got) is float and got == ref
+        assert type(got) is float and got == pytest.approx(ref, rel=1e-9)
         return "found"
     assert isinstance(got, DeltaNotFound)
-    # the minimum over fewer grid points, every one of them positive
-    assert got.min_phi >= ref[1] > 0.0
+    # the minimum over the points the loop evaluated, every one positive
+    assert got.min_phi > 0.0 and phi(p, iv, u_hat, psi, got.argmin) == got.min_phi
     return "not found"
 
 
@@ -230,7 +276,7 @@ SCAN_PROBLEMS = [
 
 
 class TestScanAgainstReference:
-    """``_scan_and_bisect`` against the scan of every grid point."""
+    """``solve_delta``, cold and warm, against the scan of every grid point."""
 
     @pytest.mark.parametrize("p", SCAN_PROBLEMS, ids=["power2", "exp", "linear", "steep"])
     def test_grid_of_states(self, p):
@@ -239,7 +285,9 @@ class TestScanAgainstReference:
             for u in (0.0, 0.5, 3.0, 20.0):
                 for psi in (1e-9, 1e-3, 0.3, 5.0):
                     iv = Interval(0.0, k)
-                    outcomes.add(assert_scan_matches_reference(p, iv, flat_reconstruction(u, iv), psi))
+                    u_hat = flat_reconstruction(u, iv)
+                    for prev_delta in (None, 1.0, 1.3, 40.0, 100.0):
+                        outcomes.add(assert_matches_reference(p, iv, u_hat, psi, prev_delta))
         # a constant envelope always has its root e^(Lk) inside the range
         assert outcomes == ({"found"} if p.name == "linear" else {"found", "not found"})
 
@@ -250,13 +298,14 @@ class TestScanAgainstReference:
         u=st.floats(0.0, 50.0),
         psi=st.floats(1e-10, 10.0),
         degree=st.integers(0, 4),
+        prev_delta=st.one_of(st.none(), st.floats(1.0, 100.0)),
     )
-    def test_drawn_states(self, which, k, u, psi, degree):
+    def test_drawn_states(self, which, k, u, psi, degree, prev_delta):
         iv = Interval(0.0, k)
         coeffs = np.zeros((degree + 1, 1))
         coeffs[0, 0] = u
         coeffs[degree, 0] += 0.1 * u  # a non-constant |uhat| when degree > 0
-        assert_scan_matches_reference(SCAN_PROBLEMS[which], iv, LocalPoly(iv, coeffs), psi)
+        assert_matches_reference(SCAN_PROBLEMS[which], iv, LocalPoly(iv, coeffs), psi, prev_delta)
 
 
 class TestEffectivity:
