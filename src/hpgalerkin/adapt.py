@@ -43,18 +43,8 @@ from .estimator import (
     residual_estimator,
     solve_delta,
 )
-from .galerkin import (
-    MAX_DEGREE,
-    PicardConfig,
-    Scheme,
-    StepInput,
-    StepOutput,
-    _rule_size,
-    picard_operator,
-    reconstruct,
-    step,
-)
-from .poly import Interval, LocalPoly
+from .galerkin import PicardConfig, Scheme, StepInput, StepOutput, reconstruct, step
+from .poly import MAX_DEGREE, Interval, LocalPoly, basis
 from .problems import NumericOverflow, Problem
 
 __all__ = [
@@ -176,8 +166,11 @@ def smoothness(u: LocalPoly, r: int) -> SmoothnessReport:
     j = np.arange(r - 1, u.degree + 1, dtype=float)[:, None]
     for s in range(r - 1):
         w = (2.0 * (j - s) - 1.0) * w * (2.0 / k)
-    if w.size == 0 or abs(w).max() <= _ZERO_POLY_RTOL * abs(u.coeffs).max():
+    if w.size == 0 or (w_max := abs(w).max()) <= _ZERO_POLY_RTOL * abs(u.coeffs).max():
         return SmoothnessReport(theta=1.0, smooth=True)
+    # a power of two scales every norm below exactly and theta not at
+    # all, and keeps the squares away from overflow and underflow
+    w = np.ldexp(w, -math.frexp(w_max)[1])
     w1 = w[1] if w.shape[0] == 2 else np.zeros_like(w[0])
     l2 = math.sqrt(((k / _TWO_I_PLUS_ONE[: w.shape[0]]) * w**2).sum())
     h1_semi = math.sqrt((k * (w1 * (2.0 / k)) ** 2).sum())
@@ -253,7 +246,7 @@ def _refine(
         else:
             k *= 0.5
             decisions.append("halve_k")
-            guess = picard_operator(r, cfg.scheme, _rule_size(r)).halve @ c
+            guess = basis(r).halve @ c
 
 
 def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
@@ -320,7 +313,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
         c = candidate.output.u.coeffs
         u_left = c.sum(axis=0)  # U(t_end), as P_i(1) = 1
         # the next interval's first attempt has the same k and r
-        guess = picard_operator(r, cfg.scheme, _rule_size(r)).shift @ c
+        guess = basis(r).shift @ c
 
     return RunResult(
         intervals=tuple(records),

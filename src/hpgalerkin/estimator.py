@@ -42,8 +42,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .galerkin import Scheme, _cg_lift, _rule_size, picard_operator
-from .poly import Interval, LocalPoly, _linf_sample_points, gauss_legendre
+from .galerkin import _cg_lift
+from .poly import Interval, LocalPoly, basis
 from .problems import NumericOverflow, Problem, lip_at
 
 __all__ = [
@@ -98,9 +98,8 @@ def residual_estimator(p: Problem, u_hat: LocalPoly, u_left: np.ndarray) -> floa
     endpoint -- the cG Picard update at degree deg(uhat) + 5 -- then
     subtracting uhat.
     """
-    r_q = u_hat.degree + _RESIDUAL_EXTRA_DEGREE
     u_left = np.atleast_1d(np.asarray(u_left, dtype=float))
-    res_coeffs = _cg_lift(p, u_hat, u_left, r_q + 1, _rule_size(r_q))
+    res_coeffs = _cg_lift(p, u_hat, u_left, u_hat.degree + _RESIDUAL_EXTRA_DEGREE)
     res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
     return LocalPoly(u_hat.interval, res_coeffs).linf_norm()
 
@@ -125,13 +124,10 @@ def _growth_factory(
     every envelope value is, unless the sum itself overflows, which also
     means +inf; the caller holds the errstate.
     """
-    n = _rule_size(u_hat.degree)
-    # Every scheme's operator carries the same node Vandermonde V; the
-    # dG one exists for every degree, 0 included.
-    op = picard_operator(u_hat.degree, Scheme.DG, n)
-    ts = iv.from_reference(op.nodes)
-    u_norms = np.sqrt(np.sum((op.V @ u_hat.coeffs) ** 2, axis=1))
-    w = 0.5 * iv.k * gauss_legendre(n).weights
+    b = basis(u_hat.degree)
+    ts = iv.from_reference(b.nodes)
+    u_norms = np.sqrt(np.sum((b.V @ u_hat.coeffs) ** 2, axis=1))
+    w = 0.5 * iv.k * b.weights
 
     def growth(delta: float) -> float:
         try:
@@ -245,17 +241,18 @@ def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
     """Sampled sup norm of exact(t) - uhat(t) over the interval.
 
     The samples are those of ``LocalPoly.linf_norm``: uhat is evaluated
-    there by one product with the degree's cached Vandermonde matrix.
+    there by one product with the degree's cached ``basis(r).samples_V``.
+    The differences are squared scaled by a power of two, which rounds
+    nothing, so the norm is finite wherever it is a double.
     ``p.exact`` is called once, on the array ts (n,) of sample times,
     and must return shape (d, n), e.g. ``lambda t: np.exp(t)[None]``
     for u' = u, u(0) = 1; any other shape raises ValueError.
     """
     if p.exact is None:
         raise ValueError(f"problem {p.name!r} has no exact solution")
-    iv = u_hat.interval
-    xs, V = _linf_sample_points(u_hat.degree)
-    ts = iv.from_reference(xs)
-    uh = (V @ u_hat.coeffs).T
+    b = basis(u_hat.degree)
+    ts = u_hat.interval.from_reference(b.samples)
+    uh = (b.samples_V @ u_hat.coeffs).T
     try:
         ex = np.asarray(p.exact(ts), dtype=float)
     except TypeError as exc:
@@ -267,4 +264,6 @@ def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
             f"exact returned shape {ex.shape} for times of shape {ts.shape}, "
             f"expected (d, n) = {uh.shape}"
         )
-    return math.sqrt(((ex - uh) ** 2).sum(axis=0).max())
+    diff = ex - uh
+    e = math.frexp(np.abs(diff).max())[1]
+    return math.ldexp(math.sqrt((np.ldexp(diff, -e) ** 2).sum(axis=0).max()), e)

@@ -18,18 +18,19 @@ either scheme is affine in the Legendre coefficient array c (shape
 
     c_next = a u_left^T + k G f(ts, V c),
 
-with V the (n, r+1) Vandermonde of the rule's nodes and P_q the
-degree-q quadrature L2 projection of node values.  For cG, G is the
-antiderivative from the left endpoint composed with P_{r-1}, and
-a = e_0; for dG, G = M^-1 diag(1/(2j+1)) P_r and a = M^-1 ((-1)^j).
-``picard_operator`` builds (V, a, G) once per (r, scheme, rule size),
-so an iteration costs one f evaluation and two small matrix products.
-A step of degree r uses the rule with min(r + 6, 64) points, so degrees
-above ``MAX_DEGREE`` = 58 are rejected.
+with ts and V the mapped nodes and the Vandermonde of ``poly.basis(r)``,
+whose rule has r + 6 points, and P_q the degree-q quadrature L2
+projection of node values (``basis(r).proj`` and its first rows).  For
+cG, G is the antiderivative from the left endpoint composed with
+P_{r-1}, and a = e_0; for dG, G = M^-1 diag(1/(2j+1)) P_r and
+a = M^-1 ((-1)^j).  ``picard_operator`` builds the scheme part (a, G)
+once per (r, scheme), so an iteration costs one f evaluation and two
+small matrix products.  Degrees above ``MAX_DEGREE`` = 58 would need a
+rule beyond 64 points and are rejected.
 
 Picard's first iterate is the constant u_left unless the caller passes
 a guess.  The drivers pass the neighbouring candidate re-expanded by the
-operator's exact ``shift`` and ``halve`` matrices: on a new interval the
+basis's exact ``shift`` and ``halve`` matrices: on a new interval the
 previous accepted U continued onto it, after an accuracy halving the
 rejected candidate restricted to the first half, after a degree raise
 the candidate padded with a zero coefficient.  A guessed start that
@@ -62,7 +63,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import legendre as _leg
 
-from .poly import _MAX_QUAD_POINTS, Interval, LocalPoly, gauss_legendre
+from .poly import MAX_DEGREE, Interval, LocalPoly, basis
 from .problems import NumericOverflow, Problem, rhs_at
 
 __all__ = [
@@ -72,27 +73,17 @@ __all__ = [
     "StepOutput",
     "PicardConfig",
     "MAX_DEGREE",
-    "PicardOperator",
     "picard_operator",
     "step",
     "reconstruct",
 ]
 
-# Every rule carries 6 points beyond the degree it serves, up to the
-# largest rule gauss_legendre builds.
-_EXTRA_POINTS = 6
-MAX_DEGREE = _MAX_QUAD_POINTS - _EXTRA_POINTS
 # Picard stops once the largest coefficient update is at most
 # FP_TOL * max(1, max|c|), and reports MAX_ITERS after MAX_ITERS updates.
 FP_TOL = 1e-12
 MAX_ITERS = 100
 # A sum |c| above the largest double has overflowed, whatever the cap.
 _FLOAT_MAX = float(np.finfo(float).max)
-
-
-def _rule_size(r: int) -> int:
-    """Points of the Gauss-Legendre rule used at polynomial degree r."""
-    return min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS)
 
 
 class Scheme(enum.Enum):
@@ -152,68 +143,31 @@ class StepOutput:
     failure: Optional[StepFailure] = None
 
 
-@dataclass(frozen=True)
-class PicardOperator:
-    """Affine Picard update c_next = a u_left^T + k G f for one degree,
-    scheme and Gauss-Legendre rule.
-
-    nodes (n,) are the rule's reference nodes, V (n, r+1) evaluates a
-    coefficient array there, a (r+1,) carries the left value, and G
-    (r+1, n) maps node values of f to coefficients per unit step length.
-
-    shift and halve (r+1, r+1) re-expand a degree-r coefficient array c
-    onto another interval: shift @ c represents the same polynomial on
-    the next interval of equal length (x -> x + 2), halve @ c on the
-    first half of its own interval (x -> (x - 1) / 2).  Both are exact
-    identities between polynomials, rounded once; the drivers build
-    Picard's first iterate with them.
-    """
-
-    nodes: np.ndarray
-    V: np.ndarray
-    a: np.ndarray
-    G: np.ndarray
-    shift: np.ndarray
-    halve: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def picard_operator(r: int, scheme: Scheme, n: int) -> PicardOperator:
-    """The affine Picard update of degree r on the n-point Gauss-Legendre rule."""
-    quad = gauss_legendre(n)
-    proj_degree = r - 1 if scheme is Scheme.CG else r
-    if n < proj_degree + 1:
-        raise ValueError(
-            f"quadrature with {n} points cannot project onto degree {proj_degree}; "
-            f"need n >= {proj_degree + 1}"
-        )
-    V = _leg.legvander(quad.nodes, r)
-    # Quadrature L2 projection onto degree proj_degree: coefficient i is
-    # (2i+1)/2 * sum_q w_q f_q P_i(x_q).
-    i = np.arange(proj_degree + 1)
-    P = (0.5 * (2.0 * i + 1.0))[:, None] * (V[:, : proj_degree + 1].T * quad.weights)
+def picard_operator(r: int, scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
+    """The scheme part (a, G) of the affine Picard update of degree r on
+    ``basis(r)``'s rule: a (r+1,) carries the left value, and G (r+1, n)
+    maps node values of f to coefficients per unit step length."""
+    proj = basis(r).proj
     if scheme is Scheme.CG:
-        # Antiderivative from x = -1; the reference map contributes k/2.
-        L = _leg.legint(np.eye(proj_degree + 1), m=1, k=[0.0], lbnd=-1.0, scl=0.5, axis=0)
+        # Antiderivative from x = -1 of the degree r-1 projection; the
+        # reference map contributes k/2.
+        L = _leg.legint(np.eye(r), m=1, k=[0.0], lbnd=-1.0, scl=0.5, axis=0)
         a = np.zeros(r + 1)
         a[0] = 1.0
-        G = L @ P
+        G = L @ proj[:r]
     else:
         # dG system matrix, row j tested with P_j: int P_i' P_j dx (= 2 for
         # i > j with i - j odd) plus the jump term P_i(-1) P_j(-1) = (-1)^(i+j).
+        i = np.arange(r + 1)
         col, row = np.meshgrid(i, i, indexing="xy")
         M = np.where((col > row) & ((col - row) % 2 == 1), 2.0, 0.0) + (-1.0) ** (col + row)
         Minv = np.linalg.inv(M)
         a = Minv @ (-1.0) ** i
-        G = Minv @ (P / (2.0 * i + 1.0)[:, None])
-    # The rule integrates degree 2r exactly, so projecting the values of
-    # the re-expanded polynomial onto degree r reproduces it.
-    to_coeffs = (np.arange(r + 1) + 0.5)[:, None] * (V.T * quad.weights)
-    shift = to_coeffs @ _leg.legvander(quad.nodes + 2.0, r)
-    halve = to_coeffs @ _leg.legvander(0.5 * (quad.nodes - 1.0), r)
-    for arr in (V, a, G, shift, halve):
+        G = Minv @ (proj / (2.0 * i + 1.0)[:, None])
+    for arr in (a, G):
         arr.flags.writeable = False
-    return PicardOperator(quad.nodes, V, a, G, shift, halve)
+    return a, G
 
 
 def step(
@@ -251,7 +205,6 @@ def step(
     r, d = inp.r, inp.u_left.size
     if r > MAX_DEGREE:
         raise ValueError(f"step degree {r} is above the cap {MAX_DEGREE}")
-    op = picard_operator(r, inp.scheme, _rule_size(r))
     c0 = np.zeros((r + 1, d))
     c0[0] = inp.u_left
     if guess is not None:
@@ -259,17 +212,15 @@ def step(
         if guess.shape != c0.shape:
             raise ValueError(f"guess has shape {guess.shape}, expected {c0.shape}")
         if np.isfinite(guess).all():
-            warm = _picard(p, inp, op, guess, cfg.divergence_cap)
+            warm = _picard(p, inp, guess, cfg.divergence_cap)
             if warm.converged:
                 return warm
-            cold = _picard(p, inp, op, c0, cfg.divergence_cap)
+            cold = _picard(p, inp, c0, cfg.divergence_cap)
             return replace(cold, picard_iters=warm.picard_iters + cold.picard_iters)
-    return _picard(p, inp, op, c0, cfg.divergence_cap)
+    return _picard(p, inp, c0, cfg.divergence_cap)
 
 
-def _picard(
-    p: Problem, inp: StepInput, op: PicardOperator, c: np.ndarray, cap: float
-) -> StepOutput:
+def _picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput:
     """The Picard loop of ``step`` from the first iterate c.
 
     One errstate covers the whole loop.  The bound sum |c_next| that the
@@ -279,9 +230,10 @@ def _picard(
     or nan, which fails ``bound <= min(cap, float max)`` under any cap.
     Only then does the loop look at the coefficients.
     """
-    iv, V, G = inp.interval, op.V, op.G
-    k, ts = iv.k, iv.from_reference(op.nodes)
-    left = np.outer(op.a, inp.u_left)
+    iv, b = inp.interval, basis(inp.r)
+    a, G = picard_operator(inp.r, inp.scheme)
+    k, ts, V = iv.k, iv.from_reference(b.nodes), b.V
+    left = np.outer(a, inp.u_left)
     limit = min(cap, _FLOAT_MAX)
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_ITERS + 1):
@@ -320,23 +272,23 @@ def reconstruct(p: Problem, inp: StepInput, u: LocalPoly) -> LocalPoly:
     reconstruction coincide up to the Picard tolerance, which is
     relative: FP_TOL * max(1, max|c|) for the step's coefficients c.
     """
-    return LocalPoly(inp.interval, _cg_lift(p, u, inp.u_left, inp.r + 1, _rule_size(inp.r)))
+    return LocalPoly(inp.interval, _cg_lift(p, u, inp.u_left, inp.r))
 
 
-def _cg_lift(p: Problem, u: LocalPoly, u_left: np.ndarray, r: int, n: int) -> np.ndarray:
-    """Coefficients (r+1, d) of one cG Picard update at degree r applied to
-    u (degree below r) on the n-point rule: left value u_left and
-    derivative the degree r-1 projection of f(t, u).
+def _cg_lift(p: Problem, u: LocalPoly, u_left: np.ndarray, r: int) -> np.ndarray:
+    """Coefficients (r+2, d) of one cG Picard update at degree r+1 applied
+    to u (degree at most r) on ``basis(r)``'s rule: left value u_left and
+    derivative the degree r projection of f(t, u).
 
     Raises NumericOverflow when a coefficient is not finite, which is the
-    case whenever an f value is not: each coefficient of G @ f involves
+    case whenever an f value is not: each coefficient of lift @ f involves
     every node value of f.
     """
-    iv = u.interval
-    op = picard_operator(r, Scheme.CG, n)
+    iv, b = u.interval, basis(r)
     with np.errstate(over="ignore", invalid="ignore"):
-        f_vals = rhs_at(p, iv.from_reference(op.nodes), op.V[:, : u.coeffs.shape[0]] @ u.coeffs)
-        coeffs = np.outer(op.a, u_left) + iv.k * (op.G @ f_vals)
+        f_vals = rhs_at(p, iv.from_reference(b.nodes), b.V[:, : u.coeffs.shape[0]] @ u.coeffs)
+        coeffs = iv.k * (b.lift @ f_vals)
+        coeffs[0] += u_left
     if not np.isfinite(coeffs).all():
         raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
     return coeffs

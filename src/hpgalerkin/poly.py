@@ -6,10 +6,14 @@ mapped affinely from the reference interval [-1, 1].  The orthogonality
 of the basis gives exact L2 norms (Parseval), cheap projections, and
 stable evaluation at high degree.
 
+``basis(r)`` caches, once per degree r, the Gauss-Legendre rule with
+min(r + 6, 64) points and every matrix the solver evaluates a degree-r
+polynomial with (see ``Basis``), so the rule size is decided here only.
+A step needs its r + 6 points, so step degrees stop at MAX_DEGREE = 58.
+
 The module also provides Gauss-Legendre quadrature rules and the
 quadrature-discrete L2 projection of arbitrary functions onto the
-mapped Legendre basis, which together realize every integral needed by
-the time-stepping schemes and their error estimators.
+mapped Legendre basis.
 """
 
 from __future__ import annotations
@@ -23,9 +27,12 @@ import numpy as np
 from numpy.polynomial import legendre as _leg
 
 __all__ = [
+    "MAX_DEGREE",
+    "Basis",
     "Interval",
     "LocalPoly",
     "QuadRule",
+    "basis",
     "gauss_legendre",
     "l2_project",
 ]
@@ -33,11 +40,13 @@ __all__ = [
 # Sampling density for sup-norm estimation: 24*(degree+2) Chebyshev
 # points plus the two endpoints.  At this density the sampled value
 # stays within 0.1% of a 10x denser grid on random degree-8 inputs.
-# ``_linf_sample_points`` caches the points with their Legendre
-# Vandermonde per degree, so a sampled norm is one matrix product.
 _LINF_SAMPLES_PER_DEGREE = 24
 
+# Every rule carries 6 points beyond the degree it serves, up to the
+# largest rule gauss_legendre builds.
+_EXTRA_POINTS = 6
 _MAX_QUAD_POINTS = 64
+MAX_DEGREE = _MAX_QUAD_POINTS - _EXTRA_POINTS
 
 
 @dataclass(frozen=True)
@@ -95,7 +104,6 @@ class QuadRule:
         return self.nodes.size
 
 
-@lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> QuadRule:
     """n-point Gauss-Legendre rule on [-1, 1], exact for degree <= 2n-1."""
     if not (1 <= n <= _MAX_QUAD_POINTS):
@@ -186,29 +194,67 @@ class LocalPoly:
     def linf_norm(self) -> float:
         """Sampled sup over the interval of the pointwise Euclidean norm.
 
-        The samples are the degree's ``_linf_sample_points``, evaluated by
+        The samples are the degree's ``basis(r).samples``, evaluated by
         one product with their cached Vandermonde matrix.
         """
-        _, V = _linf_sample_points(self.degree)
         # Divergence probes evaluate wildly growing iterates; an inf here
         # just means "beyond any cap", so don't warn.
         with np.errstate(over="ignore"):
-            vals = V @ self.coeffs
+            vals = basis(self.degree).samples_V @ self.coeffs
             return math.sqrt((vals * vals).sum(axis=1).max())
 
 
+@dataclass(frozen=True)
+class Basis:
+    """The Legendre basis of degree r with its Gauss-Legendre rule; every
+    array is read-only.
+
+    nodes, weights (n,): the rule on [-1, 1], n = min(r + 6, 64).
+    V (n, r+1): V @ c is the (n, d) array of values of the coefficient
+    array c (r+1, d) at the nodes.
+    proj (r+1, n): the quadrature L2 projection onto degree r; row i is
+    (2i+1)/2 w_q P_i(x_q), so proj @ V c = c while n >= r + 1.
+    lift (r+2, n): the antiderivative from x = -1 of proj, per unit step
+    length (the reference map contributes k/2): k lift @ f are the
+    coefficients of the degree r+1 integral of the projected node values
+    f, zero at the left endpoint.
+    samples (m,), samples_V (m, r+1): the sup-norm sample points,
+    24 (r+2) Chebyshev points plus the two endpoints, and their
+    Vandermonde.
+    shift, halve (r+1, r+1): re-expand c onto another interval; shift @ c
+    represents the same polynomial on the next interval of equal length
+    (x -> x + 2), halve @ c on the first half of its own interval
+    (x -> (x - 1) / 2).  Both are exact identities between polynomials,
+    rounded once, while n >= r + 1.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    V: np.ndarray
+    proj: np.ndarray
+    lift: np.ndarray
+    samples: np.ndarray
+    samples_V: np.ndarray
+    shift: np.ndarray
+    halve: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _linf_sample_points(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only sup-norm sample points xs (n,) on [-1, 1] for degree,
-    and their Legendre Vandermonde V (n, degree+1): V @ coeffs is the
-    (n, d) array of values at xs."""
-    n = _LINF_SAMPLES_PER_DEGREE * (degree + 2)
-    cheb = np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))
-    pts = np.concatenate(([-1.0], cheb[::-1], [1.0]))
-    V = _leg.legvander(pts, degree)
-    for arr in (pts, V):
+def basis(r: int) -> Basis:
+    """The cached ``Basis`` of degree r >= 0."""
+    quad = gauss_legendre(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS))
+    V = _leg.legvander(quad.nodes, r)
+    proj = (np.arange(r + 1) + 0.5)[:, None] * (V.T * quad.weights)
+    lift = _leg.legint(np.eye(r + 1), m=1, k=[0.0], lbnd=-1.0, scl=0.5, axis=0) @ proj
+    m = _LINF_SAMPLES_PER_DEGREE * (r + 2)
+    cheb = np.cos(np.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
+    samples = np.concatenate(([-1.0], cheb[::-1], [1.0]))
+    samples_V = _leg.legvander(samples, r)
+    shift = proj @ _leg.legvander(quad.nodes + 2.0, r)
+    halve = proj @ _leg.legvander(0.5 * (quad.nodes - 1.0), r)
+    for arr in (V, proj, lift, samples, samples_V, shift, halve):
         arr.flags.writeable = False
-    return pts, V
+    return Basis(quad.nodes, quad.weights, V, proj, lift, samples, samples_V, shift, halve)
 
 
 def project_values(values: np.ndarray, iv: Interval, r: int, quad: QuadRule) -> LocalPoly:
@@ -236,7 +282,7 @@ def l2_project(
     f maps a time to a value vector (scalars are treated as dimension 1).
     """
     if quad is None:
-        quad = gauss_legendre(r + 6)
+        quad = QuadRule(basis(r).nodes, basis(r).weights)
     ts = iv.from_reference(quad.nodes)
     values = np.stack([np.atleast_1d(np.asarray(f(t), dtype=float)) for t in ts])
     return project_values(values, iv, r, quad)

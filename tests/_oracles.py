@@ -7,7 +7,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from hpgalerkin.galerkin import Scheme, StepFailure
-from hpgalerkin.poly import LocalPoly, _linf_sample_points, gauss_legendre, project_values
+from hpgalerkin.poly import LocalPoly, basis, gauss_legendre, project_values
 from hpgalerkin.problems import NumericOverflow, Problem, rhs_at
 
 
@@ -128,7 +128,7 @@ def reference_reconstruction_error(p, u_hat):
     """Sampled sup norm of exact - uhat by one scalar exact(t) call per
     sample point, stacked column by column, with uhat evaluated through
     a Vandermonde matrix built here rather than the cached one."""
-    xs, _ = _linf_sample_points(u_hat.degree)
+    xs = basis(u_hat.degree).samples
     ts = u_hat.interval.from_reference(xs)
     ex = np.stack([np.atleast_1d(np.asarray(p.exact(t), dtype=float)) for t in ts], axis=1)
     uh = (legendre.legvander(xs, u_hat.degree) @ u_hat.coeffs).T

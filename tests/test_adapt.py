@@ -15,8 +15,8 @@ from hpgalerkin.adapt import (
     smoothness,
 )
 import hpgalerkin.adapt as adapt_module
-from hpgalerkin.galerkin import PicardConfig, Scheme, _rule_size, picard_operator, step
-from hpgalerkin.poly import Interval, LocalPoly, l2_project
+from hpgalerkin.galerkin import PicardConfig, Scheme, step
+from hpgalerkin.poly import Interval, LocalPoly, basis, l2_project
 import hpgalerkin.problems as problems
 from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
 
@@ -49,6 +49,16 @@ class TestSmoothness:
         u = LocalPoly.constant(Interval(0.0, 1.0), np.array([1.0]))
         with pytest.raises(ValueError):
             smoothness(u, 0)
+
+    @pytest.mark.parametrize("scale", [2.0**700, 2.0**-1060], ids=["2^700", "2^-1060"])
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_scale_free_past_squared_overflow(self, r, scale, rng):
+        # the squared norms overflow at 2^700 and underflow to 0 at
+        # 2^-1060, yet theta is the same bits as at scale 1; small
+        # integers and k = 1/2 keep w exact at both scales
+        iv = Interval(0.25, 0.75)
+        c = rng.integers(-8, 9, size=(r + 1, 2)).astype(float)
+        assert smoothness(LocalPoly(iv, scale * c), r) == smoothness(LocalPoly(iv, c), r)
 
     def test_degree_above_r_rejected(self):
         u = LocalPoly(Interval(0.0, 1.0), np.ones((4, 1)))
@@ -279,6 +289,25 @@ class TestHpAdapt:
             for d in rec.decisions:
                 assert d in ("halve_k", "halve_k_existence", "halve_k_overflow", "raise_r")
 
+    def test_linear_past_squared_overflow(self):
+        # without a divergence cap the march passes |u| = 1e154, where the
+        # squares in the smoothness and reconstruction-error norms leave
+        # double range; the run must go on to its interval cap
+        cfg = AdaptConfig(
+            scheme=Scheme.CG,
+            mode=Mode.HP,
+            r_init=2,
+            k_init=0.01,
+            tol_star=1e-6,
+            max_intervals=600,
+            picard=PicardConfig(divergence_cap=math.inf),
+        )
+        res = hp_adapt(make_linear(400.0, [1.0]), cfg)
+        assert res.termination is Termination.MAX_INTERVALS and res.M == 600
+        assert max(np.abs(rec.output.u.coeffs).max() for rec in res.intervals) > 1e170
+        assert all(math.isfinite(rec.recon_error) for rec in res.intervals)
+        assert all(0.0 <= rec.theta <= 1.0 for rec in res.intervals)
+
     def test_hp_beats_h_at_equal_tolerance(self):
         p = make_power_square(1.0)
         base = dict(r_init=1, k_init=0.15, tol_star=1e-6)
@@ -414,7 +443,7 @@ class TestWarmStartDecisions:
                 if not prev_out.converged:
                     assert guess is None
                     continue
-                op = picard_operator(prev.r, scheme, _rule_size(prev.r))
+                op = basis(prev.r)
                 c = prev_out.u.coeffs
                 if inp.interval.t_start == prev.interval.t_end:
                     kind, want = "shift", op.shift @ c

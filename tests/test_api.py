@@ -6,6 +6,8 @@ benchmark.
 """
 
 import dataclasses
+import importlib
+import sys
 
 import hpgalerkin
 from hpgalerkin import cli
@@ -45,6 +47,22 @@ PUBLIC_NAMES = {
     "solve_delta",
     "step",
 }
+
+
+# the functions the benchmark's Tracer.install wraps, besides
+# LocalPoly.linf_norm; a hook it cannot find is only named on stderr and
+# its figures read 0
+TRACER_HOOKS = [
+    ("galerkin", "step"),
+    ("galerkin", "reconstruct"),
+    ("estimator", "residual_estimator"),
+    ("estimator", "solve_delta"),
+    ("estimator", "reconstruction_error"),
+    ("adapt", "smoothness"),
+    ("problems", "rhs_at"),
+    ("problems", "lip_at"),
+    ("poly", "project_values"),
+]
 
 
 def field_names(cls):
@@ -106,6 +124,44 @@ def test_benchmark_result_fields():
     assert {"interval", "reconstruction", "estimate"} <= field_names(hpgalerkin.IntervalRecord)
     assert "bound" in field_names(hpgalerkin.StepEstimate)
     assert hpgalerkin.Termination.DELTA_NOT_FOUND.value == "delta_not_found"
+
+
+def test_tracer_hooks_resolve():
+    for module, name in TRACER_HOOKS:
+        assert callable(getattr(importlib.import_module(f"hpgalerkin.{module}"), name, None))
+    assert callable(getattr(hpgalerkin.LocalPoly, "linf_norm", None))
+
+
+def test_tracer_hooks_are_called(monkeypatch):
+    # wrapped on every module binding, as the tracer wraps them; the
+    # solver never calls project_values, so the benchmark's
+    # poly.project_s reads 0
+    calls = dict.fromkeys([name for _, name in TRACER_HOOKS] + ["linf_norm"], 0)
+    mods = [m for name, m in sys.modules.items() if name.split(".")[0] == "hpgalerkin"]
+    for module, name in TRACER_HOOKS:
+        orig = getattr(sys.modules[f"hpgalerkin.{module}"], name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in mods:
+            for attr, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, attr, counted)
+    linf_norm = hpgalerkin.LocalPoly.linf_norm
+
+    def counted_linf_norm(self):
+        calls["linf_norm"] += 1
+        return linf_norm(self)
+
+    monkeypatch.setattr(hpgalerkin.LocalPoly, "linf_norm", counted_linf_norm)
+    cfg = hpgalerkin.AdaptConfig(
+        scheme=hpgalerkin.Scheme.CG, mode=hpgalerkin.Mode.HP, r_init=1, k_init=0.15, tol_star=1e-3
+    )
+    hpgalerkin.hp_adapt(hpgalerkin.make_power_square(1.0), cfg)
+    del calls["project_values"]
+    assert min(calls.values()) >= 1, calls
 
 
 def test_benchmark_round_trip():

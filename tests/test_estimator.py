@@ -399,6 +399,17 @@ class TestReconstructionError:
         with pytest.raises(ValueError, match=r"\(1, 74\)"):
             reconstruction_error(p, flat_reconstruction(1.0, degree=1))
 
+    def test_finite_past_squared_overflow(self):
+        # uhat and exact near 2^700: the squared differences leave double
+        # range, the norm does not, and the power-of-two scaling rounds
+        # nothing
+        base = make_linear(-1.5, [1.0, 2.0])
+        u_hat = l2_project(base.exact, Interval(0.0, 0.3), 3)
+        big = 2.0**700
+        p = dataclasses.replace(base, exact=lambda t: big * base.exact(t))
+        got = reconstruction_error(p, LocalPoly(u_hat.interval, big * u_hat.coeffs))
+        assert math.isfinite(got) and got == big * reconstruction_error(base, u_hat)
+
     def test_transposed_exact_rejected(self):
         base = make_linear(1.0, [1.0, 2.0])
         p = Problem(dim=2, u0=base.u0, f=base.f, lip=base.lip, exact=lambda t: base.exact(t).T)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre
 
-from hpgalerkin.poly import Interval, LocalPoly, _linf_sample_points, gauss_legendre, l2_project
+from hpgalerkin.poly import (
+    Interval,
+    LocalPoly,
+    QuadRule,
+    basis,
+    gauss_legendre,
+    l2_project,
+    project_values,
+)
 
 
 def test_interval_validation():
@@ -209,28 +217,53 @@ class TestNorms:
             assert p.linf_norm() >= 0.999 * dense
 
 
+@pytest.mark.parametrize("r", range(65))
+def test_basis(r, rng):
+    b = basis(r)
+    n = min(r + 6, 64)
+    assert b.nodes.shape == b.weights.shape == (n,)
+    assert b.nodes.tobytes() == gauss_legendre(n).nodes.tobytes()
+    assert b.weights.tobytes() == gauss_legendre(n).weights.tobytes()
+    assert b.V.tobytes() == legendre.legvander(b.nodes, r).tobytes()
+    assert b.samples_V.tobytes() == legendre.legvander(b.samples, r).tobytes()
+    # the n-point rule cannot tell P_n from 0, so at r = 64 the 64-point
+    # rule reproduces degree 63 and projects P_64 to about 0
+    q = min(r, n - 1)
+    c = np.zeros((r + 1, 3))
+    c[: q + 1] = rng.standard_normal((q + 1, 3))
+    assert np.abs(b.proj @ (b.V @ c) - c).max() <= 1e-13 * np.abs(c).sum(axis=0).max()
+    f = rng.standard_normal((n, 2))
+    oracle = project_values(f, Interval(-1.0, 1.0), q, QuadRule(b.nodes, b.weights))
+    want = np.zeros((r + 2, 2))
+    want[: q + 2] = oracle.antiderivative(np.zeros(2)).coeffs
+    assert np.abs(2.0 * (b.lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
+    for name in ("nodes", "weights", "V", "proj", "lift", "samples", "samples_V", "shift", "halve"):
+        assert not getattr(b, name).flags.writeable, name
+    assert basis(r) is b
+
+
 class TestSampleCache:
     """The per-degree sup-norm sample points and their Vandermonde matrix."""
 
     @pytest.mark.parametrize("degree", range(65))
     def test_vandermonde_matches_legval(self, degree, rng):
-        xs, V = _linf_sample_points(degree)
+        xs, V = basis(degree).samples, basis(degree).samples_V
         assert V.shape == (xs.size, degree + 1)
         c = rng.standard_normal((degree + 1, 3))
         ref = legendre.legval(xs, c).T
         assert np.abs(V @ c - ref).max() <= 1e-13 * np.abs(c).sum(axis=0).max()
 
     def test_read_only_and_shared(self):
-        first = _linf_sample_points(7)
-        assert _linf_sample_points(7) is first
-        for arr in first:
+        first = basis(7)
+        assert basis(7) is first
+        for arr in (first.samples, first.samples_V):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
     def test_linf_norm_uses_the_samples(self, rng):
         c = rng.standard_normal((6, 2))
-        xs, _ = _linf_sample_points(5)
+        xs = basis(5).samples
         p = LocalPoly(Interval(0.0, 0.3), c)
         expected = np.sqrt((legendre.legval(xs, c) ** 2).sum(axis=0)).max()
         assert abs(p.linf_norm() - expected) <= 1e-14 * np.abs(c).sum()

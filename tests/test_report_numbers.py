@@ -4,7 +4,8 @@ of the solver as it was must reproduce these T, M and DoFs exactly.
 T is pinned by its repr, so a difference in the last bit of the summed
 step lengths fails as well.  The ladders are the power2 (u0 = 1) cG and
 dG runs of the benchmark's h experiment at r = 1 and its hp experiment
-(divergence cap 1e12), three tolerances each.
+(divergence cap 1e12), three tolerances each, plus one cG hp run at
+10^-7.5 whose last certificate hangs on where the delta solve probes.
 """
 
 import pytest
@@ -19,6 +20,9 @@ GOLDEN = [
     ("cg", "hp", 1e-3, "0.9843749999999996", 11, 22),
     ("cg", "hp", 1e-6, "0.9999755859375002", 27, 107),
     ("cg", "hp", 1e-9, "0.9999999046325687", 44, 263),
+    # phi < 0 only on a stretch narrower than one delta scan step decides
+    # whether the last interval (psi = 5021.7) is certified
+    ("cg", "hp", 10.0**-7.5, "0.999998474121093", 35, 174),
     ("dg", "h", 1e-2, "0.9374999999999997", 8, 16),
     ("dg", "h", 1e-4, "0.996093749999999", 39, 78),
     ("dg", "h", 1e-6, "0.9998657226562456", 203, 406),
