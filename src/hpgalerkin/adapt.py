@@ -126,11 +126,19 @@ class IntervalRecord:
     output: StepOutput
     reconstruction: LocalPoly
     estimate: StepEstimate
-    theta: Optional[float]
     attempts: int
     decisions: tuple[str, ...]
     recon_error: Optional[float]
     dofs: int
+
+    @property
+    def theta(self) -> Optional[float]:
+        """Smoothness score of the accepted step, None at degree 0.
+
+        Computed on access: no refinement decision reads it, so the
+        drivers do not pay for it on every accepted interval.
+        """
+        return smoothness(self.output.u, self.r).theta if self.r >= 1 else None
 
 
 @dataclass(frozen=True)
@@ -290,7 +298,6 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             delta_hat=delta_hat,
             effectivity=eff,
         )
-        theta = smoothness(candidate.output.u, r).theta if r >= 1 else None
         records.append(
             IntervalRecord(
                 interval=iv,
@@ -298,7 +305,6 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 output=candidate.output,
                 reconstruction=candidate.reconstruction,
                 estimate=estimate,
-                theta=theta,
                 attempts=candidate.attempts,
                 decisions=tuple(candidate.decisions),
                 recon_error=recon_err,

@@ -43,7 +43,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .galerkin import _cg_lift
-from .poly import Interval, LocalPoly, basis
+from .poly import Interval, LocalPoly, _scaled_sup_norm, basis
 from .problems import NumericOverflow, Problem, lip_at
 
 __all__ = [
@@ -64,6 +64,7 @@ PHI_TOL = 1e-10
 DELTA_MAX = 1e6
 SCAN_RATIO = DELTA_MAX ** (1.0 / 199)
 _EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,24 @@ def _growth_factory(
     raised by a scalar lip (which receives Python floats).  The weights w
     are positive, so the exponent dot(w, vals) is finite exactly when
     every envelope value is, unless the sum itself overflows, which also
-    means +inf; the caller holds the errstate.
+    means +inf; the caller holds the errstate.  The node norms |uhat|
+    are squared scaled by a power of two where a plain square would
+    overflow or underflow, so they are finite wherever the values are.
     """
     b = basis(u_hat.degree)
     ts = iv.from_reference(b.nodes)
-    u_norms = np.sqrt(np.sum((b.V @ u_hat.coeffs) ** 2, axis=1))
+    vals = b.V @ u_hat.coeffs
+    sq = np.sum(vals**2, axis=1)
+    # a list is the cheapest way to the min and max of a few values
+    listed = sq.tolist()
+    if _TINY <= min(listed) and max(listed) < math.inf:
+        u_norms = np.sqrt(sq)
+    else:
+        # a square overflowed or underflowed, or a node value is 0: square
+        # each node's values scaled by the power of two of their largest
+        # magnitude, which rounds nothing, and scale the norm back
+        e = np.frexp(np.abs(vals).max(axis=1))[1]
+        u_norms = np.ldexp(np.sqrt(np.sum(np.ldexp(vals, -e[:, None]) ** 2, axis=1)), e)
     w = 0.5 * iv.k * b.weights
 
     def growth(delta: float) -> float:
@@ -264,6 +278,4 @@ def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
             f"exact returned shape {ex.shape} for times of shape {ts.shape}, "
             f"expected (d, n) = {uh.shape}"
         )
-    diff = ex - uh
-    e = math.frexp(np.abs(diff).max())[1]
-    return math.ldexp(math.sqrt((np.ldexp(diff, -e) ** 2).sum(axis=0).max()), e)
+    return _scaled_sup_norm(ex - uh, 0)

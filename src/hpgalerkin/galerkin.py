@@ -45,12 +45,25 @@ when f or the update leaves double range, under any cap.  The loop
 holds one ``np.errstate`` and reads all of this from sum |c|, the sup
 bound it computes anyway: an overflow leaves that sum inf or nan.
 
+On the (r+1, d) arrays of a step, numpy's per-call dispatch costs more
+than the arithmetic, so each iteration makes as few calls as it can
+without changing a bit: the update is formed in place as (G f) k +
+a u_left^T, which rounds as a u_left^T + k G f does since IEEE * and +
+commute, |c_next - c| is taken in place, and the sums and maxima call
+their ufunc reductions directly.  An iterate that passed the bound test
+is finite and belongs to the loop, so the returned polynomial wraps it
+without a copy or a second finite test (``LocalPoly._trusted``); a
+failure at the first iterate may hold the caller's guess and goes
+through the checked constructor, which copies.  The caller's guess is
+never made read-only, aliased or changed.
+
 ``reconstruct`` lifts a converged step to the degree r+1 polynomial
 with matching left value whose derivative is the degree-r projection of
 f(t, U) -- the cG update at degree r+1 applied to U; its endpoint value
 coincides with U(t_end) for both schemes, and it is the object the
 error estimator measures.  It raises NumericOverflow when a coefficient
-leaves double range.
+leaves double range, and otherwise wraps the lift's fresh, finite array
+without a copy.
 """
 
 from __future__ import annotations
@@ -229,6 +242,12 @@ def _picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput
     an update that overflows, leaves c_next non-finite and the bound inf
     or nan, which fails ``bound <= min(cap, float max)`` under any cap.
     Only then does the loop look at the coefficients.
+
+    The update and the reductions make as few numpy calls as give the
+    same bits (module docstring).  Every iterate that passed the bound
+    test, or the explicit finite test, is finite and the loop's own, so
+    it is wrapped by ``LocalPoly._trusted``; the failure returns can
+    hold the first iterate, the caller's guess, and copy it.
     """
     iv, b = inp.interval, basis(inp.r)
     a, G = picard_operator(inp.r, inp.scheme)
@@ -241,26 +260,29 @@ def _picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput
                 f_vals = rhs_at(p, ts, V @ c)
             except NumericOverflow:
                 return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
-            c_next = left + k * (G @ f_vals)
+            c_next = G @ f_vals
+            c_next *= k
+            c_next += left
             abs_next = np.abs(c_next)
             # sup_t |U(t)| <= sum |c| because |P_i| <= 1: sample only above the cap
-            bound = float(abs_next.sum())
-            change = float(np.abs(c_next - c).max())
+            bound = float(np.add.reduce(abs_next, None))
+            diff = c_next - c
+            change = float(np.maximum.reduce(np.abs(diff, out=diff), None))
             if not bound <= limit:
                 if not np.isfinite(c_next).all():
                     # f or the update left double range: diverged, reported
                     # at the last finite iterate
                     return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
-                u = LocalPoly(iv, c_next)
+                u = LocalPoly._trusted(iv, c_next)
                 if u.linf_norm() > cap:
                     return StepOutput(u, it, False, StepFailure.DIVERGED)
             c = c_next
             # max|c| <= sum|c|: the scale max|c| is needed only when the
             # bound's scale passes, and the decision is the same
             if change <= FP_TOL * max(1.0, bound):
-                if change <= FP_TOL * max(1.0, float(abs_next.max())):
-                    return StepOutput(LocalPoly(iv, c), it, True)
-    return StepOutput(LocalPoly(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
+                if change <= FP_TOL * max(1.0, float(np.maximum.reduce(abs_next, None))):
+                    return StepOutput(LocalPoly._trusted(iv, c), it, True)
+    return StepOutput(LocalPoly._trusted(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 
 def reconstruct(p: Problem, inp: StepInput, u: LocalPoly) -> LocalPoly:
@@ -272,7 +294,8 @@ def reconstruct(p: Problem, inp: StepInput, u: LocalPoly) -> LocalPoly:
     reconstruction coincide up to the Picard tolerance, which is
     relative: FP_TOL * max(1, max|c|) for the step's coefficients c.
     """
-    return LocalPoly(inp.interval, _cg_lift(p, u, inp.u_left, inp.r))
+    # _cg_lift returns a fresh array it has proven finite
+    return LocalPoly._trusted(inp.interval, _cg_lift(p, u, inp.u_left, inp.r))
 
 
 def _cg_lift(p: Problem, u: LocalPoly, u_left: np.ndarray, r: int) -> np.ndarray:

@@ -11,6 +11,15 @@ min(r + 6, 64) points and every matrix the solver evaluates a degree-r
 polynomial with (see ``Basis``), so the rule size is decided here only.
 A step needs its r + 6 points, so step degrees stop at MAX_DEGREE = 58.
 
+The ``LocalPoly`` constructor copies its coefficients, checks that they
+are finite and makes the copy read-only.  ``LocalPoly._trusted`` skips
+the copy and the check for an array the caller owns and has already
+proven finite: it makes that array itself read-only and wraps it, so
+the caller must not write to it afterwards.  The solver uses it for the
+Picard iterates that passed its overflow test and for the lift inside
+``galerkin.reconstruct``; everything else, the caller's own arrays
+included, goes through the constructor.
+
 The module also provides Gauss-Legendre quadrature rules and the
 quadrature-discrete L2 projection of arbitrary functions onto the
 mapped Legendre basis.
@@ -19,6 +28,7 @@ mapped Legendre basis.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -47,6 +57,9 @@ _LINF_SAMPLES_PER_DEGREE = 24
 _EXTRA_POINTS = 6
 _MAX_QUAD_POINTS = 64
 MAX_DEGREE = _MAX_QUAD_POINTS - _EXTRA_POINTS
+
+# The smallest normal double: a square sum below it has lost bits.
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -133,6 +146,20 @@ class LocalPoly:
         self.interval = interval
         self.coeffs = coeffs
 
+    @classmethod
+    def _trusted(cls, interval: Interval, coeffs: np.ndarray) -> "LocalPoly":
+        """Wrap coeffs without the copy and the finite test of ``__init__``.
+
+        The caller must own coeffs, a float array of shape (r+1, d) that
+        it has proven finite, and must not write to it afterwards: the
+        array itself is made read-only and becomes ``self.coeffs``.
+        """
+        coeffs.flags.writeable = False
+        obj = cls.__new__(cls)
+        obj.interval = interval
+        obj.coeffs = coeffs
+        return obj
+
     @property
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
@@ -195,13 +222,35 @@ class LocalPoly:
         """Sampled sup over the interval of the pointwise Euclidean norm.
 
         The samples are the degree's ``basis(r).samples``, evaluated by
-        one product with their cached Vandermonde matrix.
+        one product with their cached Vandermonde matrix.  When the
+        largest square sum is not a normal double (its squares overflowed
+        or underflowed) the values are squared again scaled by the power
+        of two of their largest magnitude, which rounds nothing, so the
+        norm is finite wherever the sampled values are.
         """
         # Divergence probes evaluate wildly growing iterates; an inf here
         # just means "beyond any cap", so don't warn.
         with np.errstate(over="ignore"):
             vals = basis(self.degree).samples_V @ self.coeffs
-            return math.sqrt((vals * vals).sum(axis=1).max())
+            sq = np.maximum.reduce(np.add.reduce(vals * vals, 1))
+            if _TINY <= sq < math.inf:
+                return math.sqrt(sq)
+            return _scaled_sup_norm(vals, 1)
+
+
+def _scaled_sup_norm(vals: np.ndarray, axis: int) -> float:
+    """Largest Euclidean norm along ``axis`` of vals, with the values
+    squared scaled by the power of two of their largest magnitude.
+
+    The scaling rounds nothing, so the result is finite wherever it is
+    a double, and inf past the largest one.
+    """
+    e = math.frexp(np.abs(vals).max())[1]
+    norm = math.sqrt((np.ldexp(vals, -e) ** 2).sum(axis=axis).max())
+    try:
+        return math.ldexp(norm, e)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

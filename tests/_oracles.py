@@ -6,7 +6,16 @@ import math
 import numpy as np
 from numpy.polynomial import legendre
 
-from hpgalerkin.galerkin import Scheme, StepFailure
+from hpgalerkin.galerkin import (
+    _FLOAT_MAX,
+    FP_TOL,
+    MAX_ITERS,
+    Scheme,
+    StepFailure,
+    StepInput,
+    StepOutput,
+    picard_operator,
+)
 from hpgalerkin.poly import LocalPoly, basis, gauss_legendre, project_values
 from hpgalerkin.problems import NumericOverflow, Problem, rhs_at
 
@@ -181,3 +190,48 @@ def reference_scan_and_bisect(phi_of, delta_max=1e6, scan_points=200, newton_tol
         if hi - lo <= 4.0 * np.finfo(float).eps * hi:
             break
     return hi
+
+
+def parent_picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput:
+    """The Picard loop of ``galerkin.step`` as it was before its
+    dispatch-lean rewrite, kept verbatim as the bit-identity oracle of
+    ``galerkin._picard`` (same signature, so it can stand in for it).
+
+    One errstate covers the whole loop.  The bound sum |c_next| that the
+    cap test needs reads every overflow as well: each coefficient of
+    G @ f involves every node value of f, so one non-finite f value, or
+    an update that overflows, leaves c_next non-finite and the bound inf
+    or nan, which fails ``bound <= min(cap, float max)`` under any cap.
+    Only then does the loop look at the coefficients.
+    """
+    iv, b = inp.interval, basis(inp.r)
+    a, G = picard_operator(inp.r, inp.scheme)
+    k, ts, V = iv.k, iv.from_reference(b.nodes), b.V
+    left = np.outer(a, inp.u_left)
+    limit = min(cap, _FLOAT_MAX)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, MAX_ITERS + 1):
+            try:
+                f_vals = rhs_at(p, ts, V @ c)
+            except NumericOverflow:
+                return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
+            c_next = left + k * (G @ f_vals)
+            abs_next = np.abs(c_next)
+            # sup_t |U(t)| <= sum |c| because |P_i| <= 1: sample only above the cap
+            bound = float(abs_next.sum())
+            change = float(np.abs(c_next - c).max())
+            if not bound <= limit:
+                if not np.isfinite(c_next).all():
+                    # f or the update left double range: diverged, reported
+                    # at the last finite iterate
+                    return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
+                u = LocalPoly(iv, c_next)
+                if u.linf_norm() > cap:
+                    return StepOutput(u, it, False, StepFailure.DIVERGED)
+            c = c_next
+            # max|c| <= sum|c|: the scale max|c| is needed only when the
+            # bound's scale passes, and the decision is the same
+            if change <= FP_TOL * max(1.0, bound):
+                if change <= FP_TOL * max(1.0, float(abs_next.max())):
+                    return StepOutput(LocalPoly(iv, c), it, True)
+    return StepOutput(LocalPoly(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)

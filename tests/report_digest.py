@@ -3,7 +3,7 @@
 
 Usage (from the root of a checkout):
 
-    python3 tests/report_digest.py [--seed N]
+    python3 tests/report_digest.py [--seed N] [--against REV]
 
 Runs each operation of every ``bench/run.py`` workload once, in the
 order the seed draws (default 1), through the benchmark's own
@@ -25,14 +25,26 @@ last bits of ``delta``: ``psi``, ``delta``, ``bound``, ``delta_hat``,
 same steps and make the same refinement decisions print the same
 ``decisions`` digest even when their ``delta`` solves round differently.
 
+``--against REV`` checks a bit-identity claim in one command: it
+extracts the committed tree of the git revision REV (``git archive``)
+into a temporary directory, runs that tree's own copy of this script
+there and this checkout's here, for the same seed, and prints
+``match`` or ``mismatch`` per workload with both lines.  It exits 1 on
+any mismatch.  It reads the repository and writes only the temporary
+directory: no ref, index or working-tree file changes.
+
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
 
 import argparse
 import hashlib
 import importlib.util
+import io
 import os
+import subprocess
 import sys
+import tarfile
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -74,11 +86,10 @@ def run_digest(full, decisions, result, f_points):
         decisions.update(coeffs)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1, help="the benchmark seed (default 1)")
-    seed = parser.parse_args(argv).seed
+def digest_lines(seed):
+    """One line per workload: name, number of runs and both digests."""
     bench = load_bench()
+    lines = []
     for workload in bench.WORKLOADS:
         _, ops = bench.build_inputs(workload, seed)
         full, decisions = hashlib.sha256(), hashlib.sha256()
@@ -86,10 +97,63 @@ def main(argv=None):
             ladder.f_points[0] = 0
             result = bench.solve(ladder, tol)
             run_digest(full, decisions, result, ladder.f_points[0])
-        print(
+        lines.append(
             f"{workload} runs={len(ops)} sha256={full.hexdigest()} "
             f"decisions={decisions.hexdigest()}"
         )
+    return lines
+
+
+def against(rev, seed):
+    """Compare this checkout's lines with those of revision rev; returns
+    the exit status, 0 when every workload matches."""
+    archive = subprocess.run(
+        ["git", "-C", ROOT, "archive", "--format=tar", rev], capture_output=True, check=False
+    )
+    if archive.returncode != 0:
+        print(f"error: git archive {rev}: {archive.stderr.decode().strip()}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="report-digest-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            # the "data" filter, where this Python has it, keeps every
+            # member inside tmp
+            tar.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        script = os.path.join(tmp, "tests", "report_digest.py")
+        if not os.path.isfile(script):
+            print(f"error: {rev} has no tests/report_digest.py", file=sys.stderr)
+            return 2
+        theirs = subprocess.run(
+            [sys.executable, script, "--seed", str(seed)],
+            cwd=tmp, capture_output=True, text=True, check=False,
+        )
+    if theirs.returncode != 0:
+        print(f"error: the script of {rev} failed:\n{theirs.stderr}", file=sys.stderr)
+        return 2
+    theirs_by_name = {line.split()[0]: line for line in theirs.stdout.splitlines() if line.strip()}
+    mine = digest_lines(seed)
+    status = 0
+    for line in mine:
+        name = line.split()[0]
+        other = theirs_by_name.get(name, "(absent)")
+        same = other == line
+        status |= not same
+        print(f"{name} seed={seed} {'match' if same else 'mismatch'}")
+        print(f"  {rev}: {other}")
+        print(f"  here: {line}")
+    return status
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="the benchmark seed (default 1)")
+    parser.add_argument(
+        "--against", metavar="REV", help="compare with the committed tree of git revision REV"
+    )
+    args = parser.parse_args(argv)
+    if args.against is not None:
+        return against(args.against, args.seed)
+    for line in digest_lines(args.seed):
+        print(line)
     return 0
 
 

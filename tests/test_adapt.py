@@ -308,6 +308,35 @@ class TestHpAdapt:
         assert all(math.isfinite(rec.recon_error) for rec in res.intervals)
         assert all(0.0 <= rec.theta <= 1.0 for rec in res.intervals)
 
+    def test_linear_past_residual_squared_overflow(self, monkeypatch):
+        # the same march with room for 2000 intervals passes |u| = 1e154
+        # in the residual's sup norm too; an inf residual there would
+        # refine accurate attempts (it ended at the interval cap at
+        # T = 0.99163 with 21 inf residuals) instead of marching on until
+        # the step length underflows where e^(400 T) nears double range
+        etas = []
+        residual = adapt_module.residual_estimator
+
+        def recorded(*args):
+            etas.append(residual(*args))
+            return etas[-1]
+
+        monkeypatch.setattr(adapt_module, "residual_estimator", recorded)
+        cfg = AdaptConfig(
+            scheme=Scheme.CG,
+            mode=Mode.HP,
+            r_init=2,
+            k_init=0.01,
+            tol_star=1e-6,
+            max_intervals=2000,
+            picard=PicardConfig(divergence_cap=math.inf),
+        )
+        res = hp_adapt(make_linear(400.0, [1.0]), cfg)
+        assert len(etas) >= res.M > 600
+        assert all(math.isfinite(eta) for eta in etas)
+        assert res.termination is Termination.K_MIN_REACHED
+        assert res.T > 1.7
+
     def test_hp_beats_h_at_equal_tolerance(self):
         p = make_power_square(1.0)
         base = dict(r_init=1, k_init=0.15, tol_star=1e-6)
@@ -518,3 +547,42 @@ class TestTracerFidelity:
         assert result.termination is Termination.DELTA_NOT_FOUND
         assert counts["rhs_at"] == counts["f"] > 0
         assert counts["lip_at"] == counts["lip"] > 0
+
+
+class TestLazyTheta:
+    """``IntervalRecord.theta`` is computed on access, with the value the
+    driver used to store."""
+
+    RUNS = [
+        (make_power_square(1.0), Scheme.CG, Mode.H, 1),
+        (make_power_square(1.0), Scheme.DG, Mode.H, 0),
+        (make_power_square(1.0), Scheme.DG, Mode.H, 3),
+        (make_exponential(1.0), Scheme.CG, Mode.HP, 1),
+        (make_linear(2.0, [1.0, -0.5]), Scheme.DG, Mode.HP, 2),
+    ]
+
+    @pytest.mark.parametrize(
+        "p,scheme,mode,r",
+        RUNS,
+        ids=["power2-cg-h-1", "power2-dg-h-0", "power2-dg-h-3", "exp-cg-hp-1", "linear2-dg-hp-2"],
+    )
+    def test_theta_on_access(self, p, scheme, mode, r, monkeypatch):
+        calls = []
+        score = adapt_module.smoothness
+
+        def counted(u, r):
+            calls.append(r)
+            return score(u, r)
+
+        monkeypatch.setattr(adapt_module, "smoothness", counted)
+        cfg = AdaptConfig(scheme=scheme, mode=mode, r_init=r, k_init=0.1, tol_star=1e-5)
+        res = (hp_adapt if mode is Mode.HP else h_adapt)(p, cfg)
+        assert res.M > 5
+        if mode is Mode.H:
+            # no refinement decision reads the score of an h run
+            assert calls == []
+        for rec in res.intervals:
+            if rec.r == 0:
+                assert rec.theta is None
+            else:
+                assert rec.theta == score(rec.output.u, rec.r).theta

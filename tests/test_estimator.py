@@ -129,6 +129,26 @@ class TestPhi:
         out = solve_delta(p, iv, u_hat, psi=1e-3)
         assert isinstance(out, DeltaNotFound) and out.min_phi == math.inf
 
+    @pytest.mark.parametrize("exp", [600, -600])
+    def test_node_norms_scale_free_past_squared_range(self, exp):
+        # the envelope receives |uhat| at the rule's nodes; at 2^600 their
+        # squares overflow and at 2^-600 they underflow, and a power of
+        # two scales each norm exactly
+        seen = []
+
+        def lip_batch(ts, a, b):
+            seen.append(np.array(b))
+            return np.zeros_like(b)
+
+        base = make_linear(-1.5, [1.0, 2.0])
+        p = dataclasses.replace(base, lip_batch=lip_batch)
+        u_hat = l2_project(base.exact, Interval(0.0, 0.3), 3)
+        scaled = LocalPoly(u_hat.interval, np.ldexp(u_hat.coeffs, exp))
+        for u in (u_hat, scaled):
+            assert phi(p, u.interval, u, psi=0.0, delta=2.0) == -1.0
+        assert np.all(seen[1] > 0.0) and np.all(np.isfinite(seen[1]))
+        assert seen[1].tobytes() == np.ldexp(seen[0], exp).tobytes()
+
     def test_python_float_overflow_is_plus_inf(self):
         # a scalar lip gets Python floats, whose ** raises OverflowError
         p = Problem(dim=1, u0=[1.0], f=lambda t, u: u, lip=lambda t, a, b: a**2 + b**2)
@@ -409,6 +429,15 @@ class TestReconstructionError:
         p = dataclasses.replace(base, exact=lambda t: big * base.exact(t))
         got = reconstruction_error(p, LocalPoly(u_hat.interval, big * u_hat.coeffs))
         assert math.isfinite(got) and got == big * reconstruction_error(base, u_hat)
+
+    def test_inf_past_the_largest_double(self):
+        # every value is a double, but the norm sqrt(2) * 1.5e308 is not:
+        # both sampled norms return inf rather than raise
+        base = make_linear(1.0, [1.0, 2.0])
+        p = dataclasses.replace(base, exact=lambda t: np.full((2, np.size(t)), 1.5e308))
+        iv = Interval(0.0, 0.1)
+        assert reconstruction_error(p, LocalPoly(iv, np.zeros((2, 2)))) == math.inf
+        assert LocalPoly(iv, np.array([[1.5e308, 1.5e308], [0.0, 0.0]])).linf_norm() == math.inf
 
     def test_transposed_exact_rejected(self):
         base = make_linear(1.0, [1.0, 2.0])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre
 
+import hpgalerkin.galerkin as galerkin
 from hpgalerkin.estimator import residual_estimator
 from hpgalerkin.galerkin import (
     MAX_ITERS,
@@ -24,7 +25,12 @@ from hpgalerkin.problems import (
     make_power_square,
 )
 
-from _oracles import reference_reconstruct, reference_residual, reference_step
+from _oracles import (
+    parent_picard,
+    reference_reconstruct,
+    reference_residual,
+    reference_step,
+)
 
 
 def zero_rhs(dim=1):
@@ -448,3 +454,114 @@ class TestWarmStart:
             want = legendre.legval(0.5 * (x - 1.0), c)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(c).sum(axis=0).max()
         assert not op.shift.flags.writeable and not op.halve.flags.writeable
+
+
+def same_bits(out, ref):
+    """Two StepOutputs with the same iterations, outcome and coefficient bytes."""
+    assert (out.picard_iters, out.converged, out.failure) == (
+        ref.picard_iters,
+        ref.converged,
+        ref.failure,
+    )
+    assert out.u.coeffs.shape == ref.u.coeffs.shape
+    assert out.u.coeffs.tobytes() == ref.u.coeffs.tobytes()
+
+
+def parent_step(monkeypatch, p, inp, cfg, guess=None):
+    """``step`` with ``_oracles.parent_picard`` in place of ``_picard``."""
+    with monkeypatch.context() as m:
+        m.setattr(galerkin, "_picard", parent_picard)
+        return step(p, inp, cfg, guess=guess)
+
+
+class TestKernelBitIdentity:
+    """``_picard`` against the loop it replaced (``_oracles.parent_picard``,
+    the same arithmetic with more numpy calls), standing in for it
+    inside ``step``: bit for bit the same result, cold and from the
+    drivers' shift and halve guesses."""
+
+    @pytest.mark.parametrize("scheme,r", SCHEME_DEGREES, ids=lambda v: getattr(v, "value", v))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_step_bits_equal_parent(self, scheme, r, dim, monkeypatch):
+        if dim == 1:
+            p, u_left = make_power_square(1.0), np.array([1.37])
+        else:
+            p, u_left = norm_square(), np.array([0.71, -1.19])
+        cfg = PicardConfig()
+        outcomes = set()
+        for k_u in (0.01, 0.1, 0.4, 0.9, 1.3, 3.0, 10.0):
+            k = k_u / float(np.linalg.norm(u_left))
+            inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
+            # the drivers' guesses: the step before continued onto this
+            # interval, and the step of twice the length restricted to it
+            before = step(p, StepInput(Interval(0.1 - k, 0.1), r, u_left, scheme), cfg)
+            double = step(p, StepInput(Interval(0.1, 0.1 + 2.0 * k), r, u_left, scheme), cfg)
+            guesses = (None, basis(r).shift @ before.u.coeffs, basis(r).halve @ double.u.coeffs)
+            for guess in guesses:
+                out = step(p, inp, cfg, guess=guess)
+                same_bits(out, parent_step(monkeypatch, p, inp, cfg, guess))
+                outcomes.add(out.failure)
+        assert None in outcomes and len(outcomes) >= 2
+
+    @pytest.mark.parametrize("make,u_left,k", [
+        (forced_decay, np.array([0.9]), 0.4),
+        (norm_square, np.array([0.71, -1.19]), 0.3 / np.hypot(0.71, 1.19)),
+    ], ids=["forced_d1", "norm_square_d2"])
+    def test_caps_bits_equal_parent(self, make, u_left, k, monkeypatch):
+        # caps that make the sampled confirmation clear or trip, and no
+        # cap at all, where only an overflow ends a diverging iteration
+        p = make()
+        for scheme, r in SCHEME_DEGREES[::2]:
+            inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
+            u = step(p, inp).u
+            linf, l1 = u.linf_norm(), float(np.sum(np.abs(u.coeffs)))
+            for cap in (0.5 * (linf + l1), 0.99 * linf, np.inf):
+                cfg = PicardConfig(divergence_cap=cap)
+                same_bits(step(p, inp, cfg), parent_step(monkeypatch, p, inp, cfg))
+            wide = StepInput(Interval(0.1, 0.1 + 40.0 * k), r, u_left, scheme)
+            cfg = PicardConfig(divergence_cap=np.inf)
+            same_bits(step(p, wide, cfg), parent_step(monkeypatch, p, wide, cfg))
+
+
+class TestTrustedWrap:
+    """The step and the lift wrap arrays they own without a copy
+    (``LocalPoly._trusted``); an array of the caller's is never wrapped."""
+
+    @pytest.mark.parametrize("scheme,r", [(Scheme.CG, 3), (Scheme.DG, 0), (Scheme.DG, 2)])
+    def test_guess_not_frozen_aliased_or_changed(self, scheme, r):
+        p = make_power_square(1.0)
+        inp = StepInput(Interval(0.1, 0.15), r, np.array([1.37]), scheme)
+        fixed_point = np.array(step(p, inp).u.coeffs)
+        # its own fixed point converges at the first iterate; at 1e200, f
+        # overflows on the first iterate, the failure is reported at the
+        # guess itself, and the step falls back to the constant start
+        for guess in (fixed_point, np.full((r + 1, 1), 1e200)):
+            kept = guess.copy()
+            outs = [step(p, inp, guess=guess), galerkin._picard(p, inp, guess, np.inf)]
+            assert outs[1].converged is (guess is fixed_point)
+            for out in outs:
+                assert not np.shares_memory(out.u.coeffs, guess)
+            assert guess.flags.writeable and guess.tobytes() == kept.tobytes()
+
+    def test_outputs_read_only_and_finite(self):
+        p = make_power_square(1.0)
+        cases = [
+            (p, StepInput(Interval(0.1, 0.2), 3, np.array([1.0]), Scheme.CG), PicardConfig()),
+            (p, StepInput(Interval(0.0, 0.01), 1, np.array([1.0]), Scheme.CG), PicardConfig(0.5)),
+            (p, StepInput(Interval(0.0, 5.0), 2, np.array([1.0]), Scheme.DG), PicardConfig(np.inf)),
+            (
+                make_linear(-1.0, [1.0]),
+                StepInput(Interval(0.0, 2.0), 1, np.array([1.0]), Scheme.CG),
+                PicardConfig(),
+            ),
+        ]
+        outcomes = []
+        for prob, inp, cfg in cases:
+            out = step(prob, inp, cfg)
+            outcomes.append(out.failure)
+            polys = [out.u] + ([reconstruct(prob, inp, out.u)] if out.converged else [])
+            for u in polys:
+                assert not u.coeffs.flags.writeable and np.isfinite(u.coeffs).all()
+                with pytest.raises(ValueError):
+                    u.coeffs[0, 0] = 0.0
+        assert outcomes == [None, StepFailure.DIVERGED, StepFailure.DIVERGED, StepFailure.MAX_ITERS]

@@ -200,6 +200,24 @@ class TestNorms:
             oracle = 0.5 * iv.k * float(np.dot(q.weights, np.sum(vals**2, axis=0)))
             assert abs(p.l2_norm() ** 2 - oracle) <= 1e-12 * max(1.0, oracle)
 
+    @pytest.mark.parametrize("exp", [600, -600])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_linf_norm_scale_free_past_squared_range(self, exp, d, rng):
+        # at 2^600 the squares overflow and at 2^-600 they underflow; a
+        # power of two scales the sampled norm exactly
+        for r in (0, 1, 3, 8):
+            iv = Interval(0.0, 0.5)
+            c = rng.standard_normal((r + 1, d))
+            got = LocalPoly(iv, np.ldexp(c, exp)).linf_norm()
+            assert got == math.ldexp(LocalPoly(iv, c).linf_norm(), exp)
+
+    def test_trusted_wraps_without_copy(self):
+        c = np.arange(6.0).reshape(3, 2)
+        u = LocalPoly._trusted(Interval(0.0, 1.0), c)
+        assert u.coeffs is c and not c.flags.writeable
+        assert (u.degree, u.dim) == (2, 2)
+        assert u.linf_norm() == LocalPoly(u.interval, np.arange(6.0).reshape(3, 2)).linf_norm()
+
     def test_sampled_linf_near_tight(self, rng):
         # 10x denser Chebyshev sampling must not beat the default grid
         # by more than 0.1%
