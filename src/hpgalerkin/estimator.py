@@ -42,8 +42,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .galerkin import _cg_lift
-from .poly import Interval, LocalPoly, _scaled_sup_norm, basis
+from .galerkin import _all_finite, _cg_lift
+from .poly import Interval, LocalPoly, _sup_norm, basis
 from .problems import NumericOverflow, Problem, lip_at
 
 __all__ = [
@@ -98,11 +98,19 @@ def residual_estimator(p: Problem, u_hat: LocalPoly, u_left: np.ndarray) -> floa
     f(s, uhat) onto degree deg(uhat) + 4 and integrating from the left
     endpoint -- the cG Picard update at degree deg(uhat) + 5 -- then
     subtracting uhat.
+
+    Raises NumericOverflow when the lift or the subtraction leaves
+    double range, so that ``adapt`` halves the step as it does for an
+    overflowing reconstruction.  Otherwise the fresh, finite coefficient
+    array is wrapped without a copy (``LocalPoly._trusted``).
     """
     u_left = np.atleast_1d(np.asarray(u_left, dtype=float))
     res_coeffs = _cg_lift(p, u_hat, u_left, u_hat.degree + _RESIDUAL_EXTRA_DEGREE)
-    res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
-    return LocalPoly(u_hat.interval, res_coeffs).linf_norm()
+    with np.errstate(over="ignore"):
+        res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
+    if not _all_finite(res_coeffs):
+        raise NumericOverflow(f"residual of problem {p.name!r} overflowed")
+    return LocalPoly._trusted(u_hat.interval, res_coeffs).linf_norm()
 
 
 def psi_update(prev: Optional[StepEstimate], eta_res: float) -> float:
@@ -254,10 +262,13 @@ def solve_delta(
 def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
     """Sampled sup norm of exact(t) - uhat(t) over the interval.
 
-    The samples are those of ``LocalPoly.linf_norm``: uhat is evaluated
-    there by one product with the degree's cached ``basis(r).samples_V``.
-    The differences are squared scaled by a power of two, which rounds
-    nothing, so the norm is finite wherever it is a double.
+    The samples are those of ``LocalPoly.linf_norm``, and so is the
+    norm: uhat is evaluated there by one product with the degree's
+    cached ``basis(r).samples_V``, and when the largest square sum of
+    the differences is not a normal double they are squared again scaled
+    by a power of two, which rounds nothing, so the norm is finite
+    wherever it is a double.  A difference that leaves double range
+    gives inf, without a warning.
     ``p.exact`` is called once, on the array ts (n,) of sample times,
     and must return shape (d, n), e.g. ``lambda t: np.exp(t)[None]``
     for u' = u, u(0) = 1; any other shape raises ValueError.
@@ -278,4 +289,5 @@ def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
             f"exact returned shape {ex.shape} for times of shape {ts.shape}, "
             f"expected (d, n) = {uh.shape}"
         )
-    return _scaled_sup_norm(ex - uh, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _sup_norm(ex - uh, 0)

@@ -47,15 +47,27 @@ bound it computes anyway: an overflow leaves that sum inf or nan.
 
 On the (r+1, d) arrays of a step, numpy's per-call dispatch costs more
 than the arithmetic, so each iteration makes as few calls as it can
-without changing a bit: the update is formed in place as (G f) k +
+without changing a bit.  The update is formed in place as (G f) k +
 a u_left^T, which rounds as a u_left^T + k G f does since IEEE * and +
-commute, |c_next - c| is taken in place, and the sums and maxima call
-their ufunc reductions directly.  An iterate that passed the bound test
-is finite and belongs to the loop, so the returned polynomial wraps it
-without a copy or a second finite test (``LocalPoly._trusted``); a
-failure at the first iterate may hold the caller's guess and goes
-through the checked constructor, which copies.  The caller's guess is
-never made read-only, aliased or changed.
+commute.  An iterate of at most ``_LIST_MAX`` = 32 coefficients (the
+bench workloads have 2 to 14) is then read once as a Python list, and
+the bound sum |c|, the change max |c_next - c| and the scale max |c|
+are taken from it by ``sum``, ``max`` and ``abs``: one ``tolist()``
+and a few builtins cost less than five numpy calls.  Above that size
+the list costs more than numpy's dispatch, so larger iterates keep
+numpy's reductions, |c_next - c| taken in place.  The change and the
+scale are exact either way.  The bound is summed left to right rather
+than in numpy's pairwise order, so it may differ in its last bit; the
+loop's docstring shows why no decision can depend on that.  The finite
+tests of the guess and of the lift use the same switch
+(``_all_finite``).
+
+An iterate that passed the bound test is finite and belongs to the
+loop, so the returned polynomial wraps it without a copy or a second
+finite test (``LocalPoly._trusted``); a failure at the first iterate
+may hold the caller's guess and goes through the checked constructor,
+which copies.  The caller's guess is never made read-only, aliased or
+changed.
 
 ``reconstruct`` lifts a converged step to the degree r+1 polynomial
 with matching left value whose derivative is the degree-r projection of
@@ -69,6 +81,8 @@ without a copy.
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
@@ -97,6 +111,17 @@ FP_TOL = 1e-12
 MAX_ITERS = 100
 # A sum |c| above the largest double has overflowed, whatever the cap.
 _FLOAT_MAX = float(np.finfo(float).max)
+# Arrays of at most this many entries are reduced and tested for
+# finiteness as a Python list; larger ones by numpy, whose dispatch then
+# costs less than the list (see the module docstring).
+_LIST_MAX = 32
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite."""
+    if a.size <= _LIST_MAX:
+        return all(map(math.isfinite, a.ravel().tolist()))
+    return bool(np.isfinite(a).all())
 
 
 class Scheme(enum.Enum):
@@ -224,7 +249,7 @@ def step(
         guess = np.asarray(guess, dtype=float)
         if guess.shape != c0.shape:
             raise ValueError(f"guess has shape {guess.shape}, expected {c0.shape}")
-        if np.isfinite(guess).all():
+        if _all_finite(guess):
             warm = _picard(p, inp, guess, cfg.divergence_cap)
             if warm.converged:
                 return warm
@@ -243,17 +268,43 @@ def _picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput
     or nan, which fails ``bound <= min(cap, float max)`` under any cap.
     Only then does the loop look at the coefficients.
 
-    The update and the reductions make as few numpy calls as give the
-    same bits (module docstring).  Every iterate that passed the bound
-    test, or the explicit finite test, is finite and the loop's own, so
-    it is wrapped by ``LocalPoly._trusted``; the failure returns can
-    hold the first iterate, the caller's guess, and copy it.
+    An iterate of at most ``_LIST_MAX`` coefficients is read once as a
+    list ``vals``, the previous one kept as ``prev``, and the bound,
+    the change max |vals - prev| and, only when the bound's convergence
+    test passes, the scale max |vals| come from Python builtins; larger
+    iterates use numpy's reductions.  The change and the scale are
+    exact in any order, so the convergence test is unchanged.  The
+    bound is summed left to right, numpy sums pairwise, so the two may
+    differ in their last bit, and it steers two decisions only as a
+    gate:
+
+    * convergence: the bound stands in for the scale max |c| before the
+      exact scale test.  A rounded sum of magnitudes is at least its
+      largest term in any order, so the gate passes wherever the scale
+      test does, and the scale test decides.
+    * the cap: a bound above the cap sends the iterate to the sampled
+      sup norm, which clears it when it is at most the cap.  The two
+      orders can disagree only when the bound is within a few ulp of
+      the cap and the sampled sup norm, at most the exact sum |c|, lies
+      above it.
+
+    ``math.fsum`` would give a correctly rounded bound, but it raises
+    OverflowError where the sum leaves double range, which the loop
+    must read as divergence.
+
+    Every iterate that passed the bound test, or the explicit finite
+    test, is finite and the loop's own, so it is wrapped by
+    ``LocalPoly._trusted``; the failure returns can hold the first
+    iterate, the caller's guess, and copy it.
     """
     iv, b = inp.interval, basis(inp.r)
     a, G = picard_operator(inp.r, inp.scheme)
     k, ts, V = iv.k, iv.from_reference(b.nodes), b.V
-    left = np.outer(a, inp.u_left)
+    left = a[:, None] * inp.u_left
     limit = min(cap, _FLOAT_MAX)
+    small = c.size <= _LIST_MAX
+    if small:
+        prev = c.ravel().tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_ITERS + 1):
             try:
@@ -263,13 +314,18 @@ def _picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput
             c_next = G @ f_vals
             c_next *= k
             c_next += left
-            abs_next = np.abs(c_next)
             # sup_t |U(t)| <= sum |c| because |P_i| <= 1: sample only above the cap
-            bound = float(np.add.reduce(abs_next, None))
-            diff = c_next - c
-            change = float(np.maximum.reduce(np.abs(diff, out=diff), None))
+            if small:
+                vals = c_next.ravel().tolist()
+                bound = sum(map(abs, vals))
+                change = max(map(abs, map(operator.sub, vals, prev)))
+            else:
+                abs_next = np.abs(c_next)
+                bound = float(np.add.reduce(abs_next, None))
+                diff = c_next - c
+                change = float(np.maximum.reduce(np.abs(diff, out=diff), None))
             if not bound <= limit:
-                if not np.isfinite(c_next).all():
+                if not _all_finite(c_next):
                     # f or the update left double range: diverged, reported
                     # at the last finite iterate
                     return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
@@ -280,8 +336,11 @@ def _picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput
             # max|c| <= sum|c|: the scale max|c| is needed only when the
             # bound's scale passes, and the decision is the same
             if change <= FP_TOL * max(1.0, bound):
-                if change <= FP_TOL * max(1.0, float(np.maximum.reduce(abs_next, None))):
+                scale = max(map(abs, vals)) if small else float(np.maximum.reduce(abs_next, None))
+                if change <= FP_TOL * max(1.0, scale):
                     return StepOutput(LocalPoly._trusted(iv, c), it, True)
+            if small:
+                prev = vals
     return StepOutput(LocalPoly._trusted(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 
@@ -312,6 +371,6 @@ def _cg_lift(p: Problem, u: LocalPoly, u_left: np.ndarray, r: int) -> np.ndarray
         f_vals = rhs_at(p, iv.from_reference(b.nodes), b.V[:, : u.coeffs.shape[0]] @ u.coeffs)
         coeffs = iv.k * (b.lift @ f_vals)
         coeffs[0] += u_left
-    if not np.isfinite(coeffs).all():
+    if not _all_finite(coeffs):
         raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
     return coeffs

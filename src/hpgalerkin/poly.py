@@ -16,9 +16,10 @@ are finite and makes the copy read-only.  ``LocalPoly._trusted`` skips
 the copy and the check for an array the caller owns and has already
 proven finite: it makes that array itself read-only and wraps it, so
 the caller must not write to it afterwards.  The solver uses it for the
-Picard iterates that passed its overflow test and for the lift inside
-``galerkin.reconstruct``; everything else, the caller's own arrays
-included, goes through the constructor.
+Picard iterates that passed its overflow test, for the lift inside
+``galerkin.reconstruct`` and for the residual inside
+``estimator.residual_estimator``; everything else, the caller's own
+arrays included, goes through the constructor.
 
 The module also provides Gauss-Legendre quadrature rules and the
 quadrature-discrete L2 projection of arbitrary functions onto the
@@ -231,11 +232,17 @@ class LocalPoly:
         # Divergence probes evaluate wildly growing iterates; an inf here
         # just means "beyond any cap", so don't warn.
         with np.errstate(over="ignore"):
-            vals = basis(self.degree).samples_V @ self.coeffs
-            sq = np.maximum.reduce(np.add.reduce(vals * vals, 1))
-            if _TINY <= sq < math.inf:
-                return math.sqrt(sq)
-            return _scaled_sup_norm(vals, 1)
+            return _sup_norm(basis(self.degree).samples_V @ self.coeffs, 1)
+
+
+def _sup_norm(vals: np.ndarray, axis: int) -> float:
+    """Largest Euclidean norm along ``axis`` of vals: from the plain
+    square sums when the largest is a normal double, otherwise from
+    ``_scaled_sup_norm``.  The caller holds the errstate."""
+    sq = np.maximum.reduce(np.add.reduce(vals * vals, axis))
+    if _TINY <= sq < math.inf:
+        return math.sqrt(sq)
+    return _scaled_sup_norm(vals, axis)
 
 
 def _scaled_sup_norm(vals: np.ndarray, axis: int) -> float:

@@ -104,20 +104,29 @@ def digest_lines(seed):
     return lines
 
 
-def against(rev, seed):
-    """Compare this checkout's lines with those of revision rev; returns
-    the exit status, 0 when every workload matches."""
+def extract_tree(rev, dest):
+    """Extract the committed tree of git revision rev into the directory
+    dest (``git archive``); returns False, after printing the error, when
+    git cannot."""
     archive = subprocess.run(
         ["git", "-C", ROOT, "archive", "--format=tar", rev], capture_output=True, check=False
     )
     if archive.returncode != 0:
         print(f"error: git archive {rev}: {archive.stderr.decode().strip()}", file=sys.stderr)
-        return 2
+        return False
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        # the "data" filter, where this Python has it, keeps every
+        # member inside dest
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return True
+
+
+def against(rev, seed):
+    """Compare this checkout's lines with those of revision rev; returns
+    the exit status, 0 when every workload matches."""
     with tempfile.TemporaryDirectory(prefix="report-digest-") as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            # the "data" filter, where this Python has it, keeps every
-            # member inside tmp
-            tar.extractall(tmp, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        if not extract_tree(rev, tmp):
+            return 2
         script = os.path.join(tmp, "tests", "report_digest.py")
         if not os.path.isfile(script):
             print(f"error: {rev} has no tests/report_digest.py", file=sys.stderr)

@@ -206,6 +206,28 @@ class TestHAdapt:
         assert res.termination is Termination.K_MIN_REACHED
         assert res.M == 0 and res.T == 0.0
 
+    def test_overflowing_residual_halves(self, monkeypatch):
+        # the run's first residual is taken of a reconstruction whose
+        # subtraction from the lift leaves double range: the real
+        # residual_estimator raises NumericOverflow, and the attempt is
+        # halved like one whose reconstruction overflows
+        residual = adapt_module.residual_estimator
+        calls = [0]
+
+        def first_overflows(p, u_hat, u_left):
+            calls[0] += 1
+            if calls[0] == 1:
+                u_hat = LocalPoly(u_hat.interval, [[1.5e308], [0.0]])
+                return residual(zero_rhs(), u_hat, [-1.5e308])
+            return residual(p, u_hat, u_left)
+
+        monkeypatch.setattr(adapt_module, "residual_estimator", first_overflows)
+        cfg = AdaptConfig(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1e-3)
+        res = h_adapt(make_power_square(1.0), cfg)
+        first = res.intervals[0]
+        assert first.decisions[0] == "halve_k_overflow" and first.interval.k < 0.1
+        assert res.termination is Termination.DELTA_NOT_FOUND and 0.0 < res.T < 1.0
+
 
 @pytest.fixture(scope="module")
 def run():

@@ -17,7 +17,13 @@ from hpgalerkin.estimator import (
 from hpgalerkin.adapt import AdaptConfig, Mode, h_adapt
 from hpgalerkin.galerkin import Scheme, StepInput, reconstruct, step
 from hpgalerkin.poly import Interval, LocalPoly, l2_project
-from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
+from hpgalerkin.problems import (
+    NumericOverflow,
+    Problem,
+    make_exponential,
+    make_linear,
+    make_power_square,
+)
 
 from _oracles import (
     brute_force_residual,
@@ -39,6 +45,17 @@ class TestResidualEstimator:
             np.array([2.0])
         )
         assert residual_estimator(p, ramp, np.array([2.0])) <= 1e-12
+
+    def test_overflowing_subtraction_raises(self):
+        # the lift of f = 0 is u_left = -1.5e308, finite, and subtracting
+        # uhat's 1.5e308 leaves double range: NumericOverflow, which
+        # adapt reads as "halve the step", without a warning
+        p = Problem(dim=1, u0=np.zeros(1), f=lambda t, u: np.zeros_like(u), lip=lambda t, a, b: 0.0)
+        u_hat = LocalPoly(Interval(0.0, 0.1), [[1.5e308], [0.0]])
+        with pytest.raises(NumericOverflow, match="residual"):
+            residual_estimator(p, u_hat, [-1.5e308])
+        # from its own left value the constant has residual 0
+        assert residual_estimator(p, u_hat, [1.5e308]) == 0.0
 
     def test_against_brute_force_single_step(self):
         p = make_power_square(1.0)
@@ -438,6 +455,15 @@ class TestReconstructionError:
         iv = Interval(0.0, 0.1)
         assert reconstruction_error(p, LocalPoly(iv, np.zeros((2, 2)))) == math.inf
         assert LocalPoly(iv, np.array([[1.5e308, 1.5e308], [0.0, 0.0]])).linf_norm() == math.inf
+
+    def test_overflowing_difference_is_inf(self):
+        # exact 1.5e308 against uhat = -1e308 in both components: the
+        # difference leaves double range, under the errstate, so no
+        # warning escapes (RuntimeWarnings are errors in this suite)
+        base = make_linear(1.0, [1.0, 2.0])
+        p = dataclasses.replace(base, exact=lambda t: np.full((2, np.size(t)), 1.5e308))
+        u_hat = LocalPoly(Interval(0.0, 0.1), np.full((1, 2), -1e308))
+        assert reconstruction_error(p, u_hat) == math.inf
 
     def test_transposed_exact_rejected(self):
         base = make_linear(1.0, [1.0, 2.0])

@@ -302,11 +302,11 @@ class TestAccuracy:
         assert np.array_equal(out1.u.coeffs, out2.u.coeffs)
 
 
-def norm_square():
-    """f(u) = |u| u in R^2: blows up like u^2 along the direction of u0."""
+def norm_square(dim=2):
+    """f(u) = |u| u in R^dim: blows up like u^2 along the direction of u0."""
     return Problem(
-        dim=2,
-        u0=np.array([0.6, 0.8]),
+        dim=dim,
+        u0=np.full(dim, dim**-0.5),
         f=lambda t, u: np.linalg.norm(u) * u,
         lip=lambda t, a, b: 2.0 * max(a, b),
         f_batch=lambda ts, us: np.linalg.norm(us, axis=1)[:, None] * us,
@@ -487,6 +487,29 @@ class TestKernelBitIdentity:
             p, u_left = make_power_square(1.0), np.array([1.37])
         else:
             p, u_left = norm_square(), np.array([0.71, -1.19])
+        self.assert_bits_over_k(monkeypatch, p, u_left, scheme, r)
+
+    # (r+1) d coefficients: 9 and more, where numpy's sum is unrolled
+    # pairwise while the list path sums left to right, up to and just
+    # past the list path's limit of 32, and far above it
+    LARGE = [
+        (Scheme.CG, 2, 3), (Scheme.DG, 2, 3), (Scheme.CG, 3, 4), (Scheme.DG, 5, 4),
+        (Scheme.DG, 7, 4), (Scheme.CG, 10, 3), (Scheme.CG, 4, 7), (Scheme.DG, 8, 4),
+        (Scheme.CG, 16, 2), (Scheme.DG, 12, 5),
+    ]
+
+    def test_large_cases_straddle_the_list_limit(self):
+        sizes = [(r + 1) * d for _, r, d in self.LARGE]
+        assert min(sizes) == 9 and galerkin._LIST_MAX in sizes
+        assert galerkin._LIST_MAX + 1 in sizes and max(sizes) > 2 * galerkin._LIST_MAX
+
+    @pytest.mark.parametrize("scheme,r,dim", LARGE, ids=lambda v: getattr(v, "value", v))
+    def test_large_systems_bits_equal_parent(self, scheme, r, dim, monkeypatch):
+        p, u_left = norm_square(dim), np.linspace(0.71, -1.19, dim)
+        self.assert_bits_over_k(monkeypatch, p, u_left, scheme, r)
+
+    @staticmethod
+    def assert_bits_over_k(monkeypatch, p, u_left, scheme, r):
         cfg = PicardConfig()
         outcomes = set()
         for k_u in (0.01, 0.1, 0.4, 0.9, 1.3, 3.0, 10.0):
@@ -521,6 +544,65 @@ class TestKernelBitIdentity:
             wide = StepInput(Interval(0.1, 0.1 + 40.0 * k), r, u_left, scheme)
             cfg = PicardConfig(divergence_cap=np.inf)
             same_bits(step(p, wide, cfg), parent_step(monkeypatch, p, wide, cfg))
+
+    @pytest.mark.parametrize("scheme,r,dim", [
+        (Scheme.CG, 3, 2), (Scheme.DG, 6, 4), (Scheme.CG, 8, 4), (Scheme.DG, 10, 4),
+    ], ids=lambda v: getattr(v, "value", v))
+    def test_caps_straddled_at_both_sizes(self, scheme, r, dim, monkeypatch):
+        # 8 and 28 coefficients take the list path, 36 and 44 numpy's:
+        # a cap between the sampled sup norm and sum |c| is cleared by
+        # sampling, one just below the sup norm diverges
+        p, u_left = norm_square(dim), np.linspace(0.71, -1.19, dim)
+        k = 0.3 / float(np.linalg.norm(u_left))
+        inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
+        u = step(p, inp).u
+        linf, l1 = u.linf_norm(), float(np.sum(np.abs(u.coeffs)))
+        assert l1 > linf * (1.0 + 1e-6)
+        for cap, converged in ((0.5 * (linf + l1), True), (0.99 * linf, False)):
+            cfg = PicardConfig(divergence_cap=cap)
+            out = step(p, inp, cfg)
+            assert out.converged is converged
+            same_bits(out, parent_step(monkeypatch, p, inp, cfg))
+
+
+class TestFiniteTest:
+    """``galerkin._all_finite``, a list test up to ``_LIST_MAX`` entries
+    and numpy's above, and the two places that use it."""
+
+    SIZES = [1, 9, galerkin._LIST_MAX, galerkin._LIST_MAX + 1, 200]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_each_position(self, size, bad):
+        # size entries, as a contiguous column and as a strided view
+        a = 1.7e308 * np.linspace(-1.0, 1.0, 2 * size).reshape(size, 2)
+        assert galerkin._all_finite(a[:, :1].copy()) and galerkin._all_finite(a[:, :1])
+        for i in {0, size // 2, size - 1}:
+            b = a.copy()
+            b[i, 0] = bad
+            assert galerkin._all_finite(b[:, 1:])
+            assert not galerkin._all_finite(b[:, :1].copy()) and not galerkin._all_finite(b[:, :1])
+
+    @pytest.mark.parametrize("r,dim", [(2, 2), (8, 4)], ids=["6-coeffs", "36-coeffs"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_guess_and_lift(self, r, dim, bad):
+        # a guess with one non-finite entry is not iterated; one
+        # non-finite f value makes the lift raise
+        p, u_left = norm_square(dim), np.linspace(0.71, -1.19, dim)
+        inp = StepInput(Interval(0.1, 0.1 + 0.1 / np.linalg.norm(u_left)), r, u_left, Scheme.CG)
+        cold = step(p, inp)
+        assert cold.converged
+        guess = np.array(cold.u.coeffs)
+        guess[r // 2, dim - 1] = bad
+        same_bits(step(p, inp, guess=guess), cold)
+
+        def f_batch(ts, us):
+            vals = p.f_batch(ts, us)
+            vals[len(ts) // 2, dim - 1] = bad
+            return vals
+
+        with pytest.raises(NumericOverflow):
+            reconstruct(dataclasses.replace(p, f_batch=f_batch), inp, cold.u)
 
 
 class TestTrustedWrap:
