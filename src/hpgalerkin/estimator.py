@@ -101,7 +101,9 @@ def residual_estimator(p: Problem, u_hat: LocalPoly, u_left: np.ndarray) -> floa
 
     Raises NumericOverflow when the lift or the subtraction leaves
     double range, so that ``adapt`` halves the step as it does for an
-    overflowing reconstruction.  Otherwise the fresh, finite coefficient
+    overflowing reconstruction.  One finite test, after the subtraction,
+    covers both: a non-finite lift coefficient stays non-finite when a
+    finite uhat is subtracted.  Otherwise the fresh, finite coefficient
     array is wrapped without a copy (``LocalPoly._trusted``).
     """
     u_left = np.atleast_1d(np.asarray(u_left, dtype=float))

@@ -49,18 +49,18 @@ On the (r+1, d) arrays of a step, numpy's per-call dispatch costs more
 than the arithmetic, so each iteration makes as few calls as it can
 without changing a bit.  The update is formed in place as (G f) k +
 a u_left^T, which rounds as a u_left^T + k G f does since IEEE * and +
-commute.  An iterate of at most ``_LIST_MAX`` = 32 coefficients (the
-bench workloads have 2 to 14) is then read once as a Python list, and
-the bound sum |c|, the change max |c_next - c| and the scale max |c|
-are taken from it by ``sum``, ``max`` and ``abs``: one ``tolist()``
-and a few builtins cost less than five numpy calls.  Above that size
-the list costs more than numpy's dispatch, so larger iterates keep
-numpy's reductions, |c_next - c| taken in place.  The change and the
-scale are exact either way.  The bound is summed left to right rather
-than in numpy's pairwise order, so it may differ in its last bit; the
-loop's docstring shows why no decision can depend on that.  The finite
-tests of the guess and of the lift use the same switch
-(``_all_finite``).
+commute.  The iterate is then read once as a Python list, and the
+bound sum |c|, the change max |c_next - c| and the scale max |c| are
+taken from it by ``sum``, ``max`` and ``abs``: on the bench workloads,
+whose iterates hold 2 to 14 coefficients, one ``tolist()`` and a few
+builtins cost less than five numpy calls.  The list costs more than
+numpy's dispatch on large iterates (on Python 3.11, about 15 against 9
+us at 64 coefficients and 240 against 14 us at 1024), which no bench
+workload reaches.  The change and the scale are exact in any order.
+The bound is summed by Python's ``sum`` rather than in numpy's pairwise
+order, so it may differ in its last bits; the loop's docstring shows
+why no decision can depend on that.  The finite tests of the guess and
+of the lift are list tests too (``_all_finite``).
 
 An iterate that passed the bound test is finite and belongs to the
 loop, so the returned polynomial wraps it without a copy or a second
@@ -111,17 +111,11 @@ FP_TOL = 1e-12
 MAX_ITERS = 100
 # A sum |c| above the largest double has overflowed, whatever the cap.
 _FLOAT_MAX = float(np.finfo(float).max)
-# Arrays of at most this many entries are reduced and tested for
-# finiteness as a Python list; larger ones by numpy, whose dispatch then
-# costs less than the list (see the module docstring).
-_LIST_MAX = 32
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of a is finite."""
-    if a.size <= _LIST_MAX:
-        return all(map(math.isfinite, a.ravel().tolist()))
-    return bool(np.isfinite(a).all())
+    """Whether every entry of a is finite, tested as a Python list."""
+    return all(map(math.isfinite, a.ravel().tolist()))
 
 
 class Scheme(enum.Enum):
@@ -268,29 +262,32 @@ def _picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput
     or nan, which fails ``bound <= min(cap, float max)`` under any cap.
     Only then does the loop look at the coefficients.
 
-    An iterate of at most ``_LIST_MAX`` coefficients is read once as a
-    list ``vals``, the previous one kept as ``prev``, and the bound,
-    the change max |vals - prev| and, only when the bound's convergence
-    test passes, the scale max |vals| come from Python builtins; larger
-    iterates use numpy's reductions.  The change and the scale are
-    exact in any order, so the convergence test is unchanged.  The
-    bound is summed left to right, numpy sums pairwise, so the two may
-    differ in their last bit, and it steers two decisions only as a
-    gate:
+    Each iterate is read once as a list ``vals``, the previous one kept
+    as ``prev``, and the bound, the change max |vals - prev| and, only
+    when the bound's convergence test passes, the scale max |vals| come
+    from Python builtins.  The change and the scale are exact in any
+    order, so the convergence test is unchanged.  The bound is summed
+    by ``sum``: left to right up to Python 3.11, with Neumaier
+    compensation from 3.12; numpy sums pairwise.  The two may differ in
+    their last bits, and the bound steers two decisions only as a gate:
 
     * convergence: the bound stands in for the scale max |c| before the
       exact scale test.  A rounded sum of magnitudes is at least its
-      largest term in any order, so the gate passes wherever the scale
-      test does, and the scale test decides.
+      largest term in any order.  So is the compensated sum: it adds
+      to the plain one the rounding errors of its additions, each
+      exact and at most the smaller operand, so rounding their own sum
+      misses the exact total by far less than the other terms add.
+      So the gate passes wherever the scale test does, and the scale
+      test decides.
     * the cap: a bound above the cap sends the iterate to the sampled
-      sup norm, which clears it when it is at most the cap.  The two
-      orders can disagree only when the bound is within a few ulp of
-      the cap and the sampled sup norm, at most the exact sum |c|, lies
-      above it.
+      sup norm, which clears it when it is at most the cap.  Every
+      order is within a few ulp of the exact sum |c|, so two orders can
+      disagree only when the bound is within a few ulp of the cap and
+      the sampled sup norm, at most the exact sum |c|, lies above it.
 
     ``math.fsum`` would give a correctly rounded bound, but it raises
     OverflowError where the sum leaves double range, which the loop
-    must read as divergence.
+    must read as divergence; ``sum`` returns inf or nan there.
 
     Every iterate that passed the bound test, or the explicit finite
     test, is finite and the loop's own, so it is wrapped by
@@ -302,9 +299,7 @@ def _picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput
     k, ts, V = iv.k, iv.from_reference(b.nodes), b.V
     left = a[:, None] * inp.u_left
     limit = min(cap, _FLOAT_MAX)
-    small = c.size <= _LIST_MAX
-    if small:
-        prev = c.ravel().tolist()
+    prev = c.ravel().tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_ITERS + 1):
             try:
@@ -315,15 +310,9 @@ def _picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput
             c_next *= k
             c_next += left
             # sup_t |U(t)| <= sum |c| because |P_i| <= 1: sample only above the cap
-            if small:
-                vals = c_next.ravel().tolist()
-                bound = sum(map(abs, vals))
-                change = max(map(abs, map(operator.sub, vals, prev)))
-            else:
-                abs_next = np.abs(c_next)
-                bound = float(np.add.reduce(abs_next, None))
-                diff = c_next - c
-                change = float(np.maximum.reduce(np.abs(diff, out=diff), None))
+            vals = c_next.ravel().tolist()
+            bound = sum(map(abs, vals))
+            change = max(map(abs, map(operator.sub, vals, prev)))
             if not bound <= limit:
                 if not _all_finite(c_next):
                     # f or the update left double range: diverged, reported
@@ -336,11 +325,9 @@ def _picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput
             # max|c| <= sum|c|: the scale max|c| is needed only when the
             # bound's scale passes, and the decision is the same
             if change <= FP_TOL * max(1.0, bound):
-                scale = max(map(abs, vals)) if small else float(np.maximum.reduce(abs_next, None))
-                if change <= FP_TOL * max(1.0, scale):
+                if change <= FP_TOL * max(1.0, max(map(abs, vals))):
                     return StepOutput(LocalPoly._trusted(iv, c), it, True)
-            if small:
-                prev = vals
+            prev = vals
     return StepOutput(LocalPoly._trusted(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 
@@ -353,8 +340,11 @@ def reconstruct(p: Problem, inp: StepInput, u: LocalPoly) -> LocalPoly:
     reconstruction coincide up to the Picard tolerance, which is
     relative: FP_TOL * max(1, max|c|) for the step's coefficients c.
     """
-    # _cg_lift returns a fresh array it has proven finite
-    return LocalPoly._trusted(inp.interval, _cg_lift(p, u, inp.u_left, inp.r))
+    coeffs = _cg_lift(p, u, inp.u_left, inp.r)
+    if not _all_finite(coeffs):
+        raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
+    # a fresh array, now proven finite
+    return LocalPoly._trusted(inp.interval, coeffs)
 
 
 def _cg_lift(p: Problem, u: LocalPoly, u_left: np.ndarray, r: int) -> np.ndarray:
@@ -362,15 +352,13 @@ def _cg_lift(p: Problem, u: LocalPoly, u_left: np.ndarray, r: int) -> np.ndarray
     to u (degree at most r) on ``basis(r)``'s rule: left value u_left and
     derivative the degree r projection of f(t, u).
 
-    Raises NumericOverflow when a coefficient is not finite, which is the
-    case whenever an f value is not: each coefficient of lift @ f involves
-    every node value of f.
+    A coefficient is not finite whenever an f value is not, since each
+    coefficient of lift @ f involves every node value of f, or when the
+    lift itself overflows; the callers test the array they return, once.
     """
     iv, b = u.interval, basis(r)
     with np.errstate(over="ignore", invalid="ignore"):
         f_vals = rhs_at(p, iv.from_reference(b.nodes), b.V[:, : u.coeffs.shape[0]] @ u.coeffs)
         coeffs = iv.k * (b.lift @ f_vals)
         coeffs[0] += u_left
-    if not _all_finite(coeffs):
-        raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
     return coeffs

@@ -57,6 +57,23 @@ class TestResidualEstimator:
         # from its own left value the constant has residual 0
         assert residual_estimator(p, u_hat, [1.5e308]) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_lift_raises(self, bad):
+        # one non-finite f value leaves every lift coefficient non-finite,
+        # and subtracting the finite uhat keeps them so: the one finite
+        # test, after the subtraction, raises
+        p = make_power_square(1.0)
+        inp = StepInput(Interval(0.0, 0.1), 1, np.array([1.0]), Scheme.CG)
+        u_hat = reconstruct(p, inp, step(p, inp).u)
+
+        def f_batch(ts, us):
+            vals = p.f_batch(ts, us)
+            vals[len(ts) // 2, 0] = bad
+            return vals
+
+        with pytest.raises(NumericOverflow, match="residual"):
+            residual_estimator(dataclasses.replace(p, f_batch=f_batch), u_hat, np.array([1.0]))
+
     def test_against_brute_force_single_step(self):
         p = make_power_square(1.0)
         inp = StepInput(Interval(0.0, 0.1), 1, np.array([1.0]), Scheme.CG)

@@ -489,19 +489,13 @@ class TestKernelBitIdentity:
             p, u_left = norm_square(), np.array([0.71, -1.19])
         self.assert_bits_over_k(monkeypatch, p, u_left, scheme, r)
 
-    # (r+1) d coefficients: 9 and more, where numpy's sum is unrolled
-    # pairwise while the list path sums left to right, up to and just
-    # past the list path's limit of 32, and far above it
+    # (r+1) d coefficients from 9, where numpy's sum is unrolled pairwise
+    # while the loop's ``sum`` is not, to 65, well above the bench's 14
     LARGE = [
         (Scheme.CG, 2, 3), (Scheme.DG, 2, 3), (Scheme.CG, 3, 4), (Scheme.DG, 5, 4),
         (Scheme.DG, 7, 4), (Scheme.CG, 10, 3), (Scheme.CG, 4, 7), (Scheme.DG, 8, 4),
         (Scheme.CG, 16, 2), (Scheme.DG, 12, 5),
     ]
-
-    def test_large_cases_straddle_the_list_limit(self):
-        sizes = [(r + 1) * d for _, r, d in self.LARGE]
-        assert min(sizes) == 9 and galerkin._LIST_MAX in sizes
-        assert galerkin._LIST_MAX + 1 in sizes and max(sizes) > 2 * galerkin._LIST_MAX
 
     @pytest.mark.parametrize("scheme,r,dim", LARGE, ids=lambda v: getattr(v, "value", v))
     def test_large_systems_bits_equal_parent(self, scheme, r, dim, monkeypatch):
@@ -549,8 +543,8 @@ class TestKernelBitIdentity:
         (Scheme.CG, 3, 2), (Scheme.DG, 6, 4), (Scheme.CG, 8, 4), (Scheme.DG, 10, 4),
     ], ids=lambda v: getattr(v, "value", v))
     def test_caps_straddled_at_both_sizes(self, scheme, r, dim, monkeypatch):
-        # 8 and 28 coefficients take the list path, 36 and 44 numpy's:
-        # a cap between the sampled sup norm and sum |c| is cleared by
+        # 8, 28, 36 and 44 coefficients, below and above 9, where numpy
+        # starts to sum pairwise: a cap between the sampled sup norm and sum |c| is cleared by
         # sampling, one just below the sup norm diverges
         p, u_left = norm_square(dim), np.linspace(0.71, -1.19, dim)
         k = 0.3 / float(np.linalg.norm(u_left))
@@ -566,10 +560,10 @@ class TestKernelBitIdentity:
 
 
 class TestFiniteTest:
-    """``galerkin._all_finite``, a list test up to ``_LIST_MAX`` entries
-    and numpy's above, and the two places that use it."""
+    """``galerkin._all_finite``, a list test, and the two places in the
+    step module that use it."""
 
-    SIZES = [1, 9, galerkin._LIST_MAX, galerkin._LIST_MAX + 1, 200]
+    SIZES = [1, 9, 32, 33, 200]
 
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
