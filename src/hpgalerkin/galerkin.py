@@ -54,13 +54,14 @@ bound sum |c|, the change max |c_next - c| and the scale max |c| are
 taken from it by ``sum``, ``max`` and ``abs``: on the bench workloads,
 whose iterates hold 2 to 14 coefficients, one ``tolist()`` and a few
 builtins cost less than five numpy calls.  The list costs more than
-numpy's dispatch on large iterates (on Python 3.11, about 15 against 9
-us at 64 coefficients and 240 against 14 us at 1024), which no bench
-workload reaches.  The change and the scale are exact in any order.
-The bound is summed by Python's ``sum`` rather than in numpy's pairwise
-order, so it may differ in its last bits; the loop's docstring shows
-why no decision can depend on that.  The finite tests of the guess and
-of the lift are list tests too (``_all_finite``).
+numpy's dispatch on large iterates (on Python 3.11 the three
+reductions take about 12 against 9 us at 64 coefficients and 174
+against 12 us at 1024), which no bench workload reaches.  The change
+and the scale are exact in any order.  The bound is summed by Python's
+``sum`` rather than in numpy's pairwise order, so it may differ in its
+last bits; the loop's docstring shows why no decision can depend on
+that.  The finite tests of the guess and of the lift are list tests
+too (``_all_finite``).
 
 An iterate that passed the bound test is finite and belongs to the
 loop, so the returned polynomial wraps it without a copy or a second
