@@ -9,6 +9,7 @@ from .adapt import (
     Termination,
     h_adapt,
     hp_adapt,
+    run_errors,
     smoothness,
 )
 from .estimator import (
@@ -63,6 +64,7 @@ __all__ = [
     "reconstruct",
     "reconstruction_error",
     "residual_estimator",
+    "run_errors",
     "smoothness",
     "solve_delta",
     "step",

@@ -16,8 +16,9 @@ Both drivers march interval by interval with the same skeleton:
 
 The march ends when no growth factor exists below the scan ceiling --
 the blow-up signal, with the final uncertified candidate discarded --
-or when a safety guard trips (k below k_min, interval cap).  The sum T
-of accepted step lengths is the blow-up time estimate.
+or when a safety guard trips (k below k_min or too short to move t,
+interval cap).  The sum T of accepted step lengths is the blow-up time
+estimate.
 
 Smoothness for the HP refinement decision is classified through the
 constant in the embedding of H^1 into the sup norm, applied to the
@@ -43,7 +44,7 @@ from .estimator import (
     residual_estimator,
     solve_delta,
 )
-from .galerkin import PicardConfig, Scheme, StepInput, StepOutput, reconstruct, step
+from .galerkin import PicardConfig, Scheme, StepInput, StepOutput, _all_finite, reconstruct, step
 from .poly import MAX_DEGREE, Interval, LocalPoly, basis
 from .problems import NumericOverflow, Problem
 
@@ -57,6 +58,7 @@ __all__ = [
     "smoothness",
     "h_adapt",
     "hp_adapt",
+    "run_errors",
 ]
 
 THETA_STAR = 0.85
@@ -128,7 +130,6 @@ class IntervalRecord:
     estimate: StepEstimate
     attempts: int
     decisions: tuple[str, ...]
-    recon_error: Optional[float]
     dofs: int
 
     @property
@@ -159,7 +160,8 @@ def smoothness(u: LocalPoly, r: int) -> SmoothnessReport:
     u has degree at most r, so w is affine and every norm has a closed
     form: Parseval on its two Legendre coefficients gives the L2 norms,
     and the sup of the convex |w| is attained at an endpoint.  The
-    candidate is smooth when theta >= THETA_STAR.
+    candidate is smooth when theta >= THETA_STAR.  A w that leaves
+    double range gives theta = 0, not smooth.
     """
     if r < 1:
         raise ValueError(f"smoothness indicator needs degree >= 1, got {r}")
@@ -172,10 +174,13 @@ def smoothness(u: LocalPoly, r: int) -> SmoothnessReport:
     k = u.interval.k
     w = u.coeffs[r - 1 :]
     j = np.arange(r - 1, u.degree + 1, dtype=float)[:, None]
-    for s in range(r - 1):
-        w = (2.0 * (j - s) - 1.0) * w * (2.0 / k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(r - 1):
+            w = (2.0 * (j - s) - 1.0) * w * (2.0 / k)
     if w.size == 0 or (w_max := abs(w).max()) <= _ZERO_POLY_RTOL * abs(u.coeffs).max():
         return SmoothnessReport(theta=1.0, smooth=True)
+    if not w_max < math.inf:
+        return SmoothnessReport(theta=0.0, smooth=False)
     # a power of two scales every norm below exactly and theta not at
     # all, and keeps the squares away from overflow and underflow
     w = np.ldexp(w, -math.frexp(w_max)[1])
@@ -195,6 +200,8 @@ class _Candidate:
     output: StepOutput
     reconstruction: LocalPoly
     eta_res: float
+    u_end: np.ndarray
+    next_guess: np.ndarray
     attempts: int
     decisions: list[str]
 
@@ -214,18 +221,23 @@ def _refine(
     tol: float,
     guess: Optional[np.ndarray],
 ) -> Optional[_Candidate]:
-    """Existence + accuracy loops for one interval; None when k underflows.
+    """Existence + accuracy loops for one interval; None when k falls
+    below k_min or no longer moves t_start.
 
     guess seeds the Picard iteration of the first attempt.  After an
     accuracy refinement the next attempt starts from the rejected
     candidate: restricted to the first half of its interval after a
     halving, padded with a zero row after a degree raise.  An attempt
-    after a failed one starts from the constant left value.
+    after a failed one starts from the constant left value.  A candidate
+    whose reconstruction, residual or end value leaves double range
+    halves k as an overflow.  The guesses, and next_guess for the next
+    interval, are formed under an errstate: ``step`` ignores a
+    non-finite one.
     """
     attempts = 0
     decisions: list[str] = []
     while True:
-        if k < cfg.k_min:
+        if k < cfg.k_min or not t_start + k > t_start:
             return None
         inp = StepInput(Interval(t_start, t_start + k), r, u_left, cfg.scheme)
         attempts += 1
@@ -235,18 +247,25 @@ def _refine(
             k *= 0.5
             decisions.append("halve_k_existence")
             continue
+        c = out.u.coeffs
         try:
             u_hat = reconstruct(p, inp, out.u)
             eta = residual_estimator(p, u_hat, inp.u_left)
+            if eta <= tol:
+                # U(t_end), as P_i(1) = 1, and U continued onto the next
+                # interval, whose first attempt has the same k and r
+                with np.errstate(over="ignore", invalid="ignore"):
+                    u_end = c.sum(axis=0)
+                    next_guess = basis(r).shift @ c
+                if not _all_finite(u_end):
+                    raise NumericOverflow("end value overflowed")
+                return _Candidate(inp, out, u_hat, eta, u_end, next_guess, attempts, decisions)
         except NumericOverflow:
-            # Candidate exists but its reconstruction leaves double
-            # range; treat like nonexistence and shorten the step.
+            # Candidate exists but leaves double range; treat like
+            # nonexistence and shorten the step.
             k *= 0.5
             decisions.append("halve_k_overflow")
             continue
-        if eta <= tol:
-            return _Candidate(inp, out, u_hat, eta, attempts, decisions)
-        c = out.u.coeffs
         if cfg.mode is Mode.HP and smoothness(out.u, r).smooth and r < cfg.r_max:
             r += 1
             decisions.append("raise_r")
@@ -254,7 +273,8 @@ def _refine(
         else:
             k *= 0.5
             decisions.append("halve_k")
-            guess = basis(r).halve @ c
+            with np.errstate(over="ignore", invalid="ignore"):
+                guess = basis(r).halve @ c
 
 
 def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
@@ -265,7 +285,6 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     u_left = p.u0
     prev_estimate: Optional[StepEstimate] = None
     delta_hat = 1.0
-    worst_recon_error = 0.0
     termination = Termination.MAX_INTERVALS
     guess = None
 
@@ -283,20 +302,12 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             break
 
         delta_hat *= delta
-        bound = delta * psi
-        recon_err = None
-        eff = None
-        if p.exact is not None:
-            recon_err = reconstruction_error(p, candidate.reconstruction)
-            worst_recon_error = max(worst_recon_error, recon_err)
-            eff = bound / worst_recon_error if worst_recon_error > 0.0 else math.inf
         estimate = StepEstimate(
             eta_res=candidate.eta_res,
             psi=psi,
             delta=delta,
-            bound=bound,
+            bound=delta * psi,
             delta_hat=delta_hat,
-            effectivity=eff,
         )
         records.append(
             IntervalRecord(
@@ -307,7 +318,6 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 estimate=estimate,
                 attempts=candidate.attempts,
                 decisions=tuple(candidate.decisions),
-                recon_error=recon_err,
                 dofs=_interval_dofs(p, cfg.scheme, r),
             )
         )
@@ -316,10 +326,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
         prev_estimate = estimate
         t = iv.t_end
         k = iv.k
-        c = candidate.output.u.coeffs
-        u_left = c.sum(axis=0)  # U(t_end), as P_i(1) = 1
-        # the next interval's first attempt has the same k and r
-        guess = basis(r).shift @ c
+        u_left, guess = candidate.u_end, candidate.next_guess
 
     return RunResult(
         intervals=tuple(records),
@@ -345,3 +352,23 @@ def hp_adapt(p: Problem, cfg: AdaptConfig) -> RunResult:
         raise ValueError("hp_adapt requires mode == Mode.HP")
     return _drive(p, cfg)
 
+
+def run_errors(
+    p: Problem, result: RunResult
+) -> tuple[tuple[Optional[float], ...], tuple[Optional[float], ...]]:
+    """True reconstruction errors and effectivities of a finished run.
+
+    One entry each per accepted interval: ``reconstruction_error`` of
+    its reconstruction, and its bound divided by the largest of those
+    errors so far (inf while that is 0).  Both are all None when
+    p.exact is None.  No refinement decision reads either value.
+    """
+    if p.exact is None:
+        none = (None,) * result.M
+        return none, none
+    errors, effectivities, worst = [], [], 0.0
+    for rec in result.intervals:
+        errors.append(reconstruction_error(p, rec.reconstruction))
+        worst = max(worst, errors[-1])
+        effectivities.append(rec.estimate.bound / worst if worst > 0.0 else math.inf)
+    return tuple(errors), tuple(effectivities)

@@ -37,7 +37,7 @@ import time
 
 import numpy as np
 
-from .adapt import AdaptConfig, Mode, RunResult, Termination, h_adapt, hp_adapt
+from .adapt import AdaptConfig, Mode, RunResult, Termination, h_adapt, hp_adapt, run_errors
 from .galerkin import PicardConfig, Scheme
 from .problems import _BUILTINS, Problem, builtin_problem
 
@@ -171,6 +171,7 @@ def run_from_config(config: dict, tol_star: float | None = None) -> RunResult:
 
 def _report(config: dict, result: RunResult) -> dict:
     per = result.intervals
+    recon_errors, effectivities = run_errors(build_problem(config), result)
     return {
         "config": config,
         "termination": result.termination.value,
@@ -189,16 +190,16 @@ def _report(config: dict, result: RunResult) -> dict:
             "delta_hat": [rec.estimate.delta_hat for rec in per],
             "bound": [rec.estimate.bound for rec in per],
             "theta": [rec.theta for rec in per],
-            "effectivity": [rec.estimate.effectivity for rec in per],
-            "recon_error": [rec.recon_error for rec in per],
+            "effectivity": list(effectivities),
+            "recon_error": list(recon_errors),
             "attempts": [rec.attempts for rec in per],
             "decisions": [list(rec.decisions) for rec in per],
         },
     }
 
 
-def _best_effectivity(result: RunResult) -> float | None:
-    effs = (rec.estimate.effectivity for rec in result.intervals)
+def _best_effectivity(p: Problem, result: RunResult) -> float | None:
+    effs = run_errors(p, result)[1]
     return min((e for e in effs if e is not None and math.isfinite(e)), default=None)
 
 
@@ -225,7 +226,7 @@ def sweep_rows(config: dict) -> list[dict]:
                 "T": result.T,
                 "blowup_err": abs(result.T - p.t_blowup) if p.t_blowup is not None else None,
                 "delta_hat": result.intervals[-1].estimate.delta_hat if result.M else 1.0,
-                "best_effectivity": _best_effectivity(result),
+                "best_effectivity": _best_effectivity(p, result),
                 "wall_time_s": wall,
                 "aborted": result.termination is Termination.K_MIN_REACHED,
             }

@@ -74,7 +74,6 @@ class StepEstimate:
     delta: float
     bound: float
     delta_hat: float
-    effectivity: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -269,8 +268,9 @@ def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
     cached ``basis(r).samples_V``, and when the largest square sum of
     the differences is not a normal double they are squared again scaled
     by a power of two, which rounds nothing, so the norm is finite
-    wherever it is a double.  A difference that leaves double range
-    gives inf, without a warning.
+    wherever it is a double.  uhat, exact and their difference are
+    evaluated under one errstate: a value that leaves double range gives
+    inf, without a warning.
     ``p.exact`` is called once, on the array ts (n,) of sample times,
     and must return shape (d, n), e.g. ``lambda t: np.exp(t)[None]``
     for u' = u, u(0) = 1; any other shape raises ValueError.
@@ -279,17 +279,17 @@ def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
         raise ValueError(f"problem {p.name!r} has no exact solution")
     b = basis(u_hat.degree)
     ts = u_hat.interval.from_reference(b.samples)
-    uh = (b.samples_V @ u_hat.coeffs).T
-    try:
-        ex = np.asarray(p.exact(ts), dtype=float)
-    except TypeError as exc:
-        raise ValueError(
-            f"exact must map times of shape {ts.shape} to shape {uh.shape}: {exc}"
-        ) from exc
-    if ex.shape != uh.shape:
-        raise ValueError(
-            f"exact returned shape {ex.shape} for times of shape {ts.shape}, "
-            f"expected (d, n) = {uh.shape}"
-        )
     with np.errstate(over="ignore", invalid="ignore"):
+        uh = (b.samples_V @ u_hat.coeffs).T
+        try:
+            ex = np.asarray(p.exact(ts), dtype=float)
+        except TypeError as exc:
+            raise ValueError(
+                f"exact must map times of shape {ts.shape} to shape {uh.shape}: {exc}"
+            ) from exc
+        if ex.shape != uh.shape:
+            raise ValueError(
+                f"exact returned shape {ex.shape} for times of shape {ts.shape}, "
+                f"expected (d, n) = {uh.shape}"
+            )
         return _sup_norm(ex - uh, 0)

@@ -14,9 +14,10 @@ checkouts whose solver numbers are bit-identical print the same lines.
 ``sha256`` (the full digest) covers, per run, T, M, dofs, the
 termination, the tolerance trace and the number of f points; per
 accepted interval, the endpoints, the degree, the Picard iteration
-count, every estimate, theta, the reconstruction error, the attempts,
-the decisions, the interval's dofs, and the bytes of the step and
-reconstruction coefficients.  Floats enter through ``repr``, which
+count, every estimate, theta, the reconstruction error and the
+effectivity (from ``run_errors``), the attempts, the decisions, the
+interval's dofs, and the bytes of the step and reconstruction
+coefficients.  Floats enter through ``repr``, which
 round-trips.
 
 ``decisions`` covers the same fields except those that move with the
@@ -61,13 +62,14 @@ def _coeff_bytes(coeffs):
     return repr(coeffs.shape).encode() + coeffs.astype("<f8", order="C").tobytes()
 
 
-def run_digest(full, decisions, result, f_points):
-    """Feed one run into the full and the decision digest."""
+def run_digest(full, decisions, result, errors, f_points):
+    """Feed one run, with its ``run_errors``, into the full and the
+    decision digest."""
     run = (result.T, result.M, result.dofs, result.termination.value)
     full.update(repr(run).encode())
     full.update(repr((tuple(result.tol_trace), f_points)).encode())
     decisions.update(repr(run + (f_points,)).encode())
-    for rec in result.intervals:
+    for rec, recon_error, effectivity in zip(result.intervals, *errors):
         est = rec.estimate
         steps = (
             rec.interval.t_start,
@@ -76,10 +78,10 @@ def run_digest(full, decisions, result, f_points):
             rec.output.picard_iters,
             est.eta_res,
         )
-        outcome = (rec.theta, rec.recon_error, rec.attempts, rec.decisions, rec.dofs)
+        outcome = (rec.theta, recon_error, rec.attempts, rec.decisions, rec.dofs)
         coeffs = _coeff_bytes(rec.output.u.coeffs) + _coeff_bytes(rec.reconstruction.coeffs)
         full.update(
-            repr(steps + (est.psi, est.delta, est.bound, est.delta_hat, est.effectivity) + outcome).encode()
+            repr(steps + (est.psi, est.delta, est.bound, est.delta_hat, effectivity) + outcome).encode()
         )
         full.update(coeffs)
         decisions.update(repr(steps + outcome).encode())
@@ -96,7 +98,8 @@ def digest_lines(seed):
         for ladder, tol in ops:
             ladder.f_points[0] = 0
             result = bench.solve(ladder, tol)
-            run_digest(full, decisions, result, ladder.f_points[0])
+            errors = bench.hg.run_errors(ladder.problem, result)
+            run_digest(full, decisions, result, errors, ladder.f_points[0])
         lines.append(
             f"{workload} runs={len(ops)} sha256={full.hexdigest()} "
             f"decisions={decisions.hexdigest()}"

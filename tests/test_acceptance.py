@@ -10,7 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from hpgalerkin.adapt import AdaptConfig, Mode, Termination, h_adapt, hp_adapt, smoothness
+from hpgalerkin.adapt import (
+    AdaptConfig,
+    Mode,
+    Termination,
+    h_adapt,
+    hp_adapt,
+    run_errors,
+    smoothness,
+)
 from hpgalerkin.estimator import psi_update, solve_delta
 from hpgalerkin.galerkin import PicardConfig, Scheme, StepInput, reconstruct, step
 from hpgalerkin.poly import Interval, LocalPoly, gauss_legendre, l2_project
@@ -40,6 +48,7 @@ def _report(cid, ok, detail=""):
 
 
 def _run(example, scheme, mode, r, tol, picard=PicardConfig()):
+    """The run and its (reconstruction errors, effectivities)."""
     ex = EXAMPLES[example]
     cfg = AdaptConfig(
         scheme=scheme,
@@ -50,7 +59,9 @@ def _run(example, scheme, mode, r, tol, picard=PicardConfig()):
         picard=picard,
     )
     driver = h_adapt if mode is Mode.H else hp_adapt
-    return driver(ex["make"](), cfg)
+    p = ex["make"]()
+    res = driver(p, cfg)
+    return res, run_errors(p, res)
 
 
 def _rows(results, t_inf):
@@ -62,13 +73,11 @@ def _rows(results, t_inf):
             T=res.T,
             blowup_err=abs(res.T - t_inf),
             delta_hat=res.intervals[-1].estimate.delta_hat if res.M else 1.0,
-            best_effectivity=min(
-                (r.estimate.effectivity for r in res.intervals if r.estimate.effectivity), default=None
-            ),
+            best_effectivity=min((e for e in effs if e), default=None),
             wall_time_s=0.0,
             aborted=res.termination is Termination.K_MIN_REACHED,
         )
-        for tol, res in results
+        for tol, res, (_, effs) in results
     ]
 
 
@@ -79,7 +88,7 @@ def h_sweeps():
         for scheme in SCHEMES:
             for r in DEGREES:
                 tables[(example, scheme, r)] = [
-                    (tol, _run(example, scheme, Mode.H, r, tol)) for tol in H_TOLS
+                    (tol, *_run(example, scheme, Mode.H, r, tol)) for tol in H_TOLS
                 ]
     return tables
 
@@ -88,7 +97,7 @@ def h_sweeps():
 def hp_sweeps():
     return {
         (example, scheme): [
-            (tol, _run(example, scheme, Mode.HP, 1, tol, picard=HP_PICARD)) for tol in HP_TOLS
+            (tol, *_run(example, scheme, Mode.HP, 1, tol, picard=HP_PICARD)) for tol in HP_TOLS
         ]
         for example in EXAMPLES
         for scheme in SCHEMES
@@ -122,7 +131,7 @@ def test_criterion_2_algebraic_rates_example_2(h_sweeps):
 def _h_error_at(table, t_inf, dofs):
     """Log-log interpolation of a H sweep at the given dof count; None
     when dofs falls outside the sweep's observed range."""
-    pts = sorted({(res.dofs, abs(res.T - t_inf)) for _, res in table if res.T != t_inf})
+    pts = sorted({(res.dofs, abs(res.T - t_inf)) for _, res, _ in table if res.T != t_inf})
     d = np.array([x[0] for x in pts], float)
     e = np.array([x[1] for x in pts], float)
     if dofs < d.min() or dofs > d.max():
@@ -182,12 +191,12 @@ def test_criterion_5_bound_validity(h_sweeps, hp_sweeps):
     violations = 0
     worst = 0.0
     for table in list(h_sweeps.values()) + list(hp_sweeps.values()):
-        for _, res in table:
-            for rec in res.intervals:
+        for _, res, (errs, _) in table:
+            for rec, err in zip(res.intervals, errs):
                 checked += 1
-                ratio = rec.recon_error / rec.estimate.bound if rec.estimate.bound > 0 else 0.0
+                ratio = err / rec.estimate.bound if rec.estimate.bound > 0 else 0.0
                 worst = max(worst, ratio)
-                if rec.recon_error > rec.estimate.bound * (1.0 + 1e-6):
+                if err > rec.estimate.bound * (1.0 + 1e-6):
                     violations += 1
     _report(
         5,
@@ -220,12 +229,8 @@ def test_criterion_6_delta_hat_growth(hp_sweeps):
 def test_criterion_7_effectivity_magnitude(hp_sweeps):
     bests = []
     for scheme in SCHEMES:
-        for tol, res in hp_sweeps[("power2", scheme)]:
-            effs = [
-                rec.estimate.effectivity
-                for rec in res.intervals
-                if rec.estimate.effectivity is not None and math.isfinite(rec.estimate.effectivity)
-            ]
+        for tol, res, (_, run_effs) in hp_sweeps[("power2", scheme)]:
+            effs = [e for e in run_effs if e is not None and math.isfinite(e)]
             if effs:
                 bests.append(min(effs))
     in_range = all(1.0 <= b <= 1e4 for b in bests)

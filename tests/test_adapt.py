@@ -9,9 +9,11 @@ from hpgalerkin.adapt import (
     AdaptConfig,
     Mode,
     RunResult,
+    SmoothnessReport,
     Termination,
     h_adapt,
     hp_adapt,
+    run_errors,
     smoothness,
 )
 import hpgalerkin.adapt as adapt_module
@@ -237,6 +239,11 @@ def run():
     )
 
 
+@pytest.fixture(scope="module")
+def run_errs(run):
+    return run_errors(make_power_square(1.0), run)
+
+
 class TestLedgerInvariants:
 
     def test_tolerance_ledger(self, run):
@@ -266,18 +273,18 @@ class TestLedgerInvariants:
         assert all(b > a for a, b in zip(ends, ends[1:]))
         assert math.isfinite(run.T) and run.T == ends[-1]
 
-    def test_bound_certifies_error(self, run):
-        for rec in run.intervals:
-            assert rec.recon_error <= rec.estimate.bound * (1 + 1e-6)
-            assert rec.estimate.effectivity >= 1.0
+    def test_bound_certifies_error(self, run, run_errs):
+        for rec, err, eff in zip(run.intervals, *run_errs):
+            assert err <= rec.estimate.bound * (1 + 1e-6)
+            assert eff >= 1.0
 
-    def test_delta_hat_product(self, run):
+    def test_delta_hat_product(self, run, run_errs):
         prod = 1.0
         for rec in run.intervals:
             prod *= rec.estimate.delta
             assert rec.estimate.delta_hat == pytest.approx(prod, rel=1e-12)
         # global failsafe from the tolerance-scaling discipline
-        worst = max(rec.recon_error for rec in run.intervals)
+        worst = max(run_errs[0])
         assert worst <= run.M * run.intervals[-1].estimate.delta_hat * 1e-5
 
 
@@ -324,10 +331,11 @@ class TestHpAdapt:
             max_intervals=600,
             picard=PicardConfig(divergence_cap=math.inf),
         )
-        res = hp_adapt(make_linear(400.0, [1.0]), cfg)
+        p = make_linear(400.0, [1.0])
+        res = hp_adapt(p, cfg)
         assert res.termination is Termination.MAX_INTERVALS and res.M == 600
         assert max(np.abs(rec.output.u.coeffs).max() for rec in res.intervals) > 1e170
-        assert all(math.isfinite(rec.recon_error) for rec in res.intervals)
+        assert all(math.isfinite(err) for err in run_errors(p, res)[0])
         assert all(0.0 <= rec.theta <= 1.0 for rec in res.intervals)
 
     def test_linear_past_residual_squared_overflow(self, monkeypatch):
@@ -358,6 +366,19 @@ class TestHpAdapt:
         assert all(math.isfinite(eta) for eta in etas)
         assert res.termination is Termination.K_MIN_REACHED
         assert res.T > 1.7
+
+    def test_derivative_past_the_largest_double(self):
+        # the second derivative of a step near 1e306 leaves double range
+        # in the smoothness indicator: it reads as not smooth, and the
+        # steps halve until k_min without a warning
+        cfg = AdaptConfig(
+            scheme=Scheme.CG, mode=Mode.HP, r_init=3, k_init=0.1, tol_star=1e-6,
+            picard=PicardConfig(1e308),
+        )
+        res = hp_adapt(make_linear(1.0, [1e306]), cfg)
+        assert res.termination is Termination.K_MIN_REACHED and res.M == 0
+        u = LocalPoly(Interval(0.0, 1e-3), [[1e306], [1e306], [1e306], [1e306]])
+        assert smoothness(u, 3) == SmoothnessReport(theta=0.0, smooth=False)
 
     def test_hp_beats_h_at_equal_tolerance(self):
         p = make_power_square(1.0)
@@ -408,14 +429,31 @@ class TestVectorValued:
         )
         assert res.termination is Termination.MAX_INTERVALS
         assert res.dofs == sum(2 * (rec.r + 1) for rec in res.intervals)
-        for rec in res.intervals:
-            assert rec.recon_error <= rec.estimate.bound * (1 + 1e-6)
+        for rec, err in zip(res.intervals, run_errors(p, res)[0]):
+            assert err <= rec.estimate.bound * (1 + 1e-6)
         t_end = res.intervals[-1].interval.t_end
         np.testing.assert_allclose(
             res.intervals[-1].output.u(t_end),
             p.exact(t_end),
             rtol=1e-5,
         )
+
+
+class TestEndValueOverflow:
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG])
+    @pytest.mark.parametrize("r", [2, 4])
+    def test_march_stops_where_u_leaves_double_range(self, scheme, r):
+        # u = 1e306 e^t passes the largest double at T = ln(max / 1e306):
+        # a candidate whose end value overflows halves the step, and the
+        # march aborts there without a warning
+        cfg = AdaptConfig(
+            scheme=scheme, mode=Mode.H, r_init=r, k_init=0.1, tol_star=1e296,
+            picard=PicardConfig(math.inf),
+        )
+        res = h_adapt(make_linear(1.0, [1e306]), cfg)
+        assert res.termination is Termination.K_MIN_REACHED
+        assert res.T == pytest.approx(math.log(sys.float_info.max / 1e306), rel=1e-9)
+        assert any("halve_k_overflow" in rec.decisions for rec in res.intervals)
 
 
 class TestDofCount:

@@ -100,6 +100,24 @@ class TestRunVerb:
         report = json.loads(out.read_text())
         assert (report["termination"], report["M"]) == ("k_min_reached", 0)
 
+    def test_step_below_the_spacing_of_t_aborts(self, tmp_path):
+        # near t = 1840.5 the halved step no longer moves t, above the
+        # default k_min: the run aborts there instead of building an
+        # interval of zero length
+        config = {
+            "problem": {"name": "linear", "lam": 0.01, "u0": [1.0]},
+            "scheme": "cg",
+            "mode": "h",
+            "r": 1,
+            "k_init": 10.0,
+            "tol_star": 1e-4,
+        }
+        cfg, out = write_json(tmp_path / "long.json", config), tmp_path / "r.json"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        report = json.loads(out.read_text())
+        assert (report["termination"], report["M"]) == ("k_min_reached", 206)
+        assert 1840.0 < report["T"] < 1841.0
+
     def test_report_reproducible_byte_for_byte(self, tmp_path):
         cfg = write_json(tmp_path / "run.json", RUN_CONFIG)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -14,8 +14,8 @@ from hpgalerkin.estimator import (
     residual_estimator,
     solve_delta,
 )
-from hpgalerkin.adapt import AdaptConfig, Mode, h_adapt
-from hpgalerkin.galerkin import Scheme, StepInput, reconstruct, step
+from hpgalerkin.adapt import AdaptConfig, Mode, Termination, h_adapt, run_errors
+from hpgalerkin.galerkin import PicardConfig, Scheme, StepInput, reconstruct, step
 from hpgalerkin.poly import Interval, LocalPoly, l2_project
 from hpgalerkin.problems import (
     NumericOverflow,
@@ -363,7 +363,7 @@ class TestScanAgainstReference:
 
 
 class TestEffectivity:
-    """The driver reports bound / (running max of the true sup error)."""
+    """run_errors reports bound / (running max of the true sup error)."""
 
     CFG = dict(scheme=Scheme.CG, mode=Mode.H, r_init=2, k_init=0.15, tol_star=1e-5)
 
@@ -372,29 +372,42 @@ class TestEffectivity:
         res = h_adapt(p, AdaptConfig(**self.CFG))
         assert res.M > 5
         worst, below_max = 0.0, 0
-        for rec in res.intervals:
-            assert rec.recon_error == reconstruction_error(p, rec.reconstruction)
-            below_max += rec.recon_error < worst
-            worst = max(worst, rec.recon_error)
-            assert rec.estimate.effectivity == rec.estimate.bound / worst
+        for rec, err, eff in zip(res.intervals, *run_errors(p, res)):
+            assert err == reconstruction_error(p, rec.reconstruction)
+            below_max += err < worst
+            worst = max(worst, err)
+            assert eff == rec.estimate.bound / worst
         # the running max, not the interval's own error, is the denominator
         assert below_max > 0
 
     def test_exact_match_gives_inf(self):
-        res = h_adapt(zero_rhs(), AdaptConfig(**dict(self.CFG, max_intervals=3)))
+        p = zero_rhs()
+        res = h_adapt(p, AdaptConfig(**dict(self.CFG, max_intervals=3)))
         assert res.M == 3
-        for rec in res.intervals:
-            assert rec.recon_error == 0.0
-            assert rec.estimate.effectivity == math.inf
+        assert run_errors(p, res) == ((0.0,) * 3, (math.inf,) * 3)
 
     def test_requires_exact(self):
         p = Problem(dim=1, u0=np.ones(1), f=lambda t, u: u * u, lip=lambda t, a, b: a + b)
         res = h_adapt(p, AdaptConfig(**self.CFG))
         assert res.M > 5
-        assert all(rec.estimate.effectivity is None for rec in res.intervals)
-        assert all(rec.recon_error is None for rec in res.intervals)
+        assert run_errors(p, res) == ((None,) * res.M, (None,) * res.M)
         with pytest.raises(ValueError):
             reconstruction_error(p, flat_reconstruction(1.0))
+
+    def test_errors_past_the_largest_double(self):
+        # u = 1e306 e^t marched until its end values overflow: on two
+        # intervals uhat or exact leaves double range at a sample, and
+        # the error is inf, without a warning
+        p = make_linear(1.0, [1e306])
+        cfg = AdaptConfig(
+            scheme=Scheme.CG, mode=Mode.H, r_init=4, k_init=0.1, tol_star=1e296,
+            picard=PicardConfig(math.inf),
+        )
+        res = h_adapt(p, cfg)
+        assert res.termination is Termination.K_MIN_REACHED
+        errors = run_errors(p, res)[0]
+        assert sum(err == math.inf for err in errors) == 2
+        assert all(err == math.inf or math.isfinite(err) for err in errors)
 
 
 def norm_power_problem(u0):
