@@ -72,11 +72,24 @@ changed.
 
 ``reconstruct`` lifts a converged step to the degree r+1 polynomial
 with matching left value whose derivative is the degree-r projection of
-f(t, U) -- the cG update at degree r+1 applied to U; its endpoint value
-coincides with U(t_end) for both schemes, and it is the object the
-error estimator measures.  It raises NumericOverflow when a coefficient
-leaves double range, and otherwise wraps the lift's fresh, finite array
-without a copy.
+f(t, U) -- the cG update at degree r+1 applied to U -- and it is the
+object the error estimator measures.  A converged step hands back the
+node values of f from its last update (``StepOutput.f_vals``), taken at
+the iterate before the returned one, on the very rule the lift uses;
+the drivers pass them to ``reconstruct``, which then lifts them and
+evaluates no f of its own.  U is then that earlier iterate.  The
+estimator certifies the reconstruction from whatever U it is built, so
+this costs no rigour, and it saves one f evaluation per accepted
+candidate.  The lift and the last update integrate the same node
+values, so the reconstruction's end value equals that of the returned
+iterate up to rounding, for both schemes (the dG weak form tested with
+the constant gives U(t_end) = u_left + int P_r f); lifted from f at the
+returned iterate instead, the two differ by about the last coefficient
+change.  The drivers start the next interval from the reconstruction's
+own end value, so the global reconstruction is continuous bit for bit.
+``reconstruct`` raises NumericOverflow when a coefficient leaves double
+range, and otherwise wraps the lift's fresh, finite array without a
+copy.
 """
 
 from __future__ import annotations
@@ -107,7 +120,8 @@ __all__ = [
 ]
 
 # Picard stops once the largest coefficient update is at most
-# FP_TOL * max(1, max|c|), and reports MAX_ITERS after MAX_ITERS updates.
+# FP_TOL * max(1, max|c|), or at most the caller's absolute ``atol``, and
+# reports MAX_ITERS after MAX_ITERS updates.
 FP_TOL = 1e-12
 MAX_ITERS = 100
 # A sum |c| above the largest double has overflowed, whatever the cap.
@@ -156,9 +170,13 @@ class PicardConfig:
     An iterate at which f, or the update, overflows diverges under any
     cap, ``math.inf`` included.
 
-    The rest of the iteration is fixed: the stopping test is relative,
-    FP_TOL = 1e-12 of max(1, max|c|), so it stays above the roundoff
-    floor of large iterates, and the budget is MAX_ITERS = 100 updates.
+    The rest of the iteration is not a setting.  The step stops at a
+    largest coefficient change of FP_TOL = 1e-12 of max(1, max|c|), a
+    relative test that stays above the roundoff floor of large
+    iterates, or at the absolute ``atol`` that its caller passes to
+    ``step``: the drivers pass a fixed share of their running tolerance
+    (``adapt.PICARD_TOL_SHARE``), direct calls default to 0.  The
+    budget is MAX_ITERS = 100 updates.
     """
 
     divergence_cap: float = 1e8
@@ -170,10 +188,19 @@ class PicardConfig:
 
 @dataclass(frozen=True)
 class StepOutput:
+    """The last iterate u of a step and how the iteration ended.
+
+    ``f_vals`` (n, d), set when the step converged, holds f at the nodes
+    of ``basis(r)``'s rule at the iterate before u: the values the last
+    update, which produced u, was computed from.  ``reconstruct`` lifts
+    them without evaluating f again.
+    """
+
     u: LocalPoly
     picard_iters: int
     converged: bool
     failure: Optional[StepFailure] = None
+    f_vals: Optional[np.ndarray] = None
 
 
 @lru_cache(maxsize=None)
@@ -209,17 +236,25 @@ def step(
     cfg: PicardConfig = PicardConfig(),
     *,
     guess: Optional[np.ndarray] = None,
+    atol: float = 0.0,
 ) -> StepOutput:
     """Attempt one Galerkin step by Picard iteration.
 
     Iterates the affine update of ``picard_operator`` on the bare
     coefficient array until the sup over Legendre-coefficient updates is
-    at most FP_TOL * max(1, max|c|), with c the new iterate's
-    coefficients; the scale keeps the test reachable near blow-up, where
-    one unit of roundoff in |c| ~ 1e8 already exceeds an absolute 1e-12.
-    Returns converged=False with a failure reason when the iterate
-    diverges or the iteration budget runs out; the drivers treat that as
-    "no discrete solution exists at this step size".
+    at most ``atol`` or at most FP_TOL * max(1, max|c|), with c the new
+    iterate's coefficients; the relative scale keeps the test reachable
+    near blow-up, where one unit of roundoff in |c| ~ 1e8 already
+    exceeds an absolute 1e-12.  With the default ``atol`` = 0 only the
+    relative test decides.  The drivers pass an ``atol`` tied to their
+    running tolerance: the estimator certifies the reconstruction built
+    from whatever iterate the step returns, so iterating far below that
+    tolerance buys nothing.  Returns converged=False with a failure
+    reason when the iterate diverges or the iteration budget runs out;
+    the drivers treat that as "no discrete solution exists at this step
+    size".  Every iterate up to the stop is the same for every ``atol``,
+    so a larger one stops at the same iterate or an earlier one, and
+    never makes a step fail that a smaller one solves.
 
     The first iterate is the constant u_left, or ``guess``, an
     (r+1, d) coefficient array, when one is given (the drivers pass a
@@ -245,16 +280,19 @@ def step(
         if guess.shape != c0.shape:
             raise ValueError(f"guess has shape {guess.shape}, expected {c0.shape}")
         if _all_finite(guess):
-            warm = _picard(p, inp, guess, cfg.divergence_cap)
+            warm = _picard(p, inp, guess, cfg.divergence_cap, atol=atol)
             if warm.converged:
                 return warm
-            cold = _picard(p, inp, c0, cfg.divergence_cap)
+            cold = _picard(p, inp, c0, cfg.divergence_cap, atol=atol)
             return replace(cold, picard_iters=warm.picard_iters + cold.picard_iters)
-    return _picard(p, inp, c0, cfg.divergence_cap)
+    return _picard(p, inp, c0, cfg.divergence_cap, atol=atol)
 
 
-def _picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput:
-    """The Picard loop of ``step`` from the first iterate c.
+def _picard(
+    p: Problem, inp: StepInput, c: np.ndarray, cap: float, *, atol: float = 0.0
+) -> StepOutput:
+    """The Picard loop of ``step`` from the first iterate c, stopping at
+    a change of at most ``atol`` or at the relative FP_TOL test.
 
     One errstate covers the whole loop.  The bound sum |c_next| that the
     cap test needs reads every overflow as well: each coefficient of
@@ -325,33 +363,47 @@ def _picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput
             c = c_next
             # max|c| <= sum|c|: the scale max|c| is needed only when the
             # bound's scale passes, and the decision is the same
-            if change <= FP_TOL * max(1.0, bound):
-                if change <= FP_TOL * max(1.0, max(map(abs, vals))):
-                    return StepOutput(LocalPoly._trusted(iv, c), it, True)
+            if change <= atol or (
+                change <= FP_TOL * max(1.0, bound)
+                and change <= FP_TOL * max(1.0, max(map(abs, vals)))
+            ):
+                return StepOutput(LocalPoly._trusted(iv, c), it, True, f_vals=f_vals)
             prev = vals
     return StepOutput(LocalPoly._trusted(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 
-def reconstruct(p: Problem, inp: StepInput, u: LocalPoly) -> LocalPoly:
+def reconstruct(
+    p: Problem, inp: StepInput, u: LocalPoly, f_vals: Optional[np.ndarray] = None
+) -> LocalPoly:
     """Degree r+1 reconstruction: left value u_left, derivative = degree-r
     projection of f(t, U).
 
-    This is one cG Picard update at degree r+1 applied to U.  It uses
-    the same quadrature as the step so the endpoint values of U and the
-    reconstruction coincide up to the Picard tolerance, which is
-    relative: FP_TOL * max(1, max|c|) for the step's coefficients c.
+    This is one cG Picard update at degree r+1 applied to U, on the
+    step's own quadrature.  ``f_vals``, when given, are node values of f
+    on that rule, normally ``StepOutput.f_vals``: they are lifted as
+    they are, no f is evaluated, and U is the iterate they came from,
+    the one before u.  Either way the reconstruction is what the error
+    estimator measures, whatever U it is built from.  Lifted from a
+    step's own f values, its end value equals that of the step's
+    returned iterate up to rounding; lifted from f(t, u) it differs
+    from u(t_end) by about the step's last coefficient change.  No
+    endpoint is assumed to coincide: the drivers start the next
+    interval from the reconstruction's end value.
     """
-    coeffs = _cg_lift(p, u, inp.u_left, inp.r)
+    coeffs = _cg_lift(p, u, inp.u_left, inp.r, f_vals)
     if not _all_finite(coeffs):
         raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
     # a fresh array, now proven finite
     return LocalPoly._trusted(inp.interval, coeffs)
 
 
-def _cg_lift(p: Problem, u: LocalPoly, u_left: np.ndarray, r: int) -> np.ndarray:
+def _cg_lift(
+    p: Problem, u: LocalPoly, u_left: np.ndarray, r: int, f_vals: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Coefficients (r+2, d) of one cG Picard update at degree r+1 applied
     to u (degree at most r) on ``basis(r)``'s rule: left value u_left and
-    derivative the degree r projection of f(t, u).
+    derivative the degree r projection of f(t, u), or of the node values
+    f_vals when they are given.
 
     A coefficient is not finite whenever an f value is not, since each
     coefficient of lift @ f involves every node value of f, or when the
@@ -359,7 +411,8 @@ def _cg_lift(p: Problem, u: LocalPoly, u_left: np.ndarray, r: int) -> np.ndarray
     """
     iv, b = u.interval, basis(r)
     with np.errstate(over="ignore", invalid="ignore"):
-        f_vals = rhs_at(p, iv.from_reference(b.nodes), b.V[:, : u.coeffs.shape[0]] @ u.coeffs)
+        if f_vals is None:
+            f_vals = rhs_at(p, iv.from_reference(b.nodes), b.V[:, : u.coeffs.shape[0]] @ u.coeffs)
         coeffs = iv.k * (b.lift @ f_vals)
         coeffs[0] += u_left
     return coeffs

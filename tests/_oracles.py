@@ -71,13 +71,14 @@ def _reference_dg_matrix_inverse(r):
     return np.linalg.inv(M)
 
 
-def reference_step(p, inp, cfg):
+def reference_step(p, inp, cfg, atol=0.0):
     """One cG/dG step by the per-iteration Picard loop: a LocalPoly per
     iterate, project_values, antiderivative or the dG solve, and the
     sampled sup norm against cfg.divergence_cap on every iteration; an
     iterate at which f is not finite (``checked_rhs``) diverges.  The
     relative stopping tolerance 1e-12 and the budget of 100 iterations
-    are written out here, not read from the program.
+    are written out here, not read from the program; the iteration also
+    stops at a change of at most ``atol``, as ``step`` does.
     Returns (u, picard_iters, converged, failure) with the same meaning
     as StepOutput."""
     r, iv, u_left = inp.r, inp.interval, inp.u_left
@@ -107,7 +108,7 @@ def reference_step(p, inp, cfg):
         u = u_next
         if u.linf_norm() > cfg.divergence_cap:
             return u, it, False, StepFailure.DIVERGED
-        if change <= fp_tol * scale:
+        if change <= atol or change <= fp_tol * scale:
             return u, it, True, None
     return u, max_iters, False, StepFailure.MAX_ITERS
 
@@ -192,10 +193,14 @@ def reference_scan_and_bisect(phi_of, delta_max=1e6, scan_points=200, newton_tol
     return hi
 
 
-def parent_picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> StepOutput:
+def parent_picard(
+    p: Problem, inp: StepInput, c: np.ndarray, cap: float, *, atol: float = 0.0
+) -> StepOutput:
     """The Picard loop of ``galerkin.step`` as it was before its
     dispatch-lean rewrite, kept verbatim as the bit-identity oracle of
-    ``galerkin._picard`` (same signature, so it can stand in for it).
+    ``galerkin._picard`` (same signature, so it can stand in for it),
+    with two additions: the absolute stop ``atol``, and the f values of
+    the converging update in the returned StepOutput.
 
     One errstate covers the whole loop.  The bound sum |c_next| that the
     cap test needs reads every overflow as well: each coefficient of
@@ -231,7 +236,9 @@ def parent_picard(p: Problem, inp: StepInput, c: np.ndarray, cap: float) -> Step
             c = c_next
             # max|c| <= sum|c|: the scale max|c| is needed only when the
             # bound's scale passes, and the decision is the same
-            if change <= FP_TOL * max(1.0, bound):
-                if change <= FP_TOL * max(1.0, float(abs_next.max())):
-                    return StepOutput(LocalPoly(iv, c), it, True)
+            if change <= atol or (
+                change <= FP_TOL * max(1.0, bound)
+                and change <= FP_TOL * max(1.0, float(abs_next.max()))
+            ):
+                return StepOutput(LocalPoly(iv, c), it, True, f_vals=f_vals)
     return StepOutput(LocalPoly(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)

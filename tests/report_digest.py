@@ -4,6 +4,7 @@
 Usage (from the root of a checkout):
 
     python3 tests/report_digest.py [--seed N] [--against REV]
+    python3 tests/report_digest.py --outcomes [--seed N] [--against REV]
 
 Runs each operation of every ``bench/run.py`` workload once, in the
 order the seed draws (default 1), through the benchmark's own
@@ -34,6 +35,20 @@ there and this checkout's here, for the same seed, and prints
 any mismatch.  It reads the repository and writes only the temporary
 directory: no ref, index or working-tree file changes.
 
+``--outcomes`` compares what a run decided rather than its bits, for a
+change that moves every coefficient but should keep the march: per run,
+T, M, dofs and the termination, and per accepted interval its
+endpoints, degree, attempts and decisions.  Alone it prints these as
+one JSON object keyed by ``workload ladder@tol``.  With ``--against
+REV`` it runs this script, not REV's own copy, on REV's extracted tree
+(``--root``), so it also works against a revision that predates the
+option, and prints per workload the number of runs whose outcome
+differs, each such run with its first difference, and how far the
+bounds of the runs with equal outcomes moved (the median and the
+largest relative move, interval by interval).  It exits 1 when an
+outcome differs.  ``--root DIR`` loads ``bench/run.py``, and through it
+the program, from the checkout at DIR instead of this one.
+
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
 
@@ -41,7 +56,9 @@ import argparse
 import hashlib
 import importlib.util
 import io
+import json
 import os
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -50,8 +67,8 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def load_bench():
-    spec = importlib.util.spec_from_file_location("bench_run", os.path.join(ROOT, "bench", "run.py"))
+def load_bench(root=ROOT):
+    spec = importlib.util.spec_from_file_location("bench_run", os.path.join(root, "bench", "run.py"))
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     bench.load_program()
@@ -88,9 +105,9 @@ def run_digest(full, decisions, result, errors, f_points):
         decisions.update(coeffs)
 
 
-def digest_lines(seed):
+def digest_lines(seed, root=ROOT):
     """One line per workload: name, number of runs and both digests."""
-    bench = load_bench()
+    bench = load_bench(root)
     lines = []
     for workload in bench.WORKLOADS:
         _, ops = bench.build_inputs(workload, seed)
@@ -155,16 +172,100 @@ def against(rev, seed):
     return status
 
 
+def run_outcomes(seed, root=ROOT):
+    """Per benchmark run, keyed ``workload ladder@tol``: ``run`` (T, M,
+    dofs, termination), ``intervals`` (per accepted interval: t_start,
+    t_end, r, attempts, decisions) and ``bounds``."""
+    bench = load_bench(root)
+    outcomes = {}
+    for workload in bench.WORKLOADS:
+        _, ops = bench.build_inputs(workload, seed)
+        for ladder, tol in ops:
+            result = bench.solve(ladder, tol)
+            outcomes[f"{workload} {ladder.name}@{tol!r}"] = {
+                "run": [result.T, result.M, result.dofs, result.termination.value],
+                "intervals": [
+                    [rec.interval.t_start, rec.interval.t_end, rec.r, rec.attempts, list(rec.decisions)]
+                    for rec in result.intervals
+                ],
+                "bounds": [rec.estimate.bound for rec in result.intervals],
+            }
+    return outcomes
+
+
+def first_difference(theirs, mine):
+    """The first field in which two outcomes differ, as text, or None."""
+    if theirs["run"] != mine["run"]:
+        return f"(T, M, dofs, termination) {theirs['run']} -> {mine['run']}"
+    for i, (a, b) in enumerate(zip(theirs["intervals"], mine["intervals"])):
+        if a != b:
+            return f"interval {i}: {a} -> {b}"
+    return None
+
+
+def compare_outcomes(rev, seed):
+    """Compare the run outcomes of this checkout with those of revision
+    rev; returns the exit status, 0 when every outcome is equal."""
+    with tempfile.TemporaryDirectory(prefix="report-outcomes-") as tmp:
+        if not extract_tree(rev, tmp):
+            return 2
+        proc = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--outcomes", "--seed", str(seed), "--root", tmp],
+            capture_output=True, text=True, check=False,
+        )
+    if proc.returncode != 0:
+        print(f"error: the outcomes of {rev} failed:\n{proc.stderr}", file=sys.stderr)
+        return 2
+    theirs, mine = json.loads(proc.stdout), run_outcomes(seed)
+    if theirs.keys() != mine.keys():
+        print(f"error: {rev} and this checkout run different operations", file=sys.stderr)
+        return 2
+    status = 0
+    for workload in dict.fromkeys(key.split()[0] for key in mine):
+        keys = [key for key in mine if key.split()[0] == workload]
+        differ, moves = [], []
+        for key in keys:
+            diff = first_difference(theirs[key], mine[key])
+            if diff is not None:
+                differ.append(f"  {key.split()[1]}: {diff}")
+                continue
+            for i, (a, b) in enumerate(zip(theirs[key]["bounds"], mine[key]["bounds"])):
+                moves.append((abs(b - a) / a if a > 0 else abs(b - a), key.split()[1], i, a, b))
+        status |= bool(differ)
+        print(f"{workload} seed={seed} runs={len(keys)} same={len(keys) - len(differ)} differ={len(differ)}")
+        for line in differ:
+            print(line)
+        if moves:
+            rel, name, i, a, b = max(moves)
+            print(
+                f"  bound moves over {len(moves)} intervals: median relative "
+                f"{statistics.median(m[0] for m in moves):.3g}, largest {rel:.3g} "
+                f"({name} interval {i}: {a!r} -> {b!r})"
+            )
+    return status
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="the benchmark seed (default 1)")
     parser.add_argument(
         "--against", metavar="REV", help="compare with the committed tree of git revision REV"
     )
+    parser.add_argument(
+        "--outcomes", action="store_true", help="compare run outcomes instead of digests"
+    )
+    parser.add_argument(
+        "--root", metavar="DIR", default=ROOT, help="the checkout whose benchmark to run"
+    )
     args = parser.parse_args(argv)
+    if args.outcomes:
+        if args.against is not None:
+            return compare_outcomes(args.against, args.seed)
+        print(json.dumps(run_outcomes(args.seed, os.path.abspath(args.root))))
+        return 0
     if args.against is not None:
         return against(args.against, args.seed)
-    for line in digest_lines(args.seed):
+    for line in digest_lines(args.seed, os.path.abspath(args.root)):
         print(line)
     return 0
 

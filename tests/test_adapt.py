@@ -17,7 +17,7 @@ from hpgalerkin.adapt import (
     smoothness,
 )
 import hpgalerkin.adapt as adapt_module
-from hpgalerkin.galerkin import PicardConfig, Scheme, step
+from hpgalerkin.galerkin import PicardConfig, Scheme, reconstruct, step
 from hpgalerkin.poly import Interval, LocalPoly, basis, l2_project
 import hpgalerkin.problems as problems
 from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
@@ -507,9 +507,9 @@ class TestWarmStartDecisions:
     def test_guesses_and_decisions(self, monkeypatch):
         calls = []
 
-        def spy(p, inp, cfg, *, guess=None):
-            out = step(p, inp, cfg, guess=guess)
-            cold = step(p, inp, cfg) if guess is not None else out
+        def spy(p, inp, cfg, *, guess=None, atol=0.0):
+            out = step(p, inp, cfg, guess=guess, atol=atol)
+            cold = step(p, inp, cfg, atol=atol) if guess is not None else out
             calls.append((inp, guess, out, (cold.converged, cold.failure)))
             return out
 
@@ -556,6 +556,59 @@ def norm_square_scalar():
         f=lambda t, u: np.linalg.norm(u) * u,
         lip=lambda t, a, b: 2.0 * max(a, b),
     )
+
+
+class TestInexactPicard:
+    """The drivers stop Picard at PICARD_TOL_SHARE of the running
+    tolerance, lift the f values of the step's last update, and start
+    each interval at the end value of the previous reconstruction."""
+
+    RUNS = [
+        (make_power_square(1.0), Scheme.CG, Mode.H, 1, 0.15, 1e-4),
+        (make_power_square(1.0), Scheme.DG, Mode.H, 4, 0.15, 1e-6),
+        (make_power_square(1.0), Scheme.CG, Mode.HP, 1, 0.15, 1e-7),
+        (norm_square_scalar(), Scheme.CG, Mode.HP, 1, 0.15, 1e-6),
+        (norm_square_scalar(), Scheme.DG, Mode.HP, 1, 0.15, 1e-5),
+    ]
+
+    @pytest.mark.parametrize(
+        "p,scheme,mode,r,k_init,tol",
+        RUNS,
+        ids=["power2-cg-h-1", "power2-dg-h-4", "power2-cg-hp", "custom-cg-hp", "custom-dg-hp"],
+    )
+    def test_continuity_stop_and_lift(self, p, scheme, mode, r, k_init, tol, monkeypatch):
+        attempts = []
+
+        def spy(p, inp, cfg, *, guess=None, atol=0.0):
+            out = step(p, inp, cfg, guess=guess, atol=atol)
+            attempts.append((inp, atol, out))
+            return out
+
+        monkeypatch.setattr(adapt_module, "step", spy)
+        cfg = AdaptConfig(
+            scheme=scheme, mode=mode, r_init=r, k_init=k_init, tol_star=tol,
+            picard=PicardConfig(divergence_cap=1e12),
+        )
+        res = (hp_adapt if mode is Mode.HP else h_adapt)(p, cfg)
+        assert res.termination is Termination.DELTA_NOT_FOUND and res.M > 10
+        accepted = {}
+        for inp, atol, out in attempts:
+            if out.converged:
+                accepted[(inp.interval.t_start, inp.interval.t_end, inp.r)] = (inp, atol, out)
+        u_left, running = p.u0, tol
+        for rec, tol_after in zip(res.intervals, res.tol_trace):
+            iv = rec.interval
+            inp, atol, out = accepted[(iv.t_start, iv.t_end, rec.r)]
+            assert out is rec.output
+            # continuity: each interval starts where the reconstruction
+            # before it ends, bit for bit
+            assert inp.u_left.tobytes() == np.asarray(u_left, dtype=float).tobytes()
+            # the stop is the fixed share of the running tolerance
+            assert atol == adapt_module.PICARD_TOL_SHARE * running
+            # the reconstruction is the lift of the step's own f values
+            lifted = reconstruct(p, inp, out.u, out.f_vals)
+            assert rec.reconstruction.coeffs.tobytes() == lifted.coeffs.tobytes()
+            u_left, running = rec.reconstruction.coeffs.sum(axis=0), tol_after
 
 
 class TestTracerFidelity:

@@ -405,9 +405,14 @@ class TestEffectivity:
         )
         res = h_adapt(p, cfg)
         assert res.termination is Termination.K_MIN_REACHED
-        errors = run_errors(p, res)[0]
+        errors, effectivities = run_errors(p, res)
         assert sum(err == math.inf for err in errors) == 2
         assert all(err == math.inf or math.isfinite(err) for err in errors)
+        # from the first inf error on, bound / inf would read 0: None
+        first = errors.index(math.inf)
+        assert 0 < first < res.M - 1
+        assert all(eff is None for eff in effectivities[first:])
+        assert all(eff is not None and eff > 0.0 for eff in effectivities[:first])
 
 
 def norm_power_problem(u0):

@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial import legendre
 
 import hpgalerkin.galerkin as galerkin
@@ -457,7 +458,8 @@ class TestWarmStart:
 
 
 def same_bits(out, ref):
-    """Two StepOutputs with the same iterations, outcome and coefficient bytes."""
+    """Two StepOutputs with the same iterations, outcome, coefficient bytes
+    and f value bytes."""
     assert (out.picard_iters, out.converged, out.failure) == (
         ref.picard_iters,
         ref.converged,
@@ -465,6 +467,9 @@ def same_bits(out, ref):
     )
     assert out.u.coeffs.shape == ref.u.coeffs.shape
     assert out.u.coeffs.tobytes() == ref.u.coeffs.tobytes()
+    assert (out.f_vals is None) is (ref.f_vals is None)
+    if out.f_vals is not None:
+        assert out.f_vals.tobytes() == ref.f_vals.tobytes()
 
 
 def parent_step(monkeypatch, p, inp, cfg, guess=None):
@@ -641,3 +646,109 @@ class TestTrustedWrap:
                 with pytest.raises(ValueError):
                     u.coeffs[0, 0] = 0.0
         assert outcomes == [None, StepFailure.DIVERGED, StepFailure.DIVERGED, StepFailure.MAX_ITERS]
+
+
+class TestAbsoluteStop:
+    """``step(..., atol=...)``: an absolute stop next to the relative one.
+    Every iterate up to the stop is the same for every atol, so a
+    positive atol only ends the iteration earlier."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        case=st.sampled_from(SCHEME_DEGREES),
+        dim=st.sampled_from([1, 2]),
+        k_u=st.floats(0.005, 3.0),
+        size=st.floats(0.1, 20.0),
+        atol=st.floats(-14.0, 1.0).map(lambda e: 10.0**e),
+        warm=st.booleans(),
+    )
+    def test_never_fails_where_zero_solves_nor_iterates_longer(
+        self, case, dim, k_u, size, atol, warm
+    ):
+        scheme, r = case
+        p = norm_square(dim)
+        direction = np.linspace(0.71, -1.19, dim)
+        u_left = size * direction / np.linalg.norm(direction)
+        k = k_u / size
+        inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
+        guess = None
+        if warm:
+            # the drivers' guess on a new interval, the step before
+            # continued, formed as they form it
+            before = step(p, StepInput(Interval(0.1 - k, 0.1), r, u_left, scheme))
+            with np.errstate(over="ignore", invalid="ignore"):
+                guess = basis(r).shift @ before.u.coeffs
+        exact = step(p, inp, guess=guess)
+        loose = step(p, inp, guess=guess, atol=atol)
+        if exact.converged:
+            assert loose.converged
+        assert loose.picard_iters <= exact.picard_iters
+        assert (loose.f_vals is not None) is loose.converged
+
+    @pytest.mark.parametrize("scheme,r", SCHEME_DEGREES[::2], ids=lambda v: getattr(v, "value", v))
+    @pytest.mark.parametrize("atol", [1e-9, 1e-6, 1e-3])
+    def test_stop_matches_reference(self, scheme, r, atol):
+        # the same iteration count as the reference loop's absolute stop
+        p, u_left = norm_square(), np.array([0.71, -1.19])
+        for k_u in (0.01, 0.1, 0.4, 0.9, 3.0):
+            inp = StepInput(Interval(0.1, 0.1 + k_u / np.linalg.norm(u_left)), r, u_left, scheme)
+            out = step(p, inp, atol=atol)
+            ref = reference_step(p, inp, PicardConfig(), atol)
+            assert_same_step(out, ref, 1e-13 if ref[2] else 1e-9)
+
+    @pytest.mark.parametrize("scheme,r", SCHEME_DEGREES[::2], ids=lambda v: getattr(v, "value", v))
+    @pytest.mark.parametrize("atol", [0.0, 1e-6, 1e-3])
+    def test_lift_of_step_values_is_reconstruct_of_their_iterate(self, scheme, r, atol, monkeypatch):
+        # The f values a converged step hands back were taken at the
+        # iterate before the returned one: the same loop with one update
+        # less in its budget ends there.  Lifting them is reconstruct of
+        # that iterate, bit for bit, and evaluates no f.
+        base, u_left = norm_square(), np.array([0.71, -1.19])
+        inp = StepInput(Interval(0.1, 0.1 + 0.2 / np.linalg.norm(u_left)), r, u_left, scheme)
+        out = step(base, inp, atol=atol)
+        assert out.converged and out.picard_iters > 1
+        assert out.f_vals.shape == (basis(r).nodes.size, 2)
+        with monkeypatch.context() as m:
+            m.setattr(galerkin, "MAX_ITERS", out.picard_iters - 1)
+            before = step(base, inp, atol=atol)
+        assert before.failure is StepFailure.MAX_ITERS
+        points = [0]
+
+        def f_batch(ts, us):
+            points[0] += len(ts)
+            return base.f_batch(ts, us)
+
+        p = dataclasses.replace(base, f_batch=f_batch)
+        lifted = reconstruct(p, inp, out.u, out.f_vals)
+        assert points[0] == 0
+        evaluated = reconstruct(p, inp, before.u)
+        assert points[0] > 0
+        assert lifted.coeffs.tobytes() == evaluated.coeffs.tobytes()
+        assert not lifted.coeffs.flags.writeable
+
+    @pytest.mark.parametrize("scheme,r", [(Scheme.CG, 1), (Scheme.CG, 4), (Scheme.DG, 0), (Scheme.DG, 3)])
+    def test_lifted_end_value_is_the_steps(self, scheme, r):
+        # the lift and the last update integrate the same f values, so
+        # their end values agree up to rounding however early the stop;
+        # lifted from f at the returned iterate, they differ by about the
+        # last change
+        p = make_power_square(1.0)
+        inp = StepInput(Interval(0.1, 0.2), r, np.array([1.2]), scheme)
+        out = step(p, inp, atol=1e-3)
+        assert out.converged
+        end = out.u.coeffs.sum(axis=0)
+        lifted = reconstruct(p, inp, out.u, out.f_vals).coeffs.sum(axis=0)
+        evaluated = reconstruct(p, inp, out.u).coeffs.sum(axis=0)
+        assert np.abs(lifted - end).max() <= 4e-16 * np.abs(end).max()
+        assert np.abs(evaluated - end).max() > 1e-6
+
+    def test_lift_after_one_update_is_reconstruct_of_the_guess(self):
+        # a guess that converges at once: the values came from the guess
+        p, u_left = norm_square(), np.array([0.71, -1.19])
+        inp = StepInput(Interval(0.1, 0.2), 3, u_left, Scheme.DG)
+        guess = np.array(step(p, inp).u.coeffs)
+        warm = step(p, inp, guess=guess)
+        assert warm.converged and warm.picard_iters == 1
+        lifted = reconstruct(p, inp, warm.u, warm.f_vals)
+        evaluated = reconstruct(p, inp, LocalPoly(inp.interval, guess))
+        assert lifted.coeffs.tobytes() == evaluated.coeffs.tobytes()
