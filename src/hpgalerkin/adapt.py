@@ -267,8 +267,8 @@ def _refine(
                 # uhat(t_end), as P_i(1) = 1, and U continued onto the
                 # next interval, whose first attempt has the same k and r
                 with np.errstate(over="ignore", invalid="ignore"):
-                    u_end = u_hat.coeffs.sum(axis=0)
-                    next_guess = basis(r).shift @ c
+                    u_end = np.add.reduce(u_hat.coeffs, 0)
+                    next_guess = np.dot(basis(r).shift, c)
                 if not _all_finite(u_end):
                     raise NumericOverflow("end value overflowed")
                 return _Candidate(inp, out, u_hat, eta, u_end, next_guess, attempts, decisions)
@@ -286,7 +286,7 @@ def _refine(
             k *= 0.5
             decisions.append("halve_k")
             with np.errstate(over="ignore", invalid="ignore"):
-                guess = basis(r).halve @ c
+                guess = np.dot(basis(r).halve, c)
 
 
 def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:

@@ -43,7 +43,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .galerkin import _all_finite, _cg_lift
-from .poly import Interval, LocalPoly, _sup_norm, basis
+from .poly import Interval, LocalPoly, _sup_norm, _time_map, basis
 from .problems import NumericOverflow, Problem, lip_at
 
 __all__ = [
@@ -100,14 +100,16 @@ def residual_estimator(p: Problem, u_hat: LocalPoly, u_left: np.ndarray) -> floa
 
     Raises NumericOverflow when the lift or the subtraction leaves
     double range, so that ``adapt`` halves the step as it does for an
-    overflowing reconstruction.  One finite test, after the subtraction,
-    covers both: a non-finite lift coefficient stays non-finite when a
-    finite uhat is subtracted.  Otherwise the fresh, finite coefficient
-    array is wrapped without a copy (``LocalPoly._trusted``).
+    overflowing reconstruction.  One errstate covers the lift and the
+    subtraction, and one finite test, after the subtraction, covers
+    both: a non-finite lift coefficient stays non-finite when a finite
+    uhat is subtracted.  Otherwise the fresh, finite coefficient array
+    is wrapped without a copy (``LocalPoly._trusted``) and measured by
+    its ``linf_norm``.
     """
     u_left = np.atleast_1d(np.asarray(u_left, dtype=float))
-    res_coeffs = _cg_lift(p, u_hat, u_left, u_hat.degree + _RESIDUAL_EXTRA_DEGREE)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_coeffs = _cg_lift(p, u_hat, u_left, u_hat.degree + _RESIDUAL_EXTRA_DEGREE)
         res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
     if not _all_finite(res_coeffs):
         raise NumericOverflow(f"residual of problem {p.name!r} overflowed")
@@ -137,9 +139,10 @@ def _growth_factory(
     overflow or underflow, so they are finite wherever the values are.
     """
     b = basis(u_hat.degree)
-    ts = iv.from_reference(b.nodes)
-    vals = b.V @ u_hat.coeffs
-    sq = np.sum(vals**2, axis=1)
+    k = iv.k
+    ts = _time_map(iv.t_start, k, b.offsets)
+    vals = np.dot(b.V, u_hat.coeffs)
+    sq = np.add.reduce(vals * vals, 1)
     # a list is the cheapest way to the min and max of a few values
     listed = sq.tolist()
     if _TINY <= min(listed) and max(listed) < math.inf:
@@ -150,7 +153,7 @@ def _growth_factory(
         # magnitude, which rounds nothing, and scale the norm back
         e = np.frexp(np.abs(vals).max(axis=1))[1]
         u_norms = np.ldexp(np.sqrt(np.sum(np.ldexp(vals, -e[:, None]) ** 2, axis=1)), e)
-    w = 0.5 * iv.k * b.weights
+    w = 0.5 * k * b.weights
 
     def growth(delta: float) -> float:
         try:
@@ -280,7 +283,7 @@ def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
     b = basis(u_hat.degree)
     ts = u_hat.interval.from_reference(b.samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        uh = (b.samples_V @ u_hat.coeffs).T
+        uh = np.dot(b.samples_V, u_hat.coeffs).T
         try:
             ex = np.asarray(p.exact(ts), dtype=float)
         except TypeError as exc:

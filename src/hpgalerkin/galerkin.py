@@ -47,7 +47,14 @@ bound it computes anyway: an overflow leaves that sum inf or nan.
 
 On the (r+1, d) arrays of a step, numpy's per-call dispatch costs more
 than the arithmetic, so each iteration makes as few calls as it can
-without changing a bit.  The update is formed in place as (G f) k +
+without changing a bit.  Every small product on the march, here, in the
+estimator, in ``LocalPoly.linf_norm`` and in the drivers' guesses, is an
+``np.dot`` call rather than ``@``: on the benchmark's shapes (2 to 14
+coefficients, up to 194 sample points; Python 3.11, numpy 2.4) ``np.dot``
+took 0.8-1.8 us per call against 1.2-2.5 us for the matmul ufunc, and
+gave the same bits in every case the tests compare.  The nodes of an
+interval are mapped from the basis's cached offsets (``Basis.offsets``).
+The update is formed in place as (G f) k +
 a u_left^T, which rounds as a u_left^T + k G f does since IEEE * and +
 commute.  The iterate is then read once as a Python list, and the
 bound sum |c|, the change max |c_next - c| and the scale max |c| are
@@ -104,7 +111,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import legendre as _leg
 
-from .poly import MAX_DEGREE, Interval, LocalPoly, basis
+from .poly import MAX_DEGREE, Interval, LocalPoly, _time_map, basis
 from .problems import NumericOverflow, Problem, rhs_at
 
 __all__ = [
@@ -335,17 +342,18 @@ def _picard(
     """
     iv, b = inp.interval, basis(inp.r)
     a, G = picard_operator(inp.r, inp.scheme)
-    k, ts, V = iv.k, iv.from_reference(b.nodes), b.V
+    k, V = iv.k, b.V
+    ts = _time_map(iv.t_start, k, b.offsets)
     left = a[:, None] * inp.u_left
     limit = min(cap, _FLOAT_MAX)
     prev = c.ravel().tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_ITERS + 1):
             try:
-                f_vals = rhs_at(p, ts, V @ c)
+                f_vals = rhs_at(p, ts, np.dot(V, c))
             except NumericOverflow:
                 return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
-            c_next = G @ f_vals
+            c_next = np.dot(G, f_vals)
             c_next *= k
             c_next += left
             # sup_t |U(t)| <= sum |c| because |P_i| <= 1: sample only above the cap
@@ -390,7 +398,8 @@ def reconstruct(
     endpoint is assumed to coincide: the drivers start the next
     interval from the reconstruction's end value.
     """
-    coeffs = _cg_lift(p, u, inp.u_left, inp.r, f_vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _cg_lift(p, u, inp.u_left, inp.r, f_vals)
     if not _all_finite(coeffs):
         raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
     # a fresh array, now proven finite
@@ -408,11 +417,14 @@ def _cg_lift(
     A coefficient is not finite whenever an f value is not, since each
     coefficient of lift @ f involves every node value of f, or when the
     lift itself overflows; the callers test the array they return, once.
+    The caller holds the errstate (over and invalid ignored), so that
+    one errstate covers the lift and whatever the caller does with it.
     """
     iv, b = u.interval, basis(r)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if f_vals is None:
-            f_vals = rhs_at(p, iv.from_reference(b.nodes), b.V[:, : u.coeffs.shape[0]] @ u.coeffs)
-        coeffs = iv.k * (b.lift @ f_vals)
-        coeffs[0] += u_left
+    k = iv.k
+    if f_vals is None:
+        us = np.dot(b.V[:, : u.coeffs.shape[0]], u.coeffs)
+        f_vals = rhs_at(p, _time_map(iv.t_start, k, b.offsets), us)
+    coeffs = k * np.dot(b.lift, f_vals)
+    coeffs[0] += u_left
     return coeffs

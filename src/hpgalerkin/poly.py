@@ -93,7 +93,18 @@ class Interval:
 
     def from_reference(self, x):
         """Map reference coordinate(s) x in [-1, 1] to time."""
-        return self.t_start + 0.5 * self.k * (x + 1.0)
+        return _time_map(self.t_start, self.k, x + 1.0)
+
+
+def _time_map(t_start: float, k: float, offsets):
+    """Times t_start + 0.5 k (x + 1) of the reference offsets x + 1.
+
+    The one formula of the time map: ``Interval.from_reference`` forms
+    the offsets itself, the solver passes a basis's cached
+    ``Basis.offsets``.  0.5 k is formed first, so the product rounds as
+    the map always has.
+    """
+    return t_start + 0.5 * k * offsets
 
 
 @dataclass(frozen=True)
@@ -232,7 +243,7 @@ class LocalPoly:
         # Divergence probes evaluate wildly growing iterates; an inf here
         # just means "beyond any cap", so don't warn.
         with np.errstate(over="ignore"):
-            return _sup_norm(basis(self.degree).samples_V @ self.coeffs, 1)
+            return _sup_norm(np.dot(basis(self.degree).samples_V, self.coeffs), 1)
 
 
 def _sup_norm(vals: np.ndarray, axis: int) -> float:
@@ -266,6 +277,9 @@ class Basis:
     array is read-only.
 
     nodes, weights (n,): the rule on [-1, 1], n = min(r + 6, 64).
+    offsets (n,): nodes + 1, the reference offsets of the time map: the
+    nodes of an interval are ``_time_map(t_start, k, offsets)``, bit for
+    bit ``from_reference(nodes)``.
     V (n, r+1): V @ c is the (n, d) array of values of the coefficient
     array c (r+1, d) at the nodes.
     proj (r+1, n): the quadrature L2 projection onto degree r; row i is
@@ -286,6 +300,7 @@ class Basis:
 
     nodes: np.ndarray
     weights: np.ndarray
+    offsets: np.ndarray
     V: np.ndarray
     proj: np.ndarray
     lift: np.ndarray
@@ -299,6 +314,7 @@ class Basis:
 def basis(r: int) -> Basis:
     """The cached ``Basis`` of degree r >= 0."""
     quad = gauss_legendre(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS))
+    offsets = quad.nodes + 1.0
     V = _leg.legvander(quad.nodes, r)
     proj = (np.arange(r + 1) + 0.5)[:, None] * (V.T * quad.weights)
     lift = _leg.legint(np.eye(r + 1), m=1, k=[0.0], lbnd=-1.0, scl=0.5, axis=0) @ proj
@@ -308,9 +324,11 @@ def basis(r: int) -> Basis:
     samples_V = _leg.legvander(samples, r)
     shift = proj @ _leg.legvander(quad.nodes + 2.0, r)
     halve = proj @ _leg.legvander(0.5 * (quad.nodes - 1.0), r)
-    for arr in (V, proj, lift, samples, samples_V, shift, halve):
+    for arr in (offsets, V, proj, lift, samples, samples_V, shift, halve):
         arr.flags.writeable = False
-    return Basis(quad.nodes, quad.weights, V, proj, lift, samples, samples_V, shift, halve)
+    return Basis(
+        quad.nodes, quad.weights, offsets, V, proj, lift, samples, samples_V, shift, halve
+    )
 
 
 def project_values(values: np.ndarray, iv: Interval, r: int, quad: QuadRule) -> LocalPoly:

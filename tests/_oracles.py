@@ -2,6 +2,7 @@
 the test modules."""
 
 import math
+import sys
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -16,8 +17,8 @@ from hpgalerkin.galerkin import (
     StepOutput,
     picard_operator,
 )
-from hpgalerkin.poly import LocalPoly, basis, gauss_legendre, project_values
-from hpgalerkin.problems import NumericOverflow, Problem, rhs_at
+from hpgalerkin.poly import LocalPoly, _sup_norm, basis, gauss_legendre, project_values
+from hpgalerkin.problems import NumericOverflow, Problem, lip_at, rhs_at
 
 
 def zero_rhs():
@@ -242,3 +243,83 @@ def parent_picard(
             ):
                 return StepOutput(LocalPoly(iv, c), it, True, f_vals=f_vals)
     return StepOutput(LocalPoly(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
+
+
+# The accept path as it was before its products moved from ``@`` to
+# ``np.dot``: the same arithmetic with matmul products, the nodes mapped
+# by ``from_reference``, each lift under its own errstate.  Kept as the
+# bit-identity oracles of reconstruct, residual_estimator,
+# LocalPoly.linf_norm, the growth of solve_delta and reconstruction_error.
+
+
+def parent_cg_lift(p, u, u_left, r, f_vals=None):
+    """``galerkin._cg_lift`` with matmul products and its own errstate."""
+    iv, b = u.interval, basis(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if f_vals is None:
+            f_vals = rhs_at(p, iv.from_reference(b.nodes), b.V[:, : u.coeffs.shape[0]] @ u.coeffs)
+        coeffs = iv.k * (b.lift @ f_vals)
+        coeffs[0] += u_left
+    return coeffs
+
+
+def parent_linf_norm(u):
+    """``LocalPoly.linf_norm`` with a matmul product."""
+    with np.errstate(over="ignore"):
+        return _sup_norm(basis(u.degree).samples_V @ u.coeffs, 1)
+
+
+def parent_reconstruct(p, inp, u, f_vals=None):
+    """``galerkin.reconstruct`` on ``parent_cg_lift``."""
+    coeffs = parent_cg_lift(p, u, inp.u_left, inp.r, f_vals)
+    if not np.isfinite(coeffs).all():
+        raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
+    return LocalPoly(inp.interval, coeffs)
+
+
+def parent_residual(p, u_hat, u_left, extra_degree=4):
+    """``estimator.residual_estimator`` on ``parent_cg_lift``, with a
+    second errstate for the subtraction and ``parent_linf_norm``."""
+    u_left = np.atleast_1d(np.asarray(u_left, dtype=float))
+    res_coeffs = parent_cg_lift(p, u_hat, u_left, u_hat.degree + extra_degree)
+    with np.errstate(over="ignore"):
+        res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
+    if not np.isfinite(res_coeffs).all():
+        raise NumericOverflow(f"residual of problem {p.name!r} overflowed")
+    return parent_linf_norm(LocalPoly(u_hat.interval, res_coeffs))
+
+
+def parent_growth_factory(p, iv, u_hat, psi):
+    """``estimator._growth_factory`` with a matmul product, ``np.sum`` of
+    squares and the nodes mapped by ``from_reference``; same signature,
+    so it can stand in for it inside ``solve_delta``."""
+    b = basis(u_hat.degree)
+    ts = iv.from_reference(b.nodes)
+    vals = b.V @ u_hat.coeffs
+    sq = np.sum(vals**2, axis=1)
+    listed = sq.tolist()
+    if sys.float_info.min <= min(listed) and max(listed) < math.inf:
+        u_norms = np.sqrt(sq)
+    else:
+        e = np.frexp(np.abs(vals).max(axis=1))[1]
+        u_norms = np.ldexp(np.sqrt(np.sum(np.ldexp(vals, -e[:, None]) ** 2, axis=1)), e)
+    w = 0.5 * iv.k * b.weights
+
+    def growth(delta):
+        try:
+            exponent = float(np.dot(w, lip_at(p, ts, delta * psi + u_norms, u_norms)))
+            return math.exp(exponent) if math.isfinite(exponent) else math.inf
+        except (NumericOverflow, OverflowError):
+            return math.inf
+
+    return growth
+
+
+def parent_reconstruction_error(p, u_hat):
+    """``estimator.reconstruction_error`` with a matmul product."""
+    b = basis(u_hat.degree)
+    ts = u_hat.interval.from_reference(b.samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        uh = (b.samples_V @ u_hat.coeffs).T
+        ex = np.asarray(p.exact(ts), dtype=float)
+        return _sup_norm(ex - uh, 0)

@@ -14,7 +14,9 @@ committed tree of the git revision REV (``git archive``, as
 runs each tree's own ``bench/run.py`` there and here, N times each,
 alternating which side goes first.  It then prints, for every
 per-layer metric, each side's median and range (min-max) over its runs,
-and the change of the medians; ``--out FILE`` also writes every run's
+and the change of the medians, then the same for two rows derived per
+run (``DERIVED``): ``galerkin.step_s`` per step call and per Picard
+iteration, in microseconds.  ``--out FILE`` also writes every run's
 metrics there as JSON.  It exits 1 when a run reports incorrect
 output or a failed operation, 2 when a run or git fails.
 
@@ -34,6 +36,20 @@ import sys
 import tempfile
 
 from report_digest import ROOT, extract_tree
+
+
+# Rows derived per run, in microseconds: the step's self time per call
+# and per Picard iteration.  The benchmark's galerkin.step_us_per_iter
+# divides the step's inclusive time, whose per-call set-up does not scale
+# with the iterations, by the iterations, so a step that takes fewer
+# iterations reads slower there; the two rows separate the two costs.
+DERIVED = [("galerkin.step_s", "galerkin.step_calls"), ("galerkin.step_s", "galerkin.picard_iters")]
+
+
+def per(metrics, num, den):
+    """1e6 metrics[num] / metrics[den], 0 where either is absent or 0."""
+    d = metrics.get(den, 0.0)
+    return 1e6 * metrics.get(num, 0.0) / d if d else 0.0
 
 
 def traced_run(tree, workload, seed, seconds):
@@ -85,9 +101,12 @@ def main(argv=None):
     theirs, mine = runs[args.against], runs["here"]
     print(f"{args.workload} seed={args.seed} runs={args.runs} per side, "
           f"median [min, max]: {args.against} -> here")
-    for name in mine[0]:
-        a = [m.get(name, 0.0) for m in theirs]
-        b = [m[name] for m in mine]
+    rows = [(name, [m.get(name, 0.0) for m in theirs], [m[name] for m in mine]) for name in mine[0]]
+    rows += [
+        (f"{num}/{den} (us)", [per(m, num, den) for m in theirs], [per(m, num, den) for m in mine])
+        for num, den in DERIVED
+    ]
+    for name, a, b in rows:
         ma, mb = statistics.median(a), statistics.median(b)
         change = f"{100.0 * (mb - ma) / ma:+.1f}%" if ma else "n/a"
         print(f"{name:<28} {ma:>12.6g} [{min(a):.6g}, {max(a):.6g}]  ->  "

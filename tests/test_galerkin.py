@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import legendre
 
+import hpgalerkin.adapt as adapt
+import hpgalerkin.estimator as estimator
 import hpgalerkin.galerkin as galerkin
-from hpgalerkin.estimator import residual_estimator
+from hpgalerkin.adapt import AdaptConfig, Mode
+from hpgalerkin.estimator import reconstruction_error, residual_estimator, solve_delta
 from hpgalerkin.galerkin import (
     MAX_ITERS,
     PicardConfig,
@@ -27,7 +30,12 @@ from hpgalerkin.problems import (
 )
 
 from _oracles import (
+    parent_growth_factory,
+    parent_linf_norm,
     parent_picard,
+    parent_reconstruct,
+    parent_reconstruction_error,
+    parent_residual,
     reference_reconstruct,
     reference_residual,
     reference_step,
@@ -562,6 +570,106 @@ class TestKernelBitIdentity:
             out = step(p, inp, cfg)
             assert out.converged is converged
             same_bits(out, parent_step(monkeypatch, p, inp, cfg))
+
+
+# degrees from 0 to MAX_DEGREE and dimensions from 1 to 32: cG from r = 1
+ACCEPT_CASES = [
+    (scheme, r, dim)
+    for scheme in (Scheme.CG, Scheme.DG)
+    for r in (0, 1, 2, 5, 13, 30, 58)
+    if r >= 1 or scheme is Scheme.DG
+    for dim in (1, 2, 8, 32)
+]
+
+
+def accept_case(scheme, r, dim):
+    """A converged step of f(u) = |u| u in R^dim from a random unit left
+    value on a random interval of length 0.05, with the closed-form
+    solution from that value as the problem's exact solution."""
+    rng = np.random.default_rng(1000 * r + 10 * dim + (scheme is Scheme.DG))
+    u_left = rng.standard_normal(dim)
+    u_left /= np.linalg.norm(u_left)
+    t0 = float(rng.uniform(0.0, 0.5))
+    p = dataclasses.replace(
+        norm_square(dim),
+        u0=u_left,
+        exact=lambda ts: u_left[:, None] / (1.0 - (ts - t0))[None, :],
+    )
+    inp = StepInput(Interval(t0, t0 + 0.05), r, u_left, scheme)
+    out = step(p, inp, atol=1e-9)
+    assert out.converged
+    return p, inp, out
+
+
+def float_bits(x):
+    return repr(x) if not isinstance(x, float) else np.float64(x).tobytes()
+
+
+class TestAcceptPathBitIdentity:
+    """The products of the accept path outside the Picard loop are
+    ``np.dot`` calls, the nodes are mapped from the cached offsets and
+    each residual holds one errstate: the same bits as the matmul
+    oracles of ``_oracles`` (``parent_*``), byte for byte."""
+
+    @pytest.mark.parametrize("scheme,r,dim", ACCEPT_CASES, ids=lambda v: getattr(v, "value", v))
+    def test_reconstruct(self, scheme, r, dim):
+        p, inp, out = accept_case(scheme, r, dim)
+        for f_vals in (out.f_vals, None):
+            got = reconstruct(p, inp, out.u, f_vals).coeffs
+            assert got.tobytes() == parent_reconstruct(p, inp, out.u, f_vals).coeffs.tobytes()
+
+    @pytest.mark.parametrize("scheme,r,dim", ACCEPT_CASES, ids=lambda v: getattr(v, "value", v))
+    def test_residual_and_norms(self, scheme, r, dim):
+        # the residual lifts f at uhat through the first deg(uhat) + 1
+        # columns of basis(deg(uhat) + 4).V
+        p, inp, out = accept_case(scheme, r, dim)
+        u_hat = reconstruct(p, inp, out.u, out.f_vals)
+        got = residual_estimator(p, u_hat, inp.u_left)
+        assert float_bits(got) == float_bits(parent_residual(p, u_hat, inp.u_left))
+        for u in (out.u, u_hat):
+            assert float_bits(u.linf_norm()) == float_bits(parent_linf_norm(u))
+        want = parent_reconstruction_error(p, u_hat)
+        assert float_bits(reconstruction_error(p, u_hat)) == float_bits(want)
+
+    @pytest.mark.parametrize("scheme,r,dim", ACCEPT_CASES, ids=lambda v: getattr(v, "value", v))
+    def test_delta(self, scheme, r, dim, monkeypatch):
+        # a psi from the residual, one whose solve takes several steps,
+        # cold and warm, and one without a certificate
+        p, inp, out = accept_case(scheme, r, dim)
+        u_hat = reconstruct(p, inp, out.u, out.f_vals)
+        eta = residual_estimator(p, u_hat, inp.u_left)
+        results = []
+        for psi, prev_delta in ((eta, None), (1.0, None), (1.0, 1.5), (1e3, 2.0)):
+            got = solve_delta(p, inp.interval, u_hat, psi, prev_delta)
+            with monkeypatch.context() as m:
+                m.setattr(estimator, "_growth_factory", parent_growth_factory)
+                want = solve_delta(p, inp.interval, u_hat, psi, prev_delta)
+            assert float_bits(got) == float_bits(want)
+            results.append(type(got))
+        assert results == [float, float, float, estimator.DeltaNotFound]
+
+    @pytest.mark.parametrize("scheme,r,dim", ACCEPT_CASES, ids=lambda v: getattr(v, "value", v))
+    def test_guesses_and_end_value(self, scheme, r, dim, monkeypatch):
+        # one rejected attempt, whose halve guess seeds the second, which
+        # is accepted with its shift guess for the next interval
+        p, inp, _ = accept_case(scheme, r, dim)
+        tol, etas, calls = 1e-6, iter([2e-6, 0.0]), []
+
+        def spy(p, inp, cfg, *, guess=None, atol=0.0):
+            out = step(p, inp, cfg, guess=guess, atol=atol)
+            calls.append((guess, out))
+            return out
+
+        monkeypatch.setattr(adapt, "step", spy)
+        monkeypatch.setattr(adapt, "residual_estimator", lambda p, u_hat, u_left: next(etas))
+        cfg = AdaptConfig(scheme=scheme, mode=Mode.H, r_init=r, k_init=0.1, tol_star=tol)
+        iv = inp.interval
+        cand = adapt._refine(p, cfg, iv.t_start, 2.0 * iv.k, r, inp.u_left, tol, None)
+        assert cand.decisions == ["halve_k"] and len(calls) == 2 and calls[0][0] is None
+        b = basis(r)
+        assert calls[1][0].tobytes() == (b.halve @ calls[0][1].u.coeffs).tobytes()
+        assert cand.next_guess.tobytes() == (b.shift @ calls[1][1].u.coeffs).tobytes()
+        assert cand.u_end.tobytes() == cand.reconstruction.coeffs.sum(axis=0).tobytes()
 
 
 class TestFiniteTest:

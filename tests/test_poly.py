@@ -8,6 +8,7 @@ from hpgalerkin.poly import (
     Interval,
     LocalPoly,
     QuadRule,
+    _time_map,
     basis,
     gauss_legendre,
     l2_project,
@@ -255,9 +256,38 @@ def test_basis(r, rng):
     want = np.zeros((r + 2, 2))
     want[: q + 2] = oracle.antiderivative(np.zeros(2)).coeffs
     assert np.abs(2.0 * (b.lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
-    for name in ("nodes", "weights", "V", "proj", "lift", "samples", "samples_V", "shift", "halve"):
+    assert b.offsets.tobytes() == (b.nodes + 1.0).tobytes()
+    names = ("nodes", "weights", "offsets", "V", "proj", "lift", "samples", "samples_V", "shift", "halve")
+    for name in names:
         assert not getattr(b, name).flags.writeable, name
     assert basis(r) is b
+
+
+class TestTimeMap:
+    """``_time_map`` on a basis's cached offsets is the map
+    t_start + 0.5 k (x + 1) that ``Interval.from_reference`` always
+    computed, bit for bit."""
+
+    @staticmethod
+    def formula(iv, x):
+        return iv.t_start + 0.5 * iv.k * (x + 1.0)
+
+    def test_bits_equal_formula(self, rng):
+        intervals = [
+            Interval(t, t + float(k))
+            for t, k in zip(rng.uniform(-10.0, 10.0, 40), 10.0 ** rng.uniform(-14.0, 1.0, 40))
+        ]
+        # steps of 1e-14 next to t = 1, where k keeps few bits of t
+        intervals += [Interval(t, t + 1e-14) for t in (1.0 - 3e-14, 1.0 - 1e-14, 1.0, 1.0 + 2e-14)]
+        for iv in intervals:
+            for r in (0, 1, 2, 5, 13, 30, 58, 64):
+                b = basis(r)
+                want = self.formula(iv, b.nodes).tobytes()
+                assert _time_map(iv.t_start, iv.k, b.offsets).tobytes() == want
+                assert iv.from_reference(b.nodes).tobytes() == want
+            x = float(rng.uniform(-1.0, 1.0))
+            assert iv.from_reference(x) == self.formula(iv, x)
+            assert iv.from_reference(b.samples).tobytes() == self.formula(iv, b.samples).tobytes()
 
 
 class TestSampleCache:
