@@ -11,8 +11,8 @@ Both drivers march interval by interval with the same skeleton:
     4. scale the tolerance by delta (early intervals must be resolved
        more accurately than later ones, since their estimator
        contribution is amplified by every subsequent delta), carry the
-       accepted step length, degree and solution forward (the solution
-       seeds the next interval's Picard iteration), and advance.
+       accepted step length, degree and solution forward (its f values
+       predict the next interval's first Picard iterate), and advance.
 
 The march ends when no growth factor exists below the scan ceiling --
 the blow-up signal, with the final uncertified candidate discarded --
@@ -44,7 +44,16 @@ from .estimator import (
     residual_estimator,
     solve_delta,
 )
-from .galerkin import PicardConfig, Scheme, StepInput, StepOutput, _all_finite, reconstruct, step
+from .galerkin import (
+    PicardConfig,
+    Scheme,
+    StepInput,
+    StepOutput,
+    _all_finite,
+    picard_operator,
+    reconstruct,
+    step,
+)
 from .poly import MAX_DEGREE, Interval, LocalPoly, basis
 from .problems import NumericOverflow, Problem
 
@@ -238,13 +247,17 @@ def _refine(
 
     guess seeds the Picard iteration of the first attempt.  After an
     accuracy refinement the next attempt starts from the rejected
-    candidate: restricted to the first half of its interval after a
-    halving, padded with a zero row after a degree raise.  An attempt
-    after a failed one starts from the constant left value.  A candidate
-    whose reconstruction, residual or end value leaves double range
-    halves k as an overflow.  The guesses, and next_guess for the next
-    interval, are formed under an errstate: ``step`` ignores a
-    non-finite one.
+    candidate's reconstruction, the best polynomial the loop holds:
+    restricted to the first half of its interval and projected to degree
+    r after a halving (``Basis.first_half``), as it is after a degree
+    raise, since it already has degree r + 1.  An attempt after a failed
+    one starts from the constant left value.  next_guess, the first
+    iterate of the next interval, is that interval's Picard update
+    computed from the accepted step's own f values, continued onto it
+    (``SchemeOperator.predict``): a u_end^T + k predict @ f_vals, with
+    no f evaluated.  A candidate whose reconstruction, residual or end
+    value leaves double range halves k as an overflow.  The guesses are
+    formed under an errstate: ``step`` ignores a non-finite one.
     """
     attempts = 0
     decisions: list[str] = []
@@ -259,16 +272,19 @@ def _refine(
             k *= 0.5
             decisions.append("halve_k_existence")
             continue
-        c = out.u.coeffs
         try:
             u_hat = reconstruct(p, inp, out.u, out.f_vals)
             eta = residual_estimator(p, u_hat, inp.u_left)
             if eta <= tol:
-                # uhat(t_end), as P_i(1) = 1, and U continued onto the
-                # next interval, whose first attempt has the same k and r
+                # uhat(t_end), as P_i(1) = 1, and the next interval's Picard
+                # update from this one's f values continued onto it: its
+                # first attempt has the same k and r
+                op = picard_operator(r, cfg.scheme)
                 with np.errstate(over="ignore", invalid="ignore"):
                     u_end = np.add.reduce(u_hat.coeffs, 0)
-                    next_guess = np.dot(basis(r).shift, c)
+                    next_guess = np.dot(op.predict, out.f_vals)
+                    next_guess *= inp.interval.k
+                    next_guess += op.a[:, None] * u_end
                 if not _all_finite(u_end):
                     raise NumericOverflow("end value overflowed")
                 return _Candidate(inp, out, u_hat, eta, u_end, next_guess, attempts, decisions)
@@ -281,12 +297,12 @@ def _refine(
         if cfg.mode is Mode.HP and smoothness(out.u, r).smooth and r < cfg.r_max:
             r += 1
             decisions.append("raise_r")
-            guess = np.vstack([c, np.zeros((1, c.shape[1]))])
+            guess = u_hat.coeffs
         else:
             k *= 0.5
             decisions.append("halve_k")
             with np.errstate(over="ignore", invalid="ignore"):
-                guess = np.dot(basis(r).halve, c)
+                guess = np.dot(basis(r).first_half, u_hat.coeffs)
 
 
 def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:

@@ -23,17 +23,32 @@ whose rule has r + 6 points, and P_q the degree-q quadrature L2
 projection of node values (``basis(r).proj`` and its first rows).  For
 cG, G is the antiderivative from the left endpoint composed with
 P_{r-1}, and a = e_0; for dG, G = M^-1 diag(1/(2j+1)) P_r and
-a = M^-1 ((-1)^j).  ``picard_operator`` builds the scheme part (a, G)
-once per (r, scheme), so an iteration costs one f evaluation and two
-small matrix products.  Degrees above ``MAX_DEGREE`` = 58 would need a
-rule beyond 64 points and are rejected.
+a = M^-1 ((-1)^j).  ``picard_operator`` builds the scheme part
+(``SchemeOperator``) once per (r, scheme), so an iteration costs one f
+evaluation and two small matrix products.  Degrees above
+``MAX_DEGREE`` = 58 would need a rule beyond 64 points and are
+rejected.
+
+When f comes point by point (no ``f_batch``), every node is one call
+of f, and the node count is what a step pays for.  Picard then first
+iterates the same update on the (r+1)-point Gauss rule
+(``basis(r).coarse_*`` and ``SchemeOperator.coarse_G``), the fewest
+points that still determine the degree-r update of both schemes, and
+finishes on the full rule (``_picard``).  The full rule alone decides
+whether the step exists, and its node values are the ``f_vals`` the
+reconstruction lifts.  With ``f_batch`` a point costs next to nothing
+and every extra update costs its numpy calls, so those problems iterate
+on the full rule only; the two paths agree to the Picard stop, not bit
+for bit.
 
 Picard's first iterate is the constant u_left unless the caller passes
-a guess.  The drivers pass the neighbouring candidate re-expanded by the
-basis's exact ``shift`` and ``halve`` matrices: on a new interval the
-previous accepted U continued onto it, after an accuracy halving the
-rejected candidate restricted to the first half, after a degree raise
-the candidate padded with a zero coefficient.  A guessed start that
+a guess.  The drivers pass the best polynomial they hold: on a new
+interval the Picard update of that interval computed from the accepted
+step's own f values, continued (``SchemeOperator.predict``, no f
+evaluated); after an accuracy halving the rejected reconstruction
+restricted to the first half and projected to degree r
+(``Basis.first_half``); after a degree raise the rejected
+reconstruction itself, which has the new degree.  A guessed start that
 fails is run again from u_left, so the guess changes the iteration
 count and the last bits of the returned fixed point, never whether the
 step exists.
@@ -121,6 +136,7 @@ __all__ = [
     "StepOutput",
     "PicardConfig",
     "MAX_DEGREE",
+    "SchemeOperator",
     "picard_operator",
     "step",
     "reconstruct",
@@ -131,6 +147,12 @@ __all__ = [
 # reports MAX_ITERS after MAX_ITERS updates.
 FP_TOL = 1e-12
 MAX_ITERS = 100
+# Without f_batch, Picard first sweeps on the (r+1)-point rule, and hands
+# over to the full rule at a change of at most COARSE_HANDOVER times the
+# stop, or at one that is not below COARSE_STALL times the one before
+# (``_sweep``).
+COARSE_HANDOVER = 100.0
+COARSE_STALL = 0.5
 # A sum |c| above the largest double has overflowed, whatever the cap.
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -198,9 +220,12 @@ class StepOutput:
     """The last iterate u of a step and how the iteration ended.
 
     ``f_vals`` (n, d), set when the step converged, holds f at the nodes
-    of ``basis(r)``'s rule at the iterate before u: the values the last
-    update, which produced u, was computed from.  ``reconstruct`` lifts
-    them without evaluating f again.
+    of ``basis(r)``'s full rule at the iterate before u: the values the
+    last update, which produced u, was computed from, also after a
+    coarse sweep.  ``reconstruct`` lifts them without evaluating f
+    again, and the drivers predict the next interval's first iterate
+    from them.  ``picard_iters`` counts the updates of every sweep, on
+    either rule.
     """
 
     u: LocalPoly
@@ -210,31 +235,55 @@ class StepOutput:
     f_vals: Optional[np.ndarray] = None
 
 
-@lru_cache(maxsize=None)
-def picard_operator(r: int, scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
-    """The scheme part (a, G) of the affine Picard update of degree r on
-    ``basis(r)``'s rule: a (r+1,) carries the left value, and G (r+1, n)
-    maps node values of f to coefficients per unit step length."""
-    proj = basis(r).proj
+@dataclass(frozen=True)
+class SchemeOperator:
+    """The scheme part of the affine Picard update of degree r; every
+    array is read-only.
+
+    a (r+1,): carries the left value.
+    G (r+1, n): maps node values of f on ``basis(r)``'s rule to
+    coefficients per unit step length.
+    coarse_G (r+1, m): the same map on the rule of ``basis(r).coarse_V``.
+    predict (r+1, n): G applied to the degree-r projection of node values
+    continued onto the next interval of equal length (x -> x + 2):
+    a u_end^T + k predict @ f_vals is the next interval's Picard update
+    from the f values of this one, without evaluating f.
+    """
+
+    a: np.ndarray
+    G: np.ndarray
+    coarse_G: np.ndarray
+    predict: np.ndarray
+
+
+def _scheme_matrices(r: int, scheme: Scheme, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, G) of the update on a rule whose degree-r projection is proj."""
     if scheme is Scheme.CG:
         # Antiderivative from x = -1 of the degree r-1 projection; the
         # reference map contributes k/2.
         L = _leg.legint(np.eye(r), m=1, k=[0.0], lbnd=-1.0, scl=0.5, axis=0)
         a = np.zeros(r + 1)
         a[0] = 1.0
-        G = L @ proj[:r]
-    else:
-        # dG system matrix, row j tested with P_j: int P_i' P_j dx (= 2 for
-        # i > j with i - j odd) plus the jump term P_i(-1) P_j(-1) = (-1)^(i+j).
-        i = np.arange(r + 1)
-        col, row = np.meshgrid(i, i, indexing="xy")
-        M = np.where((col > row) & ((col - row) % 2 == 1), 2.0, 0.0) + (-1.0) ** (col + row)
-        Minv = np.linalg.inv(M)
-        a = Minv @ (-1.0) ** i
-        G = Minv @ (proj / (2.0 * i + 1.0)[:, None])
-    for arr in (a, G):
+        return a, L @ proj[:r]
+    # dG system matrix, row j tested with P_j: int P_i' P_j dx (= 2 for
+    # i > j with i - j odd) plus the jump term P_i(-1) P_j(-1) = (-1)^(i+j).
+    i = np.arange(r + 1)
+    col, row = np.meshgrid(i, i, indexing="xy")
+    M = np.where((col > row) & ((col - row) % 2 == 1), 2.0, 0.0) + (-1.0) ** (col + row)
+    Minv = np.linalg.inv(M)
+    return Minv @ (-1.0) ** i, Minv @ (proj / (2.0 * i + 1.0)[:, None])
+
+
+@lru_cache(maxsize=None)
+def picard_operator(r: int, scheme: Scheme) -> SchemeOperator:
+    """The cached ``SchemeOperator`` of degree r on ``basis(r)``'s rules."""
+    b = basis(r)
+    a, G = _scheme_matrices(r, scheme, b.proj)
+    coarse_G = _scheme_matrices(r, scheme, b.coarse_proj)[1]
+    predict = G @ (_leg.legvander(b.nodes + 2.0, r) @ b.proj)
+    for arr in (a, G, coarse_G, predict):
         arr.flags.writeable = False
-    return a, G
+    return SchemeOperator(a, G, coarse_G, predict)
 
 
 def step(
@@ -259,16 +308,20 @@ def step(
     tolerance buys nothing.  Returns converged=False with a failure
     reason when the iterate diverges or the iteration budget runs out;
     the drivers treat that as "no discrete solution exists at this step
-    size".  Every iterate up to the stop is the same for every ``atol``,
-    so a larger one stops at the same iterate or an earlier one, and
-    never makes a step fail that a smaller one solves.
+    size".  With ``p.f_batch`` every iterate up to the stop is the same
+    for every ``atol``, so a larger one stops at the same iterate or an
+    earlier one, and never makes a step fail that a smaller one solves.
+    Without it the coarse sweep of ``_picard`` hands over at a change
+    tied to ``atol`` too, so the iterates, and the last bits of the
+    result, depend on it; existence is still decided on the full rule
+    from each start, as below.
 
     The first iterate is the constant u_left, or ``guess``, an
     (r+1, d) coefficient array, when one is given (the drivers pass a
-    neighbouring candidate re-expanded onto this interval).  A guessed
-    start that does not converge, or a non-finite guess, falls back to
-    the constant start, so a guess never makes a step fail that the
-    constant start solves; picard_iters then counts both runs.
+    prediction from the neighbouring candidate).  A guessed start that
+    does not converge, or a non-finite guess, falls back to the constant
+    start, so a guess never makes a step fail that the constant start
+    solves; picard_iters then counts both runs.
 
     An iterate diverges when f overflows at it, when the update from it
     overflows, or when its sup norm exceeds ``divergence_cap``; an
@@ -298,8 +351,60 @@ def step(
 def _picard(
     p: Problem, inp: StepInput, c: np.ndarray, cap: float, *, atol: float = 0.0
 ) -> StepOutput:
-    """The Picard loop of ``step`` from the first iterate c, stopping at
-    a change of at most ``atol`` or at the relative FP_TOL test.
+    """The Picard iteration of ``step`` from the first iterate c, stopping
+    at a change of at most ``atol`` or at the relative FP_TOL test.
+
+    With ``p.f_batch`` it is one ``_sweep`` on ``basis(r)``'s rule.
+    Without it, f is called once per node, so every update pays for its
+    r + 6 points.  The iteration then first sweeps on the (r+1)-point
+    rule, the fewest points that still determine the degree-r update of
+    both schemes (cG projects f onto degree r-1, dG onto degree r), and
+    hands its iterate over to the full rule, which finishes.  Whether
+    the step exists is decided on the full rule only: when the coarse
+    sweep fails, or the full rule fails from the handed-over iterate,
+    the full rule runs again from c.  So the coarse sweep never makes a
+    step fail that the full rule solves from c.  ``f_vals`` are always
+    the full rule's, and picard_iters counts the updates of every sweep.
+    """
+    b, op = basis(inp.r), picard_operator(inp.r, inp.scheme)
+    if p.f_batch is not None:
+        return _sweep(p, inp, c, cap, atol, op.a, b.offsets, b.V, op.G)
+    first = _sweep(
+        p, inp, c, cap, atol, op.a, b.coarse_offsets, b.coarse_V, op.coarse_G, coarse=True
+    )
+    spent = first.picard_iters
+    if first.converged:
+        out = _sweep(p, inp, first.u.coeffs, cap, atol, op.a, b.offsets, b.V, op.G, spent=spent)
+        if out.converged:
+            return out
+        spent = out.picard_iters
+    return _sweep(p, inp, c, cap, atol, op.a, b.offsets, b.V, op.G, spent=spent)
+
+
+def _sweep(
+    p: Problem,
+    inp: StepInput,
+    c: np.ndarray,
+    cap: float,
+    atol: float,
+    a: np.ndarray,
+    offsets: np.ndarray,
+    V: np.ndarray,
+    G: np.ndarray,
+    *,
+    coarse: bool = False,
+    spent: int = 0,
+) -> StepOutput:
+    """The Picard loop on one rule (its node offsets, Vandermonde V and
+    update matrix G) from the first iterate c, with a budget of
+    MAX_ITERS updates; iteration counts start after ``spent``.
+
+    It stops at a change of at most ``atol`` or at the relative FP_TOL
+    test.  A ``coarse`` sweep only looks for a start for the full rule:
+    it hands over (returns converged) at COARSE_HANDOVER times either
+    threshold, or once its change no longer falls below COARSE_STALL
+    times the one before; a change that grows fails it instead, as the
+    map expands there and its iterate is no better start than c.
 
     One errstate covers the whole loop.  The bound sum |c_next| that the
     cap test needs reads every overflow as well: each coefficient of
@@ -340,15 +445,17 @@ def _picard(
     ``LocalPoly._trusted``; the failure returns can hold the first
     iterate, the caller's guess, and copy it.
     """
-    iv, b = inp.interval, basis(inp.r)
-    a, G = picard_operator(inp.r, inp.scheme)
-    k, V = iv.k, b.V
-    ts = _time_map(iv.t_start, k, b.offsets)
+    iv = inp.interval
+    k = iv.k
+    ts = _time_map(iv.t_start, k, offsets)
     left = a[:, None] * inp.u_left
     limit = min(cap, _FLOAT_MAX)
-    prev = c.ravel().tolist()
+    # 1.0 * x is x: the full rule stops exactly at atol and FP_TOL
+    scale = COARSE_HANDOVER if coarse else 1.0
+    tol_abs, tol_rel = scale * atol, scale * FP_TOL
+    prev, last = c.ravel().tolist(), math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, MAX_ITERS + 1):
+        for it in range(spent + 1, spent + MAX_ITERS + 1):
             try:
                 f_vals = rhs_at(p, ts, np.dot(V, c))
             except NumericOverflow:
@@ -371,13 +478,20 @@ def _picard(
             c = c_next
             # max|c| <= sum|c|: the scale max|c| is needed only when the
             # bound's scale passes, and the decision is the same
-            if change <= atol or (
-                change <= FP_TOL * max(1.0, bound)
-                and change <= FP_TOL * max(1.0, max(map(abs, vals)))
+            if (
+                change <= tol_abs
+                or (
+                    change <= tol_rel * max(1.0, bound)
+                    and change <= tol_rel * max(1.0, max(map(abs, vals)))
+                )
             ):
                 return StepOutput(LocalPoly._trusted(iv, c), it, True, f_vals=f_vals)
-            prev = vals
-    return StepOutput(LocalPoly._trusted(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
+            if coarse and change >= COARSE_STALL * last:
+                grows = change >= last
+                failure = StepFailure.DIVERGED if grows else None
+                return StepOutput(LocalPoly._trusted(iv, c), it, not grows, failure)
+            prev, last = vals, change
+    return StepOutput(LocalPoly._trusted(iv, c), spent + MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 
 def reconstruct(

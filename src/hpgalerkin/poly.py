@@ -273,7 +273,7 @@ def _scaled_sup_norm(vals: np.ndarray, axis: int) -> float:
 
 @dataclass(frozen=True)
 class Basis:
-    """The Legendre basis of degree r with its Gauss-Legendre rule; every
+    """The Legendre basis of degree r with its Gauss-Legendre rules; every
     array is read-only.
 
     nodes, weights (n,): the rule on [-1, 1], n = min(r + 6, 64).
@@ -291,11 +291,15 @@ class Basis:
     samples (m,), samples_V (m, r+1): the sup-norm sample points,
     24 (r+2) Chebyshev points plus the two endpoints, and their
     Vandermonde.
-    shift, halve (r+1, r+1): re-expand c onto another interval; shift @ c
-    represents the same polynomial on the next interval of equal length
-    (x -> x + 2), halve @ c on the first half of its own interval
-    (x -> (x - 1) / 2).  Both are exact identities between polynomials,
-    rounded once, while n >= r + 1.
+    coarse_offsets (m,), coarse_V (m, r+1), coarse_proj (r+1, m): the
+    same three arrays for the (r+1)-point Gauss rule (m = min(r + 1,
+    64)), the fewest points whose projection still reproduces degree r
+    exactly.  The Picard step sweeps on it first when f is evaluated
+    point by point.
+    first_half (r+1, r+2): first_half @ c is the degree-r projection of
+    the degree r+1 polynomial c restricted to the first half of its
+    interval (x -> (x - 1) / 2), rounded once; exact for a c of degree
+    at most r.
     """
 
     nodes: np.ndarray
@@ -306,8 +310,17 @@ class Basis:
     lift: np.ndarray
     samples: np.ndarray
     samples_V: np.ndarray
-    shift: np.ndarray
-    halve: np.ndarray
+    coarse_offsets: np.ndarray
+    coarse_V: np.ndarray
+    coarse_proj: np.ndarray
+    first_half: np.ndarray
+
+
+def _projection(quad: QuadRule, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Vandermonde (n, r+1) of quad's nodes and the quadrature L2
+    projection (r+1, n) onto degree r."""
+    V = _leg.legvander(quad.nodes, r)
+    return V, (np.arange(r + 1) + 0.5)[:, None] * (V.T * quad.weights)
 
 
 @lru_cache(maxsize=None)
@@ -315,20 +328,22 @@ def basis(r: int) -> Basis:
     """The cached ``Basis`` of degree r >= 0."""
     quad = gauss_legendre(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS))
     offsets = quad.nodes + 1.0
-    V = _leg.legvander(quad.nodes, r)
-    proj = (np.arange(r + 1) + 0.5)[:, None] * (V.T * quad.weights)
+    V, proj = _projection(quad, r)
     lift = _leg.legint(np.eye(r + 1), m=1, k=[0.0], lbnd=-1.0, scl=0.5, axis=0) @ proj
     m = _LINF_SAMPLES_PER_DEGREE * (r + 2)
     cheb = np.cos(np.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
     samples = np.concatenate(([-1.0], cheb[::-1], [1.0]))
     samples_V = _leg.legvander(samples, r)
-    shift = proj @ _leg.legvander(quad.nodes + 2.0, r)
-    halve = proj @ _leg.legvander(0.5 * (quad.nodes - 1.0), r)
-    for arr in (offsets, V, proj, lift, samples, samples_V, shift, halve):
-        arr.flags.writeable = False
-    return Basis(
-        quad.nodes, quad.weights, offsets, V, proj, lift, samples, samples_V, shift, halve
+    coarse = gauss_legendre(min(r + 1, _MAX_QUAD_POINTS))
+    coarse_offsets = coarse.nodes + 1.0
+    coarse_V, coarse_proj = _projection(coarse, r)
+    first_half = proj @ _leg.legvander(0.5 * (quad.nodes - 1.0), r + 1)
+    arrays = (
+        offsets, V, proj, lift, samples, samples_V, coarse_offsets, coarse_V, coarse_proj, first_half
     )
+    for arr in arrays:
+        arr.flags.writeable = False
+    return Basis(quad.nodes, quad.weights, *arrays)
 
 
 def project_values(values: np.ndarray, iv: Interval, r: int, quad: QuadRule) -> LocalPoly:

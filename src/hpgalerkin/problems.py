@@ -15,7 +15,8 @@ blows up at e^{-u0}) and ``linear`` (f = lam*u, globally Lipschitz).
 
 All user-supplied callables must be pure; f and lip are evaluated
 at one time per call (f: (t, u_vector) -> vector, lip: (t, a, b) ->
-scalar with lip monotone nondecreasing in a and b).  Optionally ``f_batch`` /
+scalar with lip monotone nondecreasing in a and b), with t, a and b
+Python floats and u_vector a NumPy array.  Optionally ``f_batch`` /
 ``lip_batch`` provide vectorized evaluation over arrays of times,
 which the solvers use when present.
 
@@ -82,7 +83,8 @@ def rhs_at(p: Problem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
     included: each caller tests a sum it computes anyway for
     finiteness, under one ``np.errstate`` per step or solve, rather
     than once per call here.  Only a scalar ``f`` that raises
-    NumericOverflow itself stops the evaluation.
+    NumericOverflow itself stops the evaluation.  A scalar ``f``
+    receives t as a Python float and u as a row of us.
     """
     if p.f_batch is not None:
         vals = np.asarray(p.f_batch(ts, us), dtype=float)
@@ -91,7 +93,7 @@ def rhs_at(p: Problem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
         return vals
     # one list, stacked at once; only when that gives the wrong shape are
     # the rows checked one by one
-    d, rows = us.shape[1], [p.f(t, u) for t, u in zip(ts, us)]
+    d, rows = us.shape[1], [p.f(t, u) for t, u in zip(ts.tolist(), us)]
     try:
         vals = np.array(rows, dtype=float)
         if vals.shape == us.shape:
@@ -109,11 +111,11 @@ def lip_at(p: Problem, ts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     """Evaluate the Lipschitz envelope at arrays of (t, a, b); returns (n,).
 
     As with ``rhs_at``, non-finite values are returned, not flagged; a
-    scalar ``lip`` receives a and b as Python floats.
+    scalar ``lip`` receives t, a and b as Python floats.
     """
     if p.lip_batch is not None:
         return np.asarray(p.lip_batch(ts, a, b), dtype=float)
-    vals = [p.lip(t, ai, bi) for t, ai, bi in zip(ts, a.tolist(), b.tolist())]
+    vals = [p.lip(t, ai, bi) for t, ai, bi in zip(ts.tolist(), a.tolist(), b.tolist())]
     return np.array(vals, dtype=float)
 
 

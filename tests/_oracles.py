@@ -211,7 +211,8 @@ def parent_picard(
     Only then does the loop look at the coefficients.
     """
     iv, b = inp.interval, basis(inp.r)
-    a, G = picard_operator(inp.r, inp.scheme)
+    op = picard_operator(inp.r, inp.scheme)
+    a, G = op.a, op.G
     k, ts, V = iv.k, iv.from_reference(b.nodes), b.V
     left = np.outer(a, inp.u_left)
     limit = min(cap, _FLOAT_MAX)
@@ -243,6 +244,35 @@ def parent_picard(
             ):
                 return StepOutput(LocalPoly(iv, c), it, True, f_vals=f_vals)
     return StepOutput(LocalPoly(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
+
+
+def exact_reexpansions(r):
+    """The exact re-expansion matrices (r+1, r+1) of a degree-r
+    coefficient array: shift @ c continues c onto the next interval of
+    equal length (x -> x + 2), halve @ c restricts it to the first half
+    of its own (x -> (x - 1) / 2).  The kernel tests start Picard from
+    these re-expansions of neighbouring steps."""
+    b = basis(r)
+    shift = b.proj @ legendre.legvander(b.nodes + 2.0, r)
+    halve = b.proj @ legendre.legvander(0.5 * (b.nodes - 1.0), r)
+    return shift, halve
+
+
+def next_interval_guess(inp, f_vals, u_end):
+    """The drivers' first iterate on the interval after ``inp``, with
+    matmul products: the Picard update of the next interval, of equal
+    length, from the f values of this step continued onto it
+    (``SchemeOperator.predict``), with left value ``u_end``.  Byte-equal
+    oracle of ``adapt._refine``'s next_guess."""
+    op = picard_operator(inp.r, inp.scheme)
+    return np.outer(op.a, u_end) + inp.interval.k * (op.predict @ f_vals)
+
+
+def halved_guess(r, u_hat):
+    """The drivers' first iterate after an accuracy halving at degree r,
+    with a matmul product: the rejected reconstruction restricted to the
+    first half and projected to degree r (``Basis.first_half``)."""
+    return basis(r).first_half @ u_hat.coeffs
 
 
 # The accept path as it was before its products moved from ``@`` to

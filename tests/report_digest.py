@@ -45,7 +45,11 @@ REV`` it runs this script, not REV's own copy, on REV's extracted tree
 option, and prints per workload the number of runs whose outcome
 differs, each such run with its first difference, and how far the
 bounds of the runs with equal outcomes moved (the median and the
-largest relative move, interval by interval).  It exits 1 when an
+largest relative move, interval by interval).  It also counts the
+bounds that moved by more than 1%, how many of those lie, on both
+sides, at or below their step's Picard stop ``atol = PICARD_TOL_SHARE
+* tol`` (where the bound reflects where Picard stopped more than the
+solution), and the largest move among the others.  It exits 1 when an
 outcome differs.  ``--root DIR`` loads ``bench/run.py``, and through it
 the program, from the checkout at DIR instead of this one.
 
@@ -175,8 +179,10 @@ def against(rev, seed):
 def run_outcomes(seed, root=ROOT):
     """Per benchmark run, keyed ``workload ladder@tol``: ``run`` (T, M,
     dofs, termination), ``intervals`` (per accepted interval: t_start,
-    t_end, r, attempts, decisions) and ``bounds``."""
+    t_end, r, attempts, decisions), ``bounds`` and ``atols``, the Picard
+    stop of each accepted step (0 for a tree without one)."""
     bench = load_bench(root)
+    share = getattr(sys.modules.get("hpgalerkin.adapt"), "PICARD_TOL_SHARE", 0.0)
     outcomes = {}
     for workload in bench.WORKLOADS:
         _, ops = bench.build_inputs(workload, seed)
@@ -189,6 +195,8 @@ def run_outcomes(seed, root=ROOT):
                     for rec in result.intervals
                 ],
                 "bounds": [rec.estimate.bound for rec in result.intervals],
+                # each step ran at the tolerance before its own delta scaled it
+                "atols": [share * t for t in (tol,) + result.tol_trace[:-1]][: result.M],
             }
     return outcomes
 
@@ -229,19 +237,30 @@ def compare_outcomes(rev, seed):
             if diff is not None:
                 differ.append(f"  {key.split()[1]}: {diff}")
                 continue
-            for i, (a, b) in enumerate(zip(theirs[key]["bounds"], mine[key]["bounds"])):
-                moves.append((abs(b - a) / a if a > 0 else abs(b - a), key.split()[1], i, a, b))
+            pairs = zip(theirs[key]["bounds"], mine[key]["bounds"], mine[key]["atols"])
+            for i, (a, b, atol) in enumerate(pairs):
+                rel = abs(b - a) / a if a > 0 else abs(b - a)
+                moves.append((rel, key.split()[1], i, a, b, max(a, b) <= atol))
         status |= bool(differ)
         print(f"{workload} seed={seed} runs={len(keys)} same={len(keys) - len(differ)} differ={len(differ)}")
         for line in differ:
             print(line)
         if moves:
-            rel, name, i, a, b = max(moves)
+            rel, name, i, a, b, _ = max(moves)
             print(
                 f"  bound moves over {len(moves)} intervals: median relative "
                 f"{statistics.median(m[0] for m in moves):.3g}, largest {rel:.3g} "
                 f"({name} interval {i}: {a!r} -> {b!r})"
             )
+            large = [m for m in moves if m[0] > 0.01]
+            print(
+                f"  moved by more than 1%: {len(large)} intervals, "
+                f"{sum(m[5] for m in large)} of them with both bounds at or below the Picard atol"
+            )
+            above = [m for m in moves if not m[5]]
+            if above:
+                rel, name, i, a, b, _ = max(above)
+                print(f"  largest move above the atol: {rel:.3g} ({name} interval {i}: {a!r} -> {b!r})")
     return status
 
 

@@ -18,11 +18,11 @@ from hpgalerkin.adapt import (
 )
 import hpgalerkin.adapt as adapt_module
 from hpgalerkin.galerkin import PicardConfig, Scheme, reconstruct, step
-from hpgalerkin.poly import Interval, LocalPoly, basis, l2_project
+from hpgalerkin.poly import Interval, LocalPoly, l2_project
 import hpgalerkin.problems as problems
 from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
 
-from _oracles import reference_smoothness, zero_rhs
+from _oracles import halved_guess, next_interval_guess, reference_smoothness, zero_rhs
 
 
 class TestSmoothness:
@@ -514,7 +514,7 @@ class TestWarmStartDecisions:
             return out
 
         monkeypatch.setattr(adapt_module, "step", spy)
-        kinds = {"shift": 0, "halve": 0, "raise": 0}
+        kinds = {"next": 0, "halve": 0, "raise": 0}
         for make, k_init, scheme, mode in self.RUNS:
             cfg = AdaptConfig(
                 scheme=scheme,
@@ -525,24 +525,26 @@ class TestWarmStartDecisions:
                 picard=PicardConfig(divergence_cap=1e12),
             )
             calls.clear()
-            (hp_adapt if mode is Mode.HP else h_adapt)(make(1.0), cfg)
+            p = make(1.0)
+            (hp_adapt if mode is Mode.HP else h_adapt)(p, cfg)
             assert calls[0][1] is None
             for (prev, _, prev_out, _), (inp, guess, out, cold) in zip(calls, calls[1:]):
                 assert (out.converged, out.failure) == cold
                 if not prev_out.converged:
                     assert guess is None
                     continue
-                op = basis(prev.r)
-                c = prev_out.u.coeffs
                 if inp.interval.t_start == prev.interval.t_end:
-                    kind, want = "shift", op.shift @ c
+                    # the next interval starts at the reconstruction's end value
+                    kind, want = "next", next_interval_guess(prev, prev_out.f_vals, inp.u_left)
                     # same step length up to the rounding of t + k - t
                     assert inp.r == prev.r
                     assert inp.interval.k == pytest.approx(prev.interval.k, rel=1e-6)
-                elif inp.r == prev.r + 1:
-                    kind, want = "raise", np.vstack([c, np.zeros((1, c.shape[1]))])
                 else:
-                    kind, want = "halve", op.halve @ c
+                    u_hat = reconstruct(p, prev, prev_out.u, prev_out.f_vals)
+                    if inp.r == prev.r + 1:
+                        kind, want = "raise", u_hat.coeffs
+                    else:
+                        kind, want = "halve", halved_guess(prev.r, u_hat)
                 assert np.array_equal(guess, want)
                 kinds[kind] += 1
         assert min(kinds.values()) > 10, kinds

@@ -17,6 +17,7 @@ from hpgalerkin.galerkin import (
     Scheme,
     StepFailure,
     StepInput,
+    picard_operator,
     reconstruct,
     step,
 )
@@ -30,6 +31,9 @@ from hpgalerkin.problems import (
 )
 
 from _oracles import (
+    exact_reexpansions,
+    halved_guess,
+    next_interval_guess,
     parent_growth_factory,
     parent_linf_norm,
     parent_picard,
@@ -185,7 +189,11 @@ class TestOverflow:
         inp = StepInput(Interval(0.0, 1e-300), r, np.array([705.0]), scheme)
         out, ref = step(p, inp), reference_step(p, inp, PicardConfig())
         assert ref[1:] == (2, False, StepFailure.DIVERGED)
-        assert_same_step(out, ref, 1e-13)
+        # the coarse sweep of a point-by-point f meets the overflow at its
+        # second update too, and the full rule runs again from the start:
+        # its 2 updates count in picard_iters
+        assert out.picard_iters == 2 + ref[1]
+        assert_same_step(dataclasses.replace(out, picard_iters=ref[1]), ref, 1e-13)
 
     @pytest.mark.parametrize("scheme,r", OVERFLOW_SCHEMES)
     @pytest.mark.parametrize("cap", [1e308, np.inf])
@@ -450,19 +458,37 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("r", range(0, 13))
     def test_reexpansion_matches_legval(self, r, rng):
-        op = basis(r)
+        # the matrices of the drivers' guesses: first_half restricts a
+        # degree r+1 polynomial to the first half of its interval and
+        # projects it to degree r; predict continues the degree-r
+        # projection of node values onto the next interval (x -> x + 2)
+        # and applies the update matrix G
+        b = basis(r)
         x = np.linspace(-1.0, 1.0, 101)
-        # sup of |P_j| over the source points: P_j(3) on [1, 3], 1 on [-1, 0]
+        # sup of |P_j| over the continued points: P_j(3) on [1, 3]
         shifted_size = np.abs(legendre.legvander(np.array([3.0]), r)[0])
+        schemes = [Scheme.DG] + ([Scheme.CG] if r >= 1 else [])
         for _ in range(5):
-            c = rng.standard_normal((r + 1, 2))
-            got = legendre.legval(x, op.shift @ c)
-            want = legendre.legval(x + 2.0, c)
-            assert np.abs(got - want).max() <= 1e-12 * (shifted_size @ np.abs(c)).max()
-            got = legendre.legval(x, op.halve @ c)
+            c = rng.standard_normal((r + 2, 2))
+            size = np.abs(c).sum(axis=0).max()
+            # the top Legendre mode of the restriction is dropped, the
+            # others are kept
+            restricted = legendre.legfit(x, legendre.legval(0.5 * (x - 1.0), c).T, r + 1)
+            assert np.abs(b.first_half @ c - restricted[: r + 1]).max() <= 1e-12 * size
+            c[r + 1] = 0.0
+            got = legendre.legval(x, b.first_half @ c)
             want = legendre.legval(0.5 * (x - 1.0), c)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(c).sum(axis=0).max()
-        assert not op.shift.flags.writeable and not op.halve.flags.writeable
+            assert np.abs(got - want).max() <= 1e-12 * size
+            c = c[: r + 1]
+            for scheme in schemes:
+                op = picard_operator(r, scheme)
+                got = op.predict @ (b.V @ c)
+                want = op.G @ legendre.legval(b.nodes + 2.0, c).T
+                scale = np.abs(op.G).sum(axis=1).max() * (shifted_size @ np.abs(c)).max()
+                assert np.abs(got - want).max() <= 1e-12 * scale
+        ops = [picard_operator(r, scheme) for scheme in schemes]
+        assert not b.first_half.flags.writeable
+        assert not any(op.predict.flags.writeable or op.coarse_G.flags.writeable for op in ops)
 
 
 def same_bits(out, ref):
@@ -491,7 +517,8 @@ class TestKernelBitIdentity:
     """``_picard`` against the loop it replaced (``_oracles.parent_picard``,
     the same arithmetic with more numpy calls), standing in for it
     inside ``step``: bit for bit the same result, cold and from the
-    drivers' shift and halve guesses."""
+    exact shift and halve re-expansions (``_oracles.exact_reexpansions``)
+    of neighbouring steps."""
 
     @pytest.mark.parametrize("scheme,r", SCHEME_DEGREES, ids=lambda v: getattr(v, "value", v))
     @pytest.mark.parametrize("dim", [1, 2])
@@ -522,11 +549,12 @@ class TestKernelBitIdentity:
         for k_u in (0.01, 0.1, 0.4, 0.9, 1.3, 3.0, 10.0):
             k = k_u / float(np.linalg.norm(u_left))
             inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
-            # the drivers' guesses: the step before continued onto this
-            # interval, and the step of twice the length restricted to it
+            # guesses from neighbouring steps: the step before continued onto
+            # this interval, and the step of twice the length restricted to it
             before = step(p, StepInput(Interval(0.1 - k, 0.1), r, u_left, scheme), cfg)
             double = step(p, StepInput(Interval(0.1, 0.1 + 2.0 * k), r, u_left, scheme), cfg)
-            guesses = (None, basis(r).shift @ before.u.coeffs, basis(r).halve @ double.u.coeffs)
+            shift, halve = exact_reexpansions(r)
+            guesses = (None, shift @ before.u.coeffs, halve @ double.u.coeffs)
             for guess in guesses:
                 out = step(p, inp, cfg, guess=guess)
                 same_bits(out, parent_step(monkeypatch, p, inp, cfg, guess))
@@ -650,8 +678,9 @@ class TestAcceptPathBitIdentity:
 
     @pytest.mark.parametrize("scheme,r,dim", ACCEPT_CASES, ids=lambda v: getattr(v, "value", v))
     def test_guesses_and_end_value(self, scheme, r, dim, monkeypatch):
-        # one rejected attempt, whose halve guess seeds the second, which
-        # is accepted with its shift guess for the next interval
+        # one rejected attempt, whose restricted reconstruction seeds the
+        # second, which is accepted with its predicted update for the next
+        # interval
         p, inp, _ = accept_case(scheme, r, dim)
         tol, etas, calls = 1e-6, iter([2e-6, 0.0]), []
 
@@ -666,9 +695,12 @@ class TestAcceptPathBitIdentity:
         iv = inp.interval
         cand = adapt._refine(p, cfg, iv.t_start, 2.0 * iv.k, r, inp.u_left, tol, None)
         assert cand.decisions == ["halve_k"] and len(calls) == 2 and calls[0][0] is None
-        b = basis(r)
-        assert calls[1][0].tobytes() == (b.halve @ calls[0][1].u.coeffs).tobytes()
-        assert cand.next_guess.tobytes() == (b.shift @ calls[1][1].u.coeffs).tobytes()
+        rejected = calls[0][1]
+        first = dataclasses.replace(inp, interval=rejected.u.interval)
+        u_hat = reconstruct(p, first, rejected.u, rejected.f_vals)
+        assert calls[1][0].tobytes() == halved_guess(r, u_hat).tobytes()
+        want = next_interval_guess(cand.inp, calls[1][1].f_vals, cand.u_end)
+        assert cand.next_guess.tobytes() == want.tobytes()
         assert cand.u_end.tobytes() == cand.reconstruction.coeffs.sum(axis=0).tobytes()
 
 
@@ -756,6 +788,97 @@ class TestTrustedWrap:
         assert outcomes == [None, StepFailure.DIVERGED, StepFailure.DIVERGED, StepFailure.MAX_ITERS]
 
 
+class TestCoarseSweep:
+    """Without ``f_batch`` Picard sweeps on the (r+1)-point rule first
+    and finishes on the full rule, which alone decides existence; the
+    drivers' prediction for the next interval is its Picard update."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.sampled_from(SCHEME_DEGREES),
+        dim=st.sampled_from([1, 2, 3]),
+        # from strongly contractive to past the existence limit near 1
+        k_u=st.floats(0.005, 1.5),
+        size=st.floats(0.1, 20.0),
+        atol=st.one_of(st.just(0.0), st.floats(-12.0, -1.0).map(lambda e: 10.0**e)),
+        guess=st.sampled_from(["none", "before", "noisy"]),
+    )
+    def test_decides_as_the_full_rule(self, case, dim, k_u, size, atol, guess):
+        scheme, r = case
+        p = dataclasses.replace(norm_square(dim), f_batch=None)
+        direction = np.linspace(0.71, -1.19, dim) if dim > 1 else np.array([0.71])
+        u_left = size * direction / np.linalg.norm(direction)
+        k = k_u / size
+        inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
+        start = np.zeros((r + 1, dim))
+        start[0] = u_left
+        if guess == "before":
+            # a start from the step before, continued onto this interval
+            before = step(p, StepInput(Interval(0.1 - k, 0.1), r, u_left, scheme))
+            with np.errstate(over="ignore", invalid="ignore"):
+                start = exact_reexpansions(r)[0] @ before.u.coeffs
+            if not np.isfinite(start).all():
+                return
+        elif guess == "noisy":
+            start = start + 0.1 * size * np.sin(np.arange(start.size)).reshape(start.shape)
+        cap = PicardConfig().divergence_cap
+        out = galerkin._picard(p, inp, start, cap, atol=atol)
+        ref = parent_picard(p, inp, start, cap, atol=atol)
+        assert (out.converged, out.failure) == (ref.converged, ref.failure)
+        if not out.converged:
+            # the failure is that of the full rule run from the start,
+            # after the coarse sweep's updates
+            assert out.u.coeffs.tobytes() == ref.u.coeffs.tobytes()
+            assert out.picard_iters > ref.picard_iters
+            return
+        # the full rule's node values, which the lift integrates as the
+        # last update did: the lift ends where U does
+        assert out.f_vals.shape == (basis(r).nodes.size, dim)
+        end = out.u.coeffs.sum(axis=0)
+        lifted = reconstruct(p, inp, out.u, out.f_vals).coeffs.sum(axis=0)
+        assert np.abs(lifted - end).max() <= 4e-15 * max(1.0, np.abs(out.u.coeffs).sum())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(SCHEME_DEGREES),
+        dim=st.sampled_from([1, 2]),
+        k=st.floats(0.01, 2.0),
+        t0=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prediction_is_the_next_update(self, case, dim, k, t0, seed):
+        # f = q(t) of degree at most r: every update on the next interval
+        # is the same, a u_end + k G q(nodes), from any iterate
+        scheme, r = case
+        b = np.random.default_rng(seed).standard_normal((r + 1, dim))
+        degree = r - 1 if scheme is Scheme.CG and r > 1 and seed % 2 else r
+
+        def q(ts):
+            s = (np.asarray(ts, dtype=float) - t0) / k
+            cols = [np.polynomial.polynomial.polyval(s, b[: degree + 1, j]) for j in range(dim)]
+            return np.stack(cols, -1)
+
+        p = Problem(
+            dim=dim,
+            u0=np.ones(dim),
+            f=lambda t, u: q(t),
+            lip=lambda t, a, b: 0.0,
+            f_batch=lambda ts, us: q(ts),
+        )
+        inp = StepInput(Interval(t0, t0 + k), r, np.ones(dim), scheme)
+        out = step(p, inp)
+        assert out.converged
+        u_end = reconstruct(p, inp, out.u, out.f_vals).coeffs.sum(axis=0)
+        predicted = next_interval_guess(inp, out.f_vals, u_end)
+        nxt = StepInput(Interval(t0 + k, t0 + k + k), r, u_end, scheme)
+        update = step(p, nxt).u.coeffs
+        # continuing onto the next interval amplifies rounding by up to
+        # sum_j |P_j(3)|
+        growth = np.abs(legendre.legvander(np.array([3.0]), r)).sum()
+        scale = max(1.0, np.abs(update).max()) * growth
+        assert np.abs(predicted - update).max() <= 1e-14 * scale
+
+
 class TestAbsoluteStop:
     """``step(..., atol=...)``: an absolute stop next to the relative one.
     Every iterate up to the stop is the same for every atol, so a
@@ -781,11 +904,10 @@ class TestAbsoluteStop:
         inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
         guess = None
         if warm:
-            # the drivers' guess on a new interval, the step before
-            # continued, formed as they form it
+            # a guess from the step before, continued onto this interval
             before = step(p, StepInput(Interval(0.1 - k, 0.1), r, u_left, scheme))
             with np.errstate(over="ignore", invalid="ignore"):
-                guess = basis(r).shift @ before.u.coeffs
+                guess = exact_reexpansions(r)[0] @ before.u.coeffs
         exact = step(p, inp, guess=guess)
         loose = step(p, inp, guess=guess, atol=atol)
         if exact.converged:

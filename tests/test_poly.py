@@ -257,7 +257,15 @@ def test_basis(r, rng):
     want[: q + 2] = oracle.antiderivative(np.zeros(2)).coeffs
     assert np.abs(2.0 * (b.lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
     assert b.offsets.tobytes() == (b.nodes + 1.0).tobytes()
-    names = ("nodes", "weights", "offsets", "V", "proj", "lift", "samples", "samples_V", "shift", "halve")
+    # the coarse rule has r + 1 points and reproduces degree r as well
+    coarse = gauss_legendre(min(r + 1, 64))
+    assert b.coarse_offsets.tobytes() == (coarse.nodes + 1.0).tobytes()
+    assert b.coarse_V.tobytes() == legendre.legvander(coarse.nodes, r).tobytes()
+    assert np.abs(b.coarse_proj @ (b.coarse_V @ c) - c).max() <= 1e-13 * np.abs(c).sum(axis=0).max()
+    names = (
+        "nodes", "weights", "offsets", "V", "proj", "lift", "samples", "samples_V",
+        "coarse_offsets", "coarse_V", "coarse_proj", "first_half",
+    )
     for name in names:
         assert not getattr(b, name).flags.writeable, name
     assert basis(r) is b

@@ -225,6 +225,24 @@ class TestScalarFallback:
             np.testing.assert_array_equal(rhs_at(scalar, ts, us), rhs_at(p, ts, us))
             np.testing.assert_array_equal(lip_at(scalar, ts, a, b), lip_at(p, ts, a, b))
 
+    def test_argument_types(self):
+        # t, a and b arrive as Python floats, u as a row of the states
+        seen = []
+
+        def f(t, u):
+            seen.append((type(t), type(u), np.shape(u)))
+            return u
+
+        def lip(t, a, b):
+            seen.append((type(t), type(a), type(b)))
+            return 1.0
+
+        p = Problem(dim=2, u0=[1.0, 0.0], f=f, lip=lip)
+        ts = np.array([0.0, 0.1])
+        rhs_at(p, ts, np.ones((2, 2)))
+        lip_at(p, ts, np.ones(2), np.ones(2))
+        assert seen == [(float, np.ndarray, (2,))] * 2 + [(float, float, float)] * 2
+
     def test_scalar_accepted_in_one_dimension(self):
         p = Problem(dim=1, u0=[1.0], f=lambda t, u: float(u[0]) ** 2, lip=lambda t, a, b: a + b)
         ts = np.array([0.0, 0.1, 0.2])
