@@ -284,7 +284,7 @@ def _refine(
                     u_end = np.add.reduce(u_hat.coeffs, 0)
                     next_guess = np.dot(op.predict, out.f_vals)
                     next_guess *= inp.interval.k
-                    next_guess += op.a[:, None] * u_end
+                    next_guess += op.a * u_end
                 if not _all_finite(u_end):
                     raise NumericOverflow("end value overflowed")
                 return _Candidate(inp, out, u_hat, eta, u_end, next_guess, attempts, decisions)

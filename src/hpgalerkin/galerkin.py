@@ -30,16 +30,16 @@ evaluation and two small matrix products.  Degrees above
 rejected.
 
 When f comes point by point (no ``f_batch``), every node is one call
-of f, and the node count is what a step pays for.  Picard then first
-iterates the same update on the (r+1)-point Gauss rule
+of f, and the node count is what a step pays for.  ``step`` then first
+sweeps the same update on the (r+1)-point Gauss rule
 (``basis(r).coarse_*`` and ``SchemeOperator.coarse_G``), the fewest
 points that still determine the degree-r update of both schemes, and
-finishes on the full rule (``_picard``).  The full rule alone decides
-whether the step exists, and its node values are the ``f_vals`` the
-reconstruction lifts.  With ``f_batch`` a point costs next to nothing
-and every extra update costs its numpy calls, so those problems iterate
-on the full rule only; the two paths agree to the Picard stop, not bit
-for bit.
+hands its iterate to the full rule (``_picard``), which finishes.  The
+full rule alone decides whether the step exists, and its node values
+are the ``f_vals`` the reconstruction lifts.  With ``f_batch`` a point
+costs next to nothing and every extra update costs its numpy calls, so
+those problems iterate on the full rule only; the two paths agree to
+the Picard stop, not bit for bit.
 
 Picard's first iterate is the constant u_left unless the caller passes
 a guess.  The drivers pass the best polynomial they hold: on a new
@@ -48,10 +48,11 @@ step's own f values, continued (``SchemeOperator.predict``, no f
 evaluated); after an accuracy halving the rejected reconstruction
 restricted to the first half and projected to degree r
 (``Basis.first_half``); after a degree raise the rejected
-reconstruction itself, which has the new degree.  A guessed start that
-fails is run again from u_left, so the guess changes the iteration
-count and the last bits of the returned fixed point, never whether the
-step exists.
+reconstruction itself, which has the new degree.  A step runs at most
+three sweeps (``step``), and a step that fails returns the full rule's
+sweep from u_left, so the guess and the coarse hand-over change the
+iteration count and the last bits of the returned fixed point, never
+whether the step exists.
 
 Nonexistence of a step is a first-class outcome here: the adaptive
 drivers halve the step length whenever the iteration fails to converge.
@@ -147,7 +148,7 @@ __all__ = [
 # reports MAX_ITERS after MAX_ITERS updates.
 FP_TOL = 1e-12
 MAX_ITERS = 100
-# Without f_batch, Picard first sweeps on the (r+1)-point rule, and hands
+# Without f_batch, ``step`` first sweeps on the (r+1)-point rule, which hands
 # over to the full rule at a change of at most COARSE_HANDOVER times the
 # stop, or at one that is not below COARSE_STALL times the one before
 # (``_sweep``).
@@ -224,8 +225,8 @@ class StepOutput:
     last update, which produced u, was computed from, also after a
     coarse sweep.  ``reconstruct`` lifts them without evaluating f
     again, and the drivers predict the next interval's first iterate
-    from them.  ``picard_iters`` counts the updates of every sweep, on
-    either rule.
+    from them.  ``picard_iters`` sums the updates of the sweeps the step
+    ran, at most three, on either rule (``step``).
     """
 
     u: LocalPoly
@@ -240,7 +241,8 @@ class SchemeOperator:
     """The scheme part of the affine Picard update of degree r; every
     array is read-only.
 
-    a (r+1,): carries the left value.
+    a (r+1, 1): carries the left value, as a column: a * u_left is the
+    (r+1, d) term a u_left^T.
     G (r+1, n): maps node values of f on ``basis(r)``'s rule to
     coefficients per unit step length.
     coarse_G (r+1, m): the same map on the rule of ``basis(r).coarse_V``.
@@ -262,7 +264,7 @@ def _scheme_matrices(r: int, scheme: Scheme, proj: np.ndarray) -> tuple[np.ndarr
         # Antiderivative from x = -1 of the degree r-1 projection; the
         # reference map contributes k/2.
         L = _leg.legint(np.eye(r), m=1, k=[0.0], lbnd=-1.0, scl=0.5, axis=0)
-        a = np.zeros(r + 1)
+        a = np.zeros((r + 1, 1))
         a[0] = 1.0
         return a, L @ proj[:r]
     # dG system matrix, row j tested with P_j: int P_i' P_j dx (= 2 for
@@ -271,7 +273,7 @@ def _scheme_matrices(r: int, scheme: Scheme, proj: np.ndarray) -> tuple[np.ndarr
     col, row = np.meshgrid(i, i, indexing="xy")
     M = np.where((col > row) & ((col - row) % 2 == 1), 2.0, 0.0) + (-1.0) ** (col + row)
     Minv = np.linalg.inv(M)
-    return Minv @ (-1.0) ** i, Minv @ (proj / (2.0 * i + 1.0)[:, None])
+    return (Minv @ (-1.0) ** i)[:, None], Minv @ (proj / (2.0 * i + 1.0)[:, None])
 
 
 @lru_cache(maxsize=None)
@@ -311,17 +313,21 @@ def step(
     size".  With ``p.f_batch`` every iterate up to the stop is the same
     for every ``atol``, so a larger one stops at the same iterate or an
     earlier one, and never makes a step fail that a smaller one solves.
-    Without it the coarse sweep of ``_picard`` hands over at a change
-    tied to ``atol`` too, so the iterates, and the last bits of the
-    result, depend on it; existence is still decided on the full rule
-    from each start, as below.
+    Without it the coarse sweep hands over at a change tied to ``atol``
+    too, so the iterates, and the last bits of the result, depend on
+    it; existence is still decided on the full rule, as below.
 
-    The first iterate is the constant u_left, or ``guess``, an
-    (r+1, d) coefficient array, when one is given (the drivers pass a
-    prediction from the neighbouring candidate).  A guessed start that
-    does not converge, or a non-finite guess, falls back to the constant
-    start, so a guess never makes a step fail that the constant start
-    solves; picard_iters then counts both runs.
+    The start is ``guess``, an (r+1, d) coefficient array, when one is
+    given and finite (the drivers pass a prediction from the
+    neighbouring candidate), else the constant u_left.  Sweeps are
+    ordered here only: without ``p.f_batch`` one coarse sweep
+    (``_sweep``) from the start; one full-rule sweep (``_picard``) from
+    its hand-over, or from the start when there is none; and, only when
+    that fails and did not start at the constant, one full-rule sweep
+    from the constant.  So a step fails only where the full rule fails
+    from the constant, and returns that sweep: a guess never makes a
+    step fail that the constant start solves.  picard_iters sums the
+    updates of the sweeps run; a lone sweep is returned as it is.
 
     An iterate diverges when f overflows at it, when the update from it
     overflows, or when its sup norm exceeds ``divergence_cap``; an
@@ -335,50 +341,33 @@ def step(
         raise ValueError(f"step degree {r} is above the cap {MAX_DEGREE}")
     c0 = np.zeros((r + 1, d))
     c0[0] = inp.u_left
+    start, cap = c0, cfg.divergence_cap
     if guess is not None:
         guess = np.asarray(guess, dtype=float)
         if guess.shape != c0.shape:
             raise ValueError(f"guess has shape {guess.shape}, expected {c0.shape}")
         if _all_finite(guess):
-            warm = _picard(p, inp, guess, cfg.divergence_cap, atol=atol)
-            if warm.converged:
-                return warm
-            cold = _picard(p, inp, c0, cfg.divergence_cap, atol=atol)
-            return replace(cold, picard_iters=warm.picard_iters + cold.picard_iters)
-    return _picard(p, inp, c0, cfg.divergence_cap, atol=atol)
+            start = guess
+    sweeps, c = [], start
+    if p.f_batch is None:
+        sweeps.append(_sweep(p, inp, start, cap, atol, coarse=True))
+        if sweeps[0].converged:
+            c = sweeps[0].u.coeffs
+    sweeps.append(_picard(p, inp, c, cap, atol=atol))
+    if not sweeps[-1].converged and c is not c0:
+        sweeps.append(_picard(p, inp, c0, cap, atol=atol))
+    if len(sweeps) == 1:
+        return sweeps[0]
+    return replace(sweeps[-1], picard_iters=sum(s.picard_iters for s in sweeps))
 
 
 def _picard(
     p: Problem, inp: StepInput, c: np.ndarray, cap: float, *, atol: float = 0.0
 ) -> StepOutput:
-    """The Picard iteration of ``step`` from the first iterate c, stopping
-    at a change of at most ``atol`` or at the relative FP_TOL test.
-
-    With ``p.f_batch`` it is one ``_sweep`` on ``basis(r)``'s rule.
-    Without it, f is called once per node, so every update pays for its
-    r + 6 points.  The iteration then first sweeps on the (r+1)-point
-    rule, the fewest points that still determine the degree-r update of
-    both schemes (cG projects f onto degree r-1, dG onto degree r), and
-    hands its iterate over to the full rule, which finishes.  Whether
-    the step exists is decided on the full rule only: when the coarse
-    sweep fails, or the full rule fails from the handed-over iterate,
-    the full rule runs again from c.  So the coarse sweep never makes a
-    step fail that the full rule solves from c.  ``f_vals`` are always
-    the full rule's, and picard_iters counts the updates of every sweep.
-    """
-    b, op = basis(inp.r), picard_operator(inp.r, inp.scheme)
-    if p.f_batch is not None:
-        return _sweep(p, inp, c, cap, atol, op.a, b.offsets, b.V, op.G)
-    first = _sweep(
-        p, inp, c, cap, atol, op.a, b.coarse_offsets, b.coarse_V, op.coarse_G, coarse=True
-    )
-    spent = first.picard_iters
-    if first.converged:
-        out = _sweep(p, inp, first.u.coeffs, cap, atol, op.a, b.offsets, b.V, op.G, spent=spent)
-        if out.converged:
-            return out
-        spent = out.picard_iters
-    return _sweep(p, inp, c, cap, atol, op.a, b.offsets, b.V, op.G, spent=spent)
+    """One Picard sweep of ``step`` on ``basis(r)``'s full rule from the
+    first iterate c, stopping at a change of at most ``atol`` or at the
+    relative FP_TOL test: the sweep that decides whether a step exists."""
+    return _sweep(p, inp, c, cap, atol)
 
 
 def _sweep(
@@ -387,24 +376,23 @@ def _sweep(
     c: np.ndarray,
     cap: float,
     atol: float,
-    a: np.ndarray,
-    offsets: np.ndarray,
-    V: np.ndarray,
-    G: np.ndarray,
     *,
     coarse: bool = False,
-    spent: int = 0,
 ) -> StepOutput:
-    """The Picard loop on one rule (its node offsets, Vandermonde V and
-    update matrix G) from the first iterate c, with a budget of
-    MAX_ITERS updates; iteration counts start after ``spent``.
+    """The Picard loop on ``basis(r)``'s full rule, or on its
+    (r+1)-point rule when ``coarse``, from the first iterate c, with a
+    budget of MAX_ITERS updates; picard_iters counts this sweep's
+    updates only, and ``step`` sums those of the sweeps it runs.
 
-    It stops at a change of at most ``atol`` or at the relative FP_TOL
-    test.  A ``coarse`` sweep only looks for a start for the full rule:
-    it hands over (returns converged) at COARSE_HANDOVER times either
-    threshold, or once its change no longer falls below COARSE_STALL
-    times the one before; a change that grows fails it instead, as the
-    map expands there and its iterate is no better start than c.
+    The (r+1)-point rule is the fewest points that still determine the
+    degree-r update of both schemes (cG projects f onto degree r-1, dG
+    onto degree r).  The loop stops at a change of at most ``atol`` or
+    at the relative FP_TOL test.  A ``coarse`` sweep only looks for a
+    start for the full rule: it hands over (returns converged) at
+    COARSE_HANDOVER times either threshold, or once its change no longer
+    falls below COARSE_STALL times the one before; a change that grows
+    fails it instead, as the map expands there and its iterate is no
+    better start than c.
 
     One errstate covers the whole loop.  The bound sum |c_next| that the
     cap test needs reads every overflow as well: each coefficient of
@@ -445,17 +433,20 @@ def _sweep(
     ``LocalPoly._trusted``; the failure returns can hold the first
     iterate, the caller's guess, and copy it.
     """
+    b, op = basis(inp.r), picard_operator(inp.r, inp.scheme)
+    rule = (b.coarse_offsets, b.coarse_V, op.coarse_G) if coarse else (b.offsets, b.V, op.G)
+    offsets, V, G = rule
     iv = inp.interval
     k = iv.k
     ts = _time_map(iv.t_start, k, offsets)
-    left = a[:, None] * inp.u_left
+    left = op.a * inp.u_left
     limit = min(cap, _FLOAT_MAX)
     # 1.0 * x is x: the full rule stops exactly at atol and FP_TOL
     scale = COARSE_HANDOVER if coarse else 1.0
     tol_abs, tol_rel = scale * atol, scale * FP_TOL
     prev, last = c.ravel().tolist(), math.inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(spent + 1, spent + MAX_ITERS + 1):
+        for it in range(1, MAX_ITERS + 1):
             try:
                 f_vals = rhs_at(p, ts, np.dot(V, c))
             except NumericOverflow:
@@ -491,7 +482,7 @@ def _sweep(
                 failure = StepFailure.DIVERGED if grows else None
                 return StepOutput(LocalPoly._trusted(iv, c), it, not grows, failure)
             prev, last = vals, change
-    return StepOutput(LocalPoly._trusted(iv, c), spent + MAX_ITERS, False, StepFailure.MAX_ITERS)
+    return StepOutput(LocalPoly._trusted(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 
 def reconstruct(

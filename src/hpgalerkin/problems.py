@@ -125,6 +125,7 @@ def make_power_square(u0: float) -> Problem:
     if not u0 > 0:
         raise ValueError("power-square blow-up problem requires u0 > 0")
 
+    # one expression for a single state and for a batch of them
     def f(t, u):
         return u * u
 
@@ -142,8 +143,8 @@ def make_power_square(u0: float) -> Problem:
         exact=exact,
         t_blowup=1.0 / u0,
         name="power2",
-        f_batch=lambda ts, us: us * us,
-        lip_batch=lambda ts, a, b: a + b,
+        f_batch=f,
+        lip_batch=lip,
     )
 
 
@@ -187,6 +188,7 @@ def make_linear(lam: float, u0) -> Problem:
     lam = float(lam)
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
 
+    # one expression for a single state and for a batch of them
     def f(t, u):
         return lam * u
 
@@ -204,7 +206,7 @@ def make_linear(lam: float, u0) -> Problem:
         exact=exact,
         t_blowup=None,
         name="linear",
-        f_batch=lambda ts, us: lam * us,
+        f_batch=f,
         lip_batch=lambda ts, a, b: np.full_like(a, abs(lam)),
     )
 

@@ -42,15 +42,20 @@ endpoints, degree, attempts and decisions.  Alone it prints these as
 one JSON object keyed by ``workload ladder@tol``.  With ``--against
 REV`` it runs this script, not REV's own copy, on REV's extracted tree
 (``--root``), so it also works against a revision that predates the
-option, and prints per workload the number of runs whose outcome
-differs, each such run with its first difference, and how far the
-bounds of the runs with equal outcomes moved (the median and the
-largest relative move, interval by interval).  It also counts the
-bounds that moved by more than 1%, how many of those lie, on both
-sides, at or below their step's Picard stop ``atol = PICARD_TOL_SHARE
-* tol`` (where the bound reflects where Picard stopped more than the
-solution), and the largest move among the others.  It exits 1 when an
-outcome differs.  ``--root DIR`` loads ``bench/run.py``, and through it
+option, and prints per workload each side's total of f points, the
+number of runs whose outcome differs, each such run with its first
+difference, and the number of runs whose step or reconstruction
+coefficient bytes differ.  For the runs with equal outcomes it prints
+how far the bounds and each interval's own ``eta_res`` moved (the
+median and the largest relative move, interval by interval).  It also
+counts the bounds that moved by more than 1%, how many of those lie,
+on both sides, at or below their step's Picard stop ``atol =
+PICARD_TOL_SHARE * tol`` (where the bound reflects where Picard
+stopped more than the solution), and how many of them had their own
+``eta_res`` move by more than 1%: the bound carries psi from every
+earlier interval, so the others follow a move of an earlier interval.
+It prints the largest move among the bounds above the atol too, and
+exits 1 when an outcome differs.  ``--root DIR`` loads ``bench/run.py``, and through it
 the program, from the checkout at DIR instead of this one.
 
 The file name does not match ``test_*.py``, so pytest does not collect it.
@@ -179,15 +184,22 @@ def against(rev, seed):
 def run_outcomes(seed, root=ROOT):
     """Per benchmark run, keyed ``workload ladder@tol``: ``run`` (T, M,
     dofs, termination), ``intervals`` (per accepted interval: t_start,
-    t_end, r, attempts, decisions), ``bounds`` and ``atols``, the Picard
-    stop of each accepted step (0 for a tree without one)."""
+    t_end, r, attempts, decisions), ``bounds``, ``eta_res``, ``atols``,
+    the Picard stop of each accepted step (0 for a tree without one),
+    ``f_points`` and ``coeffs``, the SHA-256 of the step and
+    reconstruction coefficient bytes of every accepted interval."""
     bench = load_bench(root)
     share = getattr(sys.modules.get("hpgalerkin.adapt"), "PICARD_TOL_SHARE", 0.0)
     outcomes = {}
     for workload in bench.WORKLOADS:
         _, ops = bench.build_inputs(workload, seed)
         for ladder, tol in ops:
+            ladder.f_points[0] = 0
             result = bench.solve(ladder, tol)
+            coeffs = hashlib.sha256()
+            for rec in result.intervals:
+                coeffs.update(_coeff_bytes(rec.output.u.coeffs))
+                coeffs.update(_coeff_bytes(rec.reconstruction.coeffs))
             outcomes[f"{workload} {ladder.name}@{tol!r}"] = {
                 "run": [result.T, result.M, result.dofs, result.termination.value],
                 "intervals": [
@@ -195,10 +207,18 @@ def run_outcomes(seed, root=ROOT):
                     for rec in result.intervals
                 ],
                 "bounds": [rec.estimate.bound for rec in result.intervals],
+                "eta_res": [rec.estimate.eta_res for rec in result.intervals],
+                "f_points": ladder.f_points[0],
+                "coeffs": coeffs.hexdigest(),
                 # each step ran at the tolerance before its own delta scaled it
                 "atols": [share * t for t in (tol,) + result.tol_trace[:-1]][: result.M],
             }
     return outcomes
+
+
+def relative(a, b):
+    """The move from a to b, relative to a when a is positive."""
+    return abs(b - a) / a if a > 0 else abs(b - a)
 
 
 def first_difference(theirs, mine):
@@ -231,35 +251,52 @@ def compare_outcomes(rev, seed):
     status = 0
     for workload in dict.fromkeys(key.split()[0] for key in mine):
         keys = [key for key in mine if key.split()[0] == workload]
-        differ, moves = [], []
+        differ, moves, etas = [], [], []
         for key in keys:
             diff = first_difference(theirs[key], mine[key])
             if diff is not None:
                 differ.append(f"  {key.split()[1]}: {diff}")
                 continue
-            pairs = zip(theirs[key]["bounds"], mine[key]["bounds"], mine[key]["atols"])
-            for i, (a, b, atol) in enumerate(pairs):
-                rel = abs(b - a) / a if a > 0 else abs(b - a)
-                moves.append((rel, key.split()[1], i, a, b, max(a, b) <= atol))
+            pairs = zip(
+                theirs[key]["bounds"], mine[key]["bounds"], mine[key]["atols"],
+                theirs[key]["eta_res"], mine[key]["eta_res"],
+            )
+            for i, (a, b, atol, eta_a, eta_b) in enumerate(pairs):
+                own = relative(eta_a, eta_b)
+                moves.append((relative(a, b), key.split()[1], i, a, b, max(a, b) <= atol, own > 0.01))
+                etas.append((own, key.split()[1], i, eta_a, eta_b))
         status |= bool(differ)
         print(f"{workload} seed={seed} runs={len(keys)} same={len(keys) - len(differ)} differ={len(differ)}")
+        print(
+            f"  f points: {rev} {sum(theirs[key]['f_points'] for key in keys)}, "
+            f"here {sum(mine[key]['f_points'] for key in keys)}"
+        )
         for line in differ:
             print(line)
+        coeffs = sum(theirs[key]["coeffs"] != mine[key]["coeffs"] for key in keys)
+        print(f"  runs with differing step or reconstruction coefficient bytes: {coeffs}")
         if moves:
-            rel, name, i, a, b, _ = max(moves)
+            rel, name, i, a, b, _, _ = max(moves)
             print(
                 f"  bound moves over {len(moves)} intervals: median relative "
                 f"{statistics.median(m[0] for m in moves):.3g}, largest {rel:.3g} "
                 f"({name} interval {i}: {a!r} -> {b!r})"
             )
+            rel, name, i, a, b = max(etas)
+            print(
+                f"  eta_res moves: median relative {statistics.median(m[0] for m in etas):.3g}, "
+                f"largest {rel:.3g} ({name} interval {i}: {a!r} -> {b!r})"
+            )
             large = [m for m in moves if m[0] > 0.01]
             print(
                 f"  moved by more than 1%: {len(large)} intervals, "
-                f"{sum(m[5] for m in large)} of them with both bounds at or below the Picard atol"
+                f"{sum(m[5] for m in large)} of them with both bounds at or below the Picard atol, "
+                f"{sum(m[6] for m in large)} with their own eta_res moved by more than 1% "
+                f"(the others follow earlier intervals)"
             )
             above = [m for m in moves if not m[5]]
             if above:
-                rel, name, i, a, b, _ = max(above)
+                rel, name, i, a, b, _, _ = max(above)
                 print(f"  largest move above the atol: {rel:.3g} ({name} interval {i}: {a!r} -> {b!r})")
     return status
 

@@ -1,5 +1,6 @@
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -190,7 +191,7 @@ class TestOverflow:
         out, ref = step(p, inp), reference_step(p, inp, PicardConfig())
         assert ref[1:] == (2, False, StepFailure.DIVERGED)
         # the coarse sweep of a point-by-point f meets the overflow at its
-        # second update too, and the full rule runs again from the start:
+        # second update too, and the full rule then runs from the start:
         # its 2 updates count in picard_iters
         assert out.picard_iters == 2 + ref[1]
         assert_same_step(dataclasses.replace(out, picard_iters=ref[1]), ref, 1e-13)
@@ -789,9 +790,10 @@ class TestTrustedWrap:
 
 
 class TestCoarseSweep:
-    """Without ``f_batch`` Picard sweeps on the (r+1)-point rule first
-    and finishes on the full rule, which alone decides existence; the
-    drivers' prediction for the next interval is its Picard update."""
+    """Without ``f_batch`` a step sweeps on the (r+1)-point rule first
+    and finishes on the full rule, which alone decides existence, in at
+    most three sweeps; the drivers' prediction for the next interval is
+    its Picard update."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -821,13 +823,17 @@ class TestCoarseSweep:
                 return
         elif guess == "noisy":
             start = start + 0.1 * size * np.sin(np.arange(start.size)).reshape(start.shape)
-        cap = PicardConfig().divergence_cap
-        out = galerkin._picard(p, inp, start, cap, atol=atol)
-        ref = parent_picard(p, inp, start, cap, atol=atol)
-        assert (out.converged, out.failure) == (ref.converged, ref.failure)
+        cfg = PicardConfig()
+        out = step(p, inp, cfg, guess=start, atol=atol)
+        c0 = np.zeros((r + 1, dim))
+        c0[0] = u_left
+        ref = parent_picard(p, inp, c0, cfg.divergence_cap, atol=atol)
+        # never fails where the full rule converges from the constant
+        assert out.converged or not ref.converged
         if not out.converged:
-            # the failure is that of the full rule run from the start,
-            # after the coarse sweep's updates
+            # the failure is that of the full rule run from the constant,
+            # after the sweeps from the start
+            assert out.failure == ref.failure
             assert out.u.coeffs.tobytes() == ref.u.coeffs.tobytes()
             assert out.picard_iters > ref.picard_iters
             return
@@ -837,6 +843,65 @@ class TestCoarseSweep:
         end = out.u.coeffs.sum(axis=0)
         lifted = reconstruct(p, inp, out.u, out.f_vals).coeffs.sum(axis=0)
         assert np.abs(lifted - end).max() <= 4e-15 * max(1.0, np.abs(out.u.coeffs).sum())
+
+    def test_at_most_three_sweeps_counted_once(self):
+        # every sweep a step runs, spied on ``_sweep``: its rule, start and
+        # updates; the order is coarse, full from the hand-over or the
+        # start, and full from the constant only after a failure
+        real, sweeps, seen = galerkin._sweep, [], set()
+
+        def spy(p, inp, c, cap, atol, *, coarse=False):
+            out = real(p, inp, c, cap, atol, coarse=coarse)
+            sweeps.append((coarse, c.tobytes(), out))
+            return out
+
+        cases = itertools.product(
+            (False, True), SCHEME_DEGREES[::4], (1, 2), (0.1, 0.5, 0.9, 1.3),
+            ("none", "noisy", "wild", "nan"),
+        )
+        for batch, (scheme, r), dim, k_u, guess in cases:
+            p = norm_square(dim) if batch else dataclasses.replace(norm_square(dim), f_batch=None)
+            u_left = np.linspace(0.71, -1.19, dim)
+            inp = StepInput(Interval(0.1, 0.1 + k_u / np.linalg.norm(u_left)), r, u_left, scheme)
+            c0 = np.zeros((r + 1, dim))
+            c0[0] = u_left
+            noise = 0.3 * np.sin(np.arange(1, c0.size + 1)).reshape(c0.shape)
+            start = {
+                "none": c0, "noisy": c0 + noise, "wild": np.full_like(c0, 1e200),
+                "nan": np.full_like(c0, np.nan),
+            }[guess]
+            sweeps.clear()
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(galerkin, "_sweep", spy)
+                out = step(p, inp, guess=None if guess == "none" else start)
+            start = c0 if guess == "nan" else start
+            rules = [coarse for coarse, _, _ in sweeps]
+            allowed = ([False], [False, False]) if batch else ([True, False], [True, False, False])
+            assert rules in allowed
+            first = 1 - batch
+            if not batch:
+                assert sweeps[0][1] == start.tobytes()
+            handed = not batch and sweeps[0][2].converged
+            assert sweeps[first][1] == (sweeps[0][2].u.coeffs if handed else start).tobytes()
+            if len(sweeps) > first + 1:
+                # a failed full sweep from the constant is not run again
+                assert not sweeps[first][2].converged and (handed or guess in ("noisy", "wild"))
+                assert sweeps[-1][1] == c0.tobytes()
+            last = sweeps[-1][2]
+            assert (out.converged, out.failure) == (last.converged, last.failure)
+            assert out.u.coeffs.tobytes() == last.u.coeffs.tobytes()
+            assert out.picard_iters == sum(s[2].picard_iters for s in sweeps)
+            if len(sweeps) == 1:
+                assert out is last
+            seen.add((batch, len(sweeps), handed, out.converged))
+        # every sequence: one sweep, the constant after a failed guess, and
+        # without f_batch a hand-over that converges or fails, and a
+        # failed coarse sweep followed by one or two full ones
+        assert seen >= {
+            (True, 1, False, True), (True, 2, False, True), (True, 2, False, False),
+            (False, 2, True, True), (False, 3, True, False), (False, 2, False, True),
+            (False, 2, False, False), (False, 3, False, True), (False, 3, False, False),
+        }
 
     @settings(max_examples=60, deadline=None)
     @given(
