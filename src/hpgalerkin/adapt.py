@@ -2,13 +2,18 @@
 
 Both drivers march interval by interval with the same skeleton:
 
-    1. existence loop: halve k until the Picard iteration converges;
-    2. accuracy loop: refine until the residual estimator is below the
+    1. prediction: when the last two accepted intervals share the k and
+       r the next one carries, extrapolate their residual estimators
+       geometrically, eta_M * (eta_M / eta_{M-1}); a prediction above
+       the running tolerance halves k before the first attempt (HP mode:
+       only where a rejection would halve k rather than raise r);
+    2. existence loop: halve k until the Picard iteration converges;
+    3. accuracy loop: refine until the residual estimator is below the
        running tolerance (H mode halves k; HP mode raises the degree
        when the current candidate looks smooth, else halves k);
-    3. accept the interval, update psi, and solve for the growth
+    4. accept the interval, update psi, and solve for the growth
        factor delta with a warm start at the previous value;
-    4. scale the tolerance by delta (early intervals must be resolved
+    5. scale the tolerance by delta (early intervals must be resolved
        more accurately than later ones, since their estimator
        contribution is amplified by every subsequent delta), carry the
        accepted step length, degree and solution forward (its f values
@@ -245,7 +250,9 @@ def _refine(
     the next interval starts, is the reconstruction's end value, so the
     global reconstruction has no jump for psi to miss.
 
-    guess seeds the Picard iteration of the first attempt.  After an
+    guess seeds the Picard iteration of the first attempt: the previous
+    interval's next_guess, or, when ``_drive`` has halved k on the
+    prediction, its restriction to the first half.  After an
     accuracy refinement the next attempt starts from the rejected
     candidate's reconstruction, the best polynomial the loop holds:
     restricted to the first half of its interval and projected to degree
@@ -278,7 +285,8 @@ def _refine(
             if eta <= tol:
                 # uhat(t_end), as P_i(1) = 1, and the next interval's Picard
                 # update from this one's f values continued onto it: its
-                # first attempt has the same k and r
+                # first attempt has the same k and r, unless _drive halves
+                # k on the prediction
                 op = picard_operator(r, cfg.scheme)
                 with np.errstate(over="ignore", invalid="ignore"):
                     u_end = np.add.reduce(u_hat.coeffs, 0)
@@ -305,7 +313,42 @@ def _refine(
                 guess = np.dot(basis(r).first_half, u_hat.coeffs)
 
 
+def _predicts_rejection(cfg: AdaptConfig, records: list[IntervalRecord], tol: float) -> bool:
+    """Whether the next interval's first attempt, at the carried k and r,
+    is predicted to fail the accuracy test in a way that halves k.
+
+    Only when the last accepted interval took the k and r of the one
+    before it (no decision: every decision changes k or r), so both
+    carry the next interval's k and r.  Their residual estimators e0, e1
+    predict e1 * (e1 / e0), formed so that no square leaves double range
+    (none when e0 is 0); the attempt is predicted to fail when that
+    exceeds tol.  An HP rejection raises r instead when the candidate is
+    smooth and r < r_max, so in HP mode the prediction also needs the
+    last accepted step to be non-smooth, or r at r_max; its smoothness
+    is computed only then.  The rule only ever halves k, and the halved
+    attempt goes through the same tests as any other, so every accepted
+    interval keeps its certificate.  A one-step form of error-based
+    step-size control (Gustafsson, Lundh & Soderlind, BIT 28, 1988).
+    """
+    if len(records) < 2 or records[-1].decisions:
+        return False
+    last = records[-1]
+    e0, e1 = records[-2].estimate.eta_res, last.estimate.eta_res
+    if e0 == 0.0 or not e1 * (e1 / e0) > tol:
+        return False
+    return cfg.mode is Mode.H or last.r >= cfg.r_max or not smoothness(last.output.u, last.r).smooth
+
+
 def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
+    """March interval by interval (the skeleton of the module docstring).
+
+    Before each interval ``_predicts_rejection`` may halve the carried k.
+    The halved attempt starts from the carried next_guess restricted to
+    the first half of its interval (``Basis.first_half`` on next_guess
+    padded by a zero row, exact for its degree r), and the interval's
+    decisions start with "halve_k_predicted"; the skipped attempt is not
+    counted in its attempts.
+    """
     records: list[IntervalRecord] = []
     tol_trace: list[float] = []
     tol = cfg.tol_star
@@ -317,6 +360,12 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     guess = None
 
     while len(records) < cfg.max_intervals:
+        predicted: tuple[str, ...] = ()
+        if _predicts_rejection(cfg, records, tol):
+            k *= 0.5
+            predicted = ("halve_k_predicted",)
+            with np.errstate(over="ignore", invalid="ignore"):
+                guess = np.dot(basis(r).first_half, np.vstack((guess, np.zeros_like(guess[:1]))))
         candidate = _refine(p, cfg, t, k, r, u_left, tol, guess)
         if candidate is None:
             termination = Termination.K_MIN_REACHED
@@ -345,7 +394,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 reconstruction=candidate.reconstruction,
                 estimate=estimate,
                 attempts=candidate.attempts,
-                decisions=tuple(candidate.decisions),
+                decisions=predicted + tuple(candidate.decisions),
                 dofs=_interval_dofs(p, cfg.scheme, r),
             )
         )

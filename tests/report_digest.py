@@ -4,7 +4,7 @@
 Usage (from the root of a checkout):
 
     python3 tests/report_digest.py [--seed N] [--against REV]
-    python3 tests/report_digest.py --outcomes [--seed N] [--against REV]
+    python3 tests/report_digest.py --outcomes [--march] [--seed N] [--against REV]
 
 Runs each operation of every ``bench/run.py`` workload once, in the
 order the seed draws (default 1), through the benchmark's own
@@ -42,10 +42,10 @@ endpoints, degree, attempts and decisions.  Alone it prints these as
 one JSON object keyed by ``workload ladder@tol``.  With ``--against
 REV`` it runs this script, not REV's own copy, on REV's extracted tree
 (``--root``), so it also works against a revision that predates the
-option, and prints per workload each side's total of f points, the
-number of runs whose outcome differs, each such run with its first
-difference, and the number of runs whose step or reconstruction
-coefficient bytes differ.  For the runs with equal outcomes it prints
+option, and prints per workload each side's totals of f points and of
+attempts over the accepted intervals, the number of runs whose outcome
+differs, each such run with its first difference, and the number of
+runs whose step or reconstruction coefficient bytes differ.  For the runs with equal outcomes it prints
 how far the bounds and each interval's own ``eta_res`` moved (the
 median and the largest relative move, interval by interval).  It also
 counts the bounds that moved by more than 1%, how many of those lie,
@@ -55,8 +55,14 @@ stopped more than the solution), and how many of them had their own
 ``eta_res`` move by more than 1%: the bound carries psi from every
 earlier interval, so the others follow a move of an earlier interval.
 It prints the largest move among the bounds above the atol too, and
-exits 1 when an outcome differs.  ``--root DIR`` loads ``bench/run.py``, and through it
-the program, from the checkout at DIR instead of this one.
+exits 1 when an outcome differs.
+
+``--march`` narrows the outcome to the march itself, for a change that
+should take the same steps with fewer rejected attempts: T, M, dofs, the
+termination and each interval's endpoints and degree, with attempts and
+decisions left out, so that the attempt totals show what the change
+saved.  ``--root DIR`` loads ``bench/run.py``, and through it the
+program, from the checkout at DIR instead of this one.
 
 The file name does not match ``test_*.py``, so pytest does not collect it.
 """
@@ -221,19 +227,27 @@ def relative(a, b):
     return abs(b - a) / a if a > 0 else abs(b - a)
 
 
-def first_difference(theirs, mine):
-    """The first field in which two outcomes differ, as text, or None."""
+def first_difference(theirs, mine, march=False):
+    """The first field in which two outcomes differ, as text, or None;
+    with march, an interval's attempts and decisions do not count."""
     if theirs["run"] != mine["run"]:
         return f"(T, M, dofs, termination) {theirs['run']} -> {mine['run']}"
+    width = 3 if march else None  # t_start, t_end, r
     for i, (a, b) in enumerate(zip(theirs["intervals"], mine["intervals"])):
-        if a != b:
+        if a[:width] != b[:width]:
             return f"interval {i}: {a} -> {b}"
     return None
 
 
-def compare_outcomes(rev, seed):
-    """Compare the run outcomes of this checkout with those of revision
-    rev; returns the exit status, 0 when every outcome is equal."""
+def total_attempts(outcome):
+    """The attempts over the accepted intervals of one run outcome."""
+    return sum(interval[3] for interval in outcome["intervals"])
+
+
+def compare_outcomes(rev, seed, march=False):
+    """Compare the run outcomes (with march, the marches) of this
+    checkout with those of revision rev; returns the exit status, 0 when
+    every one is equal."""
     with tempfile.TemporaryDirectory(prefix="report-outcomes-") as tmp:
         if not extract_tree(rev, tmp):
             return 2
@@ -253,7 +267,7 @@ def compare_outcomes(rev, seed):
         keys = [key for key in mine if key.split()[0] == workload]
         differ, moves, etas = [], [], []
         for key in keys:
-            diff = first_difference(theirs[key], mine[key])
+            diff = first_difference(theirs[key], mine[key], march)
             if diff is not None:
                 differ.append(f"  {key.split()[1]}: {diff}")
                 continue
@@ -270,6 +284,10 @@ def compare_outcomes(rev, seed):
         print(
             f"  f points: {rev} {sum(theirs[key]['f_points'] for key in keys)}, "
             f"here {sum(mine[key]['f_points'] for key in keys)}"
+        )
+        print(
+            f"  attempts: {rev} {sum(total_attempts(theirs[key]) for key in keys)}, "
+            f"here {sum(total_attempts(mine[key]) for key in keys)}"
         )
         for line in differ:
             print(line)
@@ -311,12 +329,19 @@ def main(argv=None):
         "--outcomes", action="store_true", help="compare run outcomes instead of digests"
     )
     parser.add_argument(
+        "--march",
+        action="store_true",
+        help="with --outcomes, compare the steps taken but not the attempts and decisions",
+    )
+    parser.add_argument(
         "--root", metavar="DIR", default=ROOT, help="the checkout whose benchmark to run"
     )
     args = parser.parse_args(argv)
+    if args.march and not args.outcomes:
+        parser.error("--march needs --outcomes")
     if args.outcomes:
         if args.against is not None:
-            return compare_outcomes(args.against, args.seed)
+            return compare_outcomes(args.against, args.seed, args.march)
         print(json.dumps(run_outcomes(args.seed, os.path.abspath(args.root))))
         return 0
     if args.against is not None:

@@ -22,7 +22,7 @@ from hpgalerkin.adapt import (
 from hpgalerkin.estimator import psi_update, solve_delta
 from hpgalerkin.galerkin import PicardConfig, Scheme, StepInput, reconstruct, step
 from hpgalerkin.poly import Interval, LocalPoly, gauss_legendre, l2_project
-from hpgalerkin.problems import make_exponential, make_linear, make_power_square
+from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
 from hpgalerkin.cli import fit_rates
 
 from _oracles import brute_force_residual
@@ -335,3 +335,102 @@ def test_criterion_9_unconditional_control():
     )
     ok = res.termination is Termination.MAX_INTERVALS and res.M == 100
     _report(9, ok, f"termination {res.termination.value} after M={res.M} intervals")
+
+
+# Criterion 10: two exact solutions that no built-in covers, marched on
+# cG and dG, hp r = 1 and h r = 1, 3, at three tolerances each.
+NON_AUTONOMOUS_CONFIGS = [
+    (scheme, mode, r, tol)
+    for scheme in SCHEMES
+    for mode, r in ((Mode.HP, 1), (Mode.H, 1), (Mode.H, 3))
+    for tol in (1e-3, 1e-5, 1e-7)
+]
+DENSE_SAMPLES = 257
+
+
+def time_square_problem(batch):
+    """Problem A: u' = 2 t u^2, u(0) = 1, exact 1 / (1 - t^2), T_inf = 1.
+
+    f reads t through the scalar f, or with batch through f_batch as
+    well, so that a wrong time map on either rule fails the certificate.
+    """
+    return Problem(
+        dim=1,
+        u0=np.array([1.0]),
+        f=lambda t, u: 2.0 * t * u * u,
+        lip=lambda t, a, b: 2.0 * abs(t) * (a + b),
+        exact=lambda t: (1.0 / (1.0 - np.asarray(t) ** 2))[None],
+        f_batch=(lambda ts, us: 2.0 * ts[:, None] * us * us) if batch else None,
+        lip_batch=(lambda ts, a, b: 2.0 * np.abs(ts) * (a + b)) if batch else None,
+    )
+
+
+def rotating_problem(omega):
+    """Problem B: u' = |u| u + omega J u in R^2, J the rotation by 90
+    degrees, u(0) = (0.6, 0.8); exact R(omega t) u0 / (1 - t), T_inf = 1
+    for every omega."""
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    u0 = np.array([0.6, 0.8])
+
+    def exact(t):
+        t = np.asarray(t)
+        c, s = np.cos(omega * t), np.sin(omega * t)
+        return np.stack((c * u0[0] - s * u0[1], s * u0[0] + c * u0[1])) / (1.0 - t)
+
+    return Problem(
+        dim=2,
+        u0=u0,
+        f=lambda t, u: np.linalg.norm(u) * u + omega * (J @ u),
+        lip=lambda t, a, b: 2.0 * max(a, b) + omega,
+        exact=exact,
+        f_batch=lambda ts, us: np.linalg.norm(us, axis=1)[:, None] * us + omega * (us @ J.T),
+        lip_batch=lambda ts, a, b: 2.0 * np.maximum(a, b) + omega,
+    )
+
+
+def _dense_error(p, u_hat):
+    """Largest Euclidean error of u_hat over DENSE_SAMPLES equispaced
+    times of its interval, endpoints included."""
+    iv = u_hat.interval
+    ts = np.linspace(iv.t_start, iv.t_end, DENSE_SAMPLES)
+    return float(np.sqrt(((p.exact(ts) - u_hat(ts)) ** 2).sum(axis=0)).max())
+
+
+def _certified_runs(p, k_init):
+    """Over NON_AUTONOMOUS_CONFIGS: the violations of error <= bound, the
+    worst error/bound, the smallest and largest 1 - T, whether every T
+    lies below T_inf = 1, and the intervals whose k the drivers halved
+    on the prediction before their first attempt."""
+    violations, worst, gaps, below, predicted = 0, 0.0, [], True, 0
+    for scheme, mode, r, tol in NON_AUTONOMOUS_CONFIGS:
+        cfg = AdaptConfig(
+            scheme=scheme, mode=mode, r_init=r, k_init=k_init, tol_star=tol, picard=HP_PICARD
+        )
+        res = (hp_adapt if mode is Mode.HP else h_adapt)(p, cfg)
+        below = below and res.M > 0 and res.T < 1.0
+        gaps.append(1.0 - res.T)
+        for rec in res.intervals:
+            err = _dense_error(p, rec.reconstruction)
+            violations += not err <= rec.estimate.bound
+            worst = max(worst, err / rec.estimate.bound)
+            predicted += rec.decisions[:1] == ("halve_k_predicted",)
+    return violations, worst, min(gaps), max(gaps), below, predicted
+
+
+def test_criterion_10_non_autonomous_and_rotating_certificates():
+    # Assert nothing about how close problem B gets: its envelope
+    # integrates the rotation, so its certificate stops early
+    runs, lines, ok = len(NON_AUTONOMOUS_CONFIGS), [], True
+    # problem A must put the predicted halving under its certificate
+    cases = [(f"A ({'f_batch' if batch else 'scalar f'})", time_square_problem(batch), 0.15, True)
+             for batch in (False, True)]
+    cases += [(f"B (omega {omega:g})", rotating_problem(omega), 0.05, False)
+              for omega in (0.0, 5.0, 20.0)]
+    for name, p, k_init, must_predict in cases:
+        violations, worst, gap_min, gap_max, below, predicted = _certified_runs(p, k_init)
+        ok = ok and violations == 0 and below and (predicted > 0 or not must_predict)
+        lines.append(
+            f"{name}: {runs} runs, {violations} violations, worst ratio {worst:.5f}, "
+            f"1 - T from {gap_min:.3g} to {gap_max:.3g}, {predicted} predicted halvings"
+        )
+    _report(10, ok, "; ".join(lines))

@@ -1,12 +1,14 @@
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hpgalerkin.adapt import (
     AdaptConfig,
+    IntervalRecord,
     Mode,
     RunResult,
     SmoothnessReport,
@@ -17,12 +19,55 @@ from hpgalerkin.adapt import (
     smoothness,
 )
 import hpgalerkin.adapt as adapt_module
+from hpgalerkin.estimator import StepEstimate
 from hpgalerkin.galerkin import PicardConfig, Scheme, reconstruct, step
-from hpgalerkin.poly import Interval, LocalPoly, l2_project
+from hpgalerkin.poly import Interval, LocalPoly, basis, l2_project
 import hpgalerkin.problems as problems
 from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
 
 from _oracles import halved_guess, next_interval_guess, reference_smoothness, zero_rhs
+
+
+def carries_k_and_r(records):
+    """The last two accepted intervals have the same degree and, up to
+    the rounding of t + k - t, the same length: the k and r that the
+    next interval carries."""
+    return (
+        len(records) >= 2
+        and records[-1].r == records[-2].r
+        and records[-1].interval.k == pytest.approx(records[-2].interval.k, rel=1e-6)
+    )
+
+
+def prediction_exceeds(records, tol):
+    """eta_M^2 / eta_(M-1) > tol for the last two accepted intervals, in
+    exact rational arithmetic; False when eta_(M-1) is 0."""
+    e0, e1 = (Fraction(rec.estimate.eta_res) for rec in records[-2:])
+    return e0 > 0 and e1 * e1 > e0 * Fraction(tol)
+
+
+def last_step_raises(cfg, records):
+    """An HP rejection after the last accepted step would raise r: the
+    step is smooth and r is below r_max."""
+    last = records[-1]
+    return last.r < cfg.r_max and smoothness(last.output.u, last.r).smooth
+
+
+def predicts_rejection(cfg, records, tol):
+    """The drivers' prediction rule, written out: halve k before the
+    first attempt of the interval after records, at running tolerance
+    tol."""
+    return (
+        carries_k_and_r(records)
+        and prediction_exceeds(records, tol)
+        and (cfg.mode is Mode.H or not last_step_raises(cfg, records))
+    )
+
+
+def predicted_guess(r, next_guess):
+    """The first iterate after a predicted halving: the carried guess,
+    padded by a zero row, restricted to the first half."""
+    return np.dot(basis(r).first_half, np.vstack((next_guess, np.zeros((1, next_guess.shape[1])))))
 
 
 class TestSmoothness:
@@ -316,7 +361,9 @@ class TestHpAdapt:
         )
         for rec in res.intervals:
             for d in rec.decisions:
-                assert d in ("halve_k", "halve_k_existence", "halve_k_overflow", "raise_r")
+                assert d in (
+                    "halve_k", "halve_k_existence", "halve_k_overflow", "halve_k_predicted", "raise_r"
+                )
 
     def test_linear_past_squared_overflow(self):
         # without a divergence cap the march passes |u| = 1e154, where the
@@ -514,7 +561,7 @@ class TestWarmStartDecisions:
             return out
 
         monkeypatch.setattr(adapt_module, "step", spy)
-        kinds = {"next": 0, "halve": 0, "raise": 0}
+        kinds = {"next": 0, "predicted": 0, "halve": 0, "raise": 0}
         for make, k_init, scheme, mode in self.RUNS:
             cfg = AdaptConfig(
                 scheme=scheme,
@@ -526,7 +573,16 @@ class TestWarmStartDecisions:
             )
             calls.clear()
             p = make(1.0)
-            (hp_adapt if mode is Mode.HP else h_adapt)(p, cfg)
+            res = (hp_adapt if mode is Mode.HP else h_adapt)(p, cfg)
+            # the intervals whose k the driver halved before their first
+            # attempt, the discarded last one included
+            predicted = {
+                rec.interval.t_start
+                for rec in res.intervals
+                if rec.decisions[:1] == ("halve_k_predicted",)
+            }
+            if res.M and predicts_rejection(cfg, res.intervals, res.tol_trace[-1]):
+                predicted.add(res.T)
             assert calls[0][1] is None
             for (prev, _, prev_out, _), (inp, guess, out, cold) in zip(calls, calls[1:]):
                 assert (out.converged, out.failure) == cold
@@ -536,9 +592,13 @@ class TestWarmStartDecisions:
                 if inp.interval.t_start == prev.interval.t_end:
                     # the next interval starts at the reconstruction's end value
                     kind, want = "next", next_interval_guess(prev, prev_out.f_vals, inp.u_left)
+                    k = prev.interval.k
+                    if inp.interval.t_start in predicted:
+                        # halved before the attempt: the guess on the first half
+                        kind, want, k = "predicted", predicted_guess(prev.r, want), 0.5 * k
                     # same step length up to the rounding of t + k - t
                     assert inp.r == prev.r
-                    assert inp.interval.k == pytest.approx(prev.interval.k, rel=1e-6)
+                    assert inp.interval.k == pytest.approx(k, rel=1e-6)
                 else:
                     u_hat = reconstruct(p, prev, prev_out.u, prev_out.f_vals)
                     if inp.r == prev.r + 1:
@@ -701,3 +761,217 @@ class TestLazyTheta:
                 assert rec.theta is None
             else:
                 assert rec.theta == score(rec.output.u, rec.r).theta
+
+
+PREDICTION_RUNS = {
+    "power2-cg-h-1": (make_power_square(1.0), Scheme.CG, Mode.H, 1, 0.15, 1e-4, 30),
+    "power2-dg-h-4": (make_power_square(1.0), Scheme.DG, Mode.H, 4, 0.15, 1e-6, 30),
+    "exp-dg-h-4": (make_exponential(1.0), Scheme.DG, Mode.H, 4, 0.09, 1e-5, 30),
+    "exp-cg-hp-1": (make_exponential(1.0), Scheme.CG, Mode.HP, 1, 0.09, 1e-7, 30),
+    "exp-cg-hp-1-max2": (make_exponential(1.0), Scheme.CG, Mode.HP, 1, 0.09, 1e-5, 2),
+    "power2-dg-hp-1": (make_power_square(1.0), Scheme.DG, Mode.HP, 1, 0.15, 1e-7, 30),
+    "custom-cg-hp-1": (norm_square_scalar(), Scheme.CG, Mode.HP, 1, 0.15, 1e-7, 30),
+}
+
+
+@pytest.fixture(scope="module")
+def predicted_runs():
+    """Per PREDICTION_RUNS entry: its config, its result, the running
+    tolerance before each accepted interval and every step call
+    (inp, guess, out) in order."""
+    runs, calls = {}, []
+
+    def spy(p, inp, cfg, *, guess=None, atol=0.0):
+        out = step(p, inp, cfg, guess=guess, atol=atol)
+        calls.append((inp, guess, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adapt_module, "step", spy)
+        for name, (p, scheme, mode, r, k_init, tol, r_max) in PREDICTION_RUNS.items():
+            cfg = AdaptConfig(
+                scheme=scheme, mode=mode, r_init=r, k_init=k_init, tol_star=tol, r_max=r_max,
+                picard=PicardConfig(divergence_cap=1e12),
+            )
+            res = (hp_adapt if mode is Mode.HP else h_adapt)(p, cfg)
+            runs[name] = (cfg, res, (tol,) + res.tol_trace, list(calls))
+            calls.clear()
+    return runs
+
+
+def fired(rec):
+    return rec.decisions[:1] == ("halve_k_predicted",)
+
+
+def fired_and_predicted(cfg, res):
+    """Per accepted interval: whether its k was halved on the prediction,
+    and whether the written-out rule predicts that."""
+    tols = (cfg.tol_star,) + res.tol_trace
+    got = [fired(rec) for rec in res.intervals]
+    return got, [predicts_rejection(cfg, res.intervals[:i], tols[i]) for i in range(res.M)]
+
+
+class TestPredictedHalving:
+    """The drivers halve k before an interval's first attempt when the
+    last two accepted intervals carry its k and r and their estimators
+    predict one above the running tolerance."""
+
+    @pytest.mark.parametrize("name", PREDICTION_RUNS)
+    def test_fires_exactly_where_predicted(self, predicted_runs, name):
+        cfg, res, _, _ = predicted_runs[name]
+        got, want = fired_and_predicted(cfg, res)
+        assert got == want
+        assert any(got)
+
+    def test_needs_the_carried_k_and_r(self, predicted_runs):
+        # a prediction above tol from intervals of different k or r
+        # never halves
+        other = 0
+        for cfg, res, tols, _ in predicted_runs.values():
+            for i in range(2, res.M):
+                head = res.intervals[:i]
+                if prediction_exceeds(head, tols[i]) and not carries_k_and_r(head):
+                    other += 1
+                    assert not fired(res.intervals[i])
+        assert other > 0
+
+    def test_h_mode_fires_whenever_the_prediction_exceeds_tol(self, predicted_runs):
+        checked = 0
+        for cfg, res, tols, _ in predicted_runs.values():
+            if cfg.mode is not Mode.H:
+                continue
+            for i in range(2, res.M):
+                head = res.intervals[:i]
+                if carries_k_and_r(head) and prediction_exceeds(head, tols[i]):
+                    checked += 1
+                    assert fired(res.intervals[i])
+        assert checked > 10
+
+    def test_hp_mode_never_fires_after_a_smooth_step(self, predicted_runs):
+        # below r_max; at r_max a rejection halves k, smooth or not
+        skipped, at_max = 0, 0
+        for cfg, res, tols, _ in predicted_runs.values():
+            if cfg.mode is not Mode.HP:
+                continue
+            for i in range(2, res.M):
+                head = res.intervals[:i]
+                if not smoothness(head[-1].output.u, head[-1].r).smooth:
+                    continue
+                exceeds = carries_k_and_r(head) and prediction_exceeds(head, tols[i])
+                if head[-1].r < cfg.r_max:
+                    assert not fired(res.intervals[i])
+                    skipped += exceeds
+                elif exceeds:
+                    assert fired(res.intervals[i])
+                    at_max += 1
+        # the smooth case, where a rejection would raise r, does occur
+        assert skipped > 0 and at_max > 0
+
+    @pytest.mark.parametrize("name", PREDICTION_RUNS)
+    def test_halved_guess_and_attempts(self, predicted_runs, name):
+        cfg, res, _, calls = predicted_runs[name]
+        accepted = {id(out): inp for inp, _, out in calls}
+        for prev, rec in zip(res.intervals, res.intervals[1:]):
+            mine = [(inp, guess) for inp, guess, _ in calls if inp.interval.t_start == rec.interval.t_start]
+            # every step at this start is counted, and the skipped one is
+            # not a step: one decision per rejected attempt, after the
+            # predicted halving
+            assert rec.attempts == len(mine)
+            assert len(rec.decisions) == rec.attempts - 1 + fired(rec)
+            if not fired(rec):
+                continue
+            inp, guess = mine[0]
+            assert inp.r == prev.r
+            assert inp.interval.k == pytest.approx(0.5 * prev.interval.k, rel=1e-6)
+            carried = next_interval_guess(accepted[id(prev.output)], prev.output.f_vals, inp.u_left)
+            assert guess.tobytes() == predicted_guess(prev.r, carried).tobytes()
+
+
+def two_records(e0, e1):
+    """Two accepted h intervals of equal k and r with residual
+    estimators e0 and e1; the prediction reads nothing else."""
+    return [
+        IntervalRecord(
+            interval=Interval(t, t + 0.1),
+            r=1,
+            output=None,
+            reconstruction=None,
+            estimate=StepEstimate(eta_res=e, psi=e, delta=1.0, bound=e, delta_hat=1.0),
+            attempts=1,
+            decisions=(),
+            dofs=1,
+        )
+        for t, e in ((0.0, e0), (0.1, e1))
+    ]
+
+
+def time_linear(u0):
+    """u' = 2 t u: linear in u, so a power-of-two u0 scales every
+    coefficient and estimator exactly; lip does not read u."""
+    return Problem(
+        dim=1,
+        u0=np.array([u0]),
+        f=lambda t, u: 2.0 * t * u,
+        lip=lambda t, a, b: 2.0 * abs(t),
+        f_batch=lambda ts, us: 2.0 * ts[:, None] * us,
+        lip_batch=lambda ts, a, b: 2.0 * np.abs(ts),
+    )
+
+
+class TestPredictionRange:
+    """The prediction eta_M * (eta_M / eta_(M-1)) stays right where the
+    square eta_M^2 leaves double range."""
+
+    H_CFG = AdaptConfig(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1.0)
+
+    @pytest.mark.parametrize(
+        "e0,e1,tol,want",
+        [
+            (1e300, 1e300, 1.5e300, False),  # e1^2 overflows to inf
+            (1e300, 2e300, 3e300, True),
+            (4e-310, 8e-310, 1e-309, True),  # e1^2 underflows to 0
+            (1e-310, 1e-310, 1.5e-310, False),
+            (5e-324, 1e300, 1e308, True),  # e1 / e0 overflows: growth past range
+            (0.0, 1e-3, 1e-2, False),  # no prediction from a zero estimator
+            (1e-3, 0.0, 1e-2, False),
+        ],
+    )
+    def test_rule_at_the_edges_of_double_range(self, e0, e1, tol, want):
+        assert adapt_module._predicts_rejection(self.H_CFG, two_records(e0, e1), tol) is want
+
+    @pytest.mark.parametrize("scheme,r", [(Scheme.CG, 1), (Scheme.DG, 0), (Scheme.CG, 3)])
+    def test_march_with_estimators_near_1e300(self, scheme, r):
+        # scaled by 2^960 the estimators reach 1e286 to 1e301, whose
+        # squares overflow; every step and decision stays that of the
+        # unscaled march, and every estimator is scaled exactly
+        def run(scale):
+            cfg = AdaptConfig(
+                scheme=scheme, mode=Mode.H, r_init=r, k_init=0.1,
+                tol_star=math.ldexp(1e-4, scale), max_intervals=80,
+                picard=PicardConfig(divergence_cap=math.inf),
+            )
+            return h_adapt(time_linear(math.ldexp(1.0, scale)), cfg)
+
+        plain, scaled = run(0), run(960)
+        assert scaled.M == plain.M == 80
+        assert any(fired(rec) for rec in plain.intervals)
+        assert max(rec.estimate.eta_res for rec in scaled.intervals) > 1e284
+        for a, b in zip(plain.intervals, scaled.intervals):
+            assert (a.interval, a.r, a.attempts, a.decisions) == (b.interval, b.r, b.attempts, b.decisions)
+            assert math.ldexp(a.estimate.eta_res, 960) == b.estimate.eta_res
+
+    @pytest.mark.parametrize("scheme,r,tol", [(Scheme.CG, 1, 1e-4), (Scheme.CG, 1, 1e-6), (Scheme.DG, 0, 1e-4)])
+    def test_march_with_subnormal_estimators(self, scheme, r, tol):
+        # scaled by 2^-1020 every estimator is subnormal, where e1^2
+        # underflows to 0; the rule still fires where the exact
+        # prediction exceeds tol
+        cfg = AdaptConfig(
+            scheme=scheme, mode=Mode.H, r_init=r, k_init=0.1,
+            tol_star=math.ldexp(tol, -1020), max_intervals=80,
+            picard=PicardConfig(divergence_cap=math.inf),
+        )
+        res = h_adapt(time_linear(math.ldexp(1.0, -1020)), cfg)
+        assert all(0.0 < rec.estimate.eta_res < sys.float_info.min for rec in res.intervals)
+        got, want = fired_and_predicted(cfg, res)
+        assert got == want
+        assert any(got)
