@@ -1,18 +1,21 @@
 """Adaptive time-stepping drivers that march toward blow-up.
 
-Both drivers march interval by interval with the same skeleton:
+Both drivers march with one loop, one attempt per pass, which makes
+every decision on k and r:
 
-    1. prediction: when the last two accepted intervals share the k and
-       r the next one carries, extrapolate their residual estimators
-       geometrically, eta_M * (eta_M / eta_{M-1}); a prediction above
-       the running tolerance halves k before the first attempt (HP mode:
-       only where a rejection would halve k rather than raise r);
-    2. existence loop: halve k until the Picard iteration converges;
-    3. accuracy loop: refine until the residual estimator is below the
-       running tolerance (H mode halves k; HP mode raises the degree
-       when the current candidate looks smooth, else halves k);
-    4. accept the interval, update psi, and solve for the growth
-       factor delta with a warm start at the previous value;
+    1. prediction: on an interval's first attempt, when the last two
+       accepted intervals share the k and r the next one carries,
+       extrapolate their residual estimators geometrically,
+       eta_M * (eta_M / eta_{M-1}); a prediction above the running
+       tolerance halves k before the attempt (HP mode: only where a
+       rejection would halve k rather than raise r);
+    2. existence: a Picard iteration that does not converge, or a
+       candidate that leaves double range, halves k;
+    3. accuracy: a residual estimator above the running tolerance
+       refines (H mode halves k; HP mode raises the degree when the
+       current candidate looks smooth, else halves k);
+    4. acceptance: update psi and solve for the growth factor delta
+       with a warm start at the previous value;
     5. scale the tolerance by delta (early intervals must be resolved
        more accurately than later ones, since their estimator
        contribution is amplified by every subsequent delta), carry the
@@ -213,104 +216,9 @@ def smoothness(u: LocalPoly, r: int) -> SmoothnessReport:
     return SmoothnessReport(theta=theta, smooth=theta >= THETA_STAR)
 
 
-@dataclass
-class _Candidate:
-    inp: StepInput
-    output: StepOutput
-    reconstruction: LocalPoly
-    eta_res: float
-    u_end: np.ndarray
-    next_guess: np.ndarray
-    attempts: int
-    decisions: list[str]
-
-
 def _interval_dofs(p: Problem, scheme: Scheme, r: int) -> int:
     per_component = r if scheme is Scheme.CG else r + 1
     return p.dim * per_component
-
-
-def _refine(
-    p: Problem,
-    cfg: AdaptConfig,
-    t_start: float,
-    k: float,
-    r: int,
-    u_left: np.ndarray,
-    tol: float,
-    guess: Optional[np.ndarray],
-) -> Optional[_Candidate]:
-    """Existence + accuracy loops for one interval; None when k falls
-    below k_min or no longer moves t_start.
-
-    Every step stops Picard at a coefficient change of
-    PICARD_TOL_SHARE * tol, unless the relative test stops it earlier,
-    and the reconstruction lifts the f values of the step's last update
-    rather than evaluating f again.  The candidate's end value, where
-    the next interval starts, is the reconstruction's end value, so the
-    global reconstruction has no jump for psi to miss.
-
-    guess seeds the Picard iteration of the first attempt: the previous
-    interval's next_guess, or, when ``_drive`` has halved k on the
-    prediction, its restriction to the first half.  After an
-    accuracy refinement the next attempt starts from the rejected
-    candidate's reconstruction, the best polynomial the loop holds:
-    restricted to the first half of its interval and projected to degree
-    r after a halving (``Basis.first_half``), as it is after a degree
-    raise, since it already has degree r + 1.  An attempt after a failed
-    one starts from the constant left value.  next_guess, the first
-    iterate of the next interval, is that interval's Picard update
-    computed from the accepted step's own f values, continued onto it
-    (``SchemeOperator.predict``): a u_end^T + k predict @ f_vals, with
-    no f evaluated.  A candidate whose reconstruction, residual or end
-    value leaves double range halves k as an overflow.  The guesses are
-    formed under an errstate: ``step`` ignores a non-finite one.
-    """
-    attempts = 0
-    decisions: list[str] = []
-    while True:
-        if k < cfg.k_min or not t_start + k > t_start:
-            return None
-        inp = StepInput(Interval(t_start, t_start + k), r, u_left, cfg.scheme)
-        attempts += 1
-        out = step(p, inp, cfg.picard, guess=guess, atol=PICARD_TOL_SHARE * tol)
-        guess = None
-        if not out.converged:
-            k *= 0.5
-            decisions.append("halve_k_existence")
-            continue
-        try:
-            u_hat = reconstruct(p, inp, out.u, out.f_vals)
-            eta = residual_estimator(p, u_hat, inp.u_left)
-            if eta <= tol:
-                # uhat(t_end), as P_i(1) = 1, and the next interval's Picard
-                # update from this one's f values continued onto it: its
-                # first attempt has the same k and r, unless _drive halves
-                # k on the prediction
-                op = picard_operator(r, cfg.scheme)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    u_end = np.add.reduce(u_hat.coeffs, 0)
-                    next_guess = np.dot(op.predict, out.f_vals)
-                    next_guess *= inp.interval.k
-                    next_guess += op.a * u_end
-                if not _all_finite(u_end):
-                    raise NumericOverflow("end value overflowed")
-                return _Candidate(inp, out, u_hat, eta, u_end, next_guess, attempts, decisions)
-        except NumericOverflow:
-            # Candidate exists but leaves double range; treat like
-            # nonexistence and shorten the step.
-            k *= 0.5
-            decisions.append("halve_k_overflow")
-            continue
-        if cfg.mode is Mode.HP and smoothness(out.u, r).smooth and r < cfg.r_max:
-            r += 1
-            decisions.append("raise_r")
-            guess = u_hat.coeffs
-        else:
-            k *= 0.5
-            decisions.append("halve_k")
-            with np.errstate(over="ignore", invalid="ignore"):
-                guess = np.dot(basis(r).first_half, u_hat.coeffs)
 
 
 def _predicts_rejection(cfg: AdaptConfig, records: list[IntervalRecord], tol: float) -> bool:
@@ -340,14 +248,37 @@ def _predicts_rejection(cfg: AdaptConfig, records: list[IntervalRecord], tol: fl
 
 
 def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
-    """March interval by interval (the skeleton of the module docstring).
+    """March interval by interval, one attempt per pass of the loop (the
+    skeleton of the module docstring); every change of k and r is made
+    here.  The march ends with K_MIN_REACHED once k falls below k_min or
+    no longer moves t.
 
-    Before each interval ``_predicts_rejection`` may halve the carried k.
-    The halved attempt starts from the carried next_guess restricted to
-    the first half of its interval (``Basis.first_half`` on next_guess
-    padded by a zero row, exact for its degree r), and the interval's
-    decisions start with "halve_k_predicted"; the skipped attempt is not
-    counted in its attempts.
+    A predicted halving is recorded as "halve_k_predicted" and not
+    counted in the interval's attempts.  Every step stops Picard at a
+    coefficient change of PICARD_TOL_SHARE * tol, unless the relative
+    test stops it earlier, and the reconstruction lifts the f values of
+    the step's last update rather than evaluating f again.  A candidate
+    whose reconstruction, residual or end value leaves double range
+    halves k as an overflow.  The accepted end value, where the next
+    interval starts, is the reconstruction's end value, so the global
+    reconstruction has no jump for psi to miss.
+
+    The guess seeds the Picard iteration of an attempt.  An interval's
+    first attempt starts from its Picard update computed from the f
+    values of the step accepted before it, continued onto it
+    (``SchemeOperator.predict``): a u_end^T + k predict @ f_vals, with
+    no f evaluated.  After a predicted halving that guess is restricted
+    to the first half of the interval (``Basis.first_half`` on the guess
+    padded by a zero row, exact for its degree r).  After an accuracy
+    refinement the next attempt starts from the rejected candidate's
+    reconstruction, the best polynomial the loop holds: restricted to
+    the first half of its interval and projected to degree r after a
+    halving, as it is after a degree raise, since it already has degree
+    r + 1.  The run's first attempt, and an attempt after a failed one,
+    start from the constant left value.  The guesses and the end value
+    are formed under the one errstate that spans the loop, and the
+    callees hold their own: ``step`` ignores a non-finite guess, and the
+    end value is tested for finiteness.
     """
     records: list[IntervalRecord] = []
     tol_trace: list[float] = []
@@ -358,52 +289,81 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     delta_hat = 1.0
     termination = Termination.MAX_INTERVALS
     guess = None
+    attempts, decisions = 0, []
 
-    while len(records) < cfg.max_intervals:
-        predicted: tuple[str, ...] = ()
-        if _predicts_rejection(cfg, records, tol):
-            k *= 0.5
-            predicted = ("halve_k_predicted",)
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(records) < cfg.max_intervals:
+            if not attempts and _predicts_rejection(cfg, records, tol):
+                k *= 0.5
+                decisions.append("halve_k_predicted")
                 guess = np.dot(basis(r).first_half, np.vstack((guess, np.zeros_like(guess[:1]))))
-        candidate = _refine(p, cfg, t, k, r, u_left, tol, guess)
-        if candidate is None:
-            termination = Termination.K_MIN_REACHED
-            break
-        iv, r = candidate.inp.interval, candidate.inp.r
-        psi = psi_update(prev_estimate, candidate.eta_res)
-        prev_delta = prev_estimate.delta if prev_estimate is not None else None
-        delta = solve_delta(p, iv, candidate.reconstruction, psi, prev_delta=prev_delta)
-        if isinstance(delta, DeltaNotFound):
-            termination = Termination.DELTA_NOT_FOUND
-            break
+            if k < cfg.k_min or not t + k > t:
+                termination = Termination.K_MIN_REACHED
+                break
+            inp = StepInput(Interval(t, t + k), r, u_left, cfg.scheme)
+            attempts += 1
+            out = step(p, inp, cfg.picard, guess=guess, atol=PICARD_TOL_SHARE * tol)
+            guess = None
+            if not out.converged:
+                k *= 0.5
+                decisions.append("halve_k_existence")
+                continue
+            try:
+                u_hat = reconstruct(p, inp, out.u, out.f_vals)
+                eta = residual_estimator(p, u_hat, inp.u_left)
+                if eta <= tol:
+                    u_end = np.add.reduce(u_hat.coeffs, 0)  # uhat(t_end), as P_i(1) = 1
+                    if not _all_finite(u_end):
+                        raise NumericOverflow("end value overflowed")
+            except NumericOverflow:
+                # the candidate exists but leaves double range: treat it
+                # like nonexistence and shorten the step
+                k *= 0.5
+                decisions.append("halve_k_overflow")
+                continue
+            if not eta <= tol:
+                if cfg.mode is Mode.HP and smoothness(out.u, r).smooth and r < cfg.r_max:
+                    r += 1
+                    decisions.append("raise_r")
+                    guess = u_hat.coeffs
+                else:
+                    k *= 0.5
+                    decisions.append("halve_k")
+                    guess = np.dot(basis(r).first_half, u_hat.coeffs)
+                continue
 
-        delta_hat *= delta
-        estimate = StepEstimate(
-            eta_res=candidate.eta_res,
-            psi=psi,
-            delta=delta,
-            bound=delta * psi,
-            delta_hat=delta_hat,
-        )
-        records.append(
-            IntervalRecord(
-                interval=iv,
-                r=r,
-                output=candidate.output,
-                reconstruction=candidate.reconstruction,
-                estimate=estimate,
-                attempts=candidate.attempts,
-                decisions=predicted + tuple(candidate.decisions),
-                dofs=_interval_dofs(p, cfg.scheme, r),
+            iv = inp.interval
+            psi = psi_update(prev_estimate, eta)
+            prev_delta = prev_estimate.delta if prev_estimate is not None else None
+            delta = solve_delta(p, iv, u_hat, psi, prev_delta=prev_delta)
+            if isinstance(delta, DeltaNotFound):
+                termination = Termination.DELTA_NOT_FOUND
+                break
+            delta_hat *= delta
+            prev_estimate = StepEstimate(
+                eta_res=eta, psi=psi, delta=delta, bound=delta * psi, delta_hat=delta_hat
             )
-        )
-        tol *= delta
-        tol_trace.append(tol)
-        prev_estimate = estimate
-        t = iv.t_end
-        k = iv.k
-        u_left, guess = candidate.u_end, candidate.next_guess
+            records.append(
+                IntervalRecord(
+                    interval=iv,
+                    r=r,
+                    output=out,
+                    reconstruction=u_hat,
+                    estimate=prev_estimate,
+                    attempts=attempts,
+                    decisions=tuple(decisions),
+                    dofs=_interval_dofs(p, cfg.scheme, r),
+                )
+            )
+            tol *= delta
+            tol_trace.append(tol)
+            # the next interval's first attempt carries this one's k and r
+            t, k, u_left = iv.t_end, iv.k, u_end
+            op = picard_operator(r, cfg.scheme)
+            guess = np.dot(op.predict, out.f_vals)
+            guess *= k
+            guess += op.a * u_end
+            attempts, decisions = 0, []
 
     return RunResult(
         intervals=tuple(records),

@@ -26,7 +26,7 @@ leave the floating-point error state alone: the Picard step, the cG
 lift behind the reconstruction and the residual, and the delta solve
 each enter one ``np.errstate`` and read overflow from a sum or a
 coefficient array they compute anyway.  A scalar f or lip may
-raise NumericOverflow itself, as the ``exp`` built-in does.
+raise NumericOverflow itself.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = [
     "builtin_problem",
 ]
 
-# exp() leaves double range near 709.78; flag instead of propagating inf.
+# |u0| bound of the exp problem: e^{u0} leaves double range near 709.78
 _EXP_MAX = 709.0
 
 
@@ -110,13 +110,22 @@ def rhs_at(p: Problem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
 def lip_at(p: Problem, ts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Evaluate the Lipschitz envelope at arrays of (t, a, b); returns (n,).
 
-    As with ``rhs_at``, non-finite values are returned, not flagged; a
-    scalar ``lip`` receives t, a and b as Python floats.
+    As with ``rhs_at``, non-finite values are returned, not flagged,
+    and values of any other shape than a's raise ValueError; a scalar
+    ``lip`` receives t, a and b as Python floats.
     """
     if p.lip_batch is not None:
-        return np.asarray(p.lip_batch(ts, a, b), dtype=float)
-    vals = [p.lip(t, ai, bi) for t, ai, bi in zip(ts.tolist(), a.tolist(), b.tolist())]
-    return np.array(vals, dtype=float)
+        vals = p.lip_batch(ts, a, b)
+    else:
+        vals = [p.lip(t, ai, bi) for t, ai, bi in zip(ts.tolist(), a.tolist(), b.tolist())]
+    try:
+        vals = np.asarray(vals, dtype=float)
+    except ValueError as exc:  # values of mixed shape, or not numbers
+        msg = f"Lipschitz envelope lip returned values that do not form shape {a.shape}"
+        raise ValueError(msg) from exc
+    if vals.shape != a.shape:
+        raise ValueError(f"Lipschitz envelope lip returned shape {vals.shape}, expected {a.shape}")
+    return vals
 
 
 def make_power_square(u0: float) -> Problem:
@@ -156,14 +165,12 @@ def make_exponential(u0: float) -> Problem:
         raise ValueError(f"exp blow-up problem requires |u0| <= {_EXP_MAX}, got {u0}")
     growth = math.exp(u0)
 
+    # one expression for a single state and for a batch of them; past
+    # u = 709.78 they give inf, and the callers hold the errstate
     def f(t, u):
-        if np.any(u > _EXP_MAX):
-            raise NumericOverflow("exp right-hand side overflowed")
         return np.exp(u)
 
     def lip(t, a, b):
-        if a > _EXP_MAX or b > _EXP_MAX:
-            raise NumericOverflow("exp Lipschitz envelope overflowed")
         return 0.5 * (np.exp(a) + np.exp(b))
 
     def exact(t):
@@ -177,9 +184,8 @@ def make_exponential(u0: float) -> Problem:
         exact=exact,
         t_blowup=math.exp(-u0),
         name="exp",
-        # past u = 709.78 these give inf; the callers hold the errstate
-        f_batch=lambda ts, us: np.exp(us),
-        lip_batch=lambda ts, a, b: 0.5 * (np.exp(a) + np.exp(b)),
+        f_batch=f,
+        lip_batch=lip,
     )
 
 
@@ -193,7 +199,7 @@ def make_linear(lam: float, u0) -> Problem:
         return lam * u
 
     def lip(t, a, b):
-        return abs(lam)
+        return np.full(np.shape(a), abs(lam))
 
     def exact(t):
         return np.multiply.outer(u0, np.exp(lam * np.asarray(t, dtype=float)))
@@ -207,7 +213,7 @@ def make_linear(lam: float, u0) -> Problem:
         t_blowup=None,
         name="linear",
         f_batch=f,
-        lip_batch=lambda ts, a, b: np.full_like(a, abs(lam)),
+        lip_batch=lip,
     )
 
 

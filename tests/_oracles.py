@@ -263,7 +263,7 @@ def next_interval_guess(inp, f_vals, u_end):
     matmul products: the Picard update of the next interval, of equal
     length, from the f values of this step continued onto it
     (``SchemeOperator.predict``), with left value ``u_end``.  Byte-equal
-    oracle of ``adapt._refine``'s next_guess."""
+    oracle of the guess ``adapt._drive`` carries to the next interval."""
     op = picard_operator(inp.r, inp.scheme)
     return np.outer(op.a, u_end) + inp.interval.k * (op.predict @ f_vals)
 

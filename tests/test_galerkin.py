@@ -185,8 +185,13 @@ class TestOverflow:
 
     @pytest.mark.parametrize("scheme,r", OVERFLOW_SCHEMES)
     def test_raising_scalar_f_matches_reference(self, scheme, r):
-        # exp's scalar f raises NumericOverflow above u = 709 itself
-        p = dataclasses.replace(make_exponential(1.0), f_batch=None, lip_batch=None)
+        # a scalar f that raises NumericOverflow above u = 709 itself
+        def f(t, u):
+            if np.any(u > 709.0):
+                raise NumericOverflow("exp right-hand side overflowed")
+            return np.exp(u)
+
+        p = dataclasses.replace(make_exponential(1.0), f=f, f_batch=None, lip_batch=None)
         inp = StepInput(Interval(0.0, 1e-300), r, np.array([705.0]), scheme)
         out, ref = step(p, inp), reference_step(p, inp, PicardConfig())
         assert ref[1:] == (2, False, StepFailure.DIVERGED)
@@ -680,29 +685,38 @@ class TestAcceptPathBitIdentity:
     @pytest.mark.parametrize("scheme,r,dim", ACCEPT_CASES, ids=lambda v: getattr(v, "value", v))
     def test_guesses_and_end_value(self, scheme, r, dim, monkeypatch):
         # one rejected attempt, whose restricted reconstruction seeds the
-        # second, which is accepted with its predicted update for the next
-        # interval
+        # second, which is accepted; its predicted update seeds the first
+        # attempt of the next interval.  f = |u| u ignores t, so the run
+        # starting at t = 0 takes the steps of accept_case
         p, inp, _ = accept_case(scheme, r, dim)
-        tol, etas, calls = 1e-6, iter([2e-6, 0.0]), []
+        tol, etas, calls = 1e-6, iter([2e-6, 0.0, 0.0]), []
 
         def spy(p, inp, cfg, *, guess=None, atol=0.0):
             out = step(p, inp, cfg, guess=guess, atol=atol)
-            calls.append((guess, out))
+            calls.append((guess, inp, out))
             return out
 
         monkeypatch.setattr(adapt, "step", spy)
         monkeypatch.setattr(adapt, "residual_estimator", lambda p, u_hat, u_left: next(etas))
-        cfg = AdaptConfig(scheme=scheme, mode=Mode.H, r_init=r, k_init=0.1, tol_star=tol)
-        iv = inp.interval
-        cand = adapt._refine(p, cfg, iv.t_start, 2.0 * iv.k, r, inp.u_left, tol, None)
-        assert cand.decisions == ["halve_k"] and len(calls) == 2 and calls[0][0] is None
-        rejected = calls[0][1]
-        first = dataclasses.replace(inp, interval=rejected.u.interval)
-        u_hat = reconstruct(p, first, rejected.u, rejected.f_vals)
+        cfg = AdaptConfig(
+            scheme=scheme,
+            mode=Mode.H,
+            r_init=r,
+            k_init=2.0 * inp.interval.k,
+            tol_star=tol,
+            max_intervals=2,
+        )
+        rec = adapt.h_adapt(p, cfg).intervals[0]
+        assert rec.decisions == ("halve_k",) and rec.attempts == 2
+        assert len(calls) == 3 and calls[0][0] is None
+        rejected_inp, rejected = calls[0][1:]
+        u_hat = reconstruct(p, rejected_inp, rejected.u, rejected.f_vals)
         assert calls[1][0].tobytes() == halved_guess(r, u_hat).tobytes()
-        want = next_interval_guess(cand.inp, calls[1][1].f_vals, cand.u_end)
-        assert cand.next_guess.tobytes() == want.tobytes()
-        assert cand.u_end.tobytes() == cand.reconstruction.coeffs.sum(axis=0).tobytes()
+        accepted_inp, accepted = calls[1][1:]
+        u_end = calls[2][1].u_left
+        assert u_end.tobytes() == rec.reconstruction.coeffs.sum(axis=0).tobytes()
+        want = next_interval_guess(accepted_inp, accepted.f_vals, u_end)
+        assert calls[2][0].tobytes() == want.tobytes()
 
 
 class TestFiniteTest:

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from hpgalerkin.adapt import AdaptConfig, Mode, hp_adapt
 from hpgalerkin.estimator import _growth_factory
+from hpgalerkin.galerkin import Scheme
 from hpgalerkin.poly import Interval, LocalPoly
 from hpgalerkin.problems import (
     NumericOverflow,
@@ -72,11 +74,12 @@ class TestExponential:
         np.testing.assert_allclose(make_exponential(1.0).exact(0.0), [1.0])
 
     def test_overflow_is_flagged(self):
+        # past u = 709.78 f and lip give inf, under the errstate their
+        # callers hold; the callers read overflow from their sums
         p = make_exponential(1.0)
-        with pytest.raises(NumericOverflow):
-            p.f(0.0, np.array([800.0]))
-        with pytest.raises(NumericOverflow):
-            p.lip(0.0, 800.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert p.f(0.0, np.array([709.0, 800.0])).tolist() == [math.exp(709.0), math.inf]
+            assert p.lip(0.0, 800.0, 0.0) == math.inf
 
 
 class TestLinear:
@@ -263,8 +266,14 @@ class TestScalarFallback:
     def test_overflow_reported(self):
         # rhs_at and lip_at hand overflow to their callers, which hold the
         # errstate (as here) and read it from their sums; a scalar f or
-        # lip may raise NumericOverflow itself, as exp's do
-        p, q = without_batch(make_power_square(1.0)), without_batch(make_exponential(1.0))
+        # lip may raise NumericOverflow itself
+        def lip(t, a, b):
+            if a > 709.0 or b > 709.0:
+                raise NumericOverflow("exp Lipschitz envelope overflowed")
+            return 0.5 * (math.exp(a) + math.exp(b))
+
+        p = without_batch(make_power_square(1.0))
+        q = dataclasses.replace(without_batch(make_exponential(1.0)), lip=lip)
         with np.errstate(over="ignore", invalid="ignore"):
             assert rhs_at(p, np.array([0.0]), np.array([[1e200]])).tolist() == [[math.inf]]
             with pytest.raises(NumericOverflow):
@@ -293,6 +302,49 @@ class TestScalarFallback:
         )
         with pytest.raises(ValueError, match=r"expected \(2,\)"):
             rhs_at(p, np.array([0.0, 0.1]), np.ones((2, 2)))
+
+
+class TestLipShape:
+    """lip_at takes values of shape (n,) only, from lip_batch and from a
+    scalar lip, and names the envelope otherwise, as rhs_at names f."""
+
+    MATCH = r"Lipschitz envelope lip returned .*\(3,\)"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda v: 2.0, lambda v: v[:, None], lambda v: v[None, :], lambda v: v[:1]],
+        ids=["scalar", "column", "row", "length-1"],
+    )
+    def test_batch(self, bad):
+        p = dataclasses.replace(make_power_square(1.0), lip_batch=lambda ts, a, b: bad(a + b))
+        with pytest.raises(ValueError, match=self.MATCH):
+            lip_at(p, np.zeros(3), np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize(
+        "lip",
+        [
+            lambda t, a, b: np.array([a + b]),
+            lambda t, a, b: [a + b],
+            lambda t, a, b: a + b if t < 0.05 else [a + b],
+        ],
+        ids=["length-1-array", "list", "mixed"],
+    )
+    def test_scalar(self, lip):
+        p = dataclasses.replace(without_batch(make_power_square(1.0)), lip=lip)
+        with pytest.raises(ValueError, match=self.MATCH):
+            lip_at(p, np.linspace(0.0, 0.1, 3), np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize("batch", [True, False], ids=["lip_batch-scalar", "lip-list"])
+    def test_driver_reports_envelope(self, batch):
+        # the driver's first delta solve meets the bad envelope
+        p = make_power_square(1.0)
+        if batch:
+            p = dataclasses.replace(p, lip_batch=lambda ts, a, b: 2.0)
+        else:
+            p = dataclasses.replace(without_batch(p), lip=lambda t, a, b: [a + b])
+        cfg = AdaptConfig(scheme=Scheme.CG, mode=Mode.HP, r_init=1, k_init=0.15, tol_star=1e-6)
+        with pytest.raises(ValueError, match=r"Lipschitz envelope lip returned shape"):
+            hp_adapt(p, cfg)
 
 
 class TestBuiltinLookup:
