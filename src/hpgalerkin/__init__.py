@@ -21,7 +21,7 @@ from .estimator import (
     solve_delta,
 )
 from .galerkin import PicardConfig, Scheme, StepFailure, StepInput, StepOutput, reconstruct, step
-from .poly import Interval, LocalPoly, QuadRule, gauss_legendre, l2_project
+from .poly import Interval, LocalPoly
 from .problems import (
     NumericOverflow,
     Problem,
@@ -43,7 +43,6 @@ __all__ = [
     "NumericOverflow",
     "PicardConfig",
     "Problem",
-    "QuadRule",
     "RunResult",
     "Scheme",
     "SmoothnessReport",
@@ -53,10 +52,8 @@ __all__ = [
     "StepOutput",
     "Termination",
     "builtin_problem",
-    "gauss_legendre",
     "h_adapt",
     "hp_adapt",
-    "l2_project",
     "make_exponential",
     "make_linear",
     "make_power_square",

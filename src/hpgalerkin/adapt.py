@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -119,6 +120,15 @@ class AdaptConfig:
     picard: PicardConfig = field(default_factory=PicardConfig)
 
     def __post_init__(self):
+        # a bool passes operator.index, but numpy sizes reject it
+        for key in ("r_init", "r_max", "max_intervals"):
+            value = getattr(self, key)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{key} must be an integer, got {value!r}") from None
         # r_max steers only the HP driver's degree raises
         for key in ("r_init", "r_max") if self.mode is Mode.HP else ("r_init",):
             value = getattr(self, key)
@@ -189,10 +199,10 @@ def smoothness(u: LocalPoly, r: int) -> SmoothnessReport:
         raise ValueError(f"smoothness indicator needs degree >= 1, got {r}")
     if u.degree > r:
         raise ValueError(f"smoothness indicator needs degree <= r = {r}, got {u.degree}")
-    # Legendre differentiation maps the top two coefficients c_j to
-    # (2j-1) c_j and touches them with nothing else, so the two that
-    # survive r-1 derivatives are rounded exactly as LocalPoly.derivative()
-    # rounds them.
+    # Legendre differentiation (legder) maps the top two coefficients
+    # c_j to (2j-1) c_j and touches them with nothing else, so the two
+    # that survive r-1 derivatives are rounded exactly as r-1 legder
+    # calls, each scaled by the map's 2/k, round them.
     k = u.interval.k
     w = u.coeffs[r - 1 :]
     j = np.arange(r - 1, u.degree + 1, dtype=float)[:, None]

@@ -269,18 +269,23 @@ def fit_rates(rows: list[dict], model: str) -> dict:
     algebraic: log(err) vs log(dofs) -> slope is the algebraic rate.
     exponential: log(err) vs sqrt(dofs) -> slope = -sqrt(b).
     """
-    usable = [
-        row
-        for row in rows
+    usable = {
+        i: row
+        for i, row in enumerate(rows, 1)
         if not row["aborted"]
         and row["blowup_err"] is not None
         and math.isfinite(row["blowup_err"])
         and row["blowup_err"] > 0
-    ]
+    }
     if len(usable) < 3:
         raise ConfigError(f"fit needs >= 3 usable rows with positive blow-up error, got {len(usable)}")
-    err = np.array([row["blowup_err"] for row in usable])
-    dofs = np.array([float(row["dofs"]) for row in usable])
+    for i, row in usable.items():
+        if row["dofs"] <= 0:
+            raise ConfigError(f"fit needs positive dofs, got {row['dofs']} in row {i}")
+    if len({row["dofs"] for row in usable.values()}) < 2:
+        raise ConfigError("fit needs >= 2 distinct dofs among the usable rows, got one")
+    err = np.array([row["blowup_err"] for row in usable.values()])
+    dofs = np.array([float(row["dofs"]) for row in usable.values()])
     if model == "algebraic":
         slope, intercept, r2 = _lsq_line(np.log(dofs), np.log(err))
         slope_or_b = slope

@@ -20,10 +20,6 @@ Picard iterates that passed its overflow test, for the lift inside
 ``galerkin.reconstruct`` and for the residual inside
 ``estimator.residual_estimator``; everything else, the caller's own
 arrays included, goes through the constructor.
-
-The module also provides Gauss-Legendre quadrature rules and the
-quadrature-discrete L2 projection of arbitrary functions onto the
-mapped Legendre basis.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre as _leg
@@ -42,10 +37,7 @@ __all__ = [
     "Basis",
     "Interval",
     "LocalPoly",
-    "QuadRule",
     "basis",
-    "gauss_legendre",
-    "l2_project",
 ]
 
 # Sampling density for sup-norm estimation: 24*(degree+2) Chebyshev
@@ -53,8 +45,7 @@ __all__ = [
 # stays within 0.1% of a 10x denser grid on random degree-8 inputs.
 _LINF_SAMPLES_PER_DEGREE = 24
 
-# Every rule carries 6 points beyond the degree it serves, up to the
-# largest rule gauss_legendre builds.
+# Every rule carries 6 points beyond the degree it serves, up to 64 points.
 _EXTRA_POINTS = 6
 _MAX_QUAD_POINTS = 64
 MAX_DEGREE = _MAX_QUAD_POINTS - _EXTRA_POINTS
@@ -107,36 +98,6 @@ def _time_map(t_start: float, k: float, offsets):
     return t_start + 0.5 * k * offsets
 
 
-@dataclass(frozen=True)
-class QuadRule:
-    """Quadrature nodes and positive weights on the reference interval [-1, 1]."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-d arrays of equal length")
-        nodes.flags.writeable = False
-        weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def n(self) -> int:
-        return self.nodes.size
-
-
-def gauss_legendre(n: int) -> QuadRule:
-    """n-point Gauss-Legendre rule on [-1, 1], exact for degree <= 2n-1."""
-    if not (1 <= n <= _MAX_QUAD_POINTS):
-        raise ValueError(f"quadrature size must be in [1, {_MAX_QUAD_POINTS}], got {n}")
-    nodes, weights = _leg.leggauss(n)
-    return QuadRule(nodes, weights)
-
-
 class LocalPoly:
     """Polynomial of degree r on one interval with values in R^d.
 
@@ -180,14 +141,6 @@ class LocalPoly:
     def dim(self) -> int:
         return self.coeffs.shape[1]
 
-    @classmethod
-    def constant(cls, interval: Interval, value: np.ndarray, degree: int = 0) -> "LocalPoly":
-        """Constant polynomial, optionally padded to a higher degree."""
-        value = np.atleast_1d(np.asarray(value, dtype=float))
-        coeffs = np.zeros((degree + 1, value.size))
-        coeffs[0] = value
-        return cls(interval, coeffs)
-
     def __call__(self, t) -> np.ndarray:
         """Evaluate at time(s) t within the closed interval.
 
@@ -203,32 +156,6 @@ class LocalPoly:
             )
         x = np.clip(x, -1.0, 1.0)
         return _leg.legval(x, self.coeffs)
-
-    def at_reference(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at reference coordinates x in [-1, 1]; shape (d, n)."""
-        return _leg.legval(x, self.coeffs)
-
-    def derivative(self) -> "LocalPoly":
-        """Exact derivative; the reference map contributes a factor 2/k."""
-        if self.degree == 0:
-            return LocalPoly(self.interval, np.zeros_like(self.coeffs))
-        dc = _leg.legder(self.coeffs, axis=0) * (2.0 / self.interval.k)
-        return LocalPoly(self.interval, dc)
-
-    def antiderivative(self, left_value: np.ndarray) -> "LocalPoly":
-        """Degree r+1 polynomial q with q' = self and q(t_start) = left_value."""
-        left_value = np.atleast_1d(np.asarray(left_value, dtype=float))
-        if left_value.shape != (self.dim,):
-            raise ValueError(f"left_value must have shape ({self.dim},)")
-        ic = _leg.legint(self.coeffs, m=1, k=[0.0], lbnd=-1.0, scl=0.5 * self.interval.k, axis=0)
-        ic[0] += left_value
-        return LocalPoly(self.interval, ic)
-
-    def l2_norm(self) -> float:
-        """Exact ||.||_{L2(I)} via interval-scaled Legendre orthogonality."""
-        i = np.arange(self.coeffs.shape[0])
-        weights = 0.5 * self.interval.k * 2.0 / (2.0 * i + 1.0)
-        return float(np.sqrt(np.sum(weights[:, None] * self.coeffs**2)))
 
     def linf_norm(self) -> float:
         """Sampled sup over the interval of the pointwise Euclidean norm.
@@ -316,62 +243,32 @@ class Basis:
     first_half: np.ndarray
 
 
-def _projection(quad: QuadRule, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Vandermonde (n, r+1) of quad's nodes and the quadrature L2
+def _projection(nodes: np.ndarray, weights: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Vandermonde (n, r+1) of the rule's nodes and its quadrature L2
     projection (r+1, n) onto degree r."""
-    V = _leg.legvander(quad.nodes, r)
-    return V, (np.arange(r + 1) + 0.5)[:, None] * (V.T * quad.weights)
+    V = _leg.legvander(nodes, r)
+    return V, (np.arange(r + 1) + 0.5)[:, None] * (V.T * weights)
 
 
 @lru_cache(maxsize=None)
 def basis(r: int) -> Basis:
     """The cached ``Basis`` of degree r >= 0."""
-    quad = gauss_legendre(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS))
-    offsets = quad.nodes + 1.0
-    V, proj = _projection(quad, r)
+    nodes, weights = _leg.leggauss(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS))
+    offsets = nodes + 1.0
+    V, proj = _projection(nodes, weights, r)
     lift = _leg.legint(np.eye(r + 1), m=1, k=[0.0], lbnd=-1.0, scl=0.5, axis=0) @ proj
     m = _LINF_SAMPLES_PER_DEGREE * (r + 2)
     cheb = np.cos(np.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
     samples = np.concatenate(([-1.0], cheb[::-1], [1.0]))
     samples_V = _leg.legvander(samples, r)
-    coarse = gauss_legendre(min(r + 1, _MAX_QUAD_POINTS))
-    coarse_offsets = coarse.nodes + 1.0
-    coarse_V, coarse_proj = _projection(coarse, r)
-    first_half = proj @ _leg.legvander(0.5 * (quad.nodes - 1.0), r + 1)
+    coarse_nodes, coarse_weights = _leg.leggauss(min(r + 1, _MAX_QUAD_POINTS))
+    coarse_offsets = coarse_nodes + 1.0
+    coarse_V, coarse_proj = _projection(coarse_nodes, coarse_weights, r)
+    first_half = proj @ _leg.legvander(0.5 * (nodes - 1.0), r + 1)
     arrays = (
-        offsets, V, proj, lift, samples, samples_V, coarse_offsets, coarse_V, coarse_proj, first_half
+        nodes, weights, offsets, V, proj, lift, samples, samples_V,
+        coarse_offsets, coarse_V, coarse_proj, first_half,
     )
     for arr in arrays:
         arr.flags.writeable = False
-    return Basis(quad.nodes, quad.weights, *arrays)
-
-
-def project_values(values: np.ndarray, iv: Interval, r: int, quad: QuadRule) -> LocalPoly:
-    """L2 projection onto degree r from values sampled at quad's mapped nodes.
-
-    values has shape (n, d).  Coefficient i is
-    (2i+1)/2 * sum_q w_q values[q] P_i(x_q), which reproduces any
-    polynomial of degree <= r sampled exactly (requires n >= r+1).
-    """
-    if quad.n < r + 1:
-        raise ValueError(
-            f"quadrature with {quad.n} points cannot project onto degree {r}; need n >= {r + 1}"
-        )
-    V = _leg.legvander(quad.nodes, r)
-    scale = 0.5 * (2.0 * np.arange(r + 1) + 1.0)
-    coeffs = scale[:, None] * (V.T @ (quad.weights[:, None] * values))
-    return LocalPoly(iv, coeffs)
-
-
-def l2_project(
-    f: Callable[[float], np.ndarray], iv: Interval, r: int, quad: QuadRule | None = None
-) -> LocalPoly:
-    """Quadrature-discrete L2 projection of f onto degree r on iv.
-
-    f maps a time to a value vector (scalars are treated as dimension 1).
-    """
-    if quad is None:
-        quad = QuadRule(basis(r).nodes, basis(r).weights)
-    ts = iv.from_reference(quad.nodes)
-    values = np.stack([np.atleast_1d(np.asarray(f(t), dtype=float)) for t in ts])
-    return project_values(values, iv, r, quad)
+    return Basis(*arrays)

@@ -17,8 +17,62 @@ from hpgalerkin.galerkin import (
     StepOutput,
     picard_operator,
 )
-from hpgalerkin.poly import LocalPoly, _sup_norm, basis, gauss_legendre, project_values
+from hpgalerkin.poly import LocalPoly, _sup_norm, basis
 from hpgalerkin.problems import NumericOverflow, Problem, lip_at, rhs_at
+
+
+# Legendre calculus on a LocalPoly, written on numpy's legendre module
+# alone: the references of the oracles below and the fixtures of the
+# test modules, independent of the arrays ``basis(r)`` caches.
+
+
+def constant(iv, value, degree=0):
+    """The constant polynomial value on iv, padded with zeros to degree."""
+    value = np.atleast_1d(np.asarray(value, dtype=float))
+    coeffs = np.zeros((degree + 1, value.size))
+    coeffs[0] = value
+    return LocalPoly(iv, coeffs)
+
+
+def project_values(values, iv, r, nodes, weights):
+    """L2 projection onto degree r of the (n, d) values at the mapped
+    nodes of the rule (nodes, weights): coefficient i is
+    (2i+1)/2 sum_q w_q values[q] P_i(x_q), which reproduces degree r
+    while n >= r + 1."""
+    V = legendre.legvander(nodes, r)
+    scale = 0.5 * (2.0 * np.arange(r + 1) + 1.0)
+    return LocalPoly(iv, scale[:, None] * (V.T @ (weights[:, None] * values)))
+
+
+def l2_project(f, iv, r, n=None):
+    """``project_values`` of f, a function of one time, on the n-point
+    Gauss-Legendre rule (min(r + 6, 64) points by default)."""
+    nodes, weights = legendre.leggauss(min(r + 6, 64) if n is None else n)
+    ts = iv.from_reference(nodes)
+    values = np.stack([np.atleast_1d(np.asarray(f(t), dtype=float)) for t in ts])
+    return project_values(values, iv, r, nodes, weights)
+
+
+def antiderivative(u, left_value):
+    """The degree r+1 polynomial q with q' = u and q(t_start) = left_value."""
+    scl = 0.5 * u.interval.k
+    coeffs = legendre.legint(u.coeffs, m=1, k=[0.0], lbnd=-1.0, scl=scl, axis=0)
+    coeffs[0] += np.asarray(left_value, dtype=float)
+    return LocalPoly(u.interval, coeffs)
+
+
+def derivative(u):
+    """u', of degree max(r - 1, 0); the reference map contributes 2/k."""
+    if u.degree == 0:
+        return LocalPoly(u.interval, np.zeros_like(u.coeffs))
+    return LocalPoly(u.interval, legendre.legder(u.coeffs, axis=0) * (2.0 / u.interval.k))
+
+
+def l2_norm(u):
+    """||u||_{L2(I)} by Parseval: ||P_i||^2 = 2 / (2i + 1) on [-1, 1]."""
+    i = np.arange(u.coeffs.shape[0])
+    weights = 0.5 * u.interval.k * 2.0 / (2.0 * i + 1.0)
+    return float(np.sqrt(np.sum(weights[:, None] * u.coeffs**2)))
 
 
 def zero_rhs():
@@ -48,13 +102,13 @@ def brute_force_residual(p, u_hat, n_samples=10_000, n_quad=64):
     n_samples right endpoints, each integral by mapped n_quad-point
     Gauss quadrature.  Independent of the polynomial residual path."""
     iv = u_hat.interval
-    q = gauss_legendre(n_quad)
+    q_nodes, q_weights = legendre.leggauss(n_quad)
     ts = np.linspace(iv.t_start, iv.t_end, n_samples)[1:]
     half = 0.5 * (ts - iv.t_start)              # (S,)
-    nodes = (iv.t_start + half[:, None]) + half[:, None] * q.nodes[None, :]  # (S, nq)
+    nodes = (iv.t_start + half[:, None]) + half[:, None] * q_nodes[None, :]  # (S, nq)
     flat = nodes.ravel()
     f_vals = checked_rhs(p, flat, u_hat(flat).T).reshape(n_samples - 1, n_quad, -1)
-    integrals = half[:, None] * np.einsum("q,sqd->sd", q.weights, f_vals)
+    integrals = half[:, None] * np.einsum("q,sqd->sd", q_weights, f_vals)
     u0 = u_hat(iv.t_start)
     gaps = u_hat(ts).T - u0[None, :]
     return float(np.max(np.linalg.norm(integrals - gaps, axis=1)))
@@ -63,18 +117,18 @@ def brute_force_residual(p, u_hat, n_samples=10_000, n_quad=64):
 def _reference_dg_matrix_inverse(r):
     """Inverse of the dG system matrix, entry (j, i) = int P_i' P_j dx
     + P_i(-1) P_j(-1), assembled by quadrature rather than closed form."""
-    q = gauss_legendre(r + 2)
+    nodes, weights = legendre.leggauss(r + 2)
     eye = np.eye(r + 1)
-    P = np.stack([legendre.legval(q.nodes, eye[i]) for i in range(r + 1)])  # (basis, node)
-    dP = np.stack([legendre.legval(q.nodes, legendre.legder(eye[i])) for i in range(r + 1)])
+    P = np.stack([legendre.legval(nodes, eye[i]) for i in range(r + 1)])  # (basis, node)
+    dP = np.stack([legendre.legval(nodes, legendre.legder(eye[i])) for i in range(r + 1)])
     left = (-1.0) ** np.arange(r + 1)
-    M = (q.weights * P) @ dP.T + np.outer(left, left)
+    M = (weights * P) @ dP.T + np.outer(left, left)
     return np.linalg.inv(M)
 
 
 def reference_step(p, inp, cfg, atol=0.0):
     """One cG/dG step by the per-iteration Picard loop: a LocalPoly per
-    iterate, project_values, antiderivative or the dG solve, and the
+    iterate, ``project_values``, ``antiderivative`` or the dG solve, and the
     sampled sup norm against cfg.divergence_cap on every iteration; an
     iterate at which f is not finite (``checked_rhs``) diverges.  The
     relative stopping tolerance 1e-12 and the budget of 100 iterations
@@ -84,8 +138,8 @@ def reference_step(p, inp, cfg, atol=0.0):
     as StepOutput."""
     r, iv, u_left = inp.r, inp.interval, inp.u_left
     fp_tol, max_iters = 1e-12, 100
-    quad = gauss_legendre(min(r + 6, 64))
-    ts = iv.from_reference(quad.nodes)
+    nodes, weights = legendre.leggauss(min(r + 6, 64))
+    ts = iv.from_reference(nodes)
     coeffs = np.zeros((r + 1, u_left.size))
     coeffs[0] = u_left
     u = LocalPoly(iv, coeffs)
@@ -94,12 +148,12 @@ def reference_step(p, inp, cfg, atol=0.0):
     Minv = None if cg else _reference_dg_matrix_inverse(r)
     for it in range(1, max_iters + 1):
         try:
-            f_vals = checked_rhs(p, ts, u.at_reference(quad.nodes).T)
+            f_vals = checked_rhs(p, ts, legendre.legval(nodes, u.coeffs).T)
         except NumericOverflow:
             return u, it, False, StepFailure.DIVERGED
-        f_proj = project_values(f_vals, iv, r - 1 if cg else r, quad)
+        f_proj = project_values(f_vals, iv, r - 1 if cg else r, nodes, weights)
         if cg:
-            u_next = f_proj.antiderivative(u_left)
+            u_next = antiderivative(f_proj, u_left)
         else:
             rhs = ((-1.0) ** j)[:, None] * u_left[None, :]
             rhs = rhs + iv.k * f_proj.coeffs / (2.0 * j + 1.0)[:, None]
@@ -115,21 +169,21 @@ def reference_step(p, inp, cfg, atol=0.0):
 
 
 def reference_reconstruct(p, inp, u):
-    """Degree r+1 reconstruction by project_values + antiderivative."""
+    """Degree r+1 reconstruction by ``project_values`` + ``antiderivative``."""
     iv = inp.interval
-    quad = gauss_legendre(min(inp.r + 6, 64))
-    f_vals = checked_rhs(p, iv.from_reference(quad.nodes), u.at_reference(quad.nodes).T)
-    return project_values(f_vals, iv, inp.r, quad).antiderivative(inp.u_left)
+    nodes, weights = legendre.leggauss(min(inp.r + 6, 64))
+    f_vals = checked_rhs(p, iv.from_reference(nodes), legendre.legval(nodes, u.coeffs).T)
+    return antiderivative(project_values(f_vals, iv, inp.r, nodes, weights), inp.u_left)
 
 
 def reference_residual(p, u_hat, u_left, extra_degree=4):
-    """Residual sup norm by project_values + antiderivative at degree
+    """Residual sup norm by ``project_values`` + ``antiderivative`` at degree
     deg(uhat) + extra_degree, minus uhat, sampled as LocalPoly.linf_norm."""
     iv = u_hat.interval
     r_q = u_hat.degree + extra_degree
-    quad = gauss_legendre(min(r_q + 6, 64))
-    f_vals = checked_rhs(p, iv.from_reference(quad.nodes), u_hat.at_reference(quad.nodes).T)
-    accum = project_values(f_vals, iv, r_q, quad).antiderivative(np.asarray(u_left, dtype=float))
+    nodes, weights = legendre.leggauss(min(r_q + 6, 64))
+    f_vals = checked_rhs(p, iv.from_reference(nodes), legendre.legval(nodes, u_hat.coeffs).T)
+    accum = antiderivative(project_values(f_vals, iv, r_q, nodes, weights), u_left)
     res = accum.coeffs.copy()
     res[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
     return LocalPoly(iv, res).linf_norm()
@@ -147,15 +201,15 @@ def reference_reconstruction_error(p, u_hat):
 
 
 def reference_smoothness(u, r, theta_star=0.85):
-    """(theta, smooth) by r-1 LocalPoly derivatives, Parseval L2 norms and
-    the sampled sup norm of the (r-1)-th derivative w."""
+    """(theta, smooth) by r-1 ``derivative`` calls, Parseval ``l2_norm``s
+    and the sampled sup norm of the (r-1)-th derivative w."""
     w = u
     for _ in range(r - 1):
-        w = w.derivative()
+        w = derivative(w)
     if float(np.max(np.abs(w.coeffs))) <= 1e-14 * float(np.max(np.abs(u.coeffs))):
         return 1.0, True
     k = u.interval.k
-    denom = w.l2_norm() / math.sqrt(k) + math.sqrt(k) * w.derivative().l2_norm() / math.sqrt(2.0)
+    denom = l2_norm(w) / math.sqrt(k) + math.sqrt(k) * l2_norm(derivative(w)) / math.sqrt(2.0)
     theta = min(max(w.linf_norm() / denom, 0.0), 1.0)
     return theta, theta >= theta_star
 

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from hpgalerkin.adapt import (
     AdaptConfig,
@@ -21,11 +22,11 @@ from hpgalerkin.adapt import (
 )
 from hpgalerkin.estimator import psi_update, solve_delta
 from hpgalerkin.galerkin import PicardConfig, Scheme, StepInput, reconstruct, step
-from hpgalerkin.poly import Interval, LocalPoly, gauss_legendre, l2_project
+from hpgalerkin.poly import Interval, LocalPoly, basis
 from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
 from hpgalerkin.cli import fit_rates
 
-from _oracles import brute_force_residual
+from _oracles import brute_force_residual, constant, l2_norm, l2_project
 
 H_TOLS = [10.0 ** (-e / 2) for e in range(4, 15)]     # 1e-2 .. 1e-7
 HP_TOLS = [10.0 ** (-e / 2) for e in range(4, 21)]    # 1e-2 .. 1e-10
@@ -180,7 +181,7 @@ def test_criterion_4_lipschitz_closed_form():
         k = rng.uniform(1e-9, 1.0)
         p = make_linear(L, [1.0])
         iv = Interval(0.0, k)
-        u_hat = LocalPoly.constant(iv, np.array([0.4]), degree=2)
+        u_hat = constant(iv, np.array([0.4]), degree=2)
         d = solve_delta(p, iv, u_hat, psi=1e-3)
         worst = max(worst, abs(d - math.exp(L * k)))
     _report(4, worst <= 1e-8, f"max |delta - e^(Lk)| = {worst:.2e} over 50 random (L, k)")
@@ -245,26 +246,34 @@ def test_criterion_7_effectivity_magnitude(hp_sweeps):
 def test_criterion_8_property_suites(rng):
     failures = []
 
-    # quadrature exactness
-    for n in range(1, 21):
-        q = gauss_legendre(n)
-        for m in range(2 * n):
-            exact = 0.0 if m % 2 else 2.0 / (m + 1)
-            if abs(float(np.dot(q.weights, q.nodes**m)) - exact) > 1e-12 * max(1.0, abs(exact)):
-                failures.append(f"quadrature n={n} m={m}")
+    # quadrature exactness of both rules of the basis: the full rule and
+    # the coarse one, its nodes read from their offsets and its weights
+    # from row 0 of its projection, w_q / 2
+    for r in range(20):
+        b = basis(r)
+        for x, w in ((b.nodes, b.weights), (b.coarse_offsets - 1.0, 2.0 * b.coarse_proj[0])):
+            n = x.size
+            for m in range(2 * n):
+                exact = 0.0 if m % 2 else 2.0 / (m + 1)
+                if abs(float(np.dot(w, x**m)) - exact) > 1e-12 * max(1.0, abs(exact)):
+                    failures.append(f"quadrature n={n} m={m}")
 
-    # projection idempotence and Parseval
+    # projection idempotence of both rules of the basis, and Parseval on
+    # the L2 norm oracle of reference_smoothness
+    nodes, weights = legendre.leggauss(64)
     for _ in range(20):
         r = int(rng.integers(0, 7))
         d = int(rng.integers(1, 5))
         iv = Interval(0.0, float(10.0 ** rng.uniform(-3, 0.5)))
         p = LocalPoly(iv, rng.standard_normal((r + 1, d)))
-        q = l2_project(lambda t: p(t), iv, r, gauss_legendre(r + 3))
-        if not np.allclose(q.coeffs, p.coeffs, atol=1e-12, rtol=1e-12):
-            failures.append("projection idempotence")
-        quad = gauss_legendre(64)
-        oracle = 0.5 * iv.k * float(np.dot(quad.weights, np.sum(p.at_reference(quad.nodes) ** 2, axis=0)))
-        if abs(p.l2_norm() ** 2 - oracle) > 1e-12 * max(1.0, oracle):
+        b = basis(r)
+        for x, proj in ((b.nodes, b.proj), (b.coarse_offsets - 1.0, b.coarse_proj)):
+            q = proj @ p(iv.from_reference(x)).T
+            if not np.allclose(q, p.coeffs, atol=1e-12, rtol=1e-12):
+                failures.append("projection idempotence")
+        vals = legendre.legval(nodes, p.coeffs)
+        oracle = 0.5 * iv.k * float(np.dot(weights, np.sum(vals**2, axis=0)))
+        if abs(l2_norm(p) ** 2 - oracle) > 1e-12 * max(1.0, oracle):
             failures.append("Parseval")
 
     # nodal identity and dG(0) = implicit Euler
@@ -314,7 +323,7 @@ def test_criterion_8_property_suites(rng):
         prev = e
 
     # smoothness indicator analytic cases
-    const = LocalPoly.constant(Interval(0.0, 1.0), np.array([3.0]))
+    const = constant(Interval(0.0, 1.0), np.array([3.0]))
     if abs(smoothness(const, 1).theta - 1.0) > 1e-12:
         failures.append("smoothness constant")
     ramp = l2_project(lambda t: np.array([t]), Interval(0.0, 1.0), 1)

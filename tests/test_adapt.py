@@ -21,11 +21,18 @@ from hpgalerkin.adapt import (
 import hpgalerkin.adapt as adapt_module
 from hpgalerkin.estimator import StepEstimate
 from hpgalerkin.galerkin import PicardConfig, Scheme, reconstruct, step
-from hpgalerkin.poly import Interval, LocalPoly, basis, l2_project
+from hpgalerkin.poly import Interval, LocalPoly, basis
 import hpgalerkin.problems as problems
 from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
 
-from _oracles import halved_guess, next_interval_guess, reference_smoothness, zero_rhs
+from _oracles import (
+    constant,
+    halved_guess,
+    l2_project,
+    next_interval_guess,
+    reference_smoothness,
+    zero_rhs,
+)
 
 
 def carries_k_and_r(records):
@@ -73,7 +80,7 @@ def predicted_guess(r, next_guess):
 class TestSmoothness:
     def test_constant_saturates_embedding(self):
         # r=1 applies the indicator to u itself; a constant attains the bound
-        u = LocalPoly.constant(Interval(0.0, 0.5), np.array([-2.5]))
+        u = constant(Interval(0.0, 0.5), np.array([-2.5]))
         rep = smoothness(u, 1)
         assert rep.theta == pytest.approx(1.0, abs=1e-12)
         assert rep.smooth
@@ -82,7 +89,7 @@ class TestSmoothness:
         assert smoothness(lin, 2).theta == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_polynomial(self):
-        u = LocalPoly.constant(Interval(0.0, 1.0), np.array([0.0]), degree=2)
+        u = constant(Interval(0.0, 1.0), np.array([0.0]), degree=2)
         assert smoothness(u, 2).theta == 1.0
 
     def test_ramp_analytic_value(self):
@@ -93,7 +100,7 @@ class TestSmoothness:
         assert not rep.smooth  # 0.778 < 0.85
 
     def test_degree_zero_rejected(self):
-        u = LocalPoly.constant(Interval(0.0, 1.0), np.array([1.0]))
+        u = constant(Interval(0.0, 1.0), np.array([1.0]))
         with pytest.raises(ValueError):
             smoothness(u, 0)
 
@@ -118,7 +125,7 @@ def _ulps(a, b):
 
 
 class TestSmoothnessAgainstReference:
-    """Closed-form norms of the affine w against r-1 LocalPoly derivatives
+    """Closed-form norms of the affine w against r-1 oracle derivatives
     and the sampled sup norm."""
 
     @staticmethod
@@ -186,6 +193,26 @@ class TestConfigValidation:
         base = dict(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1e-3)
         with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
             AdaptConfig(**{**base, key: value})
+
+    @pytest.mark.parametrize("mode", [Mode.H, Mode.HP])
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("r_init", 1.5), ("r_init", 2.0), ("r_max", 3.5), ("max_intervals", 2.5),
+            ("r_init", "2"), ("r_init", True), ("max_intervals", True),
+        ],
+    )
+    def test_counts_must_be_integers(self, mode, key, value):
+        base = dict(scheme=Scheme.DG, mode=mode, r_init=1, k_init=0.1, tol_star=1e-3)
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+            AdaptConfig(**{**base, key: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = AdaptConfig(
+            scheme=Scheme.DG, mode=Mode.HP, r_init=np.int64(1), k_init=0.1, tol_star=1e-3,
+            r_max=np.int64(4), max_intervals=np.int64(2),
+        )
+        assert hp_adapt(make_power_square(1.0), cfg).M == 2
 
     def test_mode_mismatch_rejected(self):
         cfg = AdaptConfig(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1e-3)

@@ -239,6 +239,34 @@ class TestFitVerb:
         out = json.loads(capsys.readouterr().out)
         assert out["slope"] == pytest.approx(-2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [0, -5])
+    @pytest.mark.parametrize("model", ["algebraic", "exponential"])
+    def test_nonpositive_dofs_rejected(self, bad, model):
+        rows = synthetic_rows([1e-2, 1e-3, 1e-4], [10, bad, 40])
+        with pytest.raises(ConfigError, match=f"positive dofs, got {bad} in row 2"):
+            fit_rates(rows, model)
+
+    @pytest.mark.parametrize("model", ["algebraic", "exponential"])
+    def test_one_distinct_dofs_rejected(self, model):
+        # an h sweep whose tolerances all end on the same mesh: the line
+        # through one abscissa has no slope
+        rows = synthetic_rows([1e-3, 9.9e-4, 9.8e-4], [24, 24, 24])
+        with pytest.raises(ConfigError, match=">= 2 distinct dofs"):
+            fit_rates(rows, model)
+
+    def test_unusable_rows_are_not_checked(self):
+        # an aborted row's dofs neither fails the fit nor counts as distinct
+        rows = synthetic_rows([1e-2, 1e-3, 1e-4, 1e-5], [0, 10, 20, 40])
+        rows[0]["aborted"] = True
+        assert fit_rates(rows, "algebraic")["n_rows"] == 3
+
+    @pytest.mark.parametrize("dofs", [[10, 0, 40], [24, 24, 24]], ids=["zero", "one-distinct"])
+    def test_cli_exit_code(self, dofs, tmp_path, capsys):
+        csv_path = tmp_path / "t.csv"
+        csv_path.write_text(format_sweep_csv(synthetic_rows([1e-2, 1e-3, 1e-4], dofs)))
+        assert main(["fit", "--config", str(csv_path), "--model", "algebraic"]) == 2
+        assert "dofs" in capsys.readouterr().err
+
 
 class TestTraceVerb:
     def test_series_from_report(self, tmp_path):

@@ -16,7 +16,7 @@ from hpgalerkin.estimator import (
 )
 from hpgalerkin.adapt import AdaptConfig, Mode, Termination, h_adapt, run_errors
 from hpgalerkin.galerkin import PicardConfig, Scheme, StepInput, reconstruct, step
-from hpgalerkin.poly import Interval, LocalPoly, l2_project
+from hpgalerkin.poly import Interval, LocalPoly
 from hpgalerkin.problems import (
     NumericOverflow,
     Problem,
@@ -26,7 +26,10 @@ from hpgalerkin.problems import (
 )
 
 from _oracles import (
+    antiderivative,
     brute_force_residual,
+    constant,
+    l2_project,
     reference_reconstruction_error,
     reference_scan_and_bisect,
     zero_rhs,
@@ -36,14 +39,12 @@ from _oracles import (
 class TestResidualEstimator:
     def test_zero_rhs(self):
         p = Problem(dim=1, u0=np.ones(1), f=lambda t, u: np.zeros_like(u), lip=lambda t, a, b: 0.0)
-        u_hat = LocalPoly.constant(Interval(0.0, 1.0), np.array([1.0]), degree=2)
+        u_hat = constant(Interval(0.0, 1.0), np.array([1.0]), degree=2)
         assert residual_estimator(p, u_hat, np.array([1.0])) == 0.0
 
     def test_constant_rhs_exact_reconstruction(self):
         p = Problem(dim=1, u0=np.zeros(1), f=lambda t, u: np.array([1.0]), lip=lambda t, a, b: 0.0)
-        ramp = LocalPoly.constant(Interval(0.0, 0.5), np.array([1.0])).antiderivative(
-            np.array([2.0])
-        )
+        ramp = antiderivative(constant(Interval(0.0, 0.5), np.array([1.0])), np.array([2.0]))
         assert residual_estimator(p, ramp, np.array([2.0])) <= 1e-12
 
     def test_overflowing_subtraction_raises(self):
@@ -111,7 +112,7 @@ class TestPsiUpdate:
 
 
 def flat_reconstruction(value, iv=Interval(0.0, 0.1), degree=2):
-    return LocalPoly.constant(iv, np.array([value]), degree=degree)
+    return constant(iv, np.array([value]), degree=degree)
 
 
 def phi(p, iv, u_hat, psi, delta):
@@ -240,7 +241,7 @@ class TestSolveDelta:
         # phi(40)); the first sign change above 1 is still the one returned
         p = make_exponential(1.0)
         iv = Interval(0.0, 0.0407)
-        u_hat = LocalPoly.constant(iv, [0.7643], degree=2)
+        u_hat = constant(iv, [0.7643], degree=2)
         assert phi(p, iv, u_hat, 0.192, 20.0) < 0.0 < phi(p, iv, u_hat, 0.192, 40.0)
         cold = solve_delta(p, iv, u_hat, psi=0.192)
         warm = solve_delta(p, iv, u_hat, psi=0.192, prev_delta=40.0)
@@ -503,6 +504,6 @@ class TestReconstructionError:
     def test_transposed_exact_rejected(self):
         base = make_linear(1.0, [1.0, 2.0])
         p = Problem(dim=2, u0=base.u0, f=base.f, lip=base.lip, exact=lambda t: base.exact(t).T)
-        u_hat = LocalPoly.constant(Interval(0.0, 0.1), np.array([1.0, 2.0]), degree=2)
+        u_hat = constant(Interval(0.0, 0.1), np.array([1.0, 2.0]), degree=2)
         with pytest.raises(ValueError, match="expected"):
             reconstruction_error(p, u_hat)

@@ -4,16 +4,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre
 
-from hpgalerkin.poly import (
-    Interval,
-    LocalPoly,
-    QuadRule,
-    _time_map,
-    basis,
-    gauss_legendre,
-    l2_project,
-    project_values,
-)
+from hpgalerkin.poly import Interval, LocalPoly, _time_map, basis
+
+from _oracles import antiderivative, constant, derivative, l2_norm, l2_project, project_values
 
 
 def test_interval_validation():
@@ -24,48 +17,78 @@ def test_interval_validation():
     assert Interval(0.25, 0.75).k == 0.5
 
 
+def coarse_rule(r):
+    """The (r+1)-point rule of basis(r), read back from its arrays: the
+    nodes from the offsets nodes + 1, the weights from row 0 of the
+    projection, (0 + 1/2) w_q P_0 = w_q / 2."""
+    b = basis(r)
+    return b.coarse_offsets - 1.0, 2.0 * b.coarse_proj[0]
+
+
+def rules(n):
+    """Every rule of the cached bases with n points: the coarse rule of
+    basis(n - 1), and for n >= 6 the full rule of basis(n - 6) (of every
+    degree from 58 on at n = 64)."""
+    found = [coarse_rule(n - 1)]
+    if n >= 6:
+        found.append((basis(n - 6).nodes, basis(n - 6).weights))
+    return found
+
+
 class TestGaussLegendre:
+    """The Gauss-Legendre rules that basis(r) integrates and projects on."""
+
     def test_one_point(self):
-        q = gauss_legendre(1)
-        np.testing.assert_allclose(q.nodes, [0.0], atol=1e-15)
-        np.testing.assert_allclose(q.weights, [2.0])
+        nodes, weights = coarse_rule(0)
+        np.testing.assert_allclose(nodes, [0.0], atol=1e-15)
+        np.testing.assert_allclose(weights, [2.0])
 
     def test_two_point(self):
-        q = gauss_legendre(2)
-        np.testing.assert_allclose(q.nodes, [-1 / np.sqrt(3), 1 / np.sqrt(3)], rtol=1e-14)
-        np.testing.assert_allclose(q.weights, [1.0, 1.0], rtol=1e-14)
+        nodes, weights = coarse_rule(1)
+        np.testing.assert_allclose(nodes, [-1 / np.sqrt(3), 1 / np.sqrt(3)], rtol=1e-14)
+        np.testing.assert_allclose(weights, [1.0, 1.0], rtol=1e-14)
 
     def test_five_point_on_x8(self):
         # oracle: exact antiderivative x^9/9 over [-1, 1] gives 2/9
-        q = gauss_legendre(5)
-        approx = float(np.dot(q.weights, q.nodes**8))
+        nodes, weights = coarse_rule(4)
+        approx = float(np.dot(weights, nodes**8))
         assert abs(approx - 2.0 / 9.0) < 1e-12
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_exactness_up_to_2n_minus_1(self, n):
-        q = gauss_legendre(n)
-        for m in range(2 * n):
-            exact = 0.0 if m % 2 else 2.0 / (m + 1)
-            approx = float(np.dot(q.weights, q.nodes**m))
-            assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
+        for nodes, weights in rules(n):
+            for m in range(2 * n):
+                exact = 0.0 if m % 2 else 2.0 / (m + 1)
+                approx = float(np.dot(weights, nodes**m))
+                assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
 
     def test_weight_sum_and_node_order(self):
         for n in (1, 2, 7, 33, 64):
-            q = gauss_legendre(n)
-            assert abs(q.weights.sum() - 2.0) < 1e-13
-            assert np.all(np.diff(q.nodes) > 0)
-            assert np.all(q.weights > 0)
+            for nodes, weights in rules(n):
+                assert abs(weights.sum() - 2.0) < 1e-13
+                assert np.all(np.diff(nodes) > 0)
+                assert np.all(weights > 0)
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            gauss_legendre(0)
-        with pytest.raises(ValueError):
-            gauss_legendre(65)
+
+def lifted(iv, r, f, left):
+    """The program's antiderivative of the projection: the coefficients
+    k lift @ f of basis(r), f the (n, d) values at the mapped nodes, with
+    the left value added, as ``galerkin.reconstruct`` lifts."""
+    coeffs = iv.k * (basis(r).lift @ f)
+    coeffs[0] += left
+    return LocalPoly(iv, coeffs)
+
+
+def node_values(iv, r, g):
+    """The (n, d) values of g, a function of one time, at basis(r)'s nodes
+    mapped onto iv."""
+    ts = _time_map(iv.t_start, iv.k, basis(r).offsets)
+    return np.stack([np.atleast_1d(np.asarray(g(t), dtype=float)) for t in ts])
 
 
 class TestEval:
     def test_constant(self):
-        p = LocalPoly.constant(Interval(-2.0, 5.0), np.array([3.0, -1.0]))
+        p = constant(Interval(-2.0, 5.0), np.array([3.0, -1.0]))
         np.testing.assert_allclose(p(0.7), [3.0, -1.0])
 
     def test_pure_p1_endpoint(self):
@@ -74,11 +97,12 @@ class TestEval:
         np.testing.assert_allclose(p(0.0), [-1.0])
 
     def test_projection_reproduces_polynomial(self):
-        p = l2_project(lambda t: np.array([t * t]), Interval(0.0, 1.0), 2)
+        iv = Interval(0.0, 1.0)
+        p = LocalPoly(iv, basis(2).proj @ node_values(iv, 2, lambda t: t * t))
         np.testing.assert_allclose(p(0.5), [0.25], atol=1e-14)
 
     def test_outside_interval_raises(self):
-        p = LocalPoly.constant(Interval(0.0, 1.0), np.array([1.0]))
+        p = constant(Interval(0.0, 1.0), np.array([1.0]))
         with pytest.raises(ValueError):
             p(1.5)
         with pytest.raises(ValueError):
@@ -86,37 +110,40 @@ class TestEval:
 
 
 class TestCalculus:
+    """The derivative oracle that ``reference_smoothness`` rests on, and
+    basis(r).lift as the antiderivative of the projection."""
+
     def test_derivative_of_constant_is_zero_poly(self):
-        p = LocalPoly.constant(Interval(0.0, 1.0), np.array([4.0]))
-        dp = p.derivative()
+        p = constant(Interval(0.0, 1.0), np.array([4.0]))
+        dp = derivative(p)
         assert dp.degree == 0
         np.testing.assert_allclose(dp.coeffs, 0.0)
 
     def test_derivative_of_t(self):
         p = l2_project(lambda t: np.array([t]), Interval(0.0, 1.0), 1)
-        np.testing.assert_allclose(p.derivative()(0.3), [1.0], atol=1e-14)
+        np.testing.assert_allclose(derivative(p)(0.3), [1.0], atol=1e-14)
 
     def test_derivative_of_cubic(self):
         # q = (t^3)' evaluated at 1 must be 3
         p = l2_project(lambda t: np.array([t**3]), Interval(0.0, 2.0), 3)
-        q = p.derivative()
+        q = derivative(p)
         np.testing.assert_allclose(q(1.0), [3.0], atol=1e-12)
 
     def test_antiderivative_of_zero(self):
-        p = LocalPoly.constant(Interval(0.0, 1.0), np.array([0.0]))
-        q = p.antiderivative(np.array([2.5]))
+        iv = Interval(0.0, 1.0)
+        q = lifted(iv, 0, np.zeros((basis(0).nodes.size, 1)), [2.5])
         np.testing.assert_allclose(q(0.77), [2.5], atol=1e-15)
 
     def test_antiderivative_of_one(self):
-        p = LocalPoly.constant(Interval(0.0, 1.0), np.array([1.0]))
-        q = p.antiderivative(np.array([0.0]))
+        iv = Interval(0.0, 1.0)
+        q = lifted(iv, 0, np.ones((basis(0).nodes.size, 1)), [0.0])
         np.testing.assert_allclose(q(1.0), [1.0], atol=1e-14)
         np.testing.assert_allclose(q(0.25), [0.25], atol=1e-14)
 
     def test_antiderivative_of_2t(self):
         # oracle: integral of 2t from 0 to 1 equals 1
-        p = l2_project(lambda t: np.array([2 * t]), Interval(0.0, 1.0), 1)
-        q = p.antiderivative(np.array([0.0]))
+        iv = Interval(0.0, 1.0)
+        q = lifted(iv, 1, node_values(iv, 1, lambda t: 2 * t), [0.0])
         np.testing.assert_allclose(q(1.0), [1.0], atol=1e-14)
 
     def test_round_trip_random(self, rng):
@@ -127,39 +154,32 @@ class TestCalculus:
             d = int(rng.integers(1, 5))
             p = LocalPoly(Interval(a, a + k), rng.standard_normal((r + 1, d)))
             v = rng.standard_normal(d)
-            q = p.antiderivative(v)
-            np.testing.assert_allclose(q.derivative().coeffs, p.coeffs, atol=1e-12, rtol=1e-12)
+            q = lifted(p.interval, r, node_values(p.interval, r, p), v)
+            want = antiderivative(p, v).coeffs
+            np.testing.assert_allclose(q.coeffs, want, atol=1e-12, rtol=1e-12)
             np.testing.assert_allclose(q(a), v, atol=1e-13 * max(1.0, np.abs(v).max()))
 
 
 class TestProjection:
+    """basis(r).proj and .coarse_proj, the quadrature L2 projections."""
+
     def test_constant(self):
-        p = l2_project(lambda t: np.array([7.0]), Interval(2.0, 3.0), 4)
-        np.testing.assert_allclose(p.coeffs[0], [7.0])
-        np.testing.assert_allclose(p.coeffs[1:], 0.0, atol=1e-13)
+        iv = Interval(2.0, 3.0)
+        coeffs = basis(4).proj @ node_values(iv, 4, lambda t: 7.0)
+        np.testing.assert_allclose(coeffs[0], [7.0])
+        np.testing.assert_allclose(coeffs[1:], 0.0, atol=1e-13)
 
     def test_mean_of_t(self):
-        p = l2_project(lambda t: np.array([t]), Interval(0.0, 1.0), 0)
-        np.testing.assert_allclose(p.coeffs, [[0.5]], atol=1e-15)
+        iv = Interval(0.0, 1.0)
+        coeffs = basis(0).proj @ node_values(iv, 0, lambda t: t)
+        np.testing.assert_allclose(coeffs, [[0.5]], atol=1e-15)
 
     def test_t_squared_coefficients(self):
         # oracle: (t^2, P0) = 2/3 and (t^2, P1) = 0 on [-1, 1], so the
         # Legendre coefficients are [1/3, 0]
-        p = l2_project(lambda t: np.array([t * t]), Interval(-1.0, 1.0), 1)
-        np.testing.assert_allclose(p.coeffs[:, 0], [1.0 / 3.0, 0.0], atol=1e-15)
-
-    def test_quadrature_too_weak(self):
-        with pytest.raises(ValueError):
-            l2_project(lambda t: np.array([t]), Interval(0.0, 1.0), 3, gauss_legendre(2))
-
-    def test_custom_rule_object(self):
-        # a rule not produced by gauss_legendre must still project correctly
-        from hpgalerkin.poly import QuadRule
-
-        base = gauss_legendre(6)
-        custom = QuadRule(base.nodes.copy(), base.weights.copy())
-        p = l2_project(lambda t: np.array([t**2 - t]), Interval(0.0, 2.0), 2, custom)
-        np.testing.assert_allclose(p(1.5), [0.75], atol=1e-13)
+        iv = Interval(-1.0, 1.0)
+        coeffs = basis(1).proj @ node_values(iv, 1, lambda t: t * t)
+        np.testing.assert_allclose(coeffs[:, 0], [1.0 / 3.0, 0.0], atol=1e-15)
 
     def test_idempotence_random(self, rng):
         for _ in range(40):
@@ -167,27 +187,32 @@ class TestProjection:
             d = int(rng.integers(1, 5))
             iv = Interval(rng.uniform(-2, 2), rng.uniform(2.5, 4))
             p = LocalPoly(iv, rng.standard_normal((r + 1, d)))
-            q = l2_project(lambda t: p(t), iv, r, gauss_legendre(r + 3))
-            np.testing.assert_allclose(q.coeffs, p.coeffs, atol=1e-12, rtol=1e-12)
+            b = basis(r)
+            for offsets, proj in ((b.offsets, b.proj), (b.coarse_offsets, b.coarse_proj)):
+                q = proj @ p(_time_map(iv.t_start, iv.k, offsets)).T
+                np.testing.assert_allclose(q, p.coeffs, atol=1e-12, rtol=1e-12)
 
 
 class TestNorms:
+    """LocalPoly.linf_norm, and the Parseval L2 norm oracle that
+    ``reference_smoothness`` rests on."""
+
     def test_constant(self):
-        p = LocalPoly.constant(Interval(0.0, 1.0), np.array([-2.0]))
-        assert abs(p.l2_norm() - 2.0) < 1e-14
-        assert p.derivative().l2_norm() == 0.0
+        p = constant(Interval(0.0, 1.0), np.array([-2.0]))
+        assert abs(l2_norm(p) - 2.0) < 1e-14
+        assert l2_norm(derivative(p)) == 0.0
         assert abs(p.linf_norm() - 2.0) < 1e-14
 
     def test_linear(self):
         # p(t) = t on (0,1): L2 = 1/sqrt(3), |p'|_L2 = 1, sup = 1
         p = l2_project(lambda t: np.array([t]), Interval(0.0, 1.0), 1)
-        assert abs(p.l2_norm() - 1 / np.sqrt(3)) < 1e-13
-        assert abs(p.derivative().l2_norm() - 1.0) < 1e-13
+        assert abs(l2_norm(p) - 1 / np.sqrt(3)) < 1e-13
+        assert abs(l2_norm(derivative(p)) - 1.0) < 1e-13
         assert abs(p.linf_norm() - 1.0) < 1e-13
 
     def test_zero(self):
-        p = LocalPoly.constant(Interval(0.0, 1.0), np.array([0.0]), degree=3)
-        assert p.l2_norm() == 0.0 and p.derivative().l2_norm() == 0.0 and p.linf_norm() == 0.0
+        p = constant(Interval(0.0, 1.0), np.array([0.0]), degree=3)
+        assert l2_norm(p) == 0.0 and l2_norm(derivative(p)) == 0.0 and p.linf_norm() == 0.0
 
     def test_parseval_against_quadrature(self, rng):
         # independent oracle: 64-point quadrature of |p(t)|^2
@@ -196,10 +221,10 @@ class TestNorms:
             d = int(rng.integers(1, 4))
             iv = Interval(rng.uniform(-1, 0), rng.uniform(0.5, 2))
             p = LocalPoly(iv, rng.standard_normal((r + 1, d)))
-            q = gauss_legendre(64)
-            vals = p.at_reference(q.nodes)
-            oracle = 0.5 * iv.k * float(np.dot(q.weights, np.sum(vals**2, axis=0)))
-            assert abs(p.l2_norm() ** 2 - oracle) <= 1e-12 * max(1.0, oracle)
+            nodes, weights = legendre.leggauss(64)
+            vals = legendre.legval(nodes, p.coeffs)
+            oracle = 0.5 * iv.k * float(np.dot(weights, np.sum(vals**2, axis=0)))
+            assert abs(l2_norm(p) ** 2 - oracle) <= 1e-12 * max(1.0, oracle)
 
     @pytest.mark.parametrize("exp", [600, -600])
     @pytest.mark.parametrize("d", [1, 2])
@@ -232,7 +257,7 @@ class TestNorms:
             xs = np.concatenate(
                 ([-1.0, 1.0], np.cos(np.pi * (2 * np.arange(n_dense) + 1) / (2 * n_dense)))
             )
-            dense = float(np.max(np.abs(p.at_reference(xs))))
+            dense = float(np.max(np.abs(legendre.legval(xs, p.coeffs))))
             assert p.linf_norm() >= 0.999 * dense
 
 
@@ -241,8 +266,9 @@ def test_basis(r, rng):
     b = basis(r)
     n = min(r + 6, 64)
     assert b.nodes.shape == b.weights.shape == (n,)
-    assert b.nodes.tobytes() == gauss_legendre(n).nodes.tobytes()
-    assert b.weights.tobytes() == gauss_legendre(n).weights.tobytes()
+    nodes, weights = legendre.leggauss(n)
+    assert b.nodes.tobytes() == nodes.tobytes()
+    assert b.weights.tobytes() == weights.tobytes()
     assert b.V.tobytes() == legendre.legvander(b.nodes, r).tobytes()
     assert b.samples_V.tobytes() == legendre.legvander(b.samples, r).tobytes()
     # the n-point rule cannot tell P_n from 0, so at r = 64 the 64-point
@@ -252,15 +278,15 @@ def test_basis(r, rng):
     c[: q + 1] = rng.standard_normal((q + 1, 3))
     assert np.abs(b.proj @ (b.V @ c) - c).max() <= 1e-13 * np.abs(c).sum(axis=0).max()
     f = rng.standard_normal((n, 2))
-    oracle = project_values(f, Interval(-1.0, 1.0), q, QuadRule(b.nodes, b.weights))
+    oracle = project_values(f, Interval(-1.0, 1.0), q, nodes, weights)
     want = np.zeros((r + 2, 2))
-    want[: q + 2] = oracle.antiderivative(np.zeros(2)).coeffs
+    want[: q + 2] = antiderivative(oracle, np.zeros(2)).coeffs
     assert np.abs(2.0 * (b.lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
     assert b.offsets.tobytes() == (b.nodes + 1.0).tobytes()
     # the coarse rule has r + 1 points and reproduces degree r as well
-    coarse = gauss_legendre(min(r + 1, 64))
-    assert b.coarse_offsets.tobytes() == (coarse.nodes + 1.0).tobytes()
-    assert b.coarse_V.tobytes() == legendre.legvander(coarse.nodes, r).tobytes()
+    coarse_nodes = legendre.leggauss(min(r + 1, 64))[0]
+    assert b.coarse_offsets.tobytes() == (coarse_nodes + 1.0).tobytes()
+    assert b.coarse_V.tobytes() == legendre.legvander(coarse_nodes, r).tobytes()
     assert np.abs(b.coarse_proj @ (b.coarse_V @ c) - c).max() <= 1e-13 * np.abs(c).sum(axis=0).max()
     names = (
         "nodes", "weights", "offsets", "V", "proj", "lift", "samples", "samples_V",

@@ -7,7 +7,7 @@ import pytest
 from hpgalerkin.adapt import AdaptConfig, Mode, hp_adapt
 from hpgalerkin.estimator import _growth_factory
 from hpgalerkin.galerkin import Scheme
-from hpgalerkin.poly import Interval, LocalPoly
+from hpgalerkin.poly import Interval
 from hpgalerkin.problems import (
     NumericOverflow,
     Problem,
@@ -18,6 +18,8 @@ from hpgalerkin.problems import (
     make_power_square,
     rhs_at,
 )
+
+from _oracles import constant
 
 ALL_BUILTINS = [make_power_square(1.0), make_exponential(1.0), make_linear(-2.0, [1.0])]
 
@@ -108,7 +110,7 @@ class TestLipIntegral:
 
     @staticmethod
     def envelope_integral(p, iv, a, b):
-        u_hat = LocalPoly.constant(iv, np.full(p.dim, b))
+        u_hat = constant(iv, np.full(p.dim, b))
         return math.log(_growth_factory(p, iv, u_hat, a - b)(1.0))
 
     def test_constant_envelope(self):
@@ -132,7 +134,7 @@ class TestLipIntegral:
         # an envelope beyond double range reads as phi = +inf (no
         # certificate), under the errstate solve_delta holds
         p = make_exponential(1.0)
-        u_hat = LocalPoly.constant(Interval(0.0, 1.0), [0.0])
+        u_hat = constant(Interval(0.0, 1.0), [0.0])
         with np.errstate(over="ignore", invalid="ignore"):
             assert _growth_factory(p, Interval(0.0, 1.0), u_hat, 800.0)(1.0) == math.inf
 
