@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Optional
@@ -147,6 +148,8 @@ class AdaptConfig:
                 )
         for key in ("k_init", "tol_star", "k_min"):
             value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{key} must be a real number, got {value!r}")
             if not 0 < value < math.inf:
                 raise ValueError(f"{key} must be positive and finite, got {value}")
         if self.max_intervals < 1:

@@ -56,10 +56,10 @@ whether the step exists.
 
 Nonexistence of a step is a first-class outcome here: the adaptive
 drivers halve the step length whenever the iteration fails to converge.
-An iterate diverges when its sup norm exceeds the divergence cap, or
-when f or the update leaves double range, under any cap.  The loop
-holds one ``np.errstate`` and reads all of this from sum |c|, the sup
-bound it computes anyway: an overflow leaves that sum inf or nan.
+An iterate diverges when sum |c|, an upper bound on its sup norm since
+|P_i| <= 1, exceeds the divergence cap, or when f or the update leaves
+double range, under any cap.  The loop holds one ``np.errstate`` and
+reads all of this from sum |c|: an overflow leaves that sum inf or nan.
 
 On the (r+1, d) arrays of a step, numpy's per-call dispatch costs more
 than the arithmetic, so each iteration makes as few calls as it can
@@ -82,16 +82,16 @@ reductions take about 12 against 9 us at 64 coefficients and 174
 against 12 us at 1024), which no bench workload reaches.  The change
 and the scale are exact in any order.  The bound is summed by Python's
 ``sum`` rather than in numpy's pairwise order, so it may differ in its
-last bits; the loop's docstring shows why no decision can depend on
-that.  The finite tests of the guess and of the lift are list tests
-too (``_all_finite``).
+last bits; the loop's docstring shows that only a bound within a few
+ulp of the cap can feel that.  The finite tests of the guess and of the
+lift are list tests too (``_all_finite``).
 
-An iterate that passed the bound test is finite and belongs to the
-loop, so the returned polynomial wraps it without a copy or a second
-finite test (``LocalPoly._trusted``); a failure at the first iterate
-may hold the caller's guess and goes through the checked constructor,
-which copies.  The caller's guess is never made read-only, aliased or
-changed.
+An iterate that passed the divergence test is finite and belongs to
+the loop, so the returned polynomial wraps it without a copy or a
+second finite test (``LocalPoly._trusted``); a divergence reports the
+iterate before, which at the first update may be the caller's guess,
+through the checked constructor, which copies.  The caller's guess is
+never made read-only, aliased or changed.
 
 ``reconstruct`` lifts a converged step to the degree r+1 polynomial
 with matching left value whose derivative is the degree-r projection of
@@ -119,6 +119,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -193,11 +194,10 @@ class StepInput:
 class PicardConfig:
     """Picard iteration control: the divergence cap.
 
-    ``divergence_cap`` bounds the sup norm of an iterate.  The step
-    first compares the sum of the absolute coefficients, a rigorous
-    upper bound on the sup norm since |P_i| <= 1 on [-1, 1], and only
-    when that exceeds the cap confirms it with the sampled sup norm.
-    An iterate at which f, or the update, overflows diverges under any
+    ``divergence_cap`` bounds sum |c|, the sum of the absolute Legendre
+    coefficients of an iterate, which is an upper bound on its sup norm
+    since |P_i| <= 1 on [-1, 1]: an iterate above the cap diverges.  An
+    iterate at which f, or the update, overflows diverges under any
     cap, ``math.inf`` included.
 
     The rest of the iteration is not a setting.  The step stops at a
@@ -212,7 +212,10 @@ class PicardConfig:
     divergence_cap: float = 1e8
 
     def __post_init__(self):
-        if not self.divergence_cap > 0:
+        cap = self.divergence_cap
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Real):
+            raise ValueError(f"divergence_cap must be a real number, got {cap!r}")
+        if not cap > 0:
             raise ValueError("divergence_cap must be positive")
 
 
@@ -330,11 +333,9 @@ def step(
     updates of the sweeps run; a lone sweep is returned as it is.
 
     An iterate diverges when f overflows at it, when the update from it
-    overflows, or when its sup norm exceeds ``divergence_cap``; an
-    overflow is reported at the last finite iterate.  The sum of |c| is
-    a rigorous sup bound, since |P_i| <= 1, so the sampled sup norm is
-    computed only when that cheap bound exceeds the cap; every decision
-    equals that of a sampled test on every iterate.
+    overflows, or when its sum |c|, an upper bound on its sup norm since
+    |P_i| <= 1, exceeds ``divergence_cap``; a divergence is reported at
+    the last iterate that passed.
     """
     r, d = inp.r, inp.u_left.size
     if r > MAX_DEGREE:
@@ -399,7 +400,8 @@ def _sweep(
     G @ f involves every node value of f, so one non-finite f value, or
     an update that overflows, leaves c_next non-finite and the bound inf
     or nan, which fails ``bound <= min(cap, float max)`` under any cap.
-    Only then does the loop look at the coefficients.
+    Such an iterate diverges when the bound exceeds the cap or when it
+    is not finite: under an infinite cap a finite sum |c| may overflow.
 
     Each iterate is read once as a list ``vals``, the previous one kept
     as ``prev``, and the bound, the change max |vals - prev| and, only
@@ -408,7 +410,7 @@ def _sweep(
     order, so the convergence test is unchanged.  The bound is summed
     by ``sum``: left to right up to Python 3.11, with Neumaier
     compensation from 3.12; numpy sums pairwise.  The two may differ in
-    their last bits, and the bound steers two decisions only as a gate:
+    their last bits, and the bound steers two decisions:
 
     * convergence: the bound stands in for the scale max |c| before the
       exact scale test.  A rounded sum of magnitudes is at least its
@@ -418,20 +420,17 @@ def _sweep(
       misses the exact total by far less than the other terms add.
       So the gate passes wherever the scale test does, and the scale
       test decides.
-    * the cap: a bound above the cap sends the iterate to the sampled
-      sup norm, which clears it when it is at most the cap.  Every
-      order is within a few ulp of the exact sum |c|, so two orders can
-      disagree only when the bound is within a few ulp of the cap and
-      the sampled sup norm, at most the exact sum |c|, lies above it.
+    * the cap: two summation orders can disagree only when the bound
+      lies within a few ulp of the cap.
 
     ``math.fsum`` would give a correctly rounded bound, but it raises
     OverflowError where the sum leaves double range, which the loop
     must read as divergence; ``sum`` returns inf or nan there.
 
-    Every iterate that passed the bound test, or the explicit finite
-    test, is finite and the loop's own, so it is wrapped by
-    ``LocalPoly._trusted``; the failure returns can hold the first
-    iterate, the caller's guess, and copy it.
+    Every iterate that passed the divergence test is finite and the
+    loop's own, so it is wrapped by ``LocalPoly._trusted``; the
+    divergence return can hold the first iterate, the caller's guess,
+    and copies it.
     """
     b, op = basis(inp.r), picard_operator(inp.r, inp.scheme)
     rule = (b.coarse_offsets, b.coarse_V, op.coarse_G) if coarse else (b.offsets, b.V, op.G)
@@ -454,18 +453,13 @@ def _sweep(
             c_next = np.dot(G, f_vals)
             c_next *= k
             c_next += left
-            # sup_t |U(t)| <= sum |c| because |P_i| <= 1: sample only above the cap
             vals = c_next.ravel().tolist()
             bound = sum(map(abs, vals))
             change = max(map(abs, map(operator.sub, vals, prev)))
-            if not bound <= limit:
-                if not _all_finite(c_next):
-                    # f or the update left double range: diverged, reported
-                    # at the last finite iterate
-                    return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
-                u = LocalPoly._trusted(iv, c_next)
-                if u.linf_norm() > cap:
-                    return StepOutput(u, it, False, StepFailure.DIVERGED)
+            # above the cap, or out of double range: reported at the last
+            # iterate that passed
+            if not bound <= limit and (bound > cap or not _all_finite(c_next)):
+                return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
             c = c_next
             # max|c| <= sum|c|: the scale max|c| is needed only when the
             # bound's scale passes, and the decision is the same

@@ -167,8 +167,8 @@ class LocalPoly:
         of two of their largest magnitude, which rounds nothing, so the
         norm is finite wherever the sampled values are.
         """
-        # Divergence probes evaluate wildly growing iterates; an inf here
-        # just means "beyond any cap", so don't warn.
+        # A norm past double range reads inf, which the callers handle:
+        # don't warn.
         with np.errstate(over="ignore"):
             return _sup_norm(np.dot(basis(self.degree).samples_V, self.coeffs), 1)
 

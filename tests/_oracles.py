@@ -128,9 +128,10 @@ def _reference_dg_matrix_inverse(r):
 
 def reference_step(p, inp, cfg, atol=0.0):
     """One cG/dG step by the per-iteration Picard loop: a LocalPoly per
-    iterate, ``project_values``, ``antiderivative`` or the dG solve, and the
-    sampled sup norm against cfg.divergence_cap on every iteration; an
-    iterate at which f is not finite (``checked_rhs``) diverges.  The
+    iterate, ``project_values``, ``antiderivative`` or the dG solve, and
+    sum |c| of every new iterate against cfg.divergence_cap; an iterate
+    above the cap diverges and is reported by the iterate before, and
+    so does one at which f is not finite (``checked_rhs``).  The
     relative stopping tolerance 1e-12 and the budget of 100 iterations
     are written out here, not read from the program; the iteration also
     stops at a change of at most ``atol``, as ``step`` does.
@@ -160,9 +161,9 @@ def reference_step(p, inp, cfg, atol=0.0):
             u_next = LocalPoly(iv, Minv @ rhs)
         change = float(np.max(np.abs(u_next.coeffs - u.coeffs)))
         scale = max(1.0, float(np.max(np.abs(u_next.coeffs))))
-        u = u_next
-        if u.linf_norm() > cfg.divergence_cap:
+        if float(np.sum(np.abs(u_next.coeffs))) > cfg.divergence_cap:
             return u, it, False, StepFailure.DIVERGED
+        u = u_next
         if change <= atol or change <= fp_tol * scale:
             return u, it, True, None
     return u, max_iters, False, StepFailure.MAX_ITERS
@@ -254,15 +255,17 @@ def parent_picard(
     """The Picard loop of ``galerkin.step`` as it was before its
     dispatch-lean rewrite, kept verbatim as the bit-identity oracle of
     ``galerkin._picard`` (same signature, so it can stand in for it),
-    with two additions: the absolute stop ``atol``, and the f values of
-    the converging update in the returned StepOutput.
+    with three changes: the absolute stop ``atol``, the f values of the
+    converging update in the returned StepOutput, and sum |c| as the
+    only divergence test, reported at the iterate before.
 
     One errstate covers the whole loop.  The bound sum |c_next| that the
     cap test needs reads every overflow as well: each coefficient of
     G @ f involves every node value of f, so one non-finite f value, or
     an update that overflows, leaves c_next non-finite and the bound inf
     or nan, which fails ``bound <= min(cap, float max)`` under any cap.
-    Only then does the loop look at the coefficients.
+    Only then does the loop look further: a bound above the cap
+    diverges, and so does a non-finite iterate.
     """
     iv, b = inp.interval, basis(inp.r)
     op = picard_operator(inp.r, inp.scheme)
@@ -278,17 +281,10 @@ def parent_picard(
                 return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
             c_next = left + k * (G @ f_vals)
             abs_next = np.abs(c_next)
-            # sup_t |U(t)| <= sum |c| because |P_i| <= 1: sample only above the cap
             bound = float(abs_next.sum())
             change = float(np.abs(c_next - c).max())
-            if not bound <= limit:
-                if not np.isfinite(c_next).all():
-                    # f or the update left double range: diverged, reported
-                    # at the last finite iterate
-                    return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
-                u = LocalPoly(iv, c_next)
-                if u.linf_norm() > cap:
-                    return StepOutput(u, it, False, StepFailure.DIVERGED)
+            if not bound <= limit and (bound > cap or not np.isfinite(c_next).all()):
+                return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
             c = c_next
             # max|c| <= sum|c|: the scale max|c| is needed only when the
             # bound's scale passes, and the decision is the same

@@ -194,6 +194,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
             AdaptConfig(**{**base, key: value})
 
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.1", None])
+    @pytest.mark.parametrize("key", ["k_init", "tol_star", "k_min"])
+    def test_lengths_and_tolerance_must_be_numbers(self, key, value):
+        # a bool would build as 1 or 0, a string would meet `<` as a TypeError
+        base = dict(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1e-3)
+        with pytest.raises(ValueError, match=f"{key} must be a real number, got {value!r}"):
+            AdaptConfig(**{**base, key: value})
+
+    def test_numpy_float_lengths_accepted(self):
+        cfg = AdaptConfig(
+            scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=np.float64(0.1),
+            tol_star=np.float64(1e-3), k_min=np.float64(1e-14), max_intervals=2,
+        )
+        assert h_adapt(make_power_square(1.0), cfg).M == 2
+
     @pytest.mark.parametrize("mode", [Mode.H, Mode.HP])
     @pytest.mark.parametrize(
         "key,value",

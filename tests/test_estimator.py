@@ -362,6 +362,20 @@ class TestScanAgainstReference:
         coeffs[degree, 0] += 0.1 * u  # a non-constant |uhat| when degree > 0
         assert_matches_reference(SCAN_PROBLEMS[which], iv, LocalPoly(iv, coeffs), psi, prev_delta)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "solve_delta's scan steps past a root that the reference grid scan finds"
+    ))
+    def test_drawn_state_with_a_root_between_scan_steps(self):
+        # A falsifying example of test_drawn_states: exp, k = 1e-4, u = 0,
+        # psi = 6.890625, degree 0, no previous delta.  phi < 0 only on
+        # [1.11342, 1.16207], a width ratio of 1.0437 below SCAN_RATIO
+        # 1.0719, around the grid point 1e6^(2/199) = 1.14895.  The solve
+        # evaluates 1.0, 1.0504, 1.0884 and 1.1667, one step past it, and
+        # returns DeltaNotFound(min_phi=1.04e-3); the grid scan finds the root.
+        iv = Interval(0.0, 1e-4)
+        u_hat = LocalPoly(iv, np.zeros((1, 1)))
+        assert_matches_reference(SCAN_PROBLEMS[1], iv, u_hat, 6.890625, None)
+
 
 class TestEffectivity:
     """run_errors reports bound / (running max of the true sup error)."""

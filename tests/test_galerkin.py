@@ -1,6 +1,8 @@
 
 import dataclasses
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -150,6 +152,23 @@ class TestNonexistence:
         out = step(p, StepInput(Interval(0.0, 0.01), 1, np.array([1.0]), Scheme.CG), cfg)
         assert not out.converged
         assert out.failure is StepFailure.DIVERGED
+
+
+class TestPicardConfig:
+    @pytest.mark.parametrize("value", [True, False, np.True_, "1e8", None])
+    def test_cap_must_be_a_number(self, value):
+        # a bool would build as 1 or 0, a string would meet `>` as a TypeError
+        with pytest.raises(ValueError, match=f"divergence_cap must be a real number, got {value!r}"):
+            PicardConfig(divergence_cap=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, -math.inf])
+    def test_cap_must_be_positive(self, value):
+        with pytest.raises(ValueError, match="divergence_cap must be positive"):
+            PicardConfig(divergence_cap=value)
+
+    @pytest.mark.parametrize("value", [math.inf, np.float64(1e8), np.inf, 5])
+    def test_numbers_accepted(self, value):
+        assert PicardConfig(divergence_cap=value).divergence_cap == value
 
 
 def poisoned_power_square(bad, at_call):
@@ -350,6 +369,29 @@ def forced_decay():
 SCHEME_DEGREES = [(Scheme.CG, r) for r in range(1, 9)] + [(Scheme.DG, r) for r in range(0, 9)]
 
 
+def sweep_iterates(monkeypatch, p, inp):
+    """The iterates of the full-rule sweep of ``step`` from u_left under
+    no cap, read one by one by cutting its budget at 1, 2, ... updates:
+    the program's own arrays, bit for bit (p has ``f_batch``, so the step
+    runs that one sweep)."""
+    assert p.f_batch is not None
+    cfg, iterates = PicardConfig(divergence_cap=math.inf), []
+    with monkeypatch.context() as m:
+        for n in range(1, MAX_ITERS + 1):
+            m.setattr(galerkin, "MAX_ITERS", n)
+            out = step(p, inp, cfg)
+            assert out.picard_iters == n
+            iterates.append(out.u.coeffs)
+            if out.converged:
+                return iterates
+    raise AssertionError("the sweep did not converge")
+
+
+def largest_sum(iterates):
+    """The largest exact sum |c| over the iterates (``math.fsum``)."""
+    return max(math.fsum(np.abs(c).ravel().tolist()) for c in iterates)
+
+
 def assert_same_step(out, ref, atol_scale):
     u, iters, converged, failure = ref
     assert (out.picard_iters, out.converged, out.failure) == (iters, converged, failure)
@@ -393,11 +435,11 @@ class TestAgainstReferenceLoop:
         (forced_decay, np.array([0.9]), 0.4),
         (norm_square, np.array([0.71, -1.19]), 0.3 / np.hypot(0.71, 1.19)),
     ], ids=["forced_d1", "norm_square_d2"])
-    def test_divergence_cap_straddled(self, make, u_left, k):
-        # With the cap between the sampled sup norm of the solution and
-        # the sum of |c|, the cheap bound trips on the final iterates and
-        # sampling must clear them; just below the sampled sup norm the
-        # step must diverge.  Both decisions must match the reference.
+    def test_divergence_cap_straddled(self, make, u_left, k, monkeypatch):
+        # sum |c| alone decides: a cap between the sampled sup norm of the
+        # solution and its sum |c| diverges, reported at the iterate
+        # before, and one just above the largest sum |c| of the sweep's
+        # iterates converges.  Both decisions must match the reference.
         p, straddled = make(), 0
         for scheme, r in SCHEME_DEGREES:
             inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
@@ -406,7 +448,8 @@ class TestAgainstReferenceLoop:
             if not exists or l1 <= linf * (1.0 + 1e-6):
                 continue
             straddled += 1
-            for cap, converged in ((0.5 * (linf + l1), True), (0.99 * linf, False)):
+            top = largest_sum(sweep_iterates(monkeypatch, p, inp))
+            for cap, converged in ((0.5 * (linf + l1), False), (top * (1.0 + 1e-9), True)):
                 cfg = PicardConfig(divergence_cap=cap)
                 out, ref = step(p, inp, cfg), reference_step(p, inp, cfg)
                 assert ref[2] is converged
@@ -571,8 +614,9 @@ class TestKernelBitIdentity:
         (norm_square, np.array([0.71, -1.19]), 0.3 / np.hypot(0.71, 1.19)),
     ], ids=["forced_d1", "norm_square_d2"])
     def test_caps_bits_equal_parent(self, make, u_left, k, monkeypatch):
-        # caps that make the sampled confirmation clear or trip, and no
-        # cap at all, where only an overflow ends a diverging iteration
+        # two caps below sum |c| of the solution, one above its sampled
+        # sup norm and one below it, and no cap at all, where only an
+        # overflow ends a diverging iteration
         p = make()
         for scheme, r in SCHEME_DEGREES[::2]:
             inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
@@ -590,19 +634,53 @@ class TestKernelBitIdentity:
     ], ids=lambda v: getattr(v, "value", v))
     def test_caps_straddled_at_both_sizes(self, scheme, r, dim, monkeypatch):
         # 8, 28, 36 and 44 coefficients, below and above 9, where numpy
-        # starts to sum pairwise: a cap between the sampled sup norm and sum |c| is cleared by
-        # sampling, one just below the sup norm diverges
+        # starts to sum pairwise: a cap between the sampled sup norm and
+        # sum |c| diverges, one just above the largest sum |c| of the
+        # sweep's iterates converges, with the uncapped step's bits
         p, u_left = norm_square(dim), np.linspace(0.71, -1.19, dim)
         k = 0.3 / float(np.linalg.norm(u_left))
         inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
         u = step(p, inp).u
         linf, l1 = u.linf_norm(), float(np.sum(np.abs(u.coeffs)))
         assert l1 > linf * (1.0 + 1e-6)
-        for cap, converged in ((0.5 * (linf + l1), True), (0.99 * linf, False)):
+        top = largest_sum(sweep_iterates(monkeypatch, p, inp))
+        for cap, converged in ((0.5 * (linf + l1), False), (top * (1.0 + 1e-9), True)):
             cfg = PicardConfig(divergence_cap=cap)
             out = step(p, inp, cfg)
             assert out.converged is converged
             same_bits(out, parent_step(monkeypatch, p, inp, cfg))
+        same_bits(out, step(p, inp))
+
+    # Python's ``sum`` of n magnitudes: left to right up to 3.11, within
+    # a relative (n - 1) eps/2 of the exact sum; Neumaier-compensated from
+    # 3.12, within about eps/2
+    COMPENSATED_SUM = sys.version_info >= (3, 12)
+
+    @pytest.mark.parametrize("scheme,r,dim", [
+        (Scheme.DG, 1, 1), (Scheme.CG, 1, 2), (Scheme.CG, 3, 2), (Scheme.DG, 6, 4),
+        (Scheme.CG, 8, 4), (Scheme.DG, 10, 4),
+    ], ids=lambda v: getattr(v, "value", v))
+    def test_caps_at_the_edge_of_sum(self, scheme, r, dim, monkeypatch):
+        # 2 to 44 coefficients: a cap a few ulp above the largest exact
+        # sum |c| over the sweep's iterates converges with the uncapped
+        # bits, one a few ulp below diverges, reported at the iterate
+        # before the one that tripped
+        p, u_left = norm_square(dim), np.linspace(0.71, -1.19, dim)
+        k = 0.3 / float(np.linalg.norm(u_left))
+        inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
+        iterates = sweep_iterates(monkeypatch, p, inp)
+        top = largest_sum(iterates)
+        ulps = 2 if self.COMPENSATED_SUM else (r + 1) * dim
+        margin = ulps * np.finfo(float).eps
+        uncapped = step(p, inp, PicardConfig(divergence_cap=math.inf))
+        assert uncapped.converged
+        same_bits(step(p, inp, PicardConfig(divergence_cap=top * (1.0 + margin))), uncapped)
+        out = step(p, inp, PicardConfig(divergence_cap=top * (1.0 - margin)))
+        assert (out.converged, out.failure) == (False, StepFailure.DIVERGED)
+        c0 = np.zeros_like(iterates[0])
+        c0[0] = u_left
+        before = ([c0] + iterates)[out.picard_iters - 1]
+        assert out.u.coeffs.tobytes() == before.tobytes()
 
 
 # degrees from 0 to MAX_DEGREE and dimensions from 1 to 32: cG from r = 1
