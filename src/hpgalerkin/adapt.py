@@ -59,12 +59,11 @@ from .galerkin import (
     Scheme,
     StepInput,
     StepOutput,
-    _all_finite,
     picard_operator,
     reconstruct,
     step,
 )
-from .poly import MAX_DEGREE, Interval, LocalPoly, basis
+from .poly import MAX_DEGREE, Interval, LocalPoly, _all_finite, basis
 from .problems import NumericOverflow, Problem
 
 __all__ = [

@@ -42,8 +42,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .galerkin import _all_finite, _cg_lift
-from .poly import Interval, LocalPoly, _sup_norm, _time_map, basis
+from .galerkin import _cg_lift
+from .poly import Interval, LocalPoly, _all_finite, _norms, _sup_norm, _time_map, basis
 from .problems import NumericOverflow, Problem, lip_at
 
 __all__ = [
@@ -64,7 +64,6 @@ PHI_TOL = 1e-10
 DELTA_MAX = 1e6
 SCAN_RATIO = DELTA_MAX ** (1.0 / 199)
 _EPS = sys.float_info.epsilon
-_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -135,24 +134,12 @@ def _growth_factory(
     are positive, so the exponent dot(w, vals) is finite exactly when
     every envelope value is, unless the sum itself overflows, which also
     means +inf; the caller holds the errstate.  The node norms |uhat|
-    are squared scaled by a power of two where a plain square would
-    overflow or underflow, so they are finite wherever the values are.
+    are ``poly._norms``, finite wherever the node values are.
     """
     b = basis(u_hat.degree)
     k = iv.k
     ts = _time_map(iv.t_start, k, b.offsets)
-    vals = np.dot(b.V, u_hat.coeffs)
-    sq = np.add.reduce(vals * vals, 1)
-    # a list is the cheapest way to the min and max of a few values
-    listed = sq.tolist()
-    if _TINY <= min(listed) and max(listed) < math.inf:
-        u_norms = np.sqrt(sq)
-    else:
-        # a square overflowed or underflowed, or a node value is 0: square
-        # each node's values scaled by the power of two of their largest
-        # magnitude, which rounds nothing, and scale the norm back
-        e = np.frexp(np.abs(vals).max(axis=1))[1]
-        u_norms = np.ldexp(np.sqrt(np.sum(np.ldexp(vals, -e[:, None]) ** 2, axis=1)), e)
+    u_norms = _norms(np.dot(b.V, u_hat.coeffs), 1)
     w = 0.5 * k * b.weights
 
     def growth(delta: float) -> float:
@@ -267,13 +254,10 @@ def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
     """Sampled sup norm of exact(t) - uhat(t) over the interval.
 
     The samples are those of ``LocalPoly.linf_norm``, and so is the
-    norm: uhat is evaluated there by one product with the degree's
-    cached ``basis(r).samples_V``, and when the largest square sum of
-    the differences is not a normal double they are squared again scaled
-    by a power of two, which rounds nothing, so the norm is finite
-    wherever it is a double.  uhat, exact and their difference are
-    evaluated under one errstate: a value that leaves double range gives
-    inf, without a warning.
+    norm (``poly._sup_norm``): uhat is evaluated there by one product
+    with the degree's cached ``basis(r).samples_V``.  uhat, exact and
+    their difference are evaluated under one errstate: a value that
+    leaves double range gives inf, without a warning.
     ``p.exact`` is called once, on the array ts (n,) of sample times,
     and must return shape (d, n), e.g. ``lambda t: np.exp(t)[None]``
     for u' = u, u(0) = 1; any other shape raises ValueError.

@@ -74,17 +74,16 @@ The update is formed in place as (G f) k +
 a u_left^T, which rounds as a u_left^T + k G f does since IEEE * and +
 commute.  The iterate is then read once as a Python list, and the
 bound sum |c|, the change max |c_next - c| and the scale max |c| are
-taken from it by ``sum``, ``max`` and ``abs``: on the bench workloads,
-whose iterates hold 2 to 14 coefficients, one ``tolist()`` and a few
-builtins cost less than five numpy calls.  The list costs more than
-numpy's dispatch on large iterates (on Python 3.11 the three
+taken from it by ``math.fsum``, ``max`` and ``abs``: on the bench
+workloads, whose iterates hold 2 to 14 coefficients, one ``tolist()``
+and a few builtins cost less than five numpy calls.  The list costs
+more than numpy's dispatch on large iterates (on Python 3.11 the three
 reductions take about 12 against 9 us at 64 coefficients and 174
 against 12 us at 1024), which no bench workload reaches.  The change
-and the scale are exact in any order.  The bound is summed by Python's
-``sum`` rather than in numpy's pairwise order, so it may differ in its
-last bits; the loop's docstring shows that only a bound within a few
-ulp of the cap can feel that.  The finite tests of the guess and of the
-lift are list tests too (``_all_finite``).
+and the scale are exact and the bound correctly rounded, so every
+decision is the same on every Python and in every summation order.
+The finite tests of the guess and of the lift are list tests too
+(``poly._all_finite``).
 
 An iterate that passed the divergence test is finite and belongs to
 the loop, so the returned polynomial wraps it without a copy or a
@@ -128,7 +127,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import legendre as _leg
 
-from .poly import MAX_DEGREE, Interval, LocalPoly, _time_map, basis
+from .poly import MAX_DEGREE, Interval, LocalPoly, _all_finite, _time_map, basis
 from .problems import NumericOverflow, Problem, rhs_at
 
 __all__ = [
@@ -157,11 +156,6 @@ COARSE_HANDOVER = 100.0
 COARSE_STALL = 0.5
 # A sum |c| above the largest double has overflowed, whatever the cap.
 _FLOAT_MAX = float(np.finfo(float).max)
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of a is finite, tested as a Python list."""
-    return all(map(math.isfinite, a.ravel().tolist()))
 
 
 class Scheme(enum.Enum):
@@ -406,26 +400,12 @@ def _sweep(
     Each iterate is read once as a list ``vals``, the previous one kept
     as ``prev``, and the bound, the change max |vals - prev| and, only
     when the bound's convergence test passes, the scale max |vals| come
-    from Python builtins.  The change and the scale are exact in any
-    order, so the convergence test is unchanged.  The bound is summed
-    by ``sum``: left to right up to Python 3.11, with Neumaier
-    compensation from 3.12; numpy sums pairwise.  The two may differ in
-    their last bits, and the bound steers two decisions:
-
-    * convergence: the bound stands in for the scale max |c| before the
-      exact scale test.  A rounded sum of magnitudes is at least its
-      largest term in any order.  So is the compensated sum: it adds
-      to the plain one the rounding errors of its additions, each
-      exact and at most the smaller operand, so rounding their own sum
-      misses the exact total by far less than the other terms add.
-      So the gate passes wherever the scale test does, and the scale
-      test decides.
-    * the cap: two summation orders can disagree only when the bound
-      lies within a few ulp of the cap.
-
-    ``math.fsum`` would give a correctly rounded bound, but it raises
-    OverflowError where the sum leaves double range, which the loop
-    must read as divergence; ``sum`` returns inf or nan there.
+    from Python builtins.  The bound is ``math.fsum``, correctly rounded
+    in any order, with the OverflowError of a finite sum past double
+    range read as inf; so the cap decides the same on every Python.  A
+    correctly rounded sum of magnitudes is at least its largest term, so
+    the bound's gate before the exact scale test passes wherever that
+    test does, and the scale test decides convergence.
 
     Every iterate that passed the divergence test is finite and the
     loop's own, so it is wrapped by ``LocalPoly._trusted``; the
@@ -454,7 +434,10 @@ def _sweep(
             c_next *= k
             c_next += left
             vals = c_next.ravel().tolist()
-            bound = sum(map(abs, vals))
+            try:
+                bound = math.fsum(map(abs, vals))
+            except OverflowError:
+                bound = math.inf
             change = max(map(abs, map(operator.sub, vals, prev)))
             # above the cap, or out of double range: reported at the last
             # iterate that passed

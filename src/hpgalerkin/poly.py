@@ -11,15 +11,21 @@ min(r + 6, 64) points and every matrix the solver evaluates a degree-r
 polynomial with (see ``Basis``), so the rule size is decided here only.
 A step needs its r + 6 points, so step degrees stop at MAX_DEGREE = 58.
 
+The package's numeric primitives live here too, so that each has one
+definition: ``_norms`` gives the Euclidean norm of every point of an
+array of values, overflow-safe (``_sup_norm`` takes their largest and
+``estimator`` the node norms of its growth integral), and
+``_all_finite`` is the one finite test of a coefficient array.
+
 The ``LocalPoly`` constructor copies its coefficients, checks that they
-are finite and makes the copy read-only.  ``LocalPoly._trusted`` skips
-the copy and the check for an array the caller owns and has already
-proven finite: it makes that array itself read-only and wraps it, so
-the caller must not write to it afterwards.  The solver uses it for the
-Picard iterates that passed its overflow test, for the lift inside
-``galerkin.reconstruct`` and for the residual inside
-``estimator.residual_estimator``; everything else, the caller's own
-arrays included, goes through the constructor.
+are finite (``_all_finite``) and makes the copy read-only.
+``LocalPoly._trusted`` skips the copy and the check for an array the
+caller owns and has already proven finite: it makes that array itself
+read-only and wraps it, so the caller must not write to it afterwards.
+The solver uses it for the Picard iterates that passed its overflow
+test, for the lift inside ``galerkin.reconstruct`` and for the residual
+inside ``estimator.residual_estimator``; everything else, the caller's
+own arrays included, goes through the constructor.
 """
 
 from __future__ import annotations
@@ -113,7 +119,7 @@ class LocalPoly:
             coeffs = coeffs[:, None]
         if coeffs.ndim != 2 or coeffs.shape[0] < 1 or coeffs.shape[1] < 1:
             raise ValueError("coeffs must have shape (r+1, d)")
-        if not np.all(np.isfinite(coeffs)):
+        if not _all_finite(coeffs):
             raise ValueError("coefficients must be finite")
         coeffs.flags.writeable = False
         self.interval = interval
@@ -161,11 +167,8 @@ class LocalPoly:
         """Sampled sup over the interval of the pointwise Euclidean norm.
 
         The samples are the degree's ``basis(r).samples``, evaluated by
-        one product with their cached Vandermonde matrix.  When the
-        largest square sum is not a normal double (its squares overflowed
-        or underflowed) the values are squared again scaled by the power
-        of two of their largest magnitude, which rounds nothing, so the
-        norm is finite wherever the sampled values are.
+        one product with their cached Vandermonde matrix, and measured by
+        ``_sup_norm``, so the norm is finite wherever it is a double.
         """
         # A norm past double range reads inf, which the callers handle:
         # don't warn.
@@ -173,29 +176,38 @@ class LocalPoly:
             return _sup_norm(np.dot(basis(self.degree).samples_V, self.coeffs), 1)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a is finite, tested as a Python list."""
+    return all(map(math.isfinite, a.ravel().tolist()))
+
+
 def _sup_norm(vals: np.ndarray, axis: int) -> float:
     """Largest Euclidean norm along ``axis`` of vals: from the plain
-    square sums when the largest is a normal double, otherwise from
-    ``_scaled_sup_norm``.  The caller holds the errstate."""
+    square sums when the largest is a normal double, otherwise the
+    largest of ``_norms``.  The caller holds the errstate."""
     sq = np.maximum.reduce(np.add.reduce(vals * vals, axis))
     if _TINY <= sq < math.inf:
         return math.sqrt(sq)
-    return _scaled_sup_norm(vals, axis)
+    return float(np.maximum.reduce(_norms(vals, axis)))
 
 
-def _scaled_sup_norm(vals: np.ndarray, axis: int) -> float:
-    """Largest Euclidean norm along ``axis`` of vals, with the values
-    squared scaled by the power of two of their largest magnitude.
+def _norms(vals: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norm along ``axis`` of every point of vals.
 
-    The scaling rounds nothing, so the result is finite wherever it is
-    a double, and inf past the largest one.
+    From the plain square sums when every sum is a normal double;
+    otherwise (a square overflowed or underflowed, or a point is 0) each
+    point's values are squared scaled by the power of two of their
+    largest magnitude, which rounds nothing, and its norm is scaled
+    back.  So a norm is finite wherever it is a double, and inf past the
+    largest one.  The caller holds the errstate.
     """
-    e = math.frexp(np.abs(vals).max())[1]
-    norm = math.sqrt((np.ldexp(vals, -e) ** 2).sum(axis=axis).max())
-    try:
-        return math.ldexp(norm, e)
-    except OverflowError:
-        return math.inf
+    sq = np.add.reduce(vals * vals, axis)
+    # a list is the cheapest way to the min and max of a few values
+    listed = sq.tolist()
+    if _TINY <= min(listed) and max(listed) < math.inf:
+        return np.sqrt(sq)
+    e = np.frexp(np.maximum.reduce(np.abs(vals), axis, keepdims=True))[1]
+    return np.ldexp(np.sqrt(np.add.reduce(np.ldexp(vals, -e) ** 2, axis)), np.squeeze(e, axis))
 
 
 @dataclass(frozen=True)

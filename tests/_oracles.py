@@ -17,7 +17,7 @@ from hpgalerkin.galerkin import (
     StepOutput,
     picard_operator,
 )
-from hpgalerkin.poly import LocalPoly, _sup_norm, basis
+from hpgalerkin.poly import LocalPoly, basis
 from hpgalerkin.problems import NumericOverflow, Problem, lip_at, rhs_at
 
 
@@ -343,10 +343,49 @@ def parent_cg_lift(p, u, u_left, r, f_vals=None):
     return coeffs
 
 
+def parent_sup_norm(vals, axis):
+    """``poly._sup_norm`` as it was before ``poly._norms``: from the plain
+    square sums when the largest is a normal double, otherwise with every
+    value scaled by the one power of two of the largest magnitude.  The
+    caller holds the errstate."""
+    sq = np.maximum.reduce(np.add.reduce(vals * vals, axis))
+    if sys.float_info.min <= sq < math.inf:
+        return math.sqrt(sq)
+    return _parent_scaled_sup_norm(vals, axis)
+
+
+def _parent_scaled_sup_norm(vals, axis):
+    """Largest Euclidean norm along ``axis`` of vals, with the values
+    squared scaled by the power of two of their largest magnitude.
+
+    The scaling rounds nothing, so the result is finite wherever it is
+    a double, and inf past the largest one.
+    """
+    e = math.frexp(np.abs(vals).max())[1]
+    norm = math.sqrt((np.ldexp(vals, -e) ** 2).sum(axis=axis).max())
+    try:
+        return math.ldexp(norm, e)
+    except OverflowError:
+        return math.inf
+
+
+def parent_node_norms(vals):
+    """The node norms of ``estimator._growth_factory`` as they were before
+    ``poly._norms``: the Euclidean norm of every row of vals (n, d), with
+    ``np.sum`` of squares, and scaled row by row by a power of two when
+    a square sum is not a normal double.  The caller holds the errstate."""
+    sq = np.sum(vals**2, axis=1)
+    listed = sq.tolist()
+    if sys.float_info.min <= min(listed) and max(listed) < math.inf:
+        return np.sqrt(sq)
+    e = np.frexp(np.abs(vals).max(axis=1))[1]
+    return np.ldexp(np.sqrt(np.sum(np.ldexp(vals, -e[:, None]) ** 2, axis=1)), e)
+
+
 def parent_linf_norm(u):
-    """``LocalPoly.linf_norm`` with a matmul product."""
+    """``LocalPoly.linf_norm`` with a matmul product and ``parent_sup_norm``."""
     with np.errstate(over="ignore"):
-        return _sup_norm(basis(u.degree).samples_V @ u.coeffs, 1)
+        return parent_sup_norm(basis(u.degree).samples_V @ u.coeffs, 1)
 
 
 def parent_reconstruct(p, inp, u, f_vals=None):
@@ -375,14 +414,7 @@ def parent_growth_factory(p, iv, u_hat, psi):
     so it can stand in for it inside ``solve_delta``."""
     b = basis(u_hat.degree)
     ts = iv.from_reference(b.nodes)
-    vals = b.V @ u_hat.coeffs
-    sq = np.sum(vals**2, axis=1)
-    listed = sq.tolist()
-    if sys.float_info.min <= min(listed) and max(listed) < math.inf:
-        u_norms = np.sqrt(sq)
-    else:
-        e = np.frexp(np.abs(vals).max(axis=1))[1]
-        u_norms = np.ldexp(np.sqrt(np.sum(np.ldexp(vals, -e[:, None]) ** 2, axis=1)), e)
+    u_norms = parent_node_norms(b.V @ u_hat.coeffs)
     w = 0.5 * iv.k * b.weights
 
     def growth(delta):
@@ -396,10 +428,11 @@ def parent_growth_factory(p, iv, u_hat, psi):
 
 
 def parent_reconstruction_error(p, u_hat):
-    """``estimator.reconstruction_error`` with a matmul product."""
+    """``estimator.reconstruction_error`` with a matmul product and
+    ``parent_sup_norm``."""
     b = basis(u_hat.degree)
     ts = u_hat.interval.from_reference(b.samples)
     with np.errstate(over="ignore", invalid="ignore"):
         uh = (b.samples_V @ u_hat.coeffs).T
         ex = np.asarray(p.exact(ts), dtype=float)
-        return _sup_norm(ex - uh, 0)
+        return parent_sup_norm(ex - uh, 0)

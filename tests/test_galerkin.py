@@ -651,36 +651,50 @@ class TestKernelBitIdentity:
             same_bits(out, parent_step(monkeypatch, p, inp, cfg))
         same_bits(out, step(p, inp))
 
-    # Python's ``sum`` of n magnitudes: left to right up to 3.11, within
-    # a relative (n - 1) eps/2 of the exact sum; Neumaier-compensated from
-    # 3.12, within about eps/2
-    COMPENSATED_SUM = sys.version_info >= (3, 12)
-
     @pytest.mark.parametrize("scheme,r,dim", [
         (Scheme.DG, 1, 1), (Scheme.CG, 1, 2), (Scheme.CG, 3, 2), (Scheme.DG, 6, 4),
         (Scheme.CG, 8, 4), (Scheme.DG, 10, 4),
     ], ids=lambda v: getattr(v, "value", v))
     def test_caps_at_the_edge_of_sum(self, scheme, r, dim, monkeypatch):
-        # 2 to 44 coefficients: a cap a few ulp above the largest exact
-        # sum |c| over the sweep's iterates converges with the uncapped
-        # bits, one a few ulp below diverges, reported at the iterate
-        # before the one that tripped
+        # 2 to 44 coefficients: the bound is the correctly rounded sum
+        # |c|, so a cap at the largest exact sum over the sweep's iterates
+        # converges with the uncapped bits, and the double below it
+        # diverges at the first iterate that reaches that sum, reported
+        # at the iterate before
         p, u_left = norm_square(dim), np.linspace(0.71, -1.19, dim)
         k = 0.3 / float(np.linalg.norm(u_left))
         inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
         iterates = sweep_iterates(monkeypatch, p, inp)
         top = largest_sum(iterates)
-        ulps = 2 if self.COMPENSATED_SUM else (r + 1) * dim
-        margin = ulps * np.finfo(float).eps
         uncapped = step(p, inp, PicardConfig(divergence_cap=math.inf))
         assert uncapped.converged
-        same_bits(step(p, inp, PicardConfig(divergence_cap=top * (1.0 + margin))), uncapped)
-        out = step(p, inp, PicardConfig(divergence_cap=top * (1.0 - margin)))
+        same_bits(step(p, inp, PicardConfig(divergence_cap=top)), uncapped)
+        out = step(p, inp, PicardConfig(divergence_cap=math.nextafter(top, 0.0)))
         assert (out.converged, out.failure) == (False, StepFailure.DIVERGED)
+        sums = [largest_sum([c]) for c in iterates]
+        assert out.picard_iters == sums.index(top) + 1
         c0 = np.zeros_like(iterates[0])
         c0[0] = u_left
         before = ([c0] + iterates)[out.picard_iters - 1]
         assert out.u.coeffs.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("scheme,r", [(Scheme.CG, 1), (Scheme.DG, 0), (Scheme.DG, 2)],
+                             ids=lambda v: getattr(v, "value", v))
+    def test_finite_coefficients_summing_past_double_range(self, scheme, r):
+        # u' = 0 from u_left = (1e308, 1e308): every iterate is finite but
+        # its sum |c| is not a double, so ``math.fsum`` raises; read as
+        # inf, it diverges under the largest finite cap, and without a cap
+        # the step converges (as ``TestEndValueOverflow`` needs)
+        u_left = np.array([1e308, 1e308])
+        with pytest.raises(OverflowError):
+            math.fsum(np.abs(u_left).tolist())
+        inp = StepInput(Interval(0.0, 0.5), r, u_left, scheme)
+        out = step(zero_rhs(2), inp, PicardConfig(divergence_cap=sys.float_info.max))
+        assert (out.converged, out.failure) == (False, StepFailure.DIVERGED)
+        assert out.u.coeffs[0].tolist() == u_left.tolist() and not out.u.coeffs[1:].any()
+        out = step(zero_rhs(2), inp, PicardConfig(divergence_cap=math.inf))
+        assert out.converged
+        np.testing.assert_allclose(out.u(0.3), u_left, rtol=1e-15)
 
 
 # degrees from 0 to MAX_DEGREE and dimensions from 1 to 32: cG from r = 1

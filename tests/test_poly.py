@@ -1,12 +1,22 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from numpy.polynomial import legendre
 
-from hpgalerkin.poly import Interval, LocalPoly, _time_map, basis
+from hpgalerkin.poly import Interval, LocalPoly, _norms, _sup_norm, _time_map, basis
 
-from _oracles import antiderivative, constant, derivative, l2_norm, l2_project, project_values
+from _oracles import (
+    antiderivative,
+    constant,
+    derivative,
+    l2_norm,
+    l2_project,
+    parent_node_norms,
+    parent_sup_norm,
+    project_values,
+)
 
 
 def test_interval_validation():
@@ -259,6 +269,79 @@ class TestNorms:
             )
             dense = float(np.max(np.abs(legendre.legval(xs, p.coeffs))))
             assert p.linf_norm() >= 0.999 * dense
+
+
+def value_draws(seed, count):
+    """Seeded (n, d) arrays of values, n up to 11 points and d up to 6:
+    half with every point's magnitudes within 2^+-400, where the plain
+    square sums serve, half with each point at its own power of two from
+    the subnormal range to past the largest double, and its values up to
+    2^59 apart; a tenth of the points 0."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n, d = int(rng.integers(1, 12)), int(rng.integers(1, 7))
+        low, high = (-400, 400) if i % 2 else (-1090, 1030)
+        scale = rng.integers(low, high, size=(n, 1)) - rng.integers(0, 60, size=(n, d))
+        vals = np.ldexp(rng.uniform(-1.0, 1.0, (n, d)), scale)
+        vals[rng.random(n) < 0.1] = 0.0
+        yield vals
+
+
+def plain_sums_serve(vals):
+    """Whether every square sum along axis 1 is a normal double."""
+    sq = np.add.reduce(vals * vals, 1).tolist()
+    return sys.float_info.min <= min(sq) and max(sq) < math.inf
+
+
+class TestNormPrimitives:
+    """``poly._norms``, the one overflow-safe Euclidean norm, and
+    ``poly._sup_norm``, its largest: the bits of the two norms they
+    replaced (``_oracles.parent_node_norms``, the node norms of the
+    growth integral, and ``_oracles.parent_sup_norm``), and their error
+    against ``math.hypot``.  Each holds the errstate its callers hold."""
+
+    def test_bits_equal_parent(self):
+        # a fifth of the draws carry inf and nan values; both axes
+        fallback, rng = 0, np.random.default_rng(5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, vals in enumerate(value_draws(11, 4000)):
+                if i % 5 == 0:
+                    special = rng.random(vals.shape)
+                    vals[special < 0.05] = np.inf
+                    vals[special > 0.95] = np.nan
+                fallback += not plain_sums_serve(vals)
+                want = parent_node_norms(vals).tobytes()
+                assert _norms(vals, 1).tobytes() == want
+                assert _norms(vals.T.copy(), 0).tobytes() == want
+                for axis, arr in ((1, vals), (0, vals.T)):
+                    got, old = _sup_norm(arr, axis), parent_sup_norm(arr, axis)
+                    assert np.float64(got).tobytes() == np.float64(old).tobytes()
+        assert 1500 < fallback < 3000
+
+    def test_against_hypot(self):
+        # within d eps relative where the norm is normal, within 4 units
+        # of 2^-1074 where it is subnormal, and inf exactly where hypot
+        # overflows
+        tiny, unit = sys.float_info.min, math.ldexp(1.0, -1074)
+        kinds = set()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for vals in value_draws(12, 4000):
+                d = vals.shape[1]
+                got = _norms(vals, 1).tolist()
+                for axis, arr in ((1, vals), (0, vals.T)):
+                    assert _sup_norm(arr, axis) == max(got)
+                for norm, row in zip(got, vals.tolist()):
+                    want = math.hypot(*row)
+                    if want == math.inf:
+                        assert norm == math.inf
+                        kinds.add("inf")
+                    elif want < tiny:
+                        assert abs(norm - want) <= 4.0 * unit
+                        kinds.add("subnormal")
+                    else:
+                        assert abs(norm - want) <= d * sys.float_info.epsilon * want
+                        kinds.add("normal")
+        assert kinds == {"inf", "subnormal", "normal"}
 
 
 @pytest.mark.parametrize("r", range(65))
