@@ -108,7 +108,8 @@ def residual_estimator(p: Problem, u_hat: LocalPoly, u_left: np.ndarray) -> floa
     """
     u_left = np.atleast_1d(np.asarray(u_left, dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        res_coeffs = _cg_lift(p, u_hat, u_left, u_hat.degree + _RESIDUAL_EXTRA_DEGREE)
+        b = basis(u_hat.degree + _RESIDUAL_EXTRA_DEGREE)
+        res_coeffs = _cg_lift(p, u_hat, u_left, b.offsets, b.V, b.lift)
         res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
     if not _all_finite(res_coeffs):
         raise NumericOverflow(f"residual of problem {p.name!r} overflowed")

@@ -18,28 +18,27 @@ either scheme is affine in the Legendre coefficient array c (shape
 
     c_next = a u_left^T + k G f(ts, V c),
 
-with ts and V the mapped nodes and the Vandermonde of ``poly.basis(r)``,
-whose rule has r + 6 points, and P_q the degree-q quadrature L2
-projection of node values (``basis(r).proj`` and its first rows).  For
-cG, G is the antiderivative from the left endpoint composed with
-P_{r-1}, and a = e_0; for dG, G = M^-1 diag(1/(2j+1)) P_r and
-a = M^-1 ((-1)^j).  ``picard_operator`` builds the scheme part
+with ts and V the mapped nodes and the Vandermonde of the step's rule
+(``basis(r).step_offsets`` and ``step_V``), and P_q the degree-q
+quadrature L2 projection of node values (``basis(r).step_proj`` and its
+first rows).  For cG, G is the antiderivative from the left endpoint
+composed with P_{r-1}, and a = e_0; for dG, G = M^-1 diag(1/(2j+1)) P_r
+and a = M^-1 ((-1)^j).  ``picard_operator`` builds the scheme part
 (``SchemeOperator``) once per (r, scheme), so an iteration costs one f
 evaluation and two small matrix products.  Degrees above
-``MAX_DEGREE`` = 58 would need a rule beyond 64 points and are
-rejected.
+``MAX_DEGREE`` = 58 are rejected: the r + 6-point rule of ``basis(r)``,
+which ``Basis.first_half`` and the estimator's growth integral use,
+must fit in 64 points.
 
-When f comes point by point (no ``f_batch``), every node is one call
-of f, and the node count is what a step pays for.  ``step`` then first
-sweeps the same update on the (r+1)-point Gauss rule
-(``basis(r).coarse_*`` and ``SchemeOperator.coarse_G``), the fewest
-points that still determine the degree-r update of both schemes, and
-hands its iterate to the full rule (``_picard``), which finishes.  The
-full rule alone decides whether the step exists, and its node values
-are the ``f_vals`` the reconstruction lifts.  With ``f_batch`` a point
-costs next to nothing and every extra update costs its numpy calls, so
-those problems iterate on the full rule only; the two paths agree to
-the Picard stop, not bit for bit.
+The step's rule is the Gauss-Legendre rule of r + 2 points
+(``poly._STEP_EXTRA_POINTS``), one more than the fewest that still
+determine the degree-r update of both schemes (cG projects f onto
+degree r-1, dG onto degree r).  Every node is one f value, so with a
+point-by-point f the node count is what a step pays for.  The rule
+needs only to reproduce the degree-r update: the estimator certifies
+the reconstruction on its own rules, whatever rule the step took.  A
+scalar f and an ``f_batch`` that computes the same values give the
+same step, bit for bit.
 
 Picard's first iterate is the constant u_left unless the caller passes
 a guess.  The drivers pass the best polynomial they hold: on a new
@@ -49,10 +48,9 @@ evaluated); after an accuracy halving the rejected reconstruction
 restricted to the first half and projected to degree r
 (``Basis.first_half``); after a degree raise the rejected
 reconstruction itself, which has the new degree.  A step runs at most
-three sweeps (``step``), and a step that fails returns the full rule's
-sweep from u_left, so the guess and the coarse hand-over change the
-iteration count and the last bits of the returned fixed point, never
-whether the step exists.
+two sweeps (``step``), and a step that fails returns the sweep from
+u_left, so the guess changes the iteration count and the last bits of
+the returned fixed point, never whether the step exists.
 
 Nonexistence of a step is a first-class outcome here: the adaptive
 drivers halve the step length whenever the iteration fails to converge.
@@ -148,12 +146,6 @@ __all__ = [
 # reports MAX_ITERS after MAX_ITERS updates.
 FP_TOL = 1e-12
 MAX_ITERS = 100
-# Without f_batch, ``step`` first sweeps on the (r+1)-point rule, which hands
-# over to the full rule at a change of at most COARSE_HANDOVER times the
-# stop, or at one that is not below COARSE_STALL times the one before
-# (``_sweep``).
-COARSE_HANDOVER = 100.0
-COARSE_STALL = 0.5
 # A sum |c| above the largest double has overflowed, whatever the cap.
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -217,13 +209,13 @@ class PicardConfig:
 class StepOutput:
     """The last iterate u of a step and how the iteration ended.
 
-    ``f_vals`` (n, d), set when the step converged, holds f at the nodes
-    of ``basis(r)``'s full rule at the iterate before u: the values the
-    last update, which produced u, was computed from, also after a
-    coarse sweep.  ``reconstruct`` lifts them without evaluating f
-    again, and the drivers predict the next interval's first iterate
-    from them.  ``picard_iters`` sums the updates of the sweeps the step
-    ran, at most three, on either rule (``step``).
+    ``f_vals`` (s, d), set when the step converged, holds f at the nodes
+    of the step's rule (``basis(r).step_offsets``) at the iterate before
+    u: the values the last update, which produced u, was computed from.
+    ``reconstruct`` lifts them without evaluating f again, and the
+    drivers predict the next interval's first iterate from them.
+    ``picard_iters`` sums the updates of the sweeps the step ran, at
+    most two (``step``).
     """
 
     u: LocalPoly
@@ -240,10 +232,9 @@ class SchemeOperator:
 
     a (r+1, 1): carries the left value, as a column: a * u_left is the
     (r+1, d) term a u_left^T.
-    G (r+1, n): maps node values of f on ``basis(r)``'s rule to
-    coefficients per unit step length.
-    coarse_G (r+1, m): the same map on the rule of ``basis(r).coarse_V``.
-    predict (r+1, n): G applied to the degree-r projection of node values
+    G (r+1, s): maps node values of f on the step's rule
+    (``basis(r).step_*``) to coefficients per unit step length.
+    predict (r+1, s): G applied to the degree-r projection of node values
     continued onto the next interval of equal length (x -> x + 2):
     a u_end^T + k predict @ f_vals is the next interval's Picard update
     from the f values of this one, without evaluating f.
@@ -251,7 +242,6 @@ class SchemeOperator:
 
     a: np.ndarray
     G: np.ndarray
-    coarse_G: np.ndarray
     predict: np.ndarray
 
 
@@ -275,14 +265,14 @@ def _scheme_matrices(r: int, scheme: Scheme, proj: np.ndarray) -> tuple[np.ndarr
 
 @lru_cache(maxsize=None)
 def picard_operator(r: int, scheme: Scheme) -> SchemeOperator:
-    """The cached ``SchemeOperator`` of degree r on ``basis(r)``'s rules."""
+    """The cached ``SchemeOperator`` of degree r on the step's rule."""
     b = basis(r)
-    a, G = _scheme_matrices(r, scheme, b.proj)
-    coarse_G = _scheme_matrices(r, scheme, b.coarse_proj)[1]
-    predict = G @ (_leg.legvander(b.nodes + 2.0, r) @ b.proj)
-    for arr in (a, G, coarse_G, predict):
+    a, G = _scheme_matrices(r, scheme, b.step_proj)
+    # the nodes continued onto the next interval, x -> x + 2
+    predict = G @ (_leg.legvander(b.step_offsets + 1.0, r) @ b.step_proj)
+    for arr in (a, G, predict):
         arr.flags.writeable = False
-    return SchemeOperator(a, G, coarse_G, predict)
+    return SchemeOperator(a, G, predict)
 
 
 def step(
@@ -307,24 +297,19 @@ def step(
     tolerance buys nothing.  Returns converged=False with a failure
     reason when the iterate diverges or the iteration budget runs out;
     the drivers treat that as "no discrete solution exists at this step
-    size".  With ``p.f_batch`` every iterate up to the stop is the same
-    for every ``atol``, so a larger one stops at the same iterate or an
-    earlier one, and never makes a step fail that a smaller one solves.
-    Without it the coarse sweep hands over at a change tied to ``atol``
-    too, so the iterates, and the last bits of the result, depend on
-    it; existence is still decided on the full rule, as below.
+    size".  Every iterate up to the stop is the same for every ``atol``,
+    so a larger one stops at the same iterate or an earlier one, and
+    never makes a step fail that a smaller one solves.
 
     The start is ``guess``, an (r+1, d) coefficient array, when one is
     given and finite (the drivers pass a prediction from the
     neighbouring candidate), else the constant u_left.  Sweeps are
-    ordered here only: without ``p.f_batch`` one coarse sweep
-    (``_sweep``) from the start; one full-rule sweep (``_picard``) from
-    its hand-over, or from the start when there is none; and, only when
-    that fails and did not start at the constant, one full-rule sweep
-    from the constant.  So a step fails only where the full rule fails
-    from the constant, and returns that sweep: a guess never makes a
-    step fail that the constant start solves.  picard_iters sums the
-    updates of the sweeps run; a lone sweep is returned as it is.
+    ordered here only: one sweep (``_sweep``) from the start and, only
+    when that fails and did not start at the constant, one from the
+    constant.  So a step fails only where the sweep from the constant
+    fails, and returns that sweep: a guess never makes a step fail that
+    the constant start solves.  picard_iters sums the updates of the
+    sweeps run; a lone sweep is returned as it is.
 
     An iterate diverges when f overflows at it, when the update from it
     overflows, or when its sum |c|, an upper bound on its sup norm since
@@ -343,51 +328,18 @@ def step(
             raise ValueError(f"guess has shape {guess.shape}, expected {c0.shape}")
         if _all_finite(guess):
             start = guess
-    sweeps, c = [], start
-    if p.f_batch is None:
-        sweeps.append(_sweep(p, inp, start, cap, atol, coarse=True))
-        if sweeps[0].converged:
-            c = sweeps[0].u.coeffs
-    sweeps.append(_picard(p, inp, c, cap, atol=atol))
-    if not sweeps[-1].converged and c is not c0:
-        sweeps.append(_picard(p, inp, c0, cap, atol=atol))
-    if len(sweeps) == 1:
-        return sweeps[0]
-    return replace(sweeps[-1], picard_iters=sum(s.picard_iters for s in sweeps))
+    first = _sweep(p, inp, start, cap, atol)
+    if first.converged or start is c0:
+        return first
+    last = _sweep(p, inp, c0, cap, atol)
+    return replace(last, picard_iters=first.picard_iters + last.picard_iters)
 
 
-def _picard(
-    p: Problem, inp: StepInput, c: np.ndarray, cap: float, *, atol: float = 0.0
-) -> StepOutput:
-    """One Picard sweep of ``step`` on ``basis(r)``'s full rule from the
-    first iterate c, stopping at a change of at most ``atol`` or at the
-    relative FP_TOL test: the sweep that decides whether a step exists."""
-    return _sweep(p, inp, c, cap, atol)
-
-
-def _sweep(
-    p: Problem,
-    inp: StepInput,
-    c: np.ndarray,
-    cap: float,
-    atol: float,
-    *,
-    coarse: bool = False,
-) -> StepOutput:
-    """The Picard loop on ``basis(r)``'s full rule, or on its
-    (r+1)-point rule when ``coarse``, from the first iterate c, with a
-    budget of MAX_ITERS updates; picard_iters counts this sweep's
-    updates only, and ``step`` sums those of the sweeps it runs.
-
-    The (r+1)-point rule is the fewest points that still determine the
-    degree-r update of both schemes (cG projects f onto degree r-1, dG
-    onto degree r).  The loop stops at a change of at most ``atol`` or
-    at the relative FP_TOL test.  A ``coarse`` sweep only looks for a
-    start for the full rule: it hands over (returns converged) at
-    COARSE_HANDOVER times either threshold, or once its change no longer
-    falls below COARSE_STALL times the one before; a change that grows
-    fails it instead, as the map expands there and its iterate is no
-    better start than c.
+def _sweep(p: Problem, inp: StepInput, c: np.ndarray, cap: float, atol: float) -> StepOutput:
+    """The Picard loop on the step's rule from the first iterate c, with
+    a budget of MAX_ITERS updates, stopping at a change of at most
+    ``atol`` or at the relative FP_TOL test; picard_iters counts this
+    sweep's updates only, and ``step`` sums those of the sweeps it runs.
 
     One errstate covers the whole loop.  The bound sum |c_next| that the
     cap test needs reads every overflow as well: each coefficient of
@@ -413,17 +365,13 @@ def _sweep(
     and copies it.
     """
     b, op = basis(inp.r), picard_operator(inp.r, inp.scheme)
-    rule = (b.coarse_offsets, b.coarse_V, op.coarse_G) if coarse else (b.offsets, b.V, op.G)
-    offsets, V, G = rule
+    V, G = b.step_V, op.G
     iv = inp.interval
     k = iv.k
-    ts = _time_map(iv.t_start, k, offsets)
+    ts = _time_map(iv.t_start, k, b.step_offsets)
     left = op.a * inp.u_left
     limit = min(cap, _FLOAT_MAX)
-    # 1.0 * x is x: the full rule stops exactly at atol and FP_TOL
-    scale = COARSE_HANDOVER if coarse else 1.0
-    tol_abs, tol_rel = scale * atol, scale * FP_TOL
-    prev, last = c.ravel().tolist(), math.inf
+    prev = c.ravel().tolist()
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_ITERS + 1):
             try:
@@ -446,19 +394,12 @@ def _sweep(
             c = c_next
             # max|c| <= sum|c|: the scale max|c| is needed only when the
             # bound's scale passes, and the decision is the same
-            if (
-                change <= tol_abs
-                or (
-                    change <= tol_rel * max(1.0, bound)
-                    and change <= tol_rel * max(1.0, max(map(abs, vals)))
-                )
+            if change <= atol or (
+                change <= FP_TOL * max(1.0, bound)
+                and change <= FP_TOL * max(1.0, max(map(abs, vals)))
             ):
                 return StepOutput(LocalPoly._trusted(iv, c), it, True, f_vals=f_vals)
-            if coarse and change >= COARSE_STALL * last:
-                grows = change >= last
-                failure = StepFailure.DIVERGED if grows else None
-                return StepOutput(LocalPoly._trusted(iv, c), it, not grows, failure)
-            prev, last = vals, change
+            prev = vals
     return StepOutput(LocalPoly._trusted(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 
@@ -469,19 +410,20 @@ def reconstruct(
     projection of f(t, U).
 
     This is one cG Picard update at degree r+1 applied to U, on the
-    step's own quadrature.  ``f_vals``, when given, are node values of f
-    on that rule, normally ``StepOutput.f_vals``: they are lifted as
-    they are, no f is evaluated, and U is the iterate they came from,
-    the one before u.  Either way the reconstruction is what the error
-    estimator measures, whatever U it is built from.  Lifted from a
-    step's own f values, its end value equals that of the step's
-    returned iterate up to rounding; lifted from f(t, u) it differs
-    from u(t_end) by about the step's last coefficient change.  No
-    endpoint is assumed to coincide: the drivers start the next
-    interval from the reconstruction's end value.
+    step's own rule (``basis(r).step_*``).  ``f_vals``, when given, are
+    node values of f on that rule, normally ``StepOutput.f_vals``: they
+    are lifted as they are, no f is evaluated, and U is the iterate they
+    came from, the one before u.  Either way the reconstruction is what
+    the error estimator measures, whatever U it is built from.  Lifted
+    from a step's own f values, its end value equals that of the step's
+    returned iterate up to rounding; lifted from f(t, u) it differs from
+    u(t_end) by about the step's last coefficient change.  No endpoint
+    is assumed to coincide: the drivers start the next interval from the
+    reconstruction's end value.
     """
+    b = basis(inp.r)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _cg_lift(p, u, inp.u_left, inp.r, f_vals)
+        coeffs = _cg_lift(p, u, inp.u_left, b.step_offsets, b.step_V, b.step_lift, f_vals)
     if not _all_finite(coeffs):
         raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
     # a fresh array, now proven finite
@@ -489,12 +431,19 @@ def reconstruct(
 
 
 def _cg_lift(
-    p: Problem, u: LocalPoly, u_left: np.ndarray, r: int, f_vals: Optional[np.ndarray] = None
+    p: Problem,
+    u: LocalPoly,
+    u_left: np.ndarray,
+    offsets: np.ndarray,
+    V: np.ndarray,
+    lift: np.ndarray,
+    f_vals: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Coefficients (r+2, d) of one cG Picard update at degree r+1 applied
-    to u (degree at most r) on ``basis(r)``'s rule: left value u_left and
-    derivative the degree r projection of f(t, u), or of the node values
-    f_vals when they are given.
+    to u (degree at most r) on the rule of a ``Basis`` of degree r, given
+    by its offsets, Vandermonde V (n, r+1) and lift (r+2, n): left value
+    u_left and derivative the degree r projection of f(t, u), or of the
+    node values f_vals when they are given.
 
     A coefficient is not finite whenever an f value is not, since each
     coefficient of lift @ f involves every node value of f, or when the
@@ -502,11 +451,11 @@ def _cg_lift(
     The caller holds the errstate (over and invalid ignored), so that
     one errstate covers the lift and whatever the caller does with it.
     """
-    iv, b = u.interval, basis(r)
+    iv = u.interval
     k = iv.k
     if f_vals is None:
-        us = np.dot(b.V[:, : u.coeffs.shape[0]], u.coeffs)
-        f_vals = rhs_at(p, _time_map(iv.t_start, k, b.offsets), us)
-    coeffs = k * np.dot(b.lift, f_vals)
+        us = np.dot(V[:, : u.coeffs.shape[0]], u.coeffs)
+        f_vals = rhs_at(p, _time_map(iv.t_start, k, offsets), us)
+    coeffs = k * np.dot(lift, f_vals)
     coeffs[0] += u_left
     return coeffs

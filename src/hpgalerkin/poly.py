@@ -6,10 +6,13 @@ mapped affinely from the reference interval [-1, 1].  The orthogonality
 of the basis gives exact L2 norms (Parseval), cheap projections, and
 stable evaluation at high degree.
 
-``basis(r)`` caches, once per degree r, the Gauss-Legendre rule with
-min(r + 6, 64) points and every matrix the solver evaluates a degree-r
-polynomial with (see ``Basis``), so the rule size is decided here only.
-A step needs its r + 6 points, so step degrees stop at MAX_DEGREE = 58.
+``basis(r)`` caches, once per degree r, two Gauss-Legendre rules and
+every matrix the solver evaluates a degree-r polynomial with (see
+``Basis``), so the rule sizes are decided here only: the Picard step's
+rule of min(r + 2, 64) points (``_STEP_EXTRA_POINTS``) and the rule of
+min(r + 6, 64) points that the estimator's integrals and the
+restriction ``first_half`` use.  The latter must fit in 64 points, so
+step degrees stop at MAX_DEGREE = 58.
 
 The package's numeric primitives live here too, so that each has one
 definition: ``_norms`` gives the Euclidean norm of every point of an
@@ -51,8 +54,10 @@ __all__ = [
 # stays within 0.1% of a 10x denser grid on random degree-8 inputs.
 _LINF_SAMPLES_PER_DEGREE = 24
 
-# Every rule carries 6 points beyond the degree it serves, up to 64 points.
+# The rule of basis(r) carries 6 points beyond the degree it serves, and
+# the Picard step's rule 2, each up to 64 points.
 _EXTRA_POINTS = 6
+_STEP_EXTRA_POINTS = 2
 _MAX_QUAD_POINTS = 64
 MAX_DEGREE = _MAX_QUAD_POINTS - _EXTRA_POINTS
 
@@ -230,11 +235,12 @@ class Basis:
     samples (m,), samples_V (m, r+1): the sup-norm sample points,
     24 (r+2) Chebyshev points plus the two endpoints, and their
     Vandermonde.
-    coarse_offsets (m,), coarse_V (m, r+1), coarse_proj (r+1, m): the
-    same three arrays for the (r+1)-point Gauss rule (m = min(r + 1,
-    64)), the fewest points whose projection still reproduces degree r
-    exactly.  The Picard step sweeps on it first when f is evaluated
-    point by point.
+    step_offsets (s,), step_V (s, r+1), step_proj (r+1, s), step_lift
+    (r+2, s): offsets, V, proj and lift for the Picard step's rule of
+    s = min(r + 2, 64) points, one more than the fewest whose
+    projection reproduces degree r exactly.  The step iterates on it and
+    the reconstruction lifts the step's node values with step_lift; the
+    estimator integrates on its own rules.
     first_half (r+1, r+2): first_half @ c is the degree-r projection of
     the degree r+1 polynomial c restricted to the first half of its
     interval (x -> (x - 1) / 2), rounded once; exact for a c of degree
@@ -249,38 +255,35 @@ class Basis:
     lift: np.ndarray
     samples: np.ndarray
     samples_V: np.ndarray
-    coarse_offsets: np.ndarray
-    coarse_V: np.ndarray
-    coarse_proj: np.ndarray
+    step_offsets: np.ndarray
+    step_V: np.ndarray
+    step_proj: np.ndarray
+    step_lift: np.ndarray
     first_half: np.ndarray
 
 
-def _projection(nodes: np.ndarray, weights: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Vandermonde (n, r+1) of the rule's nodes and its quadrature L2
-    projection (r+1, n) onto degree r."""
+def _rule(n: int, r: int) -> tuple[np.ndarray, ...]:
+    """The n-point Gauss-Legendre rule's nodes, weights and offsets, its
+    Vandermonde (n, r+1), quadrature L2 projection (r+1, n) onto degree
+    r, and lift (r+2, n), the antiderivative of that projection."""
+    nodes, weights = _leg.leggauss(min(n, _MAX_QUAD_POINTS))
     V = _leg.legvander(nodes, r)
-    return V, (np.arange(r + 1) + 0.5)[:, None] * (V.T * weights)
+    proj = (np.arange(r + 1) + 0.5)[:, None] * (V.T * weights)
+    lift = _leg.legint(np.eye(r + 1), m=1, k=[0.0], lbnd=-1.0, scl=0.5, axis=0) @ proj
+    return nodes, weights, nodes + 1.0, V, proj, lift
 
 
 @lru_cache(maxsize=None)
 def basis(r: int) -> Basis:
     """The cached ``Basis`` of degree r >= 0."""
-    nodes, weights = _leg.leggauss(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS))
-    offsets = nodes + 1.0
-    V, proj = _projection(nodes, weights, r)
-    lift = _leg.legint(np.eye(r + 1), m=1, k=[0.0], lbnd=-1.0, scl=0.5, axis=0) @ proj
+    nodes, weights, offsets, V, proj, lift = _rule(r + _EXTRA_POINTS, r)
     m = _LINF_SAMPLES_PER_DEGREE * (r + 2)
     cheb = np.cos(np.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
     samples = np.concatenate(([-1.0], cheb[::-1], [1.0]))
     samples_V = _leg.legvander(samples, r)
-    coarse_nodes, coarse_weights = _leg.leggauss(min(r + 1, _MAX_QUAD_POINTS))
-    coarse_offsets = coarse_nodes + 1.0
-    coarse_V, coarse_proj = _projection(coarse_nodes, coarse_weights, r)
+    step = _rule(r + _STEP_EXTRA_POINTS, r)[2:]  # offsets, V, proj, lift
     first_half = proj @ _leg.legvander(0.5 * (nodes - 1.0), r + 1)
-    arrays = (
-        nodes, weights, offsets, V, proj, lift, samples, samples_V,
-        coarse_offsets, coarse_V, coarse_proj, first_half,
-    )
+    arrays = (nodes, weights, offsets, V, proj, lift, samples, samples_V, *step, first_half)
     for arr in arrays:
         arr.flags.writeable = False
     return Basis(*arrays)

@@ -17,13 +17,19 @@ from hpgalerkin.galerkin import (
     StepOutput,
     picard_operator,
 )
-from hpgalerkin.poly import LocalPoly, basis
+from hpgalerkin.poly import _STEP_EXTRA_POINTS, LocalPoly, basis
 from hpgalerkin.problems import NumericOverflow, Problem, lip_at, rhs_at
 
 
 # Legendre calculus on a LocalPoly, written on numpy's legendre module
 # alone: the references of the oracles below and the fixtures of the
 # test modules, independent of the arrays ``basis(r)`` caches.
+
+
+def step_nodes(r):
+    """The nodes and weights of the Picard step's Gauss-Legendre rule at
+    degree r, min(r + poly._STEP_EXTRA_POINTS, 64) points."""
+    return legendre.leggauss(min(r + _STEP_EXTRA_POINTS, 64))
 
 
 def constant(iv, value, degree=0):
@@ -116,14 +122,19 @@ def brute_force_residual(p, u_hat, n_samples=10_000, n_quad=64):
 
 def _reference_dg_matrix_inverse(r):
     """Inverse of the dG system matrix, entry (j, i) = int P_i' P_j dx
-    + P_i(-1) P_j(-1), assembled by quadrature rather than closed form."""
+    + P_i(-1) P_j(-1), assembled by quadrature rather than closed form.
+    Every entry is an integer (the integral is 0 or 2, the jump term
+    +-1), which the quadrature recovers up to roundoff, so the sums are
+    rounded to it: unrounded, that roundoff (2e-14 at r = 6) puts the
+    inverse 1e-14 off, which the Picard loop amplifies past the
+    roundoff bounds of the tests."""
     nodes, weights = legendre.leggauss(r + 2)
     eye = np.eye(r + 1)
     P = np.stack([legendre.legval(nodes, eye[i]) for i in range(r + 1)])  # (basis, node)
     dP = np.stack([legendre.legval(nodes, legendre.legder(eye[i])) for i in range(r + 1)])
     left = (-1.0) ** np.arange(r + 1)
     M = (weights * P) @ dP.T + np.outer(left, left)
-    return np.linalg.inv(M)
+    return np.linalg.inv(np.rint(M))
 
 
 def reference_step(p, inp, cfg, atol=0.0):
@@ -134,12 +145,13 @@ def reference_step(p, inp, cfg, atol=0.0):
     so does one at which f is not finite (``checked_rhs``).  The
     relative stopping tolerance 1e-12 and the budget of 100 iterations
     are written out here, not read from the program; the iteration also
-    stops at a change of at most ``atol``, as ``step`` does.
+    stops at a change of at most ``atol``, as ``step`` does.  It runs on
+    the step's rule (``step_nodes``).
     Returns (u, picard_iters, converged, failure) with the same meaning
     as StepOutput."""
     r, iv, u_left = inp.r, inp.interval, inp.u_left
     fp_tol, max_iters = 1e-12, 100
-    nodes, weights = legendre.leggauss(min(r + 6, 64))
+    nodes, weights = step_nodes(r)
     ts = iv.from_reference(nodes)
     coeffs = np.zeros((r + 1, u_left.size))
     coeffs[0] = u_left
@@ -170,9 +182,10 @@ def reference_step(p, inp, cfg, atol=0.0):
 
 
 def reference_reconstruct(p, inp, u):
-    """Degree r+1 reconstruction by ``project_values`` + ``antiderivative``."""
+    """Degree r+1 reconstruction by ``project_values`` + ``antiderivative``
+    on the step's rule (``step_nodes``)."""
     iv = inp.interval
-    nodes, weights = legendre.leggauss(min(inp.r + 6, 64))
+    nodes, weights = step_nodes(inp.r)
     f_vals = checked_rhs(p, iv.from_reference(nodes), legendre.legval(nodes, u.coeffs).T)
     return antiderivative(project_values(f_vals, iv, inp.r, nodes, weights), inp.u_left)
 
@@ -250,14 +263,15 @@ def reference_scan_and_bisect(phi_of, delta_max=1e6, scan_points=200, newton_tol
 
 
 def parent_picard(
-    p: Problem, inp: StepInput, c: np.ndarray, cap: float, *, atol: float = 0.0
+    p: Problem, inp: StepInput, c: np.ndarray, cap: float, atol: float = 0.0
 ) -> StepOutput:
     """The Picard loop of ``galerkin.step`` as it was before its
     dispatch-lean rewrite, kept verbatim as the bit-identity oracle of
-    ``galerkin._picard`` (same signature, so it can stand in for it),
-    with three changes: the absolute stop ``atol``, the f values of the
-    converging update in the returned StepOutput, and sum |c| as the
-    only divergence test, reported at the iterate before.
+    ``galerkin._sweep`` (same signature, so it can stand in for it),
+    with four changes: the absolute stop ``atol``, the f values of the
+    converging update in the returned StepOutput, sum |c| as the only
+    divergence test, reported at the iterate before, and the step's
+    rule (``step_nodes``) in place of the rule of ``basis(r)``.
 
     One errstate covers the whole loop.  The bound sum |c_next| that the
     cap test needs reads every overflow as well: each coefficient of
@@ -267,10 +281,10 @@ def parent_picard(
     Only then does the loop look further: a bound above the cap
     diverges, and so does a non-finite iterate.
     """
-    iv, b = inp.interval, basis(inp.r)
+    iv, nodes = inp.interval, step_nodes(inp.r)[0]
     op = picard_operator(inp.r, inp.scheme)
     a, G = op.a, op.G
-    k, ts, V = iv.k, iv.from_reference(b.nodes), b.V
+    k, ts, V = iv.k, iv.from_reference(nodes), legendre.legvander(nodes, inp.r)
     left = np.outer(a, inp.u_left)
     limit = min(cap, _FLOAT_MAX)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -332,13 +346,17 @@ def halved_guess(r, u_hat):
 # LocalPoly.linf_norm, the growth of solve_delta and reconstruction_error.
 
 
-def parent_cg_lift(p, u, u_left, r, f_vals=None):
-    """``galerkin._cg_lift`` with matmul products and its own errstate."""
+def parent_cg_lift(p, u, u_left, r, f_vals=None, *, step=True):
+    """``galerkin._cg_lift`` with matmul products and its own errstate, on
+    the step's rule of degree r (``step_nodes``), as ``reconstruct``
+    lifts, or on the rule of ``basis(r)`` when not ``step``, as
+    ``residual_estimator`` does."""
     iv, b = u.interval, basis(r)
+    nodes, V, lift = (step_nodes(r)[0], b.step_V, b.step_lift) if step else (b.nodes, b.V, b.lift)
     with np.errstate(over="ignore", invalid="ignore"):
         if f_vals is None:
-            f_vals = rhs_at(p, iv.from_reference(b.nodes), b.V[:, : u.coeffs.shape[0]] @ u.coeffs)
-        coeffs = iv.k * (b.lift @ f_vals)
+            f_vals = rhs_at(p, iv.from_reference(nodes), V[:, : u.coeffs.shape[0]] @ u.coeffs)
+        coeffs = iv.k * (lift @ f_vals)
         coeffs[0] += u_left
     return coeffs
 
@@ -400,7 +418,7 @@ def parent_residual(p, u_hat, u_left, extra_degree=4):
     """``estimator.residual_estimator`` on ``parent_cg_lift``, with a
     second errstate for the subtraction and ``parent_linf_norm``."""
     u_left = np.atleast_1d(np.asarray(u_left, dtype=float))
-    res_coeffs = parent_cg_lift(p, u_hat, u_left, u_hat.degree + extra_degree)
+    res_coeffs = parent_cg_lift(p, u_hat, u_left, u_hat.degree + extra_degree, step=False)
     with np.errstate(over="ignore"):
         res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
     if not np.isfinite(res_coeffs).all():

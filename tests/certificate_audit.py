@@ -1,0 +1,251 @@
+#!/usr/bin/env python3
+"""An audit of the certificates of the benchmark runs, without exact
+solutions.
+
+Usage (from the root of a checkout):
+
+    python3 tests/certificate_audit.py [--seed N] [--workload W] [--against REV]
+
+Runs each operation of the ``bench/run.py`` workloads (all three, or
+``--workload W``) once, in the order the seed draws (default 1), through
+the benchmark's own ``load_program``, ``build_inputs`` and ``solve``,
+and recomputes, for every accepted interval, three ingredients of its
+certificate with numerics of its own:
+
+* the residual R(t) = int_{t_start}^{t} f(s, uhat) ds - (uhat(t) -
+  uhat(t_start)) of the reconstruction uhat, with the integral by the
+  8-point Gauss-Legendre rule on each of 1000 equal panels and R taken
+  at the 1001 panel ends; its largest Euclidean norm, the dense
+  residual sup, is compared with the interval's ``eta_res``, and a
+  ratio dense / eta_res above 1.001 is an under-report;
+* the continuity of the reconstruction: each interval starts where the
+  one before ends (t_start equals the last t_end), and the left value
+  the step was given equals the last reconstruction's end value, its
+  coefficient sum (P_i(1) = 1), bit for bit; the first interval starts
+  at t = 0 from the problem's u0.  The left values are read by
+  wrapping the drivers' ``step``;
+* the recursion psi_M = delta_(M-1) psi_(M-1) + eta_M, with psi_1 =
+  eta_1, as floats, bit for bit.
+
+It prints per workload the number of intervals, the count of the
+residual under-reports, the largest ratio dense / eta_res with its
+interval, named ``ladder@tol#index`` (index from 0), and the number of
+continuity and recursion breaks; ``--json`` prints the findings as one
+JSON object instead.  The residual evaluates f at 8000 points per
+interval; a problem without ``f_batch`` (``custom-scalar``) takes one
+call per point, about a minute per side.  ``--root DIR`` audits the
+checkout at DIR instead of this one.
+
+``--against REV`` extracts the committed tree of the git revision REV
+(``report_digest.extract_tree``) into a temporary directory, runs this
+script on it (``--root``, so REV need not have the script), and prints
+both sides.  The script exits 1 when it finds a continuity or recursion
+break, or, with ``--against``, when a workload's count or worst
+residual under-report is above REV's; 2 when git or REV's run fails.
+It writes only the temporary directory: no ref, index or working-tree
+file changes.
+
+The file name does not match ``test_*.py``, so pytest does not collect it.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+from report_digest import ROOT, extract_tree, load_bench
+
+PANELS = 1000
+PANEL_POINTS = 8
+# a dense residual sup above this share of eta_res is an under-report
+UNDER_REPORT = 1.001
+WORKLOADS = ("hp-sweep", "h-sweep", "custom-scalar")
+
+
+class Panels:
+    """Reference points of the dense residual: the Gauss-Legendre nodes
+    of every panel of [-1, 1], their weights (each panel maps [-1, 1]
+    onto a length 2 / PANELS), and the panel ends; with their Legendre
+    Vandermonde matrices per degree, built once."""
+
+    def __init__(self, np):
+        # numpy is imported once the benchmark has pinned its threads
+        from numpy.polynomial import legendre
+
+        self.np, self.legendre = np, legendre
+        g, w = legendre.leggauss(PANEL_POINTS)
+        self.ends = np.linspace(-1.0, 1.0, PANELS + 1)
+        half = 0.5 * (self.ends[1:] - self.ends[:-1])
+        mid = 0.5 * (self.ends[1:] + self.ends[:-1])
+        self.nodes = (mid[:, None] + half[:, None] * g[None, :]).ravel()
+        self.weights = half[:, None] * w[None, :]  # (PANELS, PANEL_POINTS)
+        self._vander = {}
+
+    def vander(self, degree):
+        if degree not in self._vander:
+            lv = self.legendre.legvander
+            self._vander[degree] = (lv(self.nodes, degree), lv(self.ends, degree))
+        return self._vander[degree]
+
+    def residual_sup(self, rhs_at, p, u_hat):
+        """The largest norm of R at the panel ends of u_hat's interval."""
+        np = self.np
+        iv, coeffs = u_hat.interval, u_hat.coeffs
+        at_nodes, at_ends = self.vander(coeffs.shape[0] - 1)
+        k = iv.t_end - iv.t_start
+        ts = iv.t_start + 0.5 * k * (self.nodes + 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = rhs_at(p, ts, at_nodes @ coeffs).reshape(PANELS, PANEL_POINTS, -1)
+            panel = 0.5 * k * np.einsum("pq,pqd->pd", self.weights, f)
+            values = at_ends @ coeffs
+            res = np.cumsum(panel, axis=0) - (values[1:] - values[0])
+            sup = float(np.sqrt((res * res).sum(axis=1)).max())
+        return sup if np.isfinite(sup) else float("inf")
+
+
+def audit_run(panels, rhs_at, problem, result, u_lefts, name):
+    """The findings of one run: (ratio, interval name) per interval, and
+    the continuity and recursion breaks, as interval names."""
+    ratios, continuity, recursion = [], [], []
+    prev = None
+    for i, (rec, u_left) in enumerate(zip(result.intervals, u_lefts)):
+        label = f"{name}#{i}"
+        est = rec.estimate
+        dense = panels.residual_sup(rhs_at, problem, rec.reconstruction)
+        ratio = dense / est.eta_res if est.eta_res > 0 else (1.0 if dense == 0 else float("inf"))
+        ratios.append((ratio, label))
+        if prev is None:
+            starts = rec.interval.t_start == 0.0 and u_left.tobytes() == problem.u0.tobytes()
+            psi = est.eta_res
+        else:
+            end = prev.reconstruction.coeffs.sum(axis=0)
+            starts = (
+                rec.interval.t_start == prev.interval.t_end and u_left.tobytes() == end.tobytes()
+            )
+            psi = prev.estimate.delta * prev.estimate.psi + est.eta_res
+        if not starts:
+            continuity.append(label)
+        if est.psi != psi:
+            recursion.append(label)
+        prev = rec
+    return ratios, continuity, recursion
+
+
+def audit(seed, workloads, root=ROOT):
+    """Per workload: intervals, under-reports (ratio, name) sorted worst
+    first, continuity and recursion breaks."""
+    bench = load_bench(root)
+    adapt = sys.modules["hpgalerkin.adapt"]
+    problems = sys.modules["hpgalerkin.problems"]
+    panels = Panels(bench.np)
+    # the left value of every step of a run, by its output, which the
+    # entry keeps alive, so that no two outputs share an id
+    steps = {}
+    inner = adapt.step
+
+    def spy(p, inp, *args, **kwargs):
+        out = inner(p, inp, *args, **kwargs)
+        steps[id(out)] = (out, inp.u_left)
+        return out
+
+    adapt.step = spy
+    summary = {}
+    for workload in workloads:
+        _, ops = bench.build_inputs(workload, seed)
+        intervals, top, under, continuity, recursion = 0, (0.0, "-"), [], [], []
+        for ladder, tol in ops:
+            steps.clear()
+            result = bench.solve(ladder, tol)
+            u_lefts = [steps[id(rec.output)][1] for rec in result.intervals]
+            found = audit_run(
+                panels, problems.rhs_at, ladder.problem, result, u_lefts,
+                f"{ladder.name}@{tol:.3g}",
+            )
+            intervals += len(result.intervals)
+            top = max([top] + found[0])
+            under += [(ratio, label) for ratio, label in found[0] if ratio > UNDER_REPORT]
+            continuity += found[1]
+            recursion += found[2]
+        under.sort(reverse=True)
+        summary[workload] = {
+            "intervals": intervals,
+            "top": top,
+            "under": under,
+            "continuity": continuity,
+            "recursion": recursion,
+        }
+    adapt.step = inner
+    return summary
+
+
+def describe(entry):
+    ratio, label = entry["top"]
+    return (
+        f"intervals={entry['intervals']} under-reports above {UNDER_REPORT}: "
+        f"{len(entry['under'])}, largest dense/eta_res {ratio:.6g} ({label}); "
+        f"continuity breaks {len(entry['continuity'])}, "
+        f"recursion breaks {len(entry['recursion'])}"
+    )
+
+
+def breaks(entry):
+    return bool(entry["continuity"] or entry["recursion"])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1, help="the benchmark seed (default 1)")
+    parser.add_argument(
+        "--workload", action="append", choices=WORKLOADS,
+        help="a benchmark workload to audit (repeatable; default all)",
+    )
+    parser.add_argument(
+        "--against", metavar="REV", help="audit the committed tree of git revision REV too"
+    )
+    parser.add_argument(
+        "--root", metavar="DIR", default=ROOT, help="the checkout whose benchmark to run"
+    )
+    parser.add_argument("--json", action="store_true", help="print the findings as JSON")
+    args = parser.parse_args(argv)
+    workloads = args.workload or list(WORKLOADS)
+
+    theirs = None
+    if args.against is not None:
+        with tempfile.TemporaryDirectory(prefix="certificate-audit-") as tmp:
+            if not extract_tree(args.against, tmp):
+                return 2
+            cmd = [sys.executable, os.path.abspath(__file__), "--json", "--root", tmp,
+                   "--seed", str(args.seed)]
+            for workload in workloads:
+                cmd += ["--workload", workload]
+            proc = subprocess.run(cmd, capture_output=True, text=True, check=False)
+        if proc.returncode not in (0, 1):
+            print(f"error: the audit of {args.against} failed:\n{proc.stderr}", file=sys.stderr)
+            return 2
+        theirs = json.loads(proc.stdout)
+
+    mine = audit(args.seed, workloads, os.path.abspath(args.root))
+    if args.json:
+        print(json.dumps(mine))
+        return int(any(map(breaks, mine.values())))
+    status = 0
+    for workload, entry in mine.items():
+        status |= breaks(entry)
+        print(f"{workload} seed={args.seed}")
+        if theirs is not None:
+            other = theirs[workload]
+            print(f"  {args.against}: {describe(other)}")
+            worse = len(entry["under"]) > len(other["under"]) or (
+                entry["under"] and entry["top"][0] > other["top"][0]
+            )
+            status |= bool(worse)
+        print(f"  here: {describe(entry)}")
+        for label in (entry["continuity"] + entry["recursion"])[:5]:
+            print(f"  break at {label}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

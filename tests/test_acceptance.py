@@ -246,12 +246,12 @@ def test_criterion_7_effectivity_magnitude(hp_sweeps):
 def test_criterion_8_property_suites(rng):
     failures = []
 
-    # quadrature exactness of both rules of the basis: the full rule and
-    # the coarse one, its nodes read from their offsets and its weights
-    # from row 0 of its projection, w_q / 2
+    # quadrature exactness of both rules of the basis: its own rule and
+    # the Picard step's, the latter's nodes read from their offsets and
+    # its weights from row 0 of its projection, w_q / 2
     for r in range(20):
         b = basis(r)
-        for x, w in ((b.nodes, b.weights), (b.coarse_offsets - 1.0, 2.0 * b.coarse_proj[0])):
+        for x, w in ((b.nodes, b.weights), (b.step_offsets - 1.0, 2.0 * b.step_proj[0])):
             n = x.size
             for m in range(2 * n):
                 exact = 0.0 if m % 2 else 2.0 / (m + 1)
@@ -267,7 +267,7 @@ def test_criterion_8_property_suites(rng):
         iv = Interval(0.0, float(10.0 ** rng.uniform(-3, 0.5)))
         p = LocalPoly(iv, rng.standard_normal((r + 1, d)))
         b = basis(r)
-        for x, proj in ((b.nodes, b.proj), (b.coarse_offsets - 1.0, b.coarse_proj)):
+        for x, proj in ((b.nodes, b.proj), (b.step_offsets - 1.0, b.step_proj)):
             q = proj @ p(iv.from_reference(x)).T
             if not np.allclose(q, p.coeffs, atol=1e-12, rtol=1e-12):
                 failures.append("projection idempotence")

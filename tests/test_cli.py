@@ -115,7 +115,7 @@ class TestRunVerb:
         cfg, out = write_json(tmp_path / "long.json", config), tmp_path / "r.json"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 3
         report = json.loads(out.read_text())
-        assert (report["termination"], report["M"]) == ("k_min_reached", 206)
+        assert (report["termination"], report["M"]) == ("k_min_reached", 205)
         assert 1840.0 < report["T"] < 1841.0
 
     def test_report_reproducible_byte_for_byte(self, tmp_path):
@@ -474,6 +474,7 @@ class TestConfigErrors:
         assert err.startswith(f"error: cannot write output file {target}") and err.count("\n") == 1
 
     def test_degree_cap_is_inclusive(self, tmp_path):
-        # 58 is the largest degree whose r + 6 point rule exists
+        # 58 is the largest degree whose basis(r) rule of r + 6 points,
+        # which first_half and the growth integral use, fits in 64 points
         cfg = write_json(tmp_path / "r58.json", {**RUN_CONFIG, "r": 58, "max_intervals": 1})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0

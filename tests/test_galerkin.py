@@ -24,7 +24,7 @@ from hpgalerkin.galerkin import (
     reconstruct,
     step,
 )
-from hpgalerkin.poly import Interval, LocalPoly, basis
+from hpgalerkin.poly import _STEP_EXTRA_POINTS, Interval, LocalPoly, basis
 from hpgalerkin.problems import (
     NumericOverflow,
     Problem,
@@ -216,11 +216,7 @@ class TestOverflow:
         inp = StepInput(Interval(0.0, 1e-300), r, np.array([705.0]), scheme)
         out, ref = step(p, inp), reference_step(p, inp, PicardConfig())
         assert ref[1:] == (2, False, StepFailure.DIVERGED)
-        # the coarse sweep of a point-by-point f meets the overflow at its
-        # second update too, and the full rule then runs from the start:
-        # its 2 updates count in picard_iters
-        assert out.picard_iters == 2 + ref[1]
-        assert_same_step(dataclasses.replace(out, picard_iters=ref[1]), ref, 1e-13)
+        assert_same_step(out, ref, 1e-13)
 
     @pytest.mark.parametrize("scheme,r", OVERFLOW_SCHEMES)
     @pytest.mark.parametrize("cap", [1e308, np.inf])
@@ -288,7 +284,8 @@ class TestReconstruction:
         iv = Interval(0.0, 0.1)
         out = step(p, StepInput(iv, r, np.array([1.0]), Scheme.DG))
         assert out.converged
-        nodes, weights = legendre.leggauss(r + 6)
+        # the weak form of the step's own rule
+        nodes, weights = legendre.leggauss(r + _STEP_EXTRA_POINTS)
         du_vals = legendre.legval(nodes, derivative(out.u).coeffs)[0]
         f_vals = rhs_at(p, iv.from_reference(nodes), legendre.legval(nodes, out.u.coeffs).T)[:, 0]
         jump = out.u(iv.t_start)[0] - 1.0
@@ -370,11 +367,10 @@ SCHEME_DEGREES = [(Scheme.CG, r) for r in range(1, 9)] + [(Scheme.DG, r) for r i
 
 
 def sweep_iterates(monkeypatch, p, inp):
-    """The iterates of the full-rule sweep of ``step`` from u_left under
-    no cap, read one by one by cutting its budget at 1, 2, ... updates:
-    the program's own arrays, bit for bit (p has ``f_batch``, so the step
-    runs that one sweep)."""
-    assert p.f_batch is not None
+    """The iterates of the sweep of ``step`` from u_left under no cap,
+    read one by one by cutting its budget at 1, 2, ... updates: the
+    program's own arrays, bit for bit (from u_left the step runs that one
+    sweep)."""
     cfg, iterates = PicardConfig(divergence_cap=math.inf), []
     with monkeypatch.context() as m:
         for n in range(1, MAX_ITERS + 1):
@@ -512,6 +508,8 @@ class TestWarmStart:
         # projection of node values onto the next interval (x -> x + 2)
         # and applies the update matrix G
         b = basis(r)
+        # the step's nodes, continued onto the next interval
+        shifted = b.step_offsets + 1.0
         x = np.linspace(-1.0, 1.0, 101)
         # sup of |P_j| over the continued points: P_j(3) on [1, 3]
         shifted_size = np.abs(legendre.legvander(np.array([3.0]), r)[0])
@@ -530,13 +528,13 @@ class TestWarmStart:
             c = c[: r + 1]
             for scheme in schemes:
                 op = picard_operator(r, scheme)
-                got = op.predict @ (b.V @ c)
-                want = op.G @ legendre.legval(b.nodes + 2.0, c).T
+                got = op.predict @ (b.step_V @ c)
+                want = op.G @ legendre.legval(shifted, c).T
                 scale = np.abs(op.G).sum(axis=1).max() * (shifted_size @ np.abs(c)).max()
                 assert np.abs(got - want).max() <= 1e-12 * scale
         ops = [picard_operator(r, scheme) for scheme in schemes]
         assert not b.first_half.flags.writeable
-        assert not any(op.predict.flags.writeable or op.coarse_G.flags.writeable for op in ops)
+        assert not any(op.predict.flags.writeable or op.G.flags.writeable for op in ops)
 
 
 def same_bits(out, ref):
@@ -555,14 +553,14 @@ def same_bits(out, ref):
 
 
 def parent_step(monkeypatch, p, inp, cfg, guess=None):
-    """``step`` with ``_oracles.parent_picard`` in place of ``_picard``."""
+    """``step`` with ``_oracles.parent_picard`` in place of ``_sweep``."""
     with monkeypatch.context() as m:
-        m.setattr(galerkin, "_picard", parent_picard)
+        m.setattr(galerkin, "_sweep", parent_picard)
         return step(p, inp, cfg, guess=guess)
 
 
 class TestKernelBitIdentity:
-    """``_picard`` against the loop it replaced (``_oracles.parent_picard``,
+    """``_sweep`` against the loop it replaced (``_oracles.parent_picard``,
     the same arithmetic with more numpy calls), standing in for it
     inside ``step``: bit for bit the same result, cold and from the
     exact shift and halve re-expansions (``_oracles.exact_reexpansions``)
@@ -864,7 +862,7 @@ class TestTrustedWrap:
         # guess itself, and the step falls back to the constant start
         for guess in (fixed_point, np.full((r + 1, 1), 1e200)):
             kept = guess.copy()
-            outs = [step(p, inp, guess=guess), galerkin._picard(p, inp, guess, np.inf)]
+            outs = [step(p, inp, guess=guess), galerkin._sweep(p, inp, guess, np.inf, 0.0)]
             assert outs[1].converged is (guess is fixed_point)
             for out in outs:
                 assert not np.shares_memory(out.u.coeffs, guess)
@@ -894,70 +892,54 @@ class TestTrustedWrap:
         assert outcomes == [None, StepFailure.DIVERGED, StepFailure.DIVERGED, StepFailure.MAX_ITERS]
 
 
-class TestCoarseSweep:
-    """Without ``f_batch`` a step sweeps on the (r+1)-point rule first
-    and finishes on the full rule, which alone decides existence, in at
-    most three sweeps; the drivers' prediction for the next interval is
-    its Picard update."""
+class TestSweeps:
+    """A step runs at most two Picard sweeps, both on the step's rule,
+    and gives the same bits for a scalar f as for an ``f_batch``; the
+    drivers' prediction for the next interval is its Picard update."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(
-        case=st.sampled_from(SCHEME_DEGREES),
-        dim=st.sampled_from([1, 2, 3]),
-        # from strongly contractive to past the existence limit near 1
-        k_u=st.floats(0.005, 1.5),
-        size=st.floats(0.1, 20.0),
-        atol=st.one_of(st.just(0.0), st.floats(-12.0, -1.0).map(lambda e: 10.0**e)),
-        guess=st.sampled_from(["none", "before", "noisy"]),
-    )
-    def test_decides_as_the_full_rule(self, case, dim, k_u, size, atol, guess):
-        scheme, r = case
-        p = dataclasses.replace(norm_square(dim), f_batch=None)
-        direction = np.linspace(0.71, -1.19, dim) if dim > 1 else np.array([0.71])
-        u_left = size * direction / np.linalg.norm(direction)
-        k = k_u / size
-        inp = StepInput(Interval(0.1, 0.1 + k), r, u_left, scheme)
-        start = np.zeros((r + 1, dim))
-        start[0] = u_left
-        if guess == "before":
-            # a start from the step before, continued onto this interval
-            before = step(p, StepInput(Interval(0.1 - k, 0.1), r, u_left, scheme))
-            with np.errstate(over="ignore", invalid="ignore"):
-                start = exact_reexpansions(r)[0] @ before.u.coeffs
-            if not np.isfinite(start).all():
-                return
-        elif guess == "noisy":
-            start = start + 0.1 * size * np.sin(np.arange(start.size)).reshape(start.shape)
-        cfg = PicardConfig()
-        out = step(p, inp, cfg, guess=start, atol=atol)
-        c0 = np.zeros((r + 1, dim))
-        c0[0] = u_left
-        ref = parent_picard(p, inp, c0, cfg.divergence_cap, atol=atol)
-        # never fails where the full rule converges from the constant
-        assert out.converged or not ref.converged
-        if not out.converged:
-            # the failure is that of the full rule run from the constant,
-            # after the sweeps from the start
-            assert out.failure == ref.failure
-            assert out.u.coeffs.tobytes() == ref.u.coeffs.tobytes()
-            assert out.picard_iters > ref.picard_iters
-            return
-        # the full rule's node values, which the lift integrates as the
-        # last update did: the lift ends where U does
-        assert out.f_vals.shape == (basis(r).nodes.size, dim)
-        end = out.u.coeffs.sum(axis=0)
-        lifted = reconstruct(p, inp, out.u, out.f_vals).coeffs.sum(axis=0)
-        assert np.abs(lifted - end).max() <= 4e-15 * max(1.0, np.abs(out.u.coeffs).sum())
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG], ids=lambda v: v.value)
+    def test_scalar_f_gives_the_bits_of_f_batch(self, scheme):
+        # power2 given as a scalar f only, and with its f_batch, which
+        # computes the same values: the same step, f values and
+        # reconstruction, byte for byte, from seeded draws of the degree,
+        # the step length, the left value, the guess and the stop
+        batch = make_power_square(1.0)
+        scalar = dataclasses.replace(batch, f_batch=None)
+        rng = np.random.default_rng(26 + (scheme is Scheme.DG))
+        outcomes = set()
+        for _ in range(40):
+            r = int(rng.integers(scheme is Scheme.CG, 9))
+            u_left = np.array([rng.uniform(0.2, 20.0)])
+            # k u_left from strongly contractive to past the existence
+            # limit near 1
+            k = float(rng.uniform(0.005, 1.5)) / u_left[0]
+            t0 = float(rng.uniform(-1.0, 1.0))
+            inp = StepInput(Interval(t0, t0 + k), r, u_left, scheme)
+            c0 = np.zeros((r + 1, 1))
+            c0[0] = u_left
+            noise = 0.3 * u_left * np.sin(np.arange(1, r + 2))[:, None]
+            guess = (None, c0 + noise, np.full_like(c0, 1e200))[int(rng.integers(3))]
+            atol = (0.0, 1e-9, 1e-4)[int(rng.integers(3))]
+            out = step(scalar, inp, guess=guess, atol=atol)
+            ref = step(batch, inp, guess=guess, atol=atol)
+            same_bits(out, ref)
+            if out.converged:
+                for f_vals in (out.f_vals, None):
+                    got = reconstruct(scalar, inp, out.u, f_vals).coeffs
+                    want = reconstruct(batch, inp, ref.u, f_vals).coeffs
+                    assert got.tobytes() == want.tobytes()
+            outcomes.add(out.failure)
+        assert None in outcomes and len(outcomes) >= 2
 
-    def test_at_most_three_sweeps_counted_once(self):
-        # every sweep a step runs, spied on ``_sweep``: its rule, start and
-        # updates; the order is coarse, full from the hand-over or the
-        # start, and full from the constant only after a failure
+    def test_at_most_two_sweeps_counted_once(self):
+        # every sweep a step runs, spied on ``_sweep``: its start and
+        # updates; one from the start, and one from the constant only
+        # after a failure from elsewhere
         real, sweeps, seen = galerkin._sweep, [], set()
 
-        def spy(p, inp, c, cap, atol, *, coarse=False):
-            out = real(p, inp, c, cap, atol, coarse=coarse)
-            sweeps.append((coarse, c.tobytes(), out))
+        def spy(p, inp, c, cap, atol):
+            out = real(p, inp, c, cap, atol)
+            sweeps.append((c.tobytes(), out))
             return out
 
         cases = itertools.product(
@@ -980,33 +962,23 @@ class TestCoarseSweep:
                 m.setattr(galerkin, "_sweep", spy)
                 out = step(p, inp, guess=None if guess == "none" else start)
             start = c0 if guess == "nan" else start
-            rules = [coarse for coarse, _, _ in sweeps]
-            allowed = ([False], [False, False]) if batch else ([True, False], [True, False, False])
-            assert rules in allowed
-            first = 1 - batch
-            if not batch:
-                assert sweeps[0][1] == start.tobytes()
-            handed = not batch and sweeps[0][2].converged
-            assert sweeps[first][1] == (sweeps[0][2].u.coeffs if handed else start).tobytes()
-            if len(sweeps) > first + 1:
-                # a failed full sweep from the constant is not run again
-                assert not sweeps[first][2].converged and (handed or guess in ("noisy", "wild"))
-                assert sweeps[-1][1] == c0.tobytes()
-            last = sweeps[-1][2]
+            assert len(sweeps) in (1, 2)
+            assert sweeps[0][0] == start.tobytes()
+            if len(sweeps) == 2:
+                # a failed sweep from the constant is not run again
+                assert not sweeps[0][1].converged and guess in ("noisy", "wild")
+                assert sweeps[1][0] == c0.tobytes()
+            last = sweeps[-1][1]
             assert (out.converged, out.failure) == (last.converged, last.failure)
             assert out.u.coeffs.tobytes() == last.u.coeffs.tobytes()
-            assert out.picard_iters == sum(s[2].picard_iters for s in sweeps)
+            assert out.picard_iters == sum(s[1].picard_iters for s in sweeps)
             if len(sweeps) == 1:
                 assert out is last
-            seen.add((batch, len(sweeps), handed, out.converged))
-        # every sequence: one sweep, the constant after a failed guess, and
-        # without f_batch a hand-over that converges or fails, and a
-        # failed coarse sweep followed by one or two full ones
-        assert seen >= {
-            (True, 1, False, True), (True, 2, False, True), (True, 2, False, False),
-            (False, 2, True, True), (False, 3, True, False), (False, 2, False, True),
-            (False, 2, False, False), (False, 3, False, True), (False, 3, False, False),
-        }
+            seen.add((batch, len(sweeps), out.converged))
+        # every sequence, with and without f_batch: one sweep that
+        # converges or fails, and the constant after a failed guess,
+        # converging or failing
+        assert seen == set(itertools.product((False, True), (1, 2), (False, True)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1107,7 +1079,7 @@ class TestAbsoluteStop:
         inp = StepInput(Interval(0.1, 0.1 + 0.2 / np.linalg.norm(u_left)), r, u_left, scheme)
         out = step(base, inp, atol=atol)
         assert out.converged and out.picard_iters > 1
-        assert out.f_vals.shape == (basis(r).nodes.size, 2)
+        assert out.f_vals.shape == (basis(r).step_offsets.size, 2)
         with monkeypatch.context() as m:
             m.setattr(galerkin, "MAX_ITERS", out.picard_iters - 1)
             before = step(base, inp, atol=atol)

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre
 
-from hpgalerkin.poly import Interval, LocalPoly, _norms, _sup_norm, _time_map, basis
+from hpgalerkin.poly import (
+    _STEP_EXTRA_POINTS,
+    Interval,
+    LocalPoly,
+    _norms,
+    _sup_norm,
+    _time_map,
+    basis,
+)
 
 from _oracles import (
     antiderivative,
@@ -27,19 +35,19 @@ def test_interval_validation():
     assert Interval(0.25, 0.75).k == 0.5
 
 
-def coarse_rule(r):
-    """The (r+1)-point rule of basis(r), read back from its arrays: the
+def step_rule(r):
+    """The Picard step's rule of basis(r), read back from its arrays: the
     nodes from the offsets nodes + 1, the weights from row 0 of the
     projection, (0 + 1/2) w_q P_0 = w_q / 2."""
     b = basis(r)
-    return b.coarse_offsets - 1.0, 2.0 * b.coarse_proj[0]
+    return b.step_offsets - 1.0, 2.0 * b.step_proj[0]
 
 
 def rules(n):
-    """Every rule of the cached bases with n points: the coarse rule of
-    basis(n - 1), and for n >= 6 the full rule of basis(n - 6) (of every
-    degree from 58 on at n = 64)."""
-    found = [coarse_rule(n - 1)]
+    """Every rule of the cached bases with n points: the step's rule of
+    basis(n - _STEP_EXTRA_POINTS), and for n >= 6 the rule of basis(n - 6)
+    (of every degree from 58 on at n = 64)."""
+    found = [step_rule(n - _STEP_EXTRA_POINTS)]
     if n >= 6:
         found.append((basis(n - 6).nodes, basis(n - 6).weights))
     return found
@@ -48,23 +56,24 @@ def rules(n):
 class TestGaussLegendre:
     """The Gauss-Legendre rules that basis(r) integrates and projects on."""
 
-    def test_one_point(self):
-        nodes, weights = coarse_rule(0)
-        np.testing.assert_allclose(nodes, [0.0], atol=1e-15)
-        np.testing.assert_allclose(weights, [2.0])
-
     def test_two_point(self):
-        nodes, weights = coarse_rule(1)
+        nodes, weights = step_rule(2 - _STEP_EXTRA_POINTS)
         np.testing.assert_allclose(nodes, [-1 / np.sqrt(3), 1 / np.sqrt(3)], rtol=1e-14)
         np.testing.assert_allclose(weights, [1.0, 1.0], rtol=1e-14)
 
+    def test_three_point(self):
+        # the rule of the degree-1 steps every benchmark ladder starts with
+        nodes, weights = step_rule(3 - _STEP_EXTRA_POINTS)
+        np.testing.assert_allclose(nodes, [-np.sqrt(0.6), 0.0, np.sqrt(0.6)], rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(weights, [5 / 9, 8 / 9, 5 / 9], rtol=1e-14)
+
     def test_five_point_on_x8(self):
         # oracle: exact antiderivative x^9/9 over [-1, 1] gives 2/9
-        nodes, weights = coarse_rule(4)
+        nodes, weights = step_rule(5 - _STEP_EXTRA_POINTS)
         approx = float(np.dot(weights, nodes**8))
         assert abs(approx - 2.0 / 9.0) < 1e-12
 
-    @pytest.mark.parametrize("n", range(1, 21))
+    @pytest.mark.parametrize("n", range(_STEP_EXTRA_POINTS, 21))
     def test_exactness_up_to_2n_minus_1(self, n):
         for nodes, weights in rules(n):
             for m in range(2 * n):
@@ -73,7 +82,7 @@ class TestGaussLegendre:
                 assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
 
     def test_weight_sum_and_node_order(self):
-        for n in (1, 2, 7, 33, 64):
+        for n in (2, 7, 33, 64):
             for nodes, weights in rules(n):
                 assert abs(weights.sum() - 2.0) < 1e-13
                 assert np.all(np.diff(nodes) > 0)
@@ -171,7 +180,7 @@ class TestCalculus:
 
 
 class TestProjection:
-    """basis(r).proj and .coarse_proj, the quadrature L2 projections."""
+    """basis(r).proj and .step_proj, the quadrature L2 projections."""
 
     def test_constant(self):
         iv = Interval(2.0, 3.0)
@@ -198,7 +207,7 @@ class TestProjection:
             iv = Interval(rng.uniform(-2, 2), rng.uniform(2.5, 4))
             p = LocalPoly(iv, rng.standard_normal((r + 1, d)))
             b = basis(r)
-            for offsets, proj in ((b.offsets, b.proj), (b.coarse_offsets, b.coarse_proj)):
+            for offsets, proj in ((b.offsets, b.proj), (b.step_offsets, b.step_proj)):
                 q = proj @ p(_time_map(iv.t_start, iv.k, offsets)).T
                 np.testing.assert_allclose(q, p.coeffs, atol=1e-12, rtol=1e-12)
 
@@ -366,14 +375,21 @@ def test_basis(r, rng):
     want[: q + 2] = antiderivative(oracle, np.zeros(2)).coeffs
     assert np.abs(2.0 * (b.lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
     assert b.offsets.tobytes() == (b.nodes + 1.0).tobytes()
-    # the coarse rule has r + 1 points and reproduces degree r as well
-    coarse_nodes = legendre.leggauss(min(r + 1, 64))[0]
-    assert b.coarse_offsets.tobytes() == (coarse_nodes + 1.0).tobytes()
-    assert b.coarse_V.tobytes() == legendre.legvander(coarse_nodes, r).tobytes()
-    assert np.abs(b.coarse_proj @ (b.coarse_V @ c) - c).max() <= 1e-13 * np.abs(c).sum(axis=0).max()
+    # the step's rule has r + 2 points and reproduces degree r as well
+    s = min(r + _STEP_EXTRA_POINTS, 64)
+    step_nodes, step_weights = legendre.leggauss(s)
+    assert b.step_offsets.shape == (s,)
+    assert b.step_offsets.tobytes() == (step_nodes + 1.0).tobytes()
+    assert b.step_V.tobytes() == legendre.legvander(step_nodes, r).tobytes()
+    assert np.abs(b.step_proj @ (b.step_V @ c) - c).max() <= 1e-13 * np.abs(c).sum(axis=0).max()
+    f = rng.standard_normal((s, 2))
+    oracle = project_values(f, Interval(-1.0, 1.0), q, step_nodes, step_weights)
+    want = np.zeros((r + 2, 2))
+    want[: q + 2] = antiderivative(oracle, np.zeros(2)).coeffs
+    assert np.abs(2.0 * (b.step_lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
     names = (
         "nodes", "weights", "offsets", "V", "proj", "lift", "samples", "samples_V",
-        "coarse_offsets", "coarse_V", "coarse_proj", "first_half",
+        "step_offsets", "step_V", "step_proj", "step_lift", "first_half",
     )
     for name in names:
         assert not getattr(b, name).flags.writeable, name
