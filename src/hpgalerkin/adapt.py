@@ -19,8 +19,9 @@ every decision on k and r:
     5. scale the tolerance by delta (early intervals must be resolved
        more accurately than later ones, since their estimator
        contribution is amplified by every subsequent delta), carry the
-       accepted step length, degree and solution forward (its f values
-       predict the next interval's first Picard iterate), and advance.
+       accepted step length, degree and solution forward (the f values
+       its residual integrated predict the next interval's first Picard
+       iterate), and advance.
 
 The march ends when no growth factor exists below the scan ceiling --
 the blow-up signal, with the final uncertified candidate discarded --
@@ -49,6 +50,7 @@ import numpy as np
 from .estimator import (
     DeltaNotFound,
     StepEstimate,
+    _residual_f_vals,
     psi_update,
     reconstruction_error,
     residual_estimator,
@@ -275,13 +277,16 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     interval starts, is the reconstruction's end value, so the global
     reconstruction has no jump for psi to miss.
 
-    The guess seeds the Picard iteration of an attempt.  An interval's
-    first attempt starts from its Picard update computed from the f
-    values of the step accepted before it, continued onto it
+    The residual's f values are evaluated here, once per candidate
+    (``estimator._residual_f_vals``), and passed to
+    ``residual_estimator``.  The guess seeds the Picard iteration of an
+    attempt.  An interval's first attempt starts from its Picard update
+    computed from those f values of the reconstruction accepted before
+    it, projected to degree r + 2 and continued onto it
     (``SchemeOperator.predict``): a u_end^T + k predict @ f_vals, with
     no f evaluated.  After a predicted halving that guess is restricted
-    to the first half of the interval (``Basis.first_half`` on the guess
-    padded by a zero row, exact for its degree r).  After an accuracy
+    to the first half of the interval (the first r + 1 columns of
+    ``Basis.first_half``, exact for its degree r).  After an accuracy
     refinement the next attempt starts from the rejected candidate's
     reconstruction, the best polynomial the loop holds: restricted to
     the first half of its interval and projected to degree r after a
@@ -308,7 +313,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             if not attempts and _predicts_rejection(cfg, records, tol):
                 k *= 0.5
                 decisions.append("halve_k_predicted")
-                guess = np.dot(basis(r).first_half, np.vstack((guess, np.zeros_like(guess[:1]))))
+                guess = np.dot(basis(r).first_half[:, : r + 1], guess)
             if k < cfg.k_min or not t + k > t:
                 termination = Termination.K_MIN_REACHED
                 break
@@ -322,7 +327,8 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 continue
             try:
                 u_hat = reconstruct(p, inp, out.u, out.f_vals)
-                eta = residual_estimator(p, u_hat, inp.u_left)
+                f_res = _residual_f_vals(p, u_hat)
+                eta = residual_estimator(p, u_hat, inp.u_left, f_res)
                 if eta <= tol:
                     u_end = np.add.reduce(u_hat.coeffs, 0)  # uhat(t_end), as P_i(1) = 1
                     if not _all_finite(u_end):
@@ -372,8 +378,14 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             # the next interval's first attempt carries this one's k and r
             t, k, u_left = iv.t_end, iv.k, u_end
             op = picard_operator(r, cfg.scheme)
-            guess = np.dot(op.predict, out.f_vals)
-            guess *= k
+            guess = np.dot(op.predict, f_res)
+            if _all_finite(guess):
+                guess *= k
+            else:
+                # the product overflowed before k scaled it: form it from
+                # f scaled by a power of two, which rounds as the product
+                e = math.frexp(float(np.max(np.abs(f_res))))[1]
+                guess = np.ldexp(np.dot(op.predict, np.ldexp(f_res, -e)) * k, e)
             guess += op.a * u_end
             attempts, decisions = 0, []
 

@@ -42,9 +42,10 @@ same step, bit for bit.
 
 Picard's first iterate is the constant u_left unless the caller passes
 a guess.  The drivers pass the best polynomial they hold: on a new
-interval the Picard update of that interval computed from the accepted
-step's own f values, continued (``SchemeOperator.predict``, no f
-evaluated); after an accuracy halving the rejected reconstruction
+interval the Picard update of that interval computed from the f values
+the residual of the accepted reconstruction was integrated from,
+projected to degree r + 2 and continued (``SchemeOperator.predict``, no
+f evaluated); after an accuracy halving the rejected reconstruction
 restricted to the first half and projected to degree r
 (``Basis.first_half``); after a degree raise the rejected
 reconstruction itself, which has the new degree.  A step runs at most
@@ -212,8 +213,7 @@ class StepOutput:
     ``f_vals`` (s, d), set when the step converged, holds f at the nodes
     of the step's rule (``basis(r).step_offsets``) at the iterate before
     u: the values the last update, which produced u, was computed from.
-    ``reconstruct`` lifts them without evaluating f again, and the
-    drivers predict the next interval's first iterate from them.
+    ``reconstruct`` lifts them without evaluating f again.
     ``picard_iters`` sums the updates of the sweeps the step ran, at
     most two (``step``).
     """
@@ -234,10 +234,12 @@ class SchemeOperator:
     (r+1, d) term a u_left^T.
     G (r+1, s): maps node values of f on the step's rule
     (``basis(r).step_*``) to coefficients per unit step length.
-    predict (r+1, s): G applied to the degree-r projection of node values
-    continued onto the next interval of equal length (x -> x + 2):
-    a u_end^T + k predict @ f_vals is the next interval's Picard update
-    from the f values of this one, without evaluating f.
+    predict (r+1, n): G applied to the degree r+2 projection of node
+    values on the residual's rule of the degree r+1 reconstruction
+    (``basis(r + 1).res_*``, n = min(r + 8, 64) points), continued onto
+    the next interval of equal length (x -> x + 2): a u_end^T + k
+    predict @ f_vals is the next interval's Picard update from the f
+    values the residual of this one integrated, without evaluating f.
     """
 
     a: np.ndarray
@@ -266,10 +268,10 @@ def _scheme_matrices(r: int, scheme: Scheme, proj: np.ndarray) -> tuple[np.ndarr
 @lru_cache(maxsize=None)
 def picard_operator(r: int, scheme: Scheme) -> SchemeOperator:
     """The cached ``SchemeOperator`` of degree r on the step's rule."""
-    b = basis(r)
+    b, res = basis(r), basis(r + 1)
     a, G = _scheme_matrices(r, scheme, b.step_proj)
-    # the nodes continued onto the next interval, x -> x + 2
-    predict = G @ (_leg.legvander(b.step_offsets + 1.0, r) @ b.step_proj)
+    # the step's nodes continued onto the next interval, x -> x + 2
+    predict = G @ (_leg.legvander(b.step_offsets + 1.0, r + 2) @ res.res_proj[: r + 3])
     for arr in (a, G, predict):
         arr.flags.writeable = False
     return SchemeOperator(a, G, predict)
@@ -451,11 +453,17 @@ def _cg_lift(
     The caller holds the errstate (over and invalid ignored), so that
     one errstate covers the lift and whatever the caller does with it.
     """
-    iv = u.interval
-    k = iv.k
     if f_vals is None:
-        us = np.dot(V[:, : u.coeffs.shape[0]], u.coeffs)
-        f_vals = rhs_at(p, _time_map(iv.t_start, k, offsets), us)
-    coeffs = k * np.dot(lift, f_vals)
+        f_vals = _node_f(p, u, offsets, V)
+    coeffs = u.interval.k * np.dot(lift, f_vals)
     coeffs[0] += u_left
     return coeffs
+
+
+def _node_f(p: Problem, u: LocalPoly, offsets: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """f (n, d) at the nodes of a rule, given by its offsets and
+    Vandermonde V (n, r+1), and at the values there of u (degree at
+    most r).  The caller holds the errstate."""
+    iv = u.interval
+    us = np.dot(V[:, : u.coeffs.shape[0]], u.coeffs)
+    return rhs_at(p, _time_map(iv.t_start, iv.k, offsets), us)

@@ -6,13 +6,15 @@ mapped affinely from the reference interval [-1, 1].  The orthogonality
 of the basis gives exact L2 norms (Parseval), cheap projections, and
 stable evaluation at high degree.
 
-``basis(r)`` caches, once per degree r, two Gauss-Legendre rules and
-every matrix the solver evaluates a degree-r polynomial with (see
+``basis(r)`` caches, once per degree r, three Gauss-Legendre rules
+and every matrix the solver evaluates a degree-r polynomial with (see
 ``Basis``), so the rule sizes are decided here only: the Picard step's
-rule of min(r + 2, 64) points (``_STEP_EXTRA_POINTS``) and the rule of
-min(r + 6, 64) points that the estimator's integrals and the
-restriction ``first_half`` use.  The latter must fit in 64 points, so
-step degrees stop at MAX_DEGREE = 58.
+rule of min(r + 2, 64) points (``_STEP_EXTRA_POINTS``), the residual's
+rule of min(r + 7, 64) points (``_RESIDUAL_EXTRA_POINTS``), on which the
+residual of a degree-r reconstruction interpolates f, and the rule of
+min(r + 6, 64) points that the growth integral and the restriction
+``first_half`` use.  The latter must fit in 64 points, so step degrees
+stop at MAX_DEGREE = 58.
 
 The package's numeric primitives live here too, so that each has one
 definition: ``_norms`` gives the Euclidean norm of every point of an
@@ -54,10 +56,11 @@ __all__ = [
 # stays within 0.1% of a 10x denser grid on random degree-8 inputs.
 _LINF_SAMPLES_PER_DEGREE = 24
 
-# The rule of basis(r) carries 6 points beyond the degree it serves, and
-# the Picard step's rule 2, each up to 64 points.
+# The rule of basis(r) carries 6 points beyond the degree it serves, the
+# Picard step's rule 2 and the residual's rule 7, each up to 64 points.
 _EXTRA_POINTS = 6
 _STEP_EXTRA_POINTS = 2
+_RESIDUAL_EXTRA_POINTS = 7
 _MAX_QUAD_POINTS = 64
 MAX_DEGREE = _MAX_QUAD_POINTS - _EXTRA_POINTS
 
@@ -241,6 +244,13 @@ class Basis:
     projection reproduces degree r exactly.  The step iterates on it and
     the reconstruction lifts the step's node values with step_lift; the
     estimator integrates on its own rules.
+    res_offsets (n,), res_V (n, r+1), res_proj (q+1, n), res_lift
+    (q+2, n): offsets, V, proj and lift for the residual's rule of
+    n = min(r + 7, 64) points, with q = n - 1, so that res_proj
+    interpolates the node values: the residual of a degree-r
+    reconstruction integrates f on it at degree q = min(r + 6, 63),
+    and the drivers predict the next interval's first iterate from the
+    same node values (``galerkin.SchemeOperator.predict``).
     first_half (r+1, r+2): first_half @ c is the degree-r projection of
     the degree r+1 polynomial c restricted to the first half of its
     interval (x -> (x - 1) / 2), rounded once; exact for a c of degree
@@ -259,31 +269,39 @@ class Basis:
     step_V: np.ndarray
     step_proj: np.ndarray
     step_lift: np.ndarray
+    res_offsets: np.ndarray
+    res_V: np.ndarray
+    res_proj: np.ndarray
+    res_lift: np.ndarray
     first_half: np.ndarray
 
 
-def _rule(n: int, r: int) -> tuple[np.ndarray, ...]:
+def _rule(n: int, r: int, q: int) -> tuple[np.ndarray, ...]:
     """The n-point Gauss-Legendre rule's nodes, weights and offsets, its
-    Vandermonde (n, r+1), quadrature L2 projection (r+1, n) onto degree
-    r, and lift (r+2, n), the antiderivative of that projection."""
-    nodes, weights = _leg.leggauss(min(n, _MAX_QUAD_POINTS))
+    Vandermonde (n, r+1), quadrature L2 projection (q+1, n) onto degree
+    q, and lift (q+2, n), the antiderivative of that projection."""
+    nodes, weights = _leg.leggauss(n)
     V = _leg.legvander(nodes, r)
-    proj = (np.arange(r + 1) + 0.5)[:, None] * (V.T * weights)
-    lift = _leg.legint(np.eye(r + 1), m=1, k=[0.0], lbnd=-1.0, scl=0.5, axis=0) @ proj
+    Vq = V if q == r else _leg.legvander(nodes, q)
+    proj = (np.arange(q + 1) + 0.5)[:, None] * (Vq.T * weights)
+    lift = _leg.legint(np.eye(q + 1), m=1, k=[0.0], lbnd=-1.0, scl=0.5, axis=0) @ proj
     return nodes, weights, nodes + 1.0, V, proj, lift
 
 
 @lru_cache(maxsize=None)
 def basis(r: int) -> Basis:
     """The cached ``Basis`` of degree r >= 0."""
-    nodes, weights, offsets, V, proj, lift = _rule(r + _EXTRA_POINTS, r)
+    nodes, weights, offsets, V, proj, lift = _rule(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)
     m = _LINF_SAMPLES_PER_DEGREE * (r + 2)
     cheb = np.cos(np.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
     samples = np.concatenate(([-1.0], cheb[::-1], [1.0]))
     samples_V = _leg.legvander(samples, r)
-    step = _rule(r + _STEP_EXTRA_POINTS, r)[2:]  # offsets, V, proj, lift
+    # offsets, V, proj and lift of the step's and the residual's rules
+    step = _rule(min(r + _STEP_EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)[2:]
+    n = min(r + _RESIDUAL_EXTRA_POINTS, _MAX_QUAD_POINTS)
+    res = _rule(n, r, n - 1)[2:]
     first_half = proj @ _leg.legvander(0.5 * (nodes - 1.0), r + 1)
-    arrays = (nodes, weights, offsets, V, proj, lift, samples, samples_V, *step, first_half)
+    arrays = (nodes, weights, offsets, V, proj, lift, samples, samples_V, *step, *res, first_half)
     for arr in arrays:
         arr.flags.writeable = False
     return Basis(*arrays)

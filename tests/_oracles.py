@@ -17,7 +17,7 @@ from hpgalerkin.galerkin import (
     StepOutput,
     picard_operator,
 )
-from hpgalerkin.poly import _STEP_EXTRA_POINTS, LocalPoly, basis
+from hpgalerkin.poly import _RESIDUAL_EXTRA_POINTS, _STEP_EXTRA_POINTS, LocalPoly, basis
 from hpgalerkin.problems import NumericOverflow, Problem, lip_at, rhs_at
 
 
@@ -30,6 +30,13 @@ def step_nodes(r):
     """The nodes and weights of the Picard step's Gauss-Legendre rule at
     degree r, min(r + poly._STEP_EXTRA_POINTS, 64) points."""
     return legendre.leggauss(min(r + _STEP_EXTRA_POINTS, 64))
+
+
+def residual_nodes(deg):
+    """The nodes and weights of the residual's Gauss-Legendre rule of a
+    reconstruction of degree deg, min(deg + poly._RESIDUAL_EXTRA_POINTS,
+    64) points; the residual interpolates f on them."""
+    return legendre.leggauss(min(deg + _RESIDUAL_EXTRA_POINTS, 64))
 
 
 def constant(iv, value, degree=0):
@@ -190,12 +197,14 @@ def reference_reconstruct(p, inp, u):
     return antiderivative(project_values(f_vals, iv, inp.r, nodes, weights), inp.u_left)
 
 
-def reference_residual(p, u_hat, u_left, extra_degree=4):
-    """Residual sup norm by ``project_values`` + ``antiderivative`` at degree
-    deg(uhat) + extra_degree, minus uhat, sampled as LocalPoly.linf_norm."""
+def reference_residual(p, u_hat, u_left):
+    """Residual sup norm by ``project_values`` + ``antiderivative`` on the
+    residual's rule (``residual_nodes``) at the degree that interpolates
+    there, min(deg(uhat) + 6, 63), minus uhat, sampled as
+    LocalPoly.linf_norm."""
     iv = u_hat.interval
-    r_q = u_hat.degree + extra_degree
-    nodes, weights = legendre.leggauss(min(r_q + 6, 64))
+    nodes, weights = residual_nodes(u_hat.degree)
+    r_q = nodes.size - 1
     f_vals = checked_rhs(p, iv.from_reference(nodes), legendre.legval(nodes, u_hat.coeffs).T)
     accum = antiderivative(project_values(f_vals, iv, r_q, nodes, weights), u_left)
     res = accum.coeffs.copy()
@@ -322,14 +331,26 @@ def exact_reexpansions(r):
     return shift, halve
 
 
-def next_interval_guess(inp, f_vals, u_end):
+def residual_f_vals(p, u_hat):
+    """f at the nodes of the residual's rule of u_hat (``residual_nodes``,
+    mapped by ``from_reference``), with a matmul product: byte-equal
+    oracle of the values the drivers pass to ``residual_estimator``."""
+    nodes = residual_nodes(u_hat.degree)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        us = basis(u_hat.degree).res_V @ u_hat.coeffs
+        return rhs_at(p, u_hat.interval.from_reference(nodes), us)
+
+
+def next_interval_guess(p, inp, u_hat, u_end):
     """The drivers' first iterate on the interval after ``inp``, with
     matmul products: the Picard update of the next interval, of equal
-    length, from the f values of this step continued onto it
-    (``SchemeOperator.predict``), with left value ``u_end``.  Byte-equal
-    oracle of the guess ``adapt._drive`` carries to the next interval."""
+    length, from the f values of the residual of its reconstruction
+    u_hat (``residual_f_vals``), projected to degree r + 2 and continued
+    onto it (``SchemeOperator.predict``), with left value ``u_end``.
+    Byte-equal oracle of the guess ``adapt._drive`` carries to the next
+    interval."""
     op = picard_operator(inp.r, inp.scheme)
-    return np.outer(op.a, u_end) + inp.interval.k * (op.predict @ f_vals)
+    return np.outer(op.a, u_end) + inp.interval.k * (op.predict @ residual_f_vals(p, u_hat))
 
 
 def halved_guess(r, u_hat):
@@ -349,10 +370,13 @@ def halved_guess(r, u_hat):
 def parent_cg_lift(p, u, u_left, r, f_vals=None, *, step=True):
     """``galerkin._cg_lift`` with matmul products and its own errstate, on
     the step's rule of degree r (``step_nodes``), as ``reconstruct``
-    lifts, or on the rule of ``basis(r)`` when not ``step``, as
-    ``residual_estimator`` does."""
+    lifts, or on the residual's rule of ``basis(r)`` (``residual_nodes``)
+    when not ``step``, as ``residual_estimator`` does."""
     iv, b = u.interval, basis(r)
-    nodes, V, lift = (step_nodes(r)[0], b.step_V, b.step_lift) if step else (b.nodes, b.V, b.lift)
+    if step:
+        nodes, V, lift = step_nodes(r)[0], b.step_V, b.step_lift
+    else:
+        nodes, V, lift = residual_nodes(r)[0], b.res_V, b.res_lift
     with np.errstate(over="ignore", invalid="ignore"):
         if f_vals is None:
             f_vals = rhs_at(p, iv.from_reference(nodes), V[:, : u.coeffs.shape[0]] @ u.coeffs)
@@ -414,11 +438,11 @@ def parent_reconstruct(p, inp, u, f_vals=None):
     return LocalPoly(inp.interval, coeffs)
 
 
-def parent_residual(p, u_hat, u_left, extra_degree=4):
+def parent_residual(p, u_hat, u_left, f_vals=None):
     """``estimator.residual_estimator`` on ``parent_cg_lift``, with a
     second errstate for the subtraction and ``parent_linf_norm``."""
     u_left = np.atleast_1d(np.asarray(u_left, dtype=float))
-    res_coeffs = parent_cg_lift(p, u_hat, u_left, u_hat.degree + extra_degree, step=False)
+    res_coeffs = parent_cg_lift(p, u_hat, u_left, u_hat.degree, f_vals, step=False)
     with np.errstate(over="ignore"):
         res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
     if not np.isfinite(res_coeffs).all():
@@ -454,3 +478,23 @@ def parent_reconstruction_error(p, u_hat):
         uh = (b.samples_V @ u_hat.coeffs).T
         ex = np.asarray(p.exact(ts), dtype=float)
         return parent_sup_norm(ex - uh, 0)
+
+
+def dense_residual_sup(p, u_hat, panels=1000, points=8):
+    """The largest Euclidean norm of the integral residual R(t) =
+    int_{t_start}^t f(s, uhat) ds - (uhat(t) - uhat(t_start)) at the
+    panel ends of ``panels`` equal panels of u_hat's interval, with the
+    integral by the ``points``-point Gauss-Legendre rule on each panel:
+    a dense reference for ``residual_estimator``, independent of its
+    rule and of its sampling."""
+    g, w = legendre.leggauss(points)
+    ends = np.linspace(-1.0, 1.0, panels + 1)
+    half = 0.5 * (ends[1:] - ends[:-1])
+    xs = ((0.5 * (ends[1:] + ends[:-1]))[:, None] + half[:, None] * g).ravel()
+    iv, coeffs = u_hat.interval, u_hat.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = checked_rhs(p, iv.from_reference(xs), legendre.legval(xs, coeffs).T)
+        panel = 0.5 * iv.k * np.einsum("pq,pqd->pd", half[:, None] * w, f.reshape(panels, points, -1))
+        values = legendre.legval(ends, coeffs).T
+        res = np.cumsum(panel, axis=0) - (values[1:] - values[0])
+        return float(np.sqrt((res * res).sum(axis=1)).max())

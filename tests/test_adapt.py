@@ -72,9 +72,10 @@ def predicts_rejection(cfg, records, tol):
 
 
 def predicted_guess(r, next_guess):
-    """The first iterate after a predicted halving: the carried guess,
-    padded by a zero row, restricted to the first half."""
-    return np.dot(basis(r).first_half, np.vstack((next_guess, np.zeros((1, next_guess.shape[1])))))
+    """The first iterate after a predicted halving: the carried guess, of
+    degree r, restricted to the first half by the first r + 1 columns of
+    ``Basis.first_half``."""
+    return np.dot(basis(r).first_half[:, : r + 1], next_guess)
 
 
 class TestSmoothness:
@@ -303,12 +304,12 @@ class TestHAdapt:
         residual = adapt_module.residual_estimator
         calls = [0]
 
-        def first_overflows(p, u_hat, u_left):
+        def first_overflows(p, u_hat, u_left, f_vals=None):
             calls[0] += 1
             if calls[0] == 1:
                 u_hat = LocalPoly(u_hat.interval, [[1.5e308], [0.0]])
                 return residual(zero_rhs(), u_hat, [-1.5e308])
-            return residual(p, u_hat, u_left)
+            return residual(p, u_hat, u_left, f_vals)
 
         monkeypatch.setattr(adapt_module, "residual_estimator", first_overflows)
         cfg = AdaptConfig(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1e-3)
@@ -631,9 +632,10 @@ class TestWarmStartDecisions:
                 if not prev_out.converged:
                     assert guess is None
                     continue
+                u_hat = reconstruct(p, prev, prev_out.u, prev_out.f_vals)
                 if inp.interval.t_start == prev.interval.t_end:
                     # the next interval starts at the reconstruction's end value
-                    kind, want = "next", next_interval_guess(prev, prev_out.f_vals, inp.u_left)
+                    kind, want = "next", next_interval_guess(p, prev, u_hat, inp.u_left)
                     k = prev.interval.k
                     if inp.interval.t_start in predicted:
                         # halved before the attempt: the guess on the first half
@@ -642,7 +644,6 @@ class TestWarmStartDecisions:
                     assert inp.r == prev.r
                     assert inp.interval.k == pytest.approx(k, rel=1e-6)
                 else:
-                    u_hat = reconstruct(p, prev, prev_out.u, prev_out.f_vals)
                     if inp.r == prev.r + 1:
                         kind, want = "raise", u_hat.coeffs
                     else:
@@ -912,6 +913,7 @@ class TestPredictedHalving:
     @pytest.mark.parametrize("name", PREDICTION_RUNS)
     def test_halved_guess_and_attempts(self, predicted_runs, name):
         cfg, res, _, calls = predicted_runs[name]
+        p = PREDICTION_RUNS[name][0]
         accepted = {id(out): inp for inp, _, out in calls}
         for prev, rec in zip(res.intervals, res.intervals[1:]):
             mine = [(inp, guess) for inp, guess, _ in calls if inp.interval.t_start == rec.interval.t_start]
@@ -925,7 +927,7 @@ class TestPredictedHalving:
             inp, guess = mine[0]
             assert inp.r == prev.r
             assert inp.interval.k == pytest.approx(0.5 * prev.interval.k, rel=1e-6)
-            carried = next_interval_guess(accepted[id(prev.output)], prev.output.f_vals, inp.u_left)
+            carried = next_interval_guess(p, accepted[id(prev.output)], prev.reconstruction, inp.u_left)
             assert guess.tobytes() == predicted_guess(prev.r, carried).tobytes()
 
 

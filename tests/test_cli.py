@@ -115,7 +115,7 @@ class TestRunVerb:
         cfg, out = write_json(tmp_path / "long.json", config), tmp_path / "r.json"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 3
         report = json.loads(out.read_text())
-        assert (report["termination"], report["M"]) == ("k_min_reached", 205)
+        assert (report["termination"], report["M"]) == ("k_min_reached", 208)
         assert 1840.0 < report["T"] < 1841.0
 
     def test_report_reproducible_byte_for_byte(self, tmp_path):

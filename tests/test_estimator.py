@@ -14,9 +14,17 @@ from hpgalerkin.estimator import (
     residual_estimator,
     solve_delta,
 )
-from hpgalerkin.adapt import AdaptConfig, Mode, Termination, h_adapt, run_errors
-from hpgalerkin.galerkin import PicardConfig, Scheme, StepInput, reconstruct, step
-from hpgalerkin.poly import Interval, LocalPoly
+from hpgalerkin.adapt import AdaptConfig, Mode, Termination, h_adapt, hp_adapt, run_errors
+from hpgalerkin.galerkin import (
+    MAX_DEGREE,
+    PicardConfig,
+    Scheme,
+    StepInput,
+    picard_operator,
+    reconstruct,
+    step,
+)
+from hpgalerkin.poly import Interval, LocalPoly, basis
 from hpgalerkin.problems import (
     NumericOverflow,
     Problem,
@@ -29,8 +37,10 @@ from _oracles import (
     antiderivative,
     brute_force_residual,
     constant,
+    dense_residual_sup,
     l2_project,
     reference_reconstruction_error,
+    reference_residual,
     reference_scan_and_bisect,
     zero_rhs,
 )
@@ -75,6 +85,27 @@ class TestResidualEstimator:
         with pytest.raises(NumericOverflow, match="residual"):
             residual_estimator(dataclasses.replace(p, f_batch=f_batch), u_hat, np.array([1.0]))
 
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG], ids=lambda v: v.value)
+    def test_at_the_degree_cap(self, scheme):
+        # a step at MAX_DEGREE has a reconstruction of degree 59, whose
+        # residual's rule is capped at 64 points, interpolating at degree
+        # 63; the drivers' prediction reads the same 64 node values
+        r = MAX_DEGREE
+        b = basis(r + 1)
+        assert (b.res_offsets.size, b.res_V.shape, b.res_proj.shape, b.res_lift.shape) == (
+            64, (64, r + 2), (64, 64), (65, 64)
+        )
+        assert picard_operator(r, scheme).predict.shape == (r + 1, 64)
+        p = make_power_square(1.0)
+        inp = StepInput(Interval(0.0, 0.1), r, np.array([1.0]), scheme)
+        out = step(p, inp)
+        assert out.converged
+        u_hat = reconstruct(p, inp, out.u, out.f_vals)
+        eta = residual_estimator(p, u_hat, inp.u_left)
+        assert math.isfinite(eta)
+        scale = max(1.0, float(np.max(np.abs(u_hat.coeffs))))
+        assert abs(eta - reference_residual(p, u_hat, inp.u_left)) <= 1e-13 * scale
+
     def test_against_brute_force_single_step(self):
         p = make_power_square(1.0)
         inp = StepInput(Interval(0.0, 0.1), 1, np.array([1.0]), Scheme.CG)
@@ -97,6 +128,33 @@ class TestResidualEstimator:
             eta = residual_estimator(p, u_hat, u_hat(iv.t_start))
             oracle = brute_force_residual(p, u_hat, n_samples=2_000)
             assert eta == pytest.approx(oracle, rel=0.01)
+
+
+class TestResidualAgainstDenseIntegral:
+    """On every accepted interval of the benchmark's hp runs of power2
+    and exp at r = 1 and tol_star = 1e-10 (k_init 0.15 and 0.09,
+    divergence cap 1e12), the residual sup of a dense integral
+    (``_oracles.dense_residual_sup``: 8 Gauss points on each of 1000
+    panels, sampled at the 1001 panel ends) is at most 1.001 eta_res."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG], ids=lambda v: v.value)
+    @pytest.mark.parametrize(
+        "make,k_init", [(make_power_square, 0.15), (make_exponential, 0.09)], ids=["power2", "exp"]
+    )
+    def test_no_under_report(self, make, k_init, scheme):
+        p = make(1.0)
+        cfg = AdaptConfig(
+            scheme=scheme, mode=Mode.HP, r_init=1, k_init=k_init, tol_star=1e-10,
+            picard=PicardConfig(divergence_cap=1e12),
+        )
+        res = hp_adapt(p, cfg)
+        assert res.termination is Termination.DELTA_NOT_FOUND and res.M > 20
+        under = [
+            (i, dense / rec.estimate.eta_res)
+            for i, rec in enumerate(res.intervals)
+            if (dense := dense_residual_sup(p, rec.reconstruction)) > 1.001 * rec.estimate.eta_res
+        ]
+        assert under == []
 
 
 class TestPsiUpdate:

@@ -48,6 +48,8 @@ from _oracles import (
     reference_reconstruct,
     reference_residual,
     reference_step,
+    residual_f_vals,
+    residual_nodes,
 )
 
 
@@ -504,15 +506,17 @@ class TestWarmStart:
     def test_reexpansion_matches_legval(self, r, rng):
         # the matrices of the drivers' guesses: first_half restricts a
         # degree r+1 polynomial to the first half of its interval and
-        # projects it to degree r; predict continues the degree-r
-        # projection of node values onto the next interval (x -> x + 2)
+        # projects it to degree r; predict continues the degree r+2
+        # projection of node values on the residual's rule of the
+        # degree r+1 reconstruction onto the next interval (x -> x + 2)
         # and applies the update matrix G
         b = basis(r)
         # the step's nodes, continued onto the next interval
         shifted = b.step_offsets + 1.0
+        res_nodes = residual_nodes(r + 1)[0]
         x = np.linspace(-1.0, 1.0, 101)
         # sup of |P_j| over the continued points: P_j(3) on [1, 3]
-        shifted_size = np.abs(legendre.legvander(np.array([3.0]), r)[0])
+        shifted_size = np.abs(legendre.legvander(np.array([3.0]), r + 2)[0])
         schemes = [Scheme.DG] + ([Scheme.CG] if r >= 1 else [])
         for _ in range(5):
             c = rng.standard_normal((r + 2, 2))
@@ -525,10 +529,12 @@ class TestWarmStart:
             got = legendre.legval(x, b.first_half @ c)
             want = legendre.legval(0.5 * (x - 1.0), c)
             assert np.abs(got - want).max() <= 1e-12 * size
-            c = c[: r + 1]
+            # node values of degree r + 2 are continued exactly
+            c = rng.standard_normal((r + 3, 2))
+            size = np.abs(c).sum(axis=0).max()
             for scheme in schemes:
                 op = picard_operator(r, scheme)
-                got = op.predict @ (b.step_V @ c)
+                got = op.predict @ legendre.legval(res_nodes, c).T
                 want = op.G @ legendre.legval(shifted, c).T
                 scale = np.abs(op.G).sum(axis=1).max() * (shifted_size @ np.abs(c)).max()
                 assert np.abs(got - want).max() <= 1e-12 * scale
@@ -743,12 +749,15 @@ class TestAcceptPathBitIdentity:
 
     @pytest.mark.parametrize("scheme,r,dim", ACCEPT_CASES, ids=lambda v: getattr(v, "value", v))
     def test_residual_and_norms(self, scheme, r, dim):
-        # the residual lifts f at uhat through the first deg(uhat) + 1
-        # columns of basis(deg(uhat) + 4).V
+        # the residual lifts f at uhat on the residual's rule of
+        # basis(deg(uhat)), evaluated there or given as the drivers give it
         p, inp, out = accept_case(scheme, r, dim)
         u_hat = reconstruct(p, inp, out.u, out.f_vals)
         got = residual_estimator(p, u_hat, inp.u_left)
         assert float_bits(got) == float_bits(parent_residual(p, u_hat, inp.u_left))
+        f_res = residual_f_vals(p, u_hat)
+        assert float_bits(residual_estimator(p, u_hat, inp.u_left, f_res)) == float_bits(got)
+        assert float_bits(parent_residual(p, u_hat, inp.u_left, f_res)) == float_bits(got)
         for u in (out.u, u_hat):
             assert float_bits(u.linf_norm()) == float_bits(parent_linf_norm(u))
         want = parent_reconstruction_error(p, u_hat)
@@ -774,11 +783,16 @@ class TestAcceptPathBitIdentity:
     @pytest.mark.parametrize("scheme,r,dim", ACCEPT_CASES, ids=lambda v: getattr(v, "value", v))
     def test_guesses_and_end_value(self, scheme, r, dim, monkeypatch):
         # one rejected attempt, whose restricted reconstruction seeds the
-        # second, which is accepted; its predicted update seeds the first
-        # attempt of the next interval.  f = |u| u ignores t, so the run
-        # starting at t = 0 takes the steps of accept_case
+        # second, which is accepted; the update predicted from its
+        # residual's f values seeds the first attempt of the next
+        # interval.  f = |u| u ignores t, so the run starting at t = 0
+        # takes the steps of accept_case
         p, inp, _ = accept_case(scheme, r, dim)
-        tol, etas, calls = 1e-6, iter([2e-6, 0.0, 0.0]), []
+        tol, etas, calls, given = 1e-6, iter([2e-6, 0.0, 0.0]), [], []
+
+        def residual(p, u_hat, u_left, f_vals=None):
+            given.append(f_vals)
+            return next(etas)
 
         def spy(p, inp, cfg, *, guess=None, atol=0.0):
             out = step(p, inp, cfg, guess=guess, atol=atol)
@@ -786,7 +800,7 @@ class TestAcceptPathBitIdentity:
             return out
 
         monkeypatch.setattr(adapt, "step", spy)
-        monkeypatch.setattr(adapt, "residual_estimator", lambda p, u_hat, u_left: next(etas))
+        monkeypatch.setattr(adapt, "residual_estimator", residual)
         cfg = AdaptConfig(
             scheme=scheme,
             mode=Mode.H,
@@ -801,10 +815,11 @@ class TestAcceptPathBitIdentity:
         rejected_inp, rejected = calls[0][1:]
         u_hat = reconstruct(p, rejected_inp, rejected.u, rejected.f_vals)
         assert calls[1][0].tobytes() == halved_guess(r, u_hat).tobytes()
-        accepted_inp, accepted = calls[1][1:]
+        accepted_inp = calls[1][1]
         u_end = calls[2][1].u_left
         assert u_end.tobytes() == rec.reconstruction.coeffs.sum(axis=0).tobytes()
-        want = next_interval_guess(accepted_inp, accepted.f_vals, u_end)
+        assert given[1].tobytes() == residual_f_vals(p, rec.reconstruction).tobytes()
+        want = next_interval_guess(p, accepted_inp, rec.reconstruction, u_end)
         assert calls[2][0].tobytes() == want.tobytes()
 
 
@@ -989,11 +1004,12 @@ class TestSweeps:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_prediction_is_the_next_update(self, case, dim, k, t0, seed):
-        # f = q(t) of degree at most r: every update on the next interval
-        # is the same, a u_end + k G q(nodes), from any iterate
+        # f = q(t) of degree at most r + 2, the degree the prediction
+        # projects to: every update on the next interval is the same,
+        # a u_end + k G q(nodes), from any iterate
         scheme, r = case
-        b = np.random.default_rng(seed).standard_normal((r + 1, dim))
-        degree = r - 1 if scheme is Scheme.CG and r > 1 and seed % 2 else r
+        b = np.random.default_rng(seed).standard_normal((r + 3, dim))
+        degree = r - 1 if scheme is Scheme.CG and r > 1 and seed % 2 else r + 2 * (seed % 3 == 0)
 
         def q(ts):
             s = (np.asarray(ts, dtype=float) - t0) / k
@@ -1010,13 +1026,14 @@ class TestSweeps:
         inp = StepInput(Interval(t0, t0 + k), r, np.ones(dim), scheme)
         out = step(p, inp)
         assert out.converged
-        u_end = reconstruct(p, inp, out.u, out.f_vals).coeffs.sum(axis=0)
-        predicted = next_interval_guess(inp, out.f_vals, u_end)
+        u_hat = reconstruct(p, inp, out.u, out.f_vals)
+        u_end = u_hat.coeffs.sum(axis=0)
+        predicted = next_interval_guess(p, inp, u_hat, u_end)
         nxt = StepInput(Interval(t0 + k, t0 + k + k), r, u_end, scheme)
         update = step(p, nxt).u.coeffs
-        # continuing onto the next interval amplifies rounding by up to
-        # sum_j |P_j(3)|
-        growth = np.abs(legendre.legvander(np.array([3.0]), r)).sum()
+        # continuing the degree r+2 projection onto the next interval
+        # amplifies rounding by up to sum_j |P_j(3)|, j <= r + 2
+        growth = np.abs(legendre.legvander(np.array([3.0]), r + 2)).sum()
         scale = max(1.0, np.abs(update).max()) * growth
         assert np.abs(predicted - update).max() <= 1e-14 * scale
 
