@@ -82,10 +82,12 @@ __all__ = [
 ]
 
 THETA_STAR = 0.85
-# Picard stops once its largest coefficient change is at most this share
-# of the running tolerance: the estimator certifies the reconstruction of
-# whatever iterate it returns.  On the benchmark ladders 1e-3 keeps every
-# T and DoF count of the 1e-12 relative stop alone; 1e-2 moves both.
+# Picard stops once its largest coefficient change, or the error its
+# contraction predicts, is at most this share of the running tolerance:
+# the estimator certifies the reconstruction of whatever iterate it
+# returns.  On the 190 seed-1 benchmark runs 1e-3 keeps every T of the
+# 1e-12 relative stop alone and every DoF count but one (194 -> 193, same
+# T), with 39-43% fewer f points; 1e-2 moves T or DoFs in 11 runs.
 PICARD_TOL_SHARE = 1e-3
 _ZERO_POLY_RTOL = 1e-14
 _ENDPOINTS = np.array([-1.0, 1.0])
@@ -269,13 +271,13 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
 
     A predicted halving is recorded as "halve_k_predicted" and not
     counted in the interval's attempts.  Every step stops Picard at a
-    coefficient change of PICARD_TOL_SHARE * tol, unless the relative
-    test stops it earlier, and the reconstruction lifts the f values of
-    the step's last update rather than evaluating f again.  A candidate
-    whose reconstruction, residual or end value leaves double range
-    halves k as an overflow.  The accepted end value, where the next
-    interval starts, is the reconstruction's end value, so the global
-    reconstruction has no jump for psi to miss.
+    coefficient change, or a predicted error, of PICARD_TOL_SHARE * tol,
+    unless the relative test stops it earlier, and the reconstruction
+    lifts the f values of the step's last update rather than evaluating
+    f again.  A candidate whose reconstruction, residual or end value
+    leaves double range halves k as an overflow.  The accepted end
+    value, where the next interval starts, is the reconstruction's end
+    value, so the global reconstruction has no jump for psi to miss.
 
     The residual's f values are evaluated here, once per candidate
     (``estimator._residual_f_vals``), and passed to

@@ -53,6 +53,16 @@ two sweeps (``step``), and a step that fails returns the sweep from
 u_left, so the guess changes the iteration count and the last bits of
 the returned fixed point, never whether the step exists.
 
+A sweep stops on its largest coefficient change and on the ratio q of
+that change to the one before.  It converges at a change of at most the
+caller's ``atol`` or of FP_TOL relative to max(1, max|c|), or once a
+falling change predicts an error q / (1 - q) * change of at most
+``atol``, the stop of a simplified Newton iteration (Hairer & Wanner,
+Solving Ordinary Differential Equations II, sec. IV.8): the estimator
+certifies the reconstruction of whatever iterate the step returns.
+MAX_GROWING = 3 growing changes in a row diverge; on the benchmark no
+converging sweep has three.
+
 Nonexistence of a step is a first-class outcome here: the adaptive
 drivers halve the step length whenever the iteration fails to converge.
 An iterate diverges when sum |c|, an upper bound on its sup norm since
@@ -142,11 +152,11 @@ __all__ = [
     "reconstruct",
 ]
 
-# Picard stops once the largest coefficient update is at most
-# FP_TOL * max(1, max|c|), or at most the caller's absolute ``atol``, and
-# reports MAX_ITERS after MAX_ITERS updates.
+# The relative stop of a Picard sweep, its budget of updates, and the
+# growing changes in a row that diverge (module docstring).
 FP_TOL = 1e-12
 MAX_ITERS = 100
+MAX_GROWING = 3
 # A sum |c| above the largest double has overflowed, whatever the cap.
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -190,10 +200,12 @@ class PicardConfig:
     The rest of the iteration is not a setting.  The step stops at a
     largest coefficient change of FP_TOL = 1e-12 of max(1, max|c|), a
     relative test that stays above the roundoff floor of large
-    iterates, or at the absolute ``atol`` that its caller passes to
-    ``step``: the drivers pass a fixed share of their running tolerance
-    (``adapt.PICARD_TOL_SHARE``), direct calls default to 0.  The
-    budget is MAX_ITERS = 100 updates.
+    iterates, or at a change or a predicted error of at most the
+    absolute ``atol`` that its caller passes to ``step``: the drivers
+    pass a fixed share of their running tolerance
+    (``adapt.PICARD_TOL_SHARE``), direct calls default to 0.
+    MAX_GROWING = 3 growing changes in a row diverge, and the budget is
+    MAX_ITERS = 100 updates.
     """
 
     divergence_cap: float = 1e8
@@ -288,20 +300,24 @@ def step(
     """Attempt one Galerkin step by Picard iteration.
 
     Iterates the affine update of ``picard_operator`` on the bare
-    coefficient array until the sup over Legendre-coefficient updates is
-    at most ``atol`` or at most FP_TOL * max(1, max|c|), with c the new
-    iterate's coefficients; the relative scale keeps the test reachable
-    near blow-up, where one unit of roundoff in |c| ~ 1e8 already
-    exceeds an absolute 1e-12.  With the default ``atol`` = 0 only the
-    relative test decides.  The drivers pass an ``atol`` tied to their
-    running tolerance: the estimator certifies the reconstruction built
-    from whatever iterate the step returns, so iterating far below that
+    coefficient array until the sup over Legendre-coefficient updates,
+    the change, is at most ``atol`` or at most FP_TOL * max(1, max|c|),
+    with c the new iterate's coefficients, or until a change below the
+    one before, at ratio q, predicts an error q / (1 - q) * change of at
+    most ``atol``.  The relative scale keeps the test reachable near
+    blow-up, where one unit of roundoff in |c| ~ 1e8 already exceeds an
+    absolute 1e-12.  With the default ``atol`` = 0 only the relative
+    test decides.  The drivers pass an ``atol`` tied to their running
+    tolerance: the estimator certifies the reconstruction built from
+    whatever iterate the step returns, so iterating far below that
     tolerance buys nothing.  Returns converged=False with a failure
-    reason when the iterate diverges or the iteration budget runs out;
-    the drivers treat that as "no discrete solution exists at this step
-    size".  Every iterate up to the stop is the same for every ``atol``,
-    so a larger one stops at the same iterate or an earlier one, and
-    never makes a step fail that a smaller one solves.
+    reason when the iterate diverges, the change grows MAX_GROWING
+    times in a row or the iteration budget runs out; the drivers treat
+    that as "no discrete solution exists at this step size".  Every
+    iterate up to the stop is the same for every ``atol``, and only the
+    convergence tests read it, so a larger one stops at the same iterate
+    or an earlier one, and never makes a step fail that a smaller one
+    solves.
 
     The start is ``guess``, an (r+1, d) coefficient array, when one is
     given and finite (the drivers pass a prediction from the
@@ -316,7 +332,8 @@ def step(
     An iterate diverges when f overflows at it, when the update from it
     overflows, or when its sum |c|, an upper bound on its sup norm since
     |P_i| <= 1, exceeds ``divergence_cap``; a divergence is reported at
-    the last iterate that passed.
+    the last iterate that passed, which after MAX_GROWING growing
+    changes is the newest.
     """
     r, d = inp.r, inp.u_left.size
     if r > MAX_DEGREE:
@@ -339,9 +356,18 @@ def step(
 
 def _sweep(p: Problem, inp: StepInput, c: np.ndarray, cap: float, atol: float) -> StepOutput:
     """The Picard loop on the step's rule from the first iterate c, with
-    a budget of MAX_ITERS updates, stopping at a change of at most
-    ``atol`` or at the relative FP_TOL test; picard_iters counts this
-    sweep's updates only, and ``step`` sums those of the sweeps it runs.
+    a budget of MAX_ITERS updates; picard_iters counts this sweep's
+    updates only, and ``step`` sums those of the sweeps it runs.
+
+    Each change is kept as ``last`` for the next.  The sweep converges at
+    a change of at most ``atol``, at the relative FP_TOL test, or at a
+    change that did not grow, at ratio q = change / last, with
+    q * change <= atol * (1 - q).  Formed from the ratio, the test stays
+    in range wherever the change does (change**2 overflows near 1e154),
+    so a sweep scaled by a power of two makes every decision of the
+    unscaled one.  A growing change counts towards MAX_GROWING, any
+    other starts the count again; at MAX_GROWING the sweep diverges at
+    its newest iterate, which passed the divergence test.
 
     One errstate covers the whole loop.  The bound sum |c_next| that the
     cap test needs reads every overflow as well: each coefficient of
@@ -373,7 +399,7 @@ def _sweep(p: Problem, inp: StepInput, c: np.ndarray, cap: float, atol: float) -
     ts = _time_map(iv.t_start, k, b.step_offsets)
     left = op.a * inp.u_left
     limit = min(cap, _FLOAT_MAX)
-    prev = c.ravel().tolist()
+    prev, last, growing = c.ravel().tolist(), math.inf, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_ITERS + 1):
             try:
@@ -401,7 +427,20 @@ def _sweep(p: Problem, inp: StepInput, c: np.ndarray, cap: float, atol: float) -
                 and change <= FP_TOL * max(1.0, max(map(abs, vals)))
             ):
                 return StepOutput(LocalPoly._trusted(iv, c), it, True, f_vals=f_vals)
-            prev = vals
+            if change > last:
+                growing += 1
+                if growing == MAX_GROWING:
+                    return StepOutput(LocalPoly._trusted(iv, c), it, False, StepFailure.DIVERGED)
+            else:
+                growing = 0
+                # the first change, and one after a change past double
+                # range, has no ratio; last > 0, as a change of 0 has
+                # converged
+                if last < math.inf:
+                    q = change / last
+                    if q * change <= atol * (1.0 - q):
+                        return StepOutput(LocalPoly._trusted(iv, c), it, True, f_vals=f_vals)
+            prev, last = vals, change
     return StepOutput(LocalPoly._trusted(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 

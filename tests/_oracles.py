@@ -10,6 +10,7 @@ from numpy.polynomial import legendre
 from hpgalerkin.galerkin import (
     _FLOAT_MAX,
     FP_TOL,
+    MAX_GROWING,
     MAX_ITERS,
     Scheme,
     StepFailure,
@@ -150,14 +151,19 @@ def reference_step(p, inp, cfg, atol=0.0):
     sum |c| of every new iterate against cfg.divergence_cap; an iterate
     above the cap diverges and is reported by the iterate before, and
     so does one at which f is not finite (``checked_rhs``).  The
-    relative stopping tolerance 1e-12 and the budget of 100 iterations
-    are written out here, not read from the program; the iteration also
-    stops at a change of at most ``atol``, as ``step`` does.  It runs on
-    the step's rule (``step_nodes``).
+    relative stopping tolerance 1e-12, the budget of 100 iterations and
+    the 3 consecutive growing changes that diverge are written out here,
+    not read from the program.  The iteration also stops, as ``step``
+    does, at a change of at most ``atol``, or from the second update on
+    at a change that fell from a finite last one, with ratio
+    q = change / last, once q * change <= atol * (1 - q); a growing
+    change diverges on the third in a row, reported at the new iterate.
+    It runs on the step's rule (``step_nodes``).
     Returns (u, picard_iters, converged, failure) with the same meaning
     as StepOutput."""
     r, iv, u_left = inp.r, inp.interval, inp.u_left
-    fp_tol, max_iters = 1e-12, 100
+    fp_tol, max_iters, max_growing = 1e-12, 100, 3
+    last, growing = None, 0
     nodes, weights = step_nodes(r)
     ts = iv.from_reference(nodes)
     coeffs = np.zeros((r + 1, u_left.size))
@@ -185,6 +191,17 @@ def reference_step(p, inp, cfg, atol=0.0):
         u = u_next
         if change <= atol or change <= fp_tol * scale:
             return u, it, True, None
+        if it > 1 and math.isfinite(last) and change < last:
+            growing, q = 0, change / last
+            if q * change <= atol * (1.0 - q):
+                return u, it, True, None
+        elif it > 1 and change > last:
+            growing += 1
+            if growing == max_growing:
+                return u, it, False, StepFailure.DIVERGED
+        else:
+            growing = 0
+        last = change
     return u, max_iters, False, StepFailure.MAX_ITERS
 
 
@@ -277,10 +294,14 @@ def parent_picard(
     """The Picard loop of ``galerkin.step`` as it was before its
     dispatch-lean rewrite, kept verbatim as the bit-identity oracle of
     ``galerkin._sweep`` (same signature, so it can stand in for it),
-    with four changes: the absolute stop ``atol``, the f values of the
+    with five changes: the absolute stop ``atol``, the f values of the
     converging update in the returned StepOutput, sum |c| as the only
-    divergence test, reported at the iterate before, and the step's
-    rule (``step_nodes``) in place of the rule of ``basis(r)``.
+    divergence test, reported at the iterate before, the step's rule
+    (``step_nodes``) in place of the rule of ``basis(r)``, and the two
+    stops read from the last change: from the second update on, a
+    change below a finite last one, with q = change / last, converges
+    once q * change <= atol * (1 - q), and MAX_GROWING consecutive
+    growing changes diverge at the new iterate.
 
     One errstate covers the whole loop.  The bound sum |c_next| that the
     cap test needs reads every overflow as well: each coefficient of
@@ -296,6 +317,7 @@ def parent_picard(
     k, ts, V = iv.k, iv.from_reference(nodes), legendre.legvander(nodes, inp.r)
     left = np.outer(a, inp.u_left)
     limit = min(cap, _FLOAT_MAX)
+    last, growing = math.inf, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, MAX_ITERS + 1):
             try:
@@ -316,7 +338,57 @@ def parent_picard(
                 and change <= FP_TOL * max(1.0, float(abs_next.max()))
             ):
                 return StepOutput(LocalPoly(iv, c), it, True, f_vals=f_vals)
+            if change < last < math.inf:
+                growing, q = 0, change / last
+                if q * change <= atol * (1.0 - q):
+                    return StepOutput(LocalPoly(iv, c), it, True, f_vals=f_vals)
+            elif change > last:
+                growing += 1
+                if growing == MAX_GROWING:
+                    return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
+            else:
+                growing = 0
+            last = change
     return StepOutput(LocalPoly(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
+
+
+def change_only_sweep(p, inp, c, cap, atol):
+    """The Picard sweep of ``parent_picard`` under the stop it had before
+    the contraction stops: a change of at most ``atol`` or the relative
+    FP_TOL test converges, sum |c| above the cap or out of double range
+    diverges, and the budget is MAX_ITERS.  Same arithmetic as
+    ``parent_picard``, so its iterates are those of ``galerkin._sweep``
+    bit for bit.  Returns the iterates (c first), the f values and the
+    change of each update, and (picard_iters, converged, failure)."""
+    iv, nodes = inp.interval, step_nodes(inp.r)[0]
+    op = picard_operator(inp.r, inp.scheme)
+    k, ts, V = iv.k, iv.from_reference(nodes), legendre.legvander(nodes, inp.r)
+    left = np.outer(op.a, inp.u_left)
+    iterates, f_seq, changes = [c], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, MAX_ITERS + 1):
+            try:
+                f_vals = rhs_at(p, ts, V @ c)
+            except NumericOverflow:
+                return iterates, f_seq, changes, (it, False, StepFailure.DIVERGED)
+            c_next = left + k * (op.G @ f_vals)
+            abs_next = np.abs(c_next)
+            if not np.isfinite(c_next).all():
+                return iterates, f_seq, changes, (it, False, StepFailure.DIVERGED)
+            try:
+                bound = math.fsum(abs_next.ravel().tolist())
+            except OverflowError:
+                bound = math.inf
+            if bound > cap:
+                return iterates, f_seq, changes, (it, False, StepFailure.DIVERGED)
+            change = float(np.abs(c_next - c).max())
+            c = c_next
+            iterates.append(c)
+            f_seq.append(f_vals)
+            changes.append(change)
+            if change <= atol or change <= FP_TOL * max(1.0, float(abs_next.max())):
+                return iterates, f_seq, changes, (it, True, None)
+    return iterates, f_seq, changes, (MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 
 def exact_reexpansions(r):

@@ -43,11 +43,15 @@ one JSON object keyed by ``workload ladder@tol``.  With ``--against
 REV`` it runs this script, not REV's own copy, on REV's extracted tree
 (``--root``), so it also works against a revision that predates the
 option, and prints per workload each side's totals of f points and of
-attempts over the accepted intervals, the number of runs whose outcome
-differs, each such run with its first difference, and the number of
-runs whose step or reconstruction coefficient bytes differ.  For the runs with equal outcomes it prints
-how far the bounds and each interval's own ``eta_res`` moved (the
-median and the largest relative move, interval by interval).  It also
+attempts over the accepted intervals; its totals of all steps, failed
+steps and Picard updates, read by a wrapper on ``adapt.step``, so that
+they include the attempts on each run's final, discarded interval
+(informational: they never change the exit status); the number of
+runs whose outcome differs, each such run with its first difference,
+and the number of runs whose step or reconstruction coefficient bytes
+differ.  For the runs with equal outcomes it prints how far the bounds
+and each interval's own ``eta_res`` moved (the median and the largest
+relative move, interval by interval).  It also
 counts the bounds that moved by more than 1%, how many of those lie,
 on both sides, at or below their step's Picard stop ``atol =
 PICARD_TOL_SHARE * tol`` (where the bound reflects where Picard
@@ -193,14 +197,37 @@ def run_outcomes(seed, root=ROOT):
     t_end, r, attempts, decisions), ``bounds``, ``eta_res``, ``atols``,
     the Picard stop of each accepted step (0 for a tree without one),
     ``f_points`` and ``coeffs``, the SHA-256 of the step and
-    reconstruction coefficient bytes of every accepted interval."""
+    reconstruction coefficient bytes of every accepted interval, and
+    ``steps``: every ``adapt.step`` call of the run, the discarded last
+    interval's included, as [steps, failed steps, Picard updates]."""
     bench = load_bench(root)
-    share = getattr(sys.modules.get("hpgalerkin.adapt"), "PICARD_TOL_SHARE", 0.0)
+    adapt = sys.modules["hpgalerkin.adapt"]
+    share = getattr(adapt, "PICARD_TOL_SHARE", 0.0)
+    steps, step = [0, 0, 0], adapt.step
+
+    def counted_step(*args, **kwargs):
+        out = step(*args, **kwargs)
+        steps[0] += 1
+        steps[1] += not out.converged
+        steps[2] += out.picard_iters
+        return out
+
+    adapt.step = counted_step
+    try:
+        return _outcomes(bench, seed, share, steps)
+    finally:
+        adapt.step = step
+
+
+def _outcomes(bench, seed, share, steps):
+    """The body of ``run_outcomes``, with ``adapt.step`` counted into
+    ``steps``."""
     outcomes = {}
     for workload in bench.WORKLOADS:
         _, ops = bench.build_inputs(workload, seed)
         for ladder, tol in ops:
             ladder.f_points[0] = 0
+            steps[:] = [0, 0, 0]
             result = bench.solve(ladder, tol)
             coeffs = hashlib.sha256()
             for rec in result.intervals:
@@ -218,6 +245,7 @@ def run_outcomes(seed, root=ROOT):
                 "coeffs": coeffs.hexdigest(),
                 # each step ran at the tolerance before its own delta scaled it
                 "atols": [share * t for t in (tol,) + result.tol_trace[:-1]][: result.M],
+                "steps": list(steps),
             }
     return outcomes
 
@@ -289,6 +317,12 @@ def compare_outcomes(rev, seed, march=False):
             f"  attempts: {rev} {sum(total_attempts(theirs[key]) for key in keys)}, "
             f"here {sum(total_attempts(mine[key]) for key in keys)}"
         )
+        for label, i in (("steps", 0), ("failed steps", 1), ("Picard updates", 2)):
+            print(
+                f"  {label}, the discarded last intervals' included: "
+                f"{rev} {sum(theirs[key]['steps'][i] for key in keys)}, "
+                f"here {sum(mine[key]['steps'][i] for key in keys)}"
+            )
         for line in differ:
             print(line)
         coeffs = sum(theirs[key]["coeffs"] != mine[key]["coeffs"] for key in keys)

@@ -15,6 +15,7 @@ import hpgalerkin.galerkin as galerkin
 from hpgalerkin.adapt import AdaptConfig, Mode
 from hpgalerkin.estimator import reconstruction_error, residual_estimator, solve_delta
 from hpgalerkin.galerkin import (
+    MAX_GROWING,
     MAX_ITERS,
     PicardConfig,
     Scheme,
@@ -34,6 +35,7 @@ from hpgalerkin.problems import (
 )
 
 from _oracles import (
+    change_only_sweep,
     constant,
     derivative,
     exact_reexpansions,
@@ -1141,3 +1143,124 @@ class TestAbsoluteStop:
         lifted = reconstruct(p, inp, warm.u, warm.f_vals)
         evaluated = reconstruct(p, inp, LocalPoly(inp.interval, guess))
         assert lifted.coeffs.tobytes() == evaluated.coeffs.tobytes()
+
+
+def homogeneous_rhs():
+    """f(u) = 1.5 |u| - (u_2, u_1): nonlinear, with f(s u) = s f(u) for
+    s > 0, bit for bit when s is a power of two."""
+    return Problem(
+        dim=2,
+        u0=np.array([1.37, -2.1]),
+        f=lambda t, u: 1.5 * np.abs(u) - u[::-1],
+        lip=lambda t, a, b: 2.5,
+        f_batch=lambda ts, us: 1.5 * np.abs(us) - us[:, ::-1],
+    )
+
+
+class TestContractionStops:
+    """``_sweep`` converges once the error its observed contraction
+    predicts, q / (1 - q) * change with q = change / last, is at most
+    atol, and diverges after MAX_GROWING consecutive growing changes.
+    Against the change-only rule (``_oracles.change_only_sweep``) every
+    iterate up to the stop is the same, bit for bit, and the stop comes
+    at the same update or an earlier one."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_iterates_stopping_no_later(self, seed):
+        rng = np.random.default_rng(seed)
+        earlier = growing = 0
+        for _ in range(60):
+            scheme, r = SCHEME_DEGREES[rng.integers(len(SCHEME_DEGREES))]
+            dim = int(rng.integers(1, 3))
+            p = norm_square(dim)
+            u_left = rng.normal(size=dim) * 10.0 ** rng.uniform(-1.0, 1.0)
+            size = float(np.linalg.norm(u_left))
+            inp = StepInput(Interval(0.1, 0.1 + 10.0 ** rng.uniform(-2.5, 0.5) / size), r, u_left, scheme)
+            atol = 10.0 ** rng.uniform(-12.0, 0.0) * size
+            c = np.zeros((r + 1, dim))
+            c[0] = u_left
+            if rng.random() < 0.5:
+                # a guess off the constant, as the drivers' predictions are
+                c += rng.normal(size=c.shape) * size * 10.0 ** rng.uniform(-6.0, -1.0)
+            out = galerkin._sweep(p, inp, c, 1e8, atol)
+            iterates, f_seq, changes, (n_old, converged_old, failure_old) = change_only_sweep(
+                p, inp, c, 1e8, atol
+            )
+            n = out.picard_iters
+            assert n <= n_old
+            # a divergence at the cap, or out of double range, is reported
+            # at the iterate before; every other stop at the new iterate
+            at_cap = len(changes) < n
+            assert out.u.coeffs.tobytes() == iterates[n - 1 if at_cap else n].tobytes()
+            # no contraction stop before update n, and fewer than three
+            # growing changes in a row
+            run = 0
+            for m in range(2, n):
+                change, last = changes[m - 1], changes[m - 2]
+                assert not (change < last and (change / last) * change <= atol * (1.0 - change / last))
+                run = run + 1 if change > last else 0
+                assert run < MAX_GROWING
+            if out.converged:
+                assert out.f_vals.tobytes() == f_seq[n - 1].tobytes()
+                if n < n_old or not converged_old:
+                    # the contraction stop fired, and only it
+                    earlier += 1
+                    change, last = changes[n - 1], changes[n - 2]
+                    q = change / last
+                    assert n >= 2 and change < last and q * change <= atol * (1.0 - q)
+            elif at_cap:
+                assert n == n_old and out.failure is failure_old is StepFailure.DIVERGED
+            elif out.failure is StepFailure.DIVERGED:
+                # three growing changes in a row, where the old rule ran on
+                growing += 1
+                assert n >= 1 + MAX_GROWING and run + 1 == MAX_GROWING
+                assert all(changes[m - 1] > changes[m - 2] for m in range(n - MAX_GROWING + 1, n + 1))
+            else:
+                assert n == n_old == MAX_ITERS and out.failure is failure_old is StepFailure.MAX_ITERS
+        assert earlier >= 10 and growing >= 1
+
+    @pytest.mark.parametrize("scheme,r", SCHEME_DEGREES[::2], ids=lambda v: getattr(v, "value", v))
+    def test_power_of_two_scaling_is_exact(self, scheme, r):
+        # u_left, atol and the cap scaled by 2^960 near the top of double
+        # range: the estimated error q * change and its bound
+        # atol * (1 - q) scale exactly, so every decision is the same and
+        # every coefficient is the unscaled one times 2^960
+        p, s = homogeneous_rhs(), 2.0**960
+        u_left = p.u0
+        earlier = 0
+        for k, atol in itertools.product((0.02, 0.08, 0.2), (1e-9, 1e-6, 1e-3)):
+            inp = StepInput(Interval(0.0, k), r, u_left, scheme)
+            big = StepInput(Interval(0.0, k), r, u_left * s, scheme)
+            c = np.zeros((r + 1, 2))
+            c[0] = u_left
+            out = galerkin._sweep(p, inp, c, 1e8, atol)
+            scaled = galerkin._sweep(p, big, c * s, 1e8 * s, atol * s)
+            assert out.converged
+            assert (scaled.picard_iters, scaled.converged) == (out.picard_iters, True)
+            assert scaled.u.coeffs.tobytes() == (out.u.coeffs * s).tobytes()
+            assert scaled.f_vals.tobytes() == (out.f_vals * s).tobytes()
+            earlier += out.picard_iters < change_only_sweep(p, inp, c, 1e8, atol)[3][0]
+        assert earlier >= 3
+
+    @pytest.mark.parametrize("scheme,r,ratio", [
+        (Scheme.CG, 1, 2.5), (Scheme.CG, 1, 2.05), (Scheme.DG, 0, 1.25), (Scheme.DG, 0, 1.02),
+    ], ids=lambda v: getattr(v, "value", v))
+    def test_slow_divergence_stops_after_three_growing_changes(self, scheme, r, ratio):
+        # f = lam u with the update's contraction factor above 1 (k lam / 2
+        # for cG at r = 1, k lam for dG at r = 0): every change grows by
+        # that factor, so under no cap the change-only rule runs through
+        # its whole budget, and the sweep stops after three growing
+        # changes, at update 4, with the fourth iterate
+        p = make_linear(1.0, [1.0])
+        k = ratio * (2.0 if scheme is Scheme.CG else 1.0)
+        inp = StepInput(Interval(0.1, 0.1 + k), r, p.u0, scheme)
+        c = np.zeros((r + 1, 1))
+        c[0] = p.u0
+        iterates, _, changes, old = change_only_sweep(p, inp, c, math.inf, 0.0)
+        assert old == (MAX_ITERS, False, StepFailure.MAX_ITERS)
+        assert all(b > a for a, b in itertools.pairwise(changes))
+        out = step(p, inp, PicardConfig(divergence_cap=math.inf))
+        assert (out.picard_iters, out.converged, out.failure) == (
+            1 + MAX_GROWING, False, StepFailure.DIVERGED
+        )
+        assert out.u.coeffs.tobytes() == iterates[1 + MAX_GROWING].tobytes()
