@@ -12,8 +12,9 @@ every decision on k and r:
     2. existence: a Picard iteration that does not converge, or a
        candidate that leaves double range, halves k;
     3. accuracy: a residual estimator above the running tolerance
-       refines (H mode halves k; HP mode raises the degree when the
-       current candidate looks smooth, else halves k);
+       refines (H mode halves k; HP mode raises the degree when r is
+       below r_max and the current candidate looks smooth, else halves
+       k; the indicator is computed only below r_max);
     4. acceptance: update psi and solve for the growth factor delta
        with a warm start at the previous value;
     5. scale the tolerance by delta (early intervals must be resolved
@@ -33,7 +34,13 @@ Smoothness for the HP refinement decision is classified through the
 constant in the embedding of H^1 into the sup norm, applied to the
 (r-1)-th derivative of the candidate: values near 1 mean the leading
 Legendre modes dominate and raising the degree pays off.  A candidate
-counts as smooth at theta >= THETA_STAR = 0.85.
+counts as smooth at theta >= THETA_STAR = 0.85.  The indicator reads
+only the top two coefficient rows, 2 x d numbers, so it computes on
+Python floats rather than numpy arrays, whose per-call dispatch costs
+more than the arithmetic at that size.  It applies the IEEE operations
+of the array form in the same order, so its theta has the same bits for
+d <= 3, where each of its sums has fewer than 8 terms and numpy's
+``.sum()`` adds them left to right too.
 """
 
 from __future__ import annotations
@@ -90,8 +97,6 @@ THETA_STAR = 0.85
 # T), with 39-43% fewer f points; 1e-2 moves T or DoFs in 11 runs.
 PICARD_TOL_SHARE = 1e-3
 _ZERO_POLY_RTOL = 1e-14
-_ENDPOINTS = np.array([-1.0, 1.0])
-_TWO_I_PLUS_ONE = np.array([[1.0], [3.0]])  # ||P_i||^2 = 2 / (2i + 1), i = 0, 1
 
 
 class Mode(enum.Enum):
@@ -174,8 +179,10 @@ class IntervalRecord:
     def theta(self) -> Optional[float]:
         """Smoothness score of the accepted step, None at degree 0.
 
-        Computed on access: no refinement decision reads it, so the
-        drivers do not pay for it on every accepted interval.
+        Computed on access, so the drivers do not pay for it on every
+        accepted interval: in HP mode only ``_predicts_rejection`` reads
+        it, and only for a last accepted step below r_max whose
+        prediction exceeds the running tolerance.
         """
         return smoothness(self.output.u, self.r).theta if self.r >= 1 else None
 
@@ -200,35 +207,50 @@ def smoothness(u: LocalPoly, r: int) -> SmoothnessReport:
     and the sup of the convex |w| is attained at an endpoint.  The
     candidate is smooth when theta >= THETA_STAR.  A w that leaves
     double range gives theta = 0, not smooth.
+
+    Legendre differentiation (legder) maps the top two coefficients c_j
+    to (2j-1) c_j and touches them with nothing else, so the two that
+    survive r-1 derivatives are rounded exactly as r-1 legder calls,
+    each scaled by the map's 2/k, round them.  w holds at most 2 x d
+    numbers, so the arithmetic runs on Python floats, read once with
+    ``tolist()``: on arrays that small numpy's per-call dispatch costs
+    more than the operations.  Every operation is the IEEE operation of
+    the array form, and each sum adds its terms left to right in row
+    order, as numpy's ``.sum()`` does below 8 terms (the builtin ``sum``
+    does not: it compensates its rounding from Python 3.12 on); so theta
+    has the bits of the array form for d <= 3.  From 8 terms on numpy
+    sums pairwise, and the two can differ in the last bits.  An entry of
+    w that is inf or nan (nan only where 2/k is 0 or inf) reads as inf,
+    as it did through numpy's max: theta = 0.
     """
     if r < 1:
         raise ValueError(f"smoothness indicator needs degree >= 1, got {r}")
     if u.degree > r:
         raise ValueError(f"smoothness indicator needs degree <= r = {r}, got {u.degree}")
-    # Legendre differentiation (legder) maps the top two coefficients
-    # c_j to (2j-1) c_j and touches them with nothing else, so the two
-    # that survive r-1 derivatives are rounded exactly as r-1 legder
-    # calls, each scaled by the map's 2/k, round them.
-    k = u.interval.k
-    w = u.coeffs[r - 1 :]
-    j = np.arange(r - 1, u.degree + 1, dtype=float)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(r - 1):
-            w = (2.0 * (j - s) - 1.0) * w * (2.0 / k)
-    if w.size == 0 or (w_max := abs(w).max()) <= _ZERO_POLY_RTOL * abs(u.coeffs).max():
+    k, d, c = u.interval.k, u.coeffs.shape[1], u.coeffs.ravel().tolist()
+    q, w = 2.0 / k, c[(r - 1) * d :]  # w: rows r-1 and r, scaled as r-1 legder calls do
+    for n, x in enumerate(w):
+        j = r - 1 + n // d
+        for f in range(2 * j - 1, 2 * (j - r) + 1, -2):  # 2(j - s) - 1, s < r - 1
+            x = f * x * q
+        w[n] = x
+    size = list(map(abs, w))
+    w_max = max(size, default=0.0) if all(map(math.isfinite, size)) else math.inf
+    if w_max <= _ZERO_POLY_RTOL * max(max(c), -min(c)):
         return SmoothnessReport(theta=1.0, smooth=True)
     if not w_max < math.inf:
         return SmoothnessReport(theta=0.0, smooth=False)
-    # a power of two scales every norm below exactly and theta not at
-    # all, and keeps the squares away from overflow and underflow
-    w = np.ldexp(w, -math.frexp(w_max)[1])
-    w1 = w[1] if w.shape[0] == 2 else np.zeros_like(w[0])
-    l2 = math.sqrt(((k / _TWO_I_PLUS_ONE[: w.shape[0]]) * w**2).sum())
-    h1_semi = math.sqrt((k * (w1 * (2.0 / k)) ** 2).sum())
-    ends = w[0][:, None] + w1[:, None] * _ENDPOINTS  # (d, 2): w(-1), w(1)
-    linf = math.sqrt((ends**2).sum(axis=0).max())
-    denom = l2 / math.sqrt(k) + math.sqrt(k) * h1_semi / math.sqrt(2.0)
-    theta = min(max(linf / denom, 0.0), 1.0)
+    e = -math.frexp(w_max)[1]  # a power of two: exact on the norms, theta unmoved
+    w0, w1 = [math.ldexp(x, e) for x in w[:d]], [math.ldexp(x, e) for x in w[d:]]
+    l2 = h1_semi = lo = hi = 0.0  # squared norms, each summed in row order
+    for x0, x1 in zip(w0, w1 or [0.0] * d):
+        y, minus, plus = x1 * q, x0 - x1, x0 + x1  # w(-1), w(1)
+        l2, h1_semi = l2 + k * (x0 * x0), h1_semi + k * (y * y)
+        lo, hi = lo + minus * minus, hi + plus * plus
+    for x1 in w1:
+        l2 += k / 3.0 * (x1 * x1)  # ||P_i||^2 = 2 / (2i + 1): k / 1 on row 0, k / 3 here
+    denom = math.sqrt(l2) / math.sqrt(k) + math.sqrt(k) * math.sqrt(h1_semi) / math.sqrt(2.0)
+    theta = min(max(math.sqrt(max(lo, hi)) / denom, 0.0), 1.0)
     return SmoothnessReport(theta=theta, smooth=theta >= THETA_STAR)
 
 
@@ -248,11 +270,12 @@ def _predicts_rejection(cfg: AdaptConfig, records: list[IntervalRecord], tol: fl
     (none when e0 is 0); the attempt is predicted to fail when that
     exceeds tol.  An HP rejection raises r instead when the candidate is
     smooth and r < r_max, so in HP mode the prediction also needs the
-    last accepted step to be non-smooth, or r at r_max; its smoothness
-    is computed only then.  The rule only ever halves k, and the halved
-    attempt goes through the same tests as any other, so every accepted
-    interval keeps its certificate.  A one-step form of error-based
-    step-size control (Gustafsson, Lundh & Soderlind, BIT 28, 1988).
+    last accepted step to be non-smooth, or r at r_max; its smoothness,
+    ``IntervalRecord.theta``, is computed only then.  The rule only ever
+    halves k, and the halved attempt goes through the same tests as any
+    other, so every accepted interval keeps its certificate.  A one-step
+    form of error-based step-size control (Gustafsson, Lundh & Soderlind,
+    BIT 28, 1988).
     """
     if len(records) < 2 or records[-1].decisions:
         return False
@@ -260,7 +283,7 @@ def _predicts_rejection(cfg: AdaptConfig, records: list[IntervalRecord], tol: fl
     e0, e1 = records[-2].estimate.eta_res, last.estimate.eta_res
     if e0 == 0.0 or not e1 * (e1 / e0) > tol:
         return False
-    return cfg.mode is Mode.H or last.r >= cfg.r_max or not smoothness(last.output.u, last.r).smooth
+    return cfg.mode is Mode.H or last.r >= cfg.r_max or not last.theta >= THETA_STAR
 
 
 def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
@@ -342,7 +365,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 decisions.append("halve_k_overflow")
                 continue
             if not eta <= tol:
-                if cfg.mode is Mode.HP and smoothness(out.u, r).smooth and r < cfg.r_max:
+                if cfg.mode is Mode.HP and r < cfg.r_max and smoothness(out.u, r).smooth:
                     r += 1
                     decisions.append("raise_r")
                     guess = u_hat.coeffs

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 from numpy.polynomial import legendre
 
+from hpgalerkin.adapt import _ZERO_POLY_RTOL, THETA_STAR, SmoothnessReport
 from hpgalerkin.galerkin import (
     _FLOAT_MAX,
     FP_TOL,
@@ -252,6 +253,40 @@ def reference_smoothness(u, r, theta_star=0.85):
     denom = l2_norm(w) / math.sqrt(k) + math.sqrt(k) * l2_norm(derivative(w)) / math.sqrt(2.0)
     theta = min(max(w.linf_norm() / denom, 0.0), 1.0)
     return theta, theta >= theta_star
+
+
+def parent_smoothness(u, r):
+    """``adapt.smoothness`` as it was before its rewrite on Python floats,
+    kept verbatim, but for the names of its two array constants, as its
+    bit-identity oracle: the same IEEE operations on numpy arrays, whose
+    ``.sum()`` adds pairwise from 8 terms on."""
+    if r < 1:
+        raise ValueError(f"smoothness indicator needs degree >= 1, got {r}")
+    if u.degree > r:
+        raise ValueError(f"smoothness indicator needs degree <= r = {r}, got {u.degree}")
+    k = u.interval.k
+    w = u.coeffs[r - 1 :]
+    j = np.arange(r - 1, u.degree + 1, dtype=float)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(r - 1):
+            w = (2.0 * (j - s) - 1.0) * w * (2.0 / k)
+    if w.size == 0 or (w_max := abs(w).max()) <= _ZERO_POLY_RTOL * abs(u.coeffs).max():
+        return SmoothnessReport(theta=1.0, smooth=True)
+    if not w_max < math.inf:
+        return SmoothnessReport(theta=0.0, smooth=False)
+    w = np.ldexp(w, -math.frexp(w_max)[1])
+    w1 = w[1] if w.shape[0] == 2 else np.zeros_like(w[0])
+    l2 = math.sqrt(((k / _PARENT_TWO_I_PLUS_ONE[: w.shape[0]]) * w**2).sum())
+    h1_semi = math.sqrt((k * (w1 * (2.0 / k)) ** 2).sum())
+    ends = w[0][:, None] + w1[:, None] * _PARENT_ENDPOINTS  # (d, 2): w(-1), w(1)
+    linf = math.sqrt((ends**2).sum(axis=0).max())
+    denom = l2 / math.sqrt(k) + math.sqrt(k) * h1_semi / math.sqrt(2.0)
+    theta = min(max(linf / denom, 0.0), 1.0)
+    return SmoothnessReport(theta=theta, smooth=theta >= THETA_STAR)
+
+
+_PARENT_ENDPOINTS = np.array([-1.0, 1.0])
+_PARENT_TWO_I_PLUS_ONE = np.array([[1.0], [3.0]])
 
 
 def reference_scan_and_bisect(phi_of, delta_max=1e6, scan_points=200, newton_tol=1e-10):

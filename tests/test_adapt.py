@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hpgalerkin.adapt import (
     AdaptConfig,
@@ -30,6 +31,7 @@ from _oracles import (
     halved_guess,
     l2_project,
     next_interval_guess,
+    parent_smoothness,
     reference_smoothness,
     zero_rhs,
 )
@@ -165,6 +167,89 @@ class TestSmoothnessAgainstReference:
                 # interior sample can exceed that by rounding when w is
                 # nearly constant and d > 1, by at most a few ulp
                 assert rep.theta <= theta and _ulps(rep.theta, theta) <= 4, kind
+
+
+SMOOTHNESS_KINDS = [
+    "generic", "constant", "nearly-constant", "vanishing", "below-r", "empty", "overflow"
+]
+
+
+@st.composite
+def smoothness_inputs(draw, dims):
+    """(u, r, kind): a candidate of degree r on an interval of length
+    1e-12..3, its coefficients scaled by 2^-700, 1 or 2^700, with a
+    generic, constant, nearly constant or vanishing (r-1)-th derivative
+    w; of degree r-1 (w of one row) or below (w empty); or with its top
+    two rows near the largest double, so that the scalings of w
+    overflow to inf (r >= 2)."""
+    r, d = draw(st.integers(1, 8)), draw(st.sampled_from(dims))
+    kind = draw(st.sampled_from(SMOOTHNESS_KINDS))
+    assume(r >= 2 or kind not in ("empty", "overflow"))
+    t0, k = draw(st.floats(-2.0, 2.0)), 10.0 ** draw(st.floats(-12.0, 0.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.standard_normal((r + 1, d)) * 10.0 ** rng.uniform(-3.0, 8.0)
+    c *= draw(st.sampled_from([2.0**-700, 1.0, 2.0**700]))
+    if kind == "constant":
+        c[-1] = 0.0
+    elif kind == "nearly-constant":
+        c[-1] *= 10.0 ** rng.uniform(-14.0, -4.0)
+    elif kind == "vanishing":
+        c[-2:] = 0.0
+    elif kind == "below-r":
+        c = c[:r]
+    elif kind == "empty":
+        c = c[: draw(st.integers(1, r - 1))]
+    elif kind == "overflow":
+        # row r is scaled by 2r - 1 >= 3 first: 1.5e308 leaves double range
+        c[-2:] = 1.5e308 * rng.choice([-1.0, 1.0], size=(2, d))
+    return LocalPoly(Interval(t0, t0 + k), c), r, kind
+
+
+class TestSmoothnessBitIdentity:
+    """``smoothness`` on Python floats against its array form
+    (``_oracles.parent_smoothness``).  Each sum of either adds its terms
+    left to right below 8 terms, so for d <= 3, where every sum has at
+    most 6, the two return the same report bit for bit.  From 8 terms
+    on numpy sums pairwise: for d >= 4 the reports agree on ``smooth``,
+    and theta agrees within the rounding of the two summation orders.
+    Each of the three sums of n non-negative terms rounds by at most
+    (n - 1) u in either order (u = eps / 2), the square roots halve
+    that, and the divisions, roots and the final sum add a few u more:
+    (3d + 8) ulp of theta.  Random draws reach 4 ulp at d = 4 and 8 and
+    8 ulp at d = 32."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=smoothness_inputs((1, 2, 3)))
+    def test_same_report_up_to_d_3(self, case):
+        u, r, kind = case
+        rep = smoothness(u, r)
+        assert rep == parent_smoothness(u, r)
+        if kind == "overflow":
+            assert rep == SmoothnessReport(theta=0.0, smooth=False)
+        elif kind in ("vanishing", "empty"):
+            assert rep == SmoothnessReport(theta=1.0, smooth=True)
+
+    @pytest.mark.parametrize(
+        "iv,want",
+        [
+            (Interval(-1e308, 1e308), (0.0, False)),  # 2/k = 0: inf * 0 is nan, 0 * 0 is 0
+            (Interval(0.0, 5e-324), (0.0, False)),  # 2/k = inf: 0 * inf is nan
+        ],
+        ids=["k-inf", "k-subnormal"],
+    )
+    def test_nan_scaling_reads_as_overflow(self, iv, want):
+        # w = [0, 0, nan, 0]: a max that skips the nan would find w
+        # vanishing (theta 1); numpy's max propagates it (theta 0)
+        u = LocalPoly(iv, [[1.0, 1.0], [0.0, 0.0], [1e308, 0.0]])
+        assert smoothness(u, 2) == parent_smoothness(u, 2) == SmoothnessReport(*want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=smoothness_inputs((4, 8, 32)))
+    def test_summation_order_bound_above_d_3(self, case):
+        u, r, _ = case
+        rep, parent = smoothness(u, r), parent_smoothness(u, r)
+        assert rep.smooth == parent.smooth
+        assert _ulps(rep.theta, parent.theta) <= 3 * u.dim + 8
 
 
 class TestConfigValidation:
@@ -479,6 +564,55 @@ class TestHpAdapt:
         assert res_hp.dofs < res_h.dofs
 
 
+def counted_smoothness(monkeypatch):
+    """Wrap ``adapt.smoothness`` as the benchmark's tracer does; returns
+    the list that records the degree of every call."""
+    calls, score = [], adapt_module.smoothness
+
+    def counted(u, r):
+        calls.append(r)
+        return score(u, r)
+
+    monkeypatch.setattr(adapt_module, "smoothness", counted)
+    return calls
+
+
+def march(res):
+    return res.T, res.termination, [
+        (rec.interval, rec.r, rec.attempts, rec.decisions) for rec in res.intervals
+    ]
+
+
+class TestIndicatorAtTheDegreeCap:
+    """At r = r_max an HP rejection halves k whatever the candidate's
+    smoothness, so the driver does not compute it: an HP run started at
+    its cap never calls the indicator and marches as the H run of the
+    same degree."""
+
+    @pytest.mark.parametrize(
+        "p,scheme,r",
+        [
+            (make_power_square(1.0), Scheme.CG, 1),
+            (make_power_square(1.0), Scheme.DG, 2),
+            (make_exponential(1.0), Scheme.CG, 3),
+        ],
+        ids=["power2-cg-1", "power2-dg-2", "exp-cg-3"],
+    )
+    def test_no_call_and_the_h_march(self, p, scheme, r, monkeypatch):
+        calls = counted_smoothness(monkeypatch)
+        base = dict(scheme=scheme, r_init=r, k_init=0.15, tol_star=1e-6)
+        res = hp_adapt(p, AdaptConfig(mode=Mode.HP, r_max=r, **base))
+        assert calls == []
+        # accuracy rejections and predicted halvings, which read the
+        # indicator below the cap, both occur
+        decisions = [d for rec in res.intervals for d in rec.decisions]
+        assert "halve_k" in decisions and "halve_k_predicted" in decisions
+        assert march(res) == march(h_adapt(p, AdaptConfig(mode=Mode.H, **base)))
+        # below the cap the same wrapper sees the indicator
+        hp_adapt(p, AdaptConfig(mode=Mode.HP, r_max=r + 1, **base))
+        assert calls
+
+
 class TestDeterminism:
     def test_identical_runs(self):
         cfg = AdaptConfig(scheme=Scheme.DG, mode=Mode.HP, r_init=1, k_init=0.09, tol_star=1e-5)
@@ -785,14 +919,8 @@ class TestLazyTheta:
         ids=["power2-cg-h-1", "power2-dg-h-0", "power2-dg-h-3", "exp-cg-hp-1", "linear2-dg-hp-2"],
     )
     def test_theta_on_access(self, p, scheme, mode, r, monkeypatch):
-        calls = []
         score = adapt_module.smoothness
-
-        def counted(u, r):
-            calls.append(r)
-            return score(u, r)
-
-        monkeypatch.setattr(adapt_module, "smoothness", counted)
+        calls = counted_smoothness(monkeypatch)
         cfg = AdaptConfig(scheme=scheme, mode=mode, r_init=r, k_init=0.1, tol_star=1e-5)
         res = (hp_adapt if mode is Mode.HP else h_adapt)(p, cfg)
         assert res.M > 5
