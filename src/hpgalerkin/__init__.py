@@ -5,7 +5,6 @@ from .adapt import (
     IntervalRecord,
     Mode,
     RunResult,
-    SmoothnessReport,
     Termination,
     h_adapt,
     hp_adapt,
@@ -45,7 +44,6 @@ __all__ = [
     "Problem",
     "RunResult",
     "Scheme",
-    "SmoothnessReport",
     "StepEstimate",
     "StepFailure",
     "StepInput",

@@ -48,7 +48,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -72,14 +71,13 @@ from .galerkin import (
     reconstruct,
     step,
 )
-from .poly import MAX_DEGREE, Interval, LocalPoly, _all_finite, basis
-from .problems import NumericOverflow, Problem
+from .poly import _TINY, MAX_DEGREE, Interval, LocalPoly, _all_finite, basis
+from .problems import NumericOverflow, Problem, _integer
 
 __all__ = [
     "Mode",
     "Termination",
     "AdaptConfig",
-    "SmoothnessReport",
     "IntervalRecord",
     "RunResult",
     "smoothness",
@@ -111,12 +109,6 @@ class Termination(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SmoothnessReport:
-    theta: float
-    smooth: bool
-
-
-@dataclass(frozen=True)
 class AdaptConfig:
     scheme: Scheme
     mode: Mode
@@ -129,15 +121,8 @@ class AdaptConfig:
     picard: PicardConfig = field(default_factory=PicardConfig)
 
     def __post_init__(self):
-        # a bool passes operator.index, but numpy sizes reject it
         for key in ("r_init", "r_max", "max_intervals"):
-            value = getattr(self, key)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{key} must be an integer, got {value!r}") from None
+            _integer(key, getattr(self, key))
         # r_max steers only the HP driver's degree raises
         for key in ("r_init", "r_max") if self.mode is Mode.HP else ("r_init",):
             value = getattr(self, key)
@@ -177,14 +162,15 @@ class IntervalRecord:
 
     @property
     def theta(self) -> Optional[float]:
-        """Smoothness score of the accepted step, None at degree 0.
+        """Smoothness score theta of the accepted step's iterate, a float
+        (``smoothness``), None at degree 0.
 
         Computed on access, so the drivers do not pay for it on every
         accepted interval: in HP mode only ``_predicts_rejection`` reads
         it, and only for a last accepted step below r_max whose
         prediction exceeds the running tolerance.
         """
-        return smoothness(self.output.u, self.r).theta if self.r >= 1 else None
+        return smoothness(self.output.u, self.r) if self.r >= 1 else None
 
 
 @dataclass(frozen=True)
@@ -197,7 +183,7 @@ class RunResult:
     tol_trace: tuple[float, ...]
 
 
-def smoothness(u: LocalPoly, r: int) -> SmoothnessReport:
+def smoothness(u: LocalPoly, r: int) -> float:
     """Embedding-constant smoothness score of the (r-1)-th derivative.
 
     theta = ||w||_inf / (k^{-1/2} ||w||_2 + k^{1/2} ||w'||_2 / sqrt(2))
@@ -205,8 +191,18 @@ def smoothness(u: LocalPoly, r: int) -> SmoothnessReport:
     u has degree at most r, so w is affine and every norm has a closed
     form: Parseval on its two Legendre coefficients gives the L2 norms,
     and the sup of the convex |w| is attained at an endpoint.  The
-    candidate is smooth when theta >= THETA_STAR.  A w that leaves
-    double range gives theta = 0, not smooth.
+    drivers count the candidate as smooth when theta >= THETA_STAR.  A w
+    that leaves double range gives theta = 0, not smooth.
+
+    k cancels from both terms of the denominator: k^{-1/2} ||w||_2 =
+    (|w_0|^2 + |w_1|^2 / 3)^{1/2} and k^{1/2} ||w'||_2 / sqrt(2) =
+    sqrt(2) |w_1|, with w_0, w_1 the two coefficient rows of w and |.|
+    the Euclidean norm.  Each term is formed with k, as the array form
+    did, while its square sum is in range; otherwise, on an interval so
+    short that (w_1 2/k)^2 overflows (k below about 1e-154) or k |w|^2
+    is not a normal double (k below about 1e-307), or of infinite
+    length, from the closed form (``math.hypot``).  So theta is finite
+    wherever w is.
 
     Legendre differentiation (legder) maps the top two coefficients c_j
     to (2j-1) c_j and touches them with nothing else, so the two that
@@ -237,9 +233,9 @@ def smoothness(u: LocalPoly, r: int) -> SmoothnessReport:
     size = list(map(abs, w))
     w_max = max(size, default=0.0) if all(map(math.isfinite, size)) else math.inf
     if w_max <= _ZERO_POLY_RTOL * max(max(c), -min(c)):
-        return SmoothnessReport(theta=1.0, smooth=True)
+        return 1.0
     if not w_max < math.inf:
-        return SmoothnessReport(theta=0.0, smooth=False)
+        return 0.0
     e = -math.frexp(w_max)[1]  # a power of two: exact on the norms, theta unmoved
     w0, w1 = [math.ldexp(x, e) for x in w[:d]], [math.ldexp(x, e) for x in w[d:]]
     l2 = h1_semi = lo = hi = 0.0  # squared norms, each summed in row order
@@ -249,9 +245,16 @@ def smoothness(u: LocalPoly, r: int) -> SmoothnessReport:
         lo, hi = lo + minus * minus, hi + plus * plus
     for x1 in w1:
         l2 += k / 3.0 * (x1 * x1)  # ||P_i||^2 = 2 / (2i + 1): k / 1 on row 0, k / 3 here
-    denom = math.sqrt(l2) / math.sqrt(k) + math.sqrt(k) * math.sqrt(h1_semi) / math.sqrt(2.0)
-    theta = min(max(math.sqrt(max(lo, hi)) / denom, 0.0), 1.0)
-    return SmoothnessReport(theta=theta, smooth=theta >= THETA_STAR)
+    # k cancels from both terms; out of range they are formed without it
+    if _TINY <= l2 < math.inf:
+        l2_term = math.sqrt(l2) / math.sqrt(k)
+    else:
+        l2_term = math.hypot(*w0, *[x / math.sqrt(3.0) for x in w1])
+    if h1_semi < math.inf:
+        h1_term = math.sqrt(k) * math.sqrt(h1_semi) / math.sqrt(2.0)
+    else:
+        h1_term = math.sqrt(2.0) * math.hypot(*w1)
+    return min(max(math.sqrt(max(lo, hi)) / (l2_term + h1_term), 0.0), 1.0)
 
 
 def _interval_dofs(p: Problem, scheme: Scheme, r: int) -> int:
@@ -351,7 +354,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 decisions.append("halve_k_existence")
                 continue
             try:
-                u_hat = reconstruct(p, inp, out.u, out.f_vals)
+                u_hat = reconstruct(p, inp, out.f_vals)
                 f_res = _residual_f_vals(p, u_hat)
                 eta = residual_estimator(p, u_hat, inp.u_left, f_res)
                 if eta <= tol:
@@ -365,7 +368,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 decisions.append("halve_k_overflow")
                 continue
             if not eta <= tol:
-                if cfg.mode is Mode.HP and r < cfg.r_max and smoothness(out.u, r).smooth:
+                if cfg.mode is Mode.HP and r < cfg.r_max and smoothness(out.u, r) >= THETA_STAR:
                     r += 1
                     decisions.append("raise_r")
                     guess = u_hat.coeffs

@@ -48,9 +48,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .galerkin import _cg_lift, _node_f
+from .galerkin import _cg_lift
 from .poly import Interval, LocalPoly, _all_finite, _norms, _sup_norm, _time_map, basis
-from .problems import NumericOverflow, Problem, lip_at
+from .problems import NumericOverflow, Problem, lip_at, rhs_at
 
 __all__ = [
     "StepEstimate",
@@ -92,7 +92,7 @@ class DeltaNotFound:
 
 
 def residual_estimator(
-    p: Problem, u_hat: LocalPoly, u_left: np.ndarray, f_vals: Optional[np.ndarray] = None
+    p: Problem, u_hat: LocalPoly, u_left: np.ndarray, f_vals: np.ndarray
 ) -> float:
     """Sampled sup norm of the integral residual of the reconstruction.
 
@@ -101,7 +101,7 @@ def residual_estimator(
     deg(uhat): n = min(deg + 7, 64) Gauss-Legendre points, so degree
     n - 1 = min(deg + 6, 63), and integrating from the left endpoint --
     the cG Picard update at degree n -- then subtracting uhat.
-    ``f_vals``, when given, are those node values, normally from
+    ``f_vals`` (n, d) are those node values, normally from
     ``_residual_f_vals``: they are lifted as they are and no f is
     evaluated.  With deg + 4 on deg + 10 points the sup read up to 0.44%
     below that of a dense integral (8 Gauss points on each of 1000
@@ -118,9 +118,8 @@ def residual_estimator(
     its ``linf_norm``.
     """
     u_left = np.atleast_1d(np.asarray(u_left, dtype=float))
-    b = basis(u_hat.degree)
     with np.errstate(over="ignore", invalid="ignore"):
-        res_coeffs = _cg_lift(p, u_hat, u_left, b.res_offsets, b.res_V, b.res_lift, f_vals)
+        res_coeffs = _cg_lift(u_hat.interval.k, u_left, basis(u_hat.degree).res_lift, f_vals)
         res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
     if not _all_finite(res_coeffs):
         raise NumericOverflow(f"residual of problem {p.name!r} overflowed")
@@ -132,8 +131,8 @@ def _residual_f_vals(p: Problem, u_hat: LocalPoly) -> np.ndarray:
     (``basis(deg(uhat)).res_offsets``), which ``residual_estimator``
     integrates; (n, d), returned as f gives them.  The caller holds the
     errstate."""
-    b = basis(u_hat.degree)
-    return _node_f(p, u_hat, b.res_offsets, b.res_V)
+    b, iv = basis(u_hat.degree), u_hat.interval
+    return rhs_at(p, _time_map(iv.t_start, iv.k, b.res_offsets), np.dot(b.res_V, u_hat.coeffs))
 
 
 def psi_update(prev: Optional[StepEstimate], eta_res: float) -> float:

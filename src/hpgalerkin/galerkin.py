@@ -104,23 +104,21 @@ never made read-only, aliased or changed.
 ``reconstruct`` lifts a converged step to the degree r+1 polynomial
 with matching left value whose derivative is the degree-r projection of
 f(t, U) -- the cG update at degree r+1 applied to U -- and it is the
-object the error estimator measures.  A converged step hands back the
-node values of f from its last update (``StepOutput.f_vals``), taken at
-the iterate before the returned one, on the very rule the lift uses;
-the drivers pass them to ``reconstruct``, which then lifts them and
-evaluates no f of its own.  U is then that earlier iterate.  The
-estimator certifies the reconstruction from whatever U it is built, so
-this costs no rigour, and it saves one f evaluation per accepted
-candidate.  The lift and the last update integrate the same node
-values, so the reconstruction's end value equals that of the returned
-iterate up to rounding, for both schemes (the dG weak form tested with
-the constant gives U(t_end) = u_left + int P_r f); lifted from f at the
-returned iterate instead, the two differ by about the last coefficient
-change.  The drivers start the next interval from the reconstruction's
-own end value, so the global reconstruction is continuous bit for bit.
-``reconstruct`` raises NumericOverflow when a coefficient leaves double
-range, and otherwise wraps the lift's fresh, finite array without a
-copy.
+object the error estimator measures.  It evaluates no f: a converged
+step hands back the node values of f from its last update
+(``StepOutput.f_vals``), taken at the iterate before the returned one,
+on the very rule the lift uses, and ``reconstruct`` lifts them.  U is
+that earlier iterate.  The estimator certifies the reconstruction from
+whatever U it is built, so this costs no rigour, and it saves one f
+evaluation per accepted candidate.  The lift and the last update
+integrate the same node values, so the reconstruction's end value
+equals that of the returned iterate up to rounding, for both schemes
+(the dG weak form tested with the constant gives U(t_end) = u_left +
+int P_r f).  The drivers start the next interval from the
+reconstruction's own end value, so the global reconstruction is
+continuous bit for bit.  ``reconstruct`` raises NumericOverflow when a
+coefficient leaves double range, and otherwise wraps the lift's fresh,
+finite array without a copy.
 """
 
 from __future__ import annotations
@@ -225,7 +223,7 @@ class StepOutput:
     ``f_vals`` (s, d), set when the step converged, holds f at the nodes
     of the step's rule (``basis(r).step_offsets``) at the iterate before
     u: the values the last update, which produced u, was computed from.
-    ``reconstruct`` lifts them without evaluating f again.
+    ``reconstruct`` lifts them.
     ``picard_iters`` sums the updates of the sweeps the step ran, at
     most two (``step``).
     """
@@ -444,47 +442,33 @@ def _sweep(p: Problem, inp: StepInput, c: np.ndarray, cap: float, atol: float) -
     return StepOutput(LocalPoly._trusted(iv, c), MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 
-def reconstruct(
-    p: Problem, inp: StepInput, u: LocalPoly, f_vals: Optional[np.ndarray] = None
-) -> LocalPoly:
+def reconstruct(p: Problem, inp: StepInput, f_vals: np.ndarray) -> LocalPoly:
     """Degree r+1 reconstruction: left value u_left, derivative = degree-r
     projection of f(t, U).
 
     This is one cG Picard update at degree r+1 applied to U, on the
-    step's own rule (``basis(r).step_*``).  ``f_vals``, when given, are
+    step's own rule (``basis(r).step_*``).  ``f_vals`` (s, d) are the
     node values of f on that rule, normally ``StepOutput.f_vals``: they
     are lifted as they are, no f is evaluated, and U is the iterate they
-    came from, the one before u.  Either way the reconstruction is what
-    the error estimator measures, whatever U it is built from.  Lifted
-    from a step's own f values, its end value equals that of the step's
-    returned iterate up to rounding; lifted from f(t, u) it differs from
-    u(t_end) by about the step's last coefficient change.  No endpoint
-    is assumed to coincide: the drivers start the next interval from the
-    reconstruction's end value.
+    came from, the one before the step's returned iterate.  The
+    reconstruction is what the error estimator measures, whatever U it
+    is built from, and its end value equals that of the step's returned
+    iterate up to rounding.  No endpoint is assumed to coincide: the
+    drivers start the next interval from the reconstruction's end value.
     """
-    b = basis(inp.r)
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _cg_lift(p, u, inp.u_left, b.step_offsets, b.step_V, b.step_lift, f_vals)
+        coeffs = _cg_lift(inp.interval.k, inp.u_left, basis(inp.r).step_lift, f_vals)
     if not _all_finite(coeffs):
         raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
     # a fresh array, now proven finite
     return LocalPoly._trusted(inp.interval, coeffs)
 
 
-def _cg_lift(
-    p: Problem,
-    u: LocalPoly,
-    u_left: np.ndarray,
-    offsets: np.ndarray,
-    V: np.ndarray,
-    lift: np.ndarray,
-    f_vals: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Coefficients (r+2, d) of one cG Picard update at degree r+1 applied
-    to u (degree at most r) on the rule of a ``Basis`` of degree r, given
-    by its offsets, Vandermonde V (n, r+1) and lift (r+2, n): left value
-    u_left and derivative the degree r projection of f(t, u), or of the
-    node values f_vals when they are given.
+def _cg_lift(k: float, u_left: np.ndarray, lift: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
+    """Coefficients (q+2, d) of one cG Picard update at degree q+1 on an
+    interval of length k: left value u_left and derivative the degree q
+    projection of the node values f_vals, lifted by the ``lift`` (q+2, n)
+    of a rule of ``Basis``.
 
     A coefficient is not finite whenever an f value is not, since each
     coefficient of lift @ f involves every node value of f, or when the
@@ -492,17 +476,6 @@ def _cg_lift(
     The caller holds the errstate (over and invalid ignored), so that
     one errstate covers the lift and whatever the caller does with it.
     """
-    if f_vals is None:
-        f_vals = _node_f(p, u, offsets, V)
-    coeffs = u.interval.k * np.dot(lift, f_vals)
+    coeffs = k * np.dot(lift, f_vals)
     coeffs[0] += u_left
     return coeffs
-
-
-def _node_f(p: Problem, u: LocalPoly, offsets: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """f (n, d) at the nodes of a rule, given by its offsets and
-    Vandermonde V (n, r+1), and at the values there of u (degree at
-    most r).  The caller holds the errstate."""
-    iv = u.interval
-    us = np.dot(V[:, : u.coeffs.shape[0]], u.coeffs)
-    return rhs_at(p, _time_map(iv.t_start, iv.k, offsets), us)

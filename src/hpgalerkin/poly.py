@@ -7,14 +7,14 @@ of the basis gives exact L2 norms (Parseval), cheap projections, and
 stable evaluation at high degree.
 
 ``basis(r)`` caches, once per degree r, three Gauss-Legendre rules
-and every matrix the solver evaluates a degree-r polynomial with (see
-``Basis``), so the rule sizes are decided here only: the Picard step's
-rule of min(r + 2, 64) points (``_STEP_EXTRA_POINTS``), the residual's
-rule of min(r + 7, 64) points (``_RESIDUAL_EXTRA_POINTS``), on which the
-residual of a degree-r reconstruction interpolates f, and the rule of
-min(r + 6, 64) points that the growth integral and the restriction
-``first_half`` use.  The latter must fit in 64 points, so step degrees
-stop at MAX_DEGREE = 58.
+and the matrices the solver evaluates a degree-r polynomial with, and
+no others (see ``Basis``), so the rule sizes are decided here only:
+the Picard step's rule of min(r + 2, 64) points
+(``_STEP_EXTRA_POINTS``), the residual's rule of min(r + 7, 64) points
+(``_RESIDUAL_EXTRA_POINTS``), on which the residual of a degree-r
+reconstruction interpolates f, and the rule of min(r + 6, 64) points
+that the growth integral and the restriction ``first_half`` use.  The
+latter must fit in 64 points, so step degrees stop at MAX_DEGREE = 58.
 
 The package's numeric primitives live here too, so that each has one
 definition: ``_norms`` gives the Euclidean norm of every point of an
@@ -151,10 +151,6 @@ class LocalPoly:
     def degree(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[1]
-
     def __call__(self, t) -> np.ndarray:
         """Evaluate at time(s) t within the closed interval.
 
@@ -223,25 +219,25 @@ class Basis:
     """The Legendre basis of degree r with its Gauss-Legendre rules; every
     array is read-only.
 
-    nodes, weights (n,): the rule on [-1, 1], n = min(r + 6, 64).
-    offsets (n,): nodes + 1, the reference offsets of the time map: the
-    nodes of an interval are ``_time_map(t_start, k, offsets)``, bit for
-    bit ``from_reference(nodes)``.
+    weights (n,): the weights of the growth integral's rule on [-1, 1],
+    n = min(r + 6, 64) points.
+    offsets (n,): its nodes + 1, the reference offsets of the time map:
+    the nodes of an interval are ``_time_map(t_start, k, offsets)``, bit
+    for bit ``from_reference(nodes)``.
     V (n, r+1): V @ c is the (n, d) array of values of the coefficient
     array c (r+1, d) at the nodes.
-    proj (r+1, n): the quadrature L2 projection onto degree r; row i is
-    (2i+1)/2 w_q P_i(x_q), so proj @ V c = c while n >= r + 1.
-    lift (r+2, n): the antiderivative from x = -1 of proj, per unit step
-    length (the reference map contributes k/2): k lift @ f are the
-    coefficients of the degree r+1 integral of the projected node values
-    f, zero at the left endpoint.
     samples (m,), samples_V (m, r+1): the sup-norm sample points,
     24 (r+2) Chebyshev points plus the two endpoints, and their
     Vandermonde.
     step_offsets (s,), step_V (s, r+1), step_proj (r+1, s), step_lift
-    (r+2, s): offsets, V, proj and lift for the Picard step's rule of
-    s = min(r + 2, 64) points, one more than the fewest whose
-    projection reproduces degree r exactly.  The step iterates on it and
+    (r+2, s): the offsets and V of the Picard step's rule of s =
+    min(r + 2, 64) points, one more than the fewest whose projection
+    reproduces degree r exactly; its quadrature L2 projection onto
+    degree r, row i (2i+1)/2 w_q P_i(x_q), so step_proj @ step_V c = c;
+    and its lift, the antiderivative from x = -1 of step_proj per unit
+    step length (the reference map contributes k/2): k step_lift @ f are
+    the coefficients of the degree r+1 integral of the projected node
+    values f, zero at the left endpoint.  The step iterates on it and
     the reconstruction lifts the step's node values with step_lift; the
     estimator integrates on its own rules.
     res_offsets (n,), res_V (n, r+1), res_proj (q+1, n), res_lift
@@ -253,16 +249,13 @@ class Basis:
     same node values (``galerkin.SchemeOperator.predict``).
     first_half (r+1, r+2): first_half @ c is the degree-r projection of
     the degree r+1 polynomial c restricted to the first half of its
-    interval (x -> (x - 1) / 2), rounded once; exact for a c of degree
-    at most r.
+    interval (x -> (x - 1) / 2), projected on the growth integral's
+    rule and rounded once; exact for a c of degree at most r.
     """
 
-    nodes: np.ndarray
     weights: np.ndarray
     offsets: np.ndarray
     V: np.ndarray
-    proj: np.ndarray
-    lift: np.ndarray
     samples: np.ndarray
     samples_V: np.ndarray
     step_offsets: np.ndarray
@@ -291,7 +284,7 @@ def _rule(n: int, r: int, q: int) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=None)
 def basis(r: int) -> Basis:
     """The cached ``Basis`` of degree r >= 0."""
-    nodes, weights, offsets, V, proj, lift = _rule(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)
+    nodes, weights, offsets, V, proj, _ = _rule(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)
     m = _LINF_SAMPLES_PER_DEGREE * (r + 2)
     cheb = np.cos(np.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
     samples = np.concatenate(([-1.0], cheb[::-1], [1.0]))
@@ -301,7 +294,7 @@ def basis(r: int) -> Basis:
     n = min(r + _RESIDUAL_EXTRA_POINTS, _MAX_QUAD_POINTS)
     res = _rule(n, r, n - 1)[2:]
     first_half = proj @ _leg.legvander(0.5 * (nodes - 1.0), r + 1)
-    arrays = (nodes, weights, offsets, V, proj, lift, samples, samples_V, *step, *res, first_half)
+    arrays = (weights, offsets, V, samples, samples_V, *step, *res, first_half)
     for arr in arrays:
         arr.flags.writeable = False
     return Basis(*arrays)

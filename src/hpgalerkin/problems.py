@@ -32,6 +32,7 @@ raise NumericOverflow itself.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -67,6 +68,9 @@ class Problem:
     lip_batch: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
+        # a bool or an integral float passes the shape test below, and a
+        # float dim would make every dofs count a float
+        object.__setattr__(self, "dim", _integer("dim", self.dim))
         u0 = np.atleast_1d(np.array(self.u0, dtype=float))
         if u0.shape != (self.dim,):
             raise ValueError(f"u0 must have shape ({self.dim},)")
@@ -74,6 +78,17 @@ class Problem:
             raise ValueError(f"u0 must be a nonempty vector of finite numbers, got {u0}")
         u0.flags.writeable = False
         object.__setattr__(self, "u0", u0)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int, or ValueError: a bool passes ``operator.index``,
+    but numpy sizes and the dofs counts reject it."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def rhs_at(p: Problem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:

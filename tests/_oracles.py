@@ -7,7 +7,7 @@ import sys
 import numpy as np
 from numpy.polynomial import legendre
 
-from hpgalerkin.adapt import _ZERO_POLY_RTOL, THETA_STAR, SmoothnessReport
+from hpgalerkin.adapt import _ZERO_POLY_RTOL
 from hpgalerkin.galerkin import (
     _FLOAT_MAX,
     FP_TOL,
@@ -19,7 +19,16 @@ from hpgalerkin.galerkin import (
     StepOutput,
     picard_operator,
 )
-from hpgalerkin.poly import _RESIDUAL_EXTRA_POINTS, _STEP_EXTRA_POINTS, LocalPoly, basis
+from hpgalerkin.poly import (
+    _EXTRA_POINTS,
+    _MAX_QUAD_POINTS,
+    _RESIDUAL_EXTRA_POINTS,
+    _STEP_EXTRA_POINTS,
+    LocalPoly,
+    _rule,
+    _time_map,
+    basis,
+)
 from hpgalerkin.problems import NumericOverflow, Problem, lip_at, rhs_at
 
 
@@ -257,9 +266,13 @@ def reference_smoothness(u, r, theta_star=0.85):
 
 def parent_smoothness(u, r):
     """``adapt.smoothness`` as it was before its rewrite on Python floats,
-    kept verbatim, but for the names of its two array constants, as its
-    bit-identity oracle: the same IEEE operations on numpy arrays, whose
-    ``.sum()`` adds pairwise from 8 terms on."""
+    kept verbatim, but for the names of its two array constants and theta
+    returned as a float, as its bit-identity oracle: the same IEEE
+    operations on numpy arrays, whose ``.sum()`` adds pairwise from 8
+    terms on.  Where (w_1 2/k)^2 overflows or k |w|^2 is not a normal
+    double (k below about 1e-154, or infinite), it keeps the old reading
+    (0, nan or a division by 0), which ``smoothness`` replaced by the
+    closed forms of its two terms."""
     if r < 1:
         raise ValueError(f"smoothness indicator needs degree >= 1, got {r}")
     if u.degree > r:
@@ -271,9 +284,9 @@ def parent_smoothness(u, r):
         for s in range(r - 1):
             w = (2.0 * (j - s) - 1.0) * w * (2.0 / k)
     if w.size == 0 or (w_max := abs(w).max()) <= _ZERO_POLY_RTOL * abs(u.coeffs).max():
-        return SmoothnessReport(theta=1.0, smooth=True)
+        return 1.0
     if not w_max < math.inf:
-        return SmoothnessReport(theta=0.0, smooth=False)
+        return 0.0
     w = np.ldexp(w, -math.frexp(w_max)[1])
     w1 = w[1] if w.shape[0] == 2 else np.zeros_like(w[0])
     l2 = math.sqrt(((k / _PARENT_TWO_I_PLUS_ONE[: w.shape[0]]) * w**2).sum())
@@ -281,8 +294,7 @@ def parent_smoothness(u, r):
     ends = w[0][:, None] + w1[:, None] * _PARENT_ENDPOINTS  # (d, 2): w(-1), w(1)
     linf = math.sqrt((ends**2).sum(axis=0).max())
     denom = l2 / math.sqrt(k) + math.sqrt(k) * h1_semi / math.sqrt(2.0)
-    theta = min(max(linf / denom, 0.0), 1.0)
-    return SmoothnessReport(theta=theta, smooth=theta >= THETA_STAR)
+    return min(max(linf / denom, 0.0), 1.0)
 
 
 _PARENT_ENDPOINTS = np.array([-1.0, 1.0])
@@ -426,15 +438,39 @@ def change_only_sweep(p, inp, c, cap, atol):
     return iterates, f_seq, changes, (MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 
+def growth_rule(r):
+    """The nodes (n,), quadrature L2 projection (r+1, n) onto degree r
+    and its lift (r+2, n), the antiderivative from x = -1 per unit step
+    length, of the growth integral's rule of ``basis(r)``, n = min(r +
+    6, 64) points, built by ``poly._rule`` as ``basis`` builds them.
+    ``basis(r)`` keeps only the rule's weights, offsets and Vandermonde,
+    and ``first_half``, formed from these nodes and this projection."""
+    nodes, _, _, _, proj, lift = _rule(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)
+    return nodes, proj, lift
+
+
+def step_f_vals(p, inp, u):
+    """f (s, d) at the nodes of the step's rule of degree inp.r
+    (``basis(r).step_offsets``) and at the values there of u, of degree
+    at most r, under its own errstate: the node values that
+    ``reconstruct`` lifts, evaluated at u instead of taken from a step,
+    with the products and the time map that ``reconstruct`` used when it
+    evaluated them itself, so its lift of them has the same bits."""
+    b, iv = basis(inp.r), u.interval
+    with np.errstate(over="ignore", invalid="ignore"):
+        us = np.dot(b.step_V[:, : u.coeffs.shape[0]], u.coeffs)
+        return rhs_at(p, _time_map(iv.t_start, iv.k, b.step_offsets), us)
+
+
 def exact_reexpansions(r):
     """The exact re-expansion matrices (r+1, r+1) of a degree-r
     coefficient array: shift @ c continues c onto the next interval of
     equal length (x -> x + 2), halve @ c restricts it to the first half
     of its own (x -> (x - 1) / 2).  The kernel tests start Picard from
     these re-expansions of neighbouring steps."""
-    b = basis(r)
-    shift = b.proj @ legendre.legvander(b.nodes + 2.0, r)
-    halve = b.proj @ legendre.legvander(0.5 * (b.nodes - 1.0), r)
+    nodes, proj, _ = growth_rule(r)
+    shift = proj @ legendre.legvander(nodes + 2.0, r)
+    halve = proj @ legendre.legvander(0.5 * (nodes - 1.0), r)
     return shift, halve
 
 
@@ -478,7 +514,9 @@ def parent_cg_lift(p, u, u_left, r, f_vals=None, *, step=True):
     """``galerkin._cg_lift`` with matmul products and its own errstate, on
     the step's rule of degree r (``step_nodes``), as ``reconstruct``
     lifts, or on the residual's rule of ``basis(r)`` (``residual_nodes``)
-    when not ``step``, as ``residual_estimator`` does."""
+    when not ``step``, as ``residual_estimator`` does.  Without f_vals it
+    evaluates f at u on that rule itself, as ``_cg_lift`` once did: the
+    reference that ``step_f_vals`` and ``residual_f_vals`` reproduce."""
     iv, b = u.interval, basis(r)
     if step:
         nodes, V, lift = step_nodes(r)[0], b.step_V, b.step_lift
@@ -562,7 +600,7 @@ def parent_growth_factory(p, iv, u_hat, psi):
     squares and the nodes mapped by ``from_reference``; same signature,
     so it can stand in for it inside ``solve_delta``."""
     b = basis(u_hat.degree)
-    ts = iv.from_reference(b.nodes)
+    ts = iv.from_reference(growth_rule(u_hat.degree)[0])
     u_norms = parent_node_norms(b.V @ u_hat.coeffs)
     w = 0.5 * iv.k * b.weights
 

@@ -26,7 +26,15 @@ from hpgalerkin.poly import Interval, LocalPoly, basis
 from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
 from hpgalerkin.cli import fit_rates
 
-from _oracles import brute_force_residual, constant, l2_norm, l2_project
+from _oracles import (
+    brute_force_residual,
+    constant,
+    growth_rule,
+    l2_norm,
+    l2_project,
+    residual_f_vals,
+    step_f_vals,
+)
 
 H_TOLS = [10.0 ** (-e / 2) for e in range(4, 15)]     # 1e-2 .. 1e-7
 HP_TOLS = [10.0 ** (-e / 2) for e in range(4, 21)]    # 1e-2 .. 1e-10
@@ -251,7 +259,8 @@ def test_criterion_8_property_suites(rng):
     # its weights from row 0 of its projection, w_q / 2
     for r in range(20):
         b = basis(r)
-        for x, w in ((b.nodes, b.weights), (b.step_offsets - 1.0, 2.0 * b.step_proj[0])):
+        nodes = growth_rule(r)[0]
+        for x, w in ((nodes, b.weights), (b.step_offsets - 1.0, 2.0 * b.step_proj[0])):
             n = x.size
             for m in range(2 * n):
                 exact = 0.0 if m % 2 else 2.0 / (m + 1)
@@ -266,8 +275,8 @@ def test_criterion_8_property_suites(rng):
         d = int(rng.integers(1, 5))
         iv = Interval(0.0, float(10.0 ** rng.uniform(-3, 0.5)))
         p = LocalPoly(iv, rng.standard_normal((r + 1, d)))
-        b = basis(r)
-        for x, proj in ((b.nodes, b.proj), (b.step_offsets - 1.0, b.step_proj)):
+        b, (x_own, proj_own, _) = basis(r), growth_rule(r)
+        for x, proj in ((x_own, proj_own), (b.step_offsets - 1.0, b.step_proj)):
             q = proj @ p(iv.from_reference(x)).T
             if not np.allclose(q, p.coeffs, atol=1e-12, rtol=1e-12):
                 failures.append("projection idempotence")
@@ -281,7 +290,7 @@ def test_criterion_8_property_suites(rng):
     for scheme, r in ((Scheme.CG, 2), (Scheme.DG, 1)):
         inp = StepInput(Interval(0.0, 0.1), r, np.array([1.0]), scheme)
         out = step(prob, inp)
-        u_hat = reconstruct(prob, inp, out.u)
+        u_hat = reconstruct(prob, inp, step_f_vals(prob, inp, out.u))
         if not out.converged or abs(u_hat(0.1)[0] - out.u(0.1)[0]) > 1e-10:
             failures.append(f"nodal identity {scheme.value}")
     lam, k = 0.8, 0.05
@@ -302,7 +311,7 @@ def test_criterion_8_property_suites(rng):
         t0 = rng.uniform(0.0, 0.3)
         iv = Interval(t0, t0 + 10.0 ** rng.uniform(-2.5, -0.5))
         u_hat = LocalPoly(iv, rng.standard_normal((int(rng.integers(2, 7)) + 1, 1)) * 0.4)
-        eta = residual_estimator(p, u_hat, u_hat(iv.t_start))
+        eta = residual_estimator(p, u_hat, u_hat(iv.t_start), residual_f_vals(p, u_hat))
         oracle = brute_force_residual(p, u_hat, n_samples=10_000)
         if abs(eta - oracle) > 0.01 * oracle:
             failures.append(f"residual oracle #{i}: {eta:.6e} vs {oracle:.6e}")
@@ -324,11 +333,11 @@ def test_criterion_8_property_suites(rng):
 
     # smoothness indicator analytic cases
     const = constant(Interval(0.0, 1.0), np.array([3.0]))
-    if abs(smoothness(const, 1).theta - 1.0) > 1e-12:
+    if abs(smoothness(const, 1) - 1.0) > 1e-12:
         failures.append("smoothness constant")
     ramp = l2_project(lambda t: np.array([t]), Interval(0.0, 1.0), 1)
     want = 1.0 / (1.0 / math.sqrt(3.0) + 1.0 / math.sqrt(2.0))
-    if abs(smoothness(ramp, 1).theta - want) > 1e-3:
+    if abs(smoothness(ramp, 1) - want) > 1e-3:
         failures.append("smoothness ramp")
 
     _report(8, not failures, f"property suites ({failures if failures else 'all hold'})")

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hpgalerkin.adapt import (
+    THETA_STAR,
     AdaptConfig,
     IntervalRecord,
     Mode,
     RunResult,
-    SmoothnessReport,
     Termination,
     h_adapt,
     hp_adapt,
@@ -33,6 +33,7 @@ from _oracles import (
     next_interval_guess,
     parent_smoothness,
     reference_smoothness,
+    residual_f_vals,
     zero_rhs,
 )
 
@@ -59,7 +60,7 @@ def last_step_raises(cfg, records):
     """An HP rejection after the last accepted step would raise r: the
     step is smooth and r is below r_max."""
     last = records[-1]
-    return last.r < cfg.r_max and smoothness(last.output.u, last.r).smooth
+    return last.r < cfg.r_max and smoothness(last.output.u, last.r) >= THETA_STAR
 
 
 def predicts_rejection(cfg, records, tol):
@@ -84,23 +85,38 @@ class TestSmoothness:
     def test_constant_saturates_embedding(self):
         # r=1 applies the indicator to u itself; a constant attains the bound
         u = constant(Interval(0.0, 0.5), np.array([-2.5]))
-        rep = smoothness(u, 1)
-        assert rep.theta == pytest.approx(1.0, abs=1e-12)
-        assert rep.smooth
+        theta = smoothness(u, 1)
+        assert theta == pytest.approx(1.0, abs=1e-12)
+        assert theta >= THETA_STAR
         # r=2 differentiates once: a linear u also saturates
         lin = l2_project(lambda t: np.array([2.0 + 3.0 * t]), Interval(0.0, 0.5), 1)
-        assert smoothness(lin, 2).theta == pytest.approx(1.0, abs=1e-12)
+        assert smoothness(lin, 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_polynomial(self):
         u = constant(Interval(0.0, 1.0), np.array([0.0]), degree=2)
-        assert smoothness(u, 2).theta == 1.0
+        assert smoothness(u, 2) == 1.0
 
     def test_ramp_analytic_value(self):
         # w(t) = t on (0,1): theta = 1 / (1/sqrt(3) + 1/sqrt(2))
         u = l2_project(lambda t: np.array([t]), Interval(0.0, 1.0), 1)
-        rep = smoothness(u, 1)
-        assert rep.theta == pytest.approx(1.0 / (1.0 / math.sqrt(3) + 1.0 / math.sqrt(2)), abs=1e-3)
-        assert not rep.smooth  # 0.778 < 0.85
+        theta = smoothness(u, 1)
+        assert theta == pytest.approx(1.0 / (1.0 / math.sqrt(3) + 1.0 / math.sqrt(2)), abs=1e-3)
+        assert not theta >= THETA_STAR  # 0.778 < 0.85
+
+    @pytest.mark.parametrize("k", [1e-155, 1e-160, 1e-300, 1e-310, 5e-324])
+    def test_tiny_interval_closed_form(self, k):
+        # u = 1 + 0.5 P_1 at r = 1: w = u, ||w||_inf = 1.5, the L2 term
+        # k^{-1/2} ||w||_2 = sqrt(1 + 0.25 / 3) and the H^1 term
+        # k^{1/2} ||w'||_2 / sqrt(2) = sqrt(2) * 0.5, whatever k is; below
+        # about k = 1e-154, (w_1 2/k)^2 overflows, and theta must not read
+        # 0; below about 1e-307, k ||w||^2 is subnormal
+        want = 1.5 / (math.sqrt(1.0 + 0.25 / 3.0) + math.sqrt(2.0) * 0.5)
+        theta = smoothness(LocalPoly(Interval(0.0, k), [[1.0], [0.5]]), 1)
+        assert _ulps(theta, want) <= 4
+        assert theta >= THETA_STAR  # 0.858
+        # a constant attains the bound: theta = 1, where 2/k overflows to
+        # inf and 0 * inf is nan, and where k ||w||^2 underflows to 0
+        assert _ulps(smoothness(LocalPoly(Interval(0.0, k), [[1.0], [0.0]]), 1), 1.0) <= 4
 
     def test_degree_zero_rejected(self):
         u = constant(Interval(0.0, 1.0), np.array([1.0]))
@@ -157,16 +173,16 @@ class TestSmoothnessAgainstReference:
     @pytest.mark.parametrize("r", range(1, 9))
     def test_matches_reference(self, r, d, rng):
         for kind, u in self.candidates(rng, r, d):
-            rep = smoothness(u, r)
+            got = smoothness(u, r)
             theta, smooth = reference_smoothness(u, r)
-            assert rep.smooth == smooth
+            assert (got >= THETA_STAR) == smooth
             if d == 1 or kind != "nearly-constant":
-                assert rep.theta == theta, kind
+                assert got == theta, kind
             else:
                 # |w| is convex, so its sup is max(|w(-1)|, |w(1)|); an
                 # interior sample can exceed that by rounding when w is
                 # nearly constant and d > 1, by at most a few ulp
-                assert rep.theta <= theta and _ulps(rep.theta, theta) <= 4, kind
+                assert got <= theta and _ulps(got, theta) <= 4, kind
 
 
 SMOOTHNESS_KINDS = [
@@ -209,31 +225,32 @@ class TestSmoothnessBitIdentity:
     """``smoothness`` on Python floats against its array form
     (``_oracles.parent_smoothness``).  Each sum of either adds its terms
     left to right below 8 terms, so for d <= 3, where every sum has at
-    most 6, the two return the same report bit for bit.  From 8 terms
-    on numpy sums pairwise: for d >= 4 the reports agree on ``smooth``,
-    and theta agrees within the rounding of the two summation orders.
+    most 6, the two return the same theta bit for bit.  From 8 terms
+    on numpy sums pairwise: for d >= 4 the two agree on theta >=
+    THETA_STAR, and theta agrees within the rounding of the two summation orders.
     Each of the three sums of n non-negative terms rounds by at most
     (n - 1) u in either order (u = eps / 2), the square roots halve
     that, and the divisions, roots and the final sum add a few u more:
     (3d + 8) ulp of theta.  Random draws reach 4 ulp at d = 4 and 8 and
-    8 ulp at d = 32."""
+    8 ulp at d = 32.  theta is a float, so "the same report" is the same
+    theta: ``==`` on two floats."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=smoothness_inputs((1, 2, 3)))
     def test_same_report_up_to_d_3(self, case):
         u, r, kind = case
-        rep = smoothness(u, r)
-        assert rep == parent_smoothness(u, r)
+        theta = smoothness(u, r)
+        assert theta == parent_smoothness(u, r)
         if kind == "overflow":
-            assert rep == SmoothnessReport(theta=0.0, smooth=False)
+            assert theta == 0.0
         elif kind in ("vanishing", "empty"):
-            assert rep == SmoothnessReport(theta=1.0, smooth=True)
+            assert theta == 1.0
 
     @pytest.mark.parametrize(
         "iv,want",
         [
-            (Interval(-1e308, 1e308), (0.0, False)),  # 2/k = 0: inf * 0 is nan, 0 * 0 is 0
-            (Interval(0.0, 5e-324), (0.0, False)),  # 2/k = inf: 0 * inf is nan
+            (Interval(-1e308, 1e308), 0.0),  # 2/k = 0: inf * 0 is nan, 0 * 0 is 0
+            (Interval(0.0, 5e-324), 0.0),  # 2/k = inf: 0 * inf is nan
         ],
         ids=["k-inf", "k-subnormal"],
     )
@@ -241,15 +258,15 @@ class TestSmoothnessBitIdentity:
         # w = [0, 0, nan, 0]: a max that skips the nan would find w
         # vanishing (theta 1); numpy's max propagates it (theta 0)
         u = LocalPoly(iv, [[1.0, 1.0], [0.0, 0.0], [1e308, 0.0]])
-        assert smoothness(u, 2) == parent_smoothness(u, 2) == SmoothnessReport(*want)
+        assert smoothness(u, 2) == parent_smoothness(u, 2) == want
 
     @settings(max_examples=150, deadline=None)
     @given(case=smoothness_inputs((4, 8, 32)))
     def test_summation_order_bound_above_d_3(self, case):
         u, r, _ = case
-        rep, parent = smoothness(u, r), parent_smoothness(u, r)
-        assert rep.smooth == parent.smooth
-        assert _ulps(rep.theta, parent.theta) <= 3 * u.dim + 8
+        theta, parent = smoothness(u, r), parent_smoothness(u, r)
+        assert (theta >= THETA_STAR) == (parent >= THETA_STAR)
+        assert _ulps(theta, parent) <= 3 * u.coeffs.shape[1] + 8
 
 
 class TestConfigValidation:
@@ -389,11 +406,11 @@ class TestHAdapt:
         residual = adapt_module.residual_estimator
         calls = [0]
 
-        def first_overflows(p, u_hat, u_left, f_vals=None):
+        def first_overflows(p, u_hat, u_left, f_vals):
             calls[0] += 1
             if calls[0] == 1:
-                u_hat = LocalPoly(u_hat.interval, [[1.5e308], [0.0]])
-                return residual(zero_rhs(), u_hat, [-1.5e308])
+                zero, u_hat = zero_rhs(), LocalPoly(u_hat.interval, [[1.5e308], [0.0]])
+                return residual(zero, u_hat, [-1.5e308], residual_f_vals(zero, u_hat))
             return residual(p, u_hat, u_left, f_vals)
 
         monkeypatch.setattr(adapt_module, "residual_estimator", first_overflows)
@@ -553,7 +570,7 @@ class TestHpAdapt:
         res = hp_adapt(make_linear(1.0, [1e306]), cfg)
         assert res.termination is Termination.K_MIN_REACHED and res.M == 0
         u = LocalPoly(Interval(0.0, 1e-3), [[1e306], [1e306], [1e306], [1e306]])
-        assert smoothness(u, 3) == SmoothnessReport(theta=0.0, smooth=False)
+        assert smoothness(u, 3) == 0.0
 
     def test_hp_beats_h_at_equal_tolerance(self):
         p = make_power_square(1.0)
@@ -766,7 +783,7 @@ class TestWarmStartDecisions:
                 if not prev_out.converged:
                     assert guess is None
                     continue
-                u_hat = reconstruct(p, prev, prev_out.u, prev_out.f_vals)
+                u_hat = reconstruct(p, prev, prev_out.f_vals)
                 if inp.interval.t_start == prev.interval.t_end:
                     # the next interval starts at the reconstruction's end value
                     kind, want = "next", next_interval_guess(p, prev, u_hat, inp.u_left)
@@ -845,7 +862,7 @@ class TestInexactPicard:
             # the stop is the fixed share of the running tolerance
             assert atol == adapt_module.PICARD_TOL_SHARE * running
             # the reconstruction is the lift of the step's own f values
-            lifted = reconstruct(p, inp, out.u, out.f_vals)
+            lifted = reconstruct(p, inp, out.f_vals)
             assert rec.reconstruction.coeffs.tobytes() == lifted.coeffs.tobytes()
             u_left, running = rec.reconstruction.coeffs.sum(axis=0), tol_after
 
@@ -901,6 +918,67 @@ class TestTracerFidelity:
         assert counts["lip_at"] == counts["lip"] > 0
 
 
+def counting_problem(base, points):
+    """base with its f counted: points[0] grows by one per point at
+    which f is evaluated, through ``f_batch`` when base has one, else
+    through the scalar f."""
+    if base.f_batch is not None:
+
+        def f_batch(ts, us):
+            points[0] += len(ts)
+            return base.f_batch(ts, us)
+
+        return dataclasses.replace(base, f_batch=f_batch)
+
+    def f(t, u):
+        points[0] += 1
+        return base.f(t, u)
+
+    return dataclasses.replace(base, f=f)
+
+
+class TestFPointLedger:
+    """The march evaluates f only in the Picard updates, on the step's
+    rule of min(r + 2, 64) points, and once for the residual of each
+    reconstruction that ``reconstruct`` returns, on the residual's rule
+    of the degree r + 1 reconstruction, min(r + 8, 64) points: the
+    reconstruction lifts the step's own f values, the drivers' first
+    iterates are predicted from values already evaluated, and no layer
+    evaluates f twice."""
+
+    PROBLEMS = {
+        "power2": lambda: make_power_square(1.0),
+        "exp": lambda: make_exponential(1.0),
+        "custom": norm_square_scalar,
+    }
+
+    @pytest.mark.parametrize("mode,r", [(Mode.HP, 1), (Mode.H, 2)], ids=["hp", "h"])
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG], ids=lambda v: v.value)
+    @pytest.mark.parametrize("name", list(PROBLEMS))
+    def test_points_equal_the_ledger(self, name, scheme, mode, r, monkeypatch):
+        points, steps, lifts = [0], [], []
+
+        def counted_step(p, inp, cfg, **kwargs):
+            out = step(p, inp, cfg, **kwargs)
+            steps.append((inp.r, out.picard_iters))
+            return out
+
+        def counted_reconstruct(p, inp, f_vals):
+            u_hat = reconstruct(p, inp, f_vals)
+            lifts.append(inp.r)
+            return u_hat
+
+        monkeypatch.setattr(adapt_module, "step", counted_step)
+        monkeypatch.setattr(adapt_module, "reconstruct", counted_reconstruct)
+        p = counting_problem(self.PROBLEMS[name](), points)
+        cfg = AdaptConfig(scheme=scheme, mode=mode, r_init=r, k_init=0.15, tol_star=1e-7)
+        res = (hp_adapt if mode is Mode.HP else h_adapt)(p, cfg)
+        assert res.M > 10 and lifts
+        want = sum(iters * min(r + 2, 64) for r, iters in steps)
+        want += sum(min(r + 8, 64) for r in lifts)
+        assert points[0] == want
+
+
 class TestLazyTheta:
     """``IntervalRecord.theta`` is computed on access, with the value the
     driver used to store."""
@@ -931,7 +1009,7 @@ class TestLazyTheta:
             if rec.r == 0:
                 assert rec.theta is None
             else:
-                assert rec.theta == score(rec.output.u, rec.r).theta
+                assert rec.theta == score(rec.output.u, rec.r)
 
 
 PREDICTION_RUNS = {
@@ -1026,7 +1104,7 @@ class TestPredictedHalving:
                 continue
             for i in range(2, res.M):
                 head = res.intervals[:i]
-                if not smoothness(head[-1].output.u, head[-1].r).smooth:
+                if not smoothness(head[-1].output.u, head[-1].r) >= THETA_STAR:
                     continue
                 exceeds = carries_k_and_r(head) and prediction_exceeds(head, tols[i])
                 if head[-1].r < cfg.r_max:

@@ -24,7 +24,6 @@ PUBLIC_NAMES = {
     "Problem",
     "RunResult",
     "Scheme",
-    "SmoothnessReport",
     "StepEstimate",
     "StepFailure",
     "StepInput",

@@ -52,6 +52,7 @@ from _oracles import (
     reference_step,
     residual_f_vals,
     residual_nodes,
+    step_f_vals,
 )
 
 
@@ -240,20 +241,25 @@ class TestOverflow:
         inp = StepInput(iv, 2, np.array([1.0]), Scheme.CG)
         u = step(make_power_square(1.0), inp).u
         p = poisoned_power_square(bad, 1)
+        f_vals = step_f_vals(p, inp, u)
         with pytest.raises(NumericOverflow):
-            reconstruct(p, inp, u)
+            reconstruct(p, inp, f_vals)
+        clean = make_power_square(1.0)
+        u_hat = reconstruct(clean, inp, step_f_vals(clean, inp, u))
+        f_res = residual_f_vals(p, u_hat)
         with pytest.raises(NumericOverflow):
-            residual_estimator(p, reconstruct(make_power_square(1.0), inp, u), inp.u_left)
+            residual_estimator(p, u_hat, inp.u_left, f_res)
 
     def test_overflowing_lift_raises(self):
         # f = 1e308 is finite, but the lifted coefficients are not
         p = make_linear(1.0, [1e308])
         inp = StepInput(Interval(0.0, 10.0), 1, p.u0, Scheme.CG)
         u = constant(inp.interval, p.u0, degree=1)
+        f_vals, f_res = step_f_vals(p, inp, u), residual_f_vals(p, u)
         with pytest.raises(NumericOverflow):
-            reconstruct(p, inp, u)
+            reconstruct(p, inp, f_vals)
         with pytest.raises(NumericOverflow):
-            residual_estimator(p, u, inp.u_left)
+            residual_estimator(p, u, inp.u_left, f_res)
 
 
 class TestReconstruction:
@@ -261,7 +267,7 @@ class TestReconstruction:
         c = np.array([2.0])
         inp = StepInput(Interval(0.0, 1.0), 1, c, Scheme.CG)
         out = step(zero_rhs(), inp)
-        u_hat = reconstruct(zero_rhs(), inp, out.u)
+        u_hat = reconstruct(zero_rhs(), inp, step_f_vals(zero_rhs(), inp, out.u))
         assert u_hat.degree == 2
         np.testing.assert_allclose(u_hat(0.6), c, atol=1e-15)
 
@@ -274,7 +280,7 @@ class TestReconstruction:
             inp = StepInput(Interval(0.1, 0.2), r + r_add, np.array([u0]), scheme)
             out = step(p, inp)
             assert out.converged
-            u_hat = reconstruct(p, inp, out.u)
+            u_hat = reconstruct(p, inp, step_f_vals(p, inp, out.u))
             np.testing.assert_allclose(u_hat(0.2), out.u(0.2), atol=1e-10)
             np.testing.assert_allclose(u_hat(0.1), [u0], atol=1e-13)
 
@@ -424,11 +430,11 @@ class TestAgainstReferenceLoop:
             # at k|u| = 0.9), so only converged steps get the roundoff bound.
             assert_same_step(out, ref, 1e-13 if ref[2] else 1e-9)
             if out.converged:
-                u_hat = reconstruct(p, inp, out.u)
+                u_hat = reconstruct(p, inp, step_f_vals(p, inp, out.u))
                 u_ref = reference_reconstruct(p, inp, ref[0])
                 scale = max(1.0, float(np.max(np.abs(u_ref.coeffs))))
                 assert np.max(np.abs(u_hat.coeffs - u_ref.coeffs)) <= 1e-13 * scale
-                eta = residual_estimator(p, u_hat, u_left)
+                eta = residual_estimator(p, u_hat, u_left, residual_f_vals(p, u_hat))
                 assert abs(eta - reference_residual(p, u_ref, u_left)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("make,u_left,k", [
@@ -744,21 +750,23 @@ class TestAcceptPathBitIdentity:
 
     @pytest.mark.parametrize("scheme,r,dim", ACCEPT_CASES, ids=lambda v: getattr(v, "value", v))
     def test_reconstruct(self, scheme, r, dim):
+        # the step's own f values, and f evaluated at its iterate by
+        # ``step_f_vals`` against the oracle's own evaluation
         p, inp, out = accept_case(scheme, r, dim)
-        for f_vals in (out.f_vals, None):
-            got = reconstruct(p, inp, out.u, f_vals).coeffs
-            assert got.tobytes() == parent_reconstruct(p, inp, out.u, f_vals).coeffs.tobytes()
+        for f_vals, given in ((out.f_vals, out.f_vals), (step_f_vals(p, inp, out.u), None)):
+            got = reconstruct(p, inp, f_vals).coeffs
+            assert got.tobytes() == parent_reconstruct(p, inp, out.u, given).coeffs.tobytes()
 
     @pytest.mark.parametrize("scheme,r,dim", ACCEPT_CASES, ids=lambda v: getattr(v, "value", v))
     def test_residual_and_norms(self, scheme, r, dim):
         # the residual lifts f at uhat on the residual's rule of
-        # basis(deg(uhat)), evaluated there or given as the drivers give it
+        # basis(deg(uhat)), given as the drivers give it, against the
+        # oracle evaluating f there itself and lifting the same values
         p, inp, out = accept_case(scheme, r, dim)
-        u_hat = reconstruct(p, inp, out.u, out.f_vals)
-        got = residual_estimator(p, u_hat, inp.u_left)
-        assert float_bits(got) == float_bits(parent_residual(p, u_hat, inp.u_left))
+        u_hat = reconstruct(p, inp, out.f_vals)
         f_res = residual_f_vals(p, u_hat)
-        assert float_bits(residual_estimator(p, u_hat, inp.u_left, f_res)) == float_bits(got)
+        got = residual_estimator(p, u_hat, inp.u_left, f_res)
+        assert float_bits(got) == float_bits(parent_residual(p, u_hat, inp.u_left))
         assert float_bits(parent_residual(p, u_hat, inp.u_left, f_res)) == float_bits(got)
         for u in (out.u, u_hat):
             assert float_bits(u.linf_norm()) == float_bits(parent_linf_norm(u))
@@ -770,8 +778,8 @@ class TestAcceptPathBitIdentity:
         # a psi from the residual, one whose solve takes several steps,
         # cold and warm, and one without a certificate
         p, inp, out = accept_case(scheme, r, dim)
-        u_hat = reconstruct(p, inp, out.u, out.f_vals)
-        eta = residual_estimator(p, u_hat, inp.u_left)
+        u_hat = reconstruct(p, inp, out.f_vals)
+        eta = residual_estimator(p, u_hat, inp.u_left, residual_f_vals(p, u_hat))
         results = []
         for psi, prev_delta in ((eta, None), (1.0, None), (1.0, 1.5), (1e3, 2.0)):
             got = solve_delta(p, inp.interval, u_hat, psi, prev_delta)
@@ -815,7 +823,7 @@ class TestAcceptPathBitIdentity:
         assert rec.decisions == ("halve_k",) and rec.attempts == 2
         assert len(calls) == 3 and calls[0][0] is None
         rejected_inp, rejected = calls[0][1:]
-        u_hat = reconstruct(p, rejected_inp, rejected.u, rejected.f_vals)
+        u_hat = reconstruct(p, rejected_inp, rejected.f_vals)
         assert calls[1][0].tobytes() == halved_guess(r, u_hat).tobytes()
         accepted_inp = calls[1][1]
         u_end = calls[2][1].u_left
@@ -861,8 +869,10 @@ class TestFiniteTest:
             vals[len(ts) // 2, dim - 1] = bad
             return vals
 
+        poisoned = dataclasses.replace(p, f_batch=f_batch)
+        f_vals = step_f_vals(poisoned, inp, cold.u)
         with pytest.raises(NumericOverflow):
-            reconstruct(dataclasses.replace(p, f_batch=f_batch), inp, cold.u)
+            reconstruct(poisoned, inp, f_vals)
 
 
 class TestTrustedWrap:
@@ -901,7 +911,9 @@ class TestTrustedWrap:
         for prob, inp, cfg in cases:
             out = step(prob, inp, cfg)
             outcomes.append(out.failure)
-            polys = [out.u] + ([reconstruct(prob, inp, out.u)] if out.converged else [])
+            polys = [out.u]
+            if out.converged:
+                polys.append(reconstruct(prob, inp, step_f_vals(prob, inp, out.u)))
             for u in polys:
                 assert not u.coeffs.flags.writeable and np.isfinite(u.coeffs).all()
                 with pytest.raises(ValueError):
@@ -941,9 +953,14 @@ class TestSweeps:
             ref = step(batch, inp, guess=guess, atol=atol)
             same_bits(out, ref)
             if out.converged:
-                for f_vals in (out.f_vals, None):
-                    got = reconstruct(scalar, inp, out.u, f_vals).coeffs
-                    want = reconstruct(batch, inp, ref.u, f_vals).coeffs
+                # the step's own f values, and f evaluated at its iterate
+                pairs = (
+                    (out.f_vals, ref.f_vals),
+                    (step_f_vals(scalar, inp, out.u), step_f_vals(batch, inp, ref.u)),
+                )
+                for got_f, want_f in pairs:
+                    got = reconstruct(scalar, inp, got_f).coeffs
+                    want = reconstruct(batch, inp, want_f).coeffs
                     assert got.tobytes() == want.tobytes()
             outcomes.add(out.failure)
         assert None in outcomes and len(outcomes) >= 2
@@ -1028,7 +1045,7 @@ class TestSweeps:
         inp = StepInput(Interval(t0, t0 + k), r, np.ones(dim), scheme)
         out = step(p, inp)
         assert out.converged
-        u_hat = reconstruct(p, inp, out.u, out.f_vals)
+        u_hat = reconstruct(p, inp, out.f_vals)
         u_end = u_hat.coeffs.sum(axis=0)
         predicted = next_interval_guess(p, inp, u_hat, u_end)
         nxt = StepInput(Interval(t0 + k, t0 + k + k), r, u_end, scheme)
@@ -1110,9 +1127,9 @@ class TestAbsoluteStop:
             return base.f_batch(ts, us)
 
         p = dataclasses.replace(base, f_batch=f_batch)
-        lifted = reconstruct(p, inp, out.u, out.f_vals)
+        lifted = reconstruct(p, inp, out.f_vals)
         assert points[0] == 0
-        evaluated = reconstruct(p, inp, before.u)
+        evaluated = reconstruct(p, inp, step_f_vals(p, inp, before.u))
         assert points[0] > 0
         assert lifted.coeffs.tobytes() == evaluated.coeffs.tobytes()
         assert not lifted.coeffs.flags.writeable
@@ -1128,8 +1145,8 @@ class TestAbsoluteStop:
         out = step(p, inp, atol=1e-3)
         assert out.converged
         end = out.u.coeffs.sum(axis=0)
-        lifted = reconstruct(p, inp, out.u, out.f_vals).coeffs.sum(axis=0)
-        evaluated = reconstruct(p, inp, out.u).coeffs.sum(axis=0)
+        lifted = reconstruct(p, inp, out.f_vals).coeffs.sum(axis=0)
+        evaluated = reconstruct(p, inp, step_f_vals(p, inp, out.u)).coeffs.sum(axis=0)
         assert np.abs(lifted - end).max() <= 4e-16 * np.abs(end).max()
         assert np.abs(evaluated - end).max() > 1e-6
 
@@ -1140,8 +1157,8 @@ class TestAbsoluteStop:
         guess = np.array(step(p, inp).u.coeffs)
         warm = step(p, inp, guess=guess)
         assert warm.converged and warm.picard_iters == 1
-        lifted = reconstruct(p, inp, warm.u, warm.f_vals)
-        evaluated = reconstruct(p, inp, LocalPoly(inp.interval, guess))
+        lifted = reconstruct(p, inp, warm.f_vals)
+        evaluated = reconstruct(p, inp, step_f_vals(p, inp, LocalPoly(inp.interval, guess)))
         assert lifted.coeffs.tobytes() == evaluated.coeffs.tobytes()
 
 

@@ -19,6 +19,7 @@ from _oracles import (
     antiderivative,
     constant,
     derivative,
+    growth_rule,
     l2_norm,
     l2_project,
     parent_node_norms,
@@ -49,7 +50,7 @@ def rules(n):
     (of every degree from 58 on at n = 64)."""
     found = [step_rule(n - _STEP_EXTRA_POINTS)]
     if n >= 6:
-        found.append((basis(n - 6).nodes, basis(n - 6).weights))
+        found.append((growth_rule(n - 6)[0], basis(n - 6).weights))
     return found
 
 
@@ -91,9 +92,10 @@ class TestGaussLegendre:
 
 def lifted(iv, r, f, left):
     """The program's antiderivative of the projection: the coefficients
-    k lift @ f of basis(r), f the (n, d) values at the mapped nodes, with
-    the left value added, as ``galerkin.reconstruct`` lifts."""
-    coeffs = iv.k * (basis(r).lift @ f)
+    k lift @ f of the lift of basis(r)'s own rule (``growth_rule``), f the
+    (n, d) values at the mapped nodes, with the left value added, as
+    ``galerkin.reconstruct`` lifts on the step's rule."""
+    coeffs = iv.k * (growth_rule(r)[2] @ f)
     coeffs[0] += left
     return LocalPoly(iv, coeffs)
 
@@ -117,7 +119,7 @@ class TestEval:
 
     def test_projection_reproduces_polynomial(self):
         iv = Interval(0.0, 1.0)
-        p = LocalPoly(iv, basis(2).proj @ node_values(iv, 2, lambda t: t * t))
+        p = LocalPoly(iv, growth_rule(2)[1] @ node_values(iv, 2, lambda t: t * t))
         np.testing.assert_allclose(p(0.5), [0.25], atol=1e-14)
 
     def test_outside_interval_raises(self):
@@ -130,7 +132,7 @@ class TestEval:
 
 class TestCalculus:
     """The derivative oracle that ``reference_smoothness`` rests on, and
-    basis(r).lift as the antiderivative of the projection."""
+    the lift of ``poly._rule`` as the antiderivative of the projection."""
 
     def test_derivative_of_constant_is_zero_poly(self):
         p = constant(Interval(0.0, 1.0), np.array([4.0]))
@@ -150,12 +152,12 @@ class TestCalculus:
 
     def test_antiderivative_of_zero(self):
         iv = Interval(0.0, 1.0)
-        q = lifted(iv, 0, np.zeros((basis(0).nodes.size, 1)), [2.5])
+        q = lifted(iv, 0, np.zeros((basis(0).offsets.size, 1)), [2.5])
         np.testing.assert_allclose(q(0.77), [2.5], atol=1e-15)
 
     def test_antiderivative_of_one(self):
         iv = Interval(0.0, 1.0)
-        q = lifted(iv, 0, np.ones((basis(0).nodes.size, 1)), [0.0])
+        q = lifted(iv, 0, np.ones((basis(0).offsets.size, 1)), [0.0])
         np.testing.assert_allclose(q(1.0), [1.0], atol=1e-14)
         np.testing.assert_allclose(q(0.25), [0.25], atol=1e-14)
 
@@ -180,24 +182,25 @@ class TestCalculus:
 
 
 class TestProjection:
-    """basis(r).proj and .step_proj, the quadrature L2 projections."""
+    """The projection of ``poly._rule`` (``growth_rule``) and
+    basis(r).step_proj, the quadrature L2 projections."""
 
     def test_constant(self):
         iv = Interval(2.0, 3.0)
-        coeffs = basis(4).proj @ node_values(iv, 4, lambda t: 7.0)
+        coeffs = growth_rule(4)[1] @ node_values(iv, 4, lambda t: 7.0)
         np.testing.assert_allclose(coeffs[0], [7.0])
         np.testing.assert_allclose(coeffs[1:], 0.0, atol=1e-13)
 
     def test_mean_of_t(self):
         iv = Interval(0.0, 1.0)
-        coeffs = basis(0).proj @ node_values(iv, 0, lambda t: t)
+        coeffs = growth_rule(0)[1] @ node_values(iv, 0, lambda t: t)
         np.testing.assert_allclose(coeffs, [[0.5]], atol=1e-15)
 
     def test_t_squared_coefficients(self):
         # oracle: (t^2, P0) = 2/3 and (t^2, P1) = 0 on [-1, 1], so the
         # Legendre coefficients are [1/3, 0]
         iv = Interval(-1.0, 1.0)
-        coeffs = basis(1).proj @ node_values(iv, 1, lambda t: t * t)
+        coeffs = growth_rule(1)[1] @ node_values(iv, 1, lambda t: t * t)
         np.testing.assert_allclose(coeffs[:, 0], [1.0 / 3.0, 0.0], atol=1e-15)
 
     def test_idempotence_random(self, rng):
@@ -207,7 +210,7 @@ class TestProjection:
             iv = Interval(rng.uniform(-2, 2), rng.uniform(2.5, 4))
             p = LocalPoly(iv, rng.standard_normal((r + 1, d)))
             b = basis(r)
-            for offsets, proj in ((b.offsets, b.proj), (b.step_offsets, b.step_proj)):
+            for offsets, proj in ((b.offsets, growth_rule(r)[1]), (b.step_offsets, b.step_proj)):
                 q = proj @ p(_time_map(iv.t_start, iv.k, offsets)).T
                 np.testing.assert_allclose(q, p.coeffs, atol=1e-12, rtol=1e-12)
 
@@ -260,7 +263,7 @@ class TestNorms:
         c = np.arange(6.0).reshape(3, 2)
         u = LocalPoly._trusted(Interval(0.0, 1.0), c)
         assert u.coeffs is c and not c.flags.writeable
-        assert (u.degree, u.dim) == (2, 2)
+        assert u.degree == 2
         assert u.linf_norm() == LocalPoly(u.interval, np.arange(6.0).reshape(3, 2)).linf_norm()
 
     def test_sampled_linf_near_tight(self, rng):
@@ -355,26 +358,26 @@ class TestNormPrimitives:
 
 @pytest.mark.parametrize("r", range(65))
 def test_basis(r, rng):
-    b = basis(r)
+    b, (own_nodes, own_proj, own_lift) = basis(r), growth_rule(r)
     n = min(r + 6, 64)
-    assert b.nodes.shape == b.weights.shape == (n,)
+    assert own_nodes.shape == b.weights.shape == (n,)
     nodes, weights = legendre.leggauss(n)
-    assert b.nodes.tobytes() == nodes.tobytes()
+    assert own_nodes.tobytes() == nodes.tobytes()
     assert b.weights.tobytes() == weights.tobytes()
-    assert b.V.tobytes() == legendre.legvander(b.nodes, r).tobytes()
+    assert b.V.tobytes() == legendre.legvander(nodes, r).tobytes()
     assert b.samples_V.tobytes() == legendre.legvander(b.samples, r).tobytes()
     # the n-point rule cannot tell P_n from 0, so at r = 64 the 64-point
     # rule reproduces degree 63 and projects P_64 to about 0
     q = min(r, n - 1)
     c = np.zeros((r + 1, 3))
     c[: q + 1] = rng.standard_normal((q + 1, 3))
-    assert np.abs(b.proj @ (b.V @ c) - c).max() <= 1e-13 * np.abs(c).sum(axis=0).max()
+    assert np.abs(own_proj @ (b.V @ c) - c).max() <= 1e-13 * np.abs(c).sum(axis=0).max()
     f = rng.standard_normal((n, 2))
     oracle = project_values(f, Interval(-1.0, 1.0), q, nodes, weights)
     want = np.zeros((r + 2, 2))
     want[: q + 2] = antiderivative(oracle, np.zeros(2)).coeffs
-    assert np.abs(2.0 * (b.lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
-    assert b.offsets.tobytes() == (b.nodes + 1.0).tobytes()
+    assert np.abs(2.0 * (own_lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
+    assert b.offsets.tobytes() == (nodes + 1.0).tobytes()
     # the step's rule has r + 2 points and reproduces degree r as well
     s = min(r + _STEP_EXTRA_POINTS, 64)
     step_nodes, step_weights = legendre.leggauss(s)
@@ -388,8 +391,8 @@ def test_basis(r, rng):
     want[: q + 2] = antiderivative(oracle, np.zeros(2)).coeffs
     assert np.abs(2.0 * (b.step_lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
     names = (
-        "nodes", "weights", "offsets", "V", "proj", "lift", "samples", "samples_V",
-        "step_offsets", "step_V", "step_proj", "step_lift", "first_half",
+        "weights", "offsets", "V", "samples", "samples_V", "step_offsets", "step_V",
+        "step_proj", "step_lift", "res_offsets", "res_V", "res_proj", "res_lift", "first_half",
     )
     for name in names:
         assert not getattr(b, name).flags.writeable, name
@@ -414,10 +417,10 @@ class TestTimeMap:
         intervals += [Interval(t, t + 1e-14) for t in (1.0 - 3e-14, 1.0 - 1e-14, 1.0, 1.0 + 2e-14)]
         for iv in intervals:
             for r in (0, 1, 2, 5, 13, 30, 58, 64):
-                b = basis(r)
-                want = self.formula(iv, b.nodes).tobytes()
+                b, nodes = basis(r), growth_rule(r)[0]
+                want = self.formula(iv, nodes).tobytes()
                 assert _time_map(iv.t_start, iv.k, b.offsets).tobytes() == want
-                assert iv.from_reference(b.nodes).tobytes() == want
+                assert iv.from_reference(nodes).tobytes() == want
             x = float(rng.uniform(-1.0, 1.0))
             assert iv.from_reference(x) == self.formula(iv, x)
             assert iv.from_reference(b.samples).tobytes() == self.formula(iv, b.samples).tobytes()

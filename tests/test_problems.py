@@ -67,6 +67,25 @@ class TestInitialValue:
                 make_exponential(u0)
 
 
+class TestDim:
+    """dim is an integer, stored as an int: a bool or an integral float
+    would pass the shape test of u0, and a float dim makes every dofs
+    count a float."""
+
+    @pytest.mark.parametrize("dim", [True, 1.0, 1.5, "1", None], ids=repr)
+    def test_non_integer_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            Problem(dim=dim, u0=[1.0], f=lambda t, u: u * u, lip=lambda t, a, b: a + b)
+
+    def test_dofs_are_ints(self):
+        p = Problem(dim=np.int64(1), u0=[1.0], f=lambda t, u: u * u, lip=lambda t, a, b: a + b)
+        assert type(p.dim) is int
+        cfg = AdaptConfig(scheme=Scheme.CG, mode=Mode.HP, r_init=1, k_init=0.15, tol_star=1e-4)
+        res = hp_adapt(p, cfg)
+        assert res.M > 0 and type(res.dofs) is int
+        assert all(type(rec.dofs) is int for rec in res.intervals)
+
+
 class TestExponential:
     def test_blowup_time(self):
         assert abs(make_exponential(1.0).t_blowup - math.exp(-1.0)) < 1e-15
