@@ -20,9 +20,13 @@ every decision on k and r:
     5. scale the tolerance by delta (early intervals must be resolved
        more accurately than later ones, since their estimator
        contribution is amplified by every subsequent delta), carry the
-       accepted step length, degree and solution forward (the f values
-       its residual integrated predict the next interval's first Picard
-       iterate), and advance.
+       accepted step length, degree and solution forward, and advance.
+
+Each attempt starts Picard from its own Picard update computed from the
+f values at which the residual of the last candidate, accepted or
+rejected, was integrated, so no f is evaluated for it
+(``galerkin.SchemeOperator``); only the run's first attempt and one
+after a failed step start from the constant left value.
 
 The march ends when no growth factor exists below the scan ceiling --
 the blow-up signal, with the final uncertified candidate discarded --
@@ -71,7 +75,7 @@ from .galerkin import (
     reconstruct,
     step,
 )
-from .poly import _TINY, MAX_DEGREE, Interval, LocalPoly, _all_finite, basis
+from .poly import _TINY, MAX_DEGREE, Interval, LocalPoly, _all_finite
 from .problems import NumericOverflow, Problem, _integer
 
 __all__ = [
@@ -200,9 +204,8 @@ def smoothness(u: LocalPoly, r: int) -> float:
     the Euclidean norm.  Each term is formed with k, as the array form
     did, while its square sum is in range; otherwise, on an interval so
     short that (w_1 2/k)^2 overflows (k below about 1e-154) or k |w|^2
-    is not a normal double (k below about 1e-307), or of infinite
-    length, from the closed form (``math.hypot``).  So theta is finite
-    wherever w is.
+    is not a normal double (k below about 1e-307), from the closed form
+    (``math.hypot``).  So theta is finite wherever w is.
 
     Legendre differentiation (legder) maps the top two coefficients c_j
     to (2j-1) c_j and touches them with nothing else, so the two that
@@ -216,7 +219,7 @@ def smoothness(u: LocalPoly, r: int) -> float:
     does not: it compensates its rounding from Python 3.12 on); so theta
     has the bits of the array form for d <= 3.  From 8 terms on numpy
     sums pairwise, and the two can differ in the last bits.  An entry of
-    w that is inf or nan (nan only where 2/k is 0 or inf) reads as inf,
+    w that is inf or nan (nan only where 2/k is inf) reads as inf,
     as it did through numpy's max: theta = 0.
     """
     if r < 1:
@@ -289,6 +292,25 @@ def _predicts_rejection(cfg: AdaptConfig, records: list[IntervalRecord], tol: fl
     return cfg.mode is Mode.H or last.r >= cfg.r_max or not last.theta >= THETA_STAR
 
 
+def _first_iterate(inp: StepInput, H: np.ndarray, f_res: np.ndarray) -> np.ndarray:
+    """a u_left^T + k H @ f_res, with k, u_left and the a of
+    ``SchemeOperator`` those of inp: the Picard update of inp that H
+    forms from the residual's f values f_res.  The caller holds the
+    errstate; a guess that leaves double range is not finite, and
+    ``step`` ignores it."""
+    guess = np.dot(H, f_res)
+    k = inp.interval.k
+    if _all_finite(guess):
+        guess *= k
+    else:
+        # the product overflowed before k scaled it: form it from f
+        # scaled by a power of two, which rounds as the product
+        e = math.frexp(float(np.max(np.abs(f_res))))[1]
+        guess = np.ldexp(np.dot(H, np.ldexp(f_res, -e)) * k, e)
+    guess += picard_operator(inp.r, inp.scheme).a * inp.u_left
+    return guess
+
+
 def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     """March interval by interval, one attempt per pass of the loop (the
     skeleton of the module docstring); every change of k and r is made
@@ -305,25 +327,20 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     value, where the next interval starts, is the reconstruction's end
     value, so the global reconstruction has no jump for psi to miss.
 
-    The residual's f values are evaluated here, once per candidate
-    (``estimator._residual_f_vals``), and passed to
-    ``residual_estimator``.  The guess seeds the Picard iteration of an
-    attempt.  An interval's first attempt starts from its Picard update
-    computed from those f values of the reconstruction accepted before
-    it, projected to degree r + 2 and continued onto it
-    (``SchemeOperator.predict``): a u_end^T + k predict @ f_vals, with
-    no f evaluated.  After a predicted halving that guess is restricted
-    to the first half of the interval (the first r + 1 columns of
-    ``Basis.first_half``, exact for its degree r).  After an accuracy
-    refinement the next attempt starts from the rejected candidate's
-    reconstruction, the best polynomial the loop holds: restricted to
-    the first half of its interval and projected to degree r after a
-    halving, as it is after a degree raise, since it already has degree
-    r + 1.  The run's first attempt, and an attempt after a failed one,
-    start from the constant left value.  The guesses and the end value
-    are formed under the one errstate that spans the loop, and the
-    callees hold their own: ``step`` ignores a non-finite guess, and the
-    end value is tested for finiteness.
+    The residual's f values f_res are evaluated here, once per
+    candidate (``estimator._residual_f_vals``), and passed to
+    ``residual_estimator``.  They also seed the Picard iteration of the
+    next attempt, through one helper (``_first_iterate``): its first
+    iterate is a u_left^T + k H @ f_res, the attempt's Picard update
+    from f_res, with H of the attempt's ``SchemeOperator`` chosen by
+    what came before it: ``predict`` after an accepted candidate,
+    ``predict_half`` when the next interval was then halved on the
+    prediction, ``halve`` after an accuracy halving and ``raised`` after
+    a degree raise.  The run's first attempt, and an attempt after a
+    failed one, start from the constant left value.  The guesses and
+    the end value are formed under the one errstate that spans the
+    loop, and the callees hold their own: ``step`` ignores a non-finite
+    guess, and the end value is tested for finiteness.
     """
     records: list[IntervalRecord] = []
     tol_trace: list[float] = []
@@ -333,7 +350,9 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     prev_estimate: Optional[StepEstimate] = None
     delta_hat = 1.0
     termination = Termination.MAX_INTERVALS
-    guess = None
+    # the next attempt's first iterate: its H (None for the constant
+    # start) and the f values it reads
+    H, f_res = None, None
     attempts, decisions = 0, []
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -341,14 +360,15 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             if not attempts and _predicts_rejection(cfg, records, tol):
                 k *= 0.5
                 decisions.append("halve_k_predicted")
-                guess = np.dot(basis(r).first_half[:, : r + 1], guess)
+                H = picard_operator(r, cfg.scheme).predict_half
             if k < cfg.k_min or not t + k > t:
                 termination = Termination.K_MIN_REACHED
                 break
             inp = StepInput(Interval(t, t + k), r, u_left, cfg.scheme)
             attempts += 1
+            guess = None if H is None else _first_iterate(inp, H, f_res)
             out = step(p, inp, cfg.picard, guess=guess, atol=PICARD_TOL_SHARE * tol)
-            guess = None
+            H = None
             if not out.converged:
                 k *= 0.5
                 decisions.append("halve_k_existence")
@@ -371,11 +391,11 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 if cfg.mode is Mode.HP and r < cfg.r_max and smoothness(out.u, r) >= THETA_STAR:
                     r += 1
                     decisions.append("raise_r")
-                    guess = u_hat.coeffs
+                    H = picard_operator(r, cfg.scheme).raised
                 else:
                     k *= 0.5
                     decisions.append("halve_k")
-                    guess = np.dot(basis(r).first_half, u_hat.coeffs)
+                    H = picard_operator(r, cfg.scheme).halve
                 continue
 
             iv = inp.interval
@@ -405,16 +425,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             tol_trace.append(tol)
             # the next interval's first attempt carries this one's k and r
             t, k, u_left = iv.t_end, iv.k, u_end
-            op = picard_operator(r, cfg.scheme)
-            guess = np.dot(op.predict, f_res)
-            if _all_finite(guess):
-                guess *= k
-            else:
-                # the product overflowed before k scaled it: form it from
-                # f scaled by a power of two, which rounds as the product
-                e = math.frexp(float(np.max(np.abs(f_res))))[1]
-                guess = np.ldexp(np.dot(op.predict, np.ldexp(f_res, -e)) * k, e)
-            guess += op.a * u_end
+            H = picard_operator(r, cfg.scheme).predict
             attempts, decisions = 0, []
 
     return RunResult(

@@ -8,8 +8,9 @@ For each accepted interval the drivers assemble a ``StepEstimate``:
   rule of ``poly.basis(deg).res_*`` (deg + 7 points for a
   reconstruction of degree deg, at most 64, so degree min(deg + 6,
   63)); the drivers evaluate those node values once per candidate, pass
-  them in, and on acceptance predict the next interval's first Picard
-  iterate from them (``galerkin.SchemeOperator.predict``).
+  them in, and form the next attempt's first Picard iterate from them,
+  whether the candidate is accepted or rejected
+  (``galerkin.SchemeOperator``).
 * ``psi``: recursive accumulator, eta_res on the first interval and
   delta_prev * psi_prev + eta_res afterwards.  The state space is all
   of R^d, so no projection term enters between intervals.

@@ -27,31 +27,31 @@ and a = M^-1 ((-1)^j).  ``picard_operator`` builds the scheme part
 (``SchemeOperator``) once per (r, scheme), so an iteration costs one f
 evaluation and two small matrix products.  Degrees above
 ``MAX_DEGREE`` = 58 are rejected: the r + 6-point rule of ``basis(r)``,
-which ``Basis.first_half`` and the estimator's growth integral use,
-must fit in 64 points.
+which the estimator's growth integral uses, must fit in 64 points.
 
-The step's rule is the Gauss-Legendre rule of r + 2 points
-(``poly._STEP_EXTRA_POINTS``), one more than the fewest that still
-determine the degree-r update of both schemes (cG projects f onto
-degree r-1, dG onto degree r).  Every node is one f value, so with a
-point-by-point f the node count is what a step pays for.  The rule
-needs only to reproduce the degree-r update: the estimator certifies
-the reconstruction on its own rules, whatever rule the step took.  A
-scalar f and an ``f_batch`` that computes the same values give the
-same step, bit for bit.
+The step's rule is the Gauss-Legendre rule of r + 1 points
+(``poly._STEP_EXTRA_POINTS``), the fewest that determine the degree-r
+update of both schemes: cG projects f onto degree r-1 and dG onto
+degree r, and r + 1 Gauss points integrate degree 2r + 1 exactly, so
+the update of an f of degree r + 1 in t is exact, as it would not be on
+r points.  At r = 0, dG steps on the 1-point midpoint rule.  Every node
+is one f value, so with a point-by-point f the node count is what a
+step pays for.  The rule needs only to fix the degree-r update: the
+estimator certifies the reconstruction on its own rules, whatever rule
+the step took.  A scalar f and an ``f_batch`` that computes the same
+values give the same step, bit for bit.
 
 Picard's first iterate is the constant u_left unless the caller passes
-a guess.  The drivers pass the best polynomial they hold: on a new
-interval the Picard update of that interval computed from the f values
-the residual of the accepted reconstruction was integrated from,
-projected to degree r + 2 and continued (``SchemeOperator.predict``, no
-f evaluated); after an accuracy halving the rejected reconstruction
-restricted to the first half and projected to degree r
-(``Basis.first_half``); after a degree raise the rejected
-reconstruction itself, which has the new degree.  A step runs at most
-two sweeps (``step``), and a step that fails returns the sweep from
-u_left, so the guess changes the iteration count and the last bits of
-the returned fixed point, never whether the step exists.
+a guess.  The drivers pass a Picard update computed from f values they
+have already paid for, the node values f_res at which the residual of
+the last candidate, accepted or rejected, was integrated: every guess
+is a u_left^T + k H @ f_res, and only H, cached on ``SchemeOperator``,
+depends on the case (on a new interval, after a predicted halving,
+after an accuracy halving, after a degree raise).  No f is evaluated
+for a guess.  A step runs at most two sweeps (``step``), and a step
+that fails returns the sweep from u_left, so the guess changes the
+iteration count and the last bits of the returned fixed point, never
+whether the step exists.
 
 A sweep stops on its largest coefficient change and on the ratio q of
 that change to the one before.  It converges at a change of at most the
@@ -244,17 +244,39 @@ class SchemeOperator:
     (r+1, d) term a u_left^T.
     G (r+1, s): maps node values of f on the step's rule
     (``basis(r).step_*``) to coefficients per unit step length.
-    predict (r+1, n): G applied to the degree r+2 projection of node
-    values on the residual's rule of the degree r+1 reconstruction
-    (``basis(r + 1).res_*``, n = min(r + 8, 64) points), continued onto
-    the next interval of equal length (x -> x + 2): a u_end^T + k
-    predict @ f_vals is the next interval's Picard update from the f
-    values the residual of this one integrated, without evaluating f.
+
+    The first iterates' matrices H: a u_left^T + k H @ f_res is the
+    Picard update of degree r, on an interval of length k from u_left,
+    computed from the node values f_res of f on a residual's rule,
+    which the drivers have already evaluated; each H is G applied to
+    the values, at the step's nodes mapped into the interval of f_res,
+    of a polynomial fitted to f_res:
+    predict (r+1, n): the degree r+2 projection of node values on the
+    residual's rule of the degree r+1 reconstruction (``basis(r +
+    1).res_*``, n = min(r + 8, 64) points), continued onto the next
+    interval of equal length (x -> x + 2), for the next interval;
+    predict_half (r+1, n): the same projection continued onto the first
+    half of the next interval (x -> (x + 3) / 2), for a next interval
+    whose k was halved on the prediction;
+    halve (r+1, n): the full interpolant on the same rule restricted to
+    the first half of its own interval (x -> (x - 1) / 2), for the
+    attempt after an accuracy halving;
+    raised (r+1, m): the full interpolant on the residual's rule of a
+    degree r reconstruction (``basis(r).res_*``, m = min(r + 7, 64)
+    points) at the step's own nodes, for the attempt at degree r after
+    a raise from r - 1 on the same interval.
+    The continued ones keep degree r + 2: continuing the fit past its
+    interval multiplies its rounding by up to |P_q| there (|P_q(3)| on
+    the next interval), which grows fast with q.  The restarts stay
+    within [-1, 1], where |P_q| <= 1, so they use the whole interpolant.
     """
 
     a: np.ndarray
     G: np.ndarray
     predict: np.ndarray
+    predict_half: np.ndarray
+    halve: np.ndarray
+    raised: np.ndarray
 
 
 def _scheme_matrices(r: int, scheme: Scheme, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,13 +300,25 @@ def _scheme_matrices(r: int, scheme: Scheme, proj: np.ndarray) -> tuple[np.ndarr
 @lru_cache(maxsize=None)
 def picard_operator(r: int, scheme: Scheme) -> SchemeOperator:
     """The cached ``SchemeOperator`` of degree r on the step's rule."""
-    b, res = basis(r), basis(r + 1)
+    b, nxt = basis(r), basis(r + 1).res_proj
     a, G = _scheme_matrices(r, scheme, b.step_proj)
-    # the step's nodes continued onto the next interval, x -> x + 2
-    predict = G @ (_leg.legvander(b.step_offsets + 1.0, r + 2) @ res.res_proj[: r + 3])
-    for arr in (a, G, predict):
+    nodes = _leg.leggauss(b.step_offsets.size)[0]
+
+    def update(x, proj):
+        # G applied to the values at x of the fit proj @ f_res
+        return G @ (_leg.legvander(x, proj.shape[0] - 1) @ proj)
+
+    arrays = (
+        a,
+        G,
+        update(nodes + 2.0, nxt[: r + 3]),
+        update(0.5 * (nodes + 3.0), nxt[: r + 3]),
+        update(0.5 * (nodes - 1.0), nxt),
+        update(nodes, b.res_proj),
+    )
+    for arr in arrays:
         arr.flags.writeable = False
-    return SchemeOperator(a, G, predict)
+    return SchemeOperator(*arrays)
 
 
 def step(

@@ -9,11 +9,11 @@ stable evaluation at high degree.
 ``basis(r)`` caches, once per degree r, three Gauss-Legendre rules
 and the matrices the solver evaluates a degree-r polynomial with, and
 no others (see ``Basis``), so the rule sizes are decided here only:
-the Picard step's rule of min(r + 2, 64) points
-(``_STEP_EXTRA_POINTS``), the residual's rule of min(r + 7, 64) points
-(``_RESIDUAL_EXTRA_POINTS``), on which the residual of a degree-r
-reconstruction interpolates f, and the rule of min(r + 6, 64) points
-that the growth integral and the restriction ``first_half`` use.  The
+the Picard step's rule of min(r + 1, 64) points
+(``_STEP_EXTRA_POINTS``), the fewest that determine its update, the
+residual's rule of min(r + 7, 64) points (``_RESIDUAL_EXTRA_POINTS``),
+on which the residual of a degree-r reconstruction interpolates f, and
+the rule of min(r + 6, 64) points that the growth integral uses.  The
 latter must fit in 64 points, so step degrees stop at MAX_DEGREE = 58.
 
 The package's numeric primitives live here too, so that each has one
@@ -57,9 +57,9 @@ __all__ = [
 _LINF_SAMPLES_PER_DEGREE = 24
 
 # The rule of basis(r) carries 6 points beyond the degree it serves, the
-# Picard step's rule 2 and the residual's rule 7, each up to 64 points.
+# Picard step's rule 1 and the residual's rule 7, each up to 64 points.
 _EXTRA_POINTS = 6
-_STEP_EXTRA_POINTS = 2
+_STEP_EXTRA_POINTS = 1
 _RESIDUAL_EXTRA_POINTS = 7
 _MAX_QUAD_POINTS = 64
 MAX_DEGREE = _MAX_QUAD_POINTS - _EXTRA_POINTS
@@ -70,7 +70,7 @@ _TINY = sys.float_info.min
 
 @dataclass(frozen=True)
 class Interval:
-    """Open time interval (t_start, t_end) with positive length."""
+    """Open time interval (t_start, t_end) with positive, finite length."""
 
     t_start: float
     t_end: float
@@ -82,6 +82,8 @@ class Interval:
             raise ValueError(
                 f"interval must have positive length, got ({self.t_start}, {self.t_end})"
             )
+        if not math.isfinite(self.k):
+            raise ValueError(f"interval length overflows, got ({self.t_start}, {self.t_end})")
 
     @property
     def k(self) -> float:
@@ -231,26 +233,24 @@ class Basis:
     Vandermonde.
     step_offsets (s,), step_V (s, r+1), step_proj (r+1, s), step_lift
     (r+2, s): the offsets and V of the Picard step's rule of s =
-    min(r + 2, 64) points, one more than the fewest whose projection
-    reproduces degree r exactly; its quadrature L2 projection onto
-    degree r, row i (2i+1)/2 w_q P_i(x_q), so step_proj @ step_V c = c;
-    and its lift, the antiderivative from x = -1 of step_proj per unit
-    step length (the reference map contributes k/2): k step_lift @ f are
-    the coefficients of the degree r+1 integral of the projected node
-    values f, zero at the left endpoint.  The step iterates on it and
-    the reconstruction lifts the step's node values with step_lift; the
-    estimator integrates on its own rules.
+    min(r + 1, 64) points, the fewest whose projection reproduces
+    degree r exactly (exact for integrands of degree 2r + 1, so for f
+    of degree r + 1 against every P_i, i <= r); its quadrature L2
+    projection onto degree r, row i (2i+1)/2 w_q P_i(x_q), so
+    step_proj @ step_V c = c; and its lift, the antiderivative from
+    x = -1 of step_proj per unit step length (the reference map
+    contributes k/2): k step_lift @ f are the coefficients of the
+    degree r+1 integral of the projected node values f, zero at the left
+    endpoint.  The step iterates on it and the reconstruction lifts the
+    step's node values with step_lift; the estimator integrates on its
+    own rules.
     res_offsets (n,), res_V (n, r+1), res_proj (q+1, n), res_lift
     (q+2, n): offsets, V, proj and lift for the residual's rule of
     n = min(r + 7, 64) points, with q = n - 1, so that res_proj
     interpolates the node values: the residual of a degree-r
     reconstruction integrates f on it at degree q = min(r + 6, 63),
-    and the drivers predict the next interval's first iterate from the
-    same node values (``galerkin.SchemeOperator.predict``).
-    first_half (r+1, r+2): first_half @ c is the degree-r projection of
-    the degree r+1 polynomial c restricted to the first half of its
-    interval (x -> (x - 1) / 2), projected on the growth integral's
-    rule and rounded once; exact for a c of degree at most r.
+    and the drivers form every first Picard iterate from the same node
+    values (``galerkin.SchemeOperator``).
     """
 
     weights: np.ndarray
@@ -266,7 +266,6 @@ class Basis:
     res_V: np.ndarray
     res_proj: np.ndarray
     res_lift: np.ndarray
-    first_half: np.ndarray
 
 
 def _rule(n: int, r: int, q: int) -> tuple[np.ndarray, ...]:
@@ -284,7 +283,7 @@ def _rule(n: int, r: int, q: int) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=None)
 def basis(r: int) -> Basis:
     """The cached ``Basis`` of degree r >= 0."""
-    nodes, weights, offsets, V, proj, _ = _rule(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)
+    _, weights, offsets, V, _, _ = _rule(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)
     m = _LINF_SAMPLES_PER_DEGREE * (r + 2)
     cheb = np.cos(np.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
     samples = np.concatenate(([-1.0], cheb[::-1], [1.0]))
@@ -293,8 +292,7 @@ def basis(r: int) -> Basis:
     step = _rule(min(r + _STEP_EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)[2:]
     n = min(r + _RESIDUAL_EXTRA_POINTS, _MAX_QUAD_POINTS)
     res = _rule(n, r, n - 1)[2:]
-    first_half = proj @ _leg.legvander(0.5 * (nodes - 1.0), r + 1)
-    arrays = (weights, offsets, V, samples, samples_V, *step, *res, first_half)
+    arrays = (weights, offsets, V, samples, samples_V, *step, *res)
     for arr in arrays:
         arr.flags.writeable = False
     return Basis(*arrays)

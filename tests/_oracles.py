@@ -443,8 +443,7 @@ def growth_rule(r):
     and its lift (r+2, n), the antiderivative from x = -1 per unit step
     length, of the growth integral's rule of ``basis(r)``, n = min(r +
     6, 64) points, built by ``poly._rule`` as ``basis`` builds them.
-    ``basis(r)`` keeps only the rule's weights, offsets and Vandermonde,
-    and ``first_half``, formed from these nodes and this projection."""
+    ``basis(r)`` keeps only the rule's weights, offsets and Vandermonde."""
     nodes, _, _, _, proj, lift = _rule(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)
     return nodes, proj, lift
 
@@ -484,23 +483,45 @@ def residual_f_vals(p, u_hat):
         return rhs_at(p, u_hat.interval.from_reference(nodes), us)
 
 
-def next_interval_guess(p, inp, u_hat, u_end):
-    """The drivers' first iterate on the interval after ``inp``, with
-    matmul products: the Picard update of the next interval, of equal
-    length, from the f values of the residual of its reconstruction
-    u_hat (``residual_f_vals``), projected to degree r + 2 and continued
-    onto it (``SchemeOperator.predict``), with left value ``u_end``.
-    Byte-equal oracle of the guess ``adapt._drive`` carries to the next
-    interval."""
+def _picard_guess(p, inp, H, u_hat):
+    """a u_left^T + k H @ f_res with matmul products, with a, k and
+    u_left those of the attempt ``inp`` and f_res the f values of the
+    residual of the candidate u_hat (``residual_f_vals``)."""
     op = picard_operator(inp.r, inp.scheme)
-    return np.outer(op.a, u_end) + inp.interval.k * (op.predict @ residual_f_vals(p, u_hat))
+    return np.outer(op.a, inp.u_left) + inp.interval.k * (H @ residual_f_vals(p, u_hat))
 
 
-def halved_guess(r, u_hat):
-    """The drivers' first iterate after an accuracy halving at degree r,
-    with a matmul product: the rejected reconstruction restricted to the
-    first half and projected to degree r (``Basis.first_half``)."""
-    return basis(r).first_half @ u_hat.coeffs
+def next_interval_guess(p, inp, u_hat):
+    """The drivers' first iterate of the attempt ``inp`` on the interval
+    after the accepted reconstruction u_hat, of equal length: the Picard
+    update of ``inp`` from the f values of the residual of u_hat,
+    projected to degree r + 2 and continued onto it
+    (``SchemeOperator.predict``).  Byte-equal oracle of the guess
+    ``adapt._drive`` passes."""
+    return _picard_guess(p, inp, picard_operator(inp.r, inp.scheme).predict, u_hat)
+
+
+def predicted_guess(p, inp, u_hat):
+    """``next_interval_guess`` for an attempt ``inp`` whose k was halved
+    on the prediction: the same projection continued onto the first half
+    of the next interval (``SchemeOperator.predict_half``)."""
+    return _picard_guess(p, inp, picard_operator(inp.r, inp.scheme).predict_half, u_hat)
+
+
+def halved_guess(p, inp, u_hat):
+    """The drivers' first iterate of the attempt ``inp`` after an accuracy
+    halving of the candidate u_hat: its Picard update from the f values
+    of the residual of u_hat, interpolated and restricted to the first
+    half of their interval (``SchemeOperator.halve``)."""
+    return _picard_guess(p, inp, picard_operator(inp.r, inp.scheme).halve, u_hat)
+
+
+def raised_guess(p, inp, u_hat):
+    """The drivers' first iterate of the attempt ``inp`` after a degree
+    raise from the candidate u_hat, on the same interval: its Picard
+    update, at the raised degree, from the f values of the residual of
+    u_hat, interpolated (``SchemeOperator.raised``)."""
+    return _picard_guess(p, inp, picard_operator(inp.r, inp.scheme).raised, u_hat)
 
 
 # The accept path as it was before its products moved from ``@`` to

@@ -46,8 +46,12 @@ option, and prints per workload each side's totals of f points and of
 attempts over the accepted intervals; its totals of all steps, failed
 steps and Picard updates, read by a wrapper on ``adapt.step``, so that
 they include the attempts on each run's final, discarded interval
-(informational: they never change the exit status); the number of
-runs whose outcome differs, each such run with its first difference,
+(informational: they never change the exit status); the same
+wrapper's steps, Picard updates and f points split by how each attempt
+started (``START_KINDS``: from the constant, or from a guess for the
+next interval, after a predicted halving, after an accuracy halving or
+after a degree raise), also informational; the number of runs whose
+outcome differs, each such run with its first difference,
 and the number of runs whose step or reconstruction coefficient bytes
 differ.  For the runs with equal outcomes it prints how far the bounds
 and each interval's own ``eta_res`` moved (the median and the largest
@@ -84,6 +88,15 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# How an attempt started, in the order the comparison prints them.
+START_KINDS = {
+    "constant": "the constant",
+    "next": "next interval",
+    "predicted": "predicted halving",
+    "halve": "accuracy halving",
+    "raise": "degree raise",
+}
 
 
 def load_bench(root=ROOT):
@@ -197,37 +210,69 @@ def run_outcomes(seed, root=ROOT):
     t_end, r, attempts, decisions), ``bounds``, ``eta_res``, ``atols``,
     the Picard stop of each accepted step (0 for a tree without one),
     ``f_points`` and ``coeffs``, the SHA-256 of the step and
-    reconstruction coefficient bytes of every accepted interval, and
+    reconstruction coefficient bytes of every accepted interval,
     ``steps``: every ``adapt.step`` call of the run, the discarded last
-    interval's included, as [steps, failed steps, Picard updates]."""
+    interval's included, as [steps, failed steps, Picard updates], and
+    ``starts``: the same calls per ``start_kind``, as [steps, Picard
+    updates, f points], the f points read from the benchmark's counter
+    around each call."""
     bench = load_bench(root)
     adapt = sys.modules["hpgalerkin.adapt"]
     share = getattr(adapt, "PICARD_TOL_SHARE", 0.0)
-    steps, step = [0, 0, 0], adapt.step
+    # the run's counters, its f point counter and its last step input
+    run = {"steps": [0, 0, 0], "starts": {}, "f_points": [0], "last": None}
+    step = adapt.step
 
     def counted_step(*args, **kwargs):
+        inp, before = args[1], run["f_points"][0]
         out = step(*args, **kwargs)
+        steps = run["steps"]
         steps[0] += 1
         steps[1] += not out.converged
         steps[2] += out.picard_iters
+        kind = start_kind(run["last"], inp, kwargs.get("guess"))
+        run["last"] = inp
+        counts = run["starts"][kind]
+        counts[0] += 1
+        counts[1] += out.picard_iters
+        counts[2] += run["f_points"][0] - before
         return out
 
     adapt.step = counted_step
     try:
-        return _outcomes(bench, seed, share, steps)
+        return _outcomes(bench, seed, share, run)
     finally:
         adapt.step = step
 
 
-def _outcomes(bench, seed, share, steps):
+def start_kind(last, inp, guess):
+    """How the attempt ``inp`` started, given the step input ``last`` of
+    the attempt before it and the guess it was passed, as
+    ``tests/test_adapt.py::TestWarmStartDecisions`` tells: a key of
+    ``START_KINDS``.  An attempt without a guess starts from the
+    constant; one that starts where the last ended continues the march,
+    halved on the prediction when its k is about half the last one; one
+    at the same start follows a rejection, a raise when its degree is
+    one more."""
+    if guess is None:
+        return "constant"
+    if inp.interval.t_start == last.interval.t_end:
+        return "predicted" if inp.interval.k < 0.75 * last.interval.k else "next"
+    return "raise" if inp.r == last.r + 1 else "halve"
+
+
+def _outcomes(bench, seed, share, run):
     """The body of ``run_outcomes``, with ``adapt.step`` counted into
-    ``steps``."""
+    ``run``."""
     outcomes = {}
     for workload in bench.WORKLOADS:
         _, ops = bench.build_inputs(workload, seed)
         for ladder, tol in ops:
             ladder.f_points[0] = 0
-            steps[:] = [0, 0, 0]
+            run.update(
+                steps=[0, 0, 0], starts={kind: [0, 0, 0] for kind in START_KINDS},
+                f_points=ladder.f_points, last=None,
+            )
             result = bench.solve(ladder, tol)
             coeffs = hashlib.sha256()
             for rec in result.intervals:
@@ -245,7 +290,8 @@ def _outcomes(bench, seed, share, steps):
                 "coeffs": coeffs.hexdigest(),
                 # each step ran at the tolerance before its own delta scaled it
                 "atols": [share * t for t in (tol,) + result.tol_trace[:-1]][: result.M],
-                "steps": list(steps),
+                "steps": run["steps"],
+                "starts": run["starts"],
             }
     return outcomes
 
@@ -323,6 +369,13 @@ def compare_outcomes(rev, seed, march=False):
                 f"{rev} {sum(theirs[key]['steps'][i] for key in keys)}, "
                 f"here {sum(mine[key]['steps'][i] for key in keys)}"
             )
+        print("  by start, steps / Picard updates / f points:")
+        for kind, label in START_KINDS.items():
+            sides = [
+                "/".join(str(sum(side[key]["starts"][kind][i] for key in keys)) for i in range(3))
+                for side in (theirs, mine)
+            ]
+            print(f"    {label}: {rev} {sides[0]}, here {sides[1]}")
         for line in differ:
             print(line)
         coeffs = sum(theirs[key]["coeffs"] != mine[key]["coeffs"] for key in keys)

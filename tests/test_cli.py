@@ -475,6 +475,6 @@ class TestConfigErrors:
 
     def test_degree_cap_is_inclusive(self, tmp_path):
         # 58 is the largest degree whose basis(r) rule of r + 6 points,
-        # which first_half and the growth integral use, fits in 64 points
+        # which the growth integral uses, fits in 64 points
         cfg = write_json(tmp_path / "r58.json", {**RUN_CONFIG, "r": 58, "max_intervals": 1})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0

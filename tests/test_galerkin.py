@@ -35,6 +35,8 @@ from hpgalerkin.problems import (
 )
 
 from _oracles import (
+    _reference_dg_matrix_inverse,
+    antiderivative,
     change_only_sweep,
     constant,
     derivative,
@@ -47,12 +49,16 @@ from _oracles import (
     parent_reconstruct,
     parent_reconstruction_error,
     parent_residual,
+    predicted_guess,
+    project_values,
+    raised_guess,
     reference_reconstruct,
     reference_residual,
     reference_step,
     residual_f_vals,
     residual_nodes,
     step_f_vals,
+    step_nodes,
 )
 
 
@@ -317,6 +323,54 @@ class TestReconstruction:
             np.testing.assert_allclose(u_left, [(1.0 - lam * k) ** (-m)], atol=1e-10)
 
 
+class TestStepRule:
+    """The step's rule of r + 1 Gauss points is the smallest that fixes
+    its update: for f = q(t) of degree r + 1, independent of u, one step
+    returns the exact Galerkin update, which a rule of r points misses."""
+
+    CASES = [(Scheme.DG, r) for r in range(13)] + [(Scheme.CG, r) for r in range(1, 13)]
+
+    @staticmethod
+    def update_on(scheme, r, iv, u_left, q, n):
+        """The update of degree r for the f whose Legendre coefficients on
+        iv are q, with f projected on the n-point Gauss-Legendre rule:
+        onto degree r - 1 and integrated from u_left (cG), or onto degree
+        r and solved with the dG matrix (``reference_step``)."""
+        nodes, weights = legendre.leggauss(n)
+        cg = scheme is Scheme.CG
+        proj = project_values(legendre.legval(nodes, q).T, iv, r - 1 if cg else r, nodes, weights)
+        if cg:
+            return antiderivative(proj, u_left).coeffs
+        j = np.arange(r + 1)
+        rhs = ((-1.0) ** j)[:, None] * u_left + iv.k * proj.coeffs / (2.0 * j + 1.0)[:, None]
+        return _reference_dg_matrix_inverse(r) @ rhs
+
+    @pytest.mark.parametrize("scheme,r", CASES, ids=[f"{s.value}-{r}" for s, r in CASES])
+    def test_exact_for_f_of_degree_r_plus_1(self, scheme, r):
+        rng = np.random.default_rng(100 * r + (scheme is Scheme.CG))
+        iv, u_left = Interval(0.3, 1.0), rng.standard_normal(2)
+        q = rng.standard_normal((r + 2, 2))
+
+        def f_batch(ts, us):
+            return legendre.legval(iv.to_reference(ts), q).T
+
+        p = Problem(
+            dim=2, u0=u_left, f=lambda t, u: f_batch(np.array([t]), None)[0],
+            lip=lambda t, a, b: 0.0, f_batch=f_batch,
+        )
+        out = step(p, StepInput(iv, r, u_left, scheme))
+        assert out.converged
+        # r + 8 points integrate q P_i exactly for every i <= r
+        exact = self.update_on(scheme, r, iv, u_left, q, r + 8)
+        scale = max(np.abs(exact).max(), np.abs(u_left).max(), iv.k * np.abs(q).sum(axis=0).max())
+        assert np.abs(out.u.coeffs - exact).max() <= 16.0 * sys.float_info.epsilon * scale
+        if r == 0:
+            # dG(0) steps on the 1-point midpoint rule
+            assert basis(0).step_offsets.tolist() == [1.0]
+        else:
+            assert np.abs(self.update_on(scheme, r, iv, u_left, q, r) - exact).max() > 1e-5 * scale
+
+
 class TestAccuracy:
     @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG])
     @pytest.mark.parametrize("r", [1, 2, 3])
@@ -512,43 +566,40 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("r", range(0, 13))
     def test_reexpansion_matches_legval(self, r, rng):
-        # the matrices of the drivers' guesses: first_half restricts a
-        # degree r+1 polynomial to the first half of its interval and
-        # projects it to degree r; predict continues the degree r+2
-        # projection of node values on the residual's rule of the
-        # degree r+1 reconstruction onto the next interval (x -> x + 2)
-        # and applies the update matrix G
-        b = basis(r)
-        # the step's nodes, continued onto the next interval
-        shifted = b.step_offsets + 1.0
-        res_nodes = residual_nodes(r + 1)[0]
-        x = np.linspace(-1.0, 1.0, 101)
-        # sup of |P_j| over the continued points: P_j(3) on [1, 3]
-        shifted_size = np.abs(legendre.legvander(np.array([3.0]), r + 2)[0])
+        # the matrices H of the drivers' guesses: G applied to a fit of
+        # node values on a residual's rule, evaluated at the step's nodes
+        # mapped into that rule's interval.  predict and predict_half
+        # continue the degree r+2 projection on the residual's rule of
+        # the degree r+1 reconstruction onto the next interval
+        # (x -> x + 2) and onto its first half (x -> (x + 3) / 2); halve
+        # restricts the full interpolant on that rule to the first half
+        # of its interval (x -> (x - 1) / 2); raised evaluates the full
+        # interpolant on the residual's rule of a degree r reconstruction
+        # at the step's own nodes
+        nodes = step_nodes(r)[0]
+        after, own = residual_nodes(r + 1)[0], residual_nodes(r)[0]
+        cases = [  # H, the rule of f_res, the degree reproduced, mapped nodes
+            ("predict", after, r + 2, nodes + 2.0),
+            ("predict_half", after, r + 2, 0.5 * (nodes + 3.0)),
+            ("halve", after, after.size - 1, 0.5 * (nodes - 1.0)),
+            ("raised", own, own.size - 1, nodes),
+        ]
         schemes = [Scheme.DG] + ([Scheme.CG] if r >= 1 else [])
-        for _ in range(5):
-            c = rng.standard_normal((r + 2, 2))
-            size = np.abs(c).sum(axis=0).max()
-            # the top Legendre mode of the restriction is dropped, the
-            # others are kept
-            restricted = legendre.legfit(x, legendre.legval(0.5 * (x - 1.0), c).T, r + 1)
-            assert np.abs(b.first_half @ c - restricted[: r + 1]).max() <= 1e-12 * size
-            c[r + 1] = 0.0
-            got = legendre.legval(x, b.first_half @ c)
-            want = legendre.legval(0.5 * (x - 1.0), c)
-            assert np.abs(got - want).max() <= 1e-12 * size
-            # node values of degree r + 2 are continued exactly
-            c = rng.standard_normal((r + 3, 2))
-            size = np.abs(c).sum(axis=0).max()
-            for scheme in schemes:
-                op = picard_operator(r, scheme)
-                got = op.predict @ legendre.legval(res_nodes, c).T
-                want = op.G @ legendre.legval(shifted, c).T
-                scale = np.abs(op.G).sum(axis=1).max() * (shifted_size @ np.abs(c)).max()
-                assert np.abs(got - want).max() <= 1e-12 * scale
-        ops = [picard_operator(r, scheme) for scheme in schemes]
-        assert not b.first_half.flags.writeable
-        assert not any(op.predict.flags.writeable or op.G.flags.writeable for op in ops)
+        for scheme in schemes:
+            op = picard_operator(r, scheme)
+            for name, rule, degree, x in cases:
+                H = getattr(op, name)
+                assert H.shape == (r + 1, rule.size) and not H.flags.writeable
+                # sup of |P_j| over the mapped nodes, j <= degree
+                sizes = np.abs(legendre.legvander(x, degree)).max(axis=0)
+                for _ in range(5):
+                    # node values of the reproduced degree are fitted exactly
+                    c = rng.standard_normal((degree + 1, 2))
+                    got = H @ legendre.legval(rule, c).T
+                    want = op.G @ legendre.legval(x, c).T
+                    scale = np.abs(op.G).sum(axis=1).max() * (sizes @ np.abs(c)).max()
+                    assert np.abs(got - want).max() <= 1e-12 * scale, name
+            assert not (op.a.flags.writeable or op.G.flags.writeable)
 
 
 def same_bits(out, ref):
@@ -792,10 +843,10 @@ class TestAcceptPathBitIdentity:
 
     @pytest.mark.parametrize("scheme,r,dim", ACCEPT_CASES, ids=lambda v: getattr(v, "value", v))
     def test_guesses_and_end_value(self, scheme, r, dim, monkeypatch):
-        # one rejected attempt, whose restricted reconstruction seeds the
-        # second, which is accepted; the update predicted from its
-        # residual's f values seeds the first attempt of the next
-        # interval.  f = |u| u ignores t, so the run starting at t = 0
+        # one rejected attempt, whose residual's f values seed the
+        # second, which is accepted, by its Picard update on the first
+        # half; the update predicted from the accepted residual's f
+        # values seeds the first attempt of the next interval.  f = |u| u ignores t, so the run starting at t = 0
         # takes the steps of accept_case
         p, inp, _ = accept_case(scheme, r, dim)
         tol, etas, calls, given = 1e-6, iter([2e-6, 0.0, 0.0]), [], []
@@ -824,12 +875,12 @@ class TestAcceptPathBitIdentity:
         assert len(calls) == 3 and calls[0][0] is None
         rejected_inp, rejected = calls[0][1:]
         u_hat = reconstruct(p, rejected_inp, rejected.f_vals)
-        assert calls[1][0].tobytes() == halved_guess(r, u_hat).tobytes()
-        accepted_inp = calls[1][1]
+        assert given[0].tobytes() == residual_f_vals(p, u_hat).tobytes()
+        assert calls[1][0].tobytes() == halved_guess(p, calls[1][1], u_hat).tobytes()
         u_end = calls[2][1].u_left
         assert u_end.tobytes() == rec.reconstruction.coeffs.sum(axis=0).tobytes()
         assert given[1].tobytes() == residual_f_vals(p, rec.reconstruction).tobytes()
-        want = next_interval_guess(p, accepted_inp, rec.reconstruction, u_end)
+        want = next_interval_guess(p, calls[2][1], rec.reconstruction)
         assert calls[2][0].tobytes() == want.tobytes()
 
 
@@ -1023,9 +1074,13 @@ class TestSweeps:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_prediction_is_the_next_update(self, case, dim, k, t0, seed):
-        # f = q(t) of degree at most r + 2, the degree the prediction
-        # projects to: every update on the next interval is the same,
-        # a u_end + k G q(nodes), from any iterate
+        # f = q(t) of degree at most r + 2, the degree the continued
+        # guesses project to: every update of a step is the same,
+        # a u_left + k G q(nodes), from any iterate, and each guess is
+        # that update of its attempt: on the next interval, on its first
+        # half after a predicted halving, on the first half of this
+        # interval after an accuracy halving, and on this interval at
+        # degree r + 1 after a raise
         scheme, r = case
         b = np.random.default_rng(seed).standard_normal((r + 3, dim))
         degree = r - 1 if scheme is Scheme.CG and r > 1 and seed % 2 else r + 2 * (seed % 3 == 0)
@@ -1047,14 +1102,22 @@ class TestSweeps:
         assert out.converged
         u_hat = reconstruct(p, inp, out.f_vals)
         u_end = u_hat.coeffs.sum(axis=0)
-        predicted = next_interval_guess(p, inp, u_hat, u_end)
-        nxt = StepInput(Interval(t0 + k, t0 + k + k), r, u_end, scheme)
-        update = step(p, nxt).u.coeffs
-        # continuing the degree r+2 projection onto the next interval
-        # amplifies rounding by up to sum_j |P_j(3)|, j <= r + 2
-        growth = np.abs(legendre.legvander(np.array([3.0]), r + 2)).sum()
-        scale = max(1.0, np.abs(update).max()) * growth
-        assert np.abs(predicted - update).max() <= 1e-14 * scale
+        attempts = [  # the guess, its attempt, the reach of its fit
+            (next_interval_guess, Interval(t0 + k, t0 + k + k), r, u_end, 3.0),
+            (predicted_guess, Interval(t0 + k, t0 + k + 0.5 * k), r, u_end, 2.0),
+            (halved_guess, Interval(t0, t0 + 0.5 * k), r, inp.u_left, 1.0),
+            (raised_guess, inp.interval, r + 1, inp.u_left, 1.0),
+        ]
+        for guess_of, iv, r_next, u_left, reach in attempts:
+            nxt = StepInput(iv, r_next, u_left, scheme)
+            guess = guess_of(p, nxt, u_hat)
+            update = step(p, nxt).u.coeffs
+            # a fit evaluated at x amplifies rounding by up to
+            # sum_j |P_j(x)|, j <= r + 2: at most 1 per term within its
+            # interval, |P_j(3)| on the next one
+            growth = np.abs(legendre.legvander(np.array([reach]), r + 2)).sum()
+            scale = max(1.0, np.abs(update).max()) * growth
+            assert np.abs(guess - update).max() <= 1e-14 * scale, guess_of.__name__
 
 
 class TestAbsoluteStop:

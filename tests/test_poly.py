@@ -36,6 +36,25 @@ def test_interval_validation():
     assert Interval(0.25, 0.75).k == 0.5
 
 
+@pytest.mark.parametrize(
+    "t_start,t_end", [(-1e308, 1e308), (-1e308, 8e307), (-sys.float_info.max, sys.float_info.max)]
+)
+def test_interval_length_must_be_finite(t_start, t_end):
+    # finite endpoints whose length overflows: k would be inf, and the
+    # reference map nan
+    with pytest.raises(ValueError, match="length overflows"):
+        Interval(t_start, t_end)
+
+
+def test_longest_interval_maps_without_warning():
+    # the longest finite length still maps and evaluates; RuntimeWarnings
+    # are errors in this suite
+    iv = Interval(-0.5 * sys.float_info.max, 0.5 * sys.float_info.max)
+    assert iv.k == sys.float_info.max and iv.to_reference(0.0) == 0.0
+    u = LocalPoly(iv, [[1.0], [1.0]])
+    assert u(0.0).tolist() == [1.0] and u.linf_norm() == 2.0
+
+
 def step_rule(r):
     """The Picard step's rule of basis(r), read back from its arrays: the
     nodes from the offsets nodes + 1, the weights from row 0 of the
@@ -378,7 +397,7 @@ def test_basis(r, rng):
     want[: q + 2] = antiderivative(oracle, np.zeros(2)).coeffs
     assert np.abs(2.0 * (own_lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
     assert b.offsets.tobytes() == (nodes + 1.0).tobytes()
-    # the step's rule has r + 2 points and reproduces degree r as well
+    # the step's rule has r + 1 points and reproduces degree r as well
     s = min(r + _STEP_EXTRA_POINTS, 64)
     step_nodes, step_weights = legendre.leggauss(s)
     assert b.step_offsets.shape == (s,)
@@ -392,7 +411,7 @@ def test_basis(r, rng):
     assert np.abs(2.0 * (b.step_lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
     names = (
         "weights", "offsets", "V", "samples", "samples_V", "step_offsets", "step_V",
-        "step_proj", "step_lift", "res_offsets", "res_V", "res_proj", "res_lift", "first_half",
+        "step_proj", "step_lift", "res_offsets", "res_V", "res_proj", "res_lift",
     )
     for name in names:
         assert not getattr(b, name).flags.writeable, name

@@ -27,7 +27,7 @@ GOLDEN = [
     ("dg", "h", 1e-4, "0.996093749999999", 39, 78),
     ("dg", "h", 1e-6, "0.9998657226562456", 203, 406),
     ("dg", "hp", 1e-3, "0.9843749999999996", 11, 31),
-    ("dg", "hp", 1e-6, "0.9999755859375001", 26, 129),
+    ("dg", "hp", 1e-6, "0.9999023437500001", 24, 118),
     ("dg", "hp", 1e-9, "0.9999999046325674", 41, 286),
 ]
 
