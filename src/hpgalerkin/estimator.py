@@ -149,6 +149,9 @@ def _growth_factory(
     """Build the growth E(delta) = exp(int_I lip(s, delta*psi + |uhat|, |uhat|) ds)
     with the reconstruction norms precomputed; phi(delta) = E(delta) - delta.
 
+    The integral runs on the residual's rule of ``basis(deg(uhat))``
+    (exact for lip of degree 2n - 1 in s on its n = min(deg + 7, 64)
+    points), with the weights k res_proj[0] = k w_q / 2.
     Overflow in the envelope or the exponential yields +inf, whether it
     shows as a non-finite value or as NumericOverflow or OverflowError
     raised by a scalar lip (which receives Python floats).  The weights w
@@ -159,9 +162,9 @@ def _growth_factory(
     """
     b = basis(u_hat.degree)
     k = iv.k
-    ts = _time_map(iv.t_start, k, b.offsets)
-    u_norms = _norms(np.dot(b.V, u_hat.coeffs), 1)
-    w = 0.5 * k * b.weights
+    ts = _time_map(iv.t_start, k, b.res_offsets)
+    u_norms = _norms(np.dot(b.res_V, u_hat.coeffs), 1)
+    w = k * b.res_proj[0]
 
     def growth(delta: float) -> float:
         try:

@@ -26,8 +26,7 @@ composed with P_{r-1}, and a = e_0; for dG, G = M^-1 diag(1/(2j+1)) P_r
 and a = M^-1 ((-1)^j).  ``picard_operator`` builds the scheme part
 (``SchemeOperator``) once per (r, scheme), so an iteration costs one f
 evaluation and two small matrix products.  Degrees above
-``MAX_DEGREE`` = 58 are rejected: the r + 6-point rule of ``basis(r)``,
-which the estimator's growth integral uses, must fit in 64 points.
+``MAX_DEGREE`` = 58 are rejected, for the reason ``poly`` gives.
 
 The step's rule is the Gauss-Legendre rule of r + 1 points
 (``poly._STEP_EXTRA_POINTS``), the fewest that determine the degree-r
@@ -37,7 +36,7 @@ the update of an f of degree r + 1 in t is exact, as it would not be on
 r points.  At r = 0, dG steps on the 1-point midpoint rule.  Every node
 is one f value, so with a point-by-point f the node count is what a
 step pays for.  The rule needs only to fix the degree-r update: the
-estimator certifies the reconstruction on its own rules, whatever rule
+estimator certifies the reconstruction on its own rule, whatever rule
 the step took.  A scalar f and an ``f_batch`` that computes the same
 values give the same step, bit for bit.
 
@@ -78,7 +77,7 @@ estimator, in ``LocalPoly.linf_norm`` and in the drivers' guesses, is an
 coefficients, up to 194 sample points; Python 3.11, numpy 2.4) ``np.dot``
 took 0.8-1.8 us per call against 1.2-2.5 us for the matmul ufunc, and
 gave the same bits in every case the tests compare.  The nodes of an
-interval are mapped from the basis's cached offsets (``Basis.offsets``).
+interval are mapped from the cached ``Basis.step_offsets``.
 The update is formed in place as (G f) k +
 a u_left^T, which rounds as a u_left^T + k G f does since IEEE * and +
 commute.  The iterate is then read once as a Python list, and the

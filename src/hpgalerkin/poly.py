@@ -6,15 +6,17 @@ mapped affinely from the reference interval [-1, 1].  The orthogonality
 of the basis gives exact L2 norms (Parseval), cheap projections, and
 stable evaluation at high degree.
 
-``basis(r)`` caches, once per degree r, three Gauss-Legendre rules
-and the matrices the solver evaluates a degree-r polynomial with, and
-no others (see ``Basis``), so the rule sizes are decided here only:
-the Picard step's rule of min(r + 1, 64) points
-(``_STEP_EXTRA_POINTS``), the fewest that determine its update, the
-residual's rule of min(r + 7, 64) points (``_RESIDUAL_EXTRA_POINTS``),
-on which the residual of a degree-r reconstruction interpolates f, and
-the rule of min(r + 6, 64) points that the growth integral uses.  The
-latter must fit in 64 points, so step degrees stop at MAX_DEGREE = 58.
+``basis(r)`` caches, once per degree r, two Gauss-Legendre rules and
+the matrices the solver evaluates a degree-r polynomial with, and no
+others (see ``Basis``), so the rule sizes are decided here only: the
+Picard step's rule of min(r + 1, 64) points (``_STEP_EXTRA_POINTS``),
+the fewest that determine its update, and the residual's rule of
+min(r + 7, 64) points (``_RESIDUAL_EXTRA_POINTS``), on which the
+residual of a degree-r reconstruction interpolates f and the growth
+integral of the estimator integrates lip.  Step degrees stop at
+MAX_DEGREE = 58: the reconstruction of a step is one degree higher, and
+at degree 59 the 64 points of the largest rule still interpolate its
+residual at degree deg + 4.
 
 The package's numeric primitives live here too, so that each has one
 definition: ``_norms`` gives the Euclidean norm of every point of an
@@ -56,13 +58,13 @@ __all__ = [
 # stays within 0.1% of a 10x denser grid on random degree-8 inputs.
 _LINF_SAMPLES_PER_DEGREE = 24
 
-# The rule of basis(r) carries 6 points beyond the degree it serves, the
-# Picard step's rule 1 and the residual's rule 7, each up to 64 points.
-_EXTRA_POINTS = 6
+# Points beyond the degree served, up to 64: the step's rule 1, the
+# residual's 7.  At MAX_DEGREE the 64 points interpolate the residual of
+# the degree-59 reconstruction at degree 63 = deg + 4.
 _STEP_EXTRA_POINTS = 1
 _RESIDUAL_EXTRA_POINTS = 7
 _MAX_QUAD_POINTS = 64
-MAX_DEGREE = _MAX_QUAD_POINTS - _EXTRA_POINTS
+MAX_DEGREE = 58
 
 # The smallest normal double: a square sum below it has lost bits.
 _TINY = sys.float_info.min
@@ -108,8 +110,8 @@ def _time_map(t_start: float, k: float, offsets):
 
     The one formula of the time map: ``Interval.from_reference`` forms
     the offsets itself, the solver passes a basis's cached
-    ``Basis.offsets``.  0.5 k is formed first, so the product rounds as
-    the map always has.
+    ``Basis.step_offsets`` or ``Basis.res_offsets``.  0.5 k is formed
+    first, so the product rounds as the map always has.
     """
     return t_start + 0.5 * k * offsets
 
@@ -218,22 +220,19 @@ def _norms(vals: np.ndarray, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Basis:
-    """The Legendre basis of degree r with its Gauss-Legendre rules; every
-    array is read-only.
+    """The Legendre basis of degree r with its two Gauss-Legendre rules;
+    every array is read-only.
 
-    weights (n,): the weights of the growth integral's rule on [-1, 1],
-    n = min(r + 6, 64) points.
-    offsets (n,): its nodes + 1, the reference offsets of the time map:
-    the nodes of an interval are ``_time_map(t_start, k, offsets)``, bit
-    for bit ``from_reference(nodes)``.
-    V (n, r+1): V @ c is the (n, d) array of values of the coefficient
-    array c (r+1, d) at the nodes.
     samples (m,), samples_V (m, r+1): the sup-norm sample points,
     24 (r+2) Chebyshev points plus the two endpoints, and their
     Vandermonde.
     step_offsets (s,), step_V (s, r+1), step_proj (r+1, s), step_lift
-    (r+2, s): the offsets and V of the Picard step's rule of s =
-    min(r + 1, 64) points, the fewest whose projection reproduces
+    (r+2, s): the Picard step's rule of s = min(r + 1, 64) points.  The
+    offsets are its nodes + 1, the reference offsets of the time map:
+    the nodes of an interval are ``_time_map(t_start, k, step_offsets)``,
+    bit for bit ``from_reference(nodes)``; step_V @ c is the (s, d)
+    array of values of the coefficient array c (r+1, d) at the nodes.
+    The rule has the fewest points whose projection reproduces
     degree r exactly (exact for integrands of degree 2r + 1, so for f
     of degree r + 1 against every P_i, i <= r); its quadrature L2
     projection onto degree r, row i (2i+1)/2 w_q P_i(x_q), so
@@ -242,20 +241,18 @@ class Basis:
     contributes k/2): k step_lift @ f are the coefficients of the
     degree r+1 integral of the projected node values f, zero at the left
     endpoint.  The step iterates on it and the reconstruction lifts the
-    step's node values with step_lift; the estimator integrates on its
-    own rules.
+    step's node values with step_lift; the estimator integrates on the
+    residual's rule.
     res_offsets (n,), res_V (n, r+1), res_proj (q+1, n), res_lift
     (q+2, n): offsets, V, proj and lift for the residual's rule of
     n = min(r + 7, 64) points, with q = n - 1, so that res_proj
     interpolates the node values: the residual of a degree-r
     reconstruction integrates f on it at degree q = min(r + 6, 63),
     and the drivers form every first Picard iterate from the same node
-    values (``galerkin.SchemeOperator``).
+    values (``galerkin.SchemeOperator``).  The estimator's growth
+    integral runs on it too, with the Gauss weights 2 res_proj[0].
     """
 
-    weights: np.ndarray
-    offsets: np.ndarray
-    V: np.ndarray
     samples: np.ndarray
     samples_V: np.ndarray
     step_offsets: np.ndarray
@@ -269,7 +266,7 @@ class Basis:
 
 
 def _rule(n: int, r: int, q: int) -> tuple[np.ndarray, ...]:
-    """The n-point Gauss-Legendre rule's nodes, weights and offsets, its
+    """The n-point Gauss-Legendre rule's offsets (nodes + 1), its
     Vandermonde (n, r+1), quadrature L2 projection (q+1, n) onto degree
     q, and lift (q+2, n), the antiderivative of that projection."""
     nodes, weights = _leg.leggauss(n)
@@ -277,22 +274,20 @@ def _rule(n: int, r: int, q: int) -> tuple[np.ndarray, ...]:
     Vq = V if q == r else _leg.legvander(nodes, q)
     proj = (np.arange(q + 1) + 0.5)[:, None] * (Vq.T * weights)
     lift = _leg.legint(np.eye(q + 1), m=1, k=[0.0], lbnd=-1.0, scl=0.5, axis=0) @ proj
-    return nodes, weights, nodes + 1.0, V, proj, lift
+    return nodes + 1.0, V, proj, lift
 
 
 @lru_cache(maxsize=None)
 def basis(r: int) -> Basis:
     """The cached ``Basis`` of degree r >= 0."""
-    _, weights, offsets, V, _, _ = _rule(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)
     m = _LINF_SAMPLES_PER_DEGREE * (r + 2)
     cheb = np.cos(np.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
     samples = np.concatenate(([-1.0], cheb[::-1], [1.0]))
     samples_V = _leg.legvander(samples, r)
-    # offsets, V, proj and lift of the step's and the residual's rules
-    step = _rule(min(r + _STEP_EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)[2:]
+    step = _rule(min(r + _STEP_EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)
     n = min(r + _RESIDUAL_EXTRA_POINTS, _MAX_QUAD_POINTS)
-    res = _rule(n, r, n - 1)[2:]
-    arrays = (weights, offsets, V, samples, samples_V, *step, *res)
+    res = _rule(n, r, n - 1)
+    arrays = (samples, samples_V, *step, *res)
     for arr in arrays:
         arr.flags.writeable = False
     return Basis(*arrays)

@@ -20,8 +20,6 @@ from hpgalerkin.galerkin import (
     picard_operator,
 )
 from hpgalerkin.poly import (
-    _EXTRA_POINTS,
-    _MAX_QUAD_POINTS,
     _RESIDUAL_EXTRA_POINTS,
     _STEP_EXTRA_POINTS,
     LocalPoly,
@@ -438,13 +436,15 @@ def change_only_sweep(p, inp, c, cap, atol):
     return iterates, f_seq, changes, (MAX_ITERS, False, StepFailure.MAX_ITERS)
 
 
-def growth_rule(r):
+def residual_rule(r):
     """The nodes (n,), quadrature L2 projection (r+1, n) onto degree r
     and its lift (r+2, n), the antiderivative from x = -1 per unit step
-    length, of the growth integral's rule of ``basis(r)``, n = min(r +
-    6, 64) points, built by ``poly._rule`` as ``basis`` builds them.
-    ``basis(r)`` keeps only the rule's weights, offsets and Vandermonde."""
-    nodes, _, _, _, proj, lift = _rule(min(r + _EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)
+    length, on the residual's rule of ``basis(r)``, n = min(r + 7, 64)
+    points, built by ``poly._rule`` as ``basis`` builds its rules.
+    ``basis(r)`` keeps this rule's projection and lift at degree n - 1,
+    which interpolates; the projection's first r + 1 rows are these."""
+    nodes = residual_nodes(r)[0]
+    _, _, proj, lift = _rule(nodes.size, r, r)
     return nodes, proj, lift
 
 
@@ -467,7 +467,7 @@ def exact_reexpansions(r):
     equal length (x -> x + 2), halve @ c restricts it to the first half
     of its own (x -> (x - 1) / 2).  The kernel tests start Picard from
     these re-expansions of neighbouring steps."""
-    nodes, proj, _ = growth_rule(r)
+    nodes, proj, _ = residual_rule(r)
     shift = proj @ legendre.legvander(nodes + 2.0, r)
     halve = proj @ legendre.legvander(0.5 * (nodes - 1.0), r)
     return shift, halve
@@ -618,12 +618,13 @@ def parent_residual(p, u_hat, u_left, f_vals=None):
 
 def parent_growth_factory(p, iv, u_hat, psi):
     """``estimator._growth_factory`` with a matmul product, ``np.sum`` of
-    squares and the nodes mapped by ``from_reference``; same signature,
-    so it can stand in for it inside ``solve_delta``."""
+    squares and the nodes of the residual's rule (``residual_nodes``)
+    mapped by ``from_reference``; same signature, so it can stand in for
+    it inside ``solve_delta``."""
     b = basis(u_hat.degree)
-    ts = iv.from_reference(growth_rule(u_hat.degree)[0])
-    u_norms = parent_node_norms(b.V @ u_hat.coeffs)
-    w = 0.5 * iv.k * b.weights
+    ts = iv.from_reference(residual_nodes(u_hat.degree)[0])
+    u_norms = parent_node_norms(b.res_V @ u_hat.coeffs)
+    w = iv.k * b.res_proj[0]
 
     def growth(delta):
         try:

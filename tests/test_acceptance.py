@@ -29,10 +29,10 @@ from hpgalerkin.cli import fit_rates
 from _oracles import (
     brute_force_residual,
     constant,
-    growth_rule,
     l2_norm,
     l2_project,
     residual_f_vals,
+    residual_rule,
     step_f_vals,
 )
 
@@ -254,13 +254,15 @@ def test_criterion_7_effectivity_magnitude(hp_sweeps):
 def test_criterion_8_property_suites(rng):
     failures = []
 
-    # quadrature exactness of both rules of the basis: its own rule and
-    # the Picard step's, the latter's nodes read from their offsets and
-    # its weights from row 0 of its projection, w_q / 2
+    # quadrature exactness of both rules of the basis, the residual's and
+    # the Picard step's, their nodes read from their offsets and their
+    # weights from row 0 of their projections, w_q / 2
     for r in range(20):
         b = basis(r)
-        nodes = growth_rule(r)[0]
-        for x, w in ((nodes, b.weights), (b.step_offsets - 1.0, 2.0 * b.step_proj[0])):
+        for x, w in (
+            (b.res_offsets - 1.0, 2.0 * b.res_proj[0]),
+            (b.step_offsets - 1.0, 2.0 * b.step_proj[0]),
+        ):
             n = x.size
             for m in range(2 * n):
                 exact = 0.0 if m % 2 else 2.0 / (m + 1)
@@ -275,7 +277,7 @@ def test_criterion_8_property_suites(rng):
         d = int(rng.integers(1, 5))
         iv = Interval(0.0, float(10.0 ** rng.uniform(-3, 0.5)))
         p = LocalPoly(iv, rng.standard_normal((r + 1, d)))
-        b, (x_own, proj_own, _) = basis(r), growth_rule(r)
+        b, (x_own, proj_own, _) = basis(r), residual_rule(r)
         for x, proj in ((x_own, proj_own), (b.step_offsets - 1.0, b.step_proj)):
             q = proj @ p(iv.from_reference(x)).T
             if not np.allclose(q, p.coeffs, atol=1e-12, rtol=1e-12):

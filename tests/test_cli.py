@@ -474,7 +474,7 @@ class TestConfigErrors:
         assert err.startswith(f"error: cannot write output file {target}") and err.count("\n") == 1
 
     def test_degree_cap_is_inclusive(self, tmp_path):
-        # 58 is the largest degree whose basis(r) rule of r + 6 points,
-        # which the growth integral uses, fits in 64 points
+        # 58 is the largest degree whose reconstruction, of degree 59,
+        # has its residual interpolated at degree deg + 4 on 64 points
         cfg = write_json(tmp_path / "r58.json", {**RUN_CONFIG, "r": 58, "max_intervals": 1})
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0

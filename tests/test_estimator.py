@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from hpgalerkin.galerkin import (
     reconstruct,
     step,
 )
-from hpgalerkin.poly import Interval, LocalPoly, basis
+from hpgalerkin.poly import Interval, LocalPoly, _time_map, basis
 from hpgalerkin.problems import (
     NumericOverflow,
     Problem,
@@ -246,6 +247,31 @@ class TestPhi:
             assert phi(p, u.interval, u, psi=0.0, delta=2.0) == -1.0
         assert np.all(seen[1] > 0.0) and np.all(np.isfinite(seen[1]))
         assert seen[1].tobytes() == np.ldexp(seen[0], exp).tobytes()
+
+    @pytest.mark.parametrize("deg", [0, 1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("t_start,k", [(0.0, 2.0), (0.5, 0.5), (-1.0, 0.25)])
+    def test_growth_integral_on_the_residual_rule(self, deg, t_start, k):
+        # lip is read at the nodes of the residual's rule of basis(deg),
+        # n = deg + 7 points, and integrated exactly for lip of degree
+        # 2n - 1 in t: 1 + x^(2n-1) + x^(2n-2), x the reference coordinate,
+        # integrates to (k/2) (2 + 2 / (2n - 1))
+        iv, seen = Interval(t_start, t_start + k), []
+        offsets = basis(deg).res_offsets
+        n = offsets.size
+
+        def lip_batch(ts, a, b):
+            seen.append(ts)
+            x = (ts - iv.t_start) * (2.0 / iv.k) - 1.0
+            return 1.0 + x ** (2 * n - 1) + x ** (2 * n - 2)
+
+        p = Problem(dim=1, u0=[1.0], f=lambda t, u: u, lip=lambda t, a, b: 0.0, lip_batch=lip_batch)
+        u_hat = flat_reconstruction(0.5, iv, degree=deg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_one = _growth_factory(p, iv, u_hat, 1.0)(1.0)
+        assert len(seen) == 1
+        assert seen[0].tobytes() == _time_map(iv.t_start, iv.k, offsets).tobytes()
+        exact = 0.5 * iv.k * (2.0 + 2.0 / (2 * n - 1))
+        assert math.log(e_one) == pytest.approx(exact, rel=8 * sys.float_info.epsilon, abs=0.0)
 
     def test_python_float_overflow_is_plus_inf(self):
         # a scalar lip gets Python floats, whose ** raises OverflowError

@@ -110,8 +110,9 @@ class TestStepBasics:
         StepInput(Interval(0.0, 1.0), 0, np.array([1.0]), Scheme.DG)
 
     def test_weak_quadrature_rejected(self):
-        # above MAX_DEGREE the rule would need more than the 64 points
-        # of the largest Gauss-Legendre rule
+        # above MAX_DEGREE the reconstruction's residual would be
+        # interpolated below degree deg + 4 on the 64 points of the
+        # largest Gauss-Legendre rule
         from hpgalerkin.galerkin import MAX_DEGREE
 
         p = make_linear(1.0, [1.0])

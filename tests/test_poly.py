@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 from numpy.polynomial import legendre
 
 from hpgalerkin.poly import (
+    _RESIDUAL_EXTRA_POINTS,
     _STEP_EXTRA_POINTS,
     Interval,
     LocalPoly,
@@ -19,12 +21,12 @@ from _oracles import (
     antiderivative,
     constant,
     derivative,
-    growth_rule,
     l2_norm,
     l2_project,
     parent_node_norms,
     parent_sup_norm,
     project_values,
+    residual_rule,
 )
 
 
@@ -63,13 +65,21 @@ def step_rule(r):
     return b.step_offsets - 1.0, 2.0 * b.step_proj[0]
 
 
+def res_rule(r):
+    """The residual's rule of basis(r), read back as ``step_rule``
+    reads the step's."""
+    b = basis(r)
+    return b.res_offsets - 1.0, 2.0 * b.res_proj[0]
+
+
 def rules(n):
     """Every rule of the cached bases with n points: the step's rule of
-    basis(n - _STEP_EXTRA_POINTS), and for n >= 6 the rule of basis(n - 6)
-    (of every degree from 58 on at n = 64)."""
+    basis(n - _STEP_EXTRA_POINTS), and for n >= 7 the residual's rule of
+    basis(n - _RESIDUAL_EXTRA_POINTS) (of every degree from 57 on at
+    n = 64)."""
     found = [step_rule(n - _STEP_EXTRA_POINTS)]
-    if n >= 6:
-        found.append((growth_rule(n - 6)[0], basis(n - 6).weights))
+    if n >= _RESIDUAL_EXTRA_POINTS:
+        found.append(res_rule(n - _RESIDUAL_EXTRA_POINTS))
     return found
 
 
@@ -111,18 +121,19 @@ class TestGaussLegendre:
 
 def lifted(iv, r, f, left):
     """The program's antiderivative of the projection: the coefficients
-    k lift @ f of the lift of basis(r)'s own rule (``growth_rule``), f the
-    (n, d) values at the mapped nodes, with the left value added, as
-    ``galerkin.reconstruct`` lifts on the step's rule."""
-    coeffs = iv.k * (growth_rule(r)[2] @ f)
+    k lift @ f of the degree-r lift on basis(r)'s residual rule
+    (``residual_rule``), f the (n, d) values at the mapped nodes, with
+    the left value added, as ``galerkin.reconstruct`` lifts on the
+    step's rule."""
+    coeffs = iv.k * (residual_rule(r)[2] @ f)
     coeffs[0] += left
     return LocalPoly(iv, coeffs)
 
 
 def node_values(iv, r, g):
-    """The (n, d) values of g, a function of one time, at basis(r)'s nodes
-    mapped onto iv."""
-    ts = _time_map(iv.t_start, iv.k, basis(r).offsets)
+    """The (n, d) values of g, a function of one time, at the nodes of
+    basis(r)'s residual rule mapped onto iv."""
+    ts = _time_map(iv.t_start, iv.k, basis(r).res_offsets)
     return np.stack([np.atleast_1d(np.asarray(g(t), dtype=float)) for t in ts])
 
 
@@ -138,7 +149,7 @@ class TestEval:
 
     def test_projection_reproduces_polynomial(self):
         iv = Interval(0.0, 1.0)
-        p = LocalPoly(iv, growth_rule(2)[1] @ node_values(iv, 2, lambda t: t * t))
+        p = LocalPoly(iv, residual_rule(2)[1] @ node_values(iv, 2, lambda t: t * t))
         np.testing.assert_allclose(p(0.5), [0.25], atol=1e-14)
 
     def test_outside_interval_raises(self):
@@ -171,12 +182,12 @@ class TestCalculus:
 
     def test_antiderivative_of_zero(self):
         iv = Interval(0.0, 1.0)
-        q = lifted(iv, 0, np.zeros((basis(0).offsets.size, 1)), [2.5])
+        q = lifted(iv, 0, np.zeros((basis(0).res_offsets.size, 1)), [2.5])
         np.testing.assert_allclose(q(0.77), [2.5], atol=1e-15)
 
     def test_antiderivative_of_one(self):
         iv = Interval(0.0, 1.0)
-        q = lifted(iv, 0, np.ones((basis(0).offsets.size, 1)), [0.0])
+        q = lifted(iv, 0, np.ones((basis(0).res_offsets.size, 1)), [0.0])
         np.testing.assert_allclose(q(1.0), [1.0], atol=1e-14)
         np.testing.assert_allclose(q(0.25), [0.25], atol=1e-14)
 
@@ -201,25 +212,26 @@ class TestCalculus:
 
 
 class TestProjection:
-    """The projection of ``poly._rule`` (``growth_rule``) and
-    basis(r).step_proj, the quadrature L2 projections."""
+    """The projection of ``poly._rule`` on the residual's rule
+    (``residual_rule``) and basis(r).step_proj, the quadrature L2
+    projections."""
 
     def test_constant(self):
         iv = Interval(2.0, 3.0)
-        coeffs = growth_rule(4)[1] @ node_values(iv, 4, lambda t: 7.0)
+        coeffs = residual_rule(4)[1] @ node_values(iv, 4, lambda t: 7.0)
         np.testing.assert_allclose(coeffs[0], [7.0])
         np.testing.assert_allclose(coeffs[1:], 0.0, atol=1e-13)
 
     def test_mean_of_t(self):
         iv = Interval(0.0, 1.0)
-        coeffs = growth_rule(0)[1] @ node_values(iv, 0, lambda t: t)
+        coeffs = residual_rule(0)[1] @ node_values(iv, 0, lambda t: t)
         np.testing.assert_allclose(coeffs, [[0.5]], atol=1e-15)
 
     def test_t_squared_coefficients(self):
         # oracle: (t^2, P0) = 2/3 and (t^2, P1) = 0 on [-1, 1], so the
         # Legendre coefficients are [1/3, 0]
         iv = Interval(-1.0, 1.0)
-        coeffs = growth_rule(1)[1] @ node_values(iv, 1, lambda t: t * t)
+        coeffs = residual_rule(1)[1] @ node_values(iv, 1, lambda t: t * t)
         np.testing.assert_allclose(coeffs[:, 0], [1.0 / 3.0, 0.0], atol=1e-15)
 
     def test_idempotence_random(self, rng):
@@ -229,7 +241,7 @@ class TestProjection:
             iv = Interval(rng.uniform(-2, 2), rng.uniform(2.5, 4))
             p = LocalPoly(iv, rng.standard_normal((r + 1, d)))
             b = basis(r)
-            for offsets, proj in ((b.offsets, growth_rule(r)[1]), (b.step_offsets, b.step_proj)):
+            for offsets, proj in ((b.res_offsets, residual_rule(r)[1]), (b.step_offsets, b.step_proj)):
                 q = proj @ p(_time_map(iv.t_start, iv.k, offsets)).T
                 np.testing.assert_allclose(q, p.coeffs, atol=1e-12, rtol=1e-12)
 
@@ -377,26 +389,31 @@ class TestNormPrimitives:
 
 @pytest.mark.parametrize("r", range(65))
 def test_basis(r, rng):
-    b, (own_nodes, own_proj, own_lift) = basis(r), growth_rule(r)
-    n = min(r + 6, 64)
-    assert own_nodes.shape == b.weights.shape == (n,)
+    b, (own_nodes, own_proj, own_lift) = basis(r), residual_rule(r)
+    # the residual's rule has r + 7 points, up to 64
+    n = min(r + _RESIDUAL_EXTRA_POINTS, 64)
+    assert own_nodes.shape == b.res_offsets.shape == (n,)
     nodes, weights = legendre.leggauss(n)
     assert own_nodes.tobytes() == nodes.tobytes()
-    assert b.weights.tobytes() == weights.tobytes()
-    assert b.V.tobytes() == legendre.legvander(nodes, r).tobytes()
+    assert b.res_offsets.tobytes() == (nodes + 1.0).tobytes()
+    assert (2.0 * b.res_proj[0]).tobytes() == weights.tobytes()
+    assert b.res_V.tobytes() == legendre.legvander(nodes, r).tobytes()
     assert b.samples_V.tobytes() == legendre.legvander(b.samples, r).tobytes()
-    # the n-point rule cannot tell P_n from 0, so at r = 64 the 64-point
-    # rule reproduces degree 63 and projects P_64 to about 0
+    # its projection onto degree r is the first rows of the interpolating
+    # one the basis keeps; the n-point rule cannot tell P_n from 0, so at
+    # r = 64 the 64-point rule reproduces degree 63 and projects P_64 to
+    # about 0
+    assert b.res_proj.shape == (n, n) and b.res_lift.shape == (n + 1, n)
     q = min(r, n - 1)
+    assert b.res_proj[: q + 1].tobytes() == own_proj[: q + 1].tobytes()
     c = np.zeros((r + 1, 3))
     c[: q + 1] = rng.standard_normal((q + 1, 3))
-    assert np.abs(own_proj @ (b.V @ c) - c).max() <= 1e-13 * np.abs(c).sum(axis=0).max()
+    assert np.abs(own_proj @ (b.res_V @ c) - c).max() <= 1e-13 * np.abs(c).sum(axis=0).max()
     f = rng.standard_normal((n, 2))
     oracle = project_values(f, Interval(-1.0, 1.0), q, nodes, weights)
     want = np.zeros((r + 2, 2))
     want[: q + 2] = antiderivative(oracle, np.zeros(2)).coeffs
     assert np.abs(2.0 * (own_lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
-    assert b.offsets.tobytes() == (nodes + 1.0).tobytes()
     # the step's rule has r + 1 points and reproduces degree r as well
     s = min(r + _STEP_EXTRA_POINTS, 64)
     step_nodes, step_weights = legendre.leggauss(s)
@@ -410,9 +427,10 @@ def test_basis(r, rng):
     want[: q + 2] = antiderivative(oracle, np.zeros(2)).coeffs
     assert np.abs(2.0 * (b.step_lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
     names = (
-        "weights", "offsets", "V", "samples", "samples_V", "step_offsets", "step_V",
-        "step_proj", "step_lift", "res_offsets", "res_V", "res_proj", "res_lift",
+        "samples", "samples_V", "step_offsets", "step_V", "step_proj", "step_lift",
+        "res_offsets", "res_V", "res_proj", "res_lift",
     )
+    assert tuple(field.name for field in dataclasses.fields(b)) == names
     for name in names:
         assert not getattr(b, name).flags.writeable, name
     assert basis(r) is b
@@ -436,9 +454,9 @@ class TestTimeMap:
         intervals += [Interval(t, t + 1e-14) for t in (1.0 - 3e-14, 1.0 - 1e-14, 1.0, 1.0 + 2e-14)]
         for iv in intervals:
             for r in (0, 1, 2, 5, 13, 30, 58, 64):
-                b, nodes = basis(r), growth_rule(r)[0]
+                b, nodes = basis(r), residual_rule(r)[0]
                 want = self.formula(iv, nodes).tobytes()
-                assert _time_map(iv.t_start, iv.k, b.offsets).tobytes() == want
+                assert _time_map(iv.t_start, iv.k, b.res_offsets).tobytes() == want
                 assert iv.from_reference(nodes).tobytes() == want
             x = float(rng.uniform(-1.0, 1.0))
             assert iv.from_reference(x) == self.formula(iv, x)
