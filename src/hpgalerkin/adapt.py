@@ -75,7 +75,7 @@ from .galerkin import (
     reconstruct,
     step,
 )
-from .poly import _TINY, MAX_DEGREE, Interval, LocalPoly, _all_finite
+from .poly import _TINY, MAX_DEGREE, Interval, LocalPoly, _all_finite, _marching
 from .problems import NumericOverflow, Problem, _integer
 
 __all__ = [
@@ -329,7 +329,10 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
 
     The residual's f values f_res are evaluated here, once per
     candidate (``estimator._residual_f_vals``), and passed to
-    ``residual_estimator``.  They also seed the Picard iteration of the
+    ``residual_estimator``; the nodes they were evaluated at, their
+    times and the values of the reconstruction there, go to
+    ``solve_delta`` (``nodes``), whose growth integral reads them.  The
+    f values also seed the Picard iteration of the
     next attempt, through one helper (``_first_iterate``): its first
     iterate is a u_left^T + k H @ f_res, the attempt's Picard update
     from f_res, with H of the attempt's ``SchemeOperator`` chosen by
@@ -337,10 +340,15 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     ``predict_half`` when the next interval was then halved on the
     prediction, ``halve`` after an accuracy halving and ``raised`` after
     a degree raise.  The run's first attempt, and an attempt after a
-    failed one, start from the constant left value.  The guesses and
-    the end value are formed under the one errstate that spans the
-    loop, and the callees hold their own: ``step`` ignores a non-finite
-    guess, and the end value is tested for finiteness.
+    failed one, start from the constant left value.
+
+    The loop runs under one errstate (``poly._marching``: over and
+    invalid ignored), which also serves every callee: under it ``step``,
+    ``reconstruct``, ``residual_estimator``, ``solve_delta`` and
+    ``LocalPoly.linf_norm`` enter none of their own, as they do when
+    called outside a march (``poly._quiet``).  The guesses and the end
+    value are formed under it too: ``step`` ignores a non-finite guess,
+    and the end value is tested for finiteness.
     """
     records: list[IntervalRecord] = []
     tol_trace: list[float] = []
@@ -355,7 +363,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     H, f_res = None, None
     attempts, decisions = 0, []
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _marching():
         while len(records) < cfg.max_intervals:
             if not attempts and _predicts_rejection(cfg, records, tol):
                 k *= 0.5
@@ -375,7 +383,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 continue
             try:
                 u_hat = reconstruct(p, inp, out.f_vals)
-                f_res = _residual_f_vals(p, u_hat)
+                nodes, f_res = _residual_f_vals(p, u_hat)
                 eta = residual_estimator(p, u_hat, inp.u_left, f_res)
                 if eta <= tol:
                     u_end = np.add.reduce(u_hat.coeffs, 0)  # uhat(t_end), as P_i(1) = 1
@@ -401,7 +409,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             iv = inp.interval
             psi = psi_update(prev_estimate, eta)
             prev_delta = prev_estimate.delta if prev_estimate is not None else None
-            delta = solve_delta(p, iv, u_hat, psi, prev_delta=prev_delta)
+            delta = solve_delta(p, iv, u_hat, psi, prev_delta=prev_delta, nodes=nodes)
             if isinstance(delta, DeltaNotFound):
                 termination = Termination.DELTA_NOT_FOUND
                 break

@@ -10,7 +10,9 @@ For each accepted interval the drivers assemble a ``StepEstimate``:
   63)); the drivers evaluate those node values once per candidate, pass
   them in, and form the next attempt's first Picard iterate from them,
   whether the candidate is accepted or rejected
-  (``galerkin.SchemeOperator``).
+  (``galerkin.SchemeOperator``).  The nodes themselves, their times and
+  the values of uhat there, serve the delta solve of an accepted
+  candidate too (``solve_delta``'s ``nodes``).
 * ``psi``: recursive accumulator, eta_res on the first interval and
   delta_prev * psi_prev + eta_res afterwards.  The state space is all
   of R^d, so no projection term enters between intervals.
@@ -30,9 +32,13 @@ arguments, so no root above a point lo lies below E(lo).  The returned
 delta has phi(delta) < 0, the condition under which delta * psi is a
 bound.
 
-Each ``solve_delta`` holds one ``np.errstate`` for all its envelope
-evaluations.  An envelope that overflows, to inf or nan, gives the
-growth E = +inf, so phi > 0 there: no certificate at that delta.
+During a march every callee here runs under the march's one
+``np.errstate`` (``poly._marching``); called directly, each
+``solve_delta`` holds one errstate of its own for all its envelope
+evaluations, and ``residual_estimator`` one for its lift and
+subtraction (``poly._quiet``).  An envelope that overflows, to inf or
+nan, gives the growth E = +inf, so phi > 0 there: no certificate at
+that delta.
 
 The controls of ``solve_delta`` are fixed: it stops at |phi| <= PHI_TOL
 = 1e-10 or at a bracket 4 ulp wide within [1, DELTA_MAX = 1e6], and its
@@ -50,7 +56,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .galerkin import _cg_lift
-from .poly import Interval, LocalPoly, _all_finite, _norms, _sup_norm, _time_map, basis
+from .poly import Interval, LocalPoly, _all_finite, _norms, _quiet, _sup_norm, _time_map, basis
 from .problems import NumericOverflow, Problem, lip_at, rhs_at
 
 __all__ = [
@@ -112,14 +118,15 @@ def residual_estimator(
     Raises NumericOverflow when the lift or the subtraction leaves
     double range, so that ``adapt`` halves the step as it does for an
     overflowing reconstruction.  One errstate covers the lift and the
-    subtraction, and one finite test, after the subtraction, covers
+    subtraction (the march's during a march, else its own,
+    ``poly._quiet``), and one finite test, after the subtraction, covers
     both: a non-finite lift coefficient stays non-finite when a finite
     uhat is subtracted.  Otherwise the fresh, finite coefficient array
     is wrapped without a copy (``LocalPoly._trusted``) and measured by
     its ``linf_norm``.
     """
     u_left = np.atleast_1d(np.asarray(u_left, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet(over="ignore", invalid="ignore"):
         res_coeffs = _cg_lift(u_hat.interval.k, u_left, basis(u_hat.degree).res_lift, f_vals)
         res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
     if not _all_finite(res_coeffs):
@@ -127,13 +134,17 @@ def residual_estimator(
     return LocalPoly._trusted(u_hat.interval, res_coeffs).linf_norm()
 
 
-def _residual_f_vals(p: Problem, u_hat: LocalPoly) -> np.ndarray:
-    """f at the nodes of the residual's rule of u_hat
-    (``basis(deg(uhat)).res_offsets``), which ``residual_estimator``
-    integrates; (n, d), returned as f gives them.  The caller holds the
-    errstate."""
+def _residual_f_vals(
+    p: Problem, u_hat: LocalPoly
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The nodes (ts, us) of the residual's rule of u_hat
+    (``basis(deg(uhat)).res_offsets``): the times ts (n,) and the values
+    us (n, d) of uhat there; and f at them, which ``residual_estimator``
+    integrates, (n, d) as f gives them.  ``solve_delta`` takes the nodes
+    as its ``nodes``.  The caller holds the errstate."""
     b, iv = basis(u_hat.degree), u_hat.interval
-    return rhs_at(p, _time_map(iv.t_start, iv.k, b.res_offsets), np.dot(b.res_V, u_hat.coeffs))
+    ts, us = _time_map(iv.t_start, iv.k, b.res_offsets), np.dot(b.res_V, u_hat.coeffs)
+    return (ts, us), rhs_at(p, ts, us)
 
 
 def psi_update(prev: Optional[StepEstimate], eta_res: float) -> float:
@@ -144,7 +155,11 @@ def psi_update(prev: Optional[StepEstimate], eta_res: float) -> float:
 
 
 def _growth_factory(
-    p: Problem, iv: Interval, u_hat: LocalPoly, psi: float
+    p: Problem,
+    iv: Interval,
+    u_hat: LocalPoly,
+    psi: float,
+    nodes: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Callable[[float], float]:
     """Build the growth E(delta) = exp(int_I lip(s, delta*psi + |uhat|, |uhat|) ds)
     with the reconstruction norms precomputed; phi(delta) = E(delta) - delta.
@@ -158,12 +173,16 @@ def _growth_factory(
     are positive, so the exponent dot(w, vals) is finite exactly when
     every envelope value is, unless the sum itself overflows, which also
     means +inf; the caller holds the errstate.  The node norms |uhat|
-    are ``poly._norms``, finite wherever the node values are.
+    are ``poly._norms``, finite wherever the node values are, of the
+    node values of ``nodes`` = (ts, us), formed here when it is None.
     """
     b = basis(u_hat.degree)
     k = iv.k
-    ts = _time_map(iv.t_start, k, b.res_offsets)
-    u_norms = _norms(np.dot(b.res_V, u_hat.coeffs), 1)
+    if nodes is None:
+        ts, us = _time_map(iv.t_start, k, b.res_offsets), np.dot(b.res_V, u_hat.coeffs)
+    else:
+        ts, us = nodes
+    u_norms = _norms(us, 1)
     w = k * b.res_proj[0]
 
     def growth(delta: float) -> float:
@@ -191,8 +210,17 @@ def solve_delta(
     u_hat: LocalPoly,
     psi: float,
     prev_delta: Optional[float] = None,
+    *,
+    nodes: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Union[float, DeltaNotFound]:
     """Leftmost delta > 1 with phi(delta) < 0, or DeltaNotFound.
+
+    ``nodes``, when given, are the times ts (n,) and the values us (n,
+    d) of u_hat at the nodes of the residual's rule of ``basis(deg(uhat))``
+    on iv, as ``_residual_f_vals`` forms them: the drivers pass the ones
+    they formed for the residual, so the growth integral forms neither
+    again.  They must be those of u_hat on iv, bit for bit, for the
+    solve to be the one without them; None forms them here.
 
     The loop keeps lo, with phi(lo) >= 0 (1 at first); floor =
     max(E(lo), the float after lo), as phi >= 0 on [lo, floor); and hi,
@@ -225,8 +253,8 @@ def solve_delta(
     """
     # one errstate for every envelope evaluation of the solve; growth
     # reads overflow from its exponent
-    with np.errstate(over="ignore", invalid="ignore"):
-        growth = _growth_factory(p, iv, u_hat, psi)
+    with _quiet(over="ignore", invalid="ignore"):
+        growth = _growth_factory(p, iv, u_hat, psi, nodes)
         e_one = growth(1.0)
         if not (e_one - 1.0 >= -1e-12):
             raise ArithmeticError(f"phi(1) = {e_one - 1.0} < 0; estimator state is inconsistent")

@@ -66,8 +66,10 @@ Nonexistence of a step is a first-class outcome here: the adaptive
 drivers halve the step length whenever the iteration fails to converge.
 An iterate diverges when sum |c|, an upper bound on its sup norm since
 |P_i| <= 1, exceeds the divergence cap, or when f or the update leaves
-double range, under any cap.  The loop holds one ``np.errstate`` and
-reads all of this from sum |c|: an overflow leaves that sum inf or nan.
+double range, under any cap.  The loop runs under one ``np.errstate``,
+the march's when a driver calls it and its own otherwise
+(``poly._quiet``), and reads all of this from sum |c|: an overflow
+leaves that sum inf or nan.
 
 On the (r+1, d) arrays of a step, numpy's per-call dispatch costs more
 than the arithmetic, so each iteration makes as few calls as it can
@@ -133,7 +135,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import legendre as _leg
 
-from .poly import MAX_DEGREE, Interval, LocalPoly, _all_finite, _time_map, basis
+from .poly import MAX_DEGREE, Interval, LocalPoly, _all_finite, _quiet, _time_map, basis
 from .problems import NumericOverflow, Problem, rhs_at
 
 __all__ = [
@@ -400,7 +402,8 @@ def _sweep(p: Problem, inp: StepInput, c: np.ndarray, cap: float, atol: float) -
     other starts the count again; at MAX_GROWING the sweep diverges at
     its newest iterate, which passed the divergence test.
 
-    One errstate covers the whole loop.  The bound sum |c_next| that the
+    One errstate covers the whole loop: the march's during a march, else
+    its own (``poly._quiet``).  The bound sum |c_next| that the
     cap test needs reads every overflow as well: each coefficient of
     G @ f involves every node value of f, so one non-finite f value, or
     an update that overflows, leaves c_next non-finite and the bound inf
@@ -431,7 +434,7 @@ def _sweep(p: Problem, inp: StepInput, c: np.ndarray, cap: float, atol: float) -
     left = op.a * inp.u_left
     limit = min(cap, _FLOAT_MAX)
     prev, last, growing = c.ravel().tolist(), math.inf, 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet(over="ignore", invalid="ignore"):
         for it in range(1, MAX_ITERS + 1):
             try:
                 f_vals = rhs_at(p, ts, np.dot(V, c))
@@ -489,7 +492,7 @@ def reconstruct(p: Problem, inp: StepInput, f_vals: np.ndarray) -> LocalPoly:
     iterate up to rounding.  No endpoint is assumed to coincide: the
     drivers start the next interval from the reconstruction's end value.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet(over="ignore", invalid="ignore"):
         coeffs = _cg_lift(inp.interval.k, inp.u_left, basis(inp.r).step_lift, f_vals)
     if not _all_finite(coeffs):
         raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")

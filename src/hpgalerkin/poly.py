@@ -33,13 +33,26 @@ The solver uses it for the Picard iterates that passed its overflow
 test, for the lift inside ``galerkin.reconstruct`` and for the residual
 inside ``estimator.residual_estimator``; everything else, the caller's
 own arrays included, goes through the constructor.
+
+A march holds one ``np.errstate`` (over and invalid ignored) around
+its whole loop (``_marching``, entered by ``adapt._drive``).  The
+callees on it, the Picard sweep, ``reconstruct``,
+``residual_estimator``, ``solve_delta`` and ``LocalPoly.linf_norm``,
+enter their own errstate only outside a march, through ``_quiet``:
+while a march holds its errstate, ``_quiet`` returns a shared null
+context, and the callee runs under the march's state, which ignores
+what its own would.  The flag is a ``contextvars.ContextVar``, local to
+its thread and context as numpy's errstate is, so a march in one
+thread leaves a direct call in another to its own errstate.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -69,13 +82,44 @@ MAX_DEGREE = 58
 # The smallest normal double: a square sum below it has lost bits.
 _TINY = sys.float_info.min
 
+# Set while a march holds its errstate (``_marching``); read by ``_quiet``.
+_MARCHING = contextvars.ContextVar("hpgalerkin_marching", default=False)
+_HELD = contextlib.nullcontext()
+
+
+def _quiet(**settings):
+    """``np.errstate(**settings)``, or a shared null context while a
+    march holds its errstate (``_marching``), whose over and invalid
+    ignored cover every setting a callee asks for."""
+    return _HELD if _MARCHING.get() else np.errstate(**settings)
+
+
+@contextlib.contextmanager
+def _marching():
+    """The errstate of a march, over and invalid ignored.  While it is
+    held, the flag is set, in this context only, and every ``_quiet``
+    returns the null context; every exit unsets it, an exception's
+    included."""
+    token = _MARCHING.set(True)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    finally:
+        _MARCHING.reset(token)
+
 
 @dataclass(frozen=True)
 class Interval:
-    """Open time interval (t_start, t_end) with positive, finite length."""
+    """Open time interval (t_start, t_end) with positive, finite length.
+
+    ``k``, the length t_end - t_start, is computed once, at
+    construction, and stored; it takes no part in equality, hashing or
+    repr, which read the two endpoints only.
+    """
 
     t_start: float
     t_end: float
+    k: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
@@ -84,13 +128,10 @@ class Interval:
             raise ValueError(
                 f"interval must have positive length, got ({self.t_start}, {self.t_end})"
             )
-        if not math.isfinite(self.k):
+        k = self.t_end - self.t_start
+        if not math.isfinite(k):
             raise ValueError(f"interval length overflows, got ({self.t_start}, {self.t_end})")
-
-    @property
-    def k(self) -> float:
-        """Interval length t_end - t_start."""
-        return self.t_end - self.t_start
+        object.__setattr__(self, "k", k)
 
     def to_reference(self, t):
         """Map time(s) t in [t_start, t_end] to x in [-1, 1].
@@ -177,10 +218,11 @@ class LocalPoly:
         The samples are the degree's ``basis(r).samples``, evaluated by
         one product with their cached Vandermonde matrix, and measured by
         ``_sup_norm``, so the norm is finite wherever it is a double.
+        A norm past double range reads inf, which the callers handle,
+        without a warning: under the march's errstate, or outside a
+        march under its own (``_quiet``).
         """
-        # A norm past double range reads inf, which the callers handle:
-        # don't warn.
-        with np.errstate(over="ignore"):
+        with _quiet(over="ignore"):
             return _sup_norm(np.dot(basis(self.degree).samples_V, self.coeffs), 1)
 
 

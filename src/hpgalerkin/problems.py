@@ -22,11 +22,12 @@ which the solvers use when present.
 
 ``rhs_at`` and ``lip_at`` are the only way the solvers evaluate f and
 lip.  They return the values as given, infinities and nan included, and
-leave the floating-point error state alone: the Picard step, the cG
-lift behind the reconstruction and the residual, and the delta solve
-each enter one ``np.errstate`` and read overflow from a sum or a
-coefficient array they compute anyway.  A scalar f or lip may
-raise NumericOverflow itself.
+leave the floating-point error state alone: their callers, the Picard
+step, the cG lift behind the reconstruction and the residual, and the
+delta solve, read overflow from a sum or a coefficient array they
+compute anyway, under one ``np.errstate``.  A march holds one for its
+whole loop, and a callee enters its own only outside a march
+(``poly._quiet``).  A scalar f or lip may raise NumericOverflow itself.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ def rhs_at(p: Problem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
 
     The values are returned as f gives them, infinities and nan
     included: each caller tests a sum it computes anyway for
-    finiteness, under one ``np.errstate`` per step or solve, rather
-    than once per call here.  Only a scalar ``f`` that raises
+    finiteness, under the march's one ``np.errstate`` or, called
+    outside a march, its own per step or solve, rather than once per
+    call here.  Only a scalar ``f`` that raises
     NumericOverflow itself stops the evaluation.  A scalar ``f``
     receives t as a Python float and u as a row of us.
     """

@@ -616,11 +616,13 @@ def parent_residual(p, u_hat, u_left, f_vals=None):
     return parent_linf_norm(LocalPoly(u_hat.interval, res_coeffs))
 
 
-def parent_growth_factory(p, iv, u_hat, psi):
+def parent_growth_factory(p, iv, u_hat, psi, nodes=None):
     """``estimator._growth_factory`` with a matmul product, ``np.sum`` of
     squares and the nodes of the residual's rule (``residual_nodes``)
     mapped by ``from_reference``; same signature, so it can stand in for
-    it inside ``solve_delta``."""
+    it inside ``solve_delta``.  It ignores ``nodes`` and forms its own,
+    so a solve given the drivers' nodes is compared against nodes formed
+    independently."""
     b = basis(u_hat.degree)
     ts = iv.from_reference(residual_nodes(u_hat.degree)[0])
     u_norms = parent_node_norms(b.res_V @ u_hat.coeffs)

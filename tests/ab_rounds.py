@@ -4,7 +4,7 @@
 Usage (from the root of a checkout):
 
     python3 tests/ab_rounds.py --against REV --workload W [--rounds N]
-        [--seed S] [--out FILE]
+        [--seed S] [--aa] [--out FILE]
 
 Separate processes of one tree read a few percent apart from each other
 on a host whose speed drifts, which hides a small change.  This script
@@ -19,15 +19,23 @@ workload's operations for the seed (default 1) and solves every ladder
 once to warm up.
 
 A round solves every operation once on each side, in the seed's order,
-alternating which side goes first from one operation to the next and
-from one round to the next.  Each solve is timed in CPU time of this
-process (``time.process_time``).  The T, M and dofs of the two sides
-must be equal per operation; the script exits 1 when they are not.  It
+rotating which side goes first from one operation to the next and from
+one round to the next.  Each solve is timed in CPU time of this
+process (``time.process_time``).  The T, M and dofs of the sides must
+be equal per operation; the script exits 1 when they are not.  It
 prints each round's summed time per side and their ratio (this checkout
 over REV), then the median ratio over the N rounds (default 5);
 ``--out FILE`` also writes the per-round figures there as JSON.  It
-exits 2 when git cannot extract REV or the two trees build different
+exits 2 when git cannot extract REV or the trees build different
 operations.
+
+``--aa`` adds a third side, the A/A floor: a second extraction of REV,
+imported in the same way as the first under the package name
+``hpgalerkin_twin``.  Each round then also prints the ratio of the
+twin over REV, and the last line the median of those ratios next to the
+A/B median.  Two copies of one tree should read 1; how far their median
+lies from 1 is the offset of the method itself, against which an A/B
+ratio is read.
 
 It writes only the temporary directory: no ref, index or working-tree
 file changes.  The file name does not match ``test_*.py``, so pytest
@@ -54,6 +62,8 @@ import numpy
 from report_digest import ROOT, extract_tree
 
 clock = time.process_time
+# the name of the --aa side, the second extraction of REV
+TWIN = "twin"
 
 
 def import_package(name, src):
@@ -86,16 +96,23 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--rounds", type=int, default=5, help="rounds (default 5)")
     parser.add_argument("--seed", type=int, default=1, help="the benchmark seed (default 1)")
+    parser.add_argument(
+        "--aa", action="store_true", help="also time REV against a second extraction of REV"
+    )
     parser.add_argument("--out", metavar="FILE", help="write the per-round figures to FILE as JSON")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="ab-rounds-") as tmp:
-        if not extract_tree(args.against, tmp):
-            return 2
-        sides = {args.against: load_side("against", tmp, "hpgalerkin_against"),
-                 "here": load_side("here", ROOT, "hpgalerkin")}
+        rev, twin = os.path.join(tmp, "rev"), os.path.join(tmp, "twin")
+        for dest in (rev, twin) if args.aa else (rev,):
+            if not extract_tree(args.against, dest):
+                return 2
+        sides = {args.against: load_side("against", rev, "hpgalerkin_against")}
+        if args.aa:
+            sides[TWIN] = load_side("twin", twin, "hpgalerkin_twin")
+        sides["here"] = load_side("here", ROOT, "hpgalerkin")
         if args.workload not in sides["here"].WORKLOADS:
             parser.error(f"--workload must be one of {', '.join(sides['here'].WORKLOADS)}")
         return ab_rounds(sides, args)
@@ -109,9 +126,10 @@ def ab_rounds(sides, args):
         for ladder in ladders:
             bench.solve(ladder, ladder.tols[0])
     keys = {side: [(ladder.name, tol) for ladder, tol in ops[side]] for side in sides}
-    if keys[args.against] != keys["here"]:
-        print(f"error: {args.against} and this checkout run different operations", file=sys.stderr)
-        return 2
+    for side in sides:
+        if keys[side] != keys["here"]:
+            print(f"error: {side} and this checkout run different operations", file=sys.stderr)
+            return 2
 
     names = list(sides)
     rounds = []
@@ -119,26 +137,37 @@ def ab_rounds(sides, args):
         spent = dict.fromkeys(names, 0.0)
         for i, (name, tol) in enumerate(keys["here"]):
             outcomes = {}
-            for side in names if (rnd + i) % 2 == 0 else names[::-1]:
+            first = (rnd + i) % len(names)
+            for side in names[first:] + names[:first]:
                 start = clock()
                 result = sides[side].solve(*ops[side][i])
                 spent[side] += clock() - start
                 outcomes[side] = (result.T, result.M, result.dofs)
-            if outcomes[args.against] != outcomes["here"]:
-                print(f"error: {name}@{tol!r}: (T, M, dofs) {outcomes[args.against]} "
-                      f"at {args.against}, {outcomes['here']} here", file=sys.stderr)
-                return 1
+            for side in names:
+                if outcomes[side] != outcomes["here"]:
+                    print(f"error: {name}@{tol!r}: (T, M, dofs) {outcomes[side]} "
+                          f"at {side}, {outcomes['here']} here", file=sys.stderr)
+                    return 1
         ratio = spent["here"] / spent[args.against]
         rounds.append({"against_s": spent[args.against], "here_s": spent["here"], "ratio": ratio})
-        print(f"round {rnd + 1}: {args.against} {spent[args.against]:.3f} s, "
-              f"here {spent['here']:.3f} s, ratio {ratio:.3f}", flush=True)
+        line = (f"round {rnd + 1}: {args.against} {spent[args.against]:.3f} s, "
+                f"here {spent['here']:.3f} s, ratio {ratio:.3f}")
+        if TWIN in spent:
+            rounds[-1].update(twin_s=spent[TWIN], aa_ratio=spent[TWIN] / spent[args.against])
+            line += f"; {TWIN} {spent[TWIN]:.3f} s, A/A ratio {rounds[-1]['aa_ratio']:.3f}"
+        print(line, flush=True)
     median = statistics.median(r["ratio"] for r in rounds)
-    print(f"{args.workload} seed={args.seed} rounds={args.rounds} "
-          f"ops={len(keys['here'])} median ratio here/{args.against} {median:.3f}")
+    summary = {"workload": args.workload, "seed": args.seed, "against": args.against,
+               "rounds": rounds, "median_ratio": median}
+    line = (f"{args.workload} seed={args.seed} rounds={args.rounds} "
+            f"ops={len(keys['here'])} median ratio here/{args.against} {median:.3f}")
+    if TWIN in sides:
+        summary["aa_median_ratio"] = statistics.median(r["aa_ratio"] for r in rounds)
+        line += f", A/A {TWIN}/{args.against} {summary['aa_median_ratio']:.3f}"
+    print(line)
     if args.out is not None:
         with open(args.out, "w") as fh:
-            json.dump({"workload": args.workload, "seed": args.seed, "against": args.against,
-                       "rounds": rounds, "median_ratio": median}, fh, indent=1)
+            json.dump(summary, fh, indent=1)
     return 0
 
 

@@ -35,14 +35,18 @@ certificate with numerics of its own:
   integral by the 32-point Gauss-Legendre rule on each of 8 equal
   panels (``phi_dense``).  The solve integrates on a rule of its own,
   and a returned delta with phi_dense(delta) >= 0 is certified by that
-  rule only.  This is reported, not checked: it does not set the exit
-  status.
+  rule only.  A second count takes only phi_dense(delta) > 4 eps delta
+  (``PHI_MARGIN_ULPS``), past a few roundings of exp(exponent) - delta,
+  whose one rounding alone can read +4.44e-16 at a delta the solve's
+  own rule certifies.  Both counts are reported, not checked: neither
+  sets the exit status.
 
 It prints per workload the number of intervals, the count of the
 residual under-reports, the largest ratio dense / eta_res with its
 interval, named ``ladder@tol#index`` (index from 0), the number of
-continuity and recursion breaks, and the count of phi_dense(delta) >= 0
-with the largest phi_dense and its interval; ``--json`` prints the
+continuity and recursion breaks, the count of phi_dense(delta) >= 0
+with the largest phi_dense and its interval, and the count of
+phi_dense(delta) > 4 eps delta; ``--json`` prints the
 findings as one JSON object instead.  The residual evaluates f at 8000
 points per interval; a problem without ``f_batch`` (``custom-scalar``)
 takes one call per point, about a minute per side.  ``--root DIR``
@@ -69,12 +73,17 @@ import subprocess
 import sys
 import tempfile
 
+EPS = sys.float_info.epsilon
+
 from report_digest import ROOT, extract_tree, load_bench
 
 PANELS = 1000
 PANEL_POINTS = 8
 # a dense residual sup above this share of eta_res is an under-report
 UNDER_REPORT = 1.001
+# the second phi_dense count takes phi_dense(delta) > PHI_MARGIN_ULPS eps
+# delta only, past a few roundings of exp(exponent) - delta
+PHI_MARGIN_ULPS = 4
 # the rule of phi_dense: GROWTH_POINTS Gauss points on each of
 # GROWTH_PANELS equal panels
 GROWTH_PANELS = 8
@@ -181,10 +190,11 @@ class Panels:
 
 def audit_run(panels, program, problem, result, u_lefts, name):
     """The findings of one run: (ratio, interval name) and (phi_dense,
-    interval name) per interval, and the continuity and recursion
-    breaks, as interval names.  program is ``hpgalerkin.problems``, for
-    its ``rhs_at`` and ``lip_at``."""
-    ratios, phis, continuity, recursion = [], [], [], []
+    interval name) per interval, the (phi_dense, interval name) of the
+    intervals with phi_dense(delta) > PHI_MARGIN_ULPS eps delta, and the
+    continuity and recursion breaks, as interval names.  program is
+    ``hpgalerkin.problems``, for its ``rhs_at`` and ``lip_at``."""
+    ratios, phis, beyond, continuity, recursion = [], [], [], [], []
     prev = None
     for i, (rec, u_left) in enumerate(zip(result.intervals, u_lefts)):
         label = f"{name}#{i}"
@@ -194,6 +204,8 @@ def audit_run(panels, program, problem, result, u_lefts, name):
         ratios.append((ratio, label))
         phi = panels.phi_dense(program.lip_at, problem, rec.reconstruction, est.psi, est.delta)
         phis.append((phi, label))
+        if phi > PHI_MARGIN_ULPS * EPS * est.delta:
+            beyond.append((phi, label))
         if prev is None:
             starts = rec.interval.t_start == 0.0 and u_left.tobytes() == problem.u0.tobytes()
             psi = est.eta_res
@@ -208,13 +220,15 @@ def audit_run(panels, program, problem, result, u_lefts, name):
         if est.psi != psi:
             recursion.append(label)
         prev = rec
-    return ratios, phis, continuity, recursion
+    return ratios, phis, beyond, continuity, recursion
 
 
 def audit(seed, workloads, root=ROOT):
     """Per workload: intervals, under-reports (ratio, name) sorted worst
-    first, continuity and recursion breaks, and the phi_dense(delta) >= 0
-    (phi, name) sorted worst first with the largest phi_dense."""
+    first, continuity and recursion breaks, the phi_dense(delta) >= 0
+    (phi, name) sorted worst first with the largest phi_dense, and the
+    phi_dense(delta) > PHI_MARGIN_ULPS eps delta (phi, name) sorted
+    worst first."""
     bench = load_bench(root)
     adapt = sys.modules["hpgalerkin.adapt"]
     problems = sys.modules["hpgalerkin.problems"]
@@ -234,12 +248,12 @@ def audit(seed, workloads, root=ROOT):
     for workload in workloads:
         _, ops = bench.build_inputs(workload, seed)
         intervals, top, under, continuity, recursion = 0, (0.0, "-"), [], [], []
-        phi_top, phi_nonneg = (-math.inf, "-"), []
+        phi_top, phi_nonneg, phi_beyond = (-math.inf, "-"), [], []
         for ladder, tol in ops:
             steps.clear()
             result = bench.solve(ladder, tol)
             u_lefts = [steps[id(rec.output)][1] for rec in result.intervals]
-            ratios, phis, run_continuity, run_recursion = audit_run(
+            ratios, phis, beyond, run_continuity, run_recursion = audit_run(
                 panels, problems, ladder.problem, result, u_lefts, f"{ladder.name}@{tol:.3g}"
             )
             intervals += len(result.intervals)
@@ -247,10 +261,12 @@ def audit(seed, workloads, root=ROOT):
             under += [(ratio, label) for ratio, label in ratios if ratio > UNDER_REPORT]
             phi_top = max([phi_top] + phis)
             phi_nonneg += [(phi, label) for phi, label in phis if phi >= 0.0]
+            phi_beyond += beyond
             continuity += run_continuity
             recursion += run_recursion
         under.sort(reverse=True)
         phi_nonneg.sort(reverse=True)
+        phi_beyond.sort(reverse=True)
         summary[workload] = {
             "intervals": intervals,
             "top": top,
@@ -259,6 +275,7 @@ def audit(seed, workloads, root=ROOT):
             "recursion": recursion,
             "phi_top": phi_top,
             "phi_nonneg": phi_nonneg,
+            "phi_beyond": phi_beyond,
         }
     adapt.step = inner
     return summary
@@ -273,13 +290,14 @@ def describe(entry):
         f"continuity breaks {len(entry['continuity'])}, "
         f"recursion breaks {len(entry['recursion'])}; "
         f"phi_dense(delta) >= 0: {len(entry['phi_nonneg'])}, "
-        f"largest phi_dense {phi:.3g} ({phi_label})"
+        f"largest phi_dense {phi:.3g} ({phi_label}); "
+        f"phi_dense(delta) > {PHI_MARGIN_ULPS} eps delta: {len(entry['phi_beyond'])}"
     )
 
 
 def fails(entry):
     """A residual under-report, a continuity break or a recursion break;
-    phi_dense is reported only."""
+    both phi_dense counts are reported only."""
     return bool(entry["under"] or entry["continuity"] or entry["recursion"])
 
 

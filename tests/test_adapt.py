@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import sys
+import threading
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +22,18 @@ from hpgalerkin.adapt import (
     smoothness,
 )
 import hpgalerkin.adapt as adapt_module
-from hpgalerkin.estimator import StepEstimate
-from hpgalerkin.galerkin import PicardConfig, Scheme, reconstruct, step
-from hpgalerkin.poly import Interval, LocalPoly
+from hpgalerkin.estimator import DeltaNotFound, StepEstimate, residual_estimator, solve_delta
+from hpgalerkin.galerkin import PicardConfig, Scheme, StepInput, reconstruct, step
+import hpgalerkin.poly as poly_module
+from hpgalerkin.poly import Interval, LocalPoly, basis
 import hpgalerkin.problems as problems
-from hpgalerkin.problems import Problem, make_exponential, make_linear, make_power_square
+from hpgalerkin.problems import (
+    NumericOverflow,
+    Problem,
+    make_exponential,
+    make_linear,
+    make_power_square,
+)
 
 from _oracles import (
     constant,
@@ -1220,3 +1229,102 @@ class TestPredictionRange:
         got, want = fired_and_predicted(cfg, res)
         assert got == want
         assert any(got)
+
+
+def counted_errstate(monkeypatch):
+    """The np.errstate objects entered from now on, in order."""
+    entries = []
+    enter = np.errstate.__enter__
+
+    def counted(self):
+        entries.append(self)
+        return enter(self)
+
+    monkeypatch.setattr(np.errstate, "__enter__", counted)
+    return entries
+
+
+def overflowing_calls():
+    """Call each callee of the march directly on inputs whose arithmetic
+    leaves double range, with RuntimeWarnings as errors: each must hold
+    an errstate of its own.  Five calls, five errstates."""
+    p, iv, wide = make_power_square(1.0), Interval(0.0, 1.0), Interval(0.0, 100.0)
+    u_hat = LocalPoly(iv, [[1.0], [1.0], [0.5], [0.25]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # f = u^2 overflows at u = 1e200: the sweep diverges
+        assert not step(p, StepInput(iv, 2, [1e200], Scheme.CG)).converged
+        huge = np.full((basis(2).step_offsets.size, 1), 1e308)
+        with pytest.raises(NumericOverflow):
+            reconstruct(p, StepInput(wide, 2, [1.0], Scheme.CG), huge)
+        huge = np.full((basis(3).res_offsets.size, 1), 1e308)
+        with pytest.raises(NumericOverflow):
+            residual_estimator(p, LocalPoly(wide, u_hat.coeffs), [1.0], huge)
+        # e^(800 delta) overflows: no certificate
+        assert isinstance(solve_delta(make_exponential(1.0), iv, u_hat, 800.0), DeltaNotFound)
+        # the squares of the samples overflow, the norm does not
+        assert LocalPoly(iv, [[1e200], [1e200]]).linf_norm() == 2e200
+
+
+class TestOneErrstatePerMarch:
+    """A march holds one np.errstate for its whole loop
+    (``poly._marching``); its callees enter none of their own during it,
+    and their own whenever they are called outside a march, in this
+    thread or while another thread marches (``poly._quiet``)."""
+
+    @pytest.mark.parametrize("mode", [Mode.H, Mode.HP])
+    def test_one_entry_per_march(self, mode, monkeypatch):
+        cfg = AdaptConfig(scheme=Scheme.CG, mode=mode, r_init=1, k_init=0.1, tol_star=1e-6)
+        driver, p = h_adapt if mode is Mode.H else hp_adapt, make_power_square(1.0)
+        # a first run fills the caches of basis and picard_operator, whose
+        # set-up (np.linalg.inv) enters errstates of its own
+        driver(p, cfg)
+        entries = counted_errstate(monkeypatch)
+        res = driver(p, cfg)
+        assert res.termination is Termination.DELTA_NOT_FOUND and res.M > 10
+        assert len(entries) == 1
+
+    def test_direct_calls_hold_their_own(self, monkeypatch):
+        overflowing_calls()  # the cached set-up first, as above
+        entries = counted_errstate(monkeypatch)
+        overflowing_calls()
+        assert len(entries) == 5
+
+    def test_flag_unset_after_a_march(self):
+        cfg = AdaptConfig(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1e-3)
+        assert h_adapt(make_power_square(1.0), cfg).M > 1
+        assert poly_module._MARCHING.get() is False
+        overflowing_calls()
+        # a march that raises: f returns the wrong shape on the first step
+        bad = Problem(dim=1, u0=[1.0], f=lambda t, u: np.ones(2), lip=lambda t, a, b: a + b)
+        with pytest.raises(ValueError, match="right-hand side returned shape"):
+            h_adapt(bad, cfg)
+        assert poly_module._MARCHING.get() is False
+        overflowing_calls()
+
+    def test_a_march_in_another_thread(self):
+        # the march blocks inside its f, holding its errstate, while this
+        # thread measures a norm whose squares overflow
+        entered, release, results = threading.Event(), threading.Event(), []
+
+        def f_batch(ts, us):
+            entered.set()
+            release.wait(timeout=60.0)
+            return us * us
+
+        p = dataclasses.replace(make_power_square(1.0), f_batch=f_batch)
+        cfg = AdaptConfig(
+            scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1e-3, max_intervals=2
+        )
+        worker = threading.Thread(target=lambda: results.append(h_adapt(p, cfg)))
+        worker.start()
+        try:
+            assert entered.wait(timeout=60.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                norm = LocalPoly(Interval(0.0, 1.0), [[1e200], [1e200]]).linf_norm()
+        finally:
+            release.set()
+            worker.join(timeout=60.0)
+        assert norm == 2e200
+        assert not worker.is_alive() and len(results) == 1 and results[0].M == 2

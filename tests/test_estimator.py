@@ -4,12 +4,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from hpgalerkin.estimator import (
     DeltaNotFound,
     StepEstimate,
     _growth_factory,
+    _residual_f_vals,
     psi_update,
     reconstruction_error,
     residual_estimator,
@@ -464,6 +465,54 @@ class TestScanAgainstReference:
         iv = Interval(0.0, 1e-4)
         u_hat = LocalPoly(iv, np.zeros((1, 1)))
         assert_matches_reference(SCAN_PROBLEMS[1], iv, u_hat, 6.890625, None)
+
+
+def custom_scalar_problem():
+    """The README's custom problem in R^2, f(u) = |u| u, with scalar f
+    and lip only: lip_at's per-point path."""
+    return Problem(
+        dim=2,
+        u0=[0.6, 0.8],
+        f=lambda t, u: np.linalg.norm(u) * u,
+        lip=lambda t, a, b: 2.0 * max(a, b),
+    )
+
+
+NODE_PROBLEMS = [
+    make_power_square(1.0),
+    make_exponential(1.0),
+    make_linear(-1.5, [1.0, 2.0]),
+    custom_scalar_problem(),
+]
+
+
+class TestDriverNodes:
+    """``solve_delta`` given the drivers' nodes (``_residual_f_vals``)
+    is the solve without them, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        which=st.sampled_from(range(len(NODE_PROBLEMS))),
+        t_start=st.floats(-10.0, 10.0),
+        k=st.floats(1e-6, 1.0),
+        degree=st.integers(0, 8),
+        psi=st.floats(0.0, 10.0),
+        prev_delta=st.one_of(st.none(), st.floats(1.0, 100.0)),
+        data=st.data(),
+    )
+    def test_same_solve(self, which, t_start, k, degree, psi, prev_delta, data):
+        p = NODE_PROBLEMS[which]
+        size = (degree + 1) * p.dim
+        values = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=size, max_size=size))
+        iv = Interval(t_start, t_start + k)
+        u_hat = LocalPoly(iv, np.reshape(values, (degree + 1, p.dim)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes, _ = _residual_f_vals(p, u_hat)
+        got = solve_delta(p, iv, u_hat, psi, prev_delta, nodes=nodes)
+        want = solve_delta(p, iv, u_hat, psi, prev_delta)
+        # repr tells every float apart, and a DeltaNotFound by its fields
+        assert type(got) is type(want) and repr(got) == repr(want)
+        event(type(got).__name__)
 
 
 class TestEffectivity:

@@ -48,6 +48,20 @@ def test_interval_length_must_be_finite(t_start, t_end):
         Interval(t_start, t_end)
 
 
+def test_interval_length_is_stored_once():
+    # k is a field computed at construction; equality, hashing and repr
+    # read the endpoints only, and replace computes the new length
+    iv = Interval(0.1, 0.7)
+    assert vars(iv)["k"] == 0.7 - 0.1 == iv.k
+    assert repr(iv) == "Interval(t_start=0.1, t_end=0.7)"
+    assert iv == Interval(0.1, 0.7) and hash(iv) == hash(Interval(0.1, 0.7))
+    assert dataclasses.replace(iv, t_end=1.5).k == 1.5 - 0.1
+    with pytest.raises(TypeError):
+        Interval(0.1, 0.7, 0.6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        iv.k = 1.0
+
+
 def test_longest_interval_maps_without_warning():
     # the longest finite length still maps and evaluates; RuntimeWarnings
     # are errors in this suite
