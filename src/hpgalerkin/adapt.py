@@ -22,11 +22,10 @@ every decision on k and r:
        contribution is amplified by every subsequent delta), carry the
        accepted step length, degree and solution forward, and advance.
 
-Each attempt starts Picard from its own Picard update computed from the
-f values at which the residual of the last candidate, accepted or
-rejected, was integrated, so no f is evaluated for it
-(``galerkin.SchemeOperator``); only the run's first attempt and one
-after a failed step start from the constant left value.
+Each attempt starts Picard from a guess formed from the f values of
+the last candidate's residual, except the run's first attempt and one
+after a failed step, which start from the constant left value
+(``galerkin.SchemeOperator``).
 
 The march ends when no growth factor exists below the scan ceiling --
 the blow-up signal, with the final uncertified candidate discarded --
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,6 +65,7 @@ from .estimator import (
     solve_delta,
 )
 from .galerkin import (
+    _MIN_DEGREE,
     PicardConfig,
     Scheme,
     StepInput,
@@ -76,7 +75,7 @@ from .galerkin import (
     step,
 )
 from .poly import _TINY, MAX_DEGREE, Interval, LocalPoly, _all_finite, _marching
-from .problems import NumericOverflow, Problem, _integer
+from .problems import NumericOverflow, Problem, _integer, _real
 
 __all__ = [
     "Mode",
@@ -126,7 +125,7 @@ class AdaptConfig:
 
     def __post_init__(self):
         for key in ("r_init", "r_max", "max_intervals"):
-            _integer(key, getattr(self, key))
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
         # r_max steers only the HP driver's degree raises
         for key in ("r_init", "r_max") if self.mode is Mode.HP else ("r_init",):
             value = getattr(self, key)
@@ -137,16 +136,10 @@ class AdaptConfig:
                 raise ValueError("HP mode needs r_init >= 1 for the smoothness indicator")
             if self.r_max < self.r_init:
                 raise ValueError("r_max must be >= r_init")
-        else:
-            min_r = 1 if self.scheme is Scheme.CG else 0
-            if self.r_init < min_r:
-                raise ValueError(
-                    f"H mode with the {self.scheme.value} scheme needs r_init >= {min_r}"
-                )
+        elif self.r_init < (min_r := _MIN_DEGREE[self.scheme]):
+            raise ValueError(f"H mode with the {self.scheme.value} scheme needs r_init >= {min_r}")
         for key in ("k_init", "tol_star", "k_min"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{key} must be a real number, got {value!r}")
+            value = _real(key, getattr(self, key))
             if not 0 < value < math.inf:
                 raise ValueError(f"{key} must be positive and finite, got {value}")
         if self.max_intervals < 1:
@@ -261,8 +254,7 @@ def smoothness(u: LocalPoly, r: int) -> float:
 
 
 def _interval_dofs(p: Problem, scheme: Scheme, r: int) -> int:
-    per_component = r if scheme is Scheme.CG else r + 1
-    return p.dim * per_component
+    return p.dim * (r + 1 - _MIN_DEGREE[scheme])
 
 
 def _predicts_rejection(cfg: AdaptConfig, records: list[IntervalRecord], tol: float) -> bool:
@@ -293,11 +285,9 @@ def _predicts_rejection(cfg: AdaptConfig, records: list[IntervalRecord], tol: fl
 
 
 def _first_iterate(inp: StepInput, H: np.ndarray, f_res: np.ndarray) -> np.ndarray:
-    """a u_left^T + k H @ f_res, with k, u_left and the a of
-    ``SchemeOperator`` those of inp: the Picard update of inp that H
-    forms from the residual's f values f_res.  The caller holds the
-    errstate; a guess that leaves double range is not finite, and
-    ``step`` ignores it."""
+    """a u_left^T + k H @ f_res (``galerkin.SchemeOperator``), with k,
+    u_left and the a of ``SchemeOperator`` those of inp.  A guess that
+    leaves double range is not finite, and ``step`` ignores it."""
     guess = np.dot(H, f_res)
     k = inp.interval.k
     if _all_finite(guess):
@@ -329,26 +319,13 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
 
     The residual's f values f_res are evaluated here, once per
     candidate (``estimator._residual_f_vals``), and passed to
-    ``residual_estimator``; the nodes they were evaluated at, their
-    times and the values of the reconstruction there, go to
-    ``solve_delta`` (``nodes``), whose growth integral reads them.  The
-    f values also seed the Picard iteration of the
-    next attempt, through one helper (``_first_iterate``): its first
-    iterate is a u_left^T + k H @ f_res, the attempt's Picard update
-    from f_res, with H of the attempt's ``SchemeOperator`` chosen by
-    what came before it: ``predict`` after an accepted candidate,
-    ``predict_half`` when the next interval was then halved on the
-    prediction, ``halve`` after an accuracy halving and ``raised`` after
-    a degree raise.  The run's first attempt, and an attempt after a
-    failed one, start from the constant left value.
+    ``residual_estimator``; the nodes they were evaluated at go to
+    ``solve_delta`` (``nodes``).  The f values also seed the Picard
+    iteration of the next attempt (``_first_iterate``), with the H of
+    ``galerkin.SchemeOperator`` that what came before it selects.
 
-    The loop runs under one errstate (``poly._marching``: over and
-    invalid ignored), which also serves every callee: under it ``step``,
-    ``reconstruct``, ``residual_estimator``, ``solve_delta`` and
-    ``LocalPoly.linf_norm`` enter none of their own, as they do when
-    called outside a march (``poly._quiet``).  The guesses and the end
-    value are formed under it too: ``step`` ignores a non-finite guess,
-    and the end value is tested for finiteness.
+    The loop holds the march's errstate (``poly._marching``, the
+    errstate rule of ``poly``).
     """
     records: list[IntervalRecord] = []
     tol_trace: list[float] = []

@@ -5,14 +5,13 @@ For each accepted interval the drivers assemble a ``StepEstimate``:
 * ``eta_res``: sup norm of the integral residual of the reconstruction,
   R(t) = int_{t_start}^{t} f(s, uhat) ds - (uhat(t) - uhat(t_start)).
   The integral interpolates f(s, uhat) on the residual's Gauss-Legendre
-  rule of ``poly.basis(deg).res_*`` (deg + 7 points for a
-  reconstruction of degree deg, at most 64, so degree min(deg + 6,
-  63)); the drivers evaluate those node values once per candidate, pass
-  them in, and form the next attempt's first Picard iterate from them,
-  whether the candidate is accepted or rejected
-  (``galerkin.SchemeOperator``).  The nodes themselves, their times and
-  the values of uhat there, serve the delta solve of an accepted
-  candidate too (``solve_delta``'s ``nodes``).
+  rule of ``poly.basis(deg)``, deg the reconstruction's degree; the
+  drivers evaluate those node values once per candidate
+  (``_residual_f_vals``), pass them in, and form the next attempt's
+  first Picard iterate from them (``galerkin.SchemeOperator``).  The
+  nodes themselves, their times and the values of uhat there
+  (``_residual_nodes``), serve the delta solve of an accepted candidate
+  too (``solve_delta``'s ``nodes``).
 * ``psi``: recursive accumulator, eta_res on the first interval and
   delta_prev * psi_prev + eta_res afterwards.  The state space is all
   of R^d, so no projection term enters between intervals.
@@ -32,13 +31,10 @@ arguments, so no root above a point lo lies below E(lo).  The returned
 delta has phi(delta) < 0, the condition under which delta * psi is a
 bound.
 
-During a march every callee here runs under the march's one
-``np.errstate`` (``poly._marching``); called directly, each
-``solve_delta`` holds one errstate of its own for all its envelope
-evaluations, and ``residual_estimator`` one for its lift and
-subtraction (``poly._quiet``).  An envelope that overflows, to inf or
-nan, gives the growth E = +inf, so phi > 0 there: no certificate at
-that delta.
+``residual_estimator``, ``solve_delta`` and ``reconstruction_error``
+each hold one errstate (``poly._quiet``, the errstate rule of
+``poly``).  An envelope that overflows, to inf or nan, gives the growth
+E = +inf, so phi > 0 there: no certificate at that delta.
 
 The controls of ``solve_delta`` are fixed: it stops at |phi| <= PHI_TOL
 = 1e-10 or at a bracket 4 ulp wide within [1, DELTA_MAX = 1e6], and its
@@ -55,8 +51,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .galerkin import _cg_lift
-from .poly import Interval, LocalPoly, _all_finite, _norms, _quiet, _sup_norm, _time_map, basis
+from .poly import Interval, LocalPoly, _all_finite, _cg_lift, _norms, _quiet, _sup_norm
+from .poly import _time_map, basis
 from .problems import NumericOverflow, Problem, lip_at, rhs_at
 
 __all__ = [
@@ -104,10 +100,10 @@ def residual_estimator(
     """Sampled sup norm of the integral residual of the reconstruction.
 
     The residual is represented as a polynomial by interpolating
-    f(s, uhat) on the residual's rule of ``basis(deg)``, deg =
-    deg(uhat): n = min(deg + 7, 64) Gauss-Legendre points, so degree
-    n - 1 = min(deg + 6, 63), and integrating from the left endpoint --
-    the cG Picard update at degree n -- then subtracting uhat.
+    f(s, uhat) on the n points of the residual's rule of ``basis(deg)``,
+    deg = deg(uhat), so at degree n - 1, and integrating from the left
+    endpoint -- the cG Picard update at degree n -- then subtracting
+    uhat.
     ``f_vals`` (n, d) are those node values, normally from
     ``_residual_f_vals``: they are lifted as they are and no f is
     evaluated.  With deg + 4 on deg + 10 points the sup read up to 0.44%
@@ -118,15 +114,14 @@ def residual_estimator(
     Raises NumericOverflow when the lift or the subtraction leaves
     double range, so that ``adapt`` halves the step as it does for an
     overflowing reconstruction.  One errstate covers the lift and the
-    subtraction (the march's during a march, else its own,
-    ``poly._quiet``), and one finite test, after the subtraction, covers
-    both: a non-finite lift coefficient stays non-finite when a finite
-    uhat is subtracted.  Otherwise the fresh, finite coefficient array
-    is wrapped without a copy (``LocalPoly._trusted``) and measured by
-    its ``linf_norm``.
+    subtraction (``poly._quiet``), and one finite test, after the
+    subtraction, covers both: a non-finite lift coefficient stays
+    non-finite when a finite uhat is subtracted.  Otherwise the fresh,
+    finite coefficient array is wrapped without a copy
+    (``LocalPoly._trusted``) and measured by its ``linf_norm``.
     """
     u_left = np.atleast_1d(np.asarray(u_left, dtype=float))
-    with _quiet(over="ignore", invalid="ignore"):
+    with _quiet():
         res_coeffs = _cg_lift(u_hat.interval.k, u_left, basis(u_hat.degree).res_lift, f_vals)
         res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
     if not _all_finite(res_coeffs):
@@ -137,14 +132,18 @@ def residual_estimator(
 def _residual_f_vals(
     p: Problem, u_hat: LocalPoly
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The nodes (ts, us) of the residual's rule of u_hat
-    (``basis(deg(uhat)).res_offsets``): the times ts (n,) and the values
-    us (n, d) of uhat there; and f at them, which ``residual_estimator``
-    integrates, (n, d) as f gives them.  ``solve_delta`` takes the nodes
-    as its ``nodes``.  The caller holds the errstate."""
-    b, iv = basis(u_hat.degree), u_hat.interval
-    ts, us = _time_map(iv.t_start, iv.k, b.res_offsets), np.dot(b.res_V, u_hat.coeffs)
-    return (ts, us), rhs_at(p, ts, us)
+    """The nodes (ts, us) of u_hat on its interval (``_residual_nodes``),
+    and f at them, which ``residual_estimator`` integrates, (n, d) as f
+    gives them.  ``solve_delta`` takes the nodes as its ``nodes``."""
+    nodes = _residual_nodes(u_hat.interval, u_hat)
+    return nodes, rhs_at(p, *nodes)
+
+
+def _residual_nodes(iv: Interval, u_hat: LocalPoly) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes of the residual's rule of ``basis(deg(uhat))`` on iv:
+    their times ts (n,) and the values us (n, d) of u_hat there."""
+    b = basis(u_hat.degree)
+    return _time_map(iv.t_start, iv.k, b.res_offsets), np.dot(b.res_V, u_hat.coeffs)
 
 
 def psi_update(prev: Optional[StepEstimate], eta_res: float) -> float:
@@ -164,26 +163,21 @@ def _growth_factory(
     """Build the growth E(delta) = exp(int_I lip(s, delta*psi + |uhat|, |uhat|) ds)
     with the reconstruction norms precomputed; phi(delta) = E(delta) - delta.
 
-    The integral runs on the residual's rule of ``basis(deg(uhat))``
-    (exact for lip of degree 2n - 1 in s on its n = min(deg + 7, 64)
-    points), with the weights k res_proj[0] = k w_q / 2.
+    The integral runs on the n nodes of the residual's rule of
+    ``basis(deg(uhat))`` (exact for lip of degree 2n - 1 in s), with the
+    weights k res_proj[0] = k w_q / 2.
     Overflow in the envelope or the exponential yields +inf, whether it
     shows as a non-finite value or as NumericOverflow or OverflowError
     raised by a scalar lip (which receives Python floats).  The weights w
     are positive, so the exponent dot(w, vals) is finite exactly when
     every envelope value is, unless the sum itself overflows, which also
-    means +inf; the caller holds the errstate.  The node norms |uhat|
-    are ``poly._norms``, finite wherever the node values are, of the
-    node values of ``nodes`` = (ts, us), formed here when it is None.
+    means +inf.  The node norms |uhat| are ``poly._norms``, finite
+    wherever the node values are, of the node values of ``nodes`` =
+    (ts, us), ``_residual_nodes(iv, u_hat)`` when it is None.
     """
-    b = basis(u_hat.degree)
-    k = iv.k
-    if nodes is None:
-        ts, us = _time_map(iv.t_start, k, b.res_offsets), np.dot(b.res_V, u_hat.coeffs)
-    else:
-        ts, us = nodes
+    ts, us = _residual_nodes(iv, u_hat) if nodes is None else nodes
     u_norms = _norms(us, 1)
-    w = k * b.res_proj[0]
+    w = iv.k * basis(u_hat.degree).res_proj[0]
 
     def growth(delta: float) -> float:
         try:
@@ -216,9 +210,9 @@ def solve_delta(
     """Leftmost delta > 1 with phi(delta) < 0, or DeltaNotFound.
 
     ``nodes``, when given, are the times ts (n,) and the values us (n,
-    d) of u_hat at the nodes of the residual's rule of ``basis(deg(uhat))``
-    on iv, as ``_residual_f_vals`` forms them: the drivers pass the ones
-    they formed for the residual, so the growth integral forms neither
+    d) of u_hat at the nodes of the residual's rule on iv, as
+    ``_residual_nodes`` forms them: the drivers pass the ones they
+    formed for the residual, so the growth integral forms neither
     again.  They must be those of u_hat on iv, bit for bit, for the
     solve to be the one without them; None forms them here.
 
@@ -253,7 +247,7 @@ def solve_delta(
     """
     # one errstate for every envelope evaluation of the solve; growth
     # reads overflow from its exponent
-    with _quiet(over="ignore", invalid="ignore"):
+    with _quiet():
         growth = _growth_factory(p, iv, u_hat, psi, nodes)
         e_one = growth(1.0)
         if not (e_one - 1.0 >= -1e-12):
@@ -308,8 +302,9 @@ def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
     The samples are those of ``LocalPoly.linf_norm``, and so is the
     norm (``poly._sup_norm``): uhat is evaluated there by one product
     with the degree's cached ``basis(r).samples_V``.  uhat, exact and
-    their difference are evaluated under one errstate: a value that
-    leaves double range gives inf, without a warning.
+    their difference are evaluated under one errstate
+    (``poly._quiet``): a value that leaves double range gives inf,
+    without a warning.
     ``p.exact`` is called once, on the array ts (n,) of sample times,
     and must return shape (d, n), e.g. ``lambda t: np.exp(t)[None]``
     for u' = u, u(0) = 1; any other shape raises ValueError.
@@ -318,7 +313,7 @@ def reconstruction_error(p: Problem, u_hat: LocalPoly) -> float:
         raise ValueError(f"problem {p.name!r} has no exact solution")
     b = basis(u_hat.degree)
     ts = u_hat.interval.from_reference(b.samples)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         uh = np.dot(b.samples_V, u_hat.coeffs).T
         try:
             ex = np.asarray(p.exact(ts), dtype=float)

@@ -25,32 +25,19 @@ first rows).  For cG, G is the antiderivative from the left endpoint
 composed with P_{r-1}, and a = e_0; for dG, G = M^-1 diag(1/(2j+1)) P_r
 and a = M^-1 ((-1)^j).  ``picard_operator`` builds the scheme part
 (``SchemeOperator``) once per (r, scheme), so an iteration costs one f
-evaluation and two small matrix products.  Degrees above
-``MAX_DEGREE`` = 58 are rejected, for the reason ``poly`` gives.
-
-The step's rule is the Gauss-Legendre rule of r + 1 points
-(``poly._STEP_EXTRA_POINTS``), the fewest that determine the degree-r
-update of both schemes: cG projects f onto degree r-1 and dG onto
-degree r, and r + 1 Gauss points integrate degree 2r + 1 exactly, so
-the update of an f of degree r + 1 in t is exact, as it would not be on
-r points.  At r = 0, dG steps on the 1-point midpoint rule.  Every node
-is one f value, so with a point-by-point f the node count is what a
-step pays for.  The rule needs only to fix the degree-r update: the
-estimator certifies the reconstruction on its own rule, whatever rule
-the step took.  A scalar f and an ``f_batch`` that computes the same
-values give the same step, bit for bit.
+evaluation and two small matrix products.  The rule's size and the
+degree cap ``MAX_DEGREE`` are ``poly``'s (``poly.Basis``); cG steps
+from degree 1 and dG from degree 0 (``_MIN_DEGREE``).  Every node is
+one f value, so with a point-by-point f the node count is what a step
+pays for.  A scalar f and an ``f_batch`` that computes the same values
+give the same step, bit for bit.
 
 Picard's first iterate is the constant u_left unless the caller passes
-a guess.  The drivers pass a Picard update computed from f values they
-have already paid for, the node values f_res at which the residual of
-the last candidate, accepted or rejected, was integrated: every guess
-is a u_left^T + k H @ f_res, and only H, cached on ``SchemeOperator``,
-depends on the case (on a new interval, after a predicted halving,
-after an accuracy halving, after a degree raise).  No f is evaluated
-for a guess.  A step runs at most two sweeps (``step``), and a step
-that fails returns the sweep from u_left, so the guess changes the
-iteration count and the last bits of the returned fixed point, never
-whether the step exists.
+a guess; the drivers pass a Picard update formed from f values they
+have already paid for (``SchemeOperator``).  A step runs at most two
+sweeps (``step``), and a step that fails returns the sweep from u_left,
+so the guess changes the iteration count and the last bits of the
+returned fixed point, never whether the step exists.
 
 A sweep stops on its largest coefficient change and on the ratio q of
 that change to the one before.  It converges at a change of at most the
@@ -66,10 +53,9 @@ Nonexistence of a step is a first-class outcome here: the adaptive
 drivers halve the step length whenever the iteration fails to converge.
 An iterate diverges when sum |c|, an upper bound on its sup norm since
 |P_i| <= 1, exceeds the divergence cap, or when f or the update leaves
-double range, under any cap.  The loop runs under one ``np.errstate``,
-the march's when a driver calls it and its own otherwise
-(``poly._quiet``), and reads all of this from sum |c|: an overflow
-leaves that sum inf or nan.
+double range, under any cap.  The loop reads all of this from sum |c|:
+an overflow leaves that sum inf or nan (the errstate rule of
+``poly``).
 
 On the (r+1, d) arrays of a step, numpy's per-call dispatch costs more
 than the arithmetic, so each iteration makes as few calls as it can
@@ -126,7 +112,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -135,8 +120,8 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import legendre as _leg
 
-from .poly import MAX_DEGREE, Interval, LocalPoly, _all_finite, _quiet, _time_map, basis
-from .problems import NumericOverflow, Problem, rhs_at
+from .poly import MAX_DEGREE, Interval, LocalPoly, _all_finite, _cg_lift, _quiet, _time_map, basis
+from .problems import NumericOverflow, Problem, _real, rhs_at
 
 __all__ = [
     "Scheme",
@@ -165,6 +150,11 @@ class Scheme(enum.Enum):
     DG = "dg"
 
 
+# The lowest degree of each scheme: cG imposes the left value, so its
+# degree-r step has r free coefficients per component, dG r + 1.
+_MIN_DEGREE = {Scheme.CG: 1, Scheme.DG: 0}
+
+
 class StepFailure(enum.Enum):
     MAX_ITERS = "max_iters"
     DIVERGED = "diverged"
@@ -181,7 +171,7 @@ class StepInput:
         u_left = np.atleast_1d(np.array(self.u_left, dtype=float))
         u_left.flags.writeable = False
         object.__setattr__(self, "u_left", u_left)
-        min_r = 1 if self.scheme is Scheme.CG else 0
+        min_r = _MIN_DEGREE[self.scheme]
         if self.r < min_r:
             raise ValueError(f"{self.scheme.value} step requires degree >= {min_r}, got {self.r}")
 
@@ -210,10 +200,7 @@ class PicardConfig:
     divergence_cap: float = 1e8
 
     def __post_init__(self):
-        cap = self.divergence_cap
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Real):
-            raise ValueError(f"divergence_cap must be a real number, got {cap!r}")
-        if not cap > 0:
+        if not _real("divergence_cap", self.divergence_cap) > 0:
             raise ValueError("divergence_cap must be positive")
 
 
@@ -246,16 +233,19 @@ class SchemeOperator:
     G (r+1, s): maps node values of f on the step's rule
     (``basis(r).step_*``) to coefficients per unit step length.
 
-    The first iterates' matrices H: a u_left^T + k H @ f_res is the
-    Picard update of degree r, on an interval of length k from u_left,
-    computed from the node values f_res of f on a residual's rule,
-    which the drivers have already evaluated; each H is G applied to
-    the values, at the step's nodes mapped into the interval of f_res,
-    of a polynomial fitted to f_res:
+    The first iterates' matrices H, stated here only.  Every attempt of
+    a march but the run's first and one after a failed step starts
+    Picard from a u_left^T + k H @ f_res (``adapt._first_iterate``):
+    the Picard update of degree r, on an interval of length k from
+    u_left, computed from the node values f_res of f on the residual's
+    rule of the last candidate, accepted or rejected, which the drivers
+    have already evaluated, so no f is evaluated for a guess.  Each H is
+    G applied to the values, at the step's nodes mapped into the
+    interval of f_res, of a polynomial fitted to f_res:
     predict (r+1, n): the degree r+2 projection of node values on the
     residual's rule of the degree r+1 reconstruction (``basis(r +
-    1).res_*``, n = min(r + 8, 64) points), continued onto the next
-    interval of equal length (x -> x + 2), for the next interval;
+    1).res_*``, n points), continued onto the next interval of equal
+    length (x -> x + 2), for the next interval;
     predict_half (r+1, n): the same projection continued onto the first
     half of the next interval (x -> (x + 3) / 2), for a next interval
     whose k was halved on the prediction;
@@ -263,9 +253,9 @@ class SchemeOperator:
     the first half of its own interval (x -> (x - 1) / 2), for the
     attempt after an accuracy halving;
     raised (r+1, m): the full interpolant on the residual's rule of a
-    degree r reconstruction (``basis(r).res_*``, m = min(r + 7, 64)
-    points) at the step's own nodes, for the attempt at degree r after
-    a raise from r - 1 on the same interval.
+    degree r reconstruction (``basis(r).res_*``, m points) at the
+    step's own nodes, for the attempt at degree r after a raise from
+    r - 1 on the same interval.
     The continued ones keep degree r + 2: continuing the fit past its
     interval multiplies its rounding by up to |P_q| there (|P_q(3)| on
     the next interval), which grows fast with q.  The restarts stay
@@ -402,12 +392,12 @@ def _sweep(p: Problem, inp: StepInput, c: np.ndarray, cap: float, atol: float) -
     other starts the count again; at MAX_GROWING the sweep diverges at
     its newest iterate, which passed the divergence test.
 
-    One errstate covers the whole loop: the march's during a march, else
-    its own (``poly._quiet``).  The bound sum |c_next| that the
-    cap test needs reads every overflow as well: each coefficient of
-    G @ f involves every node value of f, so one non-finite f value, or
-    an update that overflows, leaves c_next non-finite and the bound inf
-    or nan, which fails ``bound <= min(cap, float max)`` under any cap.
+    One errstate covers the whole loop (``poly._quiet``).  The bound
+    sum |c_next| that the cap test needs reads every overflow as well:
+    each coefficient of G @ f involves every node value of f, so one
+    non-finite f value, or an update that overflows, leaves c_next
+    non-finite and the bound inf or nan, which fails ``bound <= min(cap,
+    float max)`` under any cap.
     Such an iterate diverges when the bound exceeds the cap or when it
     is not finite: under an infinite cap a finite sum |c| may overflow.
 
@@ -434,7 +424,7 @@ def _sweep(p: Problem, inp: StepInput, c: np.ndarray, cap: float, atol: float) -
     left = op.a * inp.u_left
     limit = min(cap, _FLOAT_MAX)
     prev, last, growing = c.ravel().tolist(), math.inf, 0
-    with _quiet(over="ignore", invalid="ignore"):
+    with _quiet():
         for it in range(1, MAX_ITERS + 1):
             try:
                 f_vals = rhs_at(p, ts, np.dot(V, c))
@@ -492,26 +482,9 @@ def reconstruct(p: Problem, inp: StepInput, f_vals: np.ndarray) -> LocalPoly:
     iterate up to rounding.  No endpoint is assumed to coincide: the
     drivers start the next interval from the reconstruction's end value.
     """
-    with _quiet(over="ignore", invalid="ignore"):
+    with _quiet():
         coeffs = _cg_lift(inp.interval.k, inp.u_left, basis(inp.r).step_lift, f_vals)
     if not _all_finite(coeffs):
         raise NumericOverflow(f"right-hand side of problem {p.name!r} overflowed")
     # a fresh array, now proven finite
     return LocalPoly._trusted(inp.interval, coeffs)
-
-
-def _cg_lift(k: float, u_left: np.ndarray, lift: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
-    """Coefficients (q+2, d) of one cG Picard update at degree q+1 on an
-    interval of length k: left value u_left and derivative the degree q
-    projection of the node values f_vals, lifted by the ``lift`` (q+2, n)
-    of a rule of ``Basis``.
-
-    A coefficient is not finite whenever an f value is not, since each
-    coefficient of lift @ f involves every node value of f, or when the
-    lift itself overflows; the callers test the array they return, once.
-    The caller holds the errstate (over and invalid ignored), so that
-    one errstate covers the lift and whatever the caller does with it.
-    """
-    coeffs = k * np.dot(lift, f_vals)
-    coeffs[0] += u_left
-    return coeffs

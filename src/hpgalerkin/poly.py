@@ -6,23 +6,19 @@ mapped affinely from the reference interval [-1, 1].  The orthogonality
 of the basis gives exact L2 norms (Parseval), cheap projections, and
 stable evaluation at high degree.
 
-``basis(r)`` caches, once per degree r, two Gauss-Legendre rules and
-the matrices the solver evaluates a degree-r polynomial with, and no
-others (see ``Basis``), so the rule sizes are decided here only: the
-Picard step's rule of min(r + 1, 64) points (``_STEP_EXTRA_POINTS``),
-the fewest that determine its update, and the residual's rule of
-min(r + 7, 64) points (``_RESIDUAL_EXTRA_POINTS``), on which the
-residual of a degree-r reconstruction interpolates f and the growth
-integral of the estimator integrates lip.  Step degrees stop at
-MAX_DEGREE = 58: the reconstruction of a step is one degree higher, and
-at degree 59 the 64 points of the largest rule still interpolate its
-residual at degree deg + 4.
+``basis(r)`` caches, once per degree r, two Gauss-Legendre rules, the
+Picard step's and the residual's, and the matrices the solver evaluates
+a degree-r polynomial with, and no others.  ``Basis`` states the rule
+sizes and the degree cap ``MAX_DEGREE``, for the whole package.
 
 The package's numeric primitives live here too, so that each has one
 definition: ``_norms`` gives the Euclidean norm of every point of an
 array of values, overflow-safe (``_sup_norm`` takes their largest and
-``estimator`` the node norms of its growth integral), and
-``_all_finite`` is the one finite test of a coefficient array.
+``estimator`` the node norms of its growth integral), ``_all_finite``
+is the one finite test of a coefficient array, ``_time_map`` maps a
+rule's reference offsets into an interval, and ``_cg_lift`` is the one
+cG lift of node values of f, behind both ``galerkin.reconstruct`` and
+``estimator.residual_estimator``.
 
 The ``LocalPoly`` constructor copies its coefficients, checks that they
 are finite (``_all_finite``) and makes the copy read-only.
@@ -34,16 +30,23 @@ test, for the lift inside ``galerkin.reconstruct`` and for the residual
 inside ``estimator.residual_estimator``; everything else, the caller's
 own arrays included, goes through the constructor.
 
-A march holds one ``np.errstate`` (over and invalid ignored) around
-its whole loop (``_marching``, entered by ``adapt._drive``).  The
-callees on it, the Picard sweep, ``reconstruct``,
-``residual_estimator``, ``solve_delta`` and ``LocalPoly.linf_norm``,
-enter their own errstate only outside a march, through ``_quiet``:
-while a march holds its errstate, ``_quiet`` returns a shared null
-context, and the callee runs under the march's state, which ignores
-what its own would.  The flag is a ``contextvars.ContextVar``, local to
-its thread and context as numpy's errstate is, so a march in one
-thread leaves a direct call in another to its own errstate.
+The errstate rule, stated here only.  The solver reads overflow from
+values it computes anyway, an inf or nan in a sum or a coefficient
+array, never from a floating-point warning, so it runs with over and
+invalid ignored.  f and lip are evaluated as given and leave the error
+state alone (``problems.rhs_at``).  A march holds one ``np.errstate``
+with that setting around its whole loop (``_marching``, entered by
+``adapt._drive``).  Every numeric callee, the Picard sweep,
+``reconstruct``, ``residual_estimator``, ``solve_delta``,
+``reconstruction_error`` and ``LocalPoly.linf_norm``, enters the same
+setting through ``_quiet()``, which returns a shared null context while
+a march holds its errstate, so that on a march the callee runs under
+the march's, and ``np.errstate`` otherwise, so that a direct call holds
+its own.  The flag is a ``contextvars.ContextVar``, local to its thread
+and context as numpy's errstate is, so a march in one thread leaves a
+direct call in another to its own errstate.  The helpers that take no
+errstate of their own (``_cg_lift``, ``_sup_norm``, ``_norms`` and the
+drivers' guesses) run under their caller's.
 """
 
 from __future__ import annotations
@@ -71,9 +74,7 @@ __all__ = [
 # stays within 0.1% of a 10x denser grid on random degree-8 inputs.
 _LINF_SAMPLES_PER_DEGREE = 24
 
-# Points beyond the degree served, up to 64: the step's rule 1, the
-# residual's 7.  At MAX_DEGREE the 64 points interpolate the residual of
-# the degree-59 reconstruction at degree 63 = deg + 4.
+# The rule sizes and the degree cap (``Basis``)
 _STEP_EXTRA_POINTS = 1
 _RESIDUAL_EXTRA_POINTS = 7
 _MAX_QUAD_POINTS = 64
@@ -87,25 +88,23 @@ _MARCHING = contextvars.ContextVar("hpgalerkin_marching", default=False)
 _HELD = contextlib.nullcontext()
 
 
-def _quiet(**settings):
-    """``np.errstate(**settings)``, or a shared null context while a
-    march holds its errstate (``_marching``), whose over and invalid
-    ignored cover every setting a callee asks for."""
-    return _HELD if _MARCHING.get() else np.errstate(**settings)
+def _quiet():
+    """The errstate of the solver, over and invalid ignored, or a shared
+    null context while a march holds it (module docstring)."""
+    return _HELD if _MARCHING.get() else np.errstate(over="ignore", invalid="ignore")
 
 
 @contextlib.contextmanager
 def _marching():
-    """The errstate of a march, over and invalid ignored.  While it is
-    held, the flag is set, in this context only, and every ``_quiet``
-    returns the null context; every exit unsets it, an exception's
-    included."""
-    token = _MARCHING.set(True)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
+    """The errstate of a march (``_quiet``).  While it is held, the flag
+    is set, in this context only, and every ``_quiet`` returns the null
+    context; every exit unsets it, an exception's included."""
+    with _quiet():
+        token = _MARCHING.set(True)
+        try:
             yield
-    finally:
-        _MARCHING.reset(token)
+        finally:
+            _MARCHING.reset(token)
 
 
 @dataclass(frozen=True)
@@ -219,10 +218,10 @@ class LocalPoly:
         one product with their cached Vandermonde matrix, and measured by
         ``_sup_norm``, so the norm is finite wherever it is a double.
         A norm past double range reads inf, which the callers handle,
-        without a warning: under the march's errstate, or outside a
-        march under its own (``_quiet``).
+        without a warning (``_quiet``); a direct call ignores invalid as
+        well as over, as a call on a march does.
         """
-        with _quiet(over="ignore"):
+        with _quiet():
             return _sup_norm(np.dot(basis(self.degree).samples_V, self.coeffs), 1)
 
 
@@ -231,10 +230,26 @@ def _all_finite(a: np.ndarray) -> bool:
     return all(map(math.isfinite, a.ravel().tolist()))
 
 
+def _cg_lift(k: float, u_left: np.ndarray, lift: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
+    """Coefficients (q+2, d) of one cG Picard update at degree q+1 on an
+    interval of length k: left value u_left and derivative the degree q
+    projection of the node values f_vals, lifted by the ``lift`` (q+2, n)
+    of a rule of ``Basis``.
+
+    A coefficient is not finite whenever an f value is not, since each
+    coefficient of lift @ f involves every node value of f, or when the
+    lift itself overflows; the callers test the array they return, once,
+    under their errstate.
+    """
+    coeffs = k * np.dot(lift, f_vals)
+    coeffs[0] += u_left
+    return coeffs
+
+
 def _sup_norm(vals: np.ndarray, axis: int) -> float:
     """Largest Euclidean norm along ``axis`` of vals: from the plain
     square sums when the largest is a normal double, otherwise the
-    largest of ``_norms``.  The caller holds the errstate."""
+    largest of ``_norms``."""
     sq = np.maximum.reduce(np.add.reduce(vals * vals, axis))
     if _TINY <= sq < math.inf:
         return math.sqrt(sq)
@@ -249,7 +264,7 @@ def _norms(vals: np.ndarray, axis: int) -> np.ndarray:
     point's values are squared scaled by the power of two of their
     largest magnitude, which rounds nothing, and its norm is scaled
     back.  So a norm is finite wherever it is a double, and inf past the
-    largest one.  The caller holds the errstate.
+    largest one.
     """
     sq = np.add.reduce(vals * vals, axis)
     # a list is the cheapest way to the min and max of a few values
@@ -293,6 +308,13 @@ class Basis:
     and the drivers form every first Picard iterate from the same node
     values (``galerkin.SchemeOperator``).  The estimator's growth
     integral runs on it too, with the Gauss weights 2 res_proj[0].
+
+    The sizes are ``_STEP_EXTRA_POINTS`` = 1 and
+    ``_RESIDUAL_EXTRA_POINTS`` = 7 points beyond the degree served, up
+    to ``_MAX_QUAD_POINTS`` = 64.  Step degrees stop at MAX_DEGREE = 58:
+    the reconstruction of a step is one degree higher, and at degree 59
+    the 64 points of the largest rule still interpolate its residual at
+    degree 63 = deg + 4.
     """
 
     samples: np.ndarray

@@ -22,17 +22,19 @@ which the solvers use when present.
 
 ``rhs_at`` and ``lip_at`` are the only way the solvers evaluate f and
 lip.  They return the values as given, infinities and nan included, and
-leave the floating-point error state alone: their callers, the Picard
-step, the cG lift behind the reconstruction and the residual, and the
-delta solve, read overflow from a sum or a coefficient array they
-compute anyway, under one ``np.errstate``.  A march holds one for its
-whole loop, and a callee enters its own only outside a march
-(``poly._quiet``).  A scalar f or lip may raise NumericOverflow itself.
+leave the floating-point error state to their callers (the errstate
+rule of ``poly``).  A scalar f or lip may raise NumericOverflow itself.
+
+The built-ins are made by one function, ``_builtin``, and each passes
+one vectorised callable as both ``f`` and ``f_batch`` and one as both
+``lip`` and ``lip_batch``.  The settings of the package are checked by
+``_integer`` and ``_real``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -92,14 +94,20 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _real(name: str, value) -> float:
+    """value as a float, or ValueError: a bool passes as a real number,
+    but no setting reads it as one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def rhs_at(p: Problem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Evaluate f at times ts (n,) and states us (n, d); returns (n, d).
 
     The values are returned as f gives them, infinities and nan
     included: each caller tests a sum it computes anyway for
-    finiteness, under the march's one ``np.errstate`` or, called
-    outside a march, its own per step or solve, rather than once per
-    call here.  Only a scalar ``f`` that raises
+    finiteness (module docstring).  Only a scalar ``f`` that raises
     NumericOverflow itself stops the evaluation.  A scalar ``f``
     receives t as a Python float and u as a row of us.
     """
@@ -145,13 +153,19 @@ def lip_at(p: Problem, ts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return vals
 
 
+def _builtin(name: str, u0: np.ndarray, f, lip, exact, t_blowup) -> Problem:
+    """The built-in problem ``name``: f and lip are one expression for a
+    single state and for a batch of them, so each serves as its batch
+    form too."""
+    return Problem(u0.size, u0, f, lip, exact, t_blowup, name, f_batch=f, lip_batch=lip)
+
+
 def make_power_square(u0: float) -> Problem:
     """Scalar f(t,u) = u^2 with exact solution u0/(1 - u0 t)."""
     u0 = float(u0)
     if not u0 > 0:
         raise ValueError("power-square blow-up problem requires u0 > 0")
 
-    # one expression for a single state and for a batch of them
     def f(t, u):
         return u * u
 
@@ -161,17 +175,7 @@ def make_power_square(u0: float) -> Problem:
     def exact(t):
         return (u0 / (1.0 - u0 * np.asarray(t, dtype=float)))[None]
 
-    return Problem(
-        dim=1,
-        u0=np.array([u0]),
-        f=f,
-        lip=lip,
-        exact=exact,
-        t_blowup=1.0 / u0,
-        name="power2",
-        f_batch=f,
-        lip_batch=lip,
-    )
+    return _builtin("power2", np.array([u0]), f, lip, exact, 1.0 / u0)
 
 
 def make_exponential(u0: float) -> Problem:
@@ -182,8 +186,7 @@ def make_exponential(u0: float) -> Problem:
         raise ValueError(f"exp blow-up problem requires |u0| <= {_EXP_MAX}, got {u0}")
     growth = math.exp(u0)
 
-    # one expression for a single state and for a batch of them; past
-    # u = 709.78 they give inf, and the callers hold the errstate
+    # past u = 709.78 f and lip give inf
     def f(t, u):
         return np.exp(u)
 
@@ -193,25 +196,16 @@ def make_exponential(u0: float) -> Problem:
     def exact(t):
         return (u0 - np.log1p(-growth * np.asarray(t, dtype=float)))[None]
 
-    return Problem(
-        dim=1,
-        u0=np.array([u0]),
-        f=f,
-        lip=lip,
-        exact=exact,
-        t_blowup=math.exp(-u0),
-        name="exp",
-        f_batch=f,
-        lip_batch=lip,
-    )
+    return _builtin("exp", np.array([u0]), f, lip, exact, math.exp(-u0))
 
 
 def make_linear(lam: float, u0) -> Problem:
     """f(t,u) = lam*u in R^d; globally Lipschitz with constant |lam|."""
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"linear problem requires a finite lam, got {lam}")
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))
 
-    # one expression for a single state and for a batch of them
     def f(t, u):
         return lam * u
 
@@ -221,17 +215,7 @@ def make_linear(lam: float, u0) -> Problem:
     def exact(t):
         return np.multiply.outer(u0, np.exp(lam * np.asarray(t, dtype=float)))
 
-    return Problem(
-        dim=u0.size,
-        u0=u0,
-        f=f,
-        lip=lip,
-        exact=exact,
-        t_blowup=None,
-        name="linear",
-        f_batch=f,
-        lip_batch=lip,
-    )
+    return _builtin("linear", u0, f, lip, exact, None)
 
 
 # CLI name -> (constructor, parameter defaults in constructor order)

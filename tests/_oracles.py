@@ -532,7 +532,7 @@ def raised_guess(p, inp, u_hat):
 
 
 def parent_cg_lift(p, u, u_left, r, f_vals=None, *, step=True):
-    """``galerkin._cg_lift`` with matmul products and its own errstate, on
+    """``poly._cg_lift`` with matmul products and its own errstate, on
     the step's rule of degree r (``step_nodes``), as ``reconstruct``
     lifts, or on the residual's rule of ``basis(r)`` (``residual_nodes``)
     when not ``step``, as ``residual_estimator`` does.  Without f_vals it

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 import threading
@@ -339,6 +340,45 @@ class TestConfigValidation:
         cfg = AdaptConfig(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1e-3)
         with pytest.raises(ValueError):
             hp_adapt(make_power_square(1.0), cfg)
+
+    def test_h_adapt_rejects_an_hp_config(self):
+        cfg = AdaptConfig(scheme=Scheme.CG, mode=Mode.HP, r_init=1, k_init=0.1, tol_star=1e-3)
+        with pytest.raises(ValueError, match="h_adapt requires mode == Mode.H"):
+            h_adapt(make_power_square(1.0), cfg)
+
+    def test_hp_r_max_below_r_init_rejected(self):
+        base = dict(scheme=Scheme.CG, k_init=0.1, tol_star=1e-3)
+        AdaptConfig(mode=Mode.HP, r_init=3, r_max=3, **base)
+        AdaptConfig(mode=Mode.H, r_init=3, r_max=2, **base)  # r_max unused in H mode
+        with pytest.raises(ValueError, match="r_max must be >= r_init"):
+            AdaptConfig(mode=Mode.HP, r_init=3, r_max=2, **base)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("mode", [Mode.H, Mode.HP])
+    def test_max_intervals_positive(self, mode, count):
+        base = dict(scheme=Scheme.CG, mode=mode, r_init=1, k_init=0.1, tol_star=1e-3)
+        AdaptConfig(max_intervals=1, **base)
+        with pytest.raises(ValueError, match="max_intervals must be >= 1"):
+            AdaptConfig(max_intervals=count, **base)
+
+    def test_numpy_integer_counts_stored_as_ints(self):
+        # a numpy integer would reach RunResult.dofs and every
+        # IntervalRecord.r, which json cannot write
+        from hpgalerkin.cli import _report
+
+        cfg = AdaptConfig(
+            scheme=Scheme.CG, mode=Mode.HP, r_init=np.int64(1), k_init=0.1, tol_star=1e-3,
+            r_max=np.int32(4), max_intervals=np.int64(3),
+        )
+        assert [type(cfg.r_init), type(cfg.r_max), type(cfg.max_intervals)] == [int] * 3
+        res = hp_adapt(make_power_square(1.0), cfg)
+        assert res.M == 3 and type(res.dofs) is int
+        assert all(type(rec.r) is int and type(rec.dofs) is int for rec in res.intervals)
+        config = {
+            "problem": {"name": "power2", "u0": 1.0}, "scheme": "cg", "mode": "hp", "r": 1,
+            "k_init": 0.1, "tol_star": 1e-3, "max_intervals": 3,
+        }
+        assert json.loads(json.dumps(_report(config, res)))["dofs"] == res.dofs
 
 
 class TestHAdapt:
@@ -698,6 +738,23 @@ class TestEndValueOverflow:
         assert res.termination is Termination.K_MIN_REACHED
         assert res.T == pytest.approx(math.log(sys.float_info.max / 1e306), rel=1e-9)
         assert any("halve_k_overflow" in rec.decisions for rec in res.intervals)
+
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG])
+    def test_end_value_alone_overflows(self, scheme):
+        # u = u0 e^t from just below the largest double: on the first
+        # attempt the candidate's coefficients, its residual and the
+        # values at every node are finite, but their sum, the end value,
+        # overflows; the step halves, and the half step ends in range
+        k_init = 2.0**-20 + 20 * 2.0**-40
+        cfg = AdaptConfig(
+            scheme=scheme, mode=Mode.H, r_init=1, k_init=k_init, tol_star=1e300,
+            max_intervals=1, picard=PicardConfig(math.inf),
+        )
+        (rec,) = h_adapt(make_linear(1.0, [sys.float_info.max * (1 - 2.0**-20)]), cfg).intervals
+        assert rec.decisions == ("halve_k_overflow",)
+        assert rec.interval.k == k_init / 2
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.add.reduce(rec.reconstruction.coeffs, 0)).all()
 
 
 class TestDofCount:

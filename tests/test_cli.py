@@ -231,6 +231,12 @@ class TestFitVerb:
         with pytest.raises(ConfigError, match=">= 3"):
             fit_rates(rows, "algebraic")
 
+    def test_unknown_model_rejected(self):
+        # the CLI's --model takes only the two; the library names them
+        rows = synthetic_rows([1e-2, 1e-3, 1e-4], [10, 20, 40])
+        with pytest.raises(ConfigError, match="unknown fit model 'quadratic'"):
+            fit_rates(rows, "quadratic")
+
     def test_cli_path(self, tmp_path, capsys):
         dofs = [10, 20, 40, 80]
         csv_path = tmp_path / "t.csv"
@@ -346,6 +352,13 @@ def _bad_trace(tmp_path, **intervals):
     return "trace", write_json(tmp_path / "bad.json", {"config": RUN_CONFIG, "intervals": series})
 
 
+def _bad_lam(tmp_path, number):
+    # 1e400 and -1e400 parse as infinities, NaN as nan; with an infinite
+    # lam the march once diverged on every step and exited 3
+    config = {**RUN_CONFIG, "problem": {"name": "linear", "lam": "LAM", "u0": [1.0]}}
+    return _bad_text(tmp_path, "run", json.dumps(config).replace('"LAM"', number))
+
+
 def _bad_csv(tmp_path, cell=1, value="x"):
     row = ["1e-3", "10", "10", "0.9", "0.1", "2.0", "3.0", "0.5", "false"]
     row[cell] = value
@@ -411,6 +424,15 @@ class TestConfigErrors:
             (lambda tmp: _bad_csv(tmp, cell=8, value="yes"), "line 2: 'yes'"),
             (lambda tmp: _bad_text(tmp, "run", b"\xff"), "not UTF-8 text"),
             (lambda tmp: ("run", str(tmp)), "cannot read config file"),
+            (lambda tmp: _bad_run(tmp, scheme="fem"),
+             "key 'scheme' must be 'cg' or 'dg', got 'fem'"),
+            (lambda tmp: _bad_run(tmp, mode="p"), "key 'mode' must be 'h' or 'hp', got 'p'"),
+            (lambda tmp: _bad_text(tmp, "run", '{"scheme": "cg",'), "is not valid JSON"),
+            (lambda tmp: _bad_text(tmp, "fit", "tol_star,M\n1e-3,4\n"),
+             "sweep CSV must have header"),
+            (lambda tmp: _bad_lam(tmp, "1e400"), "linear problem requires a finite lam, got inf"),
+            (lambda tmp: _bad_lam(tmp, "-1e400"), "linear problem requires a finite lam, got -inf"),
+            (lambda tmp: _bad_lam(tmp, "NaN"), "linear problem requires a finite lam, got nan"),
         ],
         ids=[
             "u0-string",
@@ -448,6 +470,13 @@ class TestConfigErrors:
             "csv-aborted-cell",
             "not-utf8",
             "directory",
+            "scheme-fem",
+            "mode-p",
+            "json-truncated",
+            "csv-header",
+            "linear-lam-inf",
+            "linear-lam-minus-inf",
+            "linear-lam-nan",
         ],
     )
     def test_exit_2_with_error_line(self, tmp_path, capsys, make_input, needle):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from hpgalerkin.estimator import (
+    PHI_TOL,
     DeltaNotFound,
     StepEstimate,
     _growth_factory,
@@ -358,6 +359,31 @@ class TestSolveDelta:
         cold = solve_delta(p, iv, u_hat, psi=1e-4)
         warm = solve_delta(p, iv, u_hat, psi=1e-4, prev_delta=cold)
         assert warm == pytest.approx(cold, rel=1e-8)
+
+    def test_negative_envelope_is_inconsistent(self):
+        # lip < 0 breaks the Problem contract: E(1) < 1, so phi(1) < 0
+        p = Problem(dim=1, u0=np.ones(1), f=lambda t, u: -u, lip=lambda t, a, b: -1.0)
+        iv = Interval(0.0, 0.1)
+        with pytest.raises(ArithmeticError, match=r"phi\(1\) = .* < 0; estimator state is"):
+            solve_delta(p, iv, flat_reconstruction(1.0, iv), psi=1e-3)
+
+    def test_bracket_four_ulp_wide(self):
+        # a constant envelope makes phi(d) = E - d a line of slope -1
+        # through E = 7e5, where one ulp of d is 1.2e-10 and no double
+        # has |phi| <= PHI_TOL: the solve returns on its bracket of 4 ulp,
+        # within its documented bound of 545 phi evaluations
+        p = make_linear(math.log(7e5), [1.0])
+        iv = Interval(0.0, 1.0)
+        u_hat, calls = flat_reconstruction(1.0, iv), []
+
+        def lip_batch(ts, a, b):
+            calls.append(ts)
+            assert len(calls) <= 545, "the delta solve passed its bound of phi evaluations"
+            return p.lip_batch(ts, a, b)
+
+        d = solve_delta(dataclasses.replace(p, lip_batch=lip_batch), iv, u_hat, psi=1.0)
+        phi_d = _growth_factory(p, iv, u_hat, 1.0)(d) - d
+        assert -4.0 * sys.float_info.epsilon * d <= phi_d < -PHI_TOL
 
     def test_random_lipschitz_closed_form(self, rng):
         for _ in range(50):

@@ -166,6 +166,24 @@ class TestEval:
         p = LocalPoly(iv, residual_rule(2)[1] @ node_values(iv, 2, lambda t: t * t))
         np.testing.assert_allclose(p(0.5), [0.25], atol=1e-14)
 
+    def test_flat_coefficients_are_one_component(self):
+        p = LocalPoly(Interval(0.0, 2.0), [0.5, 1.0])
+        assert p.coeffs.shape == (2, 1)
+        np.testing.assert_allclose(p(2.0), [1.5])
+
+    @pytest.mark.parametrize(
+        "coeffs", [np.zeros((2, 1, 1)), np.zeros((0, 1)), np.zeros((2, 0)), np.zeros(())],
+        ids=["3-d", "no-rows", "no-columns", "0-d"],
+    )
+    def test_badly_shaped_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError, match=r"coeffs must have shape \(r\+1, d\)"):
+            LocalPoly(Interval(0.0, 1.0), coeffs)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            LocalPoly(Interval(0.0, 1.0), [[1.0, 0.0], [bad, 2.0]])
+
     def test_outside_interval_raises(self):
         p = constant(Interval(0.0, 1.0), np.array([1.0]))
         with pytest.raises(ValueError):

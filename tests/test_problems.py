@@ -59,6 +59,11 @@ class TestInitialValue:
         with pytest.raises(ValueError, match="u0 must be a nonempty vector of finite numbers"):
             make()
 
+    @pytest.mark.parametrize("u0", [[1.0, 2.0], [[1.0]], [[1.0], [2.0]]], ids=repr)
+    def test_u0_shape_must_match_dim(self, u0):
+        with pytest.raises(ValueError, match=r"u0 must have shape \(1,\)"):
+            Problem(dim=1, u0=u0, f=lambda t, u: u, lip=lambda t, a, b: 1.0)
+
     def test_exp_u0_keeps_blowup_time_in_range(self):
         assert make_exponential(709.0).t_blowup > 0.0
         assert math.isfinite(make_exponential(-709.0).t_blowup)
@@ -120,6 +125,13 @@ class TestLinear:
         p = make_linear(0.5, [1.0, -2.0])
         assert p.dim == 2
         np.testing.assert_allclose(p.f(0.0, np.array([2.0, 4.0])), [1.0, 2.0])
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_non_finite_lam_rejected(self, lam):
+        # an infinite lam made every step diverge, and the march ended at
+        # k_min with no interval instead of naming the parameter
+        with pytest.raises(ValueError, match="linear problem requires a finite lam"):
+            make_linear(lam, [1.0])
 
 
 class TestLipIntegral:
@@ -323,6 +335,20 @@ class TestScalarFallback:
         )
         with pytest.raises(ValueError, match=r"expected \(2,\)"):
             rhs_at(p, np.array([0.0, 0.1]), np.ones((2, 2)))
+
+
+class TestRhsShape:
+    """rhs_at takes values of the states' shape (n, d) only from f_batch."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda us: us[:, 0], lambda us: us.T, lambda us: us[:1], lambda us: 2.0],
+        ids=["flat", "transposed", "one-row", "scalar"],
+    )
+    def test_batch(self, bad):
+        p = dataclasses.replace(make_power_square(1.0), f_batch=lambda ts, us: bad(us))
+        with pytest.raises(ValueError, match=r"right-hand side returned shape .*expected \(3, 1\)"):
+            rhs_at(p, np.zeros(3), np.ones((3, 1)))
 
 
 class TestLipShape:
