@@ -142,6 +142,7 @@ class AdaptConfig:
             value = _real(key, getattr(self, key))
             if not 0 < value < math.inf:
                 raise ValueError(f"{key} must be positive and finite, got {value}")
+            object.__setattr__(self, key, value)
         if self.max_intervals < 1:
             raise ValueError("max_intervals must be >= 1")
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .adapt import AdaptConfig, Mode, RunResult, Termination, h_adapt, hp_adapt, run_errors
 from .galerkin import PicardConfig, Scheme
-from .problems import _BUILTINS, Problem, builtin_problem
+from .problems import _BUILTINS, Problem, _integer, _real, builtin_problem
 
 __all__ = ["main", "run_from_config", "sweep_rows", "fit_rates", "trace_series"]
 
@@ -93,14 +93,21 @@ _SWEEP_COLUMNS = {
     "aborted": (lambda flag: "true" if flag else "false", _FLAGS.__getitem__),
 }
 SWEEP_HEADER = list(_SWEEP_COLUMNS)
+# the package's number rules (``problems``), by the kind a key takes
+_NUMBER_RULES = {int: _integer, float: _real}
 
 
 def _check(value, kind, what: str):
-    """The one type rule for JSON values; a boolean is never a number."""
-    number = kind is float and isinstance(value, (int, float))
-    if isinstance(value, bool) or not (number or isinstance(value, kind)):
-        raise ConfigError(f"{what} must be of type {kind.__name__}, got {value!r}")
-    return float(value) if kind is float else value
+    """The one type rule for JSON values: a number goes through the
+    package's rule for its kind, so a boolean is never a number."""
+    try:
+        if kind in _NUMBER_RULES:
+            return _NUMBER_RULES[kind](what, value)
+        if isinstance(value, kind):
+            return value
+    except ValueError:
+        pass
+    raise ConfigError(f"{what} must be of type {kind.__name__}, got {value!r}")
 
 
 def _require(config: dict, key: str, kind, where: str):
@@ -128,8 +135,8 @@ def build_problem(config: dict) -> Problem:
     for key, value in params.items():
         # a parameter whose default is a list may be a list: linear's u0
         vector = isinstance(value, list) and isinstance(defaults.get(key), list)
-        for x in value if vector else [value]:
-            _check(x, float, f"problem: parameter {key!r}")
+        xs = [_check(x, float, f"problem: parameter {key!r}") for x in (value if vector else [value])]
+        params[key] = xs if vector else xs[0]
     try:
         return builtin_problem(name, **params)
     except (TypeError, ValueError) as exc:

@@ -129,9 +129,6 @@ __all__ = [
     "StepInput",
     "StepOutput",
     "PicardConfig",
-    "MAX_DEGREE",
-    "SchemeOperator",
-    "picard_operator",
     "step",
     "reconstruct",
 ]
@@ -200,7 +197,8 @@ class PicardConfig:
     divergence_cap: float = 1e8
 
     def __post_init__(self):
-        if not _real("divergence_cap", self.divergence_cap) > 0:
+        object.__setattr__(self, "divergence_cap", _real("divergence_cap", self.divergence_cap))
+        if not self.divergence_cap > 0:
             raise ValueError("divergence_cap must be positive")
 
 

@@ -61,13 +61,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import legendre as _leg
 
-__all__ = [
-    "MAX_DEGREE",
-    "Basis",
-    "Interval",
-    "LocalPoly",
-    "basis",
-]
+__all__ = ["Interval", "LocalPoly"]
 
 # Sampling density for sup-norm estimation: 24*(degree+2) Chebyshev
 # points plus the two endpoints.  At this density the sampled value

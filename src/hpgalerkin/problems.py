@@ -27,8 +27,11 @@ rule of ``poly``).  A scalar f or lip may raise NumericOverflow itself.
 
 The built-ins are made by one function, ``_builtin``, and each passes
 one vectorised callable as both ``f`` and ``f_batch`` and one as both
-``lip`` and ``lip_batch``.  The settings of the package are checked by
-``_integer`` and ``_real``.
+``lip`` and ``lip_batch``.  ``_real`` is the one rule for real numbers:
+``AdaptConfig`` (``k_init``, ``tol_star``, ``k_min``), ``PicardConfig``
+(``divergence_cap``), the ``make_*`` constructors and the CLI's float
+keys read theirs through it and keep the float it returns.  ``_integer``
+is the same rule for counts.
 """
 
 from __future__ import annotations
@@ -96,10 +99,14 @@ def _integer(name: str, value) -> int:
 
 def _real(name: str, value) -> float:
     """value as a float, or ValueError: a bool passes as a real number,
-    but no setting reads it as one."""
+    but no setting reads it as one.  An integer past double range reads
+    as the infinity of its sign, as JSON reads 1e400."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def rhs_at(p: Problem, ts: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -162,7 +169,7 @@ def _builtin(name: str, u0: np.ndarray, f, lip, exact, t_blowup) -> Problem:
 
 def make_power_square(u0: float) -> Problem:
     """Scalar f(t,u) = u^2 with exact solution u0/(1 - u0 t)."""
-    u0 = float(u0)
+    u0 = _real("u0", u0)
     if not u0 > 0:
         raise ValueError("power-square blow-up problem requires u0 > 0")
 
@@ -180,7 +187,7 @@ def make_power_square(u0: float) -> Problem:
 
 def make_exponential(u0: float) -> Problem:
     """Scalar f(t,u) = e^u with exact solution u0 - log(1 - e^{u0} t)."""
-    u0 = float(u0)
+    u0 = _real("u0", u0)
     # e^{u0} and the blow-up time e^{-u0} must both be in double range
     if not abs(u0) <= _EXP_MAX:
         raise ValueError(f"exp blow-up problem requires |u0| <= {_EXP_MAX}, got {u0}")
@@ -201,7 +208,7 @@ def make_exponential(u0: float) -> Problem:
 
 def make_linear(lam: float, u0) -> Problem:
     """f(t,u) = lam*u in R^d; globally Lipschitz with constant |lam|."""
-    lam = float(lam)
+    lam = _real("lam", lam)
     if not math.isfinite(lam):
         raise ValueError(f"linear problem requires a finite lam, got {lam}")
     u0 = np.atleast_1d(np.asarray(u0, dtype=float))

@@ -294,9 +294,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="r_max = 59 is above the degree cap 58"):
             AdaptConfig(mode=Mode.HP, r_init=1, r_max=59, **base)
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "value",
+        [math.inf, math.nan, 0.0, -1.0, 10**400, -(10**400)],
+        ids=["inf", "nan", "0.0", "-1.0", "10**400", "-10**400"],
+    )
     @pytest.mark.parametrize("key", ["k_init", "tol_star", "k_min"])
     def test_lengths_and_tolerance_positive_and_finite(self, key, value):
+        # an integer past double range reads as an infinity, as 1e400 does
         base = dict(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1e-3)
         with pytest.raises(ValueError, match=f"{key} must be positive and finite"):
             AdaptConfig(**{**base, key: value})
@@ -379,6 +384,24 @@ class TestConfigValidation:
             "k_init": 0.1, "tol_star": 1e-3, "max_intervals": 3,
         }
         assert json.loads(json.dumps(_report(config, res)))["dofs"] == res.dofs
+
+    def test_numpy_float_lengths_stored_as_floats(self):
+        # a float32 k would keep every t + k of the march in float32, and
+        # json cannot write the T it sums to
+        from hpgalerkin.cli import _report
+
+        cfg = AdaptConfig(
+            scheme=Scheme.CG, mode=Mode.HP, r_init=1, k_init=np.float32(0.1),
+            tol_star=np.float32(1e-3), k_min=np.float32(1e-14), max_intervals=3,
+        )
+        assert [type(cfg.k_init), type(cfg.tol_star), type(cfg.k_min)] == [float] * 3
+        res = hp_adapt(make_power_square(1.0), cfg)
+        assert res.M == 3 and type(res.T) is float
+        config = {
+            "problem": {"name": "power2", "u0": 1.0}, "scheme": "cg", "mode": "hp", "r": 1,
+            "k_init": 0.1, "tol_star": 1e-3, "max_intervals": 3,
+        }
+        assert json.loads(json.dumps(_report(config, res)))["T"] == res.T
 
 
 class TestHAdapt:

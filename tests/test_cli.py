@@ -338,13 +338,18 @@ def _bad_text(tmp_path, verb, text):
     return verb, str(path)
 
 
+def _json_numbers(obj):
+    # the string "1e400" stands for the JSON number 1e400, which parses as
+    # inf, and "10**400" for that integer, written out, which parses as an int
+    return json.dumps(obj).replace('"1e400"', "1e400").replace('"10**400"', str(10**400))
+
+
 def _bad_run(tmp_path, **changes):
-    # the string "1e400" stands for the JSON number 1e400, which parses as inf
-    return _bad_text(tmp_path, "run", json.dumps({**RUN_CONFIG, **changes}).replace('"1e400"', "1e400"))
+    return _bad_text(tmp_path, "run", _json_numbers({**RUN_CONFIG, **changes}))
 
 
 def _bad_sweep(tmp_path, tol_list=(1e-2, "x")):
-    return "sweep", write_json(tmp_path / "bad.json", {**SWEEP_CONFIG, "tol_list": list(tol_list)})
+    return _bad_text(tmp_path, "sweep", _json_numbers({**SWEEP_CONFIG, "tol_list": list(tol_list)}))
 
 
 def _bad_trace(tmp_path, **intervals):
@@ -407,6 +412,12 @@ class TestConfigErrors:
             (lambda tmp: _bad_sweep(tmp, [True, 1e-3]), "key 'tol_list' entry 0"),
             (lambda tmp: _bad_sweep(tmp, ["1e-2", "1e-3"]), "key 'tol_list' entry 0"),
             (lambda tmp: _bad_run(tmp, k_init="1e400"), "k_init must be positive and finite"),
+            (lambda tmp: _bad_run(tmp, k_init="10**400"),
+             "config: k_init must be positive and finite, got inf"),
+            (lambda tmp: _bad_sweep(tmp, ["10**400", 1e-3]),
+             "config: tol_star must be positive and finite, got inf"),
+            (lambda tmp: _bad_run(tmp, problem={"name": "linear", "u0": ["10**400"]}),
+             "u0 must be a nonempty vector of finite numbers"),
             (lambda tmp: _bad_run(tmp, problem={"name": "power2", "u0": "2"}),
              "problem: parameter 'u0' must be of type float, got '2'"),
             (lambda tmp: _bad_run(tmp, problem={"name": "power2", "u0": [2.0]}),
@@ -459,6 +470,9 @@ class TestConfigErrors:
             "tol_list-bool",
             "tol_list-strings",
             "k_init-overflow",
+            "k_init-integer-overflow",
+            "tol_list-integer-overflow",
+            "linear-u0-integer-overflow",
             "power2-u0-string",
             "power2-u0-list",
             "linear-lam-bool",

@@ -178,9 +178,16 @@ class TestPicardConfig:
         with pytest.raises(ValueError, match="divergence_cap must be positive"):
             PicardConfig(divergence_cap=value)
 
-    @pytest.mark.parametrize("value", [math.inf, np.float64(1e8), np.inf, 5])
+    @pytest.mark.parametrize("value", [math.inf, np.float64(1e8), np.inf, 5, np.float32(1e8)])
     def test_numbers_accepted(self, value):
-        assert PicardConfig(divergence_cap=value).divergence_cap == value
+        cap = PicardConfig(divergence_cap=value).divergence_cap
+        assert cap == value and type(cap) is float
+
+    def test_integer_past_double_range_is_infinite(self):
+        # as JSON reads 1e400; -(10**400) fails the positive test above
+        assert PicardConfig(divergence_cap=10**400).divergence_cap == math.inf
+        with pytest.raises(ValueError, match="divergence_cap must be positive"):
+            PicardConfig(divergence_cap=-(10**400))
 
 
 def poisoned_power_square(bad, at_call):

@@ -67,9 +67,24 @@ class TestInitialValue:
     def test_exp_u0_keeps_blowup_time_in_range(self):
         assert make_exponential(709.0).t_blowup > 0.0
         assert math.isfinite(make_exponential(-709.0).t_blowup)
-        for u0 in (709.5, -710.0, math.inf, math.nan):
+        for u0 in (709.5, -710.0, math.inf, math.nan, 10**400, -(10**400)):
             with pytest.raises(ValueError, match=r"\|u0\| <= 709"):
                 make_exponential(u0)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: make_power_square(True), "u0 must be a real number, got True"),
+            (lambda: make_exponential("1"), "u0 must be a real number, got '1'"),
+            (lambda: make_linear(True, [1.0]), "lam must be a real number, got True"),
+            (lambda: make_power_square(None), "u0 must be a real number, got None"),
+        ],
+        ids=["power2-bool", "exp-string", "linear-bool", "power2-none"],
+    )
+    def test_builtin_parameters_must_be_numbers(self, make, message):
+        # the CLI's rule: a bool or a string is never a number
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 class TestDim:
