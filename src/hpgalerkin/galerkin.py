@@ -51,11 +51,19 @@ converging sweep has three.
 
 Nonexistence of a step is a first-class outcome here: the adaptive
 drivers halve the step length whenever the iteration fails to converge.
-An iterate diverges when sum |c|, an upper bound on its sup norm since
-|P_i| <= 1, exceeds the divergence cap, or when f or the update leaves
-double range, under any cap.  The loop reads all of this from sum |c|:
-an overflow leaves that sum inf or nan (the errstate rule of
-``poly``).
+A sweep fails on rules that read no unit of u: an iterate at which f or
+the update leaves double range diverges, so do MAX_GROWING growing
+changes in a row, and the budget is MAX_ITERS updates.  So a solution
+that leaves double range ends the march at ``k_min``.  The loop reads an
+overflow from sum |c|: an overflow leaves that sum inf or nan (the
+errstate rule of ``poly``).
+
+The divergence cap (``PicardConfig.divergence_cap``) is an optional
+extra stop, off by default (``math.inf``): with a finite cap, an
+iterate whose sum |c|, an upper bound on its sup norm since |P_i| <= 1,
+exceeds the cap diverges too.  The cap is absolute, so it reads the
+units of u: a finite one turns a large but finite solution into
+nonexistence.
 
 On the (r+1, d) arrays of a step, numpy's per-call dispatch costs more
 than the arithmetic, so each iteration makes as few calls as it can
@@ -138,8 +146,6 @@ __all__ = [
 FP_TOL = 1e-12
 MAX_ITERS = 100
 MAX_GROWING = 3
-# A sum |c| above the largest double has overflowed, whatever the cap.
-_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class Scheme(enum.Enum):
@@ -175,13 +181,9 @@ class StepInput:
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Picard iteration control: the divergence cap.
-
-    ``divergence_cap`` bounds sum |c|, the sum of the absolute Legendre
-    coefficients of an iterate, which is an upper bound on its sup norm
-    since |P_i| <= 1 on [-1, 1]: an iterate above the cap diverges.  An
-    iterate at which f, or the update, overflows diverges under any
-    cap, ``math.inf`` included.
+    """Picard iteration control: the divergence cap, an optional extra
+    stop on sum |c| that is off by default (``math.inf``; module
+    docstring).
 
     The rest of the iteration is not a setting.  The step stops at a
     largest coefficient change of FP_TOL = 1e-12 of max(1, max|c|), a
@@ -194,7 +196,7 @@ class PicardConfig:
     MAX_ITERS = 100 updates.
     """
 
-    divergence_cap: float = 1e8
+    divergence_cap: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "divergence_cap", _real("divergence_cap", self.divergence_cap))
@@ -350,11 +352,11 @@ def step(
     the constant start solves.  picard_iters sums the updates of the
     sweeps run; a lone sweep is returned as it is.
 
-    An iterate diverges when f overflows at it, when the update from it
-    overflows, or when its sum |c|, an upper bound on its sup norm since
-    |P_i| <= 1, exceeds ``divergence_cap``; a divergence is reported at
-    the last iterate that passed, which after MAX_GROWING growing
-    changes is the newest.
+    An iterate diverges when f overflows at it or when the update from
+    it overflows, and, under a finite ``divergence_cap`` (module
+    docstring), when its sum |c| exceeds the cap; a divergence is
+    reported at the last iterate that passed, which after MAX_GROWING
+    growing changes is the newest.
     """
     r, d = inp.r, inp.u_left.size
     if r > MAX_DEGREE:
@@ -391,20 +393,20 @@ def _sweep(p: Problem, inp: StepInput, c: np.ndarray, cap: float, atol: float) -
     its newest iterate, which passed the divergence test.
 
     One errstate covers the whole loop (``poly._quiet``).  The bound
-    sum |c_next| that the cap test needs reads every overflow as well:
-    each coefficient of G @ f involves every node value of f, so one
-    non-finite f value, or an update that overflows, leaves c_next
-    non-finite and the bound inf or nan, which fails ``bound <= min(cap,
-    float max)`` under any cap.
-    Such an iterate diverges when the bound exceeds the cap or when it
-    is not finite: under an infinite cap a finite sum |c| may overflow.
+    sum |c_next| reads every overflow: each coefficient of G @ f
+    involves every node value of f, so one non-finite f value, or an
+    update that overflows, leaves c_next non-finite and the bound inf or
+    nan.  Such an iterate diverges when the bound exceeds the cap, which
+    only a finite cap (module docstring) can decide, or when the bound
+    and c_next are not finite: a sum |c| of finite coefficients may
+    overflow, and a finite bound has finite terms.
 
     Each iterate is read once as a list ``vals``, the previous one kept
     as ``prev``, and the bound, the change max |vals - prev| and, only
     when the bound's convergence test passes, the scale max |vals| come
     from Python builtins.  The bound is ``math.fsum``, correctly rounded
     in any order, with the OverflowError of a finite sum past double
-    range read as inf; so the cap decides the same on every Python.  A
+    range read as inf; so a cap decides the same on every Python.  A
     correctly rounded sum of magnitudes is at least its largest term, so
     the bound's gate before the exact scale test passes wherever that
     test does, and the scale test decides convergence.
@@ -420,7 +422,6 @@ def _sweep(p: Problem, inp: StepInput, c: np.ndarray, cap: float, atol: float) -
     k = iv.k
     ts = _time_map(iv.t_start, k, b.step_offsets)
     left = op.a * inp.u_left
-    limit = min(cap, _FLOAT_MAX)
     prev, last, growing = c.ravel().tolist(), math.inf, 0
     with _quiet():
         for it in range(1, MAX_ITERS + 1):
@@ -439,7 +440,7 @@ def _sweep(p: Problem, inp: StepInput, c: np.ndarray, cap: float, atol: float) -
             change = max(map(abs, map(operator.sub, vals, prev)))
             # above the cap, or out of double range: reported at the last
             # iterate that passed
-            if not bound <= limit and (bound > cap or not _all_finite(c_next)):
+            if bound > cap or (not bound < math.inf and not _all_finite(c_next)):
                 return StepOutput(LocalPoly(iv, c), it, False, StepFailure.DIVERGED)
             c = c_next
             # max|c| <= sum|c|: the scale max|c| is needed only when the

@@ -29,9 +29,9 @@ The built-ins are made by one function, ``_builtin``, and each passes
 one vectorised callable as both ``f`` and ``f_batch`` and one as both
 ``lip`` and ``lip_batch``.  ``_real`` is the one rule for real numbers:
 ``AdaptConfig`` (``k_init``, ``tol_star``, ``k_min``), ``PicardConfig``
-(``divergence_cap``), the ``make_*`` constructors and the CLI's float
-keys read theirs through it and keep the float it returns.  ``_integer``
-is the same rule for counts.
+(``divergence_cap``), ``Problem`` (each entry of ``u0``), the ``make_*``
+constructors and the CLI's float keys read theirs through it and keep
+the float it returns.  ``_integer`` is the same rule for counts.
 """
 
 from __future__ import annotations
@@ -77,9 +77,10 @@ class Problem:
         # a bool or an integral float passes the shape test below, and a
         # float dim would make every dofs count a float
         object.__setattr__(self, "dim", _integer("dim", self.dim))
-        u0 = np.atleast_1d(np.array(self.u0, dtype=float))
+        u0 = np.atleast_1d(np.array(self.u0, dtype=object))
         if u0.shape != (self.dim,):
             raise ValueError(f"u0 must have shape ({self.dim},)")
+        u0 = np.array([_real("u0", value) for value in u0], dtype=float)
         if u0.size == 0 or not np.isfinite(u0).all():
             raise ValueError(f"u0 must be a nonempty vector of finite numbers, got {u0}")
         u0.flags.writeable = False
@@ -160,11 +161,11 @@ def lip_at(p: Problem, ts: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return vals
 
 
-def _builtin(name: str, u0: np.ndarray, f, lip, exact, t_blowup) -> Problem:
+def _builtin(name: str, u0, f, lip, exact, t_blowup) -> Problem:
     """The built-in problem ``name``: f and lip are one expression for a
     single state and for a batch of them, so each serves as its batch
     form too."""
-    return Problem(u0.size, u0, f, lip, exact, t_blowup, name, f_batch=f, lip_batch=lip)
+    return Problem(np.size(u0), u0, f, lip, exact, t_blowup, name, f_batch=f, lip_batch=lip)
 
 
 def make_power_square(u0: float) -> Problem:
@@ -211,7 +212,6 @@ def make_linear(lam: float, u0) -> Problem:
     lam = _real("lam", lam)
     if not math.isfinite(lam):
         raise ValueError(f"linear problem requires a finite lam, got {lam}")
-    u0 = np.atleast_1d(np.asarray(u0, dtype=float))
 
     def f(t, u):
         return lam * u
@@ -220,9 +220,11 @@ def make_linear(lam: float, u0) -> Problem:
         return np.full(np.shape(a), abs(lam))
 
     def exact(t):
-        return np.multiply.outer(u0, np.exp(lam * np.asarray(t, dtype=float)))
+        return np.multiply.outer(p.u0, np.exp(lam * np.asarray(t, dtype=float)))
 
-    return _builtin("linear", u0, f, lip, exact, None)
+    # Problem reads each entry of u0 by ``_real``; exact reads the result
+    p = _builtin("linear", u0, f, lip, exact, None)
+    return p
 
 
 # CLI name -> (constructor, parameter defaults in constructor order)

@@ -9,7 +9,6 @@ from numpy.polynomial import legendre
 
 from hpgalerkin.adapt import _ZERO_POLY_RTOL
 from hpgalerkin.galerkin import (
-    _FLOAT_MAX,
     FP_TOL,
     MAX_GROWING,
     MAX_ITERS,
@@ -28,6 +27,9 @@ from hpgalerkin.poly import (
     basis,
 )
 from hpgalerkin.problems import NumericOverflow, Problem, lip_at, rhs_at
+
+# the largest double, above which a sum |c| has overflowed
+_FLOAT_MAX = sys.float_info.max
 
 
 # Legendre calculus on a LocalPoly, written on numpy's legendre module

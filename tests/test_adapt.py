@@ -587,7 +587,6 @@ class TestHpAdapt:
             k_init=0.01,
             tol_star=1e-6,
             max_intervals=600,
-            picard=PicardConfig(divergence_cap=math.inf),
         )
         p = make_linear(400.0, [1.0])
         res = hp_adapt(p, cfg)
@@ -617,7 +616,6 @@ class TestHpAdapt:
             k_init=0.01,
             tol_star=1e-6,
             max_intervals=2000,
-            picard=PicardConfig(divergence_cap=math.inf),
         )
         res = hp_adapt(make_linear(400.0, [1.0]), cfg)
         assert len(etas) >= res.M > 600
@@ -629,10 +627,7 @@ class TestHpAdapt:
         # the second derivative of a step near 1e306 leaves double range
         # in the smoothness indicator: it reads as not smooth, and the
         # steps halve until k_min without a warning
-        cfg = AdaptConfig(
-            scheme=Scheme.CG, mode=Mode.HP, r_init=3, k_init=0.1, tol_star=1e-6,
-            picard=PicardConfig(1e308),
-        )
+        cfg = AdaptConfig(scheme=Scheme.CG, mode=Mode.HP, r_init=3, k_init=0.1, tol_star=1e-6)
         res = hp_adapt(make_linear(1.0, [1e306]), cfg)
         assert res.termination is Termination.K_MIN_REACHED and res.M == 0
         u = LocalPoly(Interval(0.0, 1e-3), [[1e306], [1e306], [1e306], [1e306]])
@@ -724,6 +719,69 @@ class TestBlowupOneSidedness:
         assert errs[2] < errs[0]
 
 
+class TestScaleInvariance:
+    """power2 from u0 = 2^24, with k_init scaled as t and tol_star as u,
+    is the march from u0 = 1 in the units t u0 and u / u0: with no
+    divergence cap no rule of the march reads a unit of u, so every step
+    length, decision and delta is the same bit for bit."""
+
+    @staticmethod
+    def run(scheme, mode, r, u0):
+        cfg = AdaptConfig(scheme=scheme, mode=mode, r_init=r, k_init=0.15 / u0, tol_star=1e-7 * u0)
+        return (hp_adapt if mode is Mode.HP else h_adapt)(make_power_square(u0), cfg)
+
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG], ids=lambda v: v.value)
+    @pytest.mark.parametrize("mode,r", [(Mode.HP, 1), (Mode.H, 2)], ids=["hp-r1", "h-r2"])
+    def test_power2_at_two_to_the_24(self, scheme, mode, r):
+        unit, scaled = self.run(scheme, mode, r, 1.0), self.run(scheme, mode, r, 2.0**24)
+        assert unit.termination is Termination.DELTA_NOT_FOUND
+        assert (scaled.termination, scaled.M, scaled.dofs, scaled.T * 2.0**24) == (
+            unit.termination, unit.M, unit.dofs, unit.T
+        )
+        for a, b in zip(unit.intervals, scaled.intervals):
+            assert (a.decisions, a.estimate.delta) == (b.decisions, b.estimate.delta)
+
+
+def cross_square(u0, exact=None):
+    """u' = v^2, v' = u^2: |f(v) - f(w)| <= (|v| + |w|) |v - w|, as
+    v_i^2 - w_i^2 = (v_i - w_i)(v_i + w_i)."""
+    return Problem(
+        dim=2, u0=u0, f=lambda t, u: u[::-1] ** 2, lip=lambda t, a, b: a + b, exact=exact,
+        f_batch=lambda ts, us: us[:, ::-1] ** 2, lip_batch=lambda ts, a, b: a + b,
+    )
+
+
+class TestCoupledSystem:
+    """A certificate on a coupled Jacobian: the envelope's a + b bounds
+    the cross terms, not a scalar derivative."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG], ids=lambda v: v.value)
+    def test_diagonal_start_certified(self, scheme):
+        # from (1, 1) both components are 1 / (1 - t)
+        def exact(t):
+            return np.stack([1.0 / (1.0 - np.asarray(t, dtype=float))] * 2)
+
+        p = cross_square([1.0, 1.0], exact)
+        cfg = AdaptConfig(scheme=scheme, mode=Mode.HP, r_init=1, k_init=0.1, tol_star=1e-7)
+        res = hp_adapt(p, cfg)
+        assert res.termination is Termination.DELTA_NOT_FOUND and 0.0 < res.T < 1.0
+        for rec, err in zip(res.intervals, run_errors(p, res)[0]):
+            assert err <= rec.estimate.bound
+
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG], ids=lambda v: v.value)
+    def test_off_diagonal_start_below_blowup(self, scheme):
+        # u^3 - v^3 = 0.875 is invariant, so T_inf = int_1^inf (u^3 -
+        # 0.875)^(-2/3) du = int_0^1 (1 - 0.875 s^3)^(-2/3) ds (u = 1 / s),
+        # whose integrand is smooth on [0, 1]
+        x, w = np.polynomial.legendre.leggauss(64)
+        s = 0.5 * (x + 1.0)
+        t_inf = 0.5 * float(np.dot(w, (1.0 - 0.875 * s**3) ** (-2.0 / 3.0)))
+        assert t_inf == pytest.approx(1.3126966, abs=1e-7)
+        cfg = AdaptConfig(scheme=scheme, mode=Mode.HP, r_init=1, k_init=0.1, tol_star=1e-7)
+        res = hp_adapt(cross_square([1.0, 0.5]), cfg)
+        assert res.termination is Termination.DELTA_NOT_FOUND and 1.0 < res.T < t_inf
+
+
 class TestVectorValued:
     def test_linear_system_run(self):
         p = make_linear(-1.0, [2.0, -1.0])
@@ -753,10 +811,7 @@ class TestEndValueOverflow:
         # u = 1e306 e^t passes the largest double at T = ln(max / 1e306):
         # a candidate whose end value overflows halves the step, and the
         # march aborts there without a warning
-        cfg = AdaptConfig(
-            scheme=scheme, mode=Mode.H, r_init=r, k_init=0.1, tol_star=1e296,
-            picard=PicardConfig(math.inf),
-        )
+        cfg = AdaptConfig(scheme=scheme, mode=Mode.H, r_init=r, k_init=0.1, tol_star=1e296)
         res = h_adapt(make_linear(1.0, [1e306]), cfg)
         assert res.termination is Termination.K_MIN_REACHED
         assert res.T == pytest.approx(math.log(sys.float_info.max / 1e306), rel=1e-9)
@@ -771,7 +826,7 @@ class TestEndValueOverflow:
         k_init = 2.0**-20 + 20 * 2.0**-40
         cfg = AdaptConfig(
             scheme=scheme, mode=Mode.H, r_init=1, k_init=k_init, tol_star=1e300,
-            max_intervals=1, picard=PicardConfig(math.inf),
+            max_intervals=1,
         )
         (rec,) = h_adapt(make_linear(1.0, [sys.float_info.max * (1 - 2.0**-20)]), cfg).intervals
         assert rec.decisions == ("halve_k_overflow",)
@@ -1282,7 +1337,6 @@ class TestPredictionRange:
             cfg = AdaptConfig(
                 scheme=scheme, mode=Mode.H, r_init=r, k_init=0.1,
                 tol_star=math.ldexp(1e-4, scale), max_intervals=80,
-                picard=PicardConfig(divergence_cap=math.inf),
             )
             return h_adapt(time_linear(math.ldexp(1.0, scale)), cfg)
 
@@ -1302,7 +1356,6 @@ class TestPredictionRange:
         cfg = AdaptConfig(
             scheme=scheme, mode=Mode.H, r_init=r, k_init=0.1,
             tol_star=math.ldexp(tol, -1020), max_intervals=80,
-            picard=PicardConfig(divergence_cap=math.inf),
         )
         res = h_adapt(time_linear(math.ldexp(1.0, -1020)), cfg)
         assert all(0.0 < rec.estimate.eta_res < sys.float_info.min for rec in res.intervals)

@@ -93,7 +93,6 @@ class TestRunVerb:
             "r": 1,
             "k_init": 1.0,
             "tol_star": 1e-6,
-            "picard": {"divergence_cap": 1e308},
         }
         cfg, out = write_json(tmp_path / "big.json", config), tmp_path / "r.json"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 3
@@ -101,9 +100,9 @@ class TestRunVerb:
         assert (report["termination"], report["M"]) == ("k_min_reached", 0)
 
     def test_step_below_the_spacing_of_t_aborts(self, tmp_path):
-        # near t = 1840.5 the halved step no longer moves t, above the
-        # default k_min: the run aborts there instead of building an
-        # interval of zero length
+        # u = e^{0.01 t} reaches the cap 1e8 near t = 1842: the cap
+        # halves k, and once t + k > t fails, above the default k_min,
+        # the run aborts instead of building an interval of zero length
         config = {
             "problem": {"name": "linear", "lam": 0.01, "u0": [1.0]},
             "scheme": "cg",
@@ -111,6 +110,7 @@ class TestRunVerb:
             "r": 1,
             "k_init": 10.0,
             "tol_star": 1e-4,
+            "picard": {"divergence_cap": 1e8},
         }
         cfg, out = write_json(tmp_path / "long.json", config), tmp_path / "r.json"
         assert main(["run", "--config", cfg, "--out", str(out)]) == 3

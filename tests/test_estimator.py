@@ -578,10 +578,7 @@ class TestEffectivity:
         # last five intervals uhat or exact leaves double range at a
         # sample, and the error is inf, without a warning
         p = make_linear(1.0, [1e306])
-        cfg = AdaptConfig(
-            scheme=Scheme.CG, mode=Mode.H, r_init=4, k_init=0.1, tol_star=1e296,
-            picard=PicardConfig(math.inf),
-        )
+        cfg = AdaptConfig(scheme=Scheme.CG, mode=Mode.H, r_init=4, k_init=0.1, tol_star=1e296)
         res = h_adapt(p, cfg)
         assert res.termination is Termination.K_MIN_REACHED
         errors, effectivities = run_errors(p, res)

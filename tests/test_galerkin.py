@@ -963,7 +963,7 @@ class TestTrustedWrap:
         cases = [
             (p, StepInput(Interval(0.1, 0.2), 3, np.array([1.0]), Scheme.CG), PicardConfig()),
             (p, StepInput(Interval(0.0, 0.01), 1, np.array([1.0]), Scheme.CG), PicardConfig(0.5)),
-            (p, StepInput(Interval(0.0, 5.0), 2, np.array([1.0]), Scheme.DG), PicardConfig(np.inf)),
+            (p, StepInput(Interval(0.0, 5.0), 2, np.array([1.0]), Scheme.DG), PicardConfig()),
             (
                 make_linear(-1.0, [1.0]),
                 StepInput(Interval(0.0, 2.0), 1, np.array([1.0]), Scheme.CG),
@@ -1351,7 +1351,7 @@ class TestContractionStops:
         iterates, _, changes, old = change_only_sweep(p, inp, c, math.inf, 0.0)
         assert old == (MAX_ITERS, False, StepFailure.MAX_ITERS)
         assert all(b > a for a, b in itertools.pairwise(changes))
-        out = step(p, inp, PicardConfig(divergence_cap=math.inf))
+        out = step(p, inp)
         assert (out.picard_iters, out.converged, out.failure) == (
             1 + MAX_GROWING, False, StepFailure.DIVERGED
         )

@@ -59,6 +59,25 @@ class TestInitialValue:
         with pytest.raises(ValueError, match="u0 must be a nonempty vector of finite numbers"):
             make()
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Problem(dim=1, u0=[True], f=lambda t, u: u, lip=lambda t, a, b: 1.0),
+             "u0 must be a real number, got True"),
+            (lambda: make_linear(1.0, [10**400]),
+             "u0 must be a nonempty vector of finite numbers"),
+            (lambda: Problem(dim=1, u0=[10**400], f=lambda t, u: u, lip=lambda t, a, b: 1.0),
+             "u0 must be a nonempty vector of finite numbers"),
+        ],
+        ids=["problem-bool", "linear-past-double-range", "problem-past-double-range"],
+    )
+    def test_u0_entries_read_as_real_numbers(self, make, message):
+        # each entry of u0 goes through the number rule of every other
+        # setting: a bool is no number, and an integer past double range
+        # reads as inf, which the finite test rejects
+        with pytest.raises(ValueError, match=message):
+            make()
+
     @pytest.mark.parametrize("u0", [[1.0, 2.0], [[1.0]], [[1.0], [2.0]]], ids=repr)
     def test_u0_shape_must_match_dim(self, u0):
         with pytest.raises(ValueError, match=r"u0 must have shape \(1,\)"):
