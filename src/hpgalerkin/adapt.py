@@ -317,6 +317,9 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     leaves double range halves k as an overflow.  The accepted end
     value, where the next interval starts, is the reconstruction's end
     value, so the global reconstruction has no jump for psi to miss.
+    Every attempt's ``StepInput`` holds that left value, ``Problem.u0``
+    on the first interval and an end value made read-only here on every
+    later one, without a copy (the copy rule of ``galerkin.StepInput``).
 
     The residual's f values f_res are evaluated here, once per
     candidate (``estimator._residual_f_vals``), and passed to
@@ -350,7 +353,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             if k < cfg.k_min or not t + k > t:
                 termination = Termination.K_MIN_REACHED
                 break
-            inp = StepInput(Interval(t, t + k), r, u_left, cfg.scheme)
+            inp = StepInput._trusted(Interval(t, t + k), r, u_left, cfg.scheme)
             attempts += 1
             guess = None if H is None else _first_iterate(inp, H, f_res)
             out = step(p, inp, cfg.picard, guess=guess, atol=PICARD_TOL_SHARE * tol)
@@ -367,6 +370,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                     u_end = np.add.reduce(u_hat.coeffs, 0)  # uhat(t_end), as P_i(1) = 1
                     if not _all_finite(u_end):
                         raise NumericOverflow("end value overflowed")
+                    u_end.flags.writeable = False
             except NumericOverflow:
                 # the candidate exists but leaves double range: treat it
                 # like nonexistence and shorten the step

@@ -120,7 +120,8 @@ def residual_estimator(
     finite coefficient array is wrapped without a copy
     (``LocalPoly._trusted``) and measured by its ``linf_norm``.
     """
-    u_left = np.atleast_1d(np.asarray(u_left, dtype=float))
+    # a float array, itself when it is one; += broadcasts it into row 0
+    u_left = np.asarray(u_left, dtype=float)
     with _quiet():
         res_coeffs = _cg_lift(u_hat.interval.k, u_left, basis(u_hat.degree).res_lift, f_vals)
         res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs

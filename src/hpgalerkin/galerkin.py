@@ -165,6 +165,15 @@ class StepFailure(enum.Enum):
 
 @dataclass(frozen=True)
 class StepInput:
+    """One step's interval, degree, left value and scheme.
+
+    The copy rule, stated here only.  The constructor copies u_left
+    into a read-only float array of shape (d,), so a caller's array,
+    writable or not, never reaches ``inp.u_left``, and later writes to
+    it change nothing.  ``StepInput._trusted`` skips that copy, and the
+    degree check, for the driver's own left value, which no caller holds.
+    """
+
     interval: Interval
     r: int
     u_left: np.ndarray
@@ -177,6 +186,21 @@ class StepInput:
         min_r = _MIN_DEGREE[self.scheme]
         if self.r < min_r:
             raise ValueError(f"{self.scheme.value} step requires degree >= {min_r}, got {self.r}")
+
+    @classmethod
+    def _trusted(
+        cls, interval: Interval, r: int, u_left: np.ndarray, scheme: Scheme
+    ) -> "StepInput":
+        """Hold u_left itself, without the copy of ``__post_init__``.
+
+        u_left must be a read-only float array of shape (d,) that the
+        caller owns and never writes, and r at least the scheme's
+        lowest degree: ``adapt._drive`` passes ``Problem.u0`` and the
+        end values it made read-only itself.
+        """
+        inp = cls.__new__(cls)
+        inp.__dict__.update(interval=interval, r=r, u_left=u_left, scheme=scheme)
+        return inp
 
 
 @dataclass(frozen=True)
@@ -358,22 +382,25 @@ def step(
     reported at the last iterate that passed, which after MAX_GROWING
     growing changes is the newest.
     """
-    r, d = inp.r, inp.u_left.size
+    r, cap = inp.r, cfg.divergence_cap
     if r > MAX_DEGREE:
         raise ValueError(f"step degree {r} is above the cap {MAX_DEGREE}")
-    c0 = np.zeros((r + 1, d))
-    c0[0] = inp.u_left
-    start, cap = c0, cfg.divergence_cap
+    shape = (r + 1, inp.u_left.size)
+    first = None
     if guess is not None:
         guess = np.asarray(guess, dtype=float)
-        if guess.shape != c0.shape:
-            raise ValueError(f"guess has shape {guess.shape}, expected {c0.shape}")
+        if guess.shape != shape:
+            raise ValueError(f"guess has shape {guess.shape}, expected {shape}")
         if _all_finite(guess):
-            start = guess
-    first = _sweep(p, inp, start, cap, atol)
-    if first.converged or start is c0:
-        return first
+            first = _sweep(p, inp, guess, cap, atol)
+            if first.converged:
+                return first
+    # the constant start, built only for the sweep that runs from it
+    c0 = np.zeros(shape)
+    c0[0] = inp.u_left
     last = _sweep(p, inp, c0, cap, atol)
+    if first is None:
+        return last
     return replace(last, picard_iters=first.picard_iters + last.picard_iters)
 
 

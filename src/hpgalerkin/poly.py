@@ -20,6 +20,15 @@ rule's reference offsets into an interval, and ``_cg_lift`` is the one
 cG lift of node values of f, behind both ``galerkin.reconstruct`` and
 ``estimator.residual_estimator``.
 
+The one-component rule, stated here only.  For values with one
+component (d = 1, as for ``power2``, ``exp`` and a scalar ``linear``)
+``_norms`` returns |x| and ``_sup_norm`` the largest |x|, squaring
+nothing.  These are the bits of the general formula: in binary64 with
+round-to-nearest, sqrt(x x) = |x| wherever x x neither overflows nor
+underflows, and the scaled fallback, which takes every other value,
+returns |x| as well.  A nan stays a nan; only its sign bit may differ,
+which no caller reads.
+
 The ``LocalPoly`` constructor copies its coefficients, checks that they
 are finite (``_all_finite``) and makes the copy read-only.
 ``LocalPoly._trusted`` skips the copy and the check for an array the
@@ -242,11 +251,12 @@ def _cg_lift(k: float, u_left: np.ndarray, lift: np.ndarray, f_vals: np.ndarray)
 
 def _sup_norm(vals: np.ndarray, axis: int) -> float:
     """Largest Euclidean norm along ``axis`` of vals: from the plain
-    square sums when the largest is a normal double, otherwise the
-    largest of ``_norms``."""
-    sq = np.maximum.reduce(np.add.reduce(vals * vals, axis))
-    if _TINY <= sq < math.inf:
-        return math.sqrt(sq)
+    square sums when the largest is a normal double, otherwise, and for
+    one component (module docstring), the largest of ``_norms``."""
+    if vals.shape[axis] > 1:
+        sq = np.maximum.reduce(np.add.reduce(vals * vals, axis))
+        if _TINY <= sq < math.inf:
+            return math.sqrt(sq)
     return float(np.maximum.reduce(_norms(vals, axis)))
 
 
@@ -258,8 +268,10 @@ def _norms(vals: np.ndarray, axis: int) -> np.ndarray:
     point's values are squared scaled by the power of two of their
     largest magnitude, which rounds nothing, and its norm is scaled
     back.  So a norm is finite wherever it is a double, and inf past the
-    largest one.
+    largest one.  For one component the norm is |x| (module docstring).
     """
+    if vals.shape[axis] == 1:
+        return np.abs(vals.ravel())
     sq = np.add.reduce(vals * vals, axis)
     # a list is the cheapest way to the min and max of a few values
     listed = sq.tolist()

@@ -21,10 +21,12 @@ once to warm up.
 A round solves every operation once on each side, in the seed's order,
 rotating which side goes first from one operation to the next and from
 one round to the next.  Each solve is timed in CPU time of this
-process (``time.process_time``).  The T, M and dofs of the sides must
-be equal per operation; the script exits 1 when they are not.  It
-prints each round's summed time per side and their ratio (this checkout
-over REV), then the median ratio over the N rounds (default 5);
+process (``time.process_time``).  Each ladder's f-point counter is
+reset before every solve, and the T, M, dofs and f points of the sides
+must be equal per operation, so that only equal work is timed; the
+script exits 1 when they are not.  It prints each round's summed time
+per side and their ratio (this checkout over REV), then the median
+ratio over the N rounds (default 5);
 ``--out FILE`` also writes the per-round figures there as JSON.  It
 exits 2 when git cannot extract REV or the trees build different
 operations.
@@ -139,13 +141,15 @@ def ab_rounds(sides, args):
             outcomes = {}
             first = (rnd + i) % len(names)
             for side in names[first:] + names[:first]:
+                ladder = ops[side][i][0]
+                ladder.f_points[0] = 0
                 start = clock()
                 result = sides[side].solve(*ops[side][i])
                 spent[side] += clock() - start
-                outcomes[side] = (result.T, result.M, result.dofs)
+                outcomes[side] = (result.T, result.M, result.dofs, ladder.f_points[0])
             for side in names:
                 if outcomes[side] != outcomes["here"]:
-                    print(f"error: {name}@{tol!r}: (T, M, dofs) {outcomes[side]} "
+                    print(f"error: {name}@{tol!r}: (T, M, dofs, f points) {outcomes[side]} "
                           f"at {side}, {outcomes['here']} here", file=sys.stderr)
                     return 1
         ratio = spent["here"] / spent[args.against]

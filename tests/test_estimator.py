@@ -62,6 +62,21 @@ class TestResidualEstimator:
         ramp = antiderivative(constant(Interval(0.0, 0.5), np.array([1.0])), np.array([2.0]))
         assert residual_estimator(p, ramp, np.array([2.0]), residual_f_vals(p, ramp)) <= 1e-12
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_left_value_taken_as_given(self, dim):
+        # a float array is lifted as it is; a list, a scalar or integers
+        # give the same bits, and u_left is not written
+        p = make_linear(-1.5, [1.0] * dim)
+        u_hat = LocalPoly(Interval(0.25, 0.5), np.arange(3.0 * dim).reshape(3, dim) / 7.0 + 1.0)
+        f_res = residual_f_vals(p, u_hat)
+        u_left = np.full(dim, 2.0)
+        u_left.flags.writeable = False
+        want = residual_estimator(p, u_hat, u_left, f_res)
+        for given in ([2.0] * dim, 2.0, np.full(dim, 2), np.float64(2.0)):
+            assert np.float64(residual_estimator(p, u_hat, given, f_res)).tobytes() == (
+                np.float64(want).tobytes()
+            )
+
     def test_overflowing_subtraction_raises(self):
         # the lift of f = 0 is u_left = -1.5e308, finite, and subtracting
         # uhat's 1.5e308 leaves double range: NumericOverflow, which

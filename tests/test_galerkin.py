@@ -984,6 +984,59 @@ class TestTrustedWrap:
         assert outcomes == [None, StepFailure.DIVERGED, StepFailure.DIVERGED, StepFailure.MAX_ITERS]
 
 
+class TestStepInputCopy:
+    """The copy rule of ``StepInput``: the constructor copies every
+    caller's left value, and the driver's steps hold the march's own
+    read-only left value without a copy (``StepInput._trusted``)."""
+
+    def test_caller_arrays_copied(self):
+        iv, base = Interval(0.0, 0.1), np.array([1.0, 2.0, 3.0])
+        view = base[:2]
+        view.flags.writeable = False
+        owned = make_linear(-1.0, [1.0, 2.0]).u0  # read-only, owns its data
+        for u_left in (np.array([1.0, 2.0]), view, owned):
+            inp = StepInput(iv, 1, u_left, Scheme.CG)
+            assert inp.u_left is not u_left and not np.shares_memory(inp.u_left, u_left)
+            assert not inp.u_left.flags.writeable
+        inp = StepInput(iv, 1, view, Scheme.CG)
+        base[:] = 7.0
+        assert inp.u_left.tolist() == [1.0, 2.0]
+        writable = np.array([1.0, 2.0])
+        inp = StepInput(iv, 1, writable, Scheme.CG)
+        writable[0] = 5.0
+        assert inp.u_left.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("mode", [Mode.H, Mode.HP])
+    def test_driver_holds_its_own_end_value(self, mode, monkeypatch):
+        # the first interval's steps hold Problem.u0 itself, each later
+        # one the end value of the interval before, one read-only array
+        # for every attempt on the interval
+        p, seen = make_power_square(1.0), []
+
+        def spy(p, inp, cfg, *, guess=None, atol=0.0):
+            seen.append(inp)
+            return step(p, inp, cfg, guess=guess, atol=atol)
+
+        monkeypatch.setattr(adapt, "step", spy)
+        cfg = AdaptConfig(
+            scheme=Scheme.CG, mode=mode, r_init=1, k_init=0.4, tol_star=1e-7, max_intervals=12
+        )
+        result = adapt._drive(p, cfg)
+        assert result.M == 12 and len(seen) > result.M
+        starts = [rec.interval.t_start for rec in result.intervals]
+        held = {}
+        for inp in seen:
+            held.setdefault(inp.interval.t_start, []).append(inp.u_left)
+        assert held[0.0][0] is p.u0
+        for m, t in enumerate(starts):
+            u_left = held[t][0]
+            assert all(u is u_left for u in held[t]) and not u_left.flags.writeable
+            if m:
+                end = result.intervals[m - 1].reconstruction.coeffs.sum(axis=0)
+                assert u_left.tobytes() == end.tobytes()
+        assert max(len(held[t]) for t in starts) > 1
+
+
 class TestSweeps:
     """A step runs at most two Picard sweeps, both on the step's rule,
     and gives the same bits for a scalar f as for an ``f_batch``; the

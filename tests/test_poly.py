@@ -368,6 +368,23 @@ def plain_sums_serve(vals):
     return sys.float_info.min <= min(sq) and max(sq) < math.inf
 
 
+def one_component_regimes(vals):
+    """The regimes a one-component draw (n, 1) takes in the general
+    formula: "plain" when the plain square sums serve, otherwise the
+    kinds of value it holds that the scaled fallback takes."""
+    if plain_sums_serve(vals):
+        return {"plain"}
+    x = np.abs(vals.ravel())
+    finite = np.isfinite(x)
+    kinds = {
+        "subnormal": (0.0 < x) & (x < sys.float_info.min),
+        "overflowing": finite & (x > math.sqrt(sys.float_info.max)),
+        "inf": np.isinf(x),
+        "nan": np.isnan(x),
+    }
+    return {kind for kind, hit in kinds.items() if hit.any()}
+
+
 class TestNormPrimitives:
     """``poly._norms``, the one overflow-safe Euclidean norm, and
     ``poly._sup_norm``, its largest: the bits of the two norms they
@@ -376,8 +393,11 @@ class TestNormPrimitives:
     against ``math.hypot``.  Each holds the errstate its callers hold."""
 
     def test_bits_equal_parent(self):
-        # a fifth of the draws carry inf and nan values; both axes
-        fallback, rng = 0, np.random.default_rng(5)
+        # a fifth of the draws carry inf and nan values; both axes.  The
+        # one-component draws, which return |x| (the one-component rule
+        # of ``poly``), reach the plain squares and the scaled fallback
+        # with every kind of value that sends a draw there
+        fallback, one, rng = 0, set(), np.random.default_rng(5)
         with np.errstate(over="ignore", invalid="ignore"):
             for i, vals in enumerate(value_draws(11, 4000)):
                 if i % 5 == 0:
@@ -385,6 +405,8 @@ class TestNormPrimitives:
                     vals[special < 0.05] = np.inf
                     vals[special > 0.95] = np.nan
                 fallback += not plain_sums_serve(vals)
+                if vals.shape[1] == 1:
+                    one.update(one_component_regimes(vals))
                 want = parent_node_norms(vals).tobytes()
                 assert _norms(vals, 1).tobytes() == want
                 assert _norms(vals.T.copy(), 0).tobytes() == want
@@ -392,6 +414,7 @@ class TestNormPrimitives:
                     got, old = _sup_norm(arr, axis), parent_sup_norm(arr, axis)
                     assert np.float64(got).tobytes() == np.float64(old).tobytes()
         assert 1500 < fallback < 3000
+        assert one == {"plain", "subnormal", "overflowing", "inf", "nan"}
 
     def test_against_hypot(self):
         # within d eps relative where the norm is normal, within 4 units
