@@ -25,7 +25,14 @@ every decision on k and r:
 Each attempt starts Picard from a guess formed from the f values of
 the last candidate's residual, except the run's first attempt and one
 after a failed step, which start from the constant left value
-(``galerkin.SchemeOperator``).
+(``galerkin.SchemeOperator``).  From degree 3 a new interval continues
+1/f at degree 2 rather than f at degree r + 2 where every component of
+f keeps one strict sign and log|f| looks like a pole (L'' > 0 and
+L'' / L'^2 >= 1/4 from the first, middle and last residual nodes):
+near a blow-up 1/f vanishes like a power of T - t, and the degree 2
+fit amplifies its rounding on the next interval by |P_2(3)| = 13 at
+most, against |P_{r+2}(3)|.  Elsewhere, and where the continued 1/f
+changes sign or the guess is not finite, the continuation of f stays.
 
 The march ends when no growth factor exists below the scan ceiling --
 the blow-up signal, with the final uncertified candidate discarded --
@@ -68,6 +75,7 @@ from .galerkin import (
     _MIN_DEGREE,
     PicardConfig,
     Scheme,
+    SchemeOperator,
     StepInput,
     StepOutput,
     picard_operator,
@@ -285,9 +293,11 @@ def _predicts_rejection(cfg: AdaptConfig, records: list[IntervalRecord], tol: fl
     return cfg.mode is Mode.H or last.r >= cfg.r_max or not last.theta >= THETA_STAR
 
 
-def _first_iterate(inp: StepInput, H: np.ndarray, f_res: np.ndarray) -> np.ndarray:
-    """a u_left^T + k H @ f_res (``galerkin.SchemeOperator``), with k,
-    u_left and the a of ``SchemeOperator`` those of inp.  A guess that
+def _first_iterate(
+    inp: StepInput, op: SchemeOperator, H: np.ndarray, f_res: np.ndarray
+) -> np.ndarray:
+    """a u_left^T + k H @ f_res (``galerkin.SchemeOperator``), with k and
+    u_left those of inp and op its ``SchemeOperator``.  A guess that
     leaves double range is not finite, and ``step`` ignores it."""
     guess = np.dot(H, f_res)
     k = inp.interval.k
@@ -298,8 +308,42 @@ def _first_iterate(inp: StepInput, H: np.ndarray, f_res: np.ndarray) -> np.ndarr
         # scaled by a power of two, which rounds as the product
         e = math.frexp(float(np.max(np.abs(f_res))))[1]
         guess = np.ldexp(np.dot(H, np.ldexp(f_res, -e)) * k, e)
-    guess += picard_operator(inp.r, inp.scheme).a * inp.u_left
+    guess += op.a * inp.u_left
     return guess
+
+
+def _reciprocal_iterate(
+    inp: StepInput, op: SchemeOperator, R: np.ndarray, f_res: np.ndarray
+) -> Optional[np.ndarray]:
+    """a u_left^T + G (k / (R @ (1 / f_res))), the reciprocal
+    continuation of ``galerkin.SchemeOperator`` with R its recip or
+    recip_half, k and u_left those of inp; None where its test fails or
+    the guess is not finite.
+
+    The tests read each array once, as Python floats: the sign and pole
+    test reads f_res before its reciprocal is formed, and the sign test
+    of the fit reads the fit before k is divided by it, so no division
+    meets a zero.
+    """
+    mid, c1, c2 = op.pole
+    positive = []
+    for col in f_res.T.tolist():
+        if not (min(col) > 0.0 or max(col) < 0.0):
+            return None
+        try:
+            l1, l2 = math.log(col[mid] / col[0]), math.log(col[-1] / col[mid])
+        except ValueError:  # a quotient that underflowed to 0
+            return None
+        if not 0.0 < c2 * l2 - c1 * l1 >= (l1 + l2) * (l1 + l2):
+            return None
+        positive.append(col[0] > 0.0)
+    fit = np.dot(R, np.reciprocal(f_res))
+    for col, pos in zip(fit.T.tolist(), positive):
+        if not (min(col) > 0.0 if pos else max(col) < 0.0):
+            return None
+    guess = np.dot(op.G, np.divide(inp.interval.k, fit))
+    guess += op.a * inp.u_left
+    return guess if _all_finite(guess) else None
 
 
 def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
@@ -325,8 +369,11 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     candidate (``estimator._residual_f_vals``), and passed to
     ``residual_estimator``; the nodes they were evaluated at go to
     ``solve_delta`` (``nodes``).  The f values also seed the Picard
-    iteration of the next attempt (``_first_iterate``), with the H of
-    ``galerkin.SchemeOperator`` that what came before it selects.
+    iteration of the next attempt, with the H, and on a new interval the
+    R, of ``galerkin.SchemeOperator`` that what came before it selects:
+    ``_reciprocal_iterate`` where R is set and its test passes, else
+    ``_first_iterate``.  The operator of degree r is looked up once per
+    change of r.
 
     The loop holds the march's errstate (``poly._marching``, the
     errstate rule of ``poly``).
@@ -339,9 +386,11 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     prev_estimate: Optional[StepEstimate] = None
     delta_hat = 1.0
     termination = Termination.MAX_INTERVALS
-    # the next attempt's first iterate: its H (None for the constant
-    # start) and the f values it reads
-    H, f_res = None, None
+    # the operator of degree r, looked up on each change of r; the next
+    # attempt's first iterate: its H (None for the constant start), its
+    # R (None but for the continued guesses) and the f values they read
+    op = picard_operator(r, cfg.scheme)
+    H, R, f_res = None, None, None
     attempts, decisions = 0, []
 
     with _marching():
@@ -349,15 +398,19 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             if not attempts and _predicts_rejection(cfg, records, tol):
                 k *= 0.5
                 decisions.append("halve_k_predicted")
-                H = picard_operator(r, cfg.scheme).predict_half
+                H, R = op.predict_half, op.recip_half
             if k < cfg.k_min or not t + k > t:
                 termination = Termination.K_MIN_REACHED
                 break
             inp = StepInput._trusted(Interval(t, t + k), r, u_left, cfg.scheme)
             attempts += 1
-            guess = None if H is None else _first_iterate(inp, H, f_res)
+            guess = None
+            if R is not None:
+                guess = _reciprocal_iterate(inp, op, R, f_res)
+            if guess is None and H is not None:
+                guess = _first_iterate(inp, op, H, f_res)
             out = step(p, inp, cfg.picard, guess=guess, atol=PICARD_TOL_SHARE * tol)
-            H = None
+            H, R = None, None
             if not out.converged:
                 k *= 0.5
                 decisions.append("halve_k_existence")
@@ -381,11 +434,12 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 if cfg.mode is Mode.HP and r < cfg.r_max and smoothness(out.u, r) >= THETA_STAR:
                     r += 1
                     decisions.append("raise_r")
-                    H = picard_operator(r, cfg.scheme).raised
+                    op = picard_operator(r, cfg.scheme)
+                    H = op.raised
                 else:
                     k *= 0.5
                     decisions.append("halve_k")
-                    H = picard_operator(r, cfg.scheme).halve
+                    H = op.halve
                 continue
 
             iv = inp.interval
@@ -415,7 +469,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             tol_trace.append(tol)
             # the next interval's first attempt carries this one's k and r
             t, k, u_left = iv.t_end, iv.k, u_end
-            H = picard_operator(r, cfg.scheme).predict
+            H, R = op.predict, op.recip
             attempts, decisions = 0, []
 
     return RunResult(

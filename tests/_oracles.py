@@ -9,6 +9,7 @@ from numpy.polynomial import legendre
 
 from hpgalerkin.adapt import _ZERO_POLY_RTOL
 from hpgalerkin.galerkin import (
+    _RECIPROCAL_MIN_DEGREE,
     FP_TOL,
     MAX_GROWING,
     MAX_ITERS,
@@ -493,21 +494,84 @@ def _picard_guess(p, inp, H, u_hat):
     return np.outer(op.a, inp.u_left) + inp.interval.k * (H @ residual_f_vals(p, u_hat))
 
 
+def reciprocal_fit(r, x):
+    """The (s, n) map from node values on the residual's rule of a
+    degree r + 1 reconstruction to the values, at the points x of the
+    step's rule of degree r (``step_nodes``, in the reference coordinate
+    of that reconstruction's interval), of their degree 2 projection."""
+    _, proj, _ = residual_rule(r + 1)
+    return legendre.legvander(x, 2) @ proj[:3]
+
+
+def looks_like_a_pole(r, f_res):
+    """The test of the reciprocal continuation (``SchemeOperator``):
+    every component of f_res keeps one strict sign at every node, and
+    its L = log|f| at the first, middle and last residual node has a
+    positive three-point L'' of at least L'^2 / 4, L' the chord slope."""
+    x = residual_nodes(r + 1)[0]
+    mid = x.size // 2
+    x0, x1, x2 = float(x[0]), float(x[mid]), float(x[-1])
+    c1, c2 = 8.0 * (x2 - x0) / (x1 - x0), 8.0 * (x2 - x0) / (x2 - x1)
+    for j in range(f_res.shape[1]):
+        f = f_res[:, j]
+        if not (np.all(f > 0.0) or np.all(f < 0.0)):
+            return False
+        l1 = math.log(float(f[mid]) / float(f[0]))
+        l2 = math.log(float(f[-1]) / float(f[mid]))
+        if not (c2 * l2 - c1 * l1 > 0.0 and c2 * l2 - c1 * l1 >= (l1 + l2) * (l1 + l2)):
+            return False
+    return True
+
+
+def reciprocal_guess(p, inp, u_hat, x):
+    """a u_left^T + G (k / (R @ (1 / f_res))) with matmul products, R
+    the ``reciprocal_fit`` at x and f_res the f values of the residual
+    of u_hat, or None below degree ``galerkin._RECIPROCAL_MIN_DEGREE``
+    and where the test or the fit's signs fail or the guess is not
+    finite: the reciprocal continuation of the drivers."""
+    f_res = residual_f_vals(p, u_hat)
+    if inp.r < _RECIPROCAL_MIN_DEGREE or not looks_like_a_pole(inp.r, f_res):
+        return None
+    op = picard_operator(inp.r, inp.scheme)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fit = reciprocal_fit(inp.r, x) @ (1.0 / f_res)
+        if not np.all(np.sign(fit) == np.sign(f_res[0])):
+            return None
+        guess = np.outer(op.a, inp.u_left) + op.G @ (inp.interval.k / fit)
+    return guess if np.all(np.isfinite(guess)) else None
+
+
+def continued_guess(p, inp, u_hat):
+    """The Picard update of the attempt ``inp`` on the interval after
+    u_hat, of equal length, from the f values of the residual of u_hat,
+    projected to degree r + 2 and continued onto it
+    (``SchemeOperator.predict``)."""
+    return _picard_guess(p, inp, picard_operator(inp.r, inp.scheme).predict, u_hat)
+
+
+def continued_half_guess(p, inp, u_hat):
+    """``continued_guess`` onto the first half of the next interval, for
+    an attempt ``inp`` whose k was halved on the prediction
+    (``SchemeOperator.predict_half``)."""
+    return _picard_guess(p, inp, picard_operator(inp.r, inp.scheme).predict_half, u_hat)
+
+
 def next_interval_guess(p, inp, u_hat):
     """The drivers' first iterate of the attempt ``inp`` on the interval
-    after the accepted reconstruction u_hat, of equal length: the Picard
-    update of ``inp`` from the f values of the residual of u_hat,
-    projected to degree r + 2 and continued onto it
-    (``SchemeOperator.predict``).  Byte-equal oracle of the guess
-    ``adapt._drive`` passes."""
-    return _picard_guess(p, inp, picard_operator(inp.r, inp.scheme).predict, u_hat)
+    after the accepted reconstruction u_hat, of equal length: the
+    reciprocal continuation of the f values of the residual of u_hat
+    (``reciprocal_guess``) where it applies, else ``continued_guess``.
+    Byte-equal oracle of the guess ``adapt._drive`` passes."""
+    guess = reciprocal_guess(p, inp, u_hat, step_nodes(inp.r)[0] + 2.0)
+    return continued_guess(p, inp, u_hat) if guess is None else guess
 
 
 def predicted_guess(p, inp, u_hat):
     """``next_interval_guess`` for an attempt ``inp`` whose k was halved
-    on the prediction: the same projection continued onto the first half
-    of the next interval (``SchemeOperator.predict_half``)."""
-    return _picard_guess(p, inp, picard_operator(inp.r, inp.scheme).predict_half, u_hat)
+    on the prediction: the reciprocal continuation onto the first half
+    of the next interval where it applies, else ``continued_half_guess``."""
+    guess = reciprocal_guess(p, inp, u_hat, 0.5 * (step_nodes(inp.r)[0] + 3.0))
+    return continued_half_guess(p, inp, u_hat) if guess is None else guess
 
 
 def halved_guess(p, inp, u_hat):

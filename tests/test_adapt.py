@@ -24,7 +24,7 @@ from hpgalerkin.adapt import (
 )
 import hpgalerkin.adapt as adapt_module
 from hpgalerkin.estimator import DeltaNotFound, StepEstimate, residual_estimator, solve_delta
-from hpgalerkin.galerkin import PicardConfig, Scheme, StepInput, reconstruct, step
+from hpgalerkin.galerkin import PicardConfig, Scheme, StepInput, picard_operator, reconstruct, step
 import hpgalerkin.poly as poly_module
 from hpgalerkin.poly import Interval, LocalPoly, basis
 import hpgalerkin.problems as problems
@@ -40,12 +40,16 @@ from _oracles import (
     constant,
     halved_guess,
     l2_project,
+    looks_like_a_pole,
     next_interval_guess,
     parent_smoothness,
     predicted_guess,
     raised_guess,
+    reciprocal_fit,
     reference_smoothness,
     residual_f_vals,
+    residual_nodes,
+    step_nodes,
     zero_rhs,
 )
 
@@ -1461,3 +1465,173 @@ class TestOneErrstatePerMarch:
             worker.join(timeout=60.0)
         assert norm == 2e200
         assert not worker.is_alive() and len(results) == 1 and results[0].M == 2
+
+
+
+def run_bits(res):
+    """Every number of a run, coefficient bytes included."""
+    return (
+        repr((res.T, res.M, res.dofs, res.termination, res.tol_trace)),
+        [
+            (
+                rec.interval, rec.r, rec.attempts, rec.decisions, rec.output.picard_iters,
+                rec.output.u.coeffs.tobytes(), rec.reconstruction.coeffs.tobytes(),
+                repr(dataclasses.astuple(rec.estimate)),
+            )
+            for rec in res.intervals
+        ],
+    )
+
+
+def rotation():
+    """u' = (u_2, -u_1) from (1, 0): each component changes sign."""
+    return Problem(
+        dim=2,
+        u0=np.array([1.0, 0.0]),
+        f=lambda t, u: np.array([u[1], -u[0]]),
+        lip=lambda t, a, b: 1.0,
+        f_batch=lambda ts, us: np.stack([us[:, 1], -us[:, 0]], -1),
+    )
+
+
+def reciprocal_calls(monkeypatch, force_polynomial=False):
+    """Record every result of ``adapt._reciprocal_iterate``; with
+    force_polynomial it returns None, so every next interval starts
+    from the polynomial continuation."""
+    results = []
+    inner = adapt_module._reciprocal_iterate
+
+    def spy(*args):
+        guess = None if force_polynomial else inner(*args)
+        results.append(guess)
+        return guess
+
+    monkeypatch.setattr(adapt_module, "_reciprocal_iterate", spy)
+    return results
+
+
+class TestReciprocalContinuation:
+    """The next interval's first iterate continues 1/f at degree 2 where
+    every component of f keeps one sign and looks like a pole, and the
+    polynomial continuation of f everywhere else
+    (``galerkin.SchemeOperator``)."""
+
+    @pytest.mark.parametrize("r", [3, 4, 6])
+    @pytest.mark.parametrize("make", [make_power_square, make_exponential], ids=["power2", "exp"])
+    def test_exact_where_1_over_f_is_quadratic(self, make, r):
+        # on the exact solutions 1/f is (T - t)^2 (power2) or a line
+        # (exp): continued from the residual's nodes of [t0, t0 + k], it
+        # gives f at the step's nodes of the next interval and of its
+        # first half, and the driver's test takes it
+        p = make(1.0)
+        t0, k = 0.5 * p.t_blowup, 0.1 * p.t_blowup
+        op = picard_operator(r, Scheme.CG)
+
+        def f_at(x):  # f on the exact solution at reference points x of [t0, t0 + k]
+            ts = t0 + 0.5 * k * (x + 1.0)
+            return p.f_batch(ts, p.exact(ts).T)
+
+        f_res = f_at(residual_nodes(r + 1)[0])
+        assert looks_like_a_pole(r, f_res)
+        nodes = step_nodes(r)[0]
+        inp = StepInput(Interval(t0 + k, t0 + 2.0 * k), r, p.u0, Scheme.CG)
+        for R, x in ((op.recip, nodes + 2.0), (op.recip_half, 0.5 * (nodes + 3.0))):
+            assert R.tobytes() == reciprocal_fit(r, x).tobytes()
+            got = 1.0 / (R @ (1.0 / f_res))
+            assert np.abs(got / f_at(x) - 1.0).max() <= 1e-12
+            assert adapt_module._reciprocal_iterate(inp, op, R, f_res) is not None
+
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: make_linear(1.0, [1.0]), lambda: make_linear(-1.0, [1.0]), rotation, zero_rhs],
+        ids=["linear+1", "linear-1", "rotation", "zero"],
+    )
+    def test_no_pole_marches_as_the_polynomial_continuation(self, make, scheme, monkeypatch):
+        # an exponential, a rotation and f = 0 never look like a pole:
+        # every next interval starts from the polynomial continuation, and
+        # the march keeps every bit of the one that never tries the other
+        cfg = AdaptConfig(
+            scheme=scheme, mode=Mode.H, r_init=4, k_init=0.1, tol_star=1e-8, max_intervals=40,
+        )
+        with monkeypatch.context() as m:
+            forced = reciprocal_calls(m, force_polynomial=True)
+            want = run_bits(h_adapt(make(), cfg))
+        tried = reciprocal_calls(monkeypatch)
+        assert run_bits(h_adapt(make(), cfg)) == want
+        assert len(tried) == len(forced) > 30
+        assert all(guess is None for guess in tried)
+
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG])
+    @pytest.mark.parametrize("mode", [Mode.H, Mode.HP])
+    def test_fast_exponential_takes_no_more_f_points(self, scheme, mode, monkeypatch):
+        # u' = 5 u: 1/f is an exponential, not a polynomial, and log|f| is
+        # a line, so the pole test keeps the polynomial continuation
+        cfg = AdaptConfig(
+            scheme=scheme, mode=mode, r_init=4 if mode is Mode.H else 1, k_init=0.1,
+            tol_star=1e-8, max_intervals=60,
+        )
+        points = {}
+        for force in (True, False):
+            with monkeypatch.context() as m:
+                tried = reciprocal_calls(m, force_polynomial=force)
+                counted = [0]
+                res = (hp_adapt if mode is Mode.HP else h_adapt)(
+                    counting_problem(make_linear(5.0, [1.0]), counted), cfg
+                )
+                assert res.M == 60 and len(tried) > 30
+                points[force] = counted[0]
+        assert points[False] <= points[True]
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            [12.0, 11.0, -10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0],  # a sign change
+            [12.0, 11.0, 10.0, 9.0, 8.0, 0.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0],  # a zero
+            [0.0] * 12,
+            [-0.0, -11.0, -10.0, -9.0, -8.0, -7.0, -6.0, -5.0, -4.0, -3.0, -2.0, -1.0],
+        ],
+    )
+    @pytest.mark.parametrize("other", [None, "pole"])
+    def test_sign_change_or_zero_falls_back(self, column, other):
+        # no reciprocal is formed of a zero: no RuntimeWarning, with no
+        # errstate held, and the guess is the polynomial continuation
+        r = 4
+        op = picard_operator(r, Scheme.CG)
+        x = residual_nodes(r + 1)[0]
+        assert x.size == len(column)
+        f_res = np.array(column)[:, None]
+        if other is not None:  # a second component that looks like a pole
+            f_res = np.hstack([1.0 / (3.0 - x)[:, None] ** 2, f_res])
+        inp = StepInput(Interval(1.0, 1.1), r, np.ones(f_res.shape[1]), Scheme.CG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert adapt_module._reciprocal_iterate(inp, op, op.recip, f_res) is None
+        want = np.outer(op.a, inp.u_left) + inp.interval.k * (op.predict @ f_res)
+        assert adapt_module._first_iterate(inp, op, op.predict, f_res).tobytes() == want.tobytes()
+
+    def test_fit_that_changes_sign_falls_back(self):
+        # f = 1 / (T - t), a pole of order 1 at the middle of the next
+        # interval (x = 2 in the reference coordinate of this one): the
+        # test takes it, but the continued 1/f = T - t changes sign on
+        # the next interval, and the guess is not formed; on its first
+        # half, before T, it is
+        r = 4
+        op = picard_operator(r, Scheme.CG)
+        f_res = (1.0 / (2.0 - residual_nodes(r + 1)[0]))[:, None]
+        assert looks_like_a_pole(r, f_res)
+        fit = op.recip @ (1.0 / f_res)
+        assert fit.min() < 0.0 < fit.max()
+        inp = StepInput(Interval(1.0, 1.1), r, [1.0], Scheme.CG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert adapt_module._reciprocal_iterate(inp, op, op.recip, f_res) is None
+            assert adapt_module._reciprocal_iterate(inp, op, op.recip_half, f_res) is not None
+
+    @pytest.mark.parametrize(
+        "scheme,r", [(Scheme.CG, 1), (Scheme.CG, 2), (Scheme.DG, 0), (Scheme.DG, 1), (Scheme.DG, 2)]
+    )
+    def test_none_below_degree_three(self, scheme, r):
+        # at degrees 1 and 2 the polynomial continuation serves as well
+        op = picard_operator(r, scheme)
+        assert op.recip is None and op.recip_half is None

@@ -39,6 +39,8 @@ from _oracles import (
     antiderivative,
     change_only_sweep,
     constant,
+    continued_guess,
+    continued_half_guess,
     derivative,
     exact_reexpansions,
     halved_guess,
@@ -49,7 +51,6 @@ from _oracles import (
     parent_reconstruct,
     parent_reconstruction_error,
     parent_residual,
-    predicted_guess,
     project_values,
     raised_guess,
     reference_reconstruct,
@@ -1141,11 +1142,12 @@ class TestSweeps:
     def test_prediction_is_the_next_update(self, case, dim, k, t0, seed):
         # f = q(t) of degree at most r + 2, the degree the continued
         # guesses project to: every update of a step is the same,
-        # a u_left + k G q(nodes), from any iterate, and each guess is
-        # that update of its attempt: on the next interval, on its first
-        # half after a predicted halving, on the first half of this
-        # interval after an accuracy halving, and on this interval at
-        # degree r + 1 after a raise
+        # a u_left + k G q(nodes), from any iterate, and each polynomial
+        # guess is that update of its attempt: on the next interval, on
+        # its first half after a predicted halving, on the first half of
+        # this interval after an accuracy halving, and on this interval
+        # at degree r + 1 after a raise.  Where q looks like a pole the
+        # drivers continue 1/q instead (TestReciprocalContinuation).
         scheme, r = case
         b = np.random.default_rng(seed).standard_normal((r + 3, dim))
         degree = r - 1 if scheme is Scheme.CG and r > 1 and seed % 2 else r + 2 * (seed % 3 == 0)
@@ -1168,8 +1170,8 @@ class TestSweeps:
         u_hat = reconstruct(p, inp, out.f_vals)
         u_end = u_hat.coeffs.sum(axis=0)
         attempts = [  # the guess, its attempt, the reach of its fit
-            (next_interval_guess, Interval(t0 + k, t0 + k + k), r, u_end, 3.0),
-            (predicted_guess, Interval(t0 + k, t0 + k + 0.5 * k), r, u_end, 2.0),
+            (continued_guess, Interval(t0 + k, t0 + k + k), r, u_end, 3.0),
+            (continued_half_guess, Interval(t0 + k, t0 + k + 0.5 * k), r, u_end, 2.0),
             (halved_guess, Interval(t0, t0 + 0.5 * k), r, inp.u_left, 1.0),
             (raised_guess, inp.interval, r + 1, inp.u_left, 1.0),
         ]
