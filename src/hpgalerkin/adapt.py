@@ -27,8 +27,8 @@ the last candidate's residual, except the run's first attempt and one
 after a failed step, which start from the constant left value
 (``galerkin.SchemeOperator``).  From degree 3 a new interval continues
 1/f at degree 2 rather than f at degree r + 2 where every component of
-f keeps one strict sign and log|f| looks like a pole (L'' > 0 and
-L'' / L'^2 >= 1/4 from the first, middle and last residual nodes):
+f keeps one strict sign and L = log|f| looks like a pole (L' > 0,
+1/4 <= L'' / L'^2 <= 5/4 and L''' > 0 from four residual nodes):
 near a blow-up 1/f vanishes like a power of T - t, and the degree 2
 fit amplifies its rounding on the next interval by |P_2(3)| = 13 at
 most, against |P_{r+2}(3)|.  Elsewhere, and where the continued 1/f
@@ -325,16 +325,22 @@ def _reciprocal_iterate(
     of the fit reads the fit before k is divided by it, so no division
     meets a zero.
     """
-    mid, c1, c2 = op.pole
+    q, mid, (c1, c2), (w0, w1, w2) = op.pole
     positive = []
     for col in f_res.T.tolist():
         if not (min(col) > 0.0 or max(col) < 0.0):
             return None
         try:
-            l1, l2 = math.log(col[mid] / col[0]), math.log(col[-1] / col[mid])
+            l0, l1 = math.log(col[q] / col[0]), math.log(col[mid] / col[0])
+            l2 = math.log(col[-1] / col[mid])
         except ValueError:  # a quotient that underflowed to 0
             return None
-        if not 0.0 < c2 * l2 - c1 * l1 >= (l1 + l2) * (l1 + l2):
+        slope2, curvature = (l1 + l2) * (l1 + l2), c2 * l2 - c1 * l1
+        if not (
+            l1 + l2 > 0.0
+            and slope2 <= curvature <= 5.0 * slope2
+            and w0 * l0 + w1 * l1 + w2 * l2 > 0.0
+        ):
             return None
         positive.append(col[0] > 0.0)
     fit = np.dot(R, np.reciprocal(f_res))

@@ -314,16 +314,28 @@ class SchemeOperator:
     at r = 1 and 12.91/12.72 at r = 2 on ``hp-sweep``), so the dearer
     guess would buy nothing there.
     The continuation applies only where every component of f_res keeps
-    one strict sign at every node and its L = log|f| looks like a pole.
-    At the residual nodes x0, x1, x2 (the first, the middle, index
-    n // 2, and the last), with l1 = L(x1) - L(x0) and l2 = L(x2) - L(x1),
-    each the log of a quotient of f values, the three-point second
-    derivative L'' = 2 (l2 / (x2 - x1) - l1 / (x1 - x0)) / (x2 - x0) must
-    be positive and at least L'^2 / 4, L' = (l1 + l2) / (x2 - x0) the
-    chord slope: L'' / L'^2 is 1/m on a pole of order m and 0 on an
-    exponential, whose 1/f is no polynomial.  pole = (n // 2, c1, c2),
-    with c1 = 8 (x2 - x0) / (x1 - x0) and c2 = 8 (x2 - x0) / (x2 - x1),
-    holds the test as 0 < c2 l2 - c1 l1 >= (l1 + l2)^2.  The fit R @
+    one strict sign at every node and its L = log|f| looks like a pole,
+    L = c - m log(T - t).  At the residual nodes x0, xq, x1, x2 (the
+    first, index n // 4, the middle, index n // 2, and the last), with
+    l0 = L(xq) - L(x0), l1 = L(x1) - L(x0) and l2 = L(x2) - L(x1), each
+    the log of a quotient of f values, three tests must pass:
+    L' = (l1 + l2) / (x2 - x0), the chord slope, is positive, as |f|
+    grows toward the blow-up;
+    L'' / L'^2 lies in [1/4, 5/4], L'' = 2 (l2 / (x2 - x1) - l1 / (x1 -
+    x0)) / (x2 - x0) the three-point second derivative: the ratio is 1/m
+    on a pole of order m and 0 on an exponential, whose 1/f is no
+    polynomial; u blows up only where f is not integrable, m >= 1, and
+    on the rules from degree 3 the three-point ratio reads at most 1.011
+    on m = 1, so 5/4 bounds it with a margin, while near a positive
+    minimum of |f| L' vanishes and the ratio has no bound;
+    the third divided difference of L on x0, xq, x1, x2 is positive, as
+    every divided difference of -m log(T - t) is, while past a minimum
+    of |f| such as that of 1 + t^2 or 2 + cos t it is not.
+    pole = (n // 4, n // 2, (c1, c2), (w0, w1, w2)), with c1 = 8 (x2 -
+    x0) / (x1 - x0) and c2 = 8 (x2 - x0) / (x2 - x1), holds the second
+    test as (l1 + l2)^2 <= c2 l2 - c1 l1 <= 5 (l1 + l2)^2, and the third
+    as w0 l0 + w1 l1 + w2 l2 > 0, a positive multiple of that divided
+    difference.  The fit R @
     (1 / f_res) must keep each component's sign at every node, and the
     guess must be finite; elsewhere the guess is predict's or
     predict_half's.  A quotient of f values and a reciprocal are exact
@@ -338,7 +350,7 @@ class SchemeOperator:
     predict_half: np.ndarray
     halve: np.ndarray
     raised: np.ndarray
-    pole: tuple[int, float, float]
+    pole: tuple[int, int, tuple[float, float], tuple[float, float, float]]
     recip: Optional[np.ndarray] = None
     recip_half: Optional[np.ndarray] = None
 
@@ -385,9 +397,15 @@ def picard_operator(r: int, scheme: Scheme) -> SchemeOperator:
         recips = [fit(nodes + 2.0, nxt[:3]), fit(0.5 * (nodes + 3.0), nxt[:3])]
     for arr in arrays + recips:
         arr.flags.writeable = False
-    x = _leg.leggauss(nxt.shape[1])[0]
-    mid, h = x.size // 2, float(x[-1] - x[0])
-    pole = (mid, 8.0 * h / float(x[mid] - x[0]), 8.0 * h / float(x[-1] - x[mid]))
+    x = _leg.leggauss(nxt.shape[1])[0].tolist()
+    q, mid = len(x) // 4, len(x) // 2
+    x0, xq, x1, x2 = x[0], x[q], x[mid], x[-1]
+    # the third divided difference on x0, xq, x1, x2 of the L whose
+    # differences are l0, l1 and l2 (``SchemeOperator``)
+    e1, e2 = 1.0 / (x1 - x0), 1.0 / (x2 - xq)
+    b = (e1 + e2) / (x1 - xq)
+    third = (b + e1 / (xq - x0), -b, e2 / (x2 - x1))
+    pole = (q, mid, (8.0 * (x2 - x0) / (x1 - x0), 8.0 * (x2 - x0) / (x2 - x1)), third)
     return SchemeOperator(*arrays, pole, *recips)
 
 

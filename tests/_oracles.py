@@ -506,11 +506,14 @@ def reciprocal_fit(r, x):
 def looks_like_a_pole(r, f_res):
     """The test of the reciprocal continuation (``SchemeOperator``):
     every component of f_res keeps one strict sign at every node, and
-    its L = log|f| at the first, middle and last residual node has a
-    positive three-point L'' of at least L'^2 / 4, L' the chord slope."""
+    its L = log|f| at the first, n // 4-th, middle and last residual
+    nodes has a positive chord slope L' over the first, middle and last,
+    a three-point L'' there with 1/4 <= L'' / L'^2 <= 5/4, and a positive
+    third divided difference on all four."""
     x = residual_nodes(r + 1)[0]
-    mid = x.size // 2
-    x0, x1, x2 = float(x[0]), float(x[mid]), float(x[-1])
+    q, mid = x.size // 4, x.size // 2
+    pts = [float(x[0]), float(x[q]), float(x[mid]), float(x[-1])]
+    x0, _, x1, x2 = pts
     c1, c2 = 8.0 * (x2 - x0) / (x1 - x0), 8.0 * (x2 - x0) / (x2 - x1)
     for j in range(f_res.shape[1]):
         f = f_res[:, j]
@@ -518,7 +521,16 @@ def looks_like_a_pole(r, f_res):
             return False
         l1 = math.log(float(f[mid]) / float(f[0]))
         l2 = math.log(float(f[-1]) / float(f[mid]))
-        if not (c2 * l2 - c1 * l1 > 0.0 and c2 * l2 - c1 * l1 >= (l1 + l2) * (l1 + l2)):
+        slope2 = (l1 + l2) * (l1 + l2)
+        if not (l1 + l2 > 0.0 and slope2 <= c2 * l2 - c1 * l1 <= 5.0 * slope2):
+            return False
+        table = [0.0, math.log(float(f[q]) / float(f[0])), l1, l1 + l2]
+        for order in (1, 2, 3):
+            table = [
+                (table[i + 1] - table[i]) / (pts[i + order] - pts[i])
+                for i in range(len(table) - 1)
+            ]
+        if not table[0] > 0.0:
             return False
     return True
 

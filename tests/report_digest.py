@@ -107,6 +107,24 @@ def load_bench(root=ROOT):
     return bench
 
 
+def loglog_at(pairs, x):
+    """The log-log interpolation at x of the (abscissa, error) pairs, a
+    set sorted by abscissa; None where x falls outside their range.
+    Criterion 3 reads an h sweep's error at an hp run's DoFs with it
+    (``_h_error_at`` in ``tests/test_acceptance.py``), ``work_rates.py``
+    at its DoFs, f points and CPU time.  numpy is imported on the call,
+    so that importing this module leaves numpy to ``load_bench``, which
+    pins its threads first."""
+    import numpy as np
+
+    pts = sorted(set(pairs))
+    d = np.array([p[0] for p in pts], float)
+    e = np.array([p[1] for p in pts], float)
+    if x < d.min() or x > d.max():
+        return None
+    return float(np.exp(np.interp(np.log(x), np.log(d), np.log(e))))
+
+
 def _coeff_bytes(coeffs):
     return repr(coeffs.shape).encode() + coeffs.astype("<f8", order="C").tobytes()
 

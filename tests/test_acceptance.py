@@ -35,6 +35,7 @@ from _oracles import (
     residual_rule,
     step_f_vals,
 )
+from report_digest import loglog_at
 
 H_TOLS = [10.0 ** (-e / 2) for e in range(4, 15)]     # 1e-2 .. 1e-7
 HP_TOLS = [10.0 ** (-e / 2) for e in range(4, 21)]    # 1e-2 .. 1e-10
@@ -135,12 +136,8 @@ def test_criterion_2_algebraic_rates_example_2(h_sweeps):
 def _h_error_at(table, t_inf, dofs):
     """Log-log interpolation of a H sweep at the given dof count; None
     when dofs falls outside the sweep's observed range."""
-    pts = sorted({(res.dofs, abs(res.T - t_inf)) for _, res, _ in table if res.T != t_inf})
-    d = np.array([x[0] for x in pts], float)
-    e = np.array([x[1] for x in pts], float)
-    if dofs < d.min() or dofs > d.max():
-        return None
-    return float(np.exp(np.interp(np.log(dofs), np.log(d), np.log(e))))
+    pairs = ((res.dofs, abs(res.T - t_inf)) for _, res, _ in table if res.T != t_inf)
+    return loglog_at(pairs, dofs)
 
 
 def test_criterion_3_exponential_rates(h_sweeps, hp_sweeps):

@@ -1583,6 +1583,34 @@ class TestReciprocalContinuation:
                 points[force] = counted[0]
         assert points[False] <= points[True]
 
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG])
+    @pytest.mark.parametrize(
+        "g",
+        [lambda t: 1.0 + (t - 0.3) ** 2, lambda t: 1.0 + (t - 1.0) ** 2, lambda t: 2.0 + np.cos(t)],
+        ids=["1+(t-0.3)^2", "1+(t-1)^2", "2+cos"],
+    )
+    def test_interior_minimum_takes_no_more_f_points(self, g, scheme, monkeypatch):
+        # u' = g(t) > 0 with an interior minimum: past it log g rises and
+        # is convex for a while, as at a pole, but its third derivative
+        # is negative, so the pole test keeps the polynomial
+        # continuation, which is exact for the quadratic g
+        base = Problem(
+            dim=1, u0=[1.0], f=lambda t, u: np.array([g(t)]), lip=lambda t, a, b: 0.0,
+            f_batch=lambda ts, us: g(ts)[:, None],
+        )
+        cfg = AdaptConfig(
+            scheme=scheme, mode=Mode.H, r_init=4, k_init=0.1, tol_star=1e-8, max_intervals=60,
+        )
+        points = {}
+        for force in (True, False):
+            with monkeypatch.context() as m:
+                tried = reciprocal_calls(m, force_polynomial=force)
+                counted = [0]
+                res = h_adapt(counting_problem(base, counted), cfg)
+                assert res.M == 60 and len(tried) > 30
+                points[force] = counted[0]
+        assert points[False] <= points[True]
+
     @pytest.mark.parametrize(
         "column",
         [

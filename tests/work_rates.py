@@ -3,20 +3,20 @@
 
 Usage (from the root of a checkout):
 
-    python3 tests/work_rates.py [--seed N] [--repeats K] [--against REV]
+    python3 tests/work_rates.py [--seed N] [--against REV]
 
 Runs every operation of the ``hp-sweep`` and ``h-sweep`` workloads of
 ``bench/run.py`` for the seed (default 1), through the benchmark's own
 ``load_program``, ``build_inputs`` and ``solve``, and records per run
 its error |T - T_inf|, its DoFs, its f points and its CPU time
-(``time.process_time``, the least over K rounds of both sweeps,
-default 3).  The 17 runs
-of each hp ladder (``power2``/``exp`` x cG/dG) are then set against the
-two h ladders of the same problem and scheme (``r`` = 1 and 4), once per
-abscissa: each h ladder's error is interpolated log-log at the hp run's
-DoFs, f points or CPU time, as ``_h_error_at`` in
-``tests/test_acceptance.py`` interpolates at DoFs, and reads None
-outside the ladder's range.  An hp run beats both h ladders unless one
+(``time.process_time``, the least over ``ROUNDS`` rounds of both
+sweeps).  The 17 runs of each hp ladder (``power2``/``exp`` x cG/dG)
+are then set against the two h ladders of the same problem and scheme
+(``r`` = 1 and 4), once per abscissa: each h ladder's error is
+interpolated log-log at the hp run's DoFs, f points or CPU time by
+``report_digest.loglog_at``, which ``_h_error_at`` in
+``tests/test_acceptance.py`` uses at DoFs, and reads None outside the
+ladder's range.  An hp run beats both h ladders unless one
 of them interpolates to an error at or below its own, the rule of
 criterion 3.  As there, only hp runs that end ``delta_not_found`` with a
 positive error count.
@@ -46,16 +46,16 @@ import sys
 import tempfile
 import time
 
-import numpy as np
-
-from report_digest import ROOT, extract_tree, load_bench
+from report_digest import ROOT, extract_tree, load_bench, loglog_at
 
 clock = time.process_time
 ABSCISSAE = (("dofs", "DoFs"), ("f_points", "f points"), ("cpu_s", "CPU time"))
 DEGREES = (1, 4)
+# Rounds of both sweeps; each run keeps its least CPU time.
+ROUNDS = 3
 
 
-def run_records(seed, repeats, root=ROOT):
+def run_records(seed, root=ROOT):
     """Per run of the two sweeps, keyed by ladder name: a list of
     {tol, T, t_inf, termination, dofs, f_points, cpu_s}."""
     bench = load_bench(root)
@@ -67,7 +67,7 @@ def run_records(seed, repeats, root=ROOT):
         ops += workload_ops
     runs = [None] * len(ops)
     # whole rounds, so that a slow spell of the host spreads over every run
-    for _ in range(repeats):
+    for _ in range(ROUNDS):
         for i, (ladder, tol) in enumerate(ops):
             ladder.f_points[0] = 0
             start = clock()
@@ -86,16 +86,11 @@ def run_records(seed, repeats, root=ROOT):
 
 
 def h_error_at(runs, key, x):
-    """Log-log interpolation of an h ladder's error at abscissa x of
-    ``key``; None outside the ladder's range (``_h_error_at``)."""
-    pts = sorted(
-        {(run[key], abs(run["T"] - run["t_inf"])) for run in runs if run["T"] != run["t_inf"]}
+    """An h ladder's error interpolated log-log at abscissa x of
+    ``key``; None outside the ladder's range."""
+    return loglog_at(
+        ((run[key], abs(run["T"] - run["t_inf"])) for run in runs if run["T"] != run["t_inf"]), x
     )
-    d = np.array([p[0] for p in pts], float)
-    e = np.array([p[1] for p in pts], float)
-    if x < d.min() or x > d.max():
-        return None
-    return float(np.exp(np.interp(np.log(x), np.log(d), np.log(e))))
 
 
 def table(records):
@@ -140,9 +135,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="the benchmark seed (default 1)")
     parser.add_argument(
-        "--repeats", type=int, default=3, help="rounds, the least time per run kept (default 3)"
-    )
-    parser.add_argument(
         "--against", metavar="REV", help="also run the committed tree of git revision REV"
     )
     parser.add_argument(
@@ -150,22 +142,20 @@ def main(argv=None):
     )
     parser.add_argument("--json", action="store_true", help="print the per-run records as JSON")
     args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
     if args.against is not None:
         with tempfile.TemporaryDirectory(prefix="work-rates-") as tmp:
             if not extract_tree(args.against, tmp):
                 return 2
             proc = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--json", "--seed", str(args.seed),
-                 "--repeats", str(args.repeats), "--root", tmp],
+                 "--root", tmp],
                 capture_output=True, text=True, check=False,
             )
         if proc.returncode != 0:
             print(f"error: the runs of {args.against} failed:\n{proc.stderr}", file=sys.stderr)
             return 2
         print_table(f"{args.against}, seed {args.seed}", json.loads(proc.stdout))
-    records = run_records(args.seed, args.repeats, os.path.abspath(args.root))
+    records = run_records(args.seed, os.path.abspath(args.root))
     if args.json:
         print(json.dumps(records))
     else:
