@@ -10,7 +10,9 @@ every decision on k and r:
        tolerance halves k before the attempt (HP mode: only where a
        rejection would halve k rather than raise r);
     2. existence: a Picard iteration that does not converge, or a
-       candidate that leaves double range, halves k;
+       candidate that leaves double range, halves k; so does, before
+       the attempt, a continued 1/f that vanishes on the step (a pole
+       halving, below);
     3. accuracy: a residual estimator above the running tolerance
        refines (H mode halves k; HP mode raises the degree when r is
        below r_max and the current candidate looks smooth, else halves
@@ -31,8 +33,12 @@ f keeps one strict sign and L = log|f| looks like a pole (L' > 0,
 1/4 <= L'' / L'^2 <= 5/4 and L''' > 0 from four residual nodes):
 near a blow-up 1/f vanishes like a power of T - t, and the degree 2
 fit amplifies its rounding on the next interval by |P_2(3)| = 13 at
-most, against |P_{r+2}(3)|.  Elsewhere, and where the continued 1/f
-changes sign or the guess is not finite, the continuation of f stays.
+most, against |P_{r+2}(3)|.  Where the continued 1/f changes sign at
+a step node, the blow-up it predicts lies inside the step: k is halved
+before the attempt, which starts on the first half of the interval
+from the continuation there, or from the constant when that too
+changes sign.  Elsewhere, and where the guess is not finite, the
+continuation of f stays.
 
 The march ends when no growth factor exists below the scan ceiling --
 the blow-up signal, with the final uncertified candidate discarded --
@@ -312,13 +318,19 @@ def _first_iterate(
     return guess
 
 
+# what ``_reciprocal_iterate`` returns for a pole on the step
+_POLE = object()
+
+
 def _reciprocal_iterate(
     inp: StepInput, op: SchemeOperator, R: np.ndarray, f_res: np.ndarray
-) -> Optional[np.ndarray]:
+) -> object:
     """a u_left^T + G (k / (R @ (1 / f_res))), the reciprocal
     continuation of ``galerkin.SchemeOperator`` with R its recip or
     recip_half, k and u_left those of inp; None where its test fails or
-    the guess is not finite.
+    the guess is not finite, and ``_POLE``, with no guess built, where
+    the fit changes a component's sign at a step node: the continued 1/f
+    vanishes on the step, so the blow-up it predicts lies inside it.
 
     The tests read each array once, as Python floats: the sign and pole
     test reads f_res before its reciprocal is formed, and the sign test
@@ -346,7 +358,7 @@ def _reciprocal_iterate(
     fit = np.dot(R, np.reciprocal(f_res))
     for col, pos in zip(fit.T.tolist(), positive):
         if not (min(col) > 0.0 if pos else max(col) < 0.0):
-            return None
+            return _POLE
     guess = np.dot(op.G, np.divide(inp.interval.k, fit))
     guess += op.a * inp.u_left
     return guess if _all_finite(guess) else None
@@ -359,7 +371,13 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     no longer moves t.
 
     A predicted halving is recorded as "halve_k_predicted" and not
-    counted in the interval's attempts.  Every step stops Picard at a
+    counted in the interval's attempts.  Nor is a pole halving,
+    "halve_k_pole": where ``_reciprocal_iterate`` finds the continued
+    1/f vanishing on the step, k is halved before any sweep runs.  After
+    a pole on the next interval (R = recip) the halved attempt starts as
+    after a predicted halving, from recip_half or predict_half; after a
+    pole on its first half (R = recip_half) it starts from the constant,
+    as after a failed step, so an interval has at most two.  Every step stops Picard at a
     coefficient change, or a predicted error, of PICARD_TOL_SHARE * tol,
     unless the relative test stops it earlier, and the reconstruction
     lifts the f values of the step's last update rather than evaluating
@@ -377,8 +395,8 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     ``solve_delta`` (``nodes``).  The f values also seed the Picard
     iteration of the next attempt, with the H, and on a new interval the
     R, of ``galerkin.SchemeOperator`` that what came before it selects:
-    ``_reciprocal_iterate`` where R is set and its test passes, else
-    ``_first_iterate``.  The operator of degree r is looked up once per
+    ``_reciprocal_iterate`` where R is set and its test passes, a pole
+    halving where it finds a pole, else ``_first_iterate``.  The operator of degree r is looked up once per
     change of r.
 
     The loop holds the march's errstate (``poly._marching``, the
@@ -401,7 +419,8 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
 
     with _marching():
         while len(records) < cfg.max_intervals:
-            if not attempts and _predicts_rejection(cfg, records, tol):
+            # an interval's first pass, before any halving
+            if not decisions and _predicts_rejection(cfg, records, tol):
                 k *= 0.5
                 decisions.append("halve_k_predicted")
                 H, R = op.predict_half, op.recip_half
@@ -409,12 +428,17 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 termination = Termination.K_MIN_REACHED
                 break
             inp = StepInput._trusted(Interval(t, t + k), r, u_left, cfg.scheme)
-            attempts += 1
             guess = None
             if R is not None:
                 guess = _reciprocal_iterate(inp, op, R, f_res)
+                if guess is _POLE:
+                    k *= 0.5
+                    decisions.append("halve_k_pole")
+                    H, R = (op.predict_half, op.recip_half) if R is op.recip else (None, None)
+                    continue
             if guess is None and H is not None:
                 guess = _first_iterate(inp, op, H, f_res)
+            attempts += 1
             out = step(p, inp, cfg.picard, guess=guess, atol=PICARD_TOL_SHARE * tol)
             H, R = None, None
             if not out.converged:

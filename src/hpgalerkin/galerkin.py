@@ -263,7 +263,8 @@ class SchemeOperator:
     hands it to the first-iterate helpers.
 
     The first iterates' matrices H, stated here only.  Every attempt of
-    a march but the run's first and one after a failed step starts
+    a march but the run's first, one after a failed step and one after
+    a pole halving on the first half of an interval (below) starts
     Picard from a u_left^T + k H @ f_res (``adapt._first_iterate``),
     unless the reciprocal continuation below applies:
     the Picard update of degree r, on an interval of length k from
@@ -335,13 +336,19 @@ class SchemeOperator:
     x0) / (x1 - x0) and c2 = 8 (x2 - x0) / (x2 - x1), holds the second
     test as (l1 + l2)^2 <= c2 l2 - c1 l1 <= 5 (l1 + l2)^2, and the third
     as w0 l0 + w1 l1 + w2 l2 > 0, a positive multiple of that divided
-    difference.  The fit R @
-    (1 / f_res) must keep each component's sign at every node, and the
-    guess must be finite; elsewhere the guess is predict's or
-    predict_half's.  A quotient of f values and a reciprocal are exact
-    under a power-of-two scaling of f, so a scaled march takes the same
-    guesses.  Only the first iterate changes, so no step's existence and
-    no certificate depends on the continuation.
+    difference.  Where the test fails, or the
+    guess is not finite, the guess is predict's or predict_half's.
+    Where the fit R @ (1 / f_res) changes a component's sign at a step
+    node, the continued 1/f vanishes on the step, which puts the
+    blow-up it predicts inside it: no guess is built, and the driver
+    halves k before the attempt (a pole halving), which then starts from
+    recip_half (else predict_half) after a pole on the next interval and
+    from the constant after one on its first half.  A quotient of f
+    values and a reciprocal are exact under a power-of-two scaling of f,
+    so a scaled march takes the same guesses.  The continuation changes
+    the first iterate and, through the pole halving, only which
+    attempts are made: every attempt that is made goes through the same
+    tests, so no certificate depends on it.
     """
 
     a: np.ndarray

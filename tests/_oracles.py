@@ -535,12 +535,17 @@ def looks_like_a_pole(r, f_res):
     return True
 
 
+# what ``reciprocal_guess`` returns where the continued 1/f changes sign
+POLE = "pole"
+
+
 def reciprocal_guess(p, inp, u_hat, x):
     """a u_left^T + G (k / (R @ (1 / f_res))) with matmul products, R
     the ``reciprocal_fit`` at x and f_res the f values of the residual
     of u_hat, or None below degree ``galerkin._RECIPROCAL_MIN_DEGREE``
-    and where the test or the fit's signs fail or the guess is not
-    finite: the reciprocal continuation of the drivers."""
+    and where the test fails or the guess is not finite, and ``POLE``
+    where the fit changes a component's sign at a point of x: the
+    reciprocal continuation of the drivers."""
     f_res = residual_f_vals(p, u_hat)
     if inp.r < _RECIPROCAL_MIN_DEGREE or not looks_like_a_pole(inp.r, f_res):
         return None
@@ -548,7 +553,7 @@ def reciprocal_guess(p, inp, u_hat, x):
     with np.errstate(over="ignore", invalid="ignore"):
         fit = reciprocal_fit(inp.r, x) @ (1.0 / f_res)
         if not np.all(np.sign(fit) == np.sign(f_res[0])):
-            return None
+            return POLE
         guess = np.outer(op.a, inp.u_left) + op.G @ (inp.interval.k / fit)
     return guess if np.all(np.isfinite(guess)) else None
 
@@ -568,22 +573,38 @@ def continued_half_guess(p, inp, u_hat):
     return _picard_guess(p, inp, picard_operator(inp.r, inp.scheme).predict_half, u_hat)
 
 
+def next_interval_start(p, inp, u_hat, predicted=False):
+    """How the drivers start the interval after the accepted
+    reconstruction u_hat, its k halved on the prediction when predicted:
+    the number of pole halvings before its first attempt ``inp``, and
+    that attempt's first iterate.  On the full interval, the reciprocal
+    continuation (``reciprocal_guess``) where it applies, else
+    ``continued_guess``; where it finds a pole, a halving and the same
+    on the first half, with ``continued_half_guess``; where it finds a
+    pole there too, a second halving and None, the constant start."""
+    nodes = step_nodes(inp.r)[0]
+    starts = [(nodes + 2.0, continued_guess), (0.5 * (nodes + 3.0), continued_half_guess)]
+    for poles, (x, continued) in enumerate(starts[predicted:]):
+        guess = reciprocal_guess(p, inp, u_hat, x)
+        if guess is not POLE:
+            return poles, continued(p, inp, u_hat) if guess is None else guess
+    return len(starts) - predicted, None
+
+
 def next_interval_guess(p, inp, u_hat):
-    """The drivers' first iterate of the attempt ``inp`` on the interval
-    after the accepted reconstruction u_hat, of equal length: the
-    reciprocal continuation of the f values of the residual of u_hat
-    (``reciprocal_guess``) where it applies, else ``continued_guess``.
-    Byte-equal oracle of the guess ``adapt._drive`` passes."""
-    guess = reciprocal_guess(p, inp, u_hat, step_nodes(inp.r)[0] + 2.0)
-    return continued_guess(p, inp, u_hat) if guess is None else guess
+    """The drivers' first iterate of the first attempt ``inp`` on the
+    interval after the accepted reconstruction u_hat
+    (``next_interval_start``).  Byte-equal oracle of the guess
+    ``adapt._drive`` passes."""
+    return next_interval_start(p, inp, u_hat)[1]
 
 
 def predicted_guess(p, inp, u_hat):
     """``next_interval_guess`` for an attempt ``inp`` whose k was halved
     on the prediction: the reciprocal continuation onto the first half
-    of the next interval where it applies, else ``continued_half_guess``."""
-    guess = reciprocal_guess(p, inp, u_hat, 0.5 * (step_nodes(inp.r)[0] + 3.0))
-    return continued_half_guess(p, inp, u_hat) if guess is None else guess
+    of the next interval where it applies, else ``continued_half_guess``,
+    and None where it finds a pole."""
+    return next_interval_start(p, inp, u_hat, predicted=True)[1]
 
 
 def halved_guess(p, inp, u_hat):

@@ -43,15 +43,17 @@ one JSON object keyed by ``workload ladder@tol``.  With ``--against
 REV`` it runs this script, not REV's own copy, on REV's extracted tree
 (``--root``), so it also works against a revision that predates the
 option, and prints per workload each side's totals of f points and of
-attempts over the accepted intervals; its totals of all steps, failed
-steps and Picard updates, read by a wrapper on ``adapt.step``, so that
-they include the attempts on each run's final, discarded interval
+attempts over the accepted intervals; each side's count of every
+decision name over the accepted intervals; its totals of all steps,
+failed steps and Picard updates, read by a wrapper on ``adapt.step``, so
+that they include the attempts on each run's final, discarded interval
 (informational: they never change the exit status); the same
 wrapper's steps, Picard updates and f points split by how each attempt
 started (``START_KINDS``: from the constant, or from a guess for the
-next interval, after a predicted halving, after an accuracy halving or
-after a degree raise), also informational; the number of runs whose
-outcome differs, each such run with its first difference,
+next interval, after a predicted halving, after a pole halving, after
+an accuracy halving or after a degree raise), also informational; the
+number of runs whose outcome differs, each such run with its first
+difference,
 and the number of runs whose step or reconstruction coefficient bytes
 differ.  For the runs with equal outcomes it prints how far the bounds
 and each interval's own ``eta_res`` moved (the median and the largest
@@ -76,6 +78,7 @@ The file name does not match ``test_*.py``, so pytest does not collect it.
 """
 
 import argparse
+import collections
 import hashlib
 import importlib.util
 import io
@@ -94,6 +97,7 @@ START_KINDS = {
     "constant": "the constant",
     "next": "next interval",
     "predicted": "predicted halving",
+    "pole": "pole halving",
     "halve": "accuracy halving",
     "raise": "degree raise",
 }
@@ -233,13 +237,17 @@ def run_outcomes(seed, root=ROOT):
     interval's included, as [steps, failed steps, Picard updates], and
     ``starts``: the same calls per ``start_kind``, as [steps, Picard
     updates, f points], the f points read from the benchmark's counter
-    around each call."""
+    around each call.  A tree whose ``adapt._reciprocal_iterate`` can
+    find a pole (``adapt._POLE``) has that function wrapped too, so that
+    the attempt after a pole halving is told apart."""
     bench = load_bench(root)
     adapt = sys.modules["hpgalerkin.adapt"]
     share = getattr(adapt, "PICARD_TOL_SHARE", 0.0)
-    # the run's counters, its f point counter and its last step input
-    run = {"steps": [0, 0, 0], "starts": {}, "f_points": [0], "last": None}
-    step = adapt.step
+    # the run's counters, its f point counter, its last step input and
+    # whether a pole halving came after it
+    run = {"steps": [0, 0, 0], "starts": {}, "f_points": [0], "last": None, "pole": False}
+    step, recip = adapt.step, getattr(adapt, "_reciprocal_iterate", None)
+    pole = getattr(adapt, "_POLE", None)
 
     def counted_step(*args, **kwargs):
         inp, before = args[1], run["f_points"][0]
@@ -248,33 +256,46 @@ def run_outcomes(seed, root=ROOT):
         steps[0] += 1
         steps[1] += not out.converged
         steps[2] += out.picard_iters
-        kind = start_kind(run["last"], inp, kwargs.get("guess"))
-        run["last"] = inp
+        kind = start_kind(run["last"], inp, kwargs.get("guess"), run["pole"])
+        run["last"], run["pole"] = inp, False
         counts = run["starts"][kind]
         counts[0] += 1
         counts[1] += out.picard_iters
         counts[2] += run["f_points"][0] - before
         return out
 
+    def watched_recip(*args):
+        guess = recip(*args)
+        run["pole"] |= guess is pole
+        return guess
+
     adapt.step = counted_step
+    if pole is not None:
+        adapt._reciprocal_iterate = watched_recip
     try:
         return _outcomes(bench, seed, share, run)
     finally:
         adapt.step = step
+        if pole is not None:
+            adapt._reciprocal_iterate = recip
 
 
-def start_kind(last, inp, guess):
+def start_kind(last, inp, guess, pole=False):
     """How the attempt ``inp`` started, given the step input ``last`` of
-    the attempt before it and the guess it was passed, as
+    the attempt before it, the guess it was passed and whether a pole
+    halving came between them, as
     ``tests/test_adapt.py::TestWarmStartDecisions`` tells: a key of
     ``START_KINDS``.  An attempt without a guess starts from the
-    constant; one that starts where the last ended continues the march,
-    halved on the prediction when its k is about half the last one; one
-    at the same start follows a rejection, a raise when its degree is
-    one more."""
+    constant, as after a second pole halving; one that starts where the
+    last ended continues the march, halved on a pole when one came
+    between, else on the prediction when its k is about half the last
+    one; one at the same start follows a rejection, a raise when its
+    degree is one more."""
     if guess is None:
         return "constant"
     if inp.interval.t_start == last.interval.t_end:
+        if pole:
+            return "pole"
         return "predicted" if inp.interval.k < 0.75 * last.interval.k else "next"
     return "raise" if inp.r == last.r + 1 else "halve"
 
@@ -289,7 +310,7 @@ def _outcomes(bench, seed, share, run):
             ladder.f_points[0] = 0
             run.update(
                 steps=[0, 0, 0], starts={kind: [0, 0, 0] for kind in START_KINDS},
-                f_points=ladder.f_points, last=None,
+                f_points=ladder.f_points, last=None, pole=False,
             )
             result = bench.solve(ladder, tol)
             coeffs = hashlib.sha256()
@@ -334,6 +355,14 @@ def first_difference(theirs, mine, march=False):
 def total_attempts(outcome):
     """The attempts over the accepted intervals of one run outcome."""
     return sum(interval[3] for interval in outcome["intervals"])
+
+
+def decision_counts(outcomes):
+    """The count of every decision name over the accepted intervals of
+    the run outcomes."""
+    return collections.Counter(
+        name for outcome in outcomes for interval in outcome["intervals"] for name in interval[4]
+    )
 
 
 def compare_outcomes(rev, seed, march=False):
@@ -381,6 +410,10 @@ def compare_outcomes(rev, seed, march=False):
             f"  attempts: {rev} {sum(total_attempts(theirs[key]) for key in keys)}, "
             f"here {sum(total_attempts(mine[key]) for key in keys)}"
         )
+        counts = [decision_counts(side[key] for key in keys) for side in (theirs, mine)]
+        print("  decisions over the accepted intervals:")
+        for name in sorted(counts[0].keys() | counts[1].keys()):
+            print(f"    {name}: {rev} {counts[0].get(name, 0)}, here {counts[1].get(name, 0)}")
         for label, i in (("steps", 0), ("failed steps", 1), ("Picard updates", 2)):
             print(
                 f"  {label}, the discarded last intervals' included: "

@@ -41,9 +41,8 @@ from _oracles import (
     halved_guess,
     l2_project,
     looks_like_a_pole,
-    next_interval_guess,
+    next_interval_start,
     parent_smoothness,
-    predicted_guess,
     raised_guess,
     reciprocal_fit,
     reference_smoothness,
@@ -577,7 +576,12 @@ class TestHpAdapt:
         for rec in res.intervals:
             for d in rec.decisions:
                 assert d in (
-                    "halve_k", "halve_k_existence", "halve_k_overflow", "halve_k_predicted", "raise_r"
+                    "halve_k",
+                    "halve_k_existence",
+                    "halve_k_overflow",
+                    "halve_k_pole",
+                    "halve_k_predicted",
+                    "raise_r",
                 )
 
     def test_linear_past_squared_overflow(self):
@@ -897,7 +901,7 @@ class TestWarmStartDecisions:
             return out
 
         monkeypatch.setattr(adapt_module, "step", spy)
-        kinds = {"next": 0, "predicted": 0, "halve": 0, "raise": 0}
+        kinds, pole_starts = {"next": 0, "predicted": 0, "halve": 0, "raise": 0}, 0
         for make, k_init, scheme, mode in self.RUNS:
             cfg = AdaptConfig(
                 scheme=scheme,
@@ -930,11 +934,15 @@ class TestWarmStartDecisions:
                 u_hat = reconstruct(p, prev, prev_out.f_vals)
                 k, r = prev.interval.k, prev.r
                 if inp.interval.t_start == prev.interval.t_end:
-                    # the next interval starts at the reconstruction's end value
-                    kind, want = "next", next_interval_guess(p, inp, u_hat)
-                    if inp.interval.t_start in predicted:
-                        # halved before the attempt: the guess on the first half
-                        kind, want, k = "predicted", predicted_guess(p, inp, u_hat), 0.5 * k
+                    # the next interval starts at the reconstruction's end
+                    # value; halved before the attempt on the prediction
+                    # or on a pole, the guess is on the first half, or the
+                    # constant after two halvings
+                    halved = inp.interval.t_start in predicted
+                    poles, want = next_interval_start(p, inp, u_hat, predicted=halved)
+                    kind = "predicted" if halved else "next"
+                    k *= 0.5 ** (halved + poles)
+                    pole_starts += poles > 0
                 else:
                     assert inp.interval.t_start == prev.interval.t_start
                     if inp.r == prev.r + 1:
@@ -944,9 +952,9 @@ class TestWarmStartDecisions:
                 # same step length up to the rounding of t + k - t
                 assert inp.r == r
                 assert inp.interval.k == pytest.approx(k, rel=1e-6)
-                assert np.array_equal(guess, want)
+                assert guess is want is None or np.array_equal(guess, want)
                 kinds[kind] += 1
-        assert min(kinds.values()) > 10, kinds
+        assert min(kinds.values()) > 10 and pole_starts > 0, (kinds, pole_starts)
 
 
 def norm_square_scalar():
@@ -1267,17 +1275,19 @@ class TestPredictedHalving:
         p = PREDICTION_RUNS[name][0]
         for prev, rec in zip(res.intervals, res.intervals[1:]):
             mine = [(inp, guess) for inp, guess, _ in calls if inp.interval.t_start == rec.interval.t_start]
-            # every step at this start is counted, and the skipped one is
-            # not a step: one decision per rejected attempt, after the
-            # predicted halving
+            # every step at this start is counted, and the skipped ones
+            # are not steps: one decision per rejected attempt, after the
+            # predicted halving and the pole halvings
+            inp, guess = mine[0]
+            poles, want = next_interval_start(p, inp, prev.reconstruction, predicted=fired(rec))
             assert rec.attempts == len(mine)
-            assert len(rec.decisions) == rec.attempts - 1 + fired(rec)
+            assert len(rec.decisions) == rec.attempts - 1 + fired(rec) + poles
+            assert rec.decisions[fired(rec) : fired(rec) + poles] == ("halve_k_pole",) * poles
             if not fired(rec):
                 continue
-            inp, guess = mine[0]
             assert inp.r == prev.r
-            assert inp.interval.k == pytest.approx(0.5 * prev.interval.k, rel=1e-6)
-            assert guess.tobytes() == predicted_guess(p, inp, prev.reconstruction).tobytes()
+            assert inp.interval.k == pytest.approx(0.5 ** (1 + poles) * prev.interval.k, rel=1e-6)
+            assert guess is want is None or guess.tobytes() == want.tobytes()
 
 
 def two_records(e0, e1):
@@ -1638,23 +1648,29 @@ class TestReciprocalContinuation:
         want = np.outer(op.a, inp.u_left) + inp.interval.k * (op.predict @ f_res)
         assert adapt_module._first_iterate(inp, op, op.predict, f_res).tobytes() == want.tobytes()
 
-    def test_fit_that_changes_sign_falls_back(self):
-        # f = 1 / (T - t), a pole of order 1 at the middle of the next
-        # interval (x = 2 in the reference coordinate of this one): the
-        # test takes it, but the continued 1/f = T - t changes sign on
-        # the next interval, and the guess is not formed; on its first
-        # half, before T, it is
+    @pytest.mark.parametrize("m,pole", [(1.0, True), (0.5, False)])
+    def test_fit_that_changes_sign_signals_a_pole(self, m, pole):
+        # f = (T - t)^-m, a pole at the middle of the next interval (x = 2
+        # in the reference coordinate of this one), where the continued
+        # 1/f changes sign.  At m = 1 the test takes it: the blow-up lies
+        # on the next interval, so no guess is formed there and the driver
+        # halves k; on its first half, before T, the guess is formed.  At
+        # m = 1/2, where f is integrable and u does not blow up
+        # (``SchemeOperator``), the test fails on both: no pole, and the
+        # guess is the polynomial continuation's
         r = 4
         op = picard_operator(r, Scheme.CG)
-        f_res = (1.0 / (2.0 - residual_nodes(r + 1)[0]))[:, None]
-        assert looks_like_a_pole(r, f_res)
+        f_res = (1.0 / (2.0 - residual_nodes(r + 1)[0]) ** m)[:, None]
+        assert looks_like_a_pole(r, f_res) is pole
         fit = op.recip @ (1.0 / f_res)
         assert fit.min() < 0.0 < fit.max()
         inp = StepInput(Interval(1.0, 1.1), r, [1.0], Scheme.CG)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert adapt_module._reciprocal_iterate(inp, op, op.recip, f_res) is None
-            assert adapt_module._reciprocal_iterate(inp, op, op.recip_half, f_res) is not None
+            got = adapt_module._reciprocal_iterate(inp, op, op.recip, f_res)
+            assert got is (adapt_module._POLE if pole else None)
+            half = adapt_module._reciprocal_iterate(inp, op, op.recip_half, f_res)
+            assert (half is not None) is pole and half is not adapt_module._POLE
 
     @pytest.mark.parametrize(
         "scheme,r", [(Scheme.CG, 1), (Scheme.CG, 2), (Scheme.DG, 0), (Scheme.DG, 1), (Scheme.DG, 2)]
@@ -1663,3 +1679,67 @@ class TestReciprocalContinuation:
         # at degrees 1 and 2 the polynomial continuation serves as well
         op = picard_operator(r, scheme)
         assert op.recip is None and op.recip_half is None
+
+
+def pole_attempts(monkeypatch, force_off=False):
+    """Count the poles ``adapt._reciprocal_iterate`` finds, and record
+    whether each step that follows one converges; with force_off a pole
+    reads as None, so the driver makes the attempt from the polynomial
+    continuation instead of halving k."""
+    poles, after, pending = [0], [], [False]
+    inner_recip, inner_step = adapt_module._reciprocal_iterate, adapt_module.step
+
+    def recip(*args):
+        guess = inner_recip(*args)
+        pending[0] = guess is adapt_module._POLE
+        poles[0] += pending[0]
+        return None if force_off and pending[0] else guess
+
+    def spy(p, inp, cfg, *, guess=None, atol=0.0):
+        out = inner_step(p, inp, cfg, guess=guess, atol=atol)
+        if pending[0]:
+            after.append(out.converged)
+        pending[0] = False
+        return out
+
+    monkeypatch.setattr(adapt_module, "_reciprocal_iterate", recip)
+    monkeypatch.setattr(adapt_module, "step", spy)
+    return poles, after
+
+
+class TestPoleHalving:
+    """Where the continued 1/f changes sign at a step node, the drivers
+    halve k before the attempt ("halve_k_pole"): the attempt they skip
+    fails when it is made, so the march is the one it would have been."""
+
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG])
+    @pytest.mark.parametrize("mode,r", [(Mode.HP, 1), (Mode.H, 4)], ids=["hp-1", "h-4"])
+    @pytest.mark.parametrize(
+        "make,k_init", [(make_power_square, 0.15), (make_exponential, 0.09)], ids=["power2", "exp"]
+    )
+    def test_same_march_and_skipped_attempts_fail(self, make, k_init, scheme, mode, r, monkeypatch):
+        skipped = 0
+        for tol in (1e-4, 1e-6, 10.0 ** -7.5):
+            cfg = AdaptConfig(scheme=scheme, mode=mode, r_init=r, k_init=k_init, tol_star=tol)
+            marches = {}
+            for force_off in (True, False):
+                with monkeypatch.context() as m:
+                    poles, after = pole_attempts(m, force_off)
+                    res = (hp_adapt if mode is Mode.HP else h_adapt)(make(1.0), cfg)
+                marches[force_off] = (
+                    res.T, res.M, res.dofs, res.termination,
+                    [(rec.interval, rec.r) for rec in res.intervals],
+                )
+                if force_off:
+                    # every attempt a pole halving skips fails
+                    assert len(after) == poles[0] and not any(after)
+                    skipped += poles[0]
+                else:
+                    # one halving per pole, those of the discarded last
+                    # interval unrecorded
+                    halvings = sum(rec.decisions.count("halve_k_pole") for rec in res.intervals)
+                    assert halvings <= poles[0]
+            assert marches[False] == marches[True]
+        # power2 from u0 = 1 meets a pole on the step only on the cG hp
+        # run at 10^-7.5, on its discarded last interval
+        assert skipped > 0 or make is make_power_square and not (scheme is Scheme.CG and mode is Mode.HP)
