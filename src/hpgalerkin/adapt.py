@@ -377,17 +377,21 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     a pole on the next interval (R = recip) the halved attempt starts as
     after a predicted halving, from recip_half or predict_half; after a
     pole on its first half (R = recip_half) it starts from the constant,
-    as after a failed step, so an interval has at most two.  Every step stops Picard at a
-    coefficient change, or a predicted error, of PICARD_TOL_SHARE * tol,
-    unless the relative test stops it earlier, and the reconstruction
-    lifts the f values of the step's last update rather than evaluating
-    f again.  A candidate whose reconstruction, residual or end value
-    leaves double range halves k as an overflow.  The accepted end
-    value, where the next interval starts, is the reconstruction's end
-    value, so the global reconstruction has no jump for psi to miss.
-    Every attempt's ``StepInput`` holds that left value, ``Problem.u0``
-    on the first interval and an end value made read-only here on every
-    later one, without a copy (the copy rule of ``galerkin.StepInput``).
+    as after a failed step, so an interval has at most two.  The
+    prediction is made on an interval's first pass only, before any
+    halving, and the k_min guard sees every halving.
+
+    Every step stops Picard at a coefficient change, or a predicted
+    error, of PICARD_TOL_SHARE * tol, unless the relative test stops it
+    earlier, and the reconstruction lifts the f values of the step's
+    last update rather than evaluating f again.  A candidate whose
+    reconstruction, residual or end value leaves double range halves k
+    as an overflow.  The accepted end value, where the next interval
+    starts, is the reconstruction's end value, so the global
+    reconstruction has no jump for psi to miss. Every attempt's
+    ``StepInput`` holds that left value, ``Problem.u0`` on the first
+    interval and an end value made read-only here on every later one,
+    without a copy (the copy rule of ``galerkin.StepInput``).
 
     The residual's f values f_res are evaluated here, once per
     candidate (``estimator._residual_f_vals``), and passed to
@@ -396,8 +400,8 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     iteration of the next attempt, with the H, and on a new interval the
     R, of ``galerkin.SchemeOperator`` that what came before it selects:
     ``_reciprocal_iterate`` where R is set and its test passes, a pole
-    halving where it finds a pole, else ``_first_iterate``.  The operator of degree r is looked up once per
-    change of r.
+    halving where it finds a pole, else ``_first_iterate``.  The
+    operator of degree r is looked up once per change of r.
 
     The loop holds the march's errstate (``poly._marching``, the
     errstate rule of ``poly``).
@@ -419,7 +423,6 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
 
     with _marching():
         while len(records) < cfg.max_intervals:
-            # an interval's first pass, before any halving
             if not decisions and _predicts_rejection(cfg, records, tol):
                 k *= 0.5
                 decisions.append("halve_k_predicted")

@@ -336,19 +336,19 @@ class SchemeOperator:
     x0) / (x1 - x0) and c2 = 8 (x2 - x0) / (x2 - x1), holds the second
     test as (l1 + l2)^2 <= c2 l2 - c1 l1 <= 5 (l1 + l2)^2, and the third
     as w0 l0 + w1 l1 + w2 l2 > 0, a positive multiple of that divided
-    difference.  Where the test fails, or the
-    guess is not finite, the guess is predict's or predict_half's.
-    Where the fit R @ (1 / f_res) changes a component's sign at a step
-    node, the continued 1/f vanishes on the step, which puts the
-    blow-up it predicts inside it: no guess is built, and the driver
-    halves k before the attempt (a pole halving), which then starts from
-    recip_half (else predict_half) after a pole on the next interval and
-    from the constant after one on its first half.  A quotient of f
-    values and a reciprocal are exact under a power-of-two scaling of f,
-    so a scaled march takes the same guesses.  The continuation changes
-    the first iterate and, through the pole halving, only which
-    attempts are made: every attempt that is made goes through the same
-    tests, so no certificate depends on it.
+    difference.  Where the test fails, or the guess is not finite, the
+    guess is predict's or predict_half's.  Where the fit R @ (1 / f_res)
+    changes a component's sign at a step node, the continued 1/f
+    vanishes on the step, which puts the blow-up it predicts inside it:
+    no guess is built, and the driver halves k before the attempt (a
+    pole halving), which then starts from recip_half (else
+    predict_half) after a pole on the next interval and from the
+    constant after one on its first half.  A quotient of f values and a
+    reciprocal are exact under a power-of-two scaling of f, so a scaled
+    march takes the same guesses.  The continuation changes the first
+    iterate and, through the pole halving, only which attempts are
+    made: every attempt that is made goes through the same tests, so no
+    certificate depends on it.
     """
 
     a: np.ndarray

@@ -9,8 +9,10 @@ Runs every operation of the ``hp-sweep`` and ``h-sweep`` workloads of
 ``bench/run.py`` for the seed (default 1), through the benchmark's own
 ``load_program``, ``build_inputs`` and ``solve``, and records per run
 its error |T - T_inf|, its DoFs, its f points and its CPU time
-(``time.process_time``, the least over ``ROUNDS`` rounds of both
-sweeps).  The 17 runs of each hp ladder (``power2``/``exp`` x cG/dG)
+(``time.process_time`` per solve: the solve is repeated until it has
+used ``MIN_CPU_S`` of CPU and the total divided by the count, as
+``timeit``'s autorange does, and the least over ``ROUNDS`` rounds of
+both sweeps is kept).  The 17 runs of each hp ladder (``power2``/``exp`` x cG/dG)
 are then set against the two h ladders of the same problem and scheme
 (``r`` = 1 and 4), once per abscissa: each h ladder's error is
 interpolated log-log at the hp run's DoFs, f points or CPU time by
@@ -53,6 +55,24 @@ ABSCISSAE = (("dofs", "DoFs"), ("f_points", "f points"), ("cpu_s", "CPU time"))
 DEGREES = (1, 4)
 # Rounds of both sweeps; each run keeps its least CPU time.
 ROUNDS = 3
+# The CPU time a run's repeated solves must use before they are divided
+# by their count: a single solve of an h ladder's cheap end takes about
+# a millisecond, where the clock's jitter moves the log-log ratios.
+MIN_CPU_S = 0.02
+
+
+def timed_solve(bench, ladder, tol):
+    """The result of one solve and the CPU time per solve, from as many
+    solves as it takes to use ``MIN_CPU_S``; the ladder's f-point counter
+    holds one solve's count."""
+    count, start = 0, clock()
+    while True:
+        ladder.f_points[0] = 0
+        result = bench.solve(ladder, tol)
+        count += 1
+        used = clock() - start
+        if used >= MIN_CPU_S:
+            return result, used / count
 
 
 def run_records(seed, root=ROOT):
@@ -69,10 +89,7 @@ def run_records(seed, root=ROOT):
     # whole rounds, so that a slow spell of the host spreads over every run
     for _ in range(ROUNDS):
         for i, (ladder, tol) in enumerate(ops):
-            ladder.f_points[0] = 0
-            start = clock()
-            result = bench.solve(ladder, tol)
-            cpu_s = clock() - start
+            result, cpu_s = timed_solve(bench, ladder, tol)
             if runs[i] is None:
                 runs[i] = dict(
                     tol=tol, T=result.T, t_inf=ladder.t_inf, termination=result.termination.value,
