@@ -12,11 +12,11 @@ its error |T - T_inf|, its DoFs, its f points and its CPU time
 (``time.process_time`` per solve: the solve is repeated until it has
 used ``MIN_CPU_S`` of CPU and the total divided by the count, as
 ``timeit``'s autorange does, and the least over ``ROUNDS`` rounds of
-both sweeps is kept).  The 17 runs of each hp ladder (``power2``/``exp`` x cG/dG)
-are then set against the two h ladders of the same problem and scheme
-(``r`` = 1 and 4), once per abscissa: each h ladder's error is
-interpolated log-log at the hp run's DoFs, f points or CPU time by
-``report_digest.loglog_at``, which ``_h_error_at`` in
+both sweeps is kept).  The 17 runs of each hp ladder
+(``power2``/``exp`` x cG/dG) are then set against the two h ladders of
+the same problem and scheme (``r`` = 1 and 4), once per abscissa: each
+h ladder's error is interpolated log-log at the hp run's DoFs, f
+points or CPU time by ``report_digest.loglog_at``, which ``_h_error_at`` in
 ``tests/test_acceptance.py`` uses at DoFs, and reads None outside the
 ladder's range.  An hp run beats both h ladders unless one
 of them interpolates to an error at or below its own, the rule of
@@ -57,7 +57,7 @@ DEGREES = (1, 4)
 ROUNDS = 3
 # The CPU time a run's repeated solves must use before they are divided
 # by their count: a single solve of an h ladder's cheap end takes about
-# a millisecond, where the clock's jitter moves the log-log ratios.
+# a millisecond, where one stray pause moves the log-log ratios.
 MIN_CPU_S = 0.02
 
 
