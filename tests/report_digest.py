@@ -52,12 +52,14 @@ wrapper's steps, Picard updates and f points split by how each attempt
 started (``START_KINDS``: from the constant, or from a guess for the
 next interval, after a predicted halving, after a pole halving, after
 an accuracy halving or after a degree raise), also informational; the
-number of runs whose outcome differs, each such run with its first
-difference,
-and the number of runs whose step or reconstruction coefficient bytes
-differ.  For the runs with equal outcomes it prints how far the bounds
-and each interval's own ``eta_res`` moved (the median and the largest
-relative move, interval by interval).  It also
+f points split by the outcome of the attempt that spent them
+(``OUTCOMES``: accepted, rejected on accuracy, failed step or the
+discarded final candidate), with each side's shares, informational
+too; the number of runs whose outcome differs, each such run with its
+first difference, and the number of runs whose step or reconstruction
+coefficient bytes differ.  For the runs with equal outcomes it prints
+how far the bounds and each interval's own ``eta_res`` moved (the
+median and the largest relative move, interval by interval).  It also
 counts the bounds that moved by more than 1%, how many of those lie,
 on both sides, at or below their step's Picard stop ``atol =
 PICARD_TOL_SHARE * tol`` (where the bound reflects where Picard
@@ -91,6 +93,20 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# How an attempt ended, in the order the comparison prints them.  An
+# attempt whose step did not converge failed; one whose candidate reached
+# the delta solve was accepted, or was the final candidate, discarded,
+# when no delta was found; every other one was rejected on accuracy,
+# overflow halvings included.  An attempt spends the f points from the
+# start of its step to the start of the next one, or to the run's end:
+# its step, its residual and its delta solve.
+OUTCOMES = {
+    "accepted": "accepted",
+    "rejected": "rejected on accuracy",
+    "failed": "failed step",
+    "final": "discarded final candidate",
+}
 
 # How an attempt started, in the order the comparison prints them.
 START_KINDS = {
@@ -237,21 +253,32 @@ def run_outcomes(seed, root=ROOT):
     interval's included, as [steps, failed steps, Picard updates], and
     ``starts``: the same calls per ``start_kind``, as [steps, Picard
     updates, f points], the f points read from the benchmark's counter
-    around each call.  A tree whose ``adapt._reciprocal_iterate`` can
-    find a pole (``adapt._POLE``) has that function wrapped too, so that
-    the attempt after a pole halving is told apart."""
+    around each call, and ``outcomes``: the f points per ``OUTCOMES``
+    key, told apart by a wrapper on ``adapt.solve_delta`` too.  A tree
+    whose ``adapt._reciprocal_iterate`` can find a pole (``adapt._POLE``)
+    has that function wrapped too, so that the attempt after a pole
+    halving is told apart."""
     bench = load_bench(root)
     adapt = sys.modules["hpgalerkin.adapt"]
     share = getattr(adapt, "PICARD_TOL_SHARE", 0.0)
-    # the run's counters, its f point counter, its last step input and
-    # whether a pole halving came after it
-    run = {"steps": [0, 0, 0], "starts": {}, "f_points": [0], "last": None, "pole": False}
+    # the run's counters, its f point counter, its last step input,
+    # whether a pole halving came after it and its open attempt: the
+    # attempt's outcome so far and the f point count where it started
+    run = {
+        "steps": [0, 0, 0], "starts": {}, "outcomes": {}, "f_points": [0],
+        "last": None, "pole": False, "attempt": None,
+    }
     step, recip = adapt.step, getattr(adapt, "_reciprocal_iterate", None)
+    solve_delta, not_found = adapt.solve_delta, adapt.DeltaNotFound
     pole = getattr(adapt, "_POLE", None)
 
     def counted_step(*args, **kwargs):
         inp, before = args[1], run["f_points"][0]
+        close_attempt(run)
+        run["attempt"] = ["rejected", before]
         out = step(*args, **kwargs)
+        if not out.converged:
+            run["attempt"][0] = "failed"
         steps = run["steps"]
         steps[0] += 1
         steps[1] += not out.converged
@@ -264,20 +291,34 @@ def run_outcomes(seed, root=ROOT):
         counts[2] += run["f_points"][0] - before
         return out
 
+    def watched_delta(*args, **kwargs):
+        delta = solve_delta(*args, **kwargs)
+        run["attempt"][0] = "final" if isinstance(delta, not_found) else "accepted"
+        return delta
+
     def watched_recip(*args):
         guess = recip(*args)
         run["pole"] |= guess is pole
         return guess
 
-    adapt.step = counted_step
+    adapt.step, adapt.solve_delta = counted_step, watched_delta
     if pole is not None:
         adapt._reciprocal_iterate = watched_recip
     try:
         return _outcomes(bench, seed, share, run)
     finally:
-        adapt.step = step
+        adapt.step, adapt.solve_delta = step, solve_delta
         if pole is not None:
             adapt._reciprocal_iterate = recip
+
+
+def close_attempt(run):
+    """Add the f points of the run's last attempt, up to now, to its
+    outcome, and forget the attempt."""
+    if run["attempt"] is not None:
+        outcome, start = run["attempt"]
+        run["outcomes"][outcome] += run["f_points"][0] - start
+        run["attempt"] = None
 
 
 def start_kind(last, inp, guess, pole=False):
@@ -310,9 +351,11 @@ def _outcomes(bench, seed, share, run):
             ladder.f_points[0] = 0
             run.update(
                 steps=[0, 0, 0], starts={kind: [0, 0, 0] for kind in START_KINDS},
+                outcomes=dict.fromkeys(OUTCOMES, 0), attempt=None,
                 f_points=ladder.f_points, last=None, pole=False,
             )
             result = bench.solve(ladder, tol)
+            close_attempt(run)
             coeffs = hashlib.sha256()
             for rec in result.intervals:
                 coeffs.update(_coeff_bytes(rec.output.u.coeffs))
@@ -331,6 +374,7 @@ def _outcomes(bench, seed, share, run):
                 "atols": [share * t for t in (tol,) + result.tol_trace[:-1]][: result.M],
                 "steps": run["steps"],
                 "starts": run["starts"],
+                "outcomes": run["outcomes"],
             }
     return outcomes
 
@@ -427,6 +471,11 @@ def compare_outcomes(rev, seed, march=False):
                 for side in (theirs, mine)
             ]
             print(f"    {label}: {rev} {sides[0]}, here {sides[1]}")
+        print(f"  f points by outcome, {' / '.join(OUTCOMES.values())}:")
+        for label, side in ((rev, theirs), ("here", mine)):
+            points = [sum(side[key]["outcomes"][kind] for key in keys) for kind in OUTCOMES]
+            shares = "/".join(f"{100 * n / max(sum(points), 1):.1f}" for n in points)
+            print(f"    {label}: {'/'.join(map(str, points))} ({shares}%)")
         for line in differ:
             print(line)
         coeffs = sum(theirs[key]["coeffs"] != mine[key]["coeffs"] for key in keys)

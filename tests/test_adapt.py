@@ -53,22 +53,49 @@ from _oracles import (
 )
 
 
+HALVINGS = ("halve_k_predicted", "halve_k_pole", "halve_k_existence", "halve_k_overflow", "halve_k")
+
+
 def carries_k_and_r(records):
-    """The last two accepted intervals have the same degree and, up to
-    the rounding of t + k - t, the same length: the k and r that the
-    next interval carries."""
-    return (
-        len(records) >= 2
-        and records[-1].r == records[-2].r
-        and records[-1].interval.k == pytest.approx(records[-2].interval.k, rel=1e-6)
-    )
+    """How many times the last accepted interval halved k, 0 or 1, on its
+    way to the k and r that the next interval carries, the one before it
+    having carried the same r at 2^m times that k (up to the rounding of
+    t + k - t); None after a degree raise, after two or more halvings and
+    before two intervals were accepted, where the prediction is silent."""
+    if len(records) < 2:
+        return None
+    decisions = records[-1].decisions
+    assert set(decisions) <= {"raise_r", *HALVINGS}
+    if "raise_r" in decisions or len(decisions) > 1:
+        return None
+    m = len(decisions)
+    assert records[-1].r == records[-2].r
+    assert records[-1].interval.k == pytest.approx(records[-2].interval.k / 2**m, rel=1e-6)
+    return m
+
+
+def predictions(records):
+    """The predictions of the next estimator from the accepted intervals
+    records, in exact rational arithmetic, under eta = C k^(r+2): the
+    geometric one, e1^2 / e0 scaled by 2^(m (r+2)) after m =
+    ``carries_k_and_r`` halvings, and, where the last three intervals
+    share k and r, the curvature one, e1^3 ea / e0^3.  None from e0 = 0:
+    an empty list."""
+    m = carries_k_and_r(records)
+    assert m is not None
+    etas = [Fraction(rec.estimate.eta_res) for rec in records[-3:]]
+    e0, e1 = etas[-2:]
+    if e0 == 0:
+        return []
+    got = [e1 * e1 / e0 * 2 ** (m * (records[-1].r + 2))]
+    if len(etas) == 3 and not records[-1].decisions and not records[-2].decisions:
+        got.append(e1**3 * etas[0] / e0**3)
+    return got
 
 
 def prediction_exceeds(records, tol):
-    """eta_M^2 / eta_(M-1) > tol for the last two accepted intervals, in
-    exact rational arithmetic; False when eta_(M-1) is 0."""
-    e0, e1 = (Fraction(rec.estimate.eta_res) for rec in records[-2:])
-    return e0 > 0 and e1 * e1 > e0 * Fraction(tol)
+    """A prediction of ``predictions`` exceeds tol (m not None)."""
+    return any(eta > Fraction(tol) for eta in predictions(records))
 
 
 def last_step_raises(cfg, records):
@@ -83,7 +110,7 @@ def predicts_rejection(cfg, records, tol):
     first attempt of the interval after records, at running tolerance
     tol."""
     return (
-        carries_k_and_r(records)
+        carries_k_and_r(records) is not None
         and prediction_exceeds(records, tol)
         and (cfg.mode is Mode.H or not last_step_raises(cfg, records))
     )
@@ -1215,8 +1242,9 @@ def fired_and_predicted(cfg, res):
 
 class TestPredictedHalving:
     """The drivers halve k before an interval's first attempt when the
-    last two accepted intervals carry its k and r and their estimators
-    predict one above the running tolerance."""
+    estimators of the last accepted intervals, scaled to the k it
+    carries, predict one above the running tolerance
+    (``predicts_rejection``)."""
 
     @pytest.mark.parametrize("name", PREDICTION_RUNS)
     def test_fires_exactly_where_predicted(self, predicted_runs, name):
@@ -1225,17 +1253,65 @@ class TestPredictedHalving:
         assert got == want
         assert any(got)
 
-    def test_needs_the_carried_k_and_r(self, predicted_runs):
-        # a prediction above tol from intervals of different k or r
-        # never halves
-        other = 0
+    def test_silent_after_a_raise(self, predicted_runs):
+        # a raise changes the constant of eta = C k^(r+2) by a factor no
+        # model of k gives (``TestPredictionRule`` holds a prediction far
+        # above tol)
+        after = 0
+        for cfg, res, _, _ in predicted_runs.values():
+            for prev, rec in zip(res.intervals, res.intervals[1:]):
+                if "raise_r" in prev.decisions:
+                    after += 1
+                    assert not fired(rec)
+        assert after > 0
+
+    def test_normalised_after_one_halving(self, predicted_runs):
+        # after one halving the growth is scaled by 2^(r+2); the march
+        # holds halvings the unscaled growth would not have predicted
+        kinds, scaled = set(), 0
         for cfg, res, tols, _ in predicted_runs.values():
             for i in range(2, res.M):
                 head = res.intervals[:i]
-                if prediction_exceeds(head, tols[i]) and not carries_k_and_r(head):
-                    other += 1
+                if carries_k_and_r(head) != 1 or not fired(res.intervals[i]):
+                    continue
+                kinds.add(head[-1].decisions[0])
+                e0, e1 = (Fraction(rec.estimate.eta_res) for rec in head[-2:])
+                scaled += e1 * e1 <= e0 * Fraction(tols[i])
+        assert scaled > 0
+        assert {"halve_k_predicted", "halve_k_pole"} <= kinds, kinds
+
+    def test_silent_after_two_halvings(self, predicted_runs):
+        # over two halvings the scaled growth overstates the next
+        # estimator: no prediction, however far it exceeds tol
+        silent, kinds = 0, set()
+        for cfg, res, tols, _ in predicted_runs.values():
+            for i in range(2, res.M):
+                head = res.intervals[:i]
+                decisions = head[-1].decisions
+                if len(decisions) < 2 or "raise_r" in decisions:
+                    continue
+                e0, e1 = (Fraction(rec.estimate.eta_res) for rec in head[-2:])
+                scale = 2 ** (len(decisions) * (head[-1].r + 2))
+                if e1 * e1 * scale > e0 * Fraction(tols[i]):
+                    silent += 1
+                    kinds.update(decisions)
                     assert not fired(res.intervals[i])
-        assert other > 0
+        assert silent > 0
+        assert {"halve_k_predicted", "halve_k_pole"} <= kinds, kinds
+
+    def test_curvature_term(self, predicted_runs):
+        # three intervals of equal k and r: the change of the growth
+        # halves where the geometric prediction alone stays below tol
+        added = 0
+        for cfg, res, tols, _ in predicted_runs.values():
+            for i in range(3, res.M):
+                head = res.intervals[:i]
+                if carries_k_and_r(head) != 0 or head[-2].decisions:
+                    continue
+                geometric, curvature = predictions(head)
+                if curvature > Fraction(tols[i]) >= geometric:
+                    added += fired(res.intervals[i])
+        assert added > 0
 
     def test_h_mode_fires_whenever_the_prediction_exceeds_tol(self, predicted_runs):
         checked = 0
@@ -1244,7 +1320,7 @@ class TestPredictedHalving:
                 continue
             for i in range(2, res.M):
                 head = res.intervals[:i]
-                if carries_k_and_r(head) and prediction_exceeds(head, tols[i]):
+                if carries_k_and_r(head) is not None and prediction_exceeds(head, tols[i]):
                     checked += 1
                     assert fired(res.intervals[i])
         assert checked > 10
@@ -1259,7 +1335,7 @@ class TestPredictedHalving:
                 head = res.intervals[:i]
                 if not smoothness(head[-1].output.u, head[-1].r) >= THETA_STAR:
                     continue
-                exceeds = carries_k_and_r(head) and prediction_exceeds(head, tols[i])
+                exceeds = carries_k_and_r(head) is not None and prediction_exceeds(head, tols[i])
                 if head[-1].r < cfg.r_max:
                     assert not fired(res.intervals[i])
                     skipped += exceeds
@@ -1290,22 +1366,87 @@ class TestPredictedHalving:
             assert guess is want is None or guess.tobytes() == want.tobytes()
 
 
-def two_records(e0, e1):
-    """Two accepted h intervals of equal k and r with residual
-    estimators e0 and e1; the prediction reads nothing else."""
-    return [
-        IntervalRecord(
-            interval=Interval(t, t + 0.1),
-            r=1,
-            output=None,
-            reconstruction=None,
-            estimate=StepEstimate(eta_res=e, psi=e, delta=1.0, bound=e, delta_hat=1.0),
-            attempts=1,
-            decisions=(),
-            dofs=1,
+def accepted(*etas, decisions=None, r=1):
+    """Accepted h intervals of degree r with residual estimators etas,
+    each after its decisions (a tuple per interval, none by default):
+    each halving halves the length, 0.1 on the first, and each raise
+    raises r.  The prediction reads nothing else."""
+    records, t, k = [], 0.0, 0.1
+    for eta, made in zip(etas, decisions or [()] * len(etas)):
+        k /= 2 ** sum(name in HALVINGS for name in made)
+        r += made.count("raise_r")
+        records.append(
+            IntervalRecord(
+                interval=Interval(t, t + k),
+                r=r,
+                output=None,
+                reconstruction=None,
+                estimate=StepEstimate(eta_res=eta, psi=eta, delta=1.0, bound=eta, delta_hat=1.0),
+                attempts=1,
+                decisions=made,
+                dofs=1,
+            )
         )
-        for t, e in ((0.0, e0), (0.1, e1))
-    ]
+        t += k
+    return records
+
+
+H_CFG = AdaptConfig(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1.0)
+
+
+def rule(records, tol):
+    """The drivers' rule on records, at running tolerance tol, checked
+    against the written-out one."""
+    got = adapt_module._predicts_rejection(H_CFG, records, tol)
+    assert got is predicts_rejection(H_CFG, records, tol)
+    return got
+
+
+class TestPredictionRule:
+    """What the prediction needs, on hand-made records: the growth is
+    scaled by 2^(r+2) after one halving of any kind, and the rule is
+    silent after a raise or two halvings; three intervals of equal k and
+    r add the curvature term."""
+
+    @pytest.mark.parametrize("r", [1, 4])
+    @pytest.mark.parametrize("kind", HALVINGS)
+    def test_normalised_after_one_halving(self, kind, r):
+        # e1 = e0: the growth at equal k is 2^(r+2)
+        records = accepted(0.5, 0.5, decisions=[(), (kind,)], r=r)
+        scaled = math.ldexp(0.5, r + 2)
+        assert rule(records, math.nextafter(scaled, 0.0))
+        assert not rule(records, scaled)
+        assert not rule(accepted(0.5, 0.5, r=r), 0.5)
+
+    @pytest.mark.parametrize(
+        "made",
+        [
+            ("halve_k_predicted", "halve_k_pole"),
+            ("halve_k_pole", "halve_k_pole"),
+            ("halve_k_predicted", "halve_k"),
+            ("halve_k_pole", "halve_k_existence"),
+            ("halve_k_existence", "halve_k_overflow"),
+            ("halve_k_predicted", "halve_k_pole", "halve_k_existence"),
+        ],
+    )
+    def test_silent_after_two_halvings(self, made):
+        records = accepted(1e-3, 1.0, decisions=[(), made])
+        assert not rule(records, 1e-300)
+
+    @pytest.mark.parametrize("made", [("raise_r",), ("halve_k", "raise_r"), ("raise_r", "halve_k")])
+    def test_silent_after_a_raise(self, made):
+        assert not rule(accepted(1e-3, 1.0, decisions=[(), made]), 1e-300)
+
+    def test_curvature_term(self):
+        # growth 1 then 2: geometric 4, curvature 8
+        assert rule(accepted(1.0, 1.0, 2.0), 7.0)
+        assert not rule(accepted(1.0, 1.0, 2.0), 8.0)
+        # the first interval's own decisions do not matter, the second's do
+        assert rule(accepted(1.0, 1.0, 2.0, decisions=[("halve_k",), (), ()]), 7.0)
+        assert not rule(accepted(1.0, 1.0, 2.0, decisions=[(), ("halve_k",), ()]), 7.0)
+        # a slowing growth (4 then 2): the geometric prediction, 16, counts
+        assert rule(accepted(1.0, 4.0, 8.0), 15.0)
+        assert not rule(accepted(1.0, 4.0, 8.0), 16.0)
 
 
 def time_linear(u0):
@@ -1322,25 +1463,39 @@ def time_linear(u0):
 
 
 class TestPredictionRange:
-    """The prediction eta_M * (eta_M / eta_(M-1)) stays right where the
-    square eta_M^2 leaves double range."""
-
-    H_CFG = AdaptConfig(scheme=Scheme.CG, mode=Mode.H, r_init=1, k_init=0.1, tol_star=1.0)
+    """The predictions eta_M * (eta_M / eta_(M-1)), its scaling by
+    2^(r+2) and its curvature term stay right where a square, a ratio or
+    the scaling leaves double range."""
 
     @pytest.mark.parametrize(
-        "e0,e1,tol,want",
+        "etas,made,tol,want",
         [
-            (1e300, 1e300, 1.5e300, False),  # e1^2 overflows to inf
-            (1e300, 2e300, 3e300, True),
-            (4e-310, 8e-310, 1e-309, True),  # e1^2 underflows to 0
-            (1e-310, 1e-310, 1.5e-310, False),
-            (5e-324, 1e300, 1e308, True),  # e1 / e0 overflows: growth past range
-            (0.0, 1e-3, 1e-2, False),  # no prediction from a zero estimator
-            (1e-3, 0.0, 1e-2, False),
+            ((1e300, 1e300), (), 1.5e300, False),  # e1^2 overflows to inf
+            ((1e300, 2e300), (), 3e300, True),
+            ((4e-310, 8e-310), (), 1e-309, True),  # e1^2 underflows to 0
+            ((1e-310, 1e-310), (), 1.5e-310, False),
+            ((5e-324, 1e300), (), 1e308, True),  # e1 / e0 overflows: growth past range
+            ((0.0, 1e-3), (), 1e-2, False),  # no prediction from a zero estimator
+            ((1e-3, 0.0), (), 1e-2, False),
+            # e1 (e1 / e0) = 1e308 in range, times 2^3 past it
+            ((1e300, 1e304), ("halve_k",), 1.7e308, True),
+            ((1e300, 1e304), (), 1.7e308, False),
+            # a subnormal prediction, 2^-1072, scaled exactly to 2^-1069
+            ((1.0, 2.0**-536), ("halve_k_pole",), 2.0**-1070, True),
+            ((1.0, 2.0**-536), ("halve_k_pole",), 2.0**-1069, False),
+            ((1.0, 2.0**-536), (), 2.0**-1073, True),
+            # ea = 0: no curvature term, the geometric prediction is 4
+            ((0.0, 1.0, 2.0), (), 3.0, True),
+            ((0.0, 1.0, 2.0), (), 4.0, False),
+            # e0 / ea underflows to 0: the growth's change overflows
+            ((1e300, 1e-300, 1e-300), (), 1e-290, True),
+            # e0 / ea overflows: the growth's change is 5e-324 / 1e300
+            ((5e-324, 1e300, 1e300), (), 2e300, False),
         ],
     )
-    def test_rule_at_the_edges_of_double_range(self, e0, e1, tol, want):
-        assert adapt_module._predicts_rejection(self.H_CFG, two_records(e0, e1), tol) is want
+    def test_rule_at_the_edges_of_double_range(self, etas, made, tol, want):
+        decisions = [()] * (len(etas) - 1) + [made]
+        assert rule(accepted(*etas, decisions=decisions), tol) is want
 
     @pytest.mark.parametrize("scheme,r", [(Scheme.CG, 1), (Scheme.DG, 0), (Scheme.CG, 3)])
     def test_march_with_estimators_near_1e300(self, scheme, r):
