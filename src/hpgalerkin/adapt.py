@@ -29,19 +29,11 @@ every decision on k and r:
 
 Each attempt starts Picard from a guess formed from the f values of
 the last candidate's residual, except the run's first attempt and one
-after a failed step, which start from the constant left value
-(``galerkin.SchemeOperator``).  From degree 3 a new interval continues
-1/f at degree 2 rather than f at degree r + 2 where every component of
-f keeps one strict sign and L = log|f| looks like a pole (L' > 0,
-1/4 <= L'' / L'^2 <= 5/4 and L''' > 0 from four residual nodes):
-near a blow-up 1/f vanishes like a power of T - t, and the degree 2
-fit amplifies its rounding on the next interval by |P_2(3)| = 13 at
-most, against |P_{r+2}(3)|.  Where the continued 1/f changes sign at
-a step node, the blow-up it predicts lies inside the step: k is halved
-before the attempt, which starts on the first half of the interval
-from the continuation there, or from the constant when that too
-changes sign.  Elsewhere, and where the guess is not finite, the
-continuation of f stays.
+after a failed step or an overflow, which start from the constant left
+value.  Near a blow-up a new interval may continue 1/f rather than f,
+and where that continuation predicts the blow-up inside the step, k is
+halved before the attempt.  Which start follows which decision, and the
+pole test, are stated in ``galerkin.SchemeOperator``.
 
 The march ends when no growth factor exists below the scan ceiling --
 the blow-up signal, with the final uncertified candidate discarded --
@@ -85,6 +77,7 @@ from .galerkin import (
     PicardConfig,
     Scheme,
     SchemeOperator,
+    Start,
     StepInput,
     StepOutput,
     picard_operator,
@@ -330,12 +323,20 @@ def _predicts_rejection(cfg: AdaptConfig, records: list[IntervalRecord], tol: fl
     return cfg.mode is Mode.H or last.r >= cfg.r_max or not last.theta >= THETA_STAR
 
 
-def _first_iterate(
-    inp: StepInput, op: SchemeOperator, H: np.ndarray, f_res: np.ndarray
-) -> np.ndarray:
-    """a u_left^T + k H @ f_res (``galerkin.SchemeOperator``), with k and
-    u_left those of inp and op its ``SchemeOperator``.  A guess that
-    leaves double range is not finite, and ``step`` ignores it."""
+def _first_iterate(inp: StepInput, op: SchemeOperator, start: Start, f_res: np.ndarray) -> object:
+    """The first iterate of the attempt inp from ``start``
+    (``galerkin.SchemeOperator``), with op its ``SchemeOperator`` and
+    f_res the f values of the last candidate's residual, unread for the
+    constant start: None for that start; the reciprocal continuation
+    where op.R has the start, or ``_POLE`` (``_reciprocal_iterate``);
+    else a u_left^T + k H @ f_res, with H = op.H[start] and k and u_left
+    those of inp.  A guess that leaves double range is not finite, and
+    ``step`` ignores it."""
+    H, R = op.H.get(start), op.R.get(start)
+    if H is None:  # the constant start
+        return None
+    if R is not None and (guess := _reciprocal_iterate(inp, op, R, f_res)) is not None:
+        return guess
     guess = np.dot(H, f_res)
     k = inp.interval.k
     if _all_finite(guess):
@@ -357,8 +358,8 @@ def _reciprocal_iterate(
     inp: StepInput, op: SchemeOperator, R: np.ndarray, f_res: np.ndarray
 ) -> object:
     """a u_left^T + G (k / (R @ (1 / f_res))), the reciprocal
-    continuation of ``galerkin.SchemeOperator`` with R its recip or
-    recip_half, k and u_left those of inp; None where its test fails or
+    continuation of ``galerkin.SchemeOperator`` with R an entry of its
+    R, k and u_left those of inp; None where its test fails or
     the guess is not finite, and ``_POLE``, with no guess built, where
     the fit changes a component's sign at a step node: the continued 1/f
     vanishes on the step, so the blow-up it predicts lies inside it.
@@ -403,14 +404,11 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
 
     A predicted halving is recorded as "halve_k_predicted" and not
     counted in the interval's attempts.  Nor is a pole halving,
-    "halve_k_pole": where ``_reciprocal_iterate`` finds the continued
-    1/f vanishing on the step, k is halved before any sweep runs.  After
-    a pole on the next interval (R = recip) the halved attempt starts as
-    after a predicted halving, from recip_half or predict_half; after a
-    pole on its first half (R = recip_half) it starts from the constant,
-    as after a failed step, so an interval has at most two.  The
-    prediction is made on an interval's first pass only, before any
-    halving, and the k_min guard sees every halving.
+    "halve_k_pole", made before any sweep runs where ``_first_iterate``
+    returns ``_POLE``; an interval has at most two (the starts of
+    ``galerkin.SchemeOperator``).  The prediction is made on an
+    interval's first pass only, before any halving, and the k_min guard
+    sees every halving.
 
     Every step stops Picard at a coefficient change, or a predicted
     error, of PICARD_TOL_SHARE * tol, unless the relative test stops it
@@ -428,11 +426,9 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     candidate (``estimator._residual_f_vals``), and passed to
     ``residual_estimator``; the nodes they were evaluated at go to
     ``solve_delta`` (``nodes``).  The f values also seed the Picard
-    iteration of the next attempt, with the H, and on a new interval the
-    R, of ``galerkin.SchemeOperator`` that what came before it selects:
-    ``_reciprocal_iterate`` where R is set and its test passes, a pole
-    halving where it finds a pole, else ``_first_iterate``.  The
-    operator of degree r is looked up once per change of r.
+    iteration of the next attempt, from the ``Start`` that what came
+    before it selects (``_first_iterate``).  The operator of degree r is
+    looked up once per change of r.
 
     The loop holds the march's errstate (``poly._marching``, the
     errstate rule of ``poly``).
@@ -446,10 +442,9 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     delta_hat = 1.0
     termination = Termination.MAX_INTERVALS
     # the operator of degree r, looked up on each change of r; the next
-    # attempt's first iterate: its H (None for the constant start), its
-    # R (None but for the continued guesses) and the f values they read
+    # attempt's start and the f values it reads
     op = picard_operator(r, cfg.scheme)
-    H, R, f_res = None, None, None
+    start, f_res = Start.CONSTANT, None
     attempts, decisions = 0, []
 
     with _marching():
@@ -457,24 +452,20 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             if not decisions and _predicts_rejection(cfg, records, tol):
                 k *= 0.5
                 decisions.append("halve_k_predicted")
-                H, R = op.predict_half, op.recip_half
+                start = Start.NEXT_HALF
             if k < cfg.k_min or not t + k > t:
                 termination = Termination.K_MIN_REACHED
                 break
             inp = StepInput._trusted(Interval(t, t + k), r, u_left, cfg.scheme)
-            guess = None
-            if R is not None:
-                guess = _reciprocal_iterate(inp, op, R, f_res)
-                if guess is _POLE:
-                    k *= 0.5
-                    decisions.append("halve_k_pole")
-                    H, R = (op.predict_half, op.recip_half) if R is op.recip else (None, None)
-                    continue
-            if guess is None and H is not None:
-                guess = _first_iterate(inp, op, H, f_res)
+            guess = _first_iterate(inp, op, start, f_res)
+            if guess is _POLE:
+                k *= 0.5
+                decisions.append("halve_k_pole")
+                start = Start.NEXT_HALF if start is Start.NEXT else Start.CONSTANT
+                continue
             attempts += 1
             out = step(p, inp, cfg.picard, guess=guess, atol=PICARD_TOL_SHARE * tol)
-            H, R = None, None
+            start = Start.CONSTANT
             if not out.converged:
                 k *= 0.5
                 decisions.append("halve_k_existence")
@@ -499,11 +490,11 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                     r += 1
                     decisions.append("raise_r")
                     op = picard_operator(r, cfg.scheme)
-                    H = op.raised
+                    start = Start.RAISE
                 else:
                     k *= 0.5
                     decisions.append("halve_k")
-                    H = op.halve
+                    start = Start.HALVE
                 continue
 
             iv = inp.interval
@@ -533,7 +524,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             tol_trace.append(tol)
             # the next interval's first attempt carries this one's k and r
             t, k, u_left = iv.t_end, iv.k, u_end
-            H, R = op.predict, op.recip
+            start = Start.NEXT
             attempts, decisions = 0, []
 
     return RunResult(

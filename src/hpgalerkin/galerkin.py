@@ -166,6 +166,22 @@ class StepFailure(enum.Enum):
     DIVERGED = "diverged"
 
 
+class Start(enum.Enum):
+    """How an attempt's first Picard iterate is formed; each is a row of
+    ``SchemeOperator``."""
+
+    # members are singletons equal only to themselves, so the identity
+    # hash keys the maps of ``SchemeOperator`` as Enum's own does, at a
+    # fifth of its cost (22 against 97 ns per dict lookup, Python 3.11)
+    __hash__ = object.__hash__
+
+    CONSTANT = "constant"
+    NEXT = "next"
+    NEXT_HALF = "next_half"
+    HALVE = "halve"
+    RAISE = "raise"
+
+
 @dataclass(frozen=True)
 class StepInput:
     """One step's interval, degree, left value and scheme.
@@ -262,31 +278,40 @@ class SchemeOperator:
     ``adapt._drive`` looks the operator up once per change of r and
     hands it to the first-iterate helpers.
 
-    The first iterates' matrices H, stated here only.  Every attempt of
-    a march but the run's first, one after a failed step and one after
-    a pole halving on the first half of an interval (below) starts
-    Picard from a u_left^T + k H @ f_res (``adapt._first_iterate``),
-    unless the reciprocal continuation below applies:
-    the Picard update of degree r, on an interval of length k from
-    u_left, computed from the node values f_res of f on the residual's
-    rule of the last candidate, accepted or rejected, which the drivers
-    have already evaluated, so no f is evaluated for a guess.  Each H is
-    G applied to the values, at the step's nodes mapped into the
-    interval of f_res, of a polynomial fitted to f_res:
-    predict (r+1, n): the degree r+2 projection of node values on the
-    residual's rule of the degree r+1 reconstruction (``basis(r +
-    1).res_*``, n points), continued onto the next interval of equal
-    length (x -> x + 2), for the next interval;
-    predict_half (r+1, n): the same projection continued onto the first
-    half of the next interval (x -> (x + 3) / 2), for a next interval
-    whose k was halved on the prediction;
-    halve (r+1, n): the full interpolant on the same rule restricted to
-    the first half of its own interval (x -> (x - 1) / 2), for the
-    attempt after an accuracy halving;
-    raised (r+1, m): the full interpolant on the residual's rule of a
-    degree r reconstruction (``basis(r).res_*``, m points) at the
-    step's own nodes, for the attempt at degree r after a raise from
-    r - 1 on the same interval.
+    The first iterates, stated here only.  ``adapt._drive`` starts each
+    attempt from the ``Start`` that what came before it selects, one row
+    each:
+    CONSTANT: the constant u_left, for the run's first attempt, one after
+    a failed step or a candidate that left double range, and one after a
+    pole halving on the first half of an interval (below);
+    NEXT: the first attempt on the interval after an accepted one, of
+    equal length;
+    NEXT_HALF: the first attempt on the first half of that interval,
+    after a predicted halving or a pole halving on all of it;
+    HALVE: the attempt after an accuracy halving, on the first half of
+    the rejected candidate's interval;
+    RAISE: the attempt at degree r after a raise from r - 1, on the same
+    interval.
+    Every start but CONSTANT is a u_left^T + k H[start] @ f_res
+    (``adapt._first_iterate``), unless the reciprocal continuation below
+    applies: the Picard update of degree r, on an interval of length k
+    from u_left, computed from the node values f_res of f on the
+    residual's rule of the last candidate, accepted or rejected, which
+    the drivers have already evaluated, so no f is evaluated for a
+    guess.  Each H[start], (r+1, n) for the n points of f_res, is G
+    applied to the values, at the step's nodes mapped into the interval
+    of f_res, of a fit P @ f_res of degree q: G @ legvander(map(nodes),
+    q) @ P, with the row's P and map:
+    NEXT: P the degree r+2 projection of node values on the residual's
+    rule of the degree r+1 reconstruction (``basis(r + 1).res_*``, n
+    points), continued onto the next interval (x -> x + 2);
+    NEXT_HALF: the same P, continued onto its first half (x -> (x + 3) /
+    2);
+    HALVE: the full interpolant on the same rule, restricted to the first
+    half of its own interval (x -> (x - 1) / 2);
+    RAISE: the full interpolant on the residual's rule of a degree r
+    reconstruction (``basis(r).res_*``) at the step's own nodes (x ->
+    x).
     The continued ones keep degree r + 2: continuing the fit past its
     interval multiplies its rounding by up to |P_q| there (|P_q(3)| on
     the next interval), which grows fast with q.  The restarts stay
@@ -296,17 +321,13 @@ class SchemeOperator:
     f grows like a pole, (T - t)^-m, and 1/f vanishes like (T - t)^m: a
     quadratic for u^2 and |u| u (m = 2), a line for e^u (m = 1); Berger
     & Kohn (CPAM 41, 1988) rescale toward the singularity in the same
-    coordinate.  So from degree 3 (``_RECIPROCAL_MIN_DEGREE``) the next
-    interval, and its first half after a predicted halving, start from
-    a u_left^T + G (k / (R @ (1 / f_res))) (``adapt._reciprocal_iterate``)
-    with
-    recip (s, n): the degree 2 projection of node values on the
-    residual's rule of the degree r+1 reconstruction, continued onto the
-    step's nodes on the next interval (x -> x + 2);
-    recip_half (s, n): the same, onto its first half (x -> (x + 3) / 2);
-    both None below degree 3.
+    coordinate.  So from degree 3 (``_RECIPROCAL_MIN_DEGREE``) the NEXT
+    and NEXT_HALF starts are a u_left^T + G (k / (R[start] @ (1 /
+    f_res))) (``adapt._reciprocal_iterate``), with R[start] (s, n) =
+    legvander(map(nodes), 2) @ P, the map that of H[start] and P the
+    degree 2 projection on the rule of NEXT; R is empty below degree 3.
     Degree 2 amplifies the fit's rounding by at most |P_2(3)| = 13 on the
-    next interval, against |P_{r+2}(3)| for predict (321 at r = 2, 8989
+    next interval, against |P_{r+2}(3)| for H[NEXT] (321 at r = 2, 8989
     at r = 4), and continues the exact 1/f of both built-in blow-ups
     exactly.  At degrees 1 and 2 the step's own discretisation, not the
     continuation, sets how far Picard has to go: on the seed-1 benchmark
@@ -337,13 +358,12 @@ class SchemeOperator:
     test as (l1 + l2)^2 <= c2 l2 - c1 l1 <= 5 (l1 + l2)^2, and the third
     as w0 l0 + w1 l1 + w2 l2 > 0, a positive multiple of that divided
     difference.  Where the test fails, or the guess is not finite, the
-    guess is predict's or predict_half's.  Where the fit R @ (1 / f_res)
-    changes a component's sign at a step node, the continued 1/f
-    vanishes on the step, which puts the blow-up it predicts inside it:
-    no guess is built, and the driver halves k before the attempt (a
-    pole halving), which then starts from recip_half (else
-    predict_half) after a pole on the next interval and from the
-    constant after one on its first half.  A quotient of f values and a
+    guess is the row's H.  Where the fit R[start] @ (1 / f_res) changes
+    a component's sign at a step node, the continued 1/f vanishes on the
+    step, which puts the blow-up it predicts inside it: no guess is
+    built, and the driver halves k before the attempt (a pole halving),
+    which then starts from NEXT_HALF after a pole on NEXT and from
+    CONSTANT after one on NEXT_HALF.  A quotient of f values and a
     reciprocal are exact under a power-of-two scaling of f, so a scaled
     march takes the same guesses.  The continuation changes the first
     iterate and, through the pole halving, only which attempts are
@@ -353,13 +373,9 @@ class SchemeOperator:
 
     a: np.ndarray
     G: np.ndarray
-    predict: np.ndarray
-    predict_half: np.ndarray
-    halve: np.ndarray
-    raised: np.ndarray
     pole: tuple[int, int, tuple[float, float], tuple[float, float, float]]
-    recip: Optional[np.ndarray] = None
-    recip_half: Optional[np.ndarray] = None
+    H: dict[Start, np.ndarray]
+    R: dict[Start, np.ndarray]
 
 
 def _scheme_matrices(r: int, scheme: Scheme, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,22 +403,19 @@ def picard_operator(r: int, scheme: Scheme) -> SchemeOperator:
     a, G = _scheme_matrices(r, scheme, b.step_proj)
     nodes = _leg.leggauss(b.step_offsets.size)[0]
 
-    def fit(x, proj):
-        # the values at x of the fit proj @ f_res
-        return _leg.legvander(x, proj.shape[0] - 1) @ proj
-
-    arrays = [
-        a,
-        G,
-        G @ fit(nodes + 2.0, nxt[: r + 3]),
-        G @ fit(0.5 * (nodes + 3.0), nxt[: r + 3]),
-        G @ fit(0.5 * (nodes - 1.0), nxt),
-        G @ fit(nodes, b.res_proj),
-    ]
-    recips = []
-    if r >= _RECIPROCAL_MIN_DEGREE:
-        recips = [fit(nodes + 2.0, nxt[:3]), fit(0.5 * (nodes + 3.0), nxt[:3])]
-    for arr in arrays + recips:
+    # each start's row (``SchemeOperator``): the projection P (q+1, n)
+    # that fits f_res, and the step's nodes x mapped into the interval of
+    # f_res, where the fit's values are legvander(x, q) @ P @ f_res
+    rows = {
+        Start.NEXT: (nxt[: r + 3], nodes + 2.0),
+        Start.NEXT_HALF: (nxt[: r + 3], 0.5 * (nodes + 3.0)),
+        Start.HALVE: (nxt, 0.5 * (nodes - 1.0)),
+        Start.RAISE: (b.res_proj, nodes),
+    }
+    H = {start: G @ (_leg.legvander(x, P.shape[0] - 1) @ P) for start, (P, x) in rows.items()}
+    continued = (Start.NEXT, Start.NEXT_HALF) if r >= _RECIPROCAL_MIN_DEGREE else ()
+    R = {start: _leg.legvander(rows[start][1], 2) @ nxt[:3] for start in continued}
+    for arr in (a, G, *H.values(), *R.values()):
         arr.flags.writeable = False
     x = _leg.leggauss(nxt.shape[1])[0].tolist()
     q, mid = len(x) // 4, len(x) // 2
@@ -413,7 +426,7 @@ def picard_operator(r: int, scheme: Scheme) -> SchemeOperator:
     b = (e1 + e2) / (x1 - xq)
     third = (b + e1 / (xq - x0), -b, e2 / (x2 - x1))
     pole = (q, mid, (8.0 * (x2 - x0) / (x1 - x0), 8.0 * (x2 - x0) / (x2 - x1)), third)
-    return SchemeOperator(*arrays, pole, *recips)
+    return SchemeOperator(a, G, pole, H, R)
 
 
 def step(

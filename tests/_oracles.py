@@ -14,6 +14,7 @@ from hpgalerkin.galerkin import (
     MAX_GROWING,
     MAX_ITERS,
     Scheme,
+    Start,
     StepFailure,
     StepInput,
     StepOutput,
@@ -486,14 +487,6 @@ def residual_f_vals(p, u_hat):
         return rhs_at(p, u_hat.interval.from_reference(nodes), us)
 
 
-def _picard_guess(p, inp, H, u_hat):
-    """a u_left^T + k H @ f_res with matmul products, with a, k and
-    u_left those of the attempt ``inp`` and f_res the f values of the
-    residual of the candidate u_hat (``residual_f_vals``)."""
-    op = picard_operator(inp.r, inp.scheme)
-    return np.outer(op.a, inp.u_left) + inp.interval.k * (H @ residual_f_vals(p, u_hat))
-
-
 def reciprocal_fit(r, x):
     """The (s, n) map from node values on the residual's rule of a
     degree r + 1 reconstruction to the values, at the points x of the
@@ -558,37 +551,38 @@ def reciprocal_guess(p, inp, u_hat, x):
     return guess if np.all(np.isfinite(guess)) else None
 
 
-def continued_guess(p, inp, u_hat):
-    """The Picard update of the attempt ``inp`` on the interval after
-    u_hat, of equal length, from the f values of the residual of u_hat,
-    projected to degree r + 2 and continued onto it
-    (``SchemeOperator.predict``)."""
-    return _picard_guess(p, inp, picard_operator(inp.r, inp.scheme).predict, u_hat)
-
-
-def continued_half_guess(p, inp, u_hat):
-    """``continued_guess`` onto the first half of the next interval, for
-    an attempt ``inp`` whose k was halved on the prediction
-    (``SchemeOperator.predict_half``)."""
-    return _picard_guess(p, inp, picard_operator(inp.r, inp.scheme).predict_half, u_hat)
+def start_guess(p, inp, u_hat, start):
+    """a u_left^T + k H @ f_res with matmul products, H the row of
+    ``start`` of ``SchemeOperator.H``, a, k and u_left those of the
+    attempt ``inp`` and f_res the f values of the residual of the
+    candidate u_hat (``residual_f_vals``): the drivers' polynomial first
+    iterate of the attempt after u_hat.  That is the Picard update of
+    ``inp`` from those values projected to degree r + 2 and continued
+    onto the next interval of equal length (``Start.NEXT``) or its first
+    half (``Start.NEXT_HALF``), or interpolated on the first half of
+    u_hat's interval after an accuracy halving (``Start.HALVE``) or on
+    all of it at the raised degree after a raise (``Start.RAISE``)."""
+    op = picard_operator(inp.r, inp.scheme)
+    return np.outer(op.a, inp.u_left) + inp.interval.k * (op.H[start] @ residual_f_vals(p, u_hat))
 
 
 def next_interval_start(p, inp, u_hat, predicted=False):
     """How the drivers start the interval after the accepted
     reconstruction u_hat, its k halved on the prediction when predicted:
     the number of pole halvings before its first attempt ``inp``, and
-    that attempt's first iterate.  On the full interval, the reciprocal
-    continuation (``reciprocal_guess``) where it applies, else
-    ``continued_guess``; where it finds a pole, a halving and the same
-    on the first half, with ``continued_half_guess``; where it finds a
-    pole there too, a second halving and None, the constant start."""
+    that attempt's first iterate.  On the full interval (``Start.NEXT``),
+    the reciprocal continuation (``reciprocal_guess``) where it applies,
+    else ``start_guess``; where it finds a pole, a halving and the same
+    on the first half (``Start.NEXT_HALF``); where it finds a pole there
+    too, a second halving and None, the constant start."""
     nodes = step_nodes(inp.r)[0]
-    starts = [(nodes + 2.0, continued_guess), (0.5 * (nodes + 3.0), continued_half_guess)]
-    for poles, (x, continued) in enumerate(starts[predicted:]):
-        guess = reciprocal_guess(p, inp, u_hat, x)
+    x = {Start.NEXT: nodes + 2.0, Start.NEXT_HALF: 0.5 * (nodes + 3.0)}
+    starts = (Start.NEXT, Start.NEXT_HALF)[predicted:]
+    for poles, start in enumerate(starts):
+        guess = reciprocal_guess(p, inp, u_hat, x[start])
         if guess is not POLE:
-            return poles, continued(p, inp, u_hat) if guess is None else guess
-    return len(starts) - predicted, None
+            return poles, start_guess(p, inp, u_hat, start) if guess is None else guess
+    return len(starts), None
 
 
 def next_interval_guess(p, inp, u_hat):
@@ -597,30 +591,6 @@ def next_interval_guess(p, inp, u_hat):
     (``next_interval_start``).  Byte-equal oracle of the guess
     ``adapt._drive`` passes."""
     return next_interval_start(p, inp, u_hat)[1]
-
-
-def predicted_guess(p, inp, u_hat):
-    """``next_interval_guess`` for an attempt ``inp`` whose k was halved
-    on the prediction: the reciprocal continuation onto the first half
-    of the next interval where it applies, else ``continued_half_guess``,
-    and None where it finds a pole."""
-    return next_interval_start(p, inp, u_hat, predicted=True)[1]
-
-
-def halved_guess(p, inp, u_hat):
-    """The drivers' first iterate of the attempt ``inp`` after an accuracy
-    halving of the candidate u_hat: its Picard update from the f values
-    of the residual of u_hat, interpolated and restricted to the first
-    half of their interval (``SchemeOperator.halve``)."""
-    return _picard_guess(p, inp, picard_operator(inp.r, inp.scheme).halve, u_hat)
-
-
-def raised_guess(p, inp, u_hat):
-    """The drivers' first iterate of the attempt ``inp`` after a degree
-    raise from the candidate u_hat, on the same interval: its Picard
-    update, at the raised degree, from the f values of the residual of
-    u_hat, interpolated (``SchemeOperator.raised``)."""
-    return _picard_guess(p, inp, picard_operator(inp.r, inp.scheme).raised, u_hat)
 
 
 # The accept path as it was before its products moved from ``@`` to

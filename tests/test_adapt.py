@@ -24,7 +24,15 @@ from hpgalerkin.adapt import (
 )
 import hpgalerkin.adapt as adapt_module
 from hpgalerkin.estimator import DeltaNotFound, StepEstimate, residual_estimator, solve_delta
-from hpgalerkin.galerkin import PicardConfig, Scheme, StepInput, picard_operator, reconstruct, step
+from hpgalerkin.galerkin import (
+    PicardConfig,
+    Scheme,
+    Start,
+    StepInput,
+    picard_operator,
+    reconstruct,
+    step,
+)
 import hpgalerkin.poly as poly_module
 from hpgalerkin.poly import Interval, LocalPoly, basis
 import hpgalerkin.problems as problems
@@ -38,16 +46,15 @@ from hpgalerkin.problems import (
 
 from _oracles import (
     constant,
-    halved_guess,
     l2_project,
     looks_like_a_pole,
     next_interval_start,
     parent_smoothness,
-    raised_guess,
     reciprocal_fit,
     reference_smoothness,
     residual_f_vals,
     residual_nodes,
+    start_guess,
     step_nodes,
     zero_rhs,
 )
@@ -842,15 +849,34 @@ class TestVectorValued:
 class TestEndValueOverflow:
     @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG])
     @pytest.mark.parametrize("r", [2, 4])
-    def test_march_stops_where_u_leaves_double_range(self, scheme, r):
+    def test_march_stops_where_u_leaves_double_range(self, scheme, r, monkeypatch):
         # u = 1e306 e^t passes the largest double at T = ln(max / 1e306):
         # a candidate whose end value overflows halves the step, and the
-        # march aborts there without a warning
+        # march aborts there without a warning; the attempt after an
+        # overflow starts from the constant (``Start.CONSTANT``)
+        guesses = []
+
+        def spy(p, inp, cfg, *, guess=None, atol=0.0):
+            guesses.append((inp.interval.t_start, guess))
+            return step(p, inp, cfg, guess=guess, atol=atol)
+
+        monkeypatch.setattr(adapt_module, "step", spy)
         cfg = AdaptConfig(scheme=scheme, mode=Mode.H, r_init=r, k_init=0.1, tol_star=1e296)
         res = h_adapt(make_linear(1.0, [1e306]), cfg)
         assert res.termination is Termination.K_MIN_REACHED
         assert res.T == pytest.approx(math.log(sys.float_info.max / 1e306), rel=1e-9)
-        assert any("halve_k_overflow" in rec.decisions for rec in res.intervals)
+        after = 0
+        for rec in res.intervals:
+            # one step per attempt, each but the first after one decision
+            # that is neither a predicted nor a pole halving
+            mine = [guess for t, guess in guesses if t == rec.interval.t_start]
+            made = [d for d in rec.decisions if d not in ("halve_k_predicted", "halve_k_pole")]
+            assert len(mine) == rec.attempts == len(made) + 1
+            for decision, guess in zip(made, mine[1:]):
+                if decision == "halve_k_overflow":
+                    assert guess is None
+                    after += 1
+        assert after > 0
 
     @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG])
     def test_end_value_alone_overflows(self, scheme):
@@ -973,9 +999,9 @@ class TestWarmStartDecisions:
                 else:
                     assert inp.interval.t_start == prev.interval.t_start
                     if inp.r == prev.r + 1:
-                        kind, want, r = "raise", raised_guess(p, inp, u_hat), r + 1
+                        kind, want, r = "raise", start_guess(p, inp, u_hat, Start.RAISE), r + 1
                     else:
-                        kind, want, k = "halve", halved_guess(p, inp, u_hat), 0.5 * k
+                        kind, want, k = "halve", start_guess(p, inp, u_hat, Start.HALVE), 0.5 * k
                 # same step length up to the rounding of t + k - t
                 assert inp.r == r
                 assert inp.interval.k == pytest.approx(k, rel=1e-6)
@@ -1700,7 +1726,7 @@ class TestReciprocalContinuation:
         assert looks_like_a_pole(r, f_res)
         nodes = step_nodes(r)[0]
         inp = StepInput(Interval(t0 + k, t0 + 2.0 * k), r, p.u0, Scheme.CG)
-        for R, x in ((op.recip, nodes + 2.0), (op.recip_half, 0.5 * (nodes + 3.0))):
+        for R, x in ((op.R[Start.NEXT], nodes + 2.0), (op.R[Start.NEXT_HALF], 0.5 * (nodes + 3.0))):
             assert R.tobytes() == reciprocal_fit(r, x).tobytes()
             got = 1.0 / (R @ (1.0 / f_res))
             assert np.abs(got / f_at(x) - 1.0).max() <= 1e-12
@@ -1799,9 +1825,10 @@ class TestReciprocalContinuation:
         inp = StepInput(Interval(1.0, 1.1), r, np.ones(f_res.shape[1]), Scheme.CG)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert adapt_module._reciprocal_iterate(inp, op, op.recip, f_res) is None
-        want = np.outer(op.a, inp.u_left) + inp.interval.k * (op.predict @ f_res)
-        assert adapt_module._first_iterate(inp, op, op.predict, f_res).tobytes() == want.tobytes()
+            assert adapt_module._reciprocal_iterate(inp, op, op.R[Start.NEXT], f_res) is None
+            got = adapt_module._first_iterate(inp, op, Start.NEXT, f_res)
+        want = np.outer(op.a, inp.u_left) + inp.interval.k * (op.H[Start.NEXT] @ f_res)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m,pole", [(1.0, True), (0.5, False)])
     def test_fit_that_changes_sign_signals_a_pole(self, m, pole):
@@ -1817,14 +1844,14 @@ class TestReciprocalContinuation:
         op = picard_operator(r, Scheme.CG)
         f_res = (1.0 / (2.0 - residual_nodes(r + 1)[0]) ** m)[:, None]
         assert looks_like_a_pole(r, f_res) is pole
-        fit = op.recip @ (1.0 / f_res)
+        fit = op.R[Start.NEXT] @ (1.0 / f_res)
         assert fit.min() < 0.0 < fit.max()
         inp = StepInput(Interval(1.0, 1.1), r, [1.0], Scheme.CG)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = adapt_module._reciprocal_iterate(inp, op, op.recip, f_res)
+            got = adapt_module._reciprocal_iterate(inp, op, op.R[Start.NEXT], f_res)
             assert got is (adapt_module._POLE if pole else None)
-            half = adapt_module._reciprocal_iterate(inp, op, op.recip_half, f_res)
+            half = adapt_module._reciprocal_iterate(inp, op, op.R[Start.NEXT_HALF], f_res)
             assert (half is not None) is pole and half is not adapt_module._POLE
 
     @pytest.mark.parametrize(
@@ -1833,7 +1860,7 @@ class TestReciprocalContinuation:
     def test_none_below_degree_three(self, scheme, r):
         # at degrees 1 and 2 the polynomial continuation serves as well
         op = picard_operator(r, scheme)
-        assert op.recip is None and op.recip_half is None
+        assert op.R == {}
 
 
 def pole_attempts(monkeypatch, force_off=False):

@@ -22,6 +22,7 @@ from hpgalerkin.galerkin import (
     MAX_DEGREE,
     PicardConfig,
     Scheme,
+    Start,
     StepInput,
     picard_operator,
     reconstruct,
@@ -112,13 +113,17 @@ class TestResidualEstimator:
     def test_at_the_degree_cap(self, scheme):
         # a step at MAX_DEGREE has a reconstruction of degree 59, whose
         # residual's rule is capped at 64 points, interpolating at degree
-        # 63; the drivers' prediction reads the same 64 node values
+        # 63; every start of the drivers reads 64 node values, the
+        # raise's on the capped rule of a degree 58 reconstruction
         r = MAX_DEGREE
         b = basis(r + 1)
         assert (b.res_offsets.size, b.res_V.shape, b.res_proj.shape, b.res_lift.shape) == (
             64, (64, r + 2), (64, 64), (65, 64)
         )
-        assert picard_operator(r, scheme).predict.shape == (r + 1, 64)
+        op, s = picard_operator(r, scheme), basis(r).step_offsets.size
+        starts = [Start.NEXT, Start.NEXT_HALF, Start.HALVE, Start.RAISE]
+        assert {start: H.shape for start, H in op.H.items()} == dict.fromkeys(starts, (r + 1, 64))
+        assert {start: R.shape for start, R in op.R.items()} == dict.fromkeys(starts[:2], (s, 64))
         p = make_power_square(1.0)
         inp = StepInput(Interval(0.0, 0.1), r, np.array([1.0]), scheme)
         out = step(p, inp)

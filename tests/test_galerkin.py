@@ -19,6 +19,7 @@ from hpgalerkin.galerkin import (
     MAX_ITERS,
     PicardConfig,
     Scheme,
+    Start,
     StepFailure,
     StepInput,
     picard_operator,
@@ -39,11 +40,8 @@ from _oracles import (
     antiderivative,
     change_only_sweep,
     constant,
-    continued_guess,
-    continued_half_guess,
     derivative,
     exact_reexpansions,
-    halved_guess,
     next_interval_guess,
     parent_growth_factory,
     parent_linf_norm,
@@ -52,12 +50,12 @@ from _oracles import (
     parent_reconstruction_error,
     parent_residual,
     project_values,
-    raised_guess,
     reference_reconstruct,
     reference_residual,
     reference_step,
     residual_f_vals,
     residual_nodes,
+    start_guess,
     step_f_vals,
     step_nodes,
 )
@@ -577,27 +575,28 @@ class TestWarmStart:
     def test_reexpansion_matches_legval(self, r, rng):
         # the matrices H of the drivers' guesses: G applied to a fit of
         # node values on a residual's rule, evaluated at the step's nodes
-        # mapped into that rule's interval.  predict and predict_half
-        # continue the degree r+2 projection on the residual's rule of
-        # the degree r+1 reconstruction onto the next interval
-        # (x -> x + 2) and onto its first half (x -> (x + 3) / 2); halve
-        # restricts the full interpolant on that rule to the first half
-        # of its interval (x -> (x - 1) / 2); raised evaluates the full
-        # interpolant on the residual's rule of a degree r reconstruction
-        # at the step's own nodes
+        # mapped into that rule's interval.  NEXT and NEXT_HALF continue
+        # the degree r+2 projection on the residual's rule of the degree
+        # r+1 reconstruction onto the next interval (x -> x + 2) and onto
+        # its first half (x -> (x + 3) / 2); HALVE restricts the full
+        # interpolant on that rule to the first half of its interval
+        # (x -> (x - 1) / 2); RAISE evaluates the full interpolant on the
+        # residual's rule of a degree r reconstruction at the step's own
+        # nodes
         nodes = step_nodes(r)[0]
         after, own = residual_nodes(r + 1)[0], residual_nodes(r)[0]
-        cases = [  # H, the rule of f_res, the degree reproduced, mapped nodes
-            ("predict", after, r + 2, nodes + 2.0),
-            ("predict_half", after, r + 2, 0.5 * (nodes + 3.0)),
-            ("halve", after, after.size - 1, 0.5 * (nodes - 1.0)),
-            ("raised", own, own.size - 1, nodes),
+        cases = [  # the start, the rule of f_res, the degree reproduced, mapped nodes
+            (Start.NEXT, after, r + 2, nodes + 2.0),
+            (Start.NEXT_HALF, after, r + 2, 0.5 * (nodes + 3.0)),
+            (Start.HALVE, after, after.size - 1, 0.5 * (nodes - 1.0)),
+            (Start.RAISE, own, own.size - 1, nodes),
         ]
         schemes = [Scheme.DG] + ([Scheme.CG] if r >= 1 else [])
         for scheme in schemes:
             op = picard_operator(r, scheme)
-            for name, rule, degree, x in cases:
-                H = getattr(op, name)
+            assert op.H.keys() == {start for start, *_ in cases}
+            for start, rule, degree, x in cases:
+                H = op.H[start]
                 assert H.shape == (r + 1, rule.size) and not H.flags.writeable
                 # sup of |P_j| over the mapped nodes, j <= degree
                 sizes = np.abs(legendre.legvander(x, degree)).max(axis=0)
@@ -607,7 +606,7 @@ class TestWarmStart:
                     got = H @ legendre.legval(rule, c).T
                     want = op.G @ legendre.legval(x, c).T
                     scale = np.abs(op.G).sum(axis=1).max() * (sizes @ np.abs(c)).max()
-                    assert np.abs(got - want).max() <= 1e-12 * scale, name
+                    assert np.abs(got - want).max() <= 1e-12 * scale, start
             assert not (op.a.flags.writeable or op.G.flags.writeable)
 
 
@@ -889,7 +888,7 @@ class TestAcceptPathBitIdentity:
         rejected_inp, rejected = calls[0][1:]
         u_hat = reconstruct(p, rejected_inp, rejected.f_vals)
         assert given[0].tobytes() == residual_f_vals(p, u_hat).tobytes()
-        assert calls[1][0].tobytes() == halved_guess(p, calls[1][1], u_hat).tobytes()
+        assert calls[1][0].tobytes() == start_guess(p, calls[1][1], u_hat, Start.HALVE).tobytes()
         u_end = calls[2][1].u_left
         assert u_end.tobytes() == rec.reconstruction.coeffs.sum(axis=0).tobytes()
         assert given[1].tobytes() == residual_f_vals(p, rec.reconstruction).tobytes()
@@ -1169,22 +1168,22 @@ class TestSweeps:
         assert out.converged
         u_hat = reconstruct(p, inp, out.f_vals)
         u_end = u_hat.coeffs.sum(axis=0)
-        attempts = [  # the guess, its attempt, the reach of its fit
-            (continued_guess, Interval(t0 + k, t0 + k + k), r, u_end, 3.0),
-            (continued_half_guess, Interval(t0 + k, t0 + k + 0.5 * k), r, u_end, 2.0),
-            (halved_guess, Interval(t0, t0 + 0.5 * k), r, inp.u_left, 1.0),
-            (raised_guess, inp.interval, r + 1, inp.u_left, 1.0),
+        attempts = [  # the start, its attempt, the reach of its fit
+            (Start.NEXT, Interval(t0 + k, t0 + k + k), r, u_end, 3.0),
+            (Start.NEXT_HALF, Interval(t0 + k, t0 + k + 0.5 * k), r, u_end, 2.0),
+            (Start.HALVE, Interval(t0, t0 + 0.5 * k), r, inp.u_left, 1.0),
+            (Start.RAISE, inp.interval, r + 1, inp.u_left, 1.0),
         ]
-        for guess_of, iv, r_next, u_left, reach in attempts:
+        for start, iv, r_next, u_left, reach in attempts:
             nxt = StepInput(iv, r_next, u_left, scheme)
-            guess = guess_of(p, nxt, u_hat)
+            guess = start_guess(p, nxt, u_hat, start)
             update = step(p, nxt).u.coeffs
             # a fit evaluated at x amplifies rounding by up to
             # sum_j |P_j(x)|, j <= r + 2: at most 1 per term within its
             # interval, |P_j(3)| on the next one
             growth = np.abs(legendre.legvander(np.array([reach]), r + 2)).sum()
             scale = max(1.0, np.abs(update).max()) * growth
-            assert np.abs(guess - update).max() <= 1e-14 * scale, guess_of.__name__
+            assert np.abs(guess - update).max() <= 1e-14 * scale, start
 
 
 class TestAbsoluteStop:
