@@ -111,6 +111,8 @@ _ZERO_POLY_RTOL = 1e-14
 
 
 class Mode(enum.Enum):
+    __hash__ = object.__hash__  # identity hash, as ``galerkin.Start``'s
+
     H = "h"
     HP = "hp"
 
@@ -424,8 +426,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
 
     The residual's f values f_res are evaluated here, once per
     candidate (``estimator._residual_f_vals``), and passed to
-    ``residual_estimator``; the nodes they were evaluated at go to
-    ``solve_delta`` (``nodes``).  The f values also seed the Picard
+    ``residual_estimator``.  The f values also seed the Picard
     iteration of the next attempt, from the ``Start`` that what came
     before it selects (``_first_iterate``).  The operator of degree r is
     looked up once per change of r.
@@ -472,7 +473,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 continue
             try:
                 u_hat = reconstruct(p, inp, out.f_vals)
-                nodes, f_res = _residual_f_vals(p, u_hat)
+                f_res = _residual_f_vals(p, u_hat)
                 eta = residual_estimator(p, u_hat, inp.u_left, f_res)
                 if eta <= tol:
                     u_end = np.add.reduce(u_hat.coeffs, 0)  # uhat(t_end), as P_i(1) = 1
@@ -500,7 +501,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             iv = inp.interval
             psi = psi_update(prev_estimate, eta)
             prev_delta = prev_estimate.delta if prev_estimate is not None else None
-            delta = solve_delta(p, iv, u_hat, psi, prev_delta=prev_delta, nodes=nodes)
+            delta = solve_delta(p, iv, u_hat, psi, prev_delta=prev_delta)
             if isinstance(delta, DeltaNotFound):
                 termination = Termination.DELTA_NOT_FOUND
                 break

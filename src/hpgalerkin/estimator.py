@@ -9,9 +9,12 @@ For each accepted interval the drivers assemble a ``StepEstimate``:
   drivers evaluate those node values once per candidate
   (``_residual_f_vals``), pass them in, and form the next attempt's
   first Picard iterate from them (``galerkin.SchemeOperator``).  The
-  nodes themselves, their times and the values of uhat there
-  (``_residual_nodes``), serve the delta solve of an accepted candidate
-  too (``solve_delta``'s ``nodes``).
+  sampled sup of that residual polynomial is scaled by the
+  Ehlich-Zeller factor of its samples (``poly.Basis.sup_factor``), and
+  the interpolant's own estimate of what it drops, from its top two
+  coefficients, is added (``residual_estimator``).  The delta solve
+  integrates lip on a rule of its own, the growth rule, whose nodes it
+  forms itself, so only for an accepted candidate (``_growth_factory``).
 * ``psi``: recursive accumulator, eta_res on the first interval and
   delta_prev * psi_prev + eta_res afterwards.  The state space is all
   of R^d, so no projection term enters between intervals.
@@ -97,19 +100,34 @@ class DeltaNotFound:
 def residual_estimator(
     p: Problem, u_hat: LocalPoly, u_left: np.ndarray, f_vals: np.ndarray
 ) -> float:
-    """Sampled sup norm of the integral residual of the reconstruction.
+    """Sup norm of the integral residual of the reconstruction, bounded
+    from its samples, plus the interpolant's estimate of what it drops.
 
     The residual is represented as a polynomial by interpolating
-    f(s, uhat) on the n points of the residual's rule of ``basis(deg)``,
-    deg = deg(uhat), so at degree n - 1, and integrating from the left
-    endpoint -- the cG Picard update at degree n -- then subtracting
-    uhat.
+    f(s, uhat) on the n = deg + 4 points (at most 64) of the residual's
+    rule of ``basis(deg)``, deg = deg(uhat), so at degree q = n - 1, and
+    integrating from the left endpoint -- the cG Picard update at degree
+    n -- then subtracting uhat.
     ``f_vals`` (n, d) are those node values, normally from
     ``_residual_f_vals``: they are lifted as they are and no f is
-    evaluated.  With deg + 4 on deg + 10 points the sup read up to 0.44%
-    below that of a dense integral (8 Gauss points on each of 1000
-    panels) on the benchmark's hp runs; interpolating on deg + 7 points
-    it reads at most 0.1% below (``tests/test_estimator.py``).
+    evaluated.
+
+    eta_res = c sup + tail.  sup is the residual polynomial's sampled
+    sup (``LocalPoly.linf_norm``) and c the Ehlich-Zeller factor of its
+    samples (``poly.Basis.sup_factor``), so c sup bounds the sup of that
+    polynomial between its samples as well.  tail = k (|F_{q-1}| /
+    (2q - 1) + |F_q| / (2q + 1)), with F_j row j of res_proj @ f_vals,
+    the interpolant's top two Legendre coefficients: 2 / (2j + 1) bounds
+    the antiderivative of P_j from -1, and the map contributes k / 2.
+    It estimates what the interpolant leaves out of f, as the
+    Clenshaw-Curtis and Gauss-Kronrod error estimates do (Piessens et
+    al., QUADPACK, 1983); it is an estimate, not a bound.  The lift's
+    last two rows (``poly.Basis.res_lift``) give k F_j / (2j + 1) in the
+    same product as the residual.  On the benchmark's runs of seeds 1-4,
+    eta_res reads at least 0.13% above the residual's sup by a dense
+    integral (8 Gauss points on each of 1000 panels;
+    ``tests/certificate_audit.py``, ``tests/test_estimator.py``), where
+    the sampled sup alone on deg + 7 points read up to 0.055% below it.
 
     Raises NumericOverflow when the lift or the subtraction leaves
     double range, so that ``adapt`` halves the step as it does for an
@@ -122,29 +140,24 @@ def residual_estimator(
     """
     # a float array, itself when it is one; += broadcasts it into row 0
     u_left = np.asarray(u_left, dtype=float)
+    iv = u_hat.interval
     with _quiet():
-        res_coeffs = _cg_lift(u_hat.interval.k, u_left, basis(u_hat.degree).res_lift, f_vals)
-        res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
-    if not _all_finite(res_coeffs):
+        lifted = _cg_lift(iv.k, u_left, basis(u_hat.degree).res_lift, f_vals)
+        lifted[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
+    if not _all_finite(lifted):
         raise NumericOverflow(f"residual of problem {p.name!r} overflowed")
-    return LocalPoly._trusted(u_hat.interval, res_coeffs).linf_norm()
+    res = LocalPoly._trusted(iv, lifted[:-2])
+    top, last = lifted[-2:].tolist()
+    sup = res.linf_norm() * basis(res.degree).sup_factor[len(top) > 1]
+    return sup + (math.hypot(*top) + math.hypot(*last))
 
 
-def _residual_f_vals(
-    p: Problem, u_hat: LocalPoly
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The nodes (ts, us) of u_hat on its interval (``_residual_nodes``),
-    and f at them, which ``residual_estimator`` integrates, (n, d) as f
-    gives them.  ``solve_delta`` takes the nodes as its ``nodes``."""
-    nodes = _residual_nodes(u_hat.interval, u_hat)
-    return nodes, rhs_at(p, *nodes)
-
-
-def _residual_nodes(iv: Interval, u_hat: LocalPoly) -> tuple[np.ndarray, np.ndarray]:
-    """The nodes of the residual's rule of ``basis(deg(uhat))`` on iv:
-    their times ts (n,) and the values us (n, d) of u_hat there."""
-    b = basis(u_hat.degree)
-    return _time_map(iv.t_start, iv.k, b.res_offsets), np.dot(b.res_V, u_hat.coeffs)
+def _residual_f_vals(p: Problem, u_hat: LocalPoly) -> np.ndarray:
+    """f at the nodes of the residual's rule of ``basis(deg(uhat))`` on
+    u_hat's interval, (n, d) as f gives them, which
+    ``residual_estimator`` integrates."""
+    b, iv = basis(u_hat.degree), u_hat.interval
+    return rhs_at(p, _time_map(iv.t_start, iv.k, b.res_offsets), np.dot(b.res_V, u_hat.coeffs))
 
 
 def psi_update(prev: Optional[StepEstimate], eta_res: float) -> float:
@@ -155,30 +168,26 @@ def psi_update(prev: Optional[StepEstimate], eta_res: float) -> float:
 
 
 def _growth_factory(
-    p: Problem,
-    iv: Interval,
-    u_hat: LocalPoly,
-    psi: float,
-    nodes: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    p: Problem, iv: Interval, u_hat: LocalPoly, psi: float
 ) -> Callable[[float], float]:
     """Build the growth E(delta) = exp(int_I lip(s, delta*psi + |uhat|, |uhat|) ds)
     with the reconstruction norms precomputed; phi(delta) = E(delta) - delta.
 
-    The integral runs on the n nodes of the residual's rule of
-    ``basis(deg(uhat))`` (exact for lip of degree 2n - 1 in s), with the
-    weights k res_proj[0] = k w_q / 2.
+    The integral runs on the g nodes of the growth rule of
+    ``basis(deg(uhat))`` (exact for lip of degree 2g - 1 in s), with the
+    weights k grow_w = k w_q / 2.
     Overflow in the envelope or the exponential yields +inf, whether it
     shows as a non-finite value or as NumericOverflow or OverflowError
     raised by a scalar lip (which receives Python floats).  The weights w
     are positive, so the exponent dot(w, vals) is finite exactly when
     every envelope value is, unless the sum itself overflows, which also
-    means +inf.  The node norms |uhat| are ``poly._norms``, finite
-    wherever the node values are, of the node values of ``nodes`` =
-    (ts, us), ``_residual_nodes(iv, u_hat)`` when it is None.
+    means +inf.  The node norms |uhat| are ``poly._norms`` of the node
+    values, finite wherever those are.
     """
-    ts, us = _residual_nodes(iv, u_hat) if nodes is None else nodes
-    u_norms = _norms(us, 1)
-    w = iv.k * basis(u_hat.degree).res_proj[0]
+    b = basis(u_hat.degree)
+    ts = _time_map(iv.t_start, iv.k, b.grow_offsets)
+    u_norms = _norms(np.dot(b.grow_V, u_hat.coeffs), 1)
+    w = iv.k * b.grow_w
 
     def growth(delta: float) -> float:
         try:
@@ -205,17 +214,8 @@ def solve_delta(
     u_hat: LocalPoly,
     psi: float,
     prev_delta: Optional[float] = None,
-    *,
-    nodes: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Union[float, DeltaNotFound]:
     """Leftmost delta > 1 with phi(delta) < 0, or DeltaNotFound.
-
-    ``nodes``, when given, are the times ts (n,) and the values us (n,
-    d) of u_hat at the nodes of the residual's rule on iv, as
-    ``_residual_nodes`` forms them: the drivers pass the ones they
-    formed for the residual, so the growth integral forms neither
-    again.  They must be those of u_hat on iv, bit for bit, for the
-    solve to be the one without them; None forms them here.
 
     The loop keeps lo, with phi(lo) >= 0 (1 at first); floor =
     max(E(lo), the float after lo), as phi >= 0 on [lo, floor); and hi,
@@ -249,7 +249,7 @@ def solve_delta(
     # one errstate for every envelope evaluation of the solve; growth
     # reads overflow from its exponent
     with _quiet():
-        growth = _growth_factory(p, iv, u_hat, psi, nodes)
+        growth = _growth_factory(p, iv, u_hat, psi)
         e_one = growth(1.0)
         if not (e_one - 1.0 >= -1e-12):
             raise ArithmeticError(f"phi(1) = {e_one - 1.0} < 0; estimator state is inconsistent")

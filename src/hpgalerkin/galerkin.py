@@ -149,6 +149,9 @@ MAX_GROWING = 3
 
 
 class Scheme(enum.Enum):
+    # identity hash, as ``Start``'s: keys ``picard_operator``'s cache
+    __hash__ = object.__hash__
+
     CG = "cg"
     DG = "dg"
 
@@ -347,7 +350,7 @@ class SchemeOperator:
     x0)) / (x2 - x0) the three-point second derivative: the ratio is 1/m
     on a pole of order m and 0 on an exponential, whose 1/f is no
     polynomial; u blows up only where f is not integrable, m >= 1, and
-    on the rules from degree 3 the three-point ratio reads at most 1.011
+    on the rules from degree 3 the three-point ratio reads at most 1.026
     on m = 1, so 5/4 bounds it with a margin, while near a positive
     minimum of |f| L' vanishes and the ratio has no bound;
     the third divided difference of L on x0, xq, x1, x2 is positive, as

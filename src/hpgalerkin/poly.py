@@ -6,9 +6,10 @@ mapped affinely from the reference interval [-1, 1].  The orthogonality
 of the basis gives exact L2 norms (Parseval), cheap projections, and
 stable evaluation at high degree.
 
-``basis(r)`` caches, once per degree r, two Gauss-Legendre rules, the
-Picard step's and the residual's, and the matrices the solver evaluates
-a degree-r polynomial with, and no others.  ``Basis`` states the rule
+``basis(r)`` caches, once per degree r, three Gauss-Legendre rules, the
+Picard step's, the residual's and the growth integral's, and the
+matrices the solver evaluates a degree-r polynomial with, and no
+others.  ``Basis`` states the rule
 sizes and the degree cap ``MAX_DEGREE``, for the whole package.
 
 The package's numeric primitives live here too, so that each has one
@@ -74,12 +75,16 @@ __all__ = ["Interval", "LocalPoly"]
 
 # Sampling density for sup-norm estimation: 24*(degree+2) Chebyshev
 # points plus the two endpoints.  At this density the sampled value
-# stays within 0.1% of a 10x denser grid on random degree-8 inputs.
+# stays within 0.1% of a 10x denser grid on random degree-8 inputs, and
+# the Ehlich-Zeller factor that bounds the sup from the samples
+# (``Basis.sup_factor``) stays below 1/cos(pi/48) = 1.0022 for one
+# component and 1/sqrt(cos(pi/24)) = 1.0043 for more.
 _LINF_SAMPLES_PER_DEGREE = 24
 
 # The rule sizes and the degree cap (``Basis``)
 _STEP_EXTRA_POINTS = 1
-_RESIDUAL_EXTRA_POINTS = 7
+_RESIDUAL_EXTRA_POINTS = 4
+_GROWTH_EXTRA_POINTS = 7
 _MAX_QUAD_POINTS = 64
 MAX_DEGREE = 58
 
@@ -153,8 +158,8 @@ def _time_map(t_start: float, k: float, offsets):
 
     The one formula of the time map: ``Interval.from_reference`` forms
     the offsets itself, the solver passes a basis's cached
-    ``Basis.step_offsets`` or ``Basis.res_offsets``.  0.5 k is formed
-    first, so the product rounds as the map always has.
+    ``Basis.step_offsets``, ``res_offsets`` or ``grow_offsets``.  0.5 k
+    is formed first, so the product rounds as the map always has.
     """
     return t_start + 0.5 * k * offsets
 
@@ -283,12 +288,18 @@ def _norms(vals: np.ndarray, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Basis:
-    """The Legendre basis of degree r with its two Gauss-Legendre rules;
-    every array is read-only.
+    """The Legendre basis of degree r with its three Gauss-Legendre
+    rules; every array is read-only.
 
     samples (m,), samples_V (m, r+1): the sup-norm sample points,
     24 (r+2) Chebyshev points plus the two endpoints, and their
-    Vandermonde.
+    Vandermonde.  sup_factor, the Ehlich-Zeller factors of those
+    points (Ehlich & Zeller, Math. Z. 86, 1964): a polynomial p of
+    degree r with one component has sup |p| <= sup_factor[0] times the
+    largest |p| at the l = 24 (r+2) Chebyshev points, sup_factor[0] =
+    1 / cos(r pi / (2 l)); with more components the bound applies to
+    |p|^2, of degree 2r, so sup_factor[1] = 1 / sqrt(cos(r pi / l)).
+    Index it by d > 1.
     step_offsets (s,), step_V (s, r+1), step_proj (r+1, s), step_lift
     (r+2, s): the Picard step's rule of s = min(r + 1, 64) points.  The
     offsets are its nodes + 1, the reference offsets of the time map:
@@ -305,26 +316,34 @@ class Basis:
     degree r+1 integral of the projected node values f, zero at the left
     endpoint.  The step iterates on it and the reconstruction lifts the
     step's node values with step_lift; the estimator integrates on the
-    residual's rule.
+    residual's rule and the growth rule.
     res_offsets (n,), res_V (n, r+1), res_proj (q+1, n), res_lift
-    (q+2, n): offsets, V, proj and lift for the residual's rule of
-    n = min(r + 7, 64) points, with q = n - 1, so that res_proj
+    (q+4, n): offsets, V, proj and lift for the residual's rule of
+    n = min(r + 4, 64) points, with q = n - 1, so that res_proj
     interpolates the node values: the residual of a degree-r
-    reconstruction integrates f on it at degree q = min(r + 6, 63),
+    reconstruction integrates f on it at degree q = min(r + 3, 63),
     and the drivers form every first Picard iterate from the same node
-    values (``galerkin.SchemeOperator``).  The estimator's growth
-    integral runs on it too, with the Gauss weights 2 res_proj[0].
+    values (``galerkin.SchemeOperator``).  The last two rows of
+    res_lift are the tail rows res_proj[j] / (2j + 1), j = q - 1 and
+    q: 2 / (2j + 1) bounds the antiderivative of P_j from -1, so k
+    times their products with f bound what the interpolant's top two
+    coefficients add to the residual, the estimate of what it drops
+    (``estimator.residual_estimator``).
+    grow_offsets (g,), grow_V (g, r+1), grow_w (g,): offsets, V and the
+    Gauss weights w / 2 of the growth integral's rule of g = min(r + 7,
+    64) points (``estimator.solve_delta``), which reads lip and never f.
 
-    The sizes are ``_STEP_EXTRA_POINTS`` = 1 and
-    ``_RESIDUAL_EXTRA_POINTS`` = 7 points beyond the degree served, up
-    to ``_MAX_QUAD_POINTS`` = 64.  Step degrees stop at MAX_DEGREE = 58:
-    the reconstruction of a step is one degree higher, and at degree 59
-    the 64 points of the largest rule still interpolate its residual at
-    degree 63 = deg + 4.
+    The sizes are ``_STEP_EXTRA_POINTS`` = 1, ``_RESIDUAL_EXTRA_POINTS``
+    = 4 and ``_GROWTH_EXTRA_POINTS`` = 7 points beyond the degree
+    served, up to ``_MAX_QUAD_POINTS`` = 64.  Step degrees stop at
+    MAX_DEGREE = 58: the reconstruction of a step is one degree higher,
+    and at degree 59 its residual's rule has 63 points, below the cap,
+    so the residual interpolates at deg + 3 at every degree.
     """
 
     samples: np.ndarray
     samples_V: np.ndarray
+    sup_factor: tuple[float, float]
     step_offsets: np.ndarray
     step_V: np.ndarray
     step_proj: np.ndarray
@@ -333,6 +352,9 @@ class Basis:
     res_V: np.ndarray
     res_proj: np.ndarray
     res_lift: np.ndarray
+    grow_offsets: np.ndarray
+    grow_V: np.ndarray
+    grow_w: np.ndarray
 
 
 def _rule(n: int, r: int, q: int) -> tuple[np.ndarray, ...]:
@@ -354,10 +376,15 @@ def basis(r: int) -> Basis:
     cheb = np.cos(np.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
     samples = np.concatenate(([-1.0], cheb[::-1], [1.0]))
     samples_V = _leg.legvander(samples, r)
+    sup_factor = (1.0 / math.cos(r * math.pi / (2 * m)), 1.0 / math.sqrt(math.cos(r * math.pi / m)))
     step = _rule(min(r + _STEP_EXTRA_POINTS, _MAX_QUAD_POINTS), r, r)
     n = min(r + _RESIDUAL_EXTRA_POINTS, _MAX_QUAD_POINTS)
-    res = _rule(n, r, n - 1)
-    arrays = (samples, samples_V, *step, *res)
+    res_offsets, res_V, res_proj, res_lift = _rule(n, r, n - 1)
+    tail = res_proj[n - 2 :] / (2.0 * np.arange(n - 2, n) + 1.0)[:, None]
+    res = (res_offsets, res_V, res_proj, np.concatenate((res_lift, tail)))
+    grow_nodes, grow_weights = _leg.leggauss(min(r + _GROWTH_EXTRA_POINTS, _MAX_QUAD_POINTS))
+    grow = (grow_nodes + 1.0, _leg.legvander(grow_nodes, r), 0.5 * grow_weights)
+    arrays = (samples, samples_V, *step, *res, *grow)
     for arr in arrays:
         arr.flags.writeable = False
-    return Basis(*arrays)
+    return Basis(samples, samples_V, sup_factor, *arrays[2:])

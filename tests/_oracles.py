@@ -21,6 +21,7 @@ from hpgalerkin.galerkin import (
     picard_operator,
 )
 from hpgalerkin.poly import (
+    _GROWTH_EXTRA_POINTS,
     _RESIDUAL_EXTRA_POINTS,
     _STEP_EXTRA_POINTS,
     LocalPoly,
@@ -48,8 +49,27 @@ def step_nodes(r):
 def residual_nodes(deg):
     """The nodes and weights of the residual's Gauss-Legendre rule of a
     reconstruction of degree deg, min(deg + poly._RESIDUAL_EXTRA_POINTS,
-    64) points; the residual interpolates f on them."""
+    64) = min(deg + 4, 64) points; the residual interpolates f on them."""
     return legendre.leggauss(min(deg + _RESIDUAL_EXTRA_POINTS, 64))
+
+
+def growth_nodes(deg):
+    """The nodes and weights of the growth integral's Gauss-Legendre rule
+    of a reconstruction of degree deg, min(deg +
+    poly._GROWTH_EXTRA_POINTS, 64) = min(deg + 7, 64) points, the rule
+    the residual's had before it shrank; the delta solve integrates lip
+    on them."""
+    return legendre.leggauss(min(deg + _GROWTH_EXTRA_POINTS, 64))
+
+
+def ehlich_zeller(n, d):
+    """The factor by which the largest norm at the 24 (n + 2) Chebyshev
+    samples of ``basis(n)`` bounds the sup of a degree-n polynomial in
+    R^d (Ehlich & Zeller, 1964): 1 / cos(n pi / (2m)), m = 24 (n + 2),
+    for d = 1; for d > 1 that bound on |p|^2, of degree 2n, so
+    1 / sqrt(cos(n pi / m))."""
+    m = 24 * (n + 2)
+    return 1.0 / math.cos(n * math.pi / (2 * m)) if d == 1 else 1.0 / math.sqrt(math.cos(n * math.pi / m))
 
 
 def constant(iv, value, degree=0):
@@ -227,18 +247,23 @@ def reference_reconstruct(p, inp, u):
 
 
 def reference_residual(p, u_hat, u_left):
-    """Residual sup norm by ``project_values`` + ``antiderivative`` on the
-    residual's rule (``residual_nodes``) at the degree that interpolates
-    there, min(deg(uhat) + 6, 63), minus uhat, sampled as
-    LocalPoly.linf_norm."""
+    """The residual estimator by ``project_values`` + ``antiderivative``
+    on the residual's rule (``residual_nodes``) at the degree q that
+    interpolates there, min(deg(uhat) + 3, 63), minus uhat, sampled as
+    LocalPoly.linf_norm and scaled by ``ehlich_zeller``, plus the tail
+    k (|F_{q-1}| / (2q - 1) + |F_q| / (2q + 1)) of the projection's top
+    two coefficients F_j."""
     iv = u_hat.interval
     nodes, weights = residual_nodes(u_hat.degree)
     r_q = nodes.size - 1
     f_vals = checked_rhs(p, iv.from_reference(nodes), legendre.legval(nodes, u_hat.coeffs).T)
-    accum = antiderivative(project_values(f_vals, iv, r_q, nodes, weights), u_left)
+    projected = project_values(f_vals, iv, r_q, nodes, weights)
+    accum = antiderivative(projected, u_left)
     res = accum.coeffs.copy()
     res[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
-    return LocalPoly(iv, res).linf_norm()
+    top = np.linalg.norm(projected.coeffs[-2:], axis=1)
+    tail = iv.k * (top[0] / (2 * r_q - 1) + top[1] / (2 * r_q + 1))
+    return ehlich_zeller(r_q + 1, res.shape[1]) * LocalPoly(iv, res).linf_norm() + tail
 
 
 def reference_reconstruction_error(p, u_hat):
@@ -443,7 +468,7 @@ def change_only_sweep(p, inp, c, cap, atol):
 def residual_rule(r):
     """The nodes (n,), quadrature L2 projection (r+1, n) onto degree r
     and its lift (r+2, n), the antiderivative from x = -1 per unit step
-    length, on the residual's rule of ``basis(r)``, n = min(r + 7, 64)
+    length, on the residual's rule of ``basis(r)``, n = min(r + 4, 64)
     points, built by ``poly._rule`` as ``basis`` builds its rules.
     ``basis(r)`` keeps this rule's projection and lift at degree n - 1,
     which interpolates; the projection's first r + 1 rows are these."""
@@ -675,27 +700,30 @@ def parent_reconstruct(p, inp, u, f_vals=None):
 
 def parent_residual(p, u_hat, u_left, f_vals=None):
     """``estimator.residual_estimator`` on ``parent_cg_lift``, with a
-    second errstate for the subtraction and ``parent_linf_norm``."""
+    second errstate for the subtraction and ``parent_linf_norm``: the
+    lift's last two rows are the tail's, the rows above them the
+    residual polynomial, whose sampled sup is scaled by ``ehlich_zeller``
+    and the tail's two ``math.hypot``s added."""
     u_left = np.atleast_1d(np.asarray(u_left, dtype=float))
-    res_coeffs = parent_cg_lift(p, u_hat, u_left, u_hat.degree, f_vals, step=False)
+    lifted = parent_cg_lift(p, u_hat, u_left, u_hat.degree, f_vals, step=False)
     with np.errstate(over="ignore"):
-        res_coeffs[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
-    if not np.isfinite(res_coeffs).all():
+        lifted[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
+    if not np.isfinite(lifted).all():
         raise NumericOverflow(f"residual of problem {p.name!r} overflowed")
-    return parent_linf_norm(LocalPoly(u_hat.interval, res_coeffs))
+    res = LocalPoly(u_hat.interval, lifted[:-2])
+    sup = parent_linf_norm(res) * ehlich_zeller(res.degree, lifted.shape[1])
+    return sup + (math.hypot(*lifted[-2]) + math.hypot(*lifted[-1]))
 
 
-def parent_growth_factory(p, iv, u_hat, psi, nodes=None):
+def parent_growth_factory(p, iv, u_hat, psi):
     """``estimator._growth_factory`` with a matmul product, ``np.sum`` of
-    squares and the nodes of the residual's rule (``residual_nodes``)
-    mapped by ``from_reference``; same signature, so it can stand in for
-    it inside ``solve_delta``.  It ignores ``nodes`` and forms its own,
-    so a solve given the drivers' nodes is compared against nodes formed
-    independently."""
+    squares and the nodes of the growth rule (``growth_nodes``) mapped by
+    ``from_reference``; same signature, so it can stand in for it inside
+    ``solve_delta``."""
     b = basis(u_hat.degree)
-    ts = iv.from_reference(residual_nodes(u_hat.degree)[0])
-    u_norms = parent_node_norms(b.res_V @ u_hat.coeffs)
-    w = iv.k * b.res_proj[0]
+    ts = iv.from_reference(growth_nodes(u_hat.degree)[0])
+    u_norms = parent_node_norms(b.grow_V @ u_hat.coeffs)
+    w = iv.k * b.grow_w
 
     def growth(delta):
         try:

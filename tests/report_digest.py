@@ -55,7 +55,10 @@ an accuracy halving or after a degree raise), also informational; the
 f points split by the outcome of the attempt that spent them
 (``OUTCOMES``: accepted, rejected on accuracy, failed step or the
 discarded final candidate), with each side's shares, informational
-too; the number of runs whose outcome differs, each such run with its
+too; the f points split by what evaluates them (``EVALUATORS``: the
+Picard steps, or the residual's rule, read by a wrapper on
+``adapt._residual_f_vals``), with each side's shares, informational as
+well; the number of runs whose outcome differs, each such run with its
 first difference, and the number of runs whose step or reconstruction
 coefficient bytes differ.  For the runs with equal outcomes it prints
 how far the bounds and each interval's own ``eta_res`` moved (the
@@ -107,6 +110,11 @@ OUTCOMES = {
     "failed": "failed step",
     "final": "discarded final candidate",
 }
+
+# What evaluates f, in the order the comparison prints them: the
+# residual's rule is what ``adapt._residual_f_vals`` evaluates, once per
+# candidate; the Picard steps spend every other f point.
+EVALUATORS = {"step": "the Picard steps", "residual": "the residual's rule"}
 
 # How an attempt started, in the order the comparison prints them.
 START_KINDS = {
@@ -254,7 +262,9 @@ def run_outcomes(seed, root=ROOT):
     ``starts``: the same calls per ``start_kind``, as [steps, Picard
     updates, f points], the f points read from the benchmark's counter
     around each call, and ``outcomes``: the f points per ``OUTCOMES``
-    key, told apart by a wrapper on ``adapt.solve_delta`` too.  A tree
+    key, told apart by a wrapper on ``adapt.solve_delta`` too, and
+    ``evaluators``: the f points per ``EVALUATORS`` key, the residual's
+    read by a wrapper on ``adapt._residual_f_vals``.  A tree
     whose ``adapt._reciprocal_iterate`` can find a pole (``adapt._POLE``)
     has that function wrapped too, so that the attempt after a pole
     halving is told apart."""
@@ -266,9 +276,10 @@ def run_outcomes(seed, root=ROOT):
     # attempt's outcome so far and the f point count where it started
     run = {
         "steps": [0, 0, 0], "starts": {}, "outcomes": {}, "f_points": [0],
-        "last": None, "pole": False, "attempt": None,
+        "last": None, "pole": False, "attempt": None, "residual": 0,
     }
     step, recip = adapt.step, getattr(adapt, "_reciprocal_iterate", None)
+    residual_f_vals = getattr(adapt, "_residual_f_vals", None)
     solve_delta, not_found = adapt.solve_delta, adapt.DeltaNotFound
     pole = getattr(adapt, "_POLE", None)
 
@@ -301,15 +312,25 @@ def run_outcomes(seed, root=ROOT):
         run["pole"] |= guess is pole
         return guess
 
+    def counted_residual(*args):
+        before = run["f_points"][0]
+        out = residual_f_vals(*args)
+        run["residual"] += run["f_points"][0] - before
+        return out
+
     adapt.step, adapt.solve_delta = counted_step, watched_delta
     if pole is not None:
         adapt._reciprocal_iterate = watched_recip
+    if residual_f_vals is not None:
+        adapt._residual_f_vals = counted_residual
     try:
         return _outcomes(bench, seed, share, run)
     finally:
         adapt.step, adapt.solve_delta = step, solve_delta
         if pole is not None:
             adapt._reciprocal_iterate = recip
+        if residual_f_vals is not None:
+            adapt._residual_f_vals = residual_f_vals
 
 
 def close_attempt(run):
@@ -352,7 +373,7 @@ def _outcomes(bench, seed, share, run):
             run.update(
                 steps=[0, 0, 0], starts={kind: [0, 0, 0] for kind in START_KINDS},
                 outcomes=dict.fromkeys(OUTCOMES, 0), attempt=None,
-                f_points=ladder.f_points, last=None, pole=False,
+                f_points=ladder.f_points, last=None, pole=False, residual=0,
             )
             result = bench.solve(ladder, tol)
             close_attempt(run)
@@ -375,6 +396,9 @@ def _outcomes(bench, seed, share, run):
                 "steps": run["steps"],
                 "starts": run["starts"],
                 "outcomes": run["outcomes"],
+                "evaluators": {
+                    "step": ladder.f_points[0] - run["residual"], "residual": run["residual"],
+                },
             }
     return outcomes
 
@@ -474,6 +498,11 @@ def compare_outcomes(rev, seed, march=False):
         print(f"  f points by outcome, {' / '.join(OUTCOMES.values())}:")
         for label, side in ((rev, theirs), ("here", mine)):
             points = [sum(side[key]["outcomes"][kind] for key in keys) for kind in OUTCOMES]
+            shares = "/".join(f"{100 * n / max(sum(points), 1):.1f}" for n in points)
+            print(f"    {label}: {'/'.join(map(str, points))} ({shares}%)")
+        print(f"  f points by evaluator, {' / '.join(EVALUATORS.values())}:")
+        for label, side in ((rev, theirs), ("here", mine)):
+            points = [sum(side[key]["evaluators"][kind] for key in keys) for kind in EVALUATORS]
             shares = "/".join(f"{100 * n / max(sum(points), 1):.1f}" for n in points)
             print(f"    {label}: {'/'.join(map(str, points))} ({shares}%)")
         for line in differ:

@@ -1147,7 +1147,7 @@ class TestFPointLedger:
     """The march evaluates f only in the Picard updates, on the step's
     rule of min(r + 1, 64) points, and once for the residual of each
     reconstruction that ``reconstruct`` returns, on the residual's rule
-    of the degree r + 1 reconstruction, min(r + 8, 64) points: the
+    of the degree r + 1 reconstruction, min(r + 5, 64) points: the
     reconstruction lifts the step's own f values, the drivers' first
     iterates are Picard updates from values already evaluated, and no
     layer evaluates f twice."""
@@ -1181,7 +1181,7 @@ class TestFPointLedger:
         res = (hp_adapt if mode is Mode.HP else h_adapt)(p, cfg)
         assert res.M > 10 and lifts
         want = sum(iters * min(r + 1, 64) for r, iters in steps)
-        want += sum(min(r + 8, 64) for r in lifts)
+        want += sum(min(r + 5, 64) for r in lifts)
         assert points[0] == want
 
 
@@ -1226,6 +1226,9 @@ PREDICTION_RUNS = {
     "exp-cg-hp-1-max2": (make_exponential(1.0), Scheme.CG, Mode.HP, 1, 0.09, 1e-5, 2),
     "power2-dg-hp-1": (make_power_square(1.0), Scheme.DG, Mode.HP, 1, 0.15, 1e-7, 30),
     "custom-cg-hp-1": (norm_square_scalar(), Scheme.CG, Mode.HP, 1, 0.15, 1e-7, 30),
+    # two halvings, a predicted and a pole one, with a scaled prediction
+    # above tol: on the residual's deg + 4-point rule no run above has one
+    "exp-dg-h-4-1e-4": (make_exponential(1.0), Scheme.DG, Mode.H, 4, 0.09, 1e-4, 30),
 }
 
 
@@ -1805,10 +1808,10 @@ class TestReciprocalContinuation:
     @pytest.mark.parametrize(
         "column",
         [
-            [12.0, 11.0, -10.0, 9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0],  # a sign change
-            [12.0, 11.0, 10.0, 9.0, 8.0, 0.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0],  # a zero
-            [0.0] * 12,
-            [-0.0, -11.0, -10.0, -9.0, -8.0, -7.0, -6.0, -5.0, -4.0, -3.0, -2.0, -1.0],
+            [9.0, 8.0, -7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0],  # a sign change
+            [9.0, 8.0, 7.0, 6.0, 5.0, 0.0, 3.0, 2.0, 1.0],  # a zero
+            [0.0] * 9,
+            [-0.0, -8.0, -7.0, -6.0, -5.0, -4.0, -3.0, -2.0, -1.0],
         ],
     )
     @pytest.mark.parametrize("other", [None, "pole"])
@@ -1922,6 +1925,7 @@ class TestPoleHalving:
                     halvings = sum(rec.decisions.count("halve_k_pole") for rec in res.intervals)
                     assert halvings <= poles[0]
             assert marches[False] == marches[True]
-        # power2 from u0 = 1 meets a pole on the step only on the cG hp
-        # run at 10^-7.5, on its discarded last interval
-        assert skipped > 0 or make is make_power_square and not (scheme is Scheme.CG and mode is Mode.HP)
+        # power2 from u0 = 1 meets a pole on the step only on the dG h
+        # run at 1e-4 (on the residual's deg + 7-point rule, also on the
+        # cG hp run at 10^-7.5, on its discarded last interval)
+        assert skipped > 0 or make is make_power_square and not (scheme is Scheme.DG and mode is Mode.H)

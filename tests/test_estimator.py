@@ -4,14 +4,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from numpy.polynomial import legendre
+from hypothesis import given, settings, strategies as st
 
 from hpgalerkin.estimator import (
     PHI_TOL,
     DeltaNotFound,
     StepEstimate,
     _growth_factory,
-    _residual_f_vals,
     psi_update,
     reconstruction_error,
     residual_estimator,
@@ -28,10 +28,11 @@ from hpgalerkin.galerkin import (
     reconstruct,
     step,
 )
-from hpgalerkin.poly import Interval, LocalPoly, _time_map, basis
+from hpgalerkin.poly import Interval, LocalPoly, _norms, _time_map, basis
 from hpgalerkin.problems import (
     NumericOverflow,
     Problem,
+    lip_at,
     make_exponential,
     make_linear,
     make_power_square,
@@ -112,18 +113,22 @@ class TestResidualEstimator:
     @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG], ids=lambda v: v.value)
     def test_at_the_degree_cap(self, scheme):
         # a step at MAX_DEGREE has a reconstruction of degree 59, whose
-        # residual's rule is capped at 64 points, interpolating at degree
-        # 63; every start of the drivers reads 64 node values, the
-        # raise's on the capped rule of a degree 58 reconstruction
+        # residual's rule has 63 points, interpolating at degree 62, with
+        # the two tail rows under its lift, and whose growth rule is
+        # capped at 64 points; every start of the drivers but the raise
+        # reads 63 node values, the raise's 62 on the rule of a degree 58
+        # reconstruction
         r = MAX_DEGREE
         b = basis(r + 1)
         assert (b.res_offsets.size, b.res_V.shape, b.res_proj.shape, b.res_lift.shape) == (
-            64, (64, r + 2), (64, 64), (65, 64)
+            63, (63, r + 2), (63, 63), (66, 63)
         )
+        assert (b.grow_offsets.size, b.grow_V.shape, b.grow_w.shape) == (64, (64, r + 2), (64,))
         op, s = picard_operator(r, scheme), basis(r).step_offsets.size
         starts = [Start.NEXT, Start.NEXT_HALF, Start.HALVE, Start.RAISE]
-        assert {start: H.shape for start, H in op.H.items()} == dict.fromkeys(starts, (r + 1, 64))
-        assert {start: R.shape for start, R in op.R.items()} == dict.fromkeys(starts[:2], (s, 64))
+        want = dict.fromkeys(starts, (r + 1, 63)) | {Start.RAISE: (r + 1, 62)}
+        assert {start: H.shape for start, H in op.H.items()} == want
+        assert {start: R.shape for start, R in op.R.items()} == dict.fromkeys(starts[:2], (s, 63))
         p = make_power_square(1.0)
         inp = StepInput(Interval(0.0, 0.1), r, np.array([1.0]), scheme)
         out = step(p, inp)
@@ -272,19 +277,20 @@ class TestPhi:
 
     @pytest.mark.parametrize("deg", [0, 1, 2, 3, 5, 8])
     @pytest.mark.parametrize("t_start,k", [(0.0, 2.0), (0.5, 0.5), (-1.0, 0.25)])
-    def test_growth_integral_on_the_residual_rule(self, deg, t_start, k):
-        # lip is read at the nodes of the residual's rule of basis(deg),
-        # n = deg + 7 points, and integrated exactly for lip of degree
-        # 2n - 1 in t: 1 + x^(2n-1) + x^(2n-2), x the reference coordinate,
-        # integrates to (k/2) (2 + 2 / (2n - 1))
+    def test_growth_integral_on_its_own_rule(self, deg, t_start, k):
+        # lip is read at the nodes of the growth rule of basis(deg), g =
+        # deg + 7 points, not at the residual's deg + 4, and integrated
+        # exactly for lip of degree 2g - 1 in t: 1 + x^(2g-1) + x^(2g-2),
+        # x the reference coordinate, integrates to (k/2) (2 + 2 / (2g - 1))
         iv, seen = Interval(t_start, t_start + k), []
-        offsets = basis(deg).res_offsets
-        n = offsets.size
+        offsets = basis(deg).grow_offsets
+        g = offsets.size
+        assert g == deg + 7 and basis(deg).res_offsets.size == deg + 4
 
         def lip_batch(ts, a, b):
             seen.append(ts)
             x = (ts - iv.t_start) * (2.0 / iv.k) - 1.0
-            return 1.0 + x ** (2 * n - 1) + x ** (2 * n - 2)
+            return 1.0 + x ** (2 * g - 1) + x ** (2 * g - 2)
 
         p = Problem(dim=1, u0=[1.0], f=lambda t, u: u, lip=lambda t, a, b: 0.0, lip_batch=lip_batch)
         u_hat = flat_reconstruction(0.5, iv, degree=deg)
@@ -292,8 +298,32 @@ class TestPhi:
             e_one = _growth_factory(p, iv, u_hat, 1.0)(1.0)
         assert len(seen) == 1
         assert seen[0].tobytes() == _time_map(iv.t_start, iv.k, offsets).tobytes()
-        exact = 0.5 * iv.k * (2.0 + 2.0 / (2 * n - 1))
+        exact = 0.5 * iv.k * (2.0 + 2.0 / (2 * g - 1))
         assert math.log(e_one) == pytest.approx(exact, rel=8 * sys.float_info.epsilon, abs=0.0)
+
+    @pytest.mark.parametrize("deg", [0, 1, 2, 3, 5, 8, 21, 59])
+    def test_growth_bits_of_the_shared_deg_plus_7_rule(self, deg, rng):
+        # the growth on its own rule is the one the integral took when it
+        # shared the residual's deg + 7-point rule, bit for bit: the
+        # times, the node values np.dot(V, c), their norms and the weights
+        # k w / 2 of that rule, rebuilt here from numpy's legendre module
+        nodes, weights = legendre.leggauss(min(deg + 7, 64))
+        V = legendre.legvander(nodes, deg)
+        for p in GROWTH_PROBLEMS:
+            for _ in range(3):
+                t_start = float(rng.uniform(-1.0, 1.0))
+                iv = Interval(t_start, t_start + float(10.0 ** rng.uniform(-6.0, 0.0)))
+                u_hat = LocalPoly(iv, rng.uniform(-2.0, 2.0, (deg + 1, p.dim)))
+                psi = float(rng.uniform(0.0, 0.5))
+                ts = _time_map(iv.t_start, iv.k, nodes + 1.0)
+                u_norms = _norms(np.dot(V, u_hat.coeffs), 1)
+                w = iv.k * (0.5 * weights)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    growth = _growth_factory(p, iv, u_hat, psi)
+                    for delta in (1.0, 1.5, 3.0, 7.0):
+                        env = lip_at(p, ts, delta * psi + u_norms, u_norms)
+                        want = math.exp(float(np.dot(w, env)))
+                        assert repr(growth(delta)) == repr(want)
 
     def test_python_float_overflow_is_plus_inf(self):
         # a scalar lip gets Python floats, whose ** raises OverflowError
@@ -524,41 +554,12 @@ def custom_scalar_problem():
     )
 
 
-NODE_PROBLEMS = [
+GROWTH_PROBLEMS = [
     make_power_square(1.0),
     make_exponential(1.0),
     make_linear(-1.5, [1.0, 2.0]),
     custom_scalar_problem(),
 ]
-
-
-class TestDriverNodes:
-    """``solve_delta`` given the drivers' nodes (``_residual_f_vals``)
-    is the solve without them, bit for bit."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        which=st.sampled_from(range(len(NODE_PROBLEMS))),
-        t_start=st.floats(-10.0, 10.0),
-        k=st.floats(1e-6, 1.0),
-        degree=st.integers(0, 8),
-        psi=st.floats(0.0, 10.0),
-        prev_delta=st.one_of(st.none(), st.floats(1.0, 100.0)),
-        data=st.data(),
-    )
-    def test_same_solve(self, which, t_start, k, degree, psi, prev_delta, data):
-        p = NODE_PROBLEMS[which]
-        size = (degree + 1) * p.dim
-        values = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=size, max_size=size))
-        iv = Interval(t_start, t_start + k)
-        u_hat = LocalPoly(iv, np.reshape(values, (degree + 1, p.dim)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            nodes, _ = _residual_f_vals(p, u_hat)
-        got = solve_delta(p, iv, u_hat, psi, prev_delta, nodes=nodes)
-        want = solve_delta(p, iv, u_hat, psi, prev_delta)
-        # repr tells every float apart, and a DeltaNotFound by its fields
-        assert type(got) is type(want) and repr(got) == repr(want)
-        event(type(got).__name__)
 
 
 class TestEffectivity:

@@ -835,21 +835,18 @@ class TestAcceptPathBitIdentity:
     @pytest.mark.parametrize("scheme,r,dim", ACCEPT_CASES, ids=lambda v: getattr(v, "value", v))
     def test_delta(self, scheme, r, dim, monkeypatch):
         # a psi from the residual, one whose solve takes several steps,
-        # cold and warm, and one without a certificate; with and without
-        # the drivers' nodes, against the oracle, which ignores them and
-        # maps its own nodes by from_reference
+        # cold and warm, and one without a certificate, against the
+        # oracle, which maps its own nodes by from_reference
         p, inp, out = accept_case(scheme, r, dim)
         u_hat = reconstruct(p, inp, out.f_vals)
         eta = residual_estimator(p, u_hat, inp.u_left, residual_f_vals(p, u_hat))
-        nodes = estimator._residual_f_vals(p, u_hat)[0]
         results = []
         for psi, prev_delta in ((eta, None), (1.0, None), (1.0, 1.5), (1e3, 2.0)):
             with monkeypatch.context() as m:
                 m.setattr(estimator, "_growth_factory", parent_growth_factory)
-                want = solve_delta(p, inp.interval, u_hat, psi, prev_delta, nodes=nodes)
-            for given_nodes in (None, nodes):
-                got = solve_delta(p, inp.interval, u_hat, psi, prev_delta, nodes=given_nodes)
-                assert float_bits(got) == float_bits(want)
+                want = solve_delta(p, inp.interval, u_hat, psi, prev_delta)
+            got = solve_delta(p, inp.interval, u_hat, psi, prev_delta)
+            assert float_bits(got) == float_bits(want)
             results.append(type(got))
         assert results == [float, float, float, estimator.DeltaNotFound]
 

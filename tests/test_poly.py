@@ -7,11 +7,13 @@ import pytest
 from numpy.polynomial import legendre
 
 from hpgalerkin.poly import (
+    _GROWTH_EXTRA_POINTS,
     _RESIDUAL_EXTRA_POINTS,
     _STEP_EXTRA_POINTS,
     Interval,
     LocalPoly,
     _norms,
+    _rule,
     _sup_norm,
     _time_map,
     basis,
@@ -86,14 +88,24 @@ def res_rule(r):
     return b.res_offsets - 1.0, 2.0 * b.res_proj[0]
 
 
+def grow_rule(r):
+    """The growth integral's rule of basis(r), read back from its
+    offsets and its weights grow_w = w_q / 2."""
+    b = basis(r)
+    return b.grow_offsets - 1.0, 2.0 * b.grow_w
+
+
 def rules(n):
     """Every rule of the cached bases with n points: the step's rule of
-    basis(n - _STEP_EXTRA_POINTS), and for n >= 7 the residual's rule of
-    basis(n - _RESIDUAL_EXTRA_POINTS) (of every degree from 57 on at
+    basis(n - _STEP_EXTRA_POINTS), for n >= 4 the residual's rule of
+    basis(n - _RESIDUAL_EXTRA_POINTS), and for n >= 7 the growth rule of
+    basis(n - _GROWTH_EXTRA_POINTS) (of every degree from 57 on at
     n = 64)."""
     found = [step_rule(n - _STEP_EXTRA_POINTS)]
     if n >= _RESIDUAL_EXTRA_POINTS:
         found.append(res_rule(n - _RESIDUAL_EXTRA_POINTS))
+    if n >= _GROWTH_EXTRA_POINTS:
+        found.append(grow_rule(n - _GROWTH_EXTRA_POINTS))
     return found
 
 
@@ -445,7 +457,7 @@ class TestNormPrimitives:
 @pytest.mark.parametrize("r", range(65))
 def test_basis(r, rng):
     b, (own_nodes, own_proj, own_lift) = basis(r), residual_rule(r)
-    # the residual's rule has r + 7 points, up to 64
+    # the residual's rule has r + 4 points, up to 64
     n = min(r + _RESIDUAL_EXTRA_POINTS, 64)
     assert own_nodes.shape == b.res_offsets.shape == (n,)
     nodes, weights = legendre.leggauss(n)
@@ -458,7 +470,7 @@ def test_basis(r, rng):
     # one the basis keeps; the n-point rule cannot tell P_n from 0, so at
     # r = 64 the 64-point rule reproduces degree 63 and projects P_64 to
     # about 0
-    assert b.res_proj.shape == (n, n) and b.res_lift.shape == (n + 1, n)
+    assert b.res_proj.shape == (n, n) and b.res_lift.shape == (n + 3, n)
     q = min(r, n - 1)
     assert b.res_proj[: q + 1].tobytes() == own_proj[: q + 1].tobytes()
     c = np.zeros((r + 1, 3))
@@ -469,6 +481,21 @@ def test_basis(r, rng):
     want = np.zeros((r + 2, 2))
     want[: q + 2] = antiderivative(oracle, np.zeros(2)).coeffs
     assert np.abs(2.0 * (own_lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
+    # res_lift is _rule's lift with the two tail rows res_proj[j] / (2j + 1),
+    # j = n - 2 and n - 1, under it: k times their products with f are the
+    # residual's tail term
+    assert b.res_lift[:-2].tobytes() == _rule(n, r, n - 1)[3].tobytes()
+    tail = b.res_proj[n - 2 :] / np.array([[2.0 * n - 3.0], [2.0 * n - 1.0]])
+    assert b.res_lift[-2:].tobytes() == tail.tobytes()
+    # the Ehlich-Zeller factors of the 24 (r + 2) Chebyshev samples
+    m = 24 * (r + 2)
+    assert b.sup_factor == (1.0 / math.cos(r * math.pi / (2 * m)), 1.0 / math.sqrt(math.cos(r * math.pi / m)))
+    # the growth rule has r + 7 points, up to 64, with the weights w / 2
+    g = min(r + _GROWTH_EXTRA_POINTS, 64)
+    grow_nodes, grow_weights = legendre.leggauss(g)
+    assert b.grow_offsets.tobytes() == (grow_nodes + 1.0).tobytes()
+    assert b.grow_V.tobytes() == legendre.legvander(grow_nodes, r).tobytes()
+    assert b.grow_w.tobytes() == (0.5 * grow_weights).tobytes()
     # the step's rule has r + 1 points and reproduces degree r as well
     s = min(r + _STEP_EXTRA_POINTS, 64)
     step_nodes, step_weights = legendre.leggauss(s)
@@ -482,13 +509,34 @@ def test_basis(r, rng):
     want[: q + 2] = antiderivative(oracle, np.zeros(2)).coeffs
     assert np.abs(2.0 * (b.step_lift @ f) - want).max() <= 1e-14 * np.abs(f).max()
     names = (
-        "samples", "samples_V", "step_offsets", "step_V", "step_proj", "step_lift",
-        "res_offsets", "res_V", "res_proj", "res_lift",
+        "samples", "samples_V", "sup_factor", "step_offsets", "step_V", "step_proj",
+        "step_lift", "res_offsets", "res_V", "res_proj", "res_lift", "grow_offsets",
+        "grow_V", "grow_w",
     )
     assert tuple(field.name for field in dataclasses.fields(b)) == names
     for name in names:
-        assert not getattr(b, name).flags.writeable, name
+        if name != "sup_factor":
+            assert not getattr(b, name).flags.writeable, name
     assert basis(r) is b
+
+
+class TestEhlichZeller:
+    """``Basis.sup_factor`` times the sampled sup bounds the sup of a
+    polynomial between its samples (Ehlich & Zeller, 1964)."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 8, 13, 21])
+    def test_factor_times_samples_bounds_the_dense_sup(self, r, d, rng):
+        b = basis(r)
+        xs = np.linspace(-1.0, 1.0, 200001)
+        V = legendre.legvander(xs, r)
+        for _ in range(20):
+            c = rng.standard_normal((r + 1, d))
+            # the top coefficient dominates, so the peaks lie inside
+            c[-1] *= 10.0
+            dense = float(np.sqrt(((V @ c) ** 2).sum(axis=1)).max())
+            sampled = LocalPoly(Interval(0.0, 1.0), c).linf_norm()
+            assert b.sup_factor[d > 1] * sampled >= dense
 
 
 class TestTimeMap:

@@ -20,14 +20,15 @@ GOLDEN = [
     ("cg", "hp", 1e-3, "0.9843749999999996", 11, 22),
     ("cg", "hp", 1e-6, "0.9999755859375002", 27, 107),
     ("cg", "hp", 1e-9, "0.9999999046325687", 44, 263),
-    # phi < 0 only on a stretch narrower than one delta scan step decides
-    # whether the last interval (psi = 5021.7) is certified
-    ("cg", "hp", 10.0**-7.5, "0.999998474121093", 35, 174),
+    # phi < 0 only on a stretch narrower than one delta scan step decided
+    # whether the last interval (psi = 5021.7) was certified, when the
+    # residual's rule had deg + 7 points and this run ended at M = 35
+    ("cg", "hp", 10.0**-7.5, "0.9999938964843743", 34, 169),
     ("dg", "h", 1e-2, "0.9374999999999997", 8, 16),
     ("dg", "h", 1e-4, "0.996093749999999", 39, 78),
     ("dg", "h", 1e-6, "0.9998657226562456", 203, 406),
     ("dg", "hp", 1e-3, "0.9843749999999996", 11, 31),
-    ("dg", "hp", 1e-6, "0.9999023437500001", 24, 118),
+    ("dg", "hp", 1e-6, "0.9999755859375001", 26, 129),
     ("dg", "hp", 1e-9, "0.9999999046325674", 41, 286),
 ]
 
