@@ -19,7 +19,10 @@ every decision on k and r:
     3. accuracy: a residual estimator above the running tolerance
        refines (H mode halves k; HP mode raises the degree when r is
        below r_max and the current candidate looks smooth, else halves
-       k; the indicator is computed only below r_max);
+       k; the indicator is computed only below r_max).  A raise adds as
+       many degrees as the decay of the candidate's top Legendre
+       coefficients predicts it needs, at most up to r_max
+       (``_raise_by``), where the paper raises by one;
     4. acceptance: update psi and solve for the growth factor delta
        with a warm start at the previous value;
     5. scale the tolerance by delta (early intervals must be resolved
@@ -325,7 +328,35 @@ def _predicts_rejection(cfg: AdaptConfig, records: list[IntervalRecord], tol: fl
     return cfg.mode is Mode.H or last.r >= cfg.r_max or not last.theta >= THETA_STAR
 
 
-def _first_iterate(inp: StepInput, op: SchemeOperator, start: Start, f_res: np.ndarray) -> object:
+def _raise_by(u_hat: LocalPoly, eta: float, tol: float, room: int) -> int:
+    """How many degrees an HP raise adds to the rejected candidate whose
+    reconstruction is u_hat, residual estimator eta > tol, with at most
+    room = r_max - r of them left.
+
+    Legendre coefficients of a smooth function decay geometrically, |c_j|
+    ~ C rho^j, and hp smoothness estimation fits rho from the top
+    coefficients (Mavriplis, CMAME 116, 1994; Houston & Suli, CMAME 194,
+    2005).  With rho = |c_{r+1}| / |c_r|, the Euclidean norms of the top
+    two coefficient rows of u_hat, a raise by m divides the error by
+    about rho^-m, so m = ceil(log(tol / eta) / log(rho)) degrees bring
+    eta to tol, clamped to [1, room].  One degree where the fit says
+    nothing: rho outside (0, 1), a zero or non-finite row, or a
+    non-finite eta.  The logarithms are taken apart, log(eta) - log(tol),
+    so no quotient underflows to 0.
+    """
+    d = u_hat.coeffs.shape[1]
+    c = u_hat.coeffs[-2:].ravel().tolist()
+    below = math.hypot(*c[:d])
+    rho = math.hypot(*c[d:]) / below if 0.0 < below < math.inf else math.nan
+    if not (0.0 < rho < 1.0 and eta < math.inf):
+        return 1
+    m = (math.log(eta) - math.log(tol)) / -math.log(rho)
+    return min(max(math.ceil(m), 1), room)
+
+
+def _first_iterate(
+    inp: StepInput, op: SchemeOperator, start: Start | tuple[Start, int], f_res: np.ndarray
+) -> object:
     """The first iterate of the attempt inp from ``start``
     (``galerkin.SchemeOperator``), with op its ``SchemeOperator`` and
     f_res the f values of the last candidate's residual, unread for the
@@ -404,11 +435,12 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     here.  The march ends with K_MIN_REACHED once k falls below k_min or
     no longer moves t.
 
-    A predicted halving is recorded as "halve_k_predicted" and not
-    counted in the interval's attempts.  Nor is a pole halving,
-    "halve_k_pole", made before any sweep runs where ``_first_iterate``
-    returns ``_POLE``; an interval has at most two (the starts of
-    ``galerkin.SchemeOperator``).  The prediction is made on an
+    A raise is recorded as one "raise_r" however many degrees it adds,
+    so each rejected attempt makes one decision.  A predicted halving is
+    recorded as "halve_k_predicted" and not counted in the interval's
+    attempts.  Nor is a pole halving, "halve_k_pole", made before any
+    sweep runs where ``_first_iterate`` returns ``_POLE``; an interval
+    has at most two (the starts of ``galerkin.SchemeOperator``).  The prediction is made on an
     interval's first pass only, before any halving, and the k_min guard
     sees every halving.
 
@@ -488,10 +520,11 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 continue
             if not eta <= tol:
                 if cfg.mode is Mode.HP and r < cfg.r_max and smoothness(out.u, r) >= THETA_STAR:
-                    r += 1
+                    m = _raise_by(u_hat, eta, tol, cfg.r_max - r)
+                    r += m
                     decisions.append("raise_r")
                     op = picard_operator(r, cfg.scheme)
-                    start = Start.RAISE
+                    start = Start.RAISE if m == 1 else (Start.RAISE, m)
                 else:
                     k *= 0.5
                     decisions.append("halve_k")

@@ -171,7 +171,8 @@ class StepFailure(enum.Enum):
 
 class Start(enum.Enum):
     """How an attempt's first Picard iterate is formed; each is a row of
-    ``SchemeOperator``."""
+    ``SchemeOperator``, and (RAISE, m) keys the row of a raise by m > 1
+    degrees."""
 
     # members are singletons equal only to themselves, so the identity
     # hash keys the maps of ``SchemeOperator`` as Enum's own does, at a
@@ -294,7 +295,8 @@ class SchemeOperator:
     HALVE: the attempt after an accuracy halving, on the first half of
     the rejected candidate's interval;
     RAISE: the attempt at degree r after a raise from r - 1, on the same
-    interval.
+    interval; next to it, (RAISE, m) for 2 <= m < r, the attempt after
+    a raise by m degrees from r - m (``adapt._raise_by``).
     Every start but CONSTANT is a u_left^T + k H[start] @ f_res
     (``adapt._first_iterate``), unless the reciprocal continuation below
     applies: the Picard update of degree r, on an interval of length k
@@ -312,9 +314,10 @@ class SchemeOperator:
     2);
     HALVE: the full interpolant on the same rule, restricted to the first
     half of its own interval (x -> (x - 1) / 2);
-    RAISE: the full interpolant on the residual's rule of a degree r
-    reconstruction (``basis(r).res_*``) at the step's own nodes (x ->
-    x).
+    RAISE and (RAISE, m): the full interpolant on the residual's rule of
+    the rejected candidate's reconstruction, of degree r - m + 1
+    (``basis(r - m + 1).res_*``, m = 1 for RAISE), at the step's own
+    nodes (x -> x).
     The continued ones keep degree r + 2: continuing the fit past its
     interval multiplies its rounding by up to |P_q| there (|P_q(3)| on
     the next interval), which grows fast with q.  The restarts stay
@@ -377,7 +380,7 @@ class SchemeOperator:
     a: np.ndarray
     G: np.ndarray
     pole: tuple[int, int, tuple[float, float], tuple[float, float, float]]
-    H: dict[Start, np.ndarray]
+    H: dict[Start | tuple[Start, int], np.ndarray]
     R: dict[Start, np.ndarray]
 
 
@@ -415,6 +418,8 @@ def picard_operator(r: int, scheme: Scheme) -> SchemeOperator:
         Start.HALVE: (nxt, 0.5 * (nodes - 1.0)),
         Start.RAISE: (b.res_proj, nodes),
     }
+    # a raise by m > 1 from degree r - m >= 1
+    rows.update({(Start.RAISE, m): (basis(r - m + 1).res_proj, nodes) for m in range(2, r)})
     H = {start: G @ (_leg.legvander(x, P.shape[0] - 1) @ P) for start, (P, x) in rows.items()}
     continued = (Start.NEXT, Start.NEXT_HALF) if r >= _RECIPROCAL_MIN_DEGREE else ()
     R = {start: _leg.legvander(rows[start][1], 2) @ nxt[:3] for start in continued}

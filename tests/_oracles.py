@@ -576,6 +576,12 @@ def reciprocal_guess(p, inp, u_hat, x):
     return guess if np.all(np.isfinite(guess)) else None
 
 
+def raise_start(m):
+    """The key of ``SchemeOperator.H`` of the attempt after a raise by m
+    degrees: ``Start.RAISE`` for one, ``(Start.RAISE, m)`` for more."""
+    return Start.RAISE if m == 1 else (Start.RAISE, m)
+
+
 def start_guess(p, inp, u_hat, start):
     """a u_left^T + k H @ f_res with matmul products, H the row of
     ``start`` of ``SchemeOperator.H``, a, k and u_left those of the
@@ -586,9 +592,38 @@ def start_guess(p, inp, u_hat, start):
     onto the next interval of equal length (``Start.NEXT``) or its first
     half (``Start.NEXT_HALF``), or interpolated on the first half of
     u_hat's interval after an accuracy halving (``Start.HALVE``) or on
-    all of it at the raised degree after a raise (``Start.RAISE``)."""
+    all of it at the raised degree after a raise by m degrees
+    (``raise_start(m)``), the one u_hat's degree and inp's tell."""
     op = picard_operator(inp.r, inp.scheme)
     return np.outer(op.a, inp.u_left) + inp.interval.k * (op.H[start] @ residual_f_vals(p, u_hat))
+
+
+def raise_row(r, m, scheme):
+    """The first-iterate row of ``SchemeOperator.H`` at degree r after a
+    raise by m from r - m, written on numpy's legendre module: G applied
+    to the interpolant of degree q = n - 1 on the n residual nodes of a
+    degree r - m + 1 reconstruction (``residual_nodes``), the inverse of
+    its Vandermonde there, evaluated at the step's nodes of degree r
+    (``step_nodes``)."""
+    y, x = residual_nodes(r - m + 1)[0], step_nodes(r)[0]
+    q = y.size - 1
+    fit = legendre.legvander(x, q) @ np.linalg.inv(legendre.legvander(y, q))
+    return picard_operator(r, scheme).G @ fit
+
+
+def raise_by(coeffs, eta, tol, room):
+    """How many degrees the HP drivers raise the degree of a smooth
+    candidate rejected at residual estimator eta > tol whose
+    reconstruction has the coefficient array coeffs, with room degrees
+    left below r_max: ceil(log(tol / eta) / log(rho)), rho the ratio of
+    the Euclidean norms of the top two rows, clamped to [1, room]; 1
+    where rho is not in (0, 1) or eta is not finite."""
+    norms = np.linalg.norm(np.asarray(coeffs, dtype=float)[-2:], axis=1)
+    with np.errstate(all="ignore"):
+        rho = norms[1] / norms[0]
+    if not (0.0 < rho < 1.0 and math.isfinite(eta)):
+        return 1
+    return min(max(math.ceil(math.log(tol / eta) / math.log(rho)), 1), room)
 
 
 def next_interval_start(p, inp, u_hat, predicted=False):

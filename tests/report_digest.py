@@ -52,6 +52,9 @@ wrapper's steps, Picard updates and f points split by how each attempt
 started (``START_KINDS``: from the constant, or from a guess for the
 next interval, after a predicted halving, after a pole halving, after
 an accuracy halving or after a degree raise), also informational; the
+raises split by jump size m, the degree of the attempt after each raise
+less that of the rejected one before it, with the steps, Picard updates
+and f points of the attempts they start, informational too; the
 f points split by the outcome of the attempt that spent them
 (``OUTCOMES``: accepted, rejected on accuracy, failed step or the
 discarded final candidate), with each side's shares, informational
@@ -261,8 +264,10 @@ def run_outcomes(seed, root=ROOT):
     interval's included, as [steps, failed steps, Picard updates], and
     ``starts``: the same calls per ``start_kind``, as [steps, Picard
     updates, f points], the f points read from the benchmark's counter
-    around each call, and ``outcomes``: the f points per ``OUTCOMES``
-    key, told apart by a wrapper on ``adapt.solve_delta`` too, and
+    around each call, ``raises``: the calls that start after a raise,
+    the same three per jump size m (a string key), and ``outcomes``:
+    the f points per ``OUTCOMES`` key, told apart by a wrapper on
+    ``adapt.solve_delta`` too, and
     ``evaluators``: the f points per ``EVALUATORS`` key, the residual's
     read by a wrapper on ``adapt._residual_f_vals``.  A tree
     whose ``adapt._reciprocal_iterate`` can find a pole (``adapt._POLE``)
@@ -275,7 +280,7 @@ def run_outcomes(seed, root=ROOT):
     # whether a pole halving came after it and its open attempt: the
     # attempt's outcome so far and the f point count where it started
     run = {
-        "steps": [0, 0, 0], "starts": {}, "outcomes": {}, "f_points": [0],
+        "steps": [0, 0, 0], "starts": {}, "raises": {}, "outcomes": {}, "f_points": [0],
         "last": None, "pole": False, "attempt": None, "residual": 0,
     }
     step, recip = adapt.step, getattr(adapt, "_reciprocal_iterate", None)
@@ -295,11 +300,14 @@ def run_outcomes(seed, root=ROOT):
         steps[1] += not out.converged
         steps[2] += out.picard_iters
         kind = start_kind(run["last"], inp, kwargs.get("guess"), run["pole"])
+        tallies = [run["starts"][kind]]
+        if kind == "raise":
+            tallies.append(run["raises"].setdefault(str(inp.r - run["last"].r), [0, 0, 0]))
         run["last"], run["pole"] = inp, False
-        counts = run["starts"][kind]
-        counts[0] += 1
-        counts[1] += out.picard_iters
-        counts[2] += run["f_points"][0] - before
+        for counts in tallies:
+            counts[0] += 1
+            counts[1] += out.picard_iters
+            counts[2] += run["f_points"][0] - before
         return out
 
     def watched_delta(*args, **kwargs):
@@ -351,15 +359,15 @@ def start_kind(last, inp, guess, pole=False):
     constant, as after a second pole halving; one that starts where the
     last ended continues the march, halved on a pole when one came
     between, else on the prediction when its k is about half the last
-    one; one at the same start follows a rejection, a raise when its
-    degree is one more."""
+    one; one at the same start follows a rejection, a raise, by one
+    degree or several, when its degree is higher."""
     if guess is None:
         return "constant"
     if inp.interval.t_start == last.interval.t_end:
         if pole:
             return "pole"
         return "predicted" if inp.interval.k < 0.75 * last.interval.k else "next"
-    return "raise" if inp.r == last.r + 1 else "halve"
+    return "raise" if inp.r > last.r else "halve"
 
 
 def _outcomes(bench, seed, share, run):
@@ -371,7 +379,7 @@ def _outcomes(bench, seed, share, run):
         for ladder, tol in ops:
             ladder.f_points[0] = 0
             run.update(
-                steps=[0, 0, 0], starts={kind: [0, 0, 0] for kind in START_KINDS},
+                steps=[0, 0, 0], starts={kind: [0, 0, 0] for kind in START_KINDS}, raises={},
                 outcomes=dict.fromkeys(OUTCOMES, 0), attempt=None,
                 f_points=ladder.f_points, last=None, pole=False, residual=0,
             )
@@ -395,6 +403,7 @@ def _outcomes(bench, seed, share, run):
                 "atols": [share * t for t in (tol,) + result.tol_trace[:-1]][: result.M],
                 "steps": run["steps"],
                 "starts": run["starts"],
+                "raises": run["raises"],
                 "outcomes": run["outcomes"],
                 "evaluators": {
                     "step": ladder.f_points[0] - run["residual"], "residual": run["residual"],
@@ -495,6 +504,17 @@ def compare_outcomes(rev, seed, march=False):
                 for side in (theirs, mine)
             ]
             print(f"    {label}: {rev} {sides[0]}, here {sides[1]}")
+        print(
+            "  raises by jump size m, the discarded last intervals' included, "
+            "steps / Picard updates / f points of the attempts they start:"
+        )
+        sizes = {m for side in (theirs, mine) for key in keys for m in side[key]["raises"]}
+        for m in sorted(sizes, key=int):
+            sides = [
+                "/".join(str(sum(side[key]["raises"].get(m, [0] * 3)[i] for key in keys)) for i in range(3))
+                for side in (theirs, mine)
+            ]
+            print(f"    m = {m}: {rev} {sides[0]}, here {sides[1]}")
         print(f"  f points by outcome, {' / '.join(OUTCOMES.values())}:")
         for label, side in ((rev, theirs), ("here", mine)):
             points = [sum(side[key]["outcomes"][kind] for key in keys) for kind in OUTCOMES]

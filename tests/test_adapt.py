@@ -34,7 +34,7 @@ from hpgalerkin.galerkin import (
     step,
 )
 import hpgalerkin.poly as poly_module
-from hpgalerkin.poly import Interval, LocalPoly, basis
+from hpgalerkin.poly import MAX_DEGREE, Interval, LocalPoly, basis
 import hpgalerkin.problems as problems
 from hpgalerkin.problems import (
     NumericOverflow,
@@ -50,6 +50,9 @@ from _oracles import (
     looks_like_a_pole,
     next_interval_start,
     parent_smoothness,
+    raise_by,
+    raise_row,
+    raise_start,
     reciprocal_fit,
     reference_smoothness,
     residual_f_vals,
@@ -937,11 +940,16 @@ class TestWarmStartDecisions:
     """The drivers seed Picard with the documented guesses, and no step
     decision differs from that of the constant start."""
 
+    # an HP run raises r once, by as many degrees as the decay of its
+    # coefficients predicts (``adapt._raise_by``): several tolerances
+    # give jumps of several sizes, and r_max = 2 leaves room for one
     RUNS = [
-        (make, k_init, scheme, mode)
+        (make, k_init, scheme, mode, tol, r_max)
         for make, k_init in ((make_power_square, 0.15), (make_exponential, 0.09))
         for scheme in (Scheme.CG, Scheme.DG)
-        for mode in (Mode.H, Mode.HP)
+        for mode, tol, r_max in (
+            (Mode.H, 1e-4, 30), (Mode.HP, 1e-6, 30), (Mode.HP, 1e-9, 30), (Mode.HP, 1e-6, 2)
+        )
     ]
 
     def test_guesses_and_decisions(self, monkeypatch):
@@ -954,14 +962,15 @@ class TestWarmStartDecisions:
             return out
 
         monkeypatch.setattr(adapt_module, "step", spy)
-        kinds, pole_starts = {"next": 0, "predicted": 0, "halve": 0, "raise": 0}, 0
-        for make, k_init, scheme, mode in self.RUNS:
+        kinds, pole_starts, jumps = {"next": 0, "predicted": 0, "halve": 0, "raise": 0}, 0, set()
+        for make, k_init, scheme, mode, tol, r_max in self.RUNS:
             cfg = AdaptConfig(
                 scheme=scheme,
                 mode=mode,
                 r_init=1,
                 k_init=k_init,
-                tol_star=1e-6 if mode is Mode.HP else 1e-4,
+                tol_star=tol,
+                r_max=r_max,
                 picard=PicardConfig(divergence_cap=1e12),
             )
             calls.clear()
@@ -998,8 +1007,10 @@ class TestWarmStartDecisions:
                     pole_starts += poles > 0
                 else:
                     assert inp.interval.t_start == prev.interval.t_start
-                    if inp.r == prev.r + 1:
-                        kind, want, r = "raise", start_guess(p, inp, u_hat, Start.RAISE), r + 1
+                    if inp.r > prev.r:
+                        m = inp.r - prev.r
+                        kind, want, r = "raise", start_guess(p, inp, u_hat, raise_start(m)), r + m
+                        jumps.add(m)
                     else:
                         kind, want, k = "halve", start_guess(p, inp, u_hat, Start.HALVE), 0.5 * k
                 # same step length up to the rounding of t + k - t
@@ -1008,6 +1019,137 @@ class TestWarmStartDecisions:
                 assert guess is want is None or np.array_equal(guess, want)
                 kinds[kind] += 1
         assert min(kinds.values()) > 10 and pole_starts > 0, (kinds, pole_starts)
+        assert len(jumps) > 2 and 1 in jumps, jumps
+
+
+def top_rows(below, top):
+    """A degree 3 reconstruction on [0, 0.1] whose top two coefficient
+    rows are below and top, under two rows of ones."""
+    d = len(below)
+    return LocalPoly(Interval(0.0, 0.1), [[1.0] * d, [1.0] * d, below, top])
+
+
+class TestRaiseBy:
+    """An HP raise adds m = ceil(log(tol / eta) / log(rho)) degrees,
+    rho the ratio of the Euclidean norms of the reconstruction's top two
+    coefficient rows, clamped to [1, r_max - r]
+    (``adapt._raise_by``); the attempt after it starts from the row of
+    ``SchemeOperator.H`` for that m."""
+
+    @pytest.mark.parametrize(
+        "below, top, eta",
+        [
+            ([1.0], [0.5], math.inf),  # eta not finite
+            ([1.0], [0.5], math.nan),
+            ([1e308, 1e308], [1e308, 1e308], 1.0),  # both norms overflow: rho nan
+            ([1.0, 1.0], [1e308, 1e308], 1.0),  # the top norm overflows: rho inf
+            ([1.0], [0.0], 1.0),  # a zero row
+            ([0.0], [0.5], 1.0),
+            ([0.0, 0.0], [0.0, 0.0], 1.0),
+            ([1e-300], [1e300], 1.0),  # rho overflows
+            ([1e300], [1e-300], 1.0),  # rho underflows to 0
+            ([0.5], [0.5], 1.0),  # rho = 1
+            ([0.5], [-2.0], 1.0),  # rho > 1
+        ],
+    )
+    def test_one_degree_where_the_fit_says_nothing(self, below, top, eta):
+        assert adapt_module._raise_by(top_rows(below, top), eta, 1e-6, 10) == 1
+
+    def test_no_quotient_underflows(self):
+        # tol / eta would underflow to 0, whose log raises; the logs are
+        # taken apart
+        assert adapt_module._raise_by(top_rows([1.0], [0.5]), 1e300, 1e-300, 58) == 58
+
+    @pytest.mark.parametrize("room, want", [(1, 1), (5, 5), (19, 19), (20, 20), (30, 20)])
+    def test_clamped_at_the_room_below_r_max(self, room, want):
+        # rho = 1/2 and eta = 2^19.5 tol: 20 degrees, at most room
+        u_hat = top_rows([1.0], [0.5])
+        assert adapt_module._raise_by(u_hat, 2.0**19.5 * 1e-6, 1e-6, room) == want
+        assert raise_by(u_hat.coeffs, 2.0**19.5 * 1e-6, 1e-6, room) == want
+
+    def test_euclidean_row_norms(self):
+        # |(3, 4)| = 5 and |(1, 0)| = 1: rho = 1/5 asks for 3 degrees at
+        # eta just below 125 tol, where the largest entries (rho = 1/4)
+        # would ask for 4 and the first component (rho = 1/3) for 5
+        u_hat = top_rows([3.0, 4.0], [1.0, 0.0])
+        assert adapt_module._raise_by(u_hat, 124.0, 1.0, 30) == 3
+        assert adapt_module._raise_by(top_rows([3.0, 4.0, 0.0], [0.0, 0.6, 0.8]), 124.0, 1.0, 30) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        ratio=st.floats(1.0, 1e12).filter(lambda x: x > 1.0),
+        room=st.integers(1, 57),
+    )
+    def test_against_the_oracle(self, d, seed, ratio, room):
+        coeffs = np.random.default_rng(seed).standard_normal((4, d))
+        coeffs[-1] *= 0.1
+        u_hat = LocalPoly(Interval(0.0, 0.1), coeffs)
+        rho = np.linalg.norm(coeffs[-1]) / np.linalg.norm(coeffs[-2])
+        x = math.log(ratio) / -math.log(rho) if 0.0 < rho < 1.0 else 0.5
+        # away from an integer, where the two roundings could part
+        assume(abs(x - round(x)) > 1e-9)
+        want = raise_by(coeffs, ratio * 1e-8, 1e-8, room)
+        assert adapt_module._raise_by(u_hat, ratio * 1e-8, 1e-8, room) == want
+
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG], ids=lambda v: v.value)
+    @pytest.mark.parametrize("r, m", [(3, 2), (5, 2), (5, 4), (8, 3), (12, 7), (20, 10), (58, 57)])
+    def test_jump_row_against_the_oracle(self, scheme, r, m):
+        H = picard_operator(r, scheme).H[(Start.RAISE, m)]
+        want = raise_row(r, m, scheme)
+        assert H.shape == want.shape == (r + 1, residual_nodes(r - m + 1)[0].size)
+        assert not H.flags.writeable
+        scale = np.abs(want).max()
+        assert np.abs(H - want).max() <= 1e-12 * max(scale, 1.0) * (r + 1)
+
+    @pytest.mark.parametrize("scheme", [Scheme.CG, Scheme.DG], ids=lambda v: v.value)
+    def test_one_degree_row_unchanged(self, scheme):
+        # Start.RAISE is the row of a raise by one, formed as it was
+        # before the jumps: G @ (legvander(nodes, n - 1) @ res_proj) on
+        # the rule of a degree r reconstruction; the jump rows sit next
+        # to it, one per m = 2 .. r - 1
+        for r in range(1, MAX_DEGREE + 1):
+            op, b = picard_operator(r, scheme), basis(r)
+            nodes = np.polynomial.legendre.leggauss(b.step_offsets.size)[0]
+            lagrange = np.polynomial.legendre.legvander(nodes, b.res_proj.shape[0] - 1)
+            assert op.H[Start.RAISE].tobytes() == (op.G @ (lagrange @ b.res_proj)).tobytes()
+            assert {key for key in op.H if isinstance(key, tuple)} == {
+                (Start.RAISE, m) for m in range(2, r)
+            }
+
+    def test_the_march_raises_by_the_rule(self, monkeypatch):
+        # every raise of an HP march adds what the rule returns for the
+        # rejected candidate, and the next attempt is at that degree
+        made, steps, rule, run = [], [], adapt_module._raise_by, adapt_module.step
+
+        def spy_rule(u_hat, eta, tol, room):
+            made.append((rule(u_hat, eta, tol, room), raise_by(u_hat.coeffs, eta, tol, room), room))
+            return made[-1][0]
+
+        def spy_step(p, inp, cfg, **kwargs):
+            steps.append(inp.r)
+            return run(p, inp, cfg, **kwargs)
+
+        monkeypatch.setattr(adapt_module, "_raise_by", spy_rule)
+        monkeypatch.setattr(adapt_module, "step", spy_step)
+        sizes = set()
+        for make, k_init in ((make_power_square, 0.15), (make_exponential, 0.09)):
+            for scheme in (Scheme.CG, Scheme.DG):
+                for tol, r_max in ((1e-5, 30), (1e-9, 30), (1e-9, 4)):
+                    made.clear(), steps.clear()
+                    cfg = AdaptConfig(
+                        scheme=scheme, mode=Mode.HP, r_init=1, k_init=k_init, tol_star=tol,
+                        r_max=r_max,
+                    )
+                    res = hp_adapt(make(1.0), cfg)
+                    rises = [b - a for a, b in zip(steps, steps[1:]) if b > a]
+                    assert rises == [m for m, _, _ in made]
+                    assert all(got == want and 1 <= got <= room for got, want, room in made)
+                    assert max(steps) <= r_max
+                    assert sum("raise_r" in rec.decisions for rec in res.intervals) <= len(made)
+                    sizes.update(rises)
+        assert len(sizes) > 3 and 1 in sizes, sizes
 
 
 def norm_square_scalar():
@@ -1373,6 +1515,25 @@ class TestPredictedHalving:
                     at_max += 1
         # the smooth case, where a rejection would raise r, does occur
         assert skipped > 0 and at_max > 0
+
+    def test_one_decision_per_jump(self, predicted_runs):
+        # a raise by several degrees is one rejected attempt and one
+        # "raise_r", as a raise by one is: the interval keeps one decision
+        # per rejected attempt, after the predicted and pole halvings
+        jumps = 0
+        for cfg, res, _, calls in predicted_runs.values():
+            for i, rec in enumerate(res.intervals):
+                degrees = [inp.r for inp, _, _ in calls if inp.interval.t_start == rec.interval.t_start]
+                rises = [b - a for a, b in zip(degrees, degrees[1:]) if b > a]
+                if not any(m > 1 for m in rises):
+                    continue
+                jumps += 1
+                poles = rec.decisions.count("halve_k_pole")
+                assert rec.attempts == len(degrees)
+                assert len(rec.decisions) == rec.attempts - 1 + fired(rec) + poles
+                assert rec.decisions.count("raise_r") == len(rises)
+                assert rec.r == (res.intervals[i - 1].r if i else cfg.r_init) + sum(rises)
+        assert jumps > 0
 
     @pytest.mark.parametrize("name", PREDICTION_RUNS)
     def test_halved_guess_and_attempts(self, predicted_runs, name):

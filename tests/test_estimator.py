@@ -115,9 +115,10 @@ class TestResidualEstimator:
         # a step at MAX_DEGREE has a reconstruction of degree 59, whose
         # residual's rule has 63 points, interpolating at degree 62, with
         # the two tail rows under its lift, and whose growth rule is
-        # capped at 64 points; every start of the drivers but the raise
+        # capped at 64 points; every start of the drivers but the raises
         # reads 63 node values, the raise's 62 on the rule of a degree 58
-        # reconstruction
+        # reconstruction, and a raise by m's r - m + 5 on the rule of a
+        # degree r - m + 1 one
         r = MAX_DEGREE
         b = basis(r + 1)
         assert (b.res_offsets.size, b.res_V.shape, b.res_proj.shape, b.res_lift.shape) == (
@@ -127,6 +128,7 @@ class TestResidualEstimator:
         op, s = picard_operator(r, scheme), basis(r).step_offsets.size
         starts = [Start.NEXT, Start.NEXT_HALF, Start.HALVE, Start.RAISE]
         want = dict.fromkeys(starts, (r + 1, 63)) | {Start.RAISE: (r + 1, 62)}
+        want |= {(Start.RAISE, m): (r + 1, r - m + 5) for m in range(2, r)}
         assert {start: H.shape for start, H in op.H.items()} == want
         assert {start: R.shape for start, R in op.R.items()} == dict.fromkeys(starts[:2], (s, 63))
         p = make_power_square(1.0)

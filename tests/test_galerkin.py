@@ -582,7 +582,8 @@ class TestWarmStart:
         # interpolant on that rule to the first half of its interval
         # (x -> (x - 1) / 2); RAISE evaluates the full interpolant on the
         # residual's rule of a degree r reconstruction at the step's own
-        # nodes
+        # nodes, and (RAISE, m), 2 <= m < r, that of a degree r - m + 1
+        # one, after a raise by m
         nodes = step_nodes(r)[0]
         after, own = residual_nodes(r + 1)[0], residual_nodes(r)[0]
         cases = [  # the start, the rule of f_res, the degree reproduced, mapped nodes
@@ -591,6 +592,9 @@ class TestWarmStart:
             (Start.HALVE, after, after.size - 1, 0.5 * (nodes - 1.0)),
             (Start.RAISE, own, own.size - 1, nodes),
         ]
+        for m in range(2, r):
+            below = residual_nodes(r - m + 1)[0]
+            cases.append(((Start.RAISE, m), below, below.size - 1, nodes))
         schemes = [Scheme.DG] + ([Scheme.CG] if r >= 1 else [])
         for scheme in schemes:
             op = picard_operator(r, scheme)
