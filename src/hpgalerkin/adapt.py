@@ -6,23 +6,25 @@ every decision on k and r:
     1. prediction: on an interval's first attempt, extrapolate the
        last two accepted residual estimators geometrically,
        eta_M * (eta_M / eta_{M-1}), with the growth normalised to the
-       carried k under eta ~ k^(r+2) when the last interval halved k
-       once, and silent after a degree raise or two halvings; after
-       three intervals of equal k and r, also by the change of the
-       growth.  A prediction above the running tolerance halves k
-       before the attempt (HP mode: only where a rejection would halve
-       k rather than raise r; ``_predicts_rejection``);
+       carried k under eta ~ k^(r+2) when the last interval cut k
+       once (a halving or a shrink), and silent after a degree raise or
+       two cuts; after three intervals of equal k and r, also by the
+       change of the growth.  A prediction above the running tolerance
+       halves k before the attempt (HP mode: only where a rejection
+       would shrink k rather than raise r; ``_predicts_rejection``);
     2. existence: a Picard iteration that does not converge, or a
        candidate that leaves double range, halves k; so does, before
        the attempt, a continued 1/f that vanishes on the step (a pole
        halving, below);
     3. accuracy: a residual estimator above the running tolerance
-       refines (H mode halves k; HP mode raises the degree when r is
-       below r_max and the current candidate looks smooth, else halves
-       k; the indicator is computed only below r_max).  A raise adds as
+       refines (H mode shrinks k; HP mode raises the degree when r is
+       below r_max and the current candidate looks smooth, else shrinks
+       k; the indicator is computed only below r_max).  A shrink
+       multiplies k by the factor theta in [1/8, 0.9] that the model
+       eta ~ k^(r+2) asks for (``_shrink_by``), and a raise adds as
        many degrees as the decay of the candidate's top Legendre
        coefficients predicts it needs, at most up to r_max
-       (``_raise_by``), where the paper raises by one;
+       (``_raise_by``), where the paper halves k and raises by one;
     4. acceptance: update psi and solve for the growth factor delta
        with a warm start at the previous value;
     5. scale the tolerance by delta (early intervals must be resolved
@@ -85,6 +87,7 @@ from .galerkin import (
     StepOutput,
     picard_operator,
     reconstruct,
+    shrink_row,
     step,
 )
 from .poly import _TINY, MAX_DEGREE, Interval, LocalPoly, _all_finite, _marching
@@ -106,10 +109,14 @@ THETA_STAR = 0.85
 # Picard stops once its largest coefficient change, or the error its
 # contraction predicts, is at most this share of the running tolerance:
 # the estimator certifies the reconstruction of whatever iterate it
-# returns.  On the 190 seed-1 benchmark runs 1e-3 keeps every T of the
-# 1e-12 relative stop alone and every DoF count but one (194 -> 193, same
-# T), with 39-43% fewer f points; 1e-2 moves T or DoFs in 11 runs.
-PICARD_TOL_SHARE = 1e-3
+# returns.  The shrink factor reads the last bits of eta, so any change
+# of the stop moves the T of nearly every run; on the seed-1 benchmark
+# runs (hp-sweep/h-sweep/custom-scalar) 3e-3 takes 51/49/54% fewer f
+# points than the 1e-12 relative stop alone, with DoFs +0.5/-0.1/-0.3%
+# and err_gmean -9.1/+1.9/+0.8%.  1e-3 takes 11/5/11% more f points
+# than 3e-3 at DoFs within 0.3%; 1e-2 takes 7/4/6% fewer, but its
+# err_gmean rises by 11% on hp-sweep.
+PICARD_TOL_SHARE = 3e-3
 _ZERO_POLY_RTOL = 1e-14
 
 
@@ -172,6 +179,9 @@ class IntervalRecord:
     attempts: int
     decisions: tuple[str, ...]
     dofs: int
+    # the product of the factors by which the decisions cut the k the
+    # interval was carried at: 0.5 per halving, theta per shrink
+    k_factor: float = 1.0
 
     @property
     def theta(self) -> Optional[float]:
@@ -275,25 +285,30 @@ def _interval_dofs(p: Problem, scheme: Scheme, r: int) -> int:
 
 def _predicts_rejection(cfg: AdaptConfig, records: list[IntervalRecord], tol: float) -> bool:
     """Whether the next interval's first attempt, at the carried k and r,
-    is predicted to fail the accuracy test in a way that halves k.
+    is predicted to fail the accuracy test in a way that cuts k.
 
     eta_res is the sup of an integral over the step of a pointwise
     residual of order k^(r+1), so the model is eta = C k^(r+2) with C
     growing from interval to interval.  The last two accepted intervals'
     estimators e0, e1 predict the next as e1 times C's growth: e1 / e0,
-    scaled by 2^(r+2) when the last interval halved k once on its way
-    (any halving: predicted, pole, existence, overflow or accuracy).  A
-    power of two rounds nothing, and a prediction past double range
-    reads inf.  The rule is silent after a degree raise, since C changes
-    with r by a factor no model of k gives, and after two halvings: over
-    a factor 4 of k the model overstated the growth at degrees 5 and 6,
-    where eta falls more slowly than k^(r+2), and halved steps that
-    would have passed (at 1.06 to 3.7 tol) in 7 of the benchmark's 190
-    seed-1 runs; after one halving at most, it halves no step of the
-    march on seeds 1-5 that a rejection would not halve.  Where the
-    last three intervals share k and r (the last two carry no decision),
-    the change of the growth extrapolates too: e1 (e1 / e0) (e1 / e0) /
-    (e0 / ea).  Near a blow-up the growth itself grows, and the geometric
+    scaled by (k_{M-1} / k_M)^(r+2) = c^-(r+2) when the last interval
+    cut k once on its way, by the factor c (``IntervalRecord.k_factor``):
+    1/2 for a halving (predicted, pole, existence or overflow), theta
+    for an accuracy shrink (``_shrink_by``).  The factor is the
+    driver's own, not a ratio of interval lengths, which round: a march
+    with halvings only scales by 2^(r+2), which rounds nothing, and a
+    prediction past double range reads inf.  The rule is silent after a
+    degree raise, since C changes with r by a factor no model of k
+    gives, and after two cuts: over a factor 4 of k the model
+    overstated the growth at degrees 5 and 6, where eta falls more
+    slowly than k^(r+2), and halved steps that would have passed (at
+    1.06 to 3.7 tol) in 7 of the benchmark's 190 seed-1 runs; after one
+    halving at most, it halved no step of the march on seeds 1-5 that a
+    rejection would not have halved (both measured before the shrink,
+    with every cut a halving).  Where the last three intervals share k
+    and r (the last two carry no decision), the change of the growth
+    extrapolates too: e1 (e1 / e0) (e1 / e0) / (e0 / ea).  Near a
+    blow-up the growth itself grows, and the geometric
     prediction lags it by one interval; the larger prediction counts, so
     this term only adds halvings.  The attempt is predicted to fail when
     a prediction exceeds tol.  None is formed from e0 = 0, the curvature
@@ -307,20 +322,20 @@ def _predicts_rejection(cfg: AdaptConfig, records: list[IntervalRecord], tol: fl
     halves k, and the halved attempt goes through the same tests as any
     other, so every accepted interval keeps its certificate.  Error-based
     step-size control of the error-per-step kind (Gustafsson, Lundh &
-    Soderlind, BIT 28, 1988; Soderlind, ACM TOMS 29, 2003), restricted to
-    the halvings the drivers make.
+    Soderlind, BIT 28, 1988; Soderlind, ACM TOMS 29, 2003); the predicted
+    cut stays a halving, since cutting it by the controller's theta
+    raised err_gmean and failed benchmark rate checks.
     """
     if len(records) < 2:
         return False
     last = records[-1]
-    halvings = len(last.decisions)
-    if halvings > 1 or "raise_r" in last.decisions:
+    if len(last.decisions) > 1 or "raise_r" in last.decisions:
         return False
     e0, e1 = records[-2].estimate.eta_res, last.estimate.eta_res
     if e0 == 0.0:
         return False
     growth = e1 / e0
-    predicted = e1 * growth * 2.0 ** (halvings * (last.r + 2))
+    predicted = e1 * growth * last.k_factor ** -(last.r + 2)
     if not predicted > tol and len(records) >= 3 and not (last.decisions or records[-2].decisions):
         predicted = e1 * growth * (growth * records[-3].estimate.eta_res / e0)
     if not predicted > tol:
@@ -354,20 +369,43 @@ def _raise_by(u_hat: LocalPoly, eta: float, tol: float, room: int) -> int:
     return min(max(math.ceil(m), 1), room)
 
 
+def _shrink_by(eta: float, tol: float, r: int) -> float:
+    """The factor theta by which an accuracy rejection at degree r, with
+    residual estimator eta > tol, shrinks k (a step factor, not the
+    smoothness score ``IntervalRecord.theta``).
+
+    Under eta = C k^(r+2) the step theta k brings eta to theta^(r+2)
+    eta, so the elementary error-per-step controller (Hairer, Norsett &
+    Wanner, Solving ODEs I, sec. II.4; Gustafsson, Lundh & Soderlind,
+    BIT 28, 1988) takes theta = 0.9 (tol / eta)^(1 / (r + 2)), with the
+    safety factor 0.9, clamped to [1/8, 0.9]: no shrink cuts k by more
+    than 8 or by less than 10%.  The drivers call it with eta > tol,
+    where the root is at most 1 and the upper clamp holds by itself; it
+    states the range for any eta.  A non-finite eta gives 1/8, and so
+    does a quotient tol / eta that underflows to 0.
+    """
+    if not eta < math.inf:
+        return 0.125
+    return min(max(0.9 * (tol / eta) ** (1.0 / (r + 2)), 0.125), 0.9)
+
+
 def _first_iterate(
-    inp: StepInput, op: SchemeOperator, start: Start | tuple[Start, int], f_res: np.ndarray
+    inp: StepInput, op: SchemeOperator, start: Start | tuple[Start, float], f_res: np.ndarray
 ) -> object:
     """The first iterate of the attempt inp from ``start``
     (``galerkin.SchemeOperator``), with op its ``SchemeOperator`` and
     f_res the f values of the last candidate's residual, unread for the
     constant start: None for that start; the reciprocal continuation
     where op.R has the start, or ``_POLE`` (``_reciprocal_iterate``);
-    else a u_left^T + k H @ f_res, with H = op.H[start] and k and u_left
-    those of inp.  A guess that leaves double range is not finite, and
-    ``step`` ignores it."""
+    else a u_left^T + k H @ f_res, with H = op.H[start], or for the
+    start (SHRINK, theta) the row ``shrink_row`` builds, and k and
+    u_left those of inp.  A guess that leaves double range is not
+    finite, and ``step`` ignores it."""
     H, R = op.H.get(start), op.R.get(start)
-    if H is None:  # the constant start
-        return None
+    if H is None:
+        if start is Start.CONSTANT:
+            return None
+        H = shrink_row(op, inp.r, start[1])
     if R is not None and (guess := _reciprocal_iterate(inp, op, R, f_res)) is not None:
         return guess
     guess = np.dot(H, f_res)
@@ -436,13 +474,16 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     no longer moves t.
 
     A raise is recorded as one "raise_r" however many degrees it adds,
-    so each rejected attempt makes one decision.  A predicted halving is
+    so each rejected attempt makes one decision; an accuracy shrink by
+    theta (``_shrink_by``) as one "shrink_k".  The product of the
+    factors by which an interval's decisions cut k is its ``k_factor``,
+    which the next prediction reads.  A predicted halving is
     recorded as "halve_k_predicted" and not counted in the interval's
     attempts.  Nor is a pole halving, "halve_k_pole", made before any
     sweep runs where ``_first_iterate`` returns ``_POLE``; an interval
-    has at most two (the starts of ``galerkin.SchemeOperator``).  The prediction is made on an
-    interval's first pass only, before any halving, and the k_min guard
-    sees every halving.
+    has at most two (the starts of ``galerkin.SchemeOperator``).  The
+    prediction is made on an interval's first pass only, before any
+    cut, and the k_min guard sees every halving and shrink.
 
     Every step stops Picard at a coefficient change, or a predicted
     error, of PICARD_TOL_SHARE * tol, unless the relative test stops it
@@ -478,12 +519,15 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
     # attempt's start and the f values it reads
     op = picard_operator(r, cfg.scheme)
     start, f_res = Start.CONSTANT, None
-    attempts, decisions = 0, []
+    # cut: the product of the factors by which this interval's decisions
+    # cut the k it was carried at (``IntervalRecord.k_factor``)
+    attempts, decisions, cut = 0, [], 1.0
 
     with _marching():
         while len(records) < cfg.max_intervals:
             if not decisions and _predicts_rejection(cfg, records, tol):
                 k *= 0.5
+                cut *= 0.5
                 decisions.append("halve_k_predicted")
                 start = Start.NEXT_HALF
             if k < cfg.k_min or not t + k > t:
@@ -493,6 +537,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             guess = _first_iterate(inp, op, start, f_res)
             if guess is _POLE:
                 k *= 0.5
+                cut *= 0.5
                 decisions.append("halve_k_pole")
                 start = Start.NEXT_HALF if start is Start.NEXT else Start.CONSTANT
                 continue
@@ -501,6 +546,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             start = Start.CONSTANT
             if not out.converged:
                 k *= 0.5
+                cut *= 0.5
                 decisions.append("halve_k_existence")
                 continue
             try:
@@ -516,6 +562,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                 # the candidate exists but leaves double range: treat it
                 # like nonexistence and shorten the step
                 k *= 0.5
+                cut *= 0.5
                 decisions.append("halve_k_overflow")
                 continue
             if not eta <= tol:
@@ -526,9 +573,11 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                     op = picard_operator(r, cfg.scheme)
                     start = Start.RAISE if m == 1 else (Start.RAISE, m)
                 else:
-                    k *= 0.5
-                    decisions.append("halve_k")
-                    start = Start.HALVE
+                    theta = _shrink_by(eta, tol, r)
+                    k *= theta
+                    cut *= theta
+                    decisions.append("shrink_k")
+                    start = (Start.SHRINK, theta)
                 continue
 
             iv = inp.interval
@@ -552,6 +601,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
                     attempts=attempts,
                     decisions=tuple(decisions),
                     dofs=_interval_dofs(p, cfg.scheme, r),
+                    k_factor=cut,
                 )
             )
             tol *= delta
@@ -559,7 +609,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
             # the next interval's first attempt carries this one's k and r
             t, k, u_left = iv.t_end, iv.k, u_end
             start = Start.NEXT
-            attempts, decisions = 0, []
+            attempts, decisions, cut = 0, [], 1.0
 
     return RunResult(
         intervals=tuple(records),
@@ -572,7 +622,7 @@ def _drive(p: Problem, cfg: AdaptConfig) -> RunResult:
 
 
 def h_adapt(p: Problem, cfg: AdaptConfig) -> RunResult:
-    """Fixed-degree driver: all refinement is step-length halving."""
+    """Fixed-degree driver: all refinement shortens the step."""
     if cfg.mode is not Mode.H:
         raise ValueError("h_adapt requires mode == Mode.H")
     return _drive(p, cfg)

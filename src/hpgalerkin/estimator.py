@@ -113,7 +113,8 @@ def residual_estimator(
     evaluated.
 
     eta_res = c sup + tail.  sup is the residual polynomial's sampled
-    sup (``LocalPoly.linf_norm``) and c the Ehlich-Zeller factor of its
+    sup, on the samples of ``LocalPoly.linf_norm`` and by its product and
+    norm, and c the Ehlich-Zeller factor of its
     samples (``poly.Basis.sup_factor``), so c sup bounds the sup of that
     polynomial between its samples as well.  tail = k (|F_{q-1}| /
     (2q - 1) + |F_q| / (2q + 1)), with F_j row j of res_proj @ f_vals,
@@ -131,12 +132,13 @@ def residual_estimator(
 
     Raises NumericOverflow when the lift or the subtraction leaves
     double range, so that ``adapt`` halves the step as it does for an
-    overflowing reconstruction.  One errstate covers the lift and the
-    subtraction (``poly._quiet``), and one finite test, after the
-    subtraction, covers both: a non-finite lift coefficient stays
+    overflowing reconstruction.  One errstate covers the lift, the
+    subtraction and the sup (``poly._quiet``), and one finite test, after
+    the subtraction, covers both: a non-finite lift coefficient stays
     non-finite when a finite uhat is subtracted.  Otherwise the fresh,
-    finite coefficient array is wrapped without a copy
-    (``LocalPoly._trusted``) and measured by its ``linf_norm``.
+    finite coefficient rows are sampled as they are, with no
+    ``LocalPoly`` built around them, and the residual's ``basis`` is
+    looked up once, for its samples and its factor.
     """
     # a float array, itself when it is one; += broadcasts it into row 0
     u_left = np.asarray(u_left, dtype=float)
@@ -144,11 +146,11 @@ def residual_estimator(
     with _quiet():
         lifted = _cg_lift(iv.k, u_left, basis(u_hat.degree).res_lift, f_vals)
         lifted[: u_hat.coeffs.shape[0]] -= u_hat.coeffs
-    if not _all_finite(lifted):
-        raise NumericOverflow(f"residual of problem {p.name!r} overflowed")
-    res = LocalPoly._trusted(iv, lifted[:-2])
-    top, last = lifted[-2:].tolist()
-    sup = res.linf_norm() * basis(res.degree).sup_factor[len(top) > 1]
+        if not _all_finite(lifted):
+            raise NumericOverflow(f"residual of problem {p.name!r} overflowed")
+        b = basis(lifted.shape[0] - 3)  # of the residual, rows :-2
+        top, last = lifted[-2:].tolist()
+        sup = _sup_norm(np.dot(b.samples_V, lifted[:-2]), 1) * b.sup_factor[len(top) > 1]
     return sup + (math.hypot(*top) + math.hypot(*last))
 
 

@@ -171,8 +171,9 @@ class StepFailure(enum.Enum):
 
 class Start(enum.Enum):
     """How an attempt's first Picard iterate is formed; each is a row of
-    ``SchemeOperator``, and (RAISE, m) keys the row of a raise by m > 1
-    degrees."""
+    ``SchemeOperator``, (RAISE, m) keys the row of a raise by m > 1
+    degrees, and (SHRINK, theta) names the row of a shrink by theta,
+    built on each shrink (``shrink_row``)."""
 
     # members are singletons equal only to themselves, so the identity
     # hash keys the maps of ``SchemeOperator`` as Enum's own does, at a
@@ -182,7 +183,7 @@ class Start(enum.Enum):
     CONSTANT = "constant"
     NEXT = "next"
     NEXT_HALF = "next_half"
-    HALVE = "halve"
+    SHRINK = "shrink"
     RAISE = "raise"
 
 
@@ -292,8 +293,8 @@ class SchemeOperator:
     equal length;
     NEXT_HALF: the first attempt on the first half of that interval,
     after a predicted halving or a pole halving on all of it;
-    HALVE: the attempt after an accuracy halving, on the first half of
-    the rejected candidate's interval;
+    (SHRINK, theta): the attempt after an accuracy shrink, on the first
+    theta of the rejected candidate's interval (``adapt._shrink_by``);
     RAISE: the attempt at degree r after a raise from r - 1, on the same
     interval; next to it, (RAISE, m) for 2 <= m < r, the attempt after
     a raise by m degrees from r - m (``adapt._raise_by``).
@@ -312,8 +313,10 @@ class SchemeOperator:
     points), continued onto the next interval (x -> x + 2);
     NEXT_HALF: the same P, continued onto its first half (x -> (x + 3) /
     2);
-    HALVE: the full interpolant on the same rule, restricted to the first
-    half of its own interval (x -> (x - 1) / 2);
+    (SHRINK, theta): the full interpolant on the same rule, restricted to
+    the first theta of its own interval (x -> theta (x + 1) - 1); theta
+    takes any value in [1/8, 0.9], so this row is not held in H but
+    built on each shrink (``shrink_row``);
     RAISE and (RAISE, m): the full interpolant on the residual's rule of
     the rejected candidate's reconstruction, of degree r - m + 1
     (``basis(r - m + 1).res_*``, m = 1 for RAISE), at the step's own
@@ -384,6 +387,38 @@ class SchemeOperator:
     R: dict[Start, np.ndarray]
 
 
+def _start_row(G: np.ndarray, P: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """G @ legvander(x, q) @ P, with q + 1 >= 2 the rows of P: the H of
+    a start whose fit is P @ f_res and whose nodes are x
+    (``SchemeOperator``).
+
+    A shrink builds its row on every shrink (``shrink_row``), so the
+    Vandermonde is not numpy's ``legvander`` but its recurrence, P_i =
+    ((2i - 1) x P_(i-1) - (i - 1) P_(i-2)) / i, with the same IEEE
+    operations in the same order, on Python floats, one list per degree;
+    the product reads it transposed, as it reads ``legvander``'s array,
+    whose layout decides how a large product sums.  So every row has the
+    bits of the ``legvander`` form, and on the (r+1, r+5) rows of a
+    shrink at degrees 1 to 7 it takes 8-25 us against 22-42 us (Python
+    3.11, numpy 2.4): the 240 shrinks of the seed-1 ``hp-sweep`` solves
+    took 5.7 of their 223 ms, the 167 of ``h-sweep`` 3.2 of 494 ms.
+    """
+    x = x.tolist()
+    V = [[1.0] * len(x), x]
+    for i in range(2, P.shape[0]):
+        V.append([(a * t * (2 * i - 1) - b * (i - 1)) / i for a, b, t in zip(V[-1], V[-2], x)])
+    return G @ (np.array(V).T @ P)
+
+
+def shrink_row(op: SchemeOperator, r: int, theta: float) -> np.ndarray:
+    """H of the start (SHRINK, theta) of ``SchemeOperator`` at degree r,
+    with op that degree's operator: the interpolant of the rejected
+    candidate's residual values, on the residual's rule of its degree
+    r + 1 reconstruction, at the step's nodes x mapped to theta (x + 1)
+    - 1; the offsets x + 1 are ``basis(r).step_offsets``, bit for bit."""
+    return _start_row(op.G, basis(r + 1).res_proj, theta * basis(r).step_offsets - 1.0)
+
+
 def _scheme_matrices(r: int, scheme: Scheme, proj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(a, G) of the update on a rule whose degree-r projection is proj."""
     if scheme is Scheme.CG:
@@ -415,12 +450,11 @@ def picard_operator(r: int, scheme: Scheme) -> SchemeOperator:
     rows = {
         Start.NEXT: (nxt[: r + 3], nodes + 2.0),
         Start.NEXT_HALF: (nxt[: r + 3], 0.5 * (nodes + 3.0)),
-        Start.HALVE: (nxt, 0.5 * (nodes - 1.0)),
         Start.RAISE: (b.res_proj, nodes),
     }
     # a raise by m > 1 from degree r - m >= 1
     rows.update({(Start.RAISE, m): (basis(r - m + 1).res_proj, nodes) for m in range(2, r)})
-    H = {start: G @ (_leg.legvander(x, P.shape[0] - 1) @ P) for start, (P, x) in rows.items()}
+    H = {start: _start_row(G, P, x) for start, (P, x) in rows.items()}
     continued = (Start.NEXT, Start.NEXT_HALF) if r >= _RECIPROCAL_MIN_DEGREE else ()
     R = {start: _leg.legvander(rows[start][1], 2) @ nxt[:3] for start in continued}
     for arr in (a, G, *H.values(), *R.values()):

@@ -584,18 +584,47 @@ def raise_start(m):
 
 def start_guess(p, inp, u_hat, start):
     """a u_left^T + k H @ f_res with matmul products, H the row of
-    ``start`` of ``SchemeOperator.H``, a, k and u_left those of the
+    ``start`` of ``SchemeOperator.H``, or ``shrink_row`` for the start
+    (``Start.SHRINK``, theta), a, k and u_left those of the
     attempt ``inp`` and f_res the f values of the residual of the
     candidate u_hat (``residual_f_vals``): the drivers' polynomial first
     iterate of the attempt after u_hat.  That is the Picard update of
     ``inp`` from those values projected to degree r + 2 and continued
     onto the next interval of equal length (``Start.NEXT``) or its first
-    half (``Start.NEXT_HALF``), or interpolated on the first half of
-    u_hat's interval after an accuracy halving (``Start.HALVE``) or on
-    all of it at the raised degree after a raise by m degrees
-    (``raise_start(m)``), the one u_hat's degree and inp's tell."""
+    half (``Start.NEXT_HALF``), or interpolated on the first theta of
+    u_hat's interval after an accuracy shrink by theta (``(Start.SHRINK,
+    theta)``) or on all of it at the raised degree after a raise by m
+    degrees (``raise_start(m)``), the one u_hat's degree and inp's
+    tell."""
     op = picard_operator(inp.r, inp.scheme)
-    return np.outer(op.a, inp.u_left) + inp.interval.k * (op.H[start] @ residual_f_vals(p, u_hat))
+    H = op.H[start] if start in op.H else shrink_row(inp.r, start[1], inp.scheme)
+    return np.outer(op.a, inp.u_left) + inp.interval.k * (H @ residual_f_vals(p, u_hat))
+
+
+def shrink_by(eta, tol, r):
+    """The factor theta by which the drivers shrink k after an accuracy
+    rejection at degree r with residual estimator eta > tol: 0.9 (tol /
+    eta)^(1 / (r + 2)) clamped to [1/8, 0.9], and 1/8 where eta is not
+    finite."""
+    if not math.isfinite(eta):
+        return 1 / 8
+    return min(max(0.9 * math.pow(tol / eta, 1 / (r + 2)), 1 / 8), 0.9)
+
+
+def shrink_row(r, theta, scheme):
+    """The first-iterate row at degree r after an accuracy shrink by
+    theta, written on numpy's legendre module: G applied to the
+    interpolant of degree q = n - 1 on the n residual nodes y of a
+    degree r + 1 reconstruction (``residual_nodes``), its projection
+    (q + 1/2) P_i(y) w, evaluated at the step's nodes x of degree r
+    (``step_nodes``) mapped to theta (x + 1) - 1, the first theta of the
+    interval.  The same operations in the same order as
+    ``galerkin.shrink_row`` on the cached rules, so byte-equal to it."""
+    y, w = residual_nodes(r + 1)
+    q = y.size - 1
+    proj = (np.arange(q + 1) + 0.5)[:, None] * (legendre.legvander(y, q).T * w)
+    x = theta * (step_nodes(r)[0] + 1.0) - 1.0
+    return picard_operator(r, scheme).G @ (legendre.legvander(x, q) @ proj)
 
 
 def raise_row(r, m, scheme):

@@ -44,18 +44,23 @@ REV`` it runs this script, not REV's own copy, on REV's extracted tree
 (``--root``), so it also works against a revision that predates the
 option, and prints per workload each side's totals of f points and of
 attempts over the accepted intervals; each side's count of every
-decision name over the accepted intervals; its totals of all steps,
+decision name over the accepted intervals (an older tree's name of a
+decision read as today's, ``DECISION_NAMES``); its totals of all steps,
 failed steps and Picard updates, read by a wrapper on ``adapt.step``, so
 that they include the attempts on each run's final, discarded interval
 (informational: they never change the exit status); the same
-wrapper's steps, Picard updates and f points split by how each attempt
-started (``START_KINDS``: from the constant, or from a guess for the
-next interval, after a predicted halving, after a pole halving, after
-an accuracy halving or after a degree raise), also informational; the
-raises split by jump size m, the degree of the attempt after each raise
-less that of the rejected one before it, with the steps, Picard updates
-and f points of the attempts they start, informational too; the
-f points split by the outcome of the attempt that spent them
+wrapper's steps, failed steps, Picard updates and f points split by how
+each attempt started (``START_KINDS``: from the constant, or from a
+guess for the next interval, after a predicted halving, after a pole
+halving, after an accuracy shrink or after a degree raise), and its
+failed steps split by degree, also informational; the count, range and
+quartiles of the shrink factors, each the k of the attempt after a
+shrink over that of the rejected one (1/2 on a tree that halved),
+informational too; the raises split by jump size m, the degree of the
+attempt after each raise less that of the rejected one before it, with
+the steps, Picard updates and f points of the attempts they start,
+informational too; the f points split by the outcome of the attempt
+that spent them
 (``OUTCOMES``: accepted, rejected on accuracy, failed step or the
 discarded final candidate), with each side's shares, informational
 too; the f points split by what evaluates them (``EVALUATORS``: the
@@ -125,9 +130,14 @@ START_KINDS = {
     "next": "next interval",
     "predicted": "predicted halving",
     "pole": "pole halving",
-    "halve": "accuracy halving",
+    "shrink": "accuracy shrink",
     "raise": "degree raise",
 }
+
+# Decision names as they are now, keyed by an older name of the same
+# decision: the accuracy rejection that cuts k was "halve_k" while it
+# halved, so a tree from before the shrink reads as one after it.
+DECISION_NAMES = {"halve_k": "shrink_k"}
 
 
 def load_bench(root=ROOT):
@@ -263,9 +273,12 @@ def run_outcomes(seed, root=ROOT):
     ``steps``: every ``adapt.step`` call of the run, the discarded last
     interval's included, as [steps, failed steps, Picard updates], and
     ``starts``: the same calls per ``start_kind``, as [steps, Picard
-    updates, f points], the f points read from the benchmark's counter
-    around each call, ``raises``: the calls that start after a raise,
-    the same three per jump size m (a string key), and ``outcomes``:
+    updates, f points, failed steps], the f points read from the
+    benchmark's counter around each call, ``raises``: the calls that
+    start after a raise, the first three per jump size m (a string key),
+    ``failed``: the failed steps per degree (a string key),
+    ``shrinks``: the factor k / k before of every call that starts after
+    a shrink, and ``outcomes``:
     the f points per ``OUTCOMES`` key, told apart by a wrapper on
     ``adapt.solve_delta`` too, and
     ``evaluators``: the f points per ``EVALUATORS`` key, the residual's
@@ -281,7 +294,8 @@ def run_outcomes(seed, root=ROOT):
     # attempt's outcome so far and the f point count where it started
     run = {
         "steps": [0, 0, 0], "starts": {}, "raises": {}, "outcomes": {}, "f_points": [0],
-        "last": None, "pole": False, "attempt": None, "residual": 0,
+        "last": None, "pole": False, "attempt": None, "residual": 0, "failed": {},
+        "shrinks": [],
     }
     step, recip = adapt.step, getattr(adapt, "_reciprocal_iterate", None)
     residual_f_vals = getattr(adapt, "_residual_f_vals", None)
@@ -303,6 +317,11 @@ def run_outcomes(seed, root=ROOT):
         tallies = [run["starts"][kind]]
         if kind == "raise":
             tallies.append(run["raises"].setdefault(str(inp.r - run["last"].r), [0, 0, 0]))
+        elif kind == "shrink":
+            run["shrinks"].append(inp.interval.k / run["last"].interval.k)
+        if not out.converged:
+            run["starts"][kind][3] += 1
+            run["failed"][str(inp.r)] = run["failed"].get(str(inp.r), 0) + 1
         run["last"], run["pole"] = inp, False
         for counts in tallies:
             counts[0] += 1
@@ -360,14 +379,15 @@ def start_kind(last, inp, guess, pole=False):
     last ended continues the march, halved on a pole when one came
     between, else on the prediction when its k is about half the last
     one; one at the same start follows a rejection, a raise, by one
-    degree or several, when its degree is higher."""
+    degree or several, when its degree is higher, else a shrink of k (a
+    halving on a tree from before the shrink)."""
     if guess is None:
         return "constant"
     if inp.interval.t_start == last.interval.t_end:
         if pole:
             return "pole"
         return "predicted" if inp.interval.k < 0.75 * last.interval.k else "next"
-    return "raise" if inp.r > last.r else "halve"
+    return "raise" if inp.r > last.r else "shrink"
 
 
 def _outcomes(bench, seed, share, run):
@@ -379,9 +399,10 @@ def _outcomes(bench, seed, share, run):
         for ladder, tol in ops:
             ladder.f_points[0] = 0
             run.update(
-                steps=[0, 0, 0], starts={kind: [0, 0, 0] for kind in START_KINDS}, raises={},
+                steps=[0, 0, 0], starts={kind: [0, 0, 0, 0] for kind in START_KINDS}, raises={},
                 outcomes=dict.fromkeys(OUTCOMES, 0), attempt=None,
-                f_points=ladder.f_points, last=None, pole=False, residual=0,
+                f_points=ladder.f_points, last=None, pole=False, residual=0, failed={},
+                shrinks=[],
             )
             result = bench.solve(ladder, tol)
             close_attempt(run)
@@ -392,7 +413,10 @@ def _outcomes(bench, seed, share, run):
             outcomes[f"{workload} {ladder.name}@{tol!r}"] = {
                 "run": [result.T, result.M, result.dofs, result.termination.value],
                 "intervals": [
-                    [rec.interval.t_start, rec.interval.t_end, rec.r, rec.attempts, list(rec.decisions)]
+                    [
+                        rec.interval.t_start, rec.interval.t_end, rec.r, rec.attempts,
+                        [DECISION_NAMES.get(name, name) for name in rec.decisions],
+                    ]
                     for rec in result.intervals
                 ],
                 "bounds": [rec.estimate.bound for rec in result.intervals],
@@ -404,6 +428,8 @@ def _outcomes(bench, seed, share, run):
                 "steps": run["steps"],
                 "starts": run["starts"],
                 "raises": run["raises"],
+                "failed": run["failed"],
+                "shrinks": run["shrinks"],
                 "outcomes": run["outcomes"],
                 "evaluators": {
                     "step": ladder.f_points[0] - run["residual"], "residual": run["residual"],
@@ -427,6 +453,18 @@ def first_difference(theirs, mine, march=False):
         if a[:width] != b[:width]:
             return f"interval {i}: {a} -> {b}"
     return None
+
+
+def factor_quartiles(factors):
+    """The count, the least, the quartiles and the largest of the shrink
+    factors, as text."""
+    if not factors:
+        return "none"
+    qs = statistics.quantiles(factors, n=4) if len(factors) > 1 else factors * 3
+    return (
+        f"{len(factors)}, min {min(factors):.4g}, quartiles "
+        f"{'/'.join(f'{q:.4g}' for q in qs)}, max {max(factors):.4g}"
+    )
 
 
 def total_attempts(outcome):
@@ -497,13 +535,21 @@ def compare_outcomes(rev, seed, march=False):
                 f"{rev} {sum(theirs[key]['steps'][i] for key in keys)}, "
                 f"here {sum(mine[key]['steps'][i] for key in keys)}"
             )
-        print("  by start, steps / Picard updates / f points:")
+        print("  by start, steps / failed steps / Picard updates / f points:")
         for kind, label in START_KINDS.items():
             sides = [
-                "/".join(str(sum(side[key]["starts"][kind][i] for key in keys)) for i in range(3))
+                "/".join(str(sum(side[key]["starts"][kind][i] for key in keys)) for i in (0, 3, 1, 2))
                 for side in (theirs, mine)
             ]
             print(f"    {label}: {rev} {sides[0]}, here {sides[1]}")
+        print("  failed steps by degree, the discarded last intervals' included:")
+        degrees = {r for side in (theirs, mine) for key in keys for r in side[key]["failed"]}
+        for r in sorted(degrees, key=int):
+            sides = [sum(side[key]["failed"].get(r, 0) for key in keys) for side in (theirs, mine)]
+            print(f"    r = {r}: {rev} {sides[0]}, here {sides[1]}")
+        print("  shrink factors k / k before, the discarded last intervals' included:")
+        for label, side in ((rev, theirs), ("here", mine)):
+            print(f"    {label}: {factor_quartiles([x for key in keys for x in side[key]['shrinks']])}")
         print(
             "  raises by jump size m, the discarded last intervals' included, "
             "steps / Picard updates / f points of the attempts they start:"

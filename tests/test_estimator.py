@@ -26,6 +26,7 @@ from hpgalerkin.galerkin import (
     StepInput,
     picard_operator,
     reconstruct,
+    shrink_row,
     step,
 )
 from hpgalerkin.poly import Interval, LocalPoly, _norms, _time_map, basis
@@ -116,9 +117,9 @@ class TestResidualEstimator:
         # residual's rule has 63 points, interpolating at degree 62, with
         # the two tail rows under its lift, and whose growth rule is
         # capped at 64 points; every start of the drivers but the raises
-        # reads 63 node values, the raise's 62 on the rule of a degree 58
-        # reconstruction, and a raise by m's r - m + 5 on the rule of a
-        # degree r - m + 1 one
+        # reads 63 node values, the shrink's row built per shrink as well,
+        # the raise's 62 on the rule of a degree 58 reconstruction, and a
+        # raise by m's r - m + 5 on the rule of a degree r - m + 1 one
         r = MAX_DEGREE
         b = basis(r + 1)
         assert (b.res_offsets.size, b.res_V.shape, b.res_proj.shape, b.res_lift.shape) == (
@@ -126,10 +127,11 @@ class TestResidualEstimator:
         )
         assert (b.grow_offsets.size, b.grow_V.shape, b.grow_w.shape) == (64, (64, r + 2), (64,))
         op, s = picard_operator(r, scheme), basis(r).step_offsets.size
-        starts = [Start.NEXT, Start.NEXT_HALF, Start.HALVE, Start.RAISE]
+        starts = [Start.NEXT, Start.NEXT_HALF, Start.RAISE]
         want = dict.fromkeys(starts, (r + 1, 63)) | {Start.RAISE: (r + 1, 62)}
         want |= {(Start.RAISE, m): (r + 1, r - m + 5) for m in range(2, r)}
         assert {start: H.shape for start, H in op.H.items()} == want
+        assert all(shrink_row(op, r, theta).shape == (r + 1, 63) for theta in (0.125, 0.9))
         assert {start: R.shape for start, R in op.R.items()} == dict.fromkeys(starts[:2], (s, 63))
         p = make_power_square(1.0)
         inp = StepInput(Interval(0.0, 0.1), r, np.array([1.0]), scheme)

@@ -55,6 +55,7 @@ from _oracles import (
     reference_step,
     residual_f_vals,
     residual_nodes,
+    shrink_by,
     start_guess,
     step_f_vals,
     step_nodes,
@@ -578,30 +579,36 @@ class TestWarmStart:
         # mapped into that rule's interval.  NEXT and NEXT_HALF continue
         # the degree r+2 projection on the residual's rule of the degree
         # r+1 reconstruction onto the next interval (x -> x + 2) and onto
-        # its first half (x -> (x + 3) / 2); HALVE restricts the full
-        # interpolant on that rule to the first half of its interval
-        # (x -> (x - 1) / 2); RAISE evaluates the full interpolant on the
-        # residual's rule of a degree r reconstruction at the step's own
-        # nodes, and (RAISE, m), 2 <= m < r, that of a degree r - m + 1
-        # one, after a raise by m
+        # its first half (x -> (x + 3) / 2); (SHRINK, theta), built on
+        # each shrink by shrink_row rather than held in H, restricts the
+        # full interpolant on that rule to the first theta of its
+        # interval (x -> theta (x + 1) - 1); RAISE evaluates the full
+        # interpolant on the residual's rule of a degree r reconstruction
+        # at the step's own nodes, and (RAISE, m), 2 <= m < r, that of a
+        # degree r - m + 1 one, after a raise by m
         nodes = step_nodes(r)[0]
         after, own = residual_nodes(r + 1)[0], residual_nodes(r)[0]
         cases = [  # the start, the rule of f_res, the degree reproduced, mapped nodes
             (Start.NEXT, after, r + 2, nodes + 2.0),
             (Start.NEXT_HALF, after, r + 2, 0.5 * (nodes + 3.0)),
-            (Start.HALVE, after, after.size - 1, 0.5 * (nodes - 1.0)),
             (Start.RAISE, own, own.size - 1, nodes),
         ]
         for m in range(2, r):
             below = residual_nodes(r - m + 1)[0]
             cases.append(((Start.RAISE, m), below, below.size - 1, nodes))
+        shrinks = [
+            ((Start.SHRINK, theta), after, after.size - 1, theta * (nodes + 1.0) - 1.0)
+            for theta in (0.125, 0.5, 0.7, 0.9)
+        ]
         schemes = [Scheme.DG] + ([Scheme.CG] if r >= 1 else [])
         for scheme in schemes:
             op = picard_operator(r, scheme)
             assert op.H.keys() == {start for start, *_ in cases}
-            for start, rule, degree, x in cases:
-                H = op.H[start]
-                assert H.shape == (r + 1, rule.size) and not H.flags.writeable
+            for start, rule, degree, x in cases + shrinks:
+                # the cached rows are shared, so read-only; a shrink's is
+                # its caller's own
+                H = op.H[start] if start in op.H else galerkin.shrink_row(op, r, start[1])
+                assert H.shape == (r + 1, rule.size) and H.flags.writeable is (start not in op.H)
                 # sup of |P_j| over the mapped nodes, j <= degree
                 sizes = np.abs(legendre.legvander(x, degree)).max(axis=0)
                 for _ in range(5):
@@ -856,11 +863,13 @@ class TestAcceptPathBitIdentity:
 
     @pytest.mark.parametrize("scheme,r,dim", ACCEPT_CASES, ids=lambda v: getattr(v, "value", v))
     def test_guesses_and_end_value(self, scheme, r, dim, monkeypatch):
-        # one rejected attempt, whose residual's f values seed the
-        # second, which is accepted, by its Picard update on the first
-        # half; the update predicted from the accepted residual's f
-        # values seeds the first attempt of the next interval.  f = |u| u ignores t, so the run starting at t = 0
-        # takes the steps of accept_case
+        # one rejected attempt, at eta = 2 tol, whose residual's f values
+        # seed the second, which is accepted, by its Picard update on
+        # the first theta of the interval, theta = 0.9 2^(-1/(r+2)); the
+        # update predicted from the accepted residual's f values seeds
+        # the first attempt of the next interval.  f = |u| u ignores t,
+        # so the run starting at t = 0 takes steps as long as
+        # accept_case's and longer
         p, inp, _ = accept_case(scheme, r, dim)
         tol, etas, calls, given = 1e-6, iter([2e-6, 0.0, 0.0]), [], []
 
@@ -884,12 +893,15 @@ class TestAcceptPathBitIdentity:
             max_intervals=2,
         )
         rec = adapt.h_adapt(p, cfg).intervals[0]
-        assert rec.decisions == ("halve_k",) and rec.attempts == 2
+        theta = shrink_by(2e-6, tol, r)
+        assert rec.decisions == ("shrink_k",) and rec.attempts == 2 and rec.k_factor == theta
         assert len(calls) == 3 and calls[0][0] is None
         rejected_inp, rejected = calls[0][1:]
+        assert calls[1][1].interval == Interval(0.0, theta * cfg.k_init)
         u_hat = reconstruct(p, rejected_inp, rejected.f_vals)
         assert given[0].tobytes() == residual_f_vals(p, u_hat).tobytes()
-        assert calls[1][0].tobytes() == start_guess(p, calls[1][1], u_hat, Start.HALVE).tobytes()
+        want = start_guess(p, calls[1][1], u_hat, (Start.SHRINK, theta))
+        assert calls[1][0].tobytes() == want.tobytes()
         u_end = calls[2][1].u_left
         assert u_end.tobytes() == rec.reconstruction.coeffs.sum(axis=0).tobytes()
         assert given[1].tobytes() == residual_f_vals(p, rec.reconstruction).tobytes()
@@ -1144,9 +1156,9 @@ class TestSweeps:
         # guesses project to: every update of a step is the same,
         # a u_left + k G q(nodes), from any iterate, and each polynomial
         # guess is that update of its attempt: on the next interval, on
-        # its first half after a predicted halving, on the first half of
-        # this interval after an accuracy halving, and on this interval
-        # at degree r + 1 after a raise.  Where q looks like a pole the
+        # its first half after a predicted halving, on the first theta of
+        # this interval after an accuracy shrink by theta, and on this
+        # interval at degree r + 1 after a raise.  Where q looks like a pole the
         # drivers continue 1/q instead (TestReciprocalContinuation).
         scheme, r = case
         b = np.random.default_rng(seed).standard_normal((r + 3, dim))
@@ -1169,10 +1181,11 @@ class TestSweeps:
         assert out.converged
         u_hat = reconstruct(p, inp, out.f_vals)
         u_end = u_hat.coeffs.sum(axis=0)
+        theta = (0.125, 0.3, 0.5, 0.71, 0.9)[seed % 5]
         attempts = [  # the start, its attempt, the reach of its fit
             (Start.NEXT, Interval(t0 + k, t0 + k + k), r, u_end, 3.0),
             (Start.NEXT_HALF, Interval(t0 + k, t0 + k + 0.5 * k), r, u_end, 2.0),
-            (Start.HALVE, Interval(t0, t0 + 0.5 * k), r, inp.u_left, 1.0),
+            ((Start.SHRINK, theta), Interval(t0, t0 + theta * k), r, inp.u_left, 1.0),
             (Start.RAISE, inp.interval, r + 1, inp.u_left, 1.0),
         ]
         for start, iv, r_next, u_left, reach in attempts:

@@ -15,23 +15,24 @@ from hpgalerkin.cli import run_from_config
 GOLDEN = [
     # scheme, mode, tol_star, repr(T), M, dofs
     ("cg", "h", 1e-2, "0.9187499999999997", 10, 10),
-    ("cg", "h", 1e-4, "0.9937499999999999", 56, 56),
-    ("cg", "h", 1e-6, "0.9997192382812448", 284, 284),
-    ("cg", "hp", 1e-3, "0.9843749999999996", 11, 22),
-    ("cg", "hp", 1e-6, "0.9999755859375002", 27, 108),
-    ("cg", "hp", 1e-9, "0.9999999046325687", 44, 264),
+    ("cg", "h", 1e-4, "0.9931559839834162", 56, 56),
+    ("cg", "h", 1e-6, "0.9996813123665229", 287, 287),
+    ("cg", "hp", 1e-3, "0.9798965515662963", 10, 20),
+    ("cg", "hp", 1e-6, "0.9999537408853012", 25, 100),
+    ("cg", "hp", 1e-9, "0.9999999216417368", 42, 252),
     # phi < 0 only on a stretch narrower than one delta scan step decided
     # whether the last interval (psi = 5021.7) was certified, when the
     # residual's rule had deg + 7 points and this run ended at M = 35;
     # on the deg + 4 rule, raising one degree at a time, it ended at
-    # M = 34 with 169 DoFs
-    ("cg", "hp", 10.0**-7.5, "0.999998474121093", 35, 175),
+    # M = 34 with 169 DoFs; halving k on accuracy rejections, with the
+    # degree jumps, at M = 35 with 175
+    ("cg", "hp", 10.0**-7.5, "0.9999988431450809", 34, 170),
     ("dg", "h", 1e-2, "0.9374999999999997", 8, 16),
-    ("dg", "h", 1e-4, "0.996093749999999", 39, 78),
+    ("dg", "h", 1e-4, "0.9965228254354124", 41, 82),
     ("dg", "h", 1e-6, "0.9998657226562456", 203, 406),
-    ("dg", "hp", 1e-3, "0.9843749999999996", 11, 31),
-    ("dg", "hp", 1e-6, "0.9999755859375001", 26, 130),
-    ("dg", "hp", 1e-9, "0.9999999046325674", 41, 287),
+    ("dg", "hp", 1e-3, "0.9855459206562849", 10, 28),
+    ("dg", "hp", 1e-6, "0.999953631699811", 24, 120),
+    ("dg", "hp", 1e-9, "0.9999999682150362", 42, 294),
 ]
 
 
